@@ -13,7 +13,6 @@ pub mod loc;
 pub mod matrix;
 pub mod metrics;
 pub mod report;
-pub mod stealbench;
 
 pub use ablations::{ceiling_sweep, invpcid_sensitivity, paravirt_hint};
 pub use enginebench::{run_dispatch, run_dispatch_pair, DispatchCfg, DispatchPair, DispatchResult};
@@ -21,10 +20,8 @@ pub use figures::{fig10, fig11, fig4_ablation, fig5_to_8, fig9, table3, Scale};
 pub use fractured::table4;
 pub use loc::table2;
 pub use matrix::{
-    bench_matrix, full_matrix, optbench_levels, optbench_matrix, scale_matrix, stealbench_matrix,
-    storm_faults, storm_matrix, storm_matrix_mesh, topo_specs, topobench_matrix, JobOutput,
-    JobSpec, MatrixJob,
+    bench_matrix, full_matrix, optbench_levels, optbench_matrix, scale_matrix, storm_faults,
+    storm_matrix, storm_matrix_mesh, topo_specs, topobench_matrix, JobOutput, JobSpec, MatrixJob,
 };
 pub use metrics::JobMetrics;
-pub use report::{bench_jobs, diff_sim_metrics, render_bench_json, sim_blocks, SimDiff};
-pub use stealbench::{run_par_bench, run_steal_pair, ParBench, StealCfg, StealPair, StealResult};
+pub use report::{bench_jobs, diff_sim_metrics, render_bench_json, sim_blocks, SimChange, SimDiff};

@@ -87,26 +87,51 @@ pub fn render_bench_json(report: &SweepReport<(Json, JobOutput)>, git_rev: &str)
         .with("totals", totals)
 }
 
-/// Extract the deterministic part of a snapshot: job ID → compact
-/// rendering of its `sim` block. This is the unit of byte-exact
-/// comparison for both the perf gate and the sweep determinism test.
-pub fn sim_blocks(doc: &Json) -> BTreeMap<String, String> {
+/// Job ID → `sim` block of every job in a snapshot.
+fn sim_values(doc: &Json) -> BTreeMap<&str, &Json> {
     let mut out = BTreeMap::new();
     let Some(jobs) = doc.get("jobs").and_then(Json::as_arr) else {
         return out;
     };
     for job in jobs {
-        let (Some(id), Some(sim)) = (job.get("id").and_then(Json::as_str), job.get("sim")) else {
-            continue;
-        };
-        out.insert(id.to_string(), sim.render());
+        if let (Some(id), Some(sim)) = (job.get("id").and_then(Json::as_str), job.get("sim")) {
+            out.insert(id, sim);
+        }
     }
     out
+}
+
+/// Extract the deterministic part of a snapshot: job ID → compact
+/// rendering of its `sim` block. This is the unit of byte-exact
+/// comparison for both the perf gate and the sweep determinism test.
+pub fn sim_blocks(doc: &Json) -> BTreeMap<String, String> {
+    sim_values(doc)
+        .into_iter()
+        .map(|(id, sim)| (id.to_string(), sim.render()))
+        .collect()
 }
 
 /// Total sweep wall-clock of a snapshot, if present.
 pub fn total_wall_ns(doc: &Json) -> Option<u64> {
     doc.get("totals")?.get("wall_ns")?.as_u64()
+}
+
+/// Rendering of the side of a [`SimChange`] where the path is absent.
+const ABSENT: &str = "<absent>";
+
+/// Where one job's `sim` block first differs from its baseline.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct SimChange {
+    /// The job's ID.
+    pub id: String,
+    /// Key path of the first difference in document order, rooted at
+    /// the block: `sim.counters.ipis_sent`, array elements as `[i]`.
+    pub path: String,
+    /// Compact rendering of the value at `path` now, or `<absent>`.
+    pub current: String,
+    /// Compact rendering of the value at `path` in the baseline, or
+    /// `<absent>`.
+    pub baseline: String,
 }
 
 /// Outcome of diffing two snapshots' deterministic metric blocks.
@@ -116,10 +141,10 @@ pub struct SimDiff {
     pub added: Vec<String>,
     /// Job IDs present in the baseline but gone now (matrix shrank).
     pub removed: Vec<String>,
-    /// Job IDs whose `sim` block bytes changed — a behavioural
-    /// regression (or an intentional protocol change needing a new
-    /// baseline).
-    pub changed: Vec<String>,
+    /// Jobs whose `sim` block bytes changed — a behavioural regression
+    /// (or an intentional protocol change needing a new baseline) —
+    /// each with the first differing value.
+    pub changed: Vec<SimChange>,
 }
 
 impl SimDiff {
@@ -137,22 +162,80 @@ impl SimDiff {
 /// Compare two snapshots' `sim` blocks byte-exactly (job set changes are
 /// reported separately from metric changes).
 pub fn diff_sim_metrics(current: &Json, baseline: &Json) -> SimDiff {
-    let cur = sim_blocks(current);
-    let base = sim_blocks(baseline);
+    let cur = sim_values(current);
+    let base = sim_values(baseline);
     let mut diff = SimDiff::default();
     for (id, sim) in &cur {
         match base.get(id) {
-            None => diff.added.push(id.clone()),
-            Some(b) if b != sim => diff.changed.push(id.clone()),
-            Some(_) => {}
+            None => diff.added.push(id.to_string()),
+            Some(b) => {
+                if let Some((path, current, baseline)) = first_difference(sim, b, "sim") {
+                    diff.changed.push(SimChange {
+                        id: id.to_string(),
+                        path,
+                        current,
+                        baseline,
+                    });
+                }
+            }
         }
     }
     for id in base.keys() {
         if !cur.contains_key(id) {
-            diff.removed.push(id.clone());
+            diff.removed.push(id.to_string());
         }
     }
     diff
+}
+
+/// The members of an object (`.key`) or elements of an array (`[i]`),
+/// labelled as path segments; `None` for a scalar.
+fn children(v: &Json) -> Option<Vec<(String, &Json)>> {
+    match v {
+        Json::Obj(pairs) => Some(pairs.iter().map(|(k, v)| (format!(".{k}"), v)).collect()),
+        Json::Arr(items) => Some(
+            items
+                .iter()
+                .enumerate()
+                .map(|(i, v)| (format!("[{i}]"), v))
+                .collect(),
+        ),
+        _ => None,
+    }
+}
+
+/// The first place `cur` and `base` render differently, walking both in
+/// document order: `(path, current, baseline)`. Members compare by
+/// position, so a key present on only one side is reported with
+/// [`ABSENT`] on the other.
+fn first_difference(cur: &Json, base: &Json, path: &str) -> Option<(String, String, String)> {
+    if cur.render() == base.render() {
+        return None;
+    }
+    if let (Some(a), Some(b)) = (children(cur), children(base)) {
+        let lookup = |side: &[(String, &Json)], label: &str| {
+            side.iter()
+                .find(|(l, _)| l == label)
+                .map_or_else(|| ABSENT.to_string(), |(_, v)| v.render())
+        };
+        for i in 0..a.len().max(b.len()) {
+            match (a.get(i), b.get(i)) {
+                (Some((la, va)), Some((lb, vb))) if la == lb => {
+                    if let Some(d) = first_difference(va, vb, &format!("{path}{la}")) {
+                        return Some(d);
+                    }
+                }
+                (Some((la, va)), _) => {
+                    return Some((format!("{path}{la}"), va.render(), lookup(&b, la)))
+                }
+                (None, Some((lb, vb))) => {
+                    return Some((format!("{path}{lb}"), lookup(&a, lb), vb.render()))
+                }
+                (None, None) => break,
+            }
+        }
+    }
+    Some((path.to_string(), cur.render(), base.render()))
 }
 
 #[cfg(test)]
@@ -192,21 +275,54 @@ mod tests {
     #[test]
     fn diff_flags_changed_and_added_jobs() {
         let a = tiny_snapshot();
-        // Baseline with one job missing and the other's metrics altered.
+        // Baseline with one job missing and one metric of the other
+        // altered.
         let mut base_jobs: Vec<Json> = a.get("jobs").unwrap().as_arr().unwrap().to_vec();
         base_jobs.pop();
-        if let Json::Obj(pairs) = &mut base_jobs[0] {
-            for (k, v) in pairs.iter_mut() {
-                if k == "sim" {
-                    *v = Json::obj().with("bogus", Json::U64(1));
-                }
-            }
-        }
+        let Json::Obj(job) = &mut base_jobs[0] else {
+            panic!("jobs are objects")
+        };
+        let Some((_, Json::Obj(sim))) = job.iter_mut().find(|(k, _)| k == "sim") else {
+            panic!("jobs carry a sim block")
+        };
+        let (_, value) = sim
+            .iter_mut()
+            .find(|(k, _)| k == "selective_flush_misses")
+            .expect("table4 rows report selective misses");
+        let misses = value.as_u64().expect("a count");
+        *value = Json::U64(misses + 1);
         let baseline = Json::obj().with("jobs", Json::Arr(base_jobs));
         let diff = diff_sim_metrics(&a, &baseline);
-        assert_eq!(diff.changed, vec!["t4/r0".to_string()]);
+        assert_eq!(
+            diff.changed,
+            vec![SimChange {
+                id: "t4/r0".into(),
+                path: "sim.selective_flush_misses".into(),
+                current: misses.to_string(),
+                baseline: (misses + 1).to_string(),
+            }]
+        );
         assert_eq!(diff.added, vec!["t4/r1".to_string()]);
         assert!(diff.removed.is_empty());
         assert!(!diff.metrics_match());
+    }
+
+    #[test]
+    fn diff_reports_a_key_missing_on_one_side() {
+        let cur = Json::obj()
+            .with("a", Json::U64(1))
+            .with("counters", Json::obj().with("x", Json::U64(2)));
+        let base = Json::obj()
+            .with("a", Json::U64(1))
+            .with("counters", Json::obj());
+        assert_eq!(
+            first_difference(&cur, &base, "sim"),
+            Some(("sim.counters.x".into(), "2".into(), ABSENT.into()))
+        );
+        assert_eq!(
+            first_difference(&base, &cur, "sim"),
+            Some(("sim.counters.x".into(), ABSENT.into(), "2".into()))
+        );
+        assert_eq!(first_difference(&cur, &cur, "sim"), None);
     }
 }

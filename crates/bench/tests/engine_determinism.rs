@@ -1,13 +1,13 @@
-//! Observational equivalence of the three engine front-ends.
+//! Observational equivalence of the two engine front-ends.
 //!
-//! The timing-wheel and per-socket-partitioned engines exist purely for
-//! dispatch throughput; they must never change what the simulation
-//! *does*. These tests run the same workloads on each front-end — the
-//! wheel, the pure-heap reference, and the partitioned mode — and
-//! require byte-identical observable state: the machine's canonical
-//! state digest, the full Chrome trace export, and the scale tier's
+//! The timing wheel exists purely for dispatch throughput; it must never
+//! change what the simulation *does*. These tests run the same workloads
+//! on the wheel and on its pure-heap equivalence oracle and require
+//! byte-identical observable state: the machine's canonical state
+//! digest, the full Chrome trace export, and the scale tier's
 //! event/cycle counts, at every cumulative optimization level, under
-//! chaos fault injection, and on the 2×56 scale tier.
+//! chaos fault injection, on a single- and a dual-socket machine, and
+//! on the scale tier.
 
 use tlbdown_core::OptConfig;
 use tlbdown_kernel::chaos::ChaosConfig;
@@ -16,7 +16,7 @@ use tlbdown_kernel::{KernelConfig, Machine};
 use tlbdown_sim::fault::FaultSpec;
 use tlbdown_topo::TopologySpec;
 use tlbdown_trace::to_chrome_json;
-use tlbdown_types::{CoreId, Cycles};
+use tlbdown_types::{CoreId, Cycles, Topology};
 use tlbdown_workloads::madvise::{run_scale_tier, ScaleTierCfg};
 
 /// Run the dueling-madvise workload on one engine configuration,
@@ -34,86 +34,63 @@ fn traced_run(cfg: KernelConfig) -> (u64, String) {
     (m.state_digest(), export)
 }
 
-#[test]
-fn wheel_matches_heap_at_every_opt_level() {
-    for (level, _, opts) in OptConfig::all_levels() {
-        let cfg = || KernelConfig::test_machine(4).with_opts(opts);
-        let wheel = traced_run(cfg());
-        let heap = traced_run(cfg().with_heap_only_engine(true));
-        assert_eq!(
-            wheel.0, heap.0,
-            "state digest diverged between engines at opt level {level}"
-        );
-        assert_eq!(
-            wheel.1, heap.1,
-            "trace export diverged between engines at opt level {level}"
-        );
-    }
+/// The machines every wheel-vs-heap check runs on: the 4-core
+/// single-socket test machine, and a 2×2 dual-socket machine, on which
+/// L8's replica sync is live and IPIs and cacheline transfers cross
+/// sockets.
+fn machines() -> [(&'static str, KernelConfig); 2] {
+    [
+        ("1x4", KernelConfig::test_machine(4)),
+        (
+            "2x2",
+            KernelConfig {
+                topo: Topology::new(2, 2),
+                ..KernelConfig::paper_baseline()
+            },
+        ),
+    ]
 }
 
 #[test]
-fn partitioned_matches_serial_at_every_opt_level() {
-    // A multi-socket machine so the partition split is real (two
-    // sub-heaps), at every cumulative optimization level — the two
-    // sockets also make L8's replica sync live under partitioning.
-    // Digest *and* trace export must match the serial engines
-    // byte-for-byte.
-    let base = || KernelConfig {
-        topo: tlbdown_types::Topology::new(2, 2),
-        ..KernelConfig::paper_baseline()
-    };
-    for (level, _, opts) in OptConfig::all_levels() {
-        let cfg = || base().with_opts(opts);
-        let serial = traced_run(cfg());
-        let part = traced_run(cfg().with_partitioned_engine(true));
-        assert_eq!(
-            serial.0, part.0,
-            "state digest diverged serial vs partitioned at opt level {level}"
-        );
-        assert_eq!(
-            serial.1, part.1,
-            "trace export diverged serial vs partitioned at opt level {level}"
-        );
-        // And against the pure-heap reference, closing the triangle.
-        let heap = traced_run(cfg().with_heap_only_engine(true));
-        assert_eq!(
-            heap.0, part.0,
-            "heap vs partitioned digest at level {level}"
-        );
-        assert_eq!(heap.1, part.1, "heap vs partitioned trace at level {level}");
+fn wheel_matches_heap_at_every_opt_level() {
+    for (machine, base) in machines() {
+        for (level, _, opts) in OptConfig::all_levels() {
+            let cfg = || base.clone().with_opts(opts);
+            let wheel = traced_run(cfg());
+            let heap = traced_run(cfg().with_heap_only_engine(true));
+            assert_eq!(
+                wheel.0, heap.0,
+                "state digest diverged between engines on {machine} at opt level {level}"
+            );
+            assert_eq!(
+                wheel.1, heap.1,
+                "trace export diverged between engines on {machine} at opt level {level}"
+            );
+        }
     }
 }
 
 #[test]
 fn wheel_matches_heap_under_fault_injection() {
-    let cfg = || {
-        KernelConfig::test_machine(4)
-            .with_opts(OptConfig::general_four())
-            .with_chaos(ChaosConfig::with_fault(FaultSpec::everything(), 0xfa07))
-    };
-    let wheel = traced_run(cfg());
-    let heap = traced_run(cfg().with_heap_only_engine(true));
-    assert_eq!(wheel.0, heap.0, "state digest diverged under chaos");
-    assert_eq!(wheel.1, heap.1, "trace export diverged under chaos");
-}
-
-#[test]
-fn partitioned_matches_serial_under_fault_injection() {
-    // The chaos fault preset on a dual-socket machine: IPI drops,
-    // delays, duplicates and late IRQs must replay identically when
-    // events live in per-socket sub-heaps.
-    let cfg = || {
-        KernelConfig {
-            topo: tlbdown_types::Topology::new(2, 2),
-            ..KernelConfig::paper_baseline()
-        }
-        .with_opts(OptConfig::general_four())
-        .with_chaos(ChaosConfig::with_fault(FaultSpec::everything(), 0xfa07))
-    };
-    let serial = traced_run(cfg());
-    let part = traced_run(cfg().with_partitioned_engine(true));
-    assert_eq!(serial.0, part.0, "state digest diverged under chaos");
-    assert_eq!(serial.1, part.1, "trace export diverged under chaos");
+    // IPI drops, delays, duplicates and late IRQs must replay
+    // identically on both front-ends, on one socket and on two.
+    for (machine, base) in machines() {
+        let cfg = || {
+            base.clone()
+                .with_opts(OptConfig::general_four())
+                .with_chaos(ChaosConfig::with_fault(FaultSpec::everything(), 0xfa07))
+        };
+        let wheel = traced_run(cfg());
+        let heap = traced_run(cfg().with_heap_only_engine(true));
+        assert_eq!(
+            wheel.0, heap.0,
+            "state digest diverged under chaos on {machine}"
+        );
+        assert_eq!(
+            wheel.1, heap.1,
+            "trace export diverged under chaos on {machine}"
+        );
+    }
 }
 
 #[test]
@@ -141,10 +118,10 @@ fn explicit_flat_topology_is_byte_identical_to_default_at_every_opt_level() {
 #[test]
 fn routed_topologies_are_engine_invariant() {
     // Ring and mesh routing must be just as deterministic as flat: the
-    // same routed run on the wheel, pure-heap and partitioned front-ends
-    // produces byte-identical digests and trace exports.
+    // same routed run on the wheel and pure-heap front-ends produces
+    // byte-identical digests and trace exports.
     let base = || KernelConfig {
-        topo: tlbdown_types::Topology::new(2, 2),
+        topo: Topology::new(2, 2),
         ..KernelConfig::paper_baseline()
     };
     for spec in [TopologySpec::ring(), TopologySpec::mesh()] {
@@ -155,7 +132,6 @@ fn routed_topologies_are_engine_invariant() {
         };
         let wheel = traced_run(cfg());
         let heap = traced_run(cfg().with_heap_only_engine(true));
-        let part = traced_run(cfg().with_partitioned_engine(true));
         assert_eq!(
             wheel.0,
             heap.0,
@@ -168,57 +144,35 @@ fn routed_topologies_are_engine_invariant() {
             "{} trace diverged wheel vs heap",
             spec.label()
         );
-        assert_eq!(
-            wheel.0,
-            part.0,
-            "{} digest diverged wheel vs partitioned",
-            spec.label()
-        );
-        assert_eq!(
-            wheel.1,
-            part.1,
-            "{} trace diverged wheel vs partitioned",
-            spec.label()
-        );
     }
 }
 
 #[test]
 fn mesh_scale_tier_smoke_is_engine_invariant() {
-    let run = |heap_only: bool, partitioned: bool| {
+    let run = |heap_only: bool| {
         let mut cfg = ScaleTierCfg::smoke();
         cfg.interconnect = TopologySpec::mesh();
         cfg.heap_only_engine = heap_only;
-        cfg.partitioned_engine = partitioned;
         run_scale_tier(&cfg).expect("mesh tier runs clean")
     };
-    let wheel = run(false, false);
-    let heap = run(true, false);
-    let part = run(false, true);
+    let wheel = run(false);
+    let heap = run(true);
     assert_eq!(wheel.digest, heap.digest, "mesh tier digests diverged");
     assert_eq!(wheel.sim_cycles, heap.sim_cycles);
     assert_eq!(wheel.counters.render_json(), heap.counters.render_json());
-    assert_eq!(part.digest, heap.digest, "mesh partitioned digest diverged");
-    assert_eq!(part.sim_cycles, heap.sim_cycles);
 }
 
 #[test]
 fn scale_tier_smoke_is_engine_invariant() {
-    let run = |heap_only: bool, partitioned: bool| {
+    let run = |heap_only: bool| {
         let mut cfg = ScaleTierCfg::smoke();
         cfg.heap_only_engine = heap_only;
-        cfg.partitioned_engine = partitioned;
         run_scale_tier(&cfg).expect("tier runs clean")
     };
-    let wheel = run(false, false);
-    let heap = run(true, false);
-    let part = run(false, true);
+    let wheel = run(false);
+    let heap = run(true);
     assert_eq!(wheel.digest, heap.digest, "tier digests diverged");
     assert_eq!(wheel.events, heap.events);
     assert_eq!(wheel.sim_cycles, heap.sim_cycles);
     assert_eq!(wheel.counters.render_json(), heap.counters.render_json());
-    assert_eq!(part.digest, heap.digest, "partitioned tier digest diverged");
-    assert_eq!(part.events, heap.events);
-    assert_eq!(part.sim_cycles, heap.sim_cycles);
-    assert_eq!(part.counters.render_json(), heap.counters.render_json());
 }

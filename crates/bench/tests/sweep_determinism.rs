@@ -1,8 +1,7 @@
 //! The sweep determinism contract (DESIGN.md §12): a 1-thread sweep and
 //! an N-thread sweep of the same job set must produce byte-identical
-//! reduced output and identical `BENCH` sim-metric blocks. Thread count,
-//! work-stealing order and completion order must never leak into
-//! anything canonical.
+//! reduced output and identical `BENCH` sim-metric blocks. Thread count
+//! and completion order must never leak into anything canonical.
 
 use tlbdown_bench::report::{render_bench_json, sim_blocks};
 use tlbdown_bench::{bench_jobs, bench_matrix, MatrixJob};

@@ -88,14 +88,6 @@ pub struct KernelConfig {
     /// checker's `fracture_probe` canary must catch this variant while the
     /// real split path explores clean.
     pub buggy_fracture: bool,
-    /// Run the engine on the *partitioned* front-end with one sub-heap
-    /// per socket (events routed by the core they execute on). Dispatch
-    /// order — and therefore every digest, trace and metric — is
-    /// byte-identical to the other two front-ends; the mode exists for
-    /// partition-safe machine stepping and the engine-determinism gate
-    /// that pins it. Mutually exclusive with `engine_heap_only`
-    /// (heap-only wins if both are set). Off by default.
-    pub engine_partitioned: bool,
     /// Failure injection for the L7 reuse-skip window: parking a zapped
     /// page records the flush guarantee *immediately*, skipping the
     /// versioned-PTE deferral protocol (the real path keeps the parked
@@ -142,7 +134,6 @@ impl KernelConfig {
             tlb_geometry: TlbGeometry::legacy(),
             buggy_fracture: false,
             engine_heap_only: false,
-            engine_partitioned: false,
             buggy_reuse_skip: false,
             buggy_numapte: false,
             reuse_window_cap: crate::mm::REUSE_WINDOW_CAP,
@@ -205,14 +196,6 @@ impl KernelConfig {
     /// configuration for determinism and throughput comparisons).
     pub fn with_heap_only_engine(mut self, heap_only: bool) -> Self {
         self.engine_heap_only = heap_only;
-        self
-    }
-
-    /// Builder-style: run the event engine on per-socket partition
-    /// sub-heaps (byte-identical dispatch; see
-    /// [`KernelConfig::engine_partitioned`]).
-    pub fn with_partitioned_engine(mut self, partitioned: bool) -> Self {
-        self.engine_partitioned = partitioned;
         self
     }
 

@@ -18,17 +18,10 @@
 //! the same `(at, seq)` key, so the dispatch order is *exactly* the
 //! total order a pure heap produces — the wheel is a performance
 //! front-end, not a semantic change. `Engine::new_heap_only` disables
-//! the wheel so determinism tests (and the BENCH_2 before/after
-//! comparison) can run both configurations against each other.
-//!
-//! A third front-end, `Engine::new_partitioned`, buckets pending events
-//! into per-partition sub-heaps (routed by payload, e.g. core → socket)
-//! while still dispatching in the exact global `(at, seq)` order. It
-//! exists for partition-safe machine stepping: each partition's pending
-//! set is separable, which is the structural precondition for the
-//! conservative-window parallel executor in [`crate::par`], and the
-//! engine-determinism gate pins it byte-identical to the other two
-//! modes the same way the wheel is pinned to the heap.
+//! the wheel: it is the wheel's equivalence oracle, so determinism tests
+//! (and the BENCH_2 before/after comparison) can run both
+//! configurations against each other. These are the engine's only two
+//! front-ends.
 //!
 //! The wheel's single-rotation invariant: every wheel event satisfies
 //! `at - epoch < WHEEL_HORIZON`, where the epoch is `now` rounded down
@@ -115,25 +108,6 @@ enum MinLoc {
     Far,
 }
 
-/// The partitioned front-end's state: one sub-heap per partition plus
-/// the payload → partition routing function. Boxed behind a single
-/// nullable pointer on [`Engine`] so the wheel and heap-only modes pay
-/// one null check — not extra struct bytes — for the mode's existence.
-struct PartState<E> {
-    /// One sub-heap per partition.
-    heaps: Vec<BinaryHeap<Reverse<Scheduled<E>>>>,
-    /// Payload → partition index map.
-    router: Box<dyn Fn(&E) -> usize + Send>,
-}
-
-impl<E> std::fmt::Debug for PartState<E> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("PartState")
-            .field("partitions", &self.heaps.len())
-            .finish_non_exhaustive()
-    }
-}
-
 /// A deterministic discrete-event engine.
 ///
 /// # Examples
@@ -170,15 +144,6 @@ pub struct Engine<E> {
     /// When true the wheel is bypassed entirely — the reference
     /// configuration for determinism tests and the BENCH before/after.
     heap_only: bool,
-    /// Partitioned front-end: per-partition sub-heaps plus the routing
-    /// function; `None` in the wheel and heap-only modes. The global
-    /// dispatch order is still exactly `(at, seq)` — `pop_min_part`
-    /// compares every partition head against the far heap (seq ties are
-    /// impossible: seq is globally unique) — so the mode is
-    /// observationally identical to the other two front-ends while
-    /// keeping each partition's pending set separable for
-    /// conservative-window parallel execution (see `sim::par`).
-    parts: Option<Box<PartState<E>>>,
     /// Reusable candidate buffer for [`Engine::pop_with`].
     cand_buf: Vec<Scheduled<E>>,
     /// Reusable passed-over buffer for [`Engine::pop_with`].
@@ -209,34 +174,6 @@ impl<E> Engine<E> {
         Self::with_front_end(true)
     }
 
-    /// Create an empty engine with the *partitioned* front-end: one
-    /// sub-heap per partition, with `router` mapping each payload to its
-    /// partition (out-of-range results clamp to the last partition).
-    ///
-    /// Dispatch order is byte-identical to the other two front-ends —
-    /// `(at, seq)` globally — but each partition's pending events stay
-    /// in their own sub-heap, which is what a conservative-window
-    /// parallel executor needs to advance partitions independently
-    /// (`sim::par`). Events scheduled through
-    /// [`Engine::schedule_at_unchecked`] bypass routing into the far
-    /// heap, exactly as they bypass the wheel.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `partitions` is zero.
-    pub fn new_partitioned(
-        partitions: usize,
-        router: impl Fn(&E) -> usize + Send + 'static,
-    ) -> Self {
-        assert!(partitions > 0, "need at least one partition");
-        let mut e = Self::with_front_end(true);
-        e.parts = Some(Box::new(PartState {
-            heaps: (0..partitions).map(|_| BinaryHeap::new()).collect(),
-            router: Box::new(router),
-        }));
-        e
-    }
-
     fn with_front_end(heap_only: bool) -> Self {
         let (slots, occ) = if heap_only {
             (Vec::new(), Vec::new())
@@ -255,7 +192,6 @@ impl<E> Engine<E> {
             wheel_len: 0,
             far: BinaryHeap::new(),
             heap_only,
-            parts: None,
             cand_buf: Vec::new(),
             skip_buf: Vec::new(),
             regressions: 0,
@@ -265,13 +201,7 @@ impl<E> Engine<E> {
 
     /// Whether the timing-wheel front-end is active.
     pub fn uses_wheel(&self) -> bool {
-        !self.heap_only && self.parts.is_none()
-    }
-
-    /// Number of partitions of the partitioned front-end (0 in the
-    /// wheel and heap-only modes).
-    pub fn partitions(&self) -> usize {
-        self.parts.as_ref().map_or(0, |p| p.heaps.len())
+        !self.heap_only
     }
 
     /// The current simulated time (the fire time of the last popped event).
@@ -281,11 +211,7 @@ impl<E> Engine<E> {
 
     /// Number of events waiting in the queue.
     pub fn len(&self) -> usize {
-        let parts = self
-            .parts
-            .as_ref()
-            .map_or(0, |p| p.heaps.iter().map(BinaryHeap::len).sum());
-        self.wheel_len + self.far.len() + parts
+        self.wheel_len + self.far.len()
     }
 
     /// Whether no events are pending.
@@ -364,15 +290,9 @@ impl<E> Engine<E> {
         self.now.as_u64() >> SLOT_SHIFT << SLOT_SHIFT
     }
 
-    /// Route one event to its partition sub-heap, the wheel or the far
-    /// heap, preserving its seq.
+    /// Route one event to the wheel or the far heap, preserving its seq.
     #[inline]
     fn insert(&mut self, ev: Scheduled<E>) {
-        // Outlined so the wheel/heap-only hot path pays one predictable
-        // branch for the partitioned mode's existence, not its code.
-        if self.parts.is_some() {
-            return self.insert_part(ev);
-        }
         if self.heap_only || ev.at.as_u64().wrapping_sub(self.epoch()) >= WHEEL_HORIZON {
             self.far.push(Reverse(ev));
             return;
@@ -381,15 +301,6 @@ impl<E> Engine<E> {
         self.slots[slot].push(ev);
         self.occ[slot / 64] |= 1u64 << (slot % 64);
         self.wheel_len += 1;
-    }
-
-    /// The partitioned-mode arm of [`Engine::insert`]: route through
-    /// the partition map (out-of-range clamps to the last partition).
-    #[inline(never)]
-    fn insert_part(&mut self, ev: Scheduled<E>) {
-        let parts = self.parts.as_mut().expect("partitioned mode");
-        let p = (parts.router)(&ev.payload).min(parts.heaps.len() - 1);
-        parts.heaps[p].push(Reverse(ev));
     }
 
     /// First occupied slot at or cyclically after `start`, if any.
@@ -431,13 +342,7 @@ impl<E> Engine<E> {
     }
 
     /// The minimum pending event's key and location across the wheel
-    /// and the far heap. Partition sub-heaps (partitioned mode only)
-    /// are deliberately *not* scanned here: extending [`MinLoc`] with a
-    /// partition variant measurably bloated this function and
-    /// [`Engine::take_at`] on the wheel/heap hot path, so the
-    /// partitioned front-end gets its own outlined pop
-    /// ([`Engine::pop_min_part`]) and the shared callers branch once on
-    /// `parts.is_some()` before ever reaching this.
+    /// and the far heap.
     #[inline]
     fn min_key(&self) -> Option<(Cycles, u64, MinLoc)> {
         let wheel = if self.wheel_len > 0 {
@@ -476,41 +381,9 @@ impl<E> Engine<E> {
         }
     }
 
-    /// Partitioned-mode pop: take the `(at, seq)` minimum across every
-    /// partition sub-heap and the far heap, if it fires at or before
-    /// `horizon`. Outlined from the shared pop path so the wheel and
-    /// heap-only modes pay one predictable branch for the partitioned
-    /// mode's existence, not its code.
-    #[inline(never)]
-    fn pop_min_part(&mut self, horizon: Cycles) -> Option<Scheduled<E>> {
-        let parts = self.parts.as_mut().expect("partitioned mode");
-        // `None` = far heap, `Some(i)` = partition sub-heap `i`. Seq
-        // ties are impossible: seq is globally unique.
-        let mut best: Option<(Cycles, u64, Option<usize>)> =
-            self.far.peek().map(|Reverse(ev)| (ev.at, ev.seq, None));
-        for (i, h) in parts.heaps.iter().enumerate() {
-            if let Some(Reverse(ev)) = h.peek() {
-                if best.is_none_or(|(at, seq, _)| (ev.at, ev.seq) < (at, seq)) {
-                    best = Some((ev.at, ev.seq, Some(i)));
-                }
-            }
-        }
-        let (at, _, loc) = best?;
-        if at > horizon {
-            return None;
-        }
-        match loc {
-            None => self.far.pop().map(|Reverse(ev)| ev),
-            Some(i) => parts.heaps[i].pop().map(|Reverse(ev)| ev),
-        }
-    }
-
     /// Remove and return the minimum pending event.
     #[inline]
     fn pop_min(&mut self) -> Option<Scheduled<E>> {
-        if self.parts.is_some() {
-            return self.pop_min_part(Cycles::new(u64::MAX));
-        }
         let (_, _, loc) = self.min_key()?;
         self.take_at(loc)
     }
@@ -519,9 +392,6 @@ impl<E> Engine<E> {
     /// before `horizon`.
     #[inline]
     fn pop_min_within(&mut self, horizon: Cycles) -> Option<Scheduled<E>> {
-        if self.parts.is_some() {
-            return self.pop_min_part(horizon);
-        }
         let (at, _, loc) = self.min_key()?;
         if at > horizon {
             return None;
@@ -593,32 +463,9 @@ impl<E> Engine<E> {
         Some(ev.payload)
     }
 
-    /// Pop the next event only if it fires at or before `horizon`,
-    /// advancing the clock to its fire time. The bounded-pop primitive a
-    /// conservative-window executor drives each partition with: events
-    /// beyond the window boundary stay queued for a later epoch.
-    pub fn pop_within(&mut self, horizon: Cycles) -> Option<E> {
-        let ev = self.pop_min_within(horizon)?;
-        self.now = self.checked_fire_time(ev.at, ev.seq);
-        self.popped += 1;
-        Some(ev.payload)
-    }
-
     /// The fire time of the next event without popping it.
     pub fn peek_time(&self) -> Option<Cycles> {
-        let base = self.min_key().map(|(at, _, _)| at);
-        let Some(parts) = &self.parts else {
-            return base;
-        };
-        let part = parts
-            .heaps
-            .iter()
-            .filter_map(|h| h.peek().map(|Reverse(ev)| ev.at))
-            .min();
-        match (base, part) {
-            (Some(b), Some(p)) => Some(b.min(p)),
-            (b, p) => b.or(p),
-        }
+        self.min_key().map(|(at, _, _)| at)
     }
 
     /// Pop the next event with a pluggable [`Scheduler`] deciding among
@@ -655,8 +502,7 @@ impl<E> Engine<E> {
         // only have candidates in that one slot or the far heap.
         let slot = (t_min.as_u64() >> SLOT_SHIFT) as usize & (WHEEL_SLOTS - 1);
         // Guard on the wheel actually being allocated: the heap-only
-        // *and* partitioned modes both leave `slots` empty, and either
-        // would index out of bounds here.
+        // mode leaves `slots` empty and would index out of bounds here.
         let same_granule = !self.slots.is_empty()
             && orig_at == t_min
             && horizon.as_u64() >> SLOT_SHIFT == t_min.as_u64() >> SLOT_SHIFT;
@@ -771,12 +617,6 @@ impl<E> Engine<E> {
             .iter()
             .flatten()
             .chain(self.far.iter().map(|Reverse(s)| s))
-            .chain(
-                self.parts
-                    .iter()
-                    .flat_map(|p| p.heaps.iter().flatten())
-                    .map(|Reverse(s)| s),
-            )
             .map(|s| (s.at, s.seq, &s.payload))
             .collect();
         v.sort_unstable_by_key(|(at, seq, _)| (*at, *seq));
@@ -798,11 +638,6 @@ impl<E> Engine<E> {
         }
         self.wheel_len = 0;
         self.far.clear();
-        if let Some(parts) = &mut self.parts {
-            for h in &mut parts.heaps {
-                h.clear();
-            }
-        }
         self.regressions = 0;
         self.regression_log.clear();
     }
@@ -1148,83 +983,7 @@ mod tests {
     fn heap_only_mode_reports_itself() {
         let e: Engine<u32> = Engine::new();
         assert!(e.uses_wheel());
-        assert_eq!(e.partitions(), 0);
         let e: Engine<u32> = Engine::new_heap_only();
         assert!(!e.uses_wheel());
-        let e: Engine<u32> = Engine::new_partitioned(4, |v| (*v % 4) as usize);
-        assert!(!e.uses_wheel());
-        assert_eq!(e.partitions(), 4);
-    }
-
-    #[test]
-    fn partitioned_dispatch_matches_heap_and_wheel() {
-        // Same adversarial churn as the wheel test: the partitioned
-        // front-end must reproduce the exact global total order no
-        // matter how payloads scatter across sub-heaps.
-        for seed in [0u64, 1, 0x51ab, 0xdead_beef] {
-            let heap = churn(Engine::new_heap_only(), seed);
-            for parts in [1usize, 2, 8] {
-                let part = churn(
-                    Engine::new_partitioned(parts, move |v: &u64| (*v as usize) % parts),
-                    seed,
-                );
-                assert_eq!(part, heap, "seed {seed:#x} diverged at {parts} partitions");
-            }
-        }
-    }
-
-    #[test]
-    fn partitioned_engine_supports_pop_with() {
-        use crate::sched::FifoScheduler;
-        let drive = |mut e: Engine<u64>| {
-            let mut rng = SplitMix64::new(7);
-            let mut sched = FifoScheduler;
-            let mut out = Vec::new();
-            for i in 0..32 {
-                e.schedule_in(Cycles::new(rng.gen_range(500)), i);
-            }
-            let mut next = 32u64;
-            while let Some(v) = e.pop_with(&mut sched, |p| *p % 2 == 1) {
-                out.push((e.now().as_u64(), v));
-                if next < 2_000 {
-                    e.schedule_in(Cycles::new(rng.gen_range(3 * SLOT_CYCLES)), next);
-                    next += 1;
-                }
-            }
-            out
-        };
-        assert_eq!(
-            drive(Engine::new_heap_only()),
-            drive(Engine::new_partitioned(3, |v: &u64| (*v as usize) % 3))
-        );
-    }
-
-    #[test]
-    fn pop_within_respects_the_horizon() {
-        let mut e: Engine<u32> = Engine::new_partitioned(2, |v| (*v % 2) as usize);
-        e.schedule_at(Cycles::new(10), 1);
-        e.schedule_at(Cycles::new(20), 2);
-        e.schedule_at(Cycles::new(31), 3);
-        assert_eq!(e.pop_within(Cycles::new(30)), Some(1));
-        assert_eq!(e.pop_within(Cycles::new(30)), Some(2));
-        assert_eq!(e.pop_within(Cycles::new(30)), None, "31 is past the window");
-        assert_eq!(e.now(), Cycles::new(20), "clock stops at the last dispatch");
-        assert_eq!(e.len(), 1);
-        assert_eq!(e.pop_within(Cycles::new(31)), Some(3));
-        assert_eq!(e.pop_within(Cycles::new(u64::MAX)), None);
-    }
-
-    #[test]
-    fn partitioned_reset_and_pending_cover_sub_heaps() {
-        let mut e: Engine<u32> = Engine::new_partitioned(2, |v| (*v % 2) as usize);
-        e.schedule_at(Cycles::new(30), 3);
-        e.schedule_at(Cycles::new(10), 1);
-        e.schedule_at(Cycles::new(10), 2);
-        let vals: Vec<u32> = e.pending().iter().map(|(_, _, v)| **v).collect();
-        assert_eq!(vals, vec![1, 2, 3]);
-        assert_eq!(e.len(), 3);
-        e.reset();
-        assert!(e.is_empty());
-        assert_eq!(e.partitions(), 2, "reset keeps the front-end mode");
     }
 }

@@ -1,41 +1,32 @@
-//! The work-stealing thread pool.
+//! The sweep thread pool: one shared job queue.
 //!
-//! Jobs are distributed round-robin across per-worker [Chase–Lev
-//! deques](crate::deque): a worker pops the *bottom* of its own deque
-//! (LIFO, plain loads plus one fence) and, when empty, steals the *top*
-//! of its neighbours' (FIFO, one CAS per claimed job). The deque's
-//! correctness rests on three ordering pairs, argued in detail in
-//! [`crate::deque`] and DESIGN.md §17:
+//! Every job is queued before the workers start, and no job spawns
+//! another, so the pool needs nothing more than one shared job list
+//! behind a `Mutex`: each worker pops a job under the lock, runs it with
+//! the lock released, and exits once the list is empty — empty is
+//! permanent. The lock is held for one pop per job, and a sweep job runs
+//! for milliseconds to seconds, so contention is noise. Per-worker
+//! deques and work stealing would add nothing: an idle worker already
+//! takes the next queued job directly.
 //!
-//! 1. `push` publishes the element with a `Release` store of `bottom`
-//!    that a stealer's `Acquire` load synchronizes with;
-//! 2. `pop` and `steal` each issue a `SeqCst` fence between touching
-//!    `bottom` and `top`, so for the last element exactly one side sees
-//!    the other's claim and backs into the `SeqCst` CAS on `top` that
-//!    arbitrates it;
-//! 3. buffer growth publishes the new buffer `Release`/`Acquire` and
-//!    retires (never frees) the old one, so a stealer racing growth
-//!    reads stale-but-alive memory and its CAS then fails harmlessly.
-//!
-//! No job spawns further jobs, so "every deque observed empty" means the
-//! sweep is drained and a worker may exit. The pre-PR-8 `Mutex<VecDeque>`
-//! pool survives as [`run_jobs_mutex`], the baseline the
-//! `cargo xtask stealbench` gate measures steal-heavy speedup against.
+//! Workers pop from the *end* of the list. The heavy matrices list their
+//! costliest cells last (explore runs L0 to L8, flat before mesh; storm
+//! runs mild before savage), so end-first starts the longest jobs first
+//! and lets the short ones fill the tail, instead of leaving one long
+//! job running alone at the end of the sweep. EXPERIMENTS.md
+//! ("Single-queue sweep pool") has the measurements behind this choice.
 //!
 //! Determinism: workers send `(id, output, wall)` tuples over a channel
 //! as they finish, in a nondeterministic order; [`run_jobs`] sorts the
 //! collected results by job ID before returning. Everything canonical
 //! downstream (rendered reductions, `BENCH` sim-metric blocks) is
-//! derived from that sorted vector, so neither thread count nor steal
-//! interleaving ever shows.
+//! derived from that sorted vector, so neither thread count nor
+//! completion order ever shows.
 
-use std::collections::VecDeque;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::mpsc;
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
-
-use crate::deque::{deque, Steal, Stealer, Worker};
 
 /// One unit of sweep work: a stable ID plus a self-contained closure.
 ///
@@ -75,7 +66,7 @@ pub struct JobResult<T> {
 /// A job whose closure panicked instead of returning.
 ///
 /// Panics are caught at the job boundary (`catch_unwind`) so one bad
-/// job cannot poison the pool's deques or starve the collector; the
+/// job cannot poison the pool's queue or starve the collector; the
 /// panic becomes this typed record in the reduced output instead.
 #[derive(Clone, Debug)]
 pub struct JobError {
@@ -151,8 +142,8 @@ fn assert_unique_ids<T>(jobs: &[Job<T>]) {
 fn execute_job<T: Send>(job: Job<T>, tx: &mpsc::Sender<Result<JobResult<T>, JobError>>) {
     let t0 = Instant::now();
     // Isolate the job: a panic unwinds only to here, is converted to a
-    // typed record, and the worker moves on to the next job. No deque
-    // or lock is held across the closure; AssertUnwindSafe is sound
+    // typed record, and the worker moves on to the next job. No lock is
+    // held across the closure; AssertUnwindSafe is sound
     // because the closure owns everything it touches (per-job isolation
     // invariant).
     let outcome = panic::catch_unwind(AssertUnwindSafe(job.run));
@@ -204,9 +195,8 @@ fn collect_report<T>(
 }
 
 /// Run `jobs` on `threads` workers (0 = all host cores) and reduce in
-/// canonical job-ID order. This is the lock-free Chase–Lev pool; every
-/// consumer (bench matrix, explore/storm/fleet gates, scalebench) goes
-/// through here.
+/// canonical job-ID order. Every consumer (bench matrix, explore, storm,
+/// fleet and topo gates, scalebench, the full sweep) goes through here.
 ///
 /// Panics if two jobs share an ID.
 pub fn run_jobs<T: Send>(jobs: Vec<Job<T>>, threads: usize) -> SweepReport<T> {
@@ -215,93 +205,19 @@ pub fn run_jobs<T: Send>(jobs: Vec<Job<T>>, threads: usize) -> SweepReport<T> {
     let threads = resolve_threads(threads).max(1).min(n_jobs.max(1));
     let start = Instant::now();
 
-    // Round-robin distribution in input order: neighbouring jobs (which
-    // tend to have similar cost) land on different workers, and stealing
-    // smooths out the rest. Filling happens before the workers spawn, so
-    // the owner handles can be handed off without contention.
-    let mut owners: Vec<Worker<Job<T>>> = Vec::with_capacity(threads);
-    let mut stealers: Vec<Stealer<Job<T>>> = Vec::with_capacity(threads);
-    for _ in 0..threads {
-        let (w, s) = deque();
-        owners.push(w);
-        stealers.push(s);
-    }
-    for (i, job) in jobs.into_iter().enumerate() {
-        owners[i % threads].push(job);
-    }
-
+    let queue = Mutex::new(jobs);
     let (tx, rx) = mpsc::channel::<Result<JobResult<T>, JobError>>();
     std::thread::scope(|scope| {
-        for (me, own) in owners.into_iter().enumerate() {
-            let stealers = &stealers;
+        for _ in 0..threads {
+            let queue = &queue;
             let tx = tx.clone();
             scope.spawn(move || loop {
-                // Own deque first (bottom), then steal (top). A `Retry`
-                // means some queue was non-empty a moment ago, so keep
-                // scanning; only an all-`Empty` sweep proves drained
-                // (no job spawns further jobs, so empty is permanent).
-                let job = own.pop().or_else(|| loop {
-                    let mut contended = false;
-                    for d in 1..stealers.len() {
-                        match stealers[(me + d) % stealers.len()].steal() {
-                            Steal::Success(job) => return Some(job),
-                            Steal::Retry => contended = true,
-                            Steal::Empty => {}
-                        }
-                    }
-                    if !contended {
-                        return None;
-                    }
-                    std::hint::spin_loop();
-                });
-                let Some(job) = job else { return };
-                execute_job(job, &tx);
-            });
-        }
-        drop(tx);
-    });
-    collect_report(rx, n_jobs, threads, start)
-}
-
-/// The pre-PR-8 pool: identical distribution and reduction, but every
-/// deque is a `Mutex<VecDeque>` (owner pops the front, thieves pop the
-/// back under the same lock). Kept as the measured baseline for the
-/// `stealbench` gate — and as a second, independently-correct executor
-/// for differential tests. Produces byte-identical reductions to
-/// [`run_jobs`] for any job set and thread count.
-pub fn run_jobs_mutex<T: Send>(jobs: Vec<Job<T>>, threads: usize) -> SweepReport<T> {
-    assert_unique_ids(&jobs);
-    let n_jobs = jobs.len();
-    let threads = resolve_threads(threads).max(1).min(n_jobs.max(1));
-    let start = Instant::now();
-
-    let deques: Vec<Arc<Mutex<VecDeque<Job<T>>>>> = (0..threads)
-        .map(|_| Arc::new(Mutex::new(VecDeque::new())))
-        .collect();
-    for (i, job) in jobs.into_iter().enumerate() {
-        deques[i % threads].lock().unwrap().push_back(job);
-    }
-
-    let (tx, rx) = mpsc::channel::<Result<JobResult<T>, JobError>>();
-    std::thread::scope(|scope| {
-        for me in 0..threads {
-            let deques = &deques;
-            let tx = tx.clone();
-            scope.spawn(move || loop {
-                let job = {
-                    let mut found = deques[me].lock().unwrap().pop_front();
-                    if found.is_none() {
-                        for d in 1..threads {
-                            let victim = (me + d) % threads;
-                            found = deques[victim].lock().unwrap().pop_back();
-                            if found.is_some() {
-                                break;
-                            }
-                        }
-                    }
-                    found
+                // The guard drops at the end of this statement, before
+                // the job runs; jobs panic only inside `execute_job`'s
+                // `catch_unwind`, so the lock is never poisoned.
+                let Some(job) = queue.lock().expect("queue lock poisoned").pop() else {
+                    return;
                 };
-                let Some(job) = job else { return };
                 execute_job(job, &tx);
             });
         }
@@ -384,23 +300,9 @@ mod tests {
     }
 
     #[test]
-    fn deque_pool_matches_mutex_pool_byte_for_byte() {
-        let build = || -> Vec<Job<String>> {
-            (0..48)
-                .map(|i| Job::new(format!("j{i:02}"), move || format!("out-{}", i * 13 % 7)))
-                .collect()
-        };
-        for threads in [1, 2, 8] {
-            let a = reduce_rendered(&run_jobs(build(), threads), |s| s.as_str());
-            let b = reduce_rendered(&run_jobs_mutex(build(), threads), |s| s.as_str());
-            assert_eq!(a, b, "pools diverged at {threads} threads");
-        }
-    }
-
-    #[test]
-    fn uneven_jobs_get_stolen() {
-        // One long job pinned (by round-robin) to worker 0 alongside many
-        // short ones: with stealing, the short jobs complete elsewhere.
+    fn uneven_jobs_all_complete_in_id_order() {
+        // One long job alongside many short ones: the other workers
+        // drain the short jobs meanwhile.
         let jobs: Vec<Job<usize>> = (0..32)
             .map(|i| {
                 Job::new(format!("j{i:02}"), move || {

@@ -73,17 +73,6 @@
 //!   `fleet_report.json` with per-cell verdicts and diffs `BENCH_4.json`
 //!   against the committed baseline like `bench` does. Defaults to full
 //!   scale; CI runs `--scale quick`.
-//! - `cargo xtask stealbench [--out PATH] [--baseline PATH]
-//!   [--tolerance F]` — the work-stealing gate behind `BENCH_5.json`:
-//!   the deliberately imbalanced sweep matrix through the central-mutex
-//!   pool vs the Chase-Lev work-stealing pool, and the
-//!   conservative-window partitioned sim (merged-heap reference vs
-//!   windowed×1 vs windowed×N). Reduction and stream digests must be
-//!   byte-identical across executors (asserted inside the jobs and
-//!   diffed against the committed baseline); the speedup floors
-//!   (deque ≥ 1.3× mutex, windowed×N ≥ 2.0× windowed×1) are enforced
-//!   only on hosts with enough cores to make them physical — smaller
-//!   hosts record the measured numbers and waive the floor with a note.
 //! - `cargo xtask topobench [--scale quick|full] [--out PATH]
 //!   [--baseline PATH] [--tolerance F]` — the interconnect gate behind
 //!   `BENCH_6.json`: the {flat, ring, mesh} × {4K-only, THP} matrix at
@@ -98,19 +87,23 @@
 //! - `cargo xtask ci [seed] [--gates fast|full]` — every gate above.
 //!   `--gates fast` runs the PR-blocking tier (fmt, clippy, replay,
 //!   engine); `--gates full` runs the long matrix gates (explore,
-//!   bench, scale, topo, storm, fleet, trace, steal); omitting the flag
-//!   runs both tiers. All selected gates run even if an early one fails; a
-//!   final table reports per-gate pass/fail with wall-clock, the
-//!   machine-readable verdicts land in `ci_report.json`, and the exit
-//!   code is nonzero if any gate failed.
+//!   bench, scale, topo, optbench, storm, fleet, trace); omitting the
+//!   flag runs both tiers. All selected gates run even if an early one
+//!   fails; a final table reports per-gate pass/fail with wall-clock,
+//!   the machine-readable verdicts land in `ci_report.json` next to
+//!   each crate's effective source-line count (the size trajectory,
+//!   tracked like wall-clock), and the exit code is nonzero if any gate
+//!   failed.
 
+use std::path::Path;
 use std::process::{Command, ExitCode};
 use std::time::Duration;
 
+use tlbdown_bench::loc::effective_loc;
 use tlbdown_bench::report::{diff_sim_metrics, render_bench_json, sim_blocks, total_wall_ns};
 use tlbdown_bench::{
     bench_jobs, bench_matrix, full_matrix, optbench_levels, optbench_matrix, scale_matrix,
-    stealbench_matrix, storm_matrix, storm_matrix_mesh, topobench_matrix, Scale,
+    storm_matrix, storm_matrix_mesh, topobench_matrix, Scale,
 };
 use tlbdown_check::gate::{
     per_level_bounds, run_canary, run_fracture_canary, run_numapte_canary, run_quarantine_canary,
@@ -147,24 +140,6 @@ const DEFAULT_TOLERANCE: f64 = 3.0;
 /// timing-wheel wall-clock on the same stream) the scale gate requires.
 const MIN_DISPATCH_SPEEDUP: f64 = 2.0;
 
-/// Minimum steal-pool improvement (central-mutex wall over Chase-Lev
-/// wall on the imbalanced matrix) the steal gate requires — on hosts
-/// with at least [`STEAL_FLOOR_MIN_CORES`] cores. The 8-wide pool needs
-/// real parallelism before stealing can beat the mutex queue; smaller
-/// hosts record the measured ratio and waive the floor.
-const MIN_STEAL_SPEEDUP: f64 = 1.3;
-
-/// Host cores required before the steal-speedup floor is enforced.
-const STEAL_FLOOR_MIN_CORES: usize = 8;
-
-/// Minimum intra-sim improvement (windowed×1 wall over windowed×N wall
-/// on the identical event stream) the steal gate requires — on hosts
-/// with at least [`PAR_FLOOR_MIN_CORES`] cores.
-const MIN_PAR_SPEEDUP: f64 = 2.0;
-
-/// Host cores required before the partitioned-sim floor is enforced.
-const PAR_FLOOR_MIN_CORES: usize = 4;
-
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let ok = match args.first().map(String::as_str) {
@@ -183,11 +158,6 @@ fn main() -> ExitCode {
         ),
         Some("scalebench") => scale_bench_gate(
             &flag(&args, "--out").unwrap_or_else(|| "BENCH_2.json".into()),
-            flag(&args, "--baseline"),
-            parse_tolerance(&args),
-        ),
-        Some("stealbench") => steal_bench_gate(
-            &flag(&args, "--out").unwrap_or_else(|| "BENCH_5.json".into()),
             flag(&args, "--baseline"),
             parse_tolerance(&args),
         ),
@@ -266,7 +236,6 @@ fn main() -> ExitCode {
                  explore [--threads N] [--out PATH] | \
                  bench [--threads N] [--out PATH] [--baseline PATH] [--tolerance F] | \
                  scalebench [--out PATH] [--baseline PATH] [--tolerance F] | \
-                 stealbench [--out PATH] [--baseline PATH] [--tolerance F] | \
                  topobench [--scale quick|full] [--out PATH] [--baseline PATH] [--tolerance F] | \
                  optbench [--scale quick|full] [--out PATH] [--baseline PATH] [--tolerance F] | \
                  engine [seed] | \
@@ -686,8 +655,11 @@ fn gate_against_baseline(doc: &Json, base: &Json, path: &str, tolerance: f64) ->
             "xtask: PERF GATE FAILED — deterministic sim metrics drifted vs {path} for {} job(s):",
             diff.changed.len()
         );
-        for id in &diff.changed {
-            eprintln!("xtask:   {id}");
+        for c in &diff.changed {
+            eprintln!(
+                "xtask:   {}: {} is {} (baseline {})",
+                c.id, c.path, c.current, c.baseline
+            );
         }
         eprintln!(
             "xtask: a sim-metric diff is a behavioural change; if intentional, delete {path} to re-baseline"
@@ -735,17 +707,6 @@ fn host_u64(doc: &Json, id: &str, key: &str) -> Option<u64> {
         .get("host")?
         .get(key)?
         .as_u64()
-}
-
-/// An `f64` field of one job's host block, if present.
-fn host_f64(doc: &Json, id: &str, key: &str) -> Option<f64> {
-    doc.get("jobs")?
-        .as_arr()?
-        .iter()
-        .find(|j| j.get("id").and_then(Json::as_str) == Some(id))?
-        .get("host")?
-        .get(key)?
-        .as_f64()
 }
 
 /// The scale-up gate behind `BENCH_2.json`: the 2×56-core tier under
@@ -836,125 +797,6 @@ fn scale_bench_gate(out: &str, baseline: Option<String>, tolerance: f64) -> bool
     println!("xtask: wrote {out}");
     if ok {
         println!("xtask: scalebench OK");
-    }
-    ok
-}
-
-/// The work-stealing gate behind `BENCH_5.json`: the imbalanced
-/// steal-pool comparison (central-mutex vs Chase-Lev) and the
-/// conservative-window partitioned sim (reference vs windowed×1 vs
-/// windowed×N), run serially so the host timings are honest. Each job
-/// asserts its own cross-executor byte-equality (reduction / stream
-/// digests) before it returns; here we enforce the speedup floors —
-/// conditionally on the host having enough cores to make them physical
-/// — and diff the deterministic sim blocks against the committed
-/// baseline like `bench` does. A host below a floor's core requirement
-/// records the measured ratio and waives that floor with a note, so the
-/// gate's deterministic teeth (digest equality, baseline diff) bite
-/// everywhere while the throughput teeth bite on real multicores.
-fn steal_bench_gate(out: &str, baseline: Option<String>, tolerance: f64) -> bool {
-    let jobs = bench_jobs(stealbench_matrix(Scale::Full));
-    println!(
-        "xtask: steal sweep — {} jobs, serial (host-timing fidelity)",
-        jobs.len()
-    );
-    let host_cores = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
-    let sweep = run_jobs(jobs, 1);
-    let mut doc = render_bench_json(&sweep, &git_rev());
-    let mut ok = true;
-
-    if !sweep.failures.is_empty() {
-        for f in &sweep.failures {
-            eprintln!(
-                "xtask: STEAL GATE FAILED — job {} panicked (a cross-executor \
-                 digest assertion fired): {}",
-                f.id, f.message
-            );
-        }
-        ok = false;
-    }
-
-    // Floor 1: the Chase-Lev pool over the central-mutex pool on the
-    // deliberately imbalanced matrix, at 8 pool threads.
-    match host_f64(&doc, "steal/full/pool", "steal_speedup") {
-        Some(s) => {
-            doc = doc.with("steal_speedup", Json::F64(s));
-            if host_cores < STEAL_FLOOR_MIN_CORES {
-                println!(
-                    "xtask: steal speedup {s:.2}x recorded — floor \
-                     ({MIN_STEAL_SPEEDUP:.1}x) waived: host has {host_cores} core(s), \
-                     needs {STEAL_FLOOR_MIN_CORES}"
-                );
-            } else if s >= MIN_STEAL_SPEEDUP {
-                println!(
-                    "xtask: steal speedup {s:.2}x — deque pool over mutex pool \
-                     (floor {MIN_STEAL_SPEEDUP:.1}x)"
-                );
-            } else {
-                eprintln!(
-                    "xtask: STEAL GATE FAILED — steal speedup {s:.2}x is below the \
-                     {MIN_STEAL_SPEEDUP:.1}x floor on a {host_cores}-core host"
-                );
-                ok = false;
-            }
-        }
-        None => {
-            eprintln!("xtask: STEAL GATE FAILED — steal-pool host timings missing");
-            ok = false;
-        }
-    }
-
-    // Floor 2: the windowed executor at N workers over itself at one
-    // worker, identical event stream.
-    match host_f64(&doc, "steal/full/parsim", "par_speedup") {
-        Some(s) => {
-            doc = doc.with("par_speedup", Json::F64(s));
-            if host_cores < PAR_FLOOR_MIN_CORES {
-                println!(
-                    "xtask: partitioned-sim speedup {s:.2}x recorded — floor \
-                     ({MIN_PAR_SPEEDUP:.1}x) waived: host has {host_cores} core(s), \
-                     needs {PAR_FLOOR_MIN_CORES}"
-                );
-            } else if s >= MIN_PAR_SPEEDUP {
-                println!(
-                    "xtask: partitioned-sim speedup {s:.2}x — windowed×N over windowed×1 \
-                     (floor {MIN_PAR_SPEEDUP:.1}x)"
-                );
-            } else {
-                eprintln!(
-                    "xtask: STEAL GATE FAILED — partitioned-sim speedup {s:.2}x is below \
-                     the {MIN_PAR_SPEEDUP:.1}x floor on a {host_cores}-core host"
-                );
-                ok = false;
-            }
-        }
-        None => {
-            eprintln!("xtask: STEAL GATE FAILED — partitioned-sim host timings missing");
-            ok = false;
-        }
-    }
-
-    let baseline_path = baseline.unwrap_or_else(|| out.to_string());
-    match std::fs::read_to_string(&baseline_path) {
-        Ok(text) => match Json::parse(&text) {
-            Ok(base) => ok &= gate_against_baseline(&doc, &base, &baseline_path, tolerance),
-            Err(e) => {
-                eprintln!(
-                    "xtask: baseline {baseline_path} is not valid JSON ({e}) — STEAL GATE FAILED"
-                );
-                ok = false;
-            }
-        },
-        Err(_) => println!("xtask: no baseline at {baseline_path} — recording first snapshot"),
-    }
-
-    if let Err(e) = std::fs::write(out, doc.render_pretty()) {
-        eprintln!("xtask: could not write {out}: {e}");
-        return false;
-    }
-    println!("xtask: wrote {out}");
-    if ok {
-        println!("xtask: stealbench OK");
     }
     ok
 }
@@ -2073,11 +1915,46 @@ fn trace_gate(out: &str) -> bool {
     ok
 }
 
+/// Effective source lines of every crate in the workspace: the
+/// [`effective_loc`] count (no blanks, comments or test modules) summed
+/// over each `.rs` file under `crates/<name>/src`, sorted by name.
+fn crate_loc() -> std::io::Result<Vec<(String, u64)>> {
+    let crates = Path::new(env!("CARGO_MANIFEST_DIR")).join("..");
+    let mut out = Vec::new();
+    for entry in std::fs::read_dir(crates)? {
+        let dir = entry?.path();
+        let src = dir.join("src");
+        if src.is_dir() {
+            let name = dir
+                .file_name()
+                .map_or_else(String::new, |n| n.to_string_lossy().into_owned());
+            out.push((name, dir_loc(&src)?));
+        }
+    }
+    out.sort();
+    Ok(out)
+}
+
+/// [`effective_loc`] summed over every `.rs` file under `dir`.
+fn dir_loc(dir: &Path) -> std::io::Result<u64> {
+    let mut lines = 0;
+    for entry in std::fs::read_dir(dir)? {
+        let path = entry?.path();
+        if path.is_dir() {
+            lines += dir_loc(&path)?;
+        } else if path.extension().is_some_and(|e| e == "rs") {
+            lines += effective_loc(&std::fs::read_to_string(&path)?);
+        }
+    }
+    Ok(lines)
+}
+
 /// Every gate of the selected tier, in order. All of them run even if
 /// an early one fails — one CI invocation reports every broken gate,
 /// not just the first. Each gate is wall-clock timed; the summary table
 /// prints a time column and the same rows land machine-readably in
-/// `ci_report.json` (gate, verdict, seconds) for the CI artifact.
+/// `ci_report.json` (gate, verdict, seconds) for the CI artifact,
+/// together with every crate's effective source-line count.
 fn ci(seed: u64, which: CiGates) -> ExitCode {
     type GateFn = Box<dyn FnOnce() -> bool>;
     // (name, fast-tier?, gate). The fast tier is the PR-blocking set —
@@ -2102,11 +1979,6 @@ fn ci(seed: u64, which: CiGates) -> ExitCode {
             "scale",
             false,
             Box::new(|| scale_bench_gate("BENCH_2.json", None, DEFAULT_TOLERANCE)),
-        ),
-        (
-            "steal",
-            false,
-            Box::new(|| steal_bench_gate("BENCH_5.json", None, DEFAULT_TOLERANCE)),
         ),
         (
             "topo",
@@ -2173,6 +2045,31 @@ fn ci(seed: u64, which: CiGates) -> ExitCode {
         );
         all_ok &= ok;
     }
+    let loc = match crate_loc() {
+        Ok(per_crate) => {
+            let total: u64 = per_crate.iter().map(|(_, n)| n).sum();
+            println!(
+                "xtask: {total} effective source lines across {} crates",
+                per_crate.len()
+            );
+            Json::obj()
+                .with(
+                    "crates",
+                    Json::Obj(
+                        per_crate
+                            .into_iter()
+                            .map(|(name, n)| (name, Json::U64(n)))
+                            .collect(),
+                    ),
+                )
+                .with("total", Json::U64(total))
+        }
+        Err(e) => {
+            eprintln!("xtask: could not count source lines: {e}");
+            all_ok = false;
+            Json::Null
+        }
+    };
     let report = Json::obj()
         .with("schema_version", Json::U64(1))
         .with("git_rev", Json::Str(git_rev()))
@@ -2203,7 +2100,8 @@ fn ci(seed: u64, which: CiGates) -> ExitCode {
                     })
                     .collect(),
             ),
-        );
+        )
+        .with("loc", loc);
     if let Err(e) = std::fs::write("ci_report.json", report.render_pretty()) {
         eprintln!("xtask: could not write ci_report.json: {e}");
         all_ok = false;
