@@ -13,11 +13,14 @@
 //!   argument: real concurrency bugs need very few preemptions);
 //! - **branch-depth bound**: branch points past `max_branch_points` are
 //!   not expanded;
-//! - **digest pruning**: after each branch the machine's
-//!   [`state_digest`](tlbdown_kernel::Machine::state_digest) is recorded;
-//!   if the post-choice state was reached before, the remainder of the
-//!   run's branch list is not re-expanded (an identical state implies an
-//!   identical future, up to digest granularity — see `kernel::digest`).
+//! - **digest pruning**: the walk over a run's branch list reads the
+//!   machine's [`state_digest`](tlbdown_kernel::Machine::state_digest)
+//!   after each branch it expands; at the first post-choice state reached
+//!   before, the remainder of the list is not re-expanded (an identical
+//!   state implies an identical future, up to digest granularity — see
+//!   `kernel::digest`). The run digests exactly those branch points: none
+//!   inside the forced prefix or past the depth bound, none after the
+//!   first repeat, and none at all with pruning off.
 //!
 //! After every run the checker asserts the safety oracle found no stale
 //! TLB use *and* the liveness invariant holds: the event queue drained
@@ -26,7 +29,7 @@
 //! [`Counterexample`] carrying a replayable [`Schedule`].
 
 use std::collections::HashSet;
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 
 use tlbdown_kernel::Machine;
 use tlbdown_sim::{Candidate, Scheduler};
@@ -138,16 +141,16 @@ impl<E> Scheduler<E> for ExploreScheduler {
     }
 }
 
-/// Everything observed during one run.
-#[derive(Debug)]
+/// Everything observed during one run. The final digest and the stats
+/// rendering are computed on demand from the finished machine the report
+/// keeps, so runs whose caller only asks [`RunReport::violated`] never
+/// pay for them.
 pub struct RunReport {
     /// The full choice vector actually taken (forced prefix, clamped,
     /// plus FIFO defaults).
     pub schedule: Schedule,
     /// Candidate count at each branch point.
     pub arities: Vec<u16>,
-    /// State digest immediately after each branch point's step.
-    pub branch_digests: Vec<u64>,
     /// Events processed.
     pub steps: u64,
     /// Whether the event queue drained within the step budget.
@@ -158,17 +161,38 @@ pub struct RunReport {
     pub errors: Vec<SimError>,
     /// Whether the liveness invariant held at the end of the run.
     pub live: bool,
-    /// Digest of the final machine state.
-    pub final_digest: u64,
-    /// Canonical rendering of final time, digest, violations, errors and
-    /// sorted counters — byte-compared by replay verification.
-    pub stats_render: String,
+    machine: Machine,
 }
 
 impl RunReport {
     /// Whether this run breached safety or liveness.
     pub fn violated(&self) -> bool {
         !self.violations.is_empty() || !self.live
+    }
+
+    /// Digest of the final machine state.
+    pub fn final_digest(&self) -> u64 {
+        self.machine.state_digest()
+    }
+
+    /// Canonical rendering of final time, digest, violations, errors and
+    /// sorted counters — byte-compared by replay verification.
+    pub fn stats_render(&self) -> String {
+        render_run(&self.machine, self.steps)
+    }
+}
+
+impl fmt::Debug for RunReport {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("RunReport")
+            .field("schedule", &self.schedule)
+            .field("arities", &self.arities)
+            .field("steps", &self.steps)
+            .field("drained", &self.drained)
+            .field("violations", &self.violations)
+            .field("errors", &self.errors)
+            .field("live", &self.live)
+            .finish_non_exhaustive()
     }
 }
 
@@ -201,11 +225,59 @@ pub fn render_run(m: &Machine, steps: u64) -> String {
     out
 }
 
-/// Execute one schedule against a fresh scenario machine.
+/// The post-branch state digests one explorer run takes: exactly those
+/// the explorer's walk over the run's branch list reads. That walk starts
+/// at branch `from` (the end of the forced prefix), never reads a branch
+/// at or past `until`, and stops at the first digest seen before — in
+/// `visited` or earlier in the same run — so digesting stops there too.
+struct DigestWalk<'v> {
+    from: usize,
+    until: usize,
+    visited: &'v HashSet<u64>,
+    /// `digests[k]` is the state digest after branch point `from + k`.
+    digests: Vec<u64>,
+    repeated: bool,
+}
+
+impl<'v> DigestWalk<'v> {
+    fn new(from: usize, until: usize, visited: &'v HashSet<u64>) -> Self {
+        DigestWalk {
+            from,
+            until,
+            visited,
+            digests: Vec::new(),
+            repeated: false,
+        }
+    }
+
+    /// Take the state digest after branch point `i` if the walk will read
+    /// it; `digest` is called only then.
+    fn after_branch(&mut self, i: usize, digest: impl FnOnce() -> u64) {
+        if self.repeated || i < self.from || i >= self.until {
+            return;
+        }
+        let d = digest();
+        self.repeated = self.visited.contains(&d) || self.digests.contains(&d);
+        self.digests.push(d);
+    }
+}
+
+/// Execute one schedule against a fresh scenario machine. Takes no state
+/// digest; the report computes its final one on demand.
 pub fn run_schedule(build: &Scenario<'_>, bounds: &Bounds, forced: &[u16]) -> RunReport {
+    execute(build, bounds, forced, None)
+}
+
+/// The run loop behind [`run_schedule`] and [`explore`]: only an explorer
+/// run passes a walk, and only its walk takes state digests.
+fn execute(
+    build: &Scenario<'_>,
+    bounds: &Bounds,
+    forced: &[u16],
+    mut walk: Option<&mut DigestWalk<'_>>,
+) -> RunReport {
     let mut m = build();
     let mut sched = ExploreScheduler::new(bounds.window, forced.to_vec());
-    let mut branch_digests = Vec::new();
     let mut steps = 0u64;
     let mut drained = false;
     loop {
@@ -218,8 +290,12 @@ pub fn run_schedule(build: &Scenario<'_>, bounds: &Bounds, forced: &[u16]) -> Ru
             break;
         }
         steps += 1;
+        // One step makes at most one scheduling choice, so a new branch
+        // point has index `branches_before`.
         if sched.arities.len() > branches_before {
-            branch_digests.push(m.state_digest());
+            if let Some(w) = walk.as_deref_mut() {
+                w.after_branch(branches_before, || m.state_digest());
+            }
         }
         if !m.violations().is_empty() {
             // Safety already broken: stop here so the counterexample's
@@ -232,14 +308,12 @@ pub fn run_schedule(build: &Scenario<'_>, bounds: &Bounds, forced: &[u16]) -> Ru
     RunReport {
         schedule: Schedule::new(sched.choices.clone()),
         arities: sched.arities,
-        branch_digests,
         steps,
         drained,
         violations: m.violations().to_vec(),
         errors: m.recorded_errors().to_vec(),
         live,
-        final_digest: m.state_digest(),
-        stats_render: render_run(&m, steps),
+        machine: m,
     }
 }
 
@@ -255,6 +329,9 @@ pub struct ExploreStats {
     pub max_branch_depth: usize,
     /// Distinct post-branch state digests seen.
     pub distinct_states: usize,
+    /// State digests computed. A clean exploration computes exactly the
+    /// ones its walks read: `distinct_states + pruned_digest`.
+    pub digests: u64,
     /// Branch-list walks cut short by a repeated state digest.
     pub pruned_digest: u64,
     /// Alternatives dropped by the preemption bound.
@@ -308,8 +385,17 @@ pub fn explore(build: &Scenario<'_>, bounds: &Bounds) -> Report {
             stats.budget_exhausted = true;
             break;
         }
-        let run = run_schedule(build, bounds, &prefix);
+        let from = prefix.len();
+        let until = if bounds.prune {
+            bounds.max_branch_points
+        } else {
+            from
+        };
+        let mut walk = DigestWalk::new(from, until, &visited);
+        let run = execute(build, bounds, &prefix, Some(&mut walk));
+        let digests = walk.digests;
         stats.schedules += 1;
+        stats.digests += digests.len() as u64;
         stats.branch_points += run.arities.len() as u64;
         stats.max_branch_depth = stats.max_branch_depth.max(run.arities.len());
         if run.violated() {
@@ -327,9 +413,10 @@ pub fn explore(build: &Scenario<'_>, bounds: &Bounds) -> Report {
         // Expand alternatives at every branch point past the forced
         // prefix. Walking stops early at the depth bound or at a state
         // digest that has been expanded before (its continuation's branch
-        // structure is identical and already covered).
+        // structure is identical and already covered). The run digested
+        // exactly the branch points this walk reads.
         let base_preemptions = prefix.iter().filter(|c| **c != 0).count();
-        for i in prefix.len()..run.arities.len() {
+        for i in from..run.arities.len() {
             if i >= bounds.max_branch_points {
                 stats.pruned_depth += 1;
                 break;
@@ -344,7 +431,7 @@ pub fn explore(build: &Scenario<'_>, bounds: &Bounds) -> Report {
                     stack.push(next);
                 }
             }
-            if bounds.prune && !visited.insert(run.branch_digests[i]) {
+            if bounds.prune && !visited.insert(digests[i - from]) {
                 stats.pruned_digest += 1;
                 break;
             }
@@ -358,9 +445,9 @@ pub fn explore(build: &Scenario<'_>, bounds: &Bounds) -> Report {
 }
 
 /// Replay verification: execute `schedule` twice against fresh scenario
-/// machines and require byte-identical outcomes (stats rendering, final
-/// digest, step count). Returns the (identical) report, or an error
-/// describing the divergence.
+/// machines and require byte-identical outcomes: the stats rendering,
+/// which carries the step count and final digest. Returns the (identical)
+/// report, or an error listing the lines that differ.
 pub fn replay_twice(
     build: &Scenario<'_>,
     bounds: &Bounds,
@@ -368,14 +455,94 @@ pub fn replay_twice(
 ) -> Result<RunReport, String> {
     let a = run_schedule(build, bounds, &schedule.choices);
     let b = run_schedule(build, bounds, &schedule.choices);
-    if a.stats_render != b.stats_render || a.final_digest != b.final_digest || a.steps != b.steps {
-        let mut diff = String::new();
-        for (la, lb) in a.stats_render.lines().zip(b.stats_render.lines()) {
-            if la != lb {
-                let _ = writeln!(diff, "run1: {la}\nrun2: {lb}");
-            }
-        }
-        return Err(format!("replay diverged:\n{diff}"));
+    let (ra, rb) = (a.stats_render(), b.stats_render());
+    if ra != rb {
+        return Err(format!("replay diverged:\n{}", render_diff(&ra, &rb)));
     }
     Ok(a)
+}
+
+/// The lines at which two renderings differ, as `run1:`/`run2:` pairs; a
+/// line present on one side only pairs with `<absent>`.
+fn render_diff(a: &str, b: &str) -> String {
+    let (mut la, mut lb) = (a.lines(), b.lines());
+    let mut diff = String::new();
+    loop {
+        match (la.next(), lb.next()) {
+            (None, None) => return diff,
+            (x, y) if x == y => {}
+            (x, y) => {
+                let _ = writeln!(
+                    diff,
+                    "run1: {}\nrun2: {}",
+                    x.unwrap_or("<absent>"),
+                    y.unwrap_or("<absent>")
+                );
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::collections::HashSet;
+
+    use super::{render_diff, DigestWalk};
+
+    /// The digests a walk over `from..until` takes when the digest after
+    /// branch point `i` is `feed[i]`.
+    fn walk_digests(from: usize, until: usize, visited: &[u64], feed: &[u64]) -> Vec<u64> {
+        let visited: HashSet<u64> = visited.iter().copied().collect();
+        let mut walk = DigestWalk::new(from, until, &visited);
+        for (i, &d) in feed.iter().enumerate() {
+            walk.after_branch(i, || d);
+        }
+        walk.digests
+    }
+
+    #[test]
+    fn digest_walk_stops_after_the_first_repeat() {
+        // A digest seen earlier in the same run ends the walk...
+        assert_eq!(walk_digests(0, 9, &[], &[1, 2, 1, 3]), [1, 2, 1]);
+        // ...and so does one already visited by earlier runs.
+        assert_eq!(walk_digests(0, 9, &[2], &[1, 2, 3]), [1, 2]);
+    }
+
+    #[test]
+    fn digest_walk_skips_the_prefix_and_the_depth_bound() {
+        assert_eq!(walk_digests(1, 3, &[], &[1, 2, 3, 4]), [2, 3]);
+        // Pruning off: the walk reads nothing, so nothing is digested.
+        assert_eq!(walk_digests(2, 2, &[], &[1, 2, 3, 4]), [] as [u64; 0]);
+    }
+
+    #[test]
+    fn render_diff_is_empty_for_equal_renderings() {
+        assert_eq!(
+            render_diff("steps 3\ndigest 0x1\n", "steps 3\ndigest 0x1\n"),
+            ""
+        );
+    }
+
+    #[test]
+    fn render_diff_pairs_changed_lines() {
+        assert_eq!(
+            render_diff(
+                "steps 3\ndigest 0x1\nerrors 0\n",
+                "steps 3\ndigest 0x2\nerrors 0\n"
+            ),
+            "run1: digest 0x1\nrun2: digest 0x2\n"
+        );
+    }
+
+    #[test]
+    fn render_diff_shows_a_one_sided_tail() {
+        assert_eq!(
+            render_diff("errors 0\n", "errors 0\ncounter tlb_flush 2\n"),
+            "run1: <absent>\nrun2: counter tlb_flush 2\n"
+        );
+        assert_eq!(
+            render_diff("violations 1\nviolation stale\n", "violations 1\n"),
+            "run1: violation stale\nrun2: <absent>\n"
+        );
+    }
 }

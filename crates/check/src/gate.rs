@@ -45,6 +45,9 @@ pub struct LevelReport {
     pub distinct_states: usize,
     /// Branch-list walks cut short by digest pruning.
     pub pruned_digest: u64,
+    /// State digests computed. Printed by `cargo xtask explore` but kept
+    /// out of the JSON, so `explore_report.json` stays at schema 4.
+    pub digests: u64,
     /// Whether every explored schedule was safe and live.
     pub safe: bool,
     /// Rendering of the counterexample schedule + violations, if any.
@@ -104,6 +107,7 @@ fn explore_level_scenario(
         branch_points: report.stats.branch_points,
         distinct_states: report.stats.distinct_states,
         pruned_digest: report.stats.pruned_digest,
+        digests: report.stats.digests,
         safe: report.all_safe(),
         violation,
     }
@@ -462,9 +466,12 @@ mod tests {
             branch_points: 20,
             distinct_states: 5,
             pruned_digest: 1,
+            digests: 6,
             safe: true,
             violation: None,
         };
+        // The digest count is console-only: the level JSON stays schema 4.
+        assert_eq!(level.to_json().get("digests"), None);
         let canary = CanaryReport {
             fifo_safe: true,
             caught: true,

@@ -68,6 +68,8 @@ fn digest_pruning_cuts_redundant_work() {
         "expected some digest hits: {:?}",
         pruned.stats
     );
+    // With pruning off nothing reads a digest, so none is computed.
+    assert_eq!(full.stats.digests, 0, "{:?}", full.stats);
 }
 
 #[test]
@@ -144,7 +146,7 @@ fn nmi_injection_scan_over_inflight_shootdown() {
             "correct check violated under FIFO at inject_at={t}: {:?}",
             safe.violations
         );
-        denied_seen |= safe.stats_render.contains("counter nmi_uaccess_denied");
+        denied_seen |= safe.stats_render().contains("counter nmi_uaccess_denied");
         let buggy = run_schedule(&|| scenario::nmi_probe(true, t), &bounds, &[]);
         if buggy.violated() {
             buggy_hits += 1;
@@ -158,4 +160,57 @@ fn nmi_injection_scan_over_inflight_shootdown() {
         denied_seen,
         "the extended check never actually denied a probe — scan missed the window"
     );
+}
+
+#[test]
+fn exploration_results_are_pinned() {
+    // Every `ExploreStats` field of four explorations of the duel, pinned
+    // so a change to how runs execute or digest cannot move what the
+    // search finds. Columns: schedules, branch points, max depth,
+    // distinct states, digest-pruned, preemption-pruned, depth-pruned,
+    // budget exhausted.
+    let cases: [(u8, bool, [u64; 7], bool); 4] = [
+        (0, true, [300, 7_599, 32, 463, 71, 218, 0], true),
+        (6, true, [300, 9_649, 41, 406, 76, 151, 0], true),
+        (8, true, [300, 15_665, 65, 335, 104, 89, 0], true),
+        (0, false, [300, 7_650, 30, 0, 0, 372, 0], true),
+    ];
+    for (level, prune, want, exhausted) in cases {
+        let mut bounds = Bounds::default().with_max_schedules(300);
+        bounds.prune = prune;
+        let report = explore::explore(&|| scenario::dueling_madvise_at(level), &bounds);
+        assert!(report.all_safe(), "L{level}: {:?}", report.counterexample);
+        let st = &report.stats;
+        let got = [
+            st.schedules,
+            st.branch_points,
+            st.max_branch_depth as u64,
+            st.distinct_states as u64,
+            st.pruned_digest,
+            st.pruned_preemption,
+            st.pruned_depth,
+        ];
+        assert_eq!(got, want, "L{level} prune={prune}: {st:?}");
+        assert_eq!(st.budget_exhausted, exhausted, "L{level} prune={prune}");
+    }
+}
+
+#[test]
+fn clean_exploration_digests_only_what_its_walks_read() {
+    // Each run digests the branch points its walk reads and stops at the
+    // first repeat, so every digest either admits a new state or ends one
+    // walk as digest-pruned.
+    for level in [0u8, 6, 8] {
+        for budget in [20, 300, 2_000] {
+            let bounds = Bounds::default().with_max_schedules(budget);
+            let report = explore::explore(&|| scenario::dueling_madvise_at(level), &bounds);
+            assert!(report.all_safe(), "L{level}: {:?}", report.counterexample);
+            let st = &report.stats;
+            assert_eq!(
+                st.digests,
+                st.distinct_states as u64 + st.pruned_digest,
+                "L{level} budget {budget}: {st:?}"
+            );
+        }
+    }
 }

@@ -467,12 +467,13 @@ fn explore_level_jobs() -> Vec<Job<(LevelReport, bool)>> {
 fn print_level(topo: &str, rep: &LevelReport) {
     println!(
         "xtask: {topo} opt level {}: {} schedules, {} branch points, \
-         {} distinct states, {} digest-pruned — {}",
+         {} distinct states, {} digest-pruned, {:.1} digests/schedule — {}",
         rep.level,
         rep.schedules,
         rep.branch_points,
         rep.distinct_states,
         rep.pruned_digest,
+        rep.digests as f64 / rep.schedules.max(1) as f64,
         if rep.safe { "safe" } else { "VIOLATION" }
     );
     if let Some(v) = &rep.violation {
