@@ -32,7 +32,6 @@ use tlbdown_workloads::storm::{run_storm, AutonumaIntensity, StormCfg, StormInte
 use tlbdown_workloads::sysbench::{run_sysbench, SysbenchCfg};
 
 use crate::ablations::{ceiling_sweep, invpcid_sensitivity, paravirt_hint};
-use crate::enginebench::{run_dispatch_pair, DispatchCfg};
 use crate::figures::{app_levels, fig4_ablation, micro_levels, Scale};
 use crate::fractured::table4;
 use crate::metrics::JobMetrics;
@@ -101,19 +100,10 @@ pub enum JobSpec {
         /// Index into [`storm_faults`] (second matrix axis).
         fault: usize,
         /// Route the storm over the mesh fabric instead of the flat
-        /// reference interconnect (the nightly `--fabric mesh` matrix:
-        /// the adversary's broadcast IPIs now queue on shared links).
+        /// reference interconnect (the adversary's broadcast IPIs then
+        /// queue on shared links).
         mesh: bool,
     },
-    /// The engine dispatch microbenchmark: replay the seeded
-    /// madvise-mix event stream through both engine configurations —
-    /// the allocating pure-heap baseline and the timing wheel — with
-    /// the timed repetitions interleaved so host noise cancels out of
-    /// the throughput ratio. The stream digest (identical across
-    /// engines by construction, asserted inside the job) lands in the
-    /// diffed sim metrics; the wall-clocks and speedup land in the
-    /// snapshot's non-diffed `host` block.
-    EngineDispatch,
     /// One topology × page-size cell of the `BENCH_6.json` interconnect
     /// matrix (`cargo xtask topobench`): the dual-socket scale tier
     /// re-run under a routed interconnect and the Skylake-SP
@@ -187,21 +177,6 @@ pub struct JobOutput {
     pub rendered: String,
     /// Sim-side metrics for `BENCH_*.json`.
     pub metrics: JobMetrics,
-    /// Host-side measurements (dispatch wall-clock, throughput).
-    /// Recorded in the snapshot next to `wall_ns` but excluded from the
-    /// byte-exact `sim` diff — host numbers are allowed to drift.
-    pub host: Json,
-}
-
-impl JobOutput {
-    /// A purely simulated result: no host-side block.
-    fn sim(rendered: String, metrics: JobMetrics) -> Self {
-        JobOutput {
-            rendered,
-            metrics,
-            host: Json::obj(),
-        }
-    }
 }
 
 impl MatrixJob {
@@ -222,7 +197,6 @@ impl MatrixJob {
             JobSpec::Ablation { .. } => "ablation",
             JobSpec::ScaleTier { .. } => "scale_tier",
             JobSpec::Storm { .. } => "storm",
-            JobSpec::EngineDispatch => "engine_dispatch",
             JobSpec::TopoCell { .. } => "topo_cell",
             JobSpec::FracturePressure => "fracture_pressure",
             JobSpec::ReuseChurn { .. } => "reuse_churn",
@@ -294,10 +268,7 @@ impl MatrixJob {
                     .with("level", Json::U64(*level as u64))
                     .with("sockets", Json::U64(u64::from(AUTONUMA_CELL_SOCKETS)));
             }
-            JobSpec::Table3
-            | JobSpec::Fig4
-            | JobSpec::EngineDispatch
-            | JobSpec::FracturePressure => {}
+            JobSpec::Table3 | JobSpec::Fig4 | JobSpec::FracturePressure => {}
         }
         obj
     }
@@ -307,27 +278,29 @@ impl MatrixJob {
         match &self.spec {
             JobSpec::MicroRow { fig, level } => run_micro_row(*fig, *level, self.scale),
             JobSpec::Table3 => run_table3(self.scale),
-            JobSpec::Fig4 => JobOutput::sim(fig4_ablation(self.scale), JobMetrics::new()),
+            JobSpec::Fig4 => JobOutput {
+                rendered: fig4_ablation(self.scale),
+                metrics: JobMetrics::new(),
+            },
             JobSpec::Fig9 { config } => run_fig9(*config, self.scale),
             JobSpec::AppLevel { fig, safe, level } => {
                 run_app_level(*fig, *safe, *level, self.scale)
             }
             JobSpec::Table4Row { row } => run_table4_row(*row),
-            JobSpec::Ablation { which } => JobOutput::sim(
-                match which {
+            JobSpec::Ablation { which } => JobOutput {
+                rendered: match which {
                     0 => ceiling_sweep(),
                     1 => invpcid_sensitivity(),
                     _ => paravirt_hint(),
                 },
-                JobMetrics::new(),
-            ),
+                metrics: JobMetrics::new(),
+            },
             JobSpec::ScaleTier { heap_only } => run_scale_tier_job(*heap_only, self.scale),
             JobSpec::Storm {
                 intensity,
                 fault,
                 mesh,
             } => run_storm_cell(*intensity, *fault, *mesh, self.scale),
-            JobSpec::EngineDispatch => run_engine_dispatch_job(self.scale),
             JobSpec::TopoCell { topo, thp } => run_topo_cell(*topo, *thp, self.scale),
             JobSpec::FracturePressure => run_fracture_pressure(self.scale),
             JobSpec::ReuseChurn { fitting, level } => {
@@ -377,7 +350,7 @@ fn run_micro_row(fig: u32, level: usize, scale: Scale) -> JobOutput {
         metrics.put_u64(&format!("sim_cycles_{key}"), r.sim_cycles);
         metrics.merge_counters(&r.counters);
     }
-    JobOutput::sim(rendered, metrics)
+    JobOutput { rendered, metrics }
 }
 
 fn run_table3(scale: Scale) -> JobOutput {
@@ -404,7 +377,7 @@ fn run_table3(scale: Scale) -> JobOutput {
             metrics.merge_counters(&opt.counters);
         }
     }
-    JobOutput::sim(rendered, metrics)
+    JobOutput { rendered, metrics }
 }
 
 fn run_fig9(config: usize, scale: Scale) -> JobOutput {
@@ -433,7 +406,7 @@ fn run_fig9(config: usize, scale: Scale) -> JobOutput {
         metrics.put_u64(&format!("sim_cycles_{mode}"), r.sim_cycles);
         metrics.merge_counters(&r.counters);
     }
-    JobOutput::sim(rendered, metrics)
+    JobOutput { rendered, metrics }
 }
 
 fn run_app_level(fig: u32, safe: bool, level: usize, scale: Scale) -> JobOutput {
@@ -473,7 +446,7 @@ fn run_app_level(fig: u32, safe: bool, level: usize, scale: Scale) -> JobOutput 
             metrics.merge_counters(&opt.counters);
         }
     }
-    JobOutput::sim(rendered, metrics)
+    JobOutput { rendered, metrics }
 }
 
 fn run_table4_row(row: usize) -> JobOutput {
@@ -486,7 +459,7 @@ fn run_table4_row(row: usize) -> JobOutput {
     let mut metrics = JobMetrics::new();
     metrics.put_u64("full_flush_misses", r.full_flush_misses);
     metrics.put_u64("selective_flush_misses", r.selective_flush_misses);
-    JobOutput::sim(rendered, metrics)
+    JobOutput { rendered, metrics }
 }
 
 fn run_scale_tier_job(heap_only: bool, scale: Scale) -> JobOutput {
@@ -512,7 +485,7 @@ fn run_scale_tier_job(heap_only: bool, scale: Scale) -> JobOutput {
     metrics.put_u64("sim_cycles", r.sim_cycles);
     metrics.put_u64("state_digest", r.digest);
     metrics.merge_counters(&r.counters);
-    JobOutput::sim(rendered, metrics)
+    JobOutput { rendered, metrics }
 }
 
 /// The storm matrix's fault axis: delivery/entry faults layered under
@@ -596,43 +569,7 @@ fn run_storm_cell(intensity: StormIntensity, fault: usize, mesh: bool, scale: Sc
         metrics.put_u64(&format!("L{level}_digest"), a.digest);
         metrics.merge_counters(&a.counters);
     }
-    JobOutput::sim(rendered, metrics)
-}
-
-fn run_engine_dispatch_job(scale: Scale) -> JobOutput {
-    let cfg = match scale {
-        Scale::Quick => DispatchCfg::quick(),
-        Scale::Full => DispatchCfg::scale_tier(),
-    };
-    let pair = run_dispatch_pair(&cfg);
-    let heap_ns = pair.heap.elapsed.as_nanos().max(1) as u64;
-    let wheel_ns = pair.wheel.elapsed.as_nanos().max(1) as u64;
-    let rendered = format!(
-        "engine dispatch: {} pops, stream digest {:016x}\n  \
-         heap  {:>10.2?}  {:>5.1}M pops/s\n  \
-         wheel {:>10.2?}  {:>5.1}M pops/s  speedup {:.2}x\n",
-        pair.heap.pops,
-        pair.heap.digest,
-        pair.heap.elapsed,
-        pair.heap.pops_per_sec() / 1e6,
-        pair.wheel.elapsed,
-        pair.wheel.pops_per_sec() / 1e6,
-        pair.speedup()
-    );
-    let mut metrics = JobMetrics::new();
-    metrics.put_u64("pops", pair.heap.pops);
-    metrics.put_u64("stream_digest", pair.heap.digest);
-    let host = Json::obj()
-        .with("heap_ns", Json::U64(heap_ns))
-        .with("wheel_ns", Json::U64(wheel_ns))
-        .with("heap_pops_per_sec", Json::F64(pair.heap.pops_per_sec()))
-        .with("wheel_pops_per_sec", Json::F64(pair.wheel.pops_per_sec()))
-        .with("dispatch_speedup", Json::F64(pair.speedup()));
-    JobOutput {
-        rendered,
-        metrics,
-        host,
-    }
+    JobOutput { rendered, metrics }
 }
 
 /// The topobench topology axis, in job order: the flat reference model,
@@ -696,7 +633,7 @@ fn run_topo_cell(topo: usize, thp: bool, scale: Scale) -> JobOutput {
     metrics.put_u64("tlb_evictions", a.tlb_evictions);
     metrics.put_u64("tlb_fractures", a.tlb_fractures);
     metrics.merge_counters(&a.counters);
-    JobOutput::sim(rendered, metrics)
+    JobOutput { rendered, metrics }
 }
 
 fn run_fracture_pressure(scale: Scale) -> JobOutput {
@@ -728,7 +665,7 @@ fn run_fracture_pressure(scale: Scale) -> JobOutput {
         metrics.put_u64(&format!("{key}_state_digest"), r.digest);
         metrics.put_u64(&format!("{key}_sim_cycles"), r.sim_cycles);
     }
-    JobOutput::sim(rendered, metrics)
+    JobOutput { rendered, metrics }
 }
 
 /// Sockets every [`JobSpec::AutonumaCell`] runs across. Two sockets
@@ -782,7 +719,7 @@ fn run_reuse_churn_cell(fitting: bool, level: usize, scale: Scale) -> JobOutput 
     metrics.put_u64("state_digest", a.digest);
     metrics.put_u64("replay_ok", replay_ok as u64);
     metrics.merge_counters(&a.counters);
-    JobOutput::sim(rendered, metrics)
+    JobOutput { rendered, metrics }
 }
 
 fn run_autonuma_cell(intensity: AutonumaIntensity, level: usize, scale: Scale) -> JobOutput {
@@ -828,7 +765,7 @@ fn run_autonuma_cell(intensity: AutonumaIntensity, level: usize, scale: Scale) -
     metrics.put_u64("state_digest", a.digest);
     metrics.put_u64("replay_ok", replay_ok as u64);
     metrics.merge_counters(&a.counters);
-    JobOutput::sim(rendered, metrics)
+    JobOutput { rendered, metrics }
 }
 
 /// The full sweep matrix at `scale`: every figure/table decomposed along
@@ -930,21 +867,15 @@ pub fn bench_matrix() -> Vec<MatrixJob> {
     jobs
 }
 
-/// The `BENCH_2.json` scale-tier matrix: the dual-socket tier in both
-/// engine configurations plus the dispatch microbenchmark. The two
-/// `ScaleTier` jobs must produce byte-identical sim blocks (the engines
-/// are observationally equivalent); the `EngineDispatch` job times both
-/// engines on the identical stream and reports the before/after
-/// dispatch throughput in its host block. Run at `Scale::Full` for the
-/// committed snapshot, `Scale::Quick` in tests.
+/// The `BENCH_2.json` scale-tier matrix: the dual-socket tier under the
+/// timing wheel and under the pure-heap engine. The two jobs must
+/// produce byte-identical sim blocks (the engines are observationally
+/// equivalent); their `wall_ns` are the end-to-end host-time record.
+/// Run at `Scale::Full` for the committed snapshot, `Scale::Quick` in
+/// tests.
 pub fn scale_matrix(scale: Scale) -> Vec<MatrixJob> {
     let s = scale.label();
     vec![
-        MatrixJob::new(
-            format!("engine/{s}/dispatch"),
-            scale,
-            JobSpec::EngineDispatch,
-        ),
         MatrixJob::new(
             format!("scale/{s}/2x56-heap"),
             scale,
@@ -961,46 +892,27 @@ pub fn scale_matrix(scale: Scale) -> Vec<MatrixJob> {
 /// The `BENCH_3.json` shootdown-storm survival matrix behind
 /// `cargo xtask storm`: every [`StormIntensity`] × every
 /// [`storm_faults`] preset, with all seven cumulative optimization
-/// levels (each run twice, for the seed-replay check) inside each cell.
+/// levels (each run twice, for the seed-replay check) inside each cell,
+/// first over the flat reference interconnect and then routed over the
+/// 2D mesh. Mesh job IDs carry a `mesh/` segment, so the two fabrics
+/// never collide in the snapshot.
 pub fn storm_matrix(scale: Scale) -> Vec<MatrixJob> {
     let s = scale.label();
     let mut jobs = Vec::new();
-    for intensity in StormIntensity::ALL {
-        for (fault, (name, _)) in storm_faults().iter().enumerate() {
-            jobs.push(MatrixJob::new(
-                format!("storm/{s}/{}/{name}", intensity.label()),
-                scale,
-                JobSpec::Storm {
-                    intensity,
-                    fault,
-                    mesh: false,
-                },
-            ));
-        }
-    }
-    jobs
-}
-
-/// The nightly mesh-fabric variant of [`storm_matrix`]: the identical
-/// intensity × fault grid with every cell routed over the 2D mesh
-/// interconnect, so the adversary's broadcast shootdown IPIs queue on
-/// shared links while the escalation ladder keeps the machine alive.
-/// Job IDs carry a `mesh/` segment, so a mesh snapshot never collides
-/// with the committed flat `BENCH_3.json` cells.
-pub fn storm_matrix_mesh(scale: Scale) -> Vec<MatrixJob> {
-    let s = scale.label();
-    let mut jobs = Vec::new();
-    for intensity in StormIntensity::ALL {
-        for (fault, (name, _)) in storm_faults().iter().enumerate() {
-            jobs.push(MatrixJob::new(
-                format!("storm/{s}/mesh/{}/{name}", intensity.label()),
-                scale,
-                JobSpec::Storm {
-                    intensity,
-                    fault,
-                    mesh: true,
-                },
-            ));
+    for mesh in [false, true] {
+        let seg = if mesh { "mesh/" } else { "" };
+        for intensity in StormIntensity::ALL {
+            for (fault, (name, _)) in storm_faults().iter().enumerate() {
+                jobs.push(MatrixJob::new(
+                    format!("storm/{s}/{seg}{}/{name}", intensity.label()),
+                    scale,
+                    JobSpec::Storm {
+                        intensity,
+                        fault,
+                        mesh,
+                    },
+                ));
+            }
         }
     }
     jobs
@@ -1084,7 +996,6 @@ mod tests {
             full_matrix(Scale::Quick),
             bench_matrix(),
             storm_matrix(Scale::Quick),
-            storm_matrix_mesh(Scale::Quick),
             topobench_matrix(Scale::Quick),
             optbench_matrix(Scale::Quick),
         ] {
@@ -1114,21 +1025,14 @@ mod tests {
     #[test]
     fn scale_matrix_engines_are_observationally_identical() {
         let jobs = scale_matrix(Scale::Quick);
-        assert_eq!(jobs.len(), 3);
-        let heap_tier = jobs[1].run();
-        let wheel_tier = jobs[2].run();
+        assert_eq!(jobs.len(), 2);
+        let heap_tier = jobs[0].run();
+        let wheel_tier = jobs[1].run();
         assert_eq!(
             heap_tier.metrics.render(),
             wheel_tier.metrics.render(),
             "scale-tier sim metrics must not depend on the engine front-end"
         );
-        // The dispatch job asserts stream-digest equality internally;
-        // here, check that the host block carries both timings.
-        let disp = jobs[0].run();
-        assert!(disp.host.get("heap_ns").is_some());
-        assert!(disp.host.get("wheel_ns").is_some());
-        assert!(disp.host.get("dispatch_speedup").is_some());
-        assert!(disp.metrics.render().contains("stream_digest"));
     }
 
     #[test]
@@ -1136,8 +1040,8 @@ mod tests {
         let jobs = storm_matrix(Scale::Quick);
         assert_eq!(
             jobs.len(),
-            StormIntensity::ALL.len() * storm_faults().len(),
-            "one cell per intensity × fault preset"
+            2 * StormIntensity::ALL.len() * storm_faults().len(),
+            "one cell per fabric × intensity × fault preset"
         );
         assert!(storm_faults().len() >= 4);
         assert!(storm_faults().iter().any(|(n, _)| *n == "combined"));
@@ -1145,10 +1049,10 @@ mod tests {
 
     #[test]
     fn mesh_storm_matrix_mirrors_the_flat_grid() {
-        let flat = storm_matrix(Scale::Quick);
-        let mesh = storm_matrix_mesh(Scale::Quick);
+        let jobs = storm_matrix(Scale::Quick);
+        let (flat, mesh) = jobs.split_at(jobs.len() / 2);
         assert_eq!(mesh.len(), flat.len(), "same intensity × fault grid");
-        for (f, m) in flat.iter().zip(&mesh) {
+        for (f, m) in flat.iter().zip(mesh) {
             assert_ne!(f.id, m.id, "mesh IDs must not collide with flat");
             assert!(m.id.contains("/mesh/"), "{}", m.id);
             assert_eq!(

@@ -1,8 +1,8 @@
 //! `BENCH_*.json`: building, reading back, and diffing perf snapshots.
 //!
-//! `cargo xtask bench` runs [`crate::matrix::bench_matrix`] through the
-//! sweep pool and serializes the result here. The snapshot has two kinds
-//! of content, handled differently by the regression gate:
+//! Every `cargo xtask` snapshot gate serializes its runs here. The
+//! snapshot has two kinds of content, handled differently by the
+//! regression gate:
 //!
 //! - **`sim` blocks** — deterministic simulation metrics (cycles,
 //!   latency means, the full machine counter set). Identical across
@@ -14,6 +14,7 @@
 //!   baseline at a generous tolerance.
 
 use std::collections::BTreeMap;
+use std::time::Duration;
 
 use tlbdown_sweep::{Job, Json, SweepReport};
 
@@ -38,32 +39,60 @@ pub fn bench_jobs(jobs: Vec<MatrixJob>) -> Vec<Job<(Json, JobOutput)>> {
 /// Everything except `git_rev`, the `wall_ns` fields and `totals` is
 /// deterministic simulation state.
 pub fn render_bench_json(report: &SweepReport<(Json, JobOutput)>, git_rev: &str) -> Json {
-    let mut jobs = Vec::new();
+    let jobs = report
+        .results
+        .iter()
+        .map(|r| {
+            job_json(
+                &r.id,
+                r.output.0.clone(),
+                r.output.1.metrics.to_json(),
+                r.wall,
+            )
+        })
+        .collect();
+    render_snapshot(jobs, report.threads, report.elapsed, git_rev)
+}
+
+/// One finished job as a snapshot entry: its ID, configuration,
+/// deterministic `sim` block and host wall-clock.
+pub fn job_json(id: &str, config: Json, sim: Json, wall: Duration) -> Json {
+    Json::obj()
+        .with("id", Json::Str(id.into()))
+        .with("config", config)
+        .with("sim", sim)
+        .with("wall_ns", Json::U64(wall.as_nanos() as u64))
+}
+
+/// Build a `BENCH_*.json` document from [`job_json`] entries that ran
+/// on `threads` workers in `elapsed`: the jobs in ID order, plus totals
+/// (summed `sim.counters`, wall-clock, serial estimate and speedup).
+pub fn render_snapshot(
+    mut jobs: Vec<Json>,
+    threads: usize,
+    elapsed: Duration,
+    git_rev: &str,
+) -> Json {
+    jobs.sort_by(|a, b| {
+        a.get("id")
+            .and_then(Json::as_str)
+            .cmp(&b.get("id").and_then(Json::as_str))
+    });
     let mut counters_total: BTreeMap<String, u64> = BTreeMap::new();
-    for r in &report.results {
-        let (config, out) = &r.output;
-        let sim = out.metrics.to_json();
-        if let Some(Json::Obj(pairs)) = sim.get("counters") {
+    let mut serial_ns = 0;
+    for job in &jobs {
+        if let Some(Json::Obj(pairs)) = job.get("sim").and_then(|s| s.get("counters")) {
             for (k, v) in pairs {
                 if let Json::U64(n) = v {
                     *counters_total.entry(k.clone()).or_insert(0) += n;
                 }
             }
         }
-        let mut job = Json::obj()
-            .with("id", Json::Str(r.id.clone()))
-            .with("config", config.clone())
-            .with("sim", sim)
-            .with("wall_ns", Json::U64(r.wall.as_nanos() as u64));
-        // Host-side measurements ride along next to `wall_ns`; like it,
-        // they are outside the byte-exact `sim` diff.
-        if !matches!(&out.host, Json::Obj(pairs) if pairs.is_empty()) {
-            job = job.with("host", out.host.clone());
-        }
-        jobs.push(job);
+        serial_ns += job.get("wall_ns").and_then(Json::as_u64).unwrap_or(0);
     }
+    let wall_ns = elapsed.as_nanos() as u64;
     let totals = Json::obj()
-        .with("jobs", Json::U64(report.results.len() as u64))
+        .with("jobs", Json::U64(jobs.len() as u64))
         .with(
             "counters",
             Json::Obj(
@@ -73,16 +102,16 @@ pub fn render_bench_json(report: &SweepReport<(Json, JobOutput)>, git_rev: &str)
                     .collect(),
             ),
         )
-        .with("wall_ns", Json::U64(report.elapsed.as_nanos() as u64))
+        .with("wall_ns", Json::U64(wall_ns))
+        .with("serial_ns", Json::U64(serial_ns))
         .with(
-            "serial_ns",
-            Json::U64(report.serial_estimate().as_nanos() as u64),
-        )
-        .with("speedup_vs_serial", Json::F64(report.speedup_vs_serial()));
+            "speedup_vs_serial",
+            Json::F64(serial_ns as f64 / wall_ns.max(1) as f64),
+        );
     Json::obj()
         .with("schema_version", Json::U64(BENCH_SCHEMA_VERSION))
         .with("git_rev", Json::Str(git_rev.into()))
-        .with("threads", Json::U64(report.threads as u64))
+        .with("threads", Json::U64(threads as u64))
         .with("jobs", Json::Arr(jobs))
         .with("totals", totals)
 }

@@ -464,7 +464,7 @@ pub fn replay_twice(
 
 /// The lines at which two renderings differ, as `run1:`/`run2:` pairs; a
 /// line present on one side only pairs with `<absent>`.
-fn render_diff(a: &str, b: &str) -> String {
+pub fn render_diff(a: &str, b: &str) -> String {
     let (mut la, mut lb) = (a.lines(), b.lines());
     let mut diff = String::new();
     loop {

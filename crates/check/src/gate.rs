@@ -1,12 +1,12 @@
 //! The explore *gate* as a library: parallel-safe per-level entry
-//! points, the seeded-bug canary, and a machine-readable summary.
+//! points, the seeded-bug canaries, and a machine-readable summary.
 //!
 //! `cargo xtask explore` used to inline all of this and emit only
 //! pass/fail text; CI needs to track exploration-budget creep (schedules
 //! spent per level, canary shrink size) across commits, so the gate now
 //! produces a [`GateReport`] that serializes to `explore_report.json`.
 //!
-//! Parallel safety: [`explore_opt_level`] and [`run_canary`] build every
+//! Parallel safety: [`explore_opt_level`] and [`Canary::run`] build every
 //! machine they touch from scratch and share no mutable state, so the
 //! sweep engine can run the per-level DFS explorations on separate
 //! worker threads. Each level's DFS is deterministic in
@@ -14,6 +14,7 @@
 //! which keeps the merged report byte-identical no matter the thread
 //! count or completion order.
 
+use tlbdown_kernel::Machine;
 use tlbdown_sweep::Json;
 
 use crate::explore::{explore, replay_twice, run_schedule, Bounds};
@@ -164,71 +165,68 @@ impl CanaryReport {
     }
 }
 
-/// Run the §3.2 NMI canary: catch the seeded `buggy_nmi_check` bug,
-/// shrink it, replay it byte-identically, and prove the corrected check
-/// clean. Parallel-safe, though the gate runs it once, after the level
-/// sweep.
+/// One seeded-bug canary: a probe scenario whose `buggy` variant the
+/// checker must catch and whose real variant must explore clean.
+#[derive(Clone, Copy, Debug)]
+pub struct Canary {
+    /// The canary's key in `explore_report.json`.
+    pub key: &'static str,
+    /// The seeded bug's name.
+    pub bug: &'static str,
+    /// The probe scenario: `probe(true)` seeds the bug.
+    pub probe: fn(bool) -> Machine,
+}
+
+/// Every canary the explore gate runs, in report order:
+/// - the §3.2 NMI check that misses a pending flush;
+/// - a quarantined responder that keeps the selective path but drops
+///   the `acked_unflushed` bookkeeping;
+/// - an INVLPG that evicts only the 4KB-sized key, leaving a split
+///   hugepage's stale 2MB entry cached;
+/// - a reuse-window park that retires its oracle pairs at once instead
+///   of at debt-flush time (L7);
+/// - a numaPTE update that reaches only the initiating socket's
+///   page-table replica (L8).
+pub const CANARIES: [Canary; 5] = [
+    Canary {
+        key: "canary",
+        bug: "buggy_nmi_check",
+        probe: scenario::nmi_probe_demo,
+    },
+    Canary {
+        key: "quarantine_canary",
+        bug: "buggy_quarantine",
+        probe: scenario::quarantine_probe_demo,
+    },
+    Canary {
+        key: "fracture_canary",
+        bug: "buggy_fracture",
+        probe: scenario::fracture_probe_demo,
+    },
+    Canary {
+        key: "reuse_skip_canary",
+        bug: "buggy_reuse_skip",
+        probe: scenario::reuse_probe_demo,
+    },
+    Canary {
+        key: "numapte_canary",
+        bug: "buggy_numapte",
+        probe: scenario::numapte_probe_demo,
+    },
+];
+
+impl Canary {
+    /// Catch the seeded bug, shrink it, replay it byte-identically, and
+    /// prove the real variant clean. Parallel-safe.
+    pub fn run(&self, bounds: &Bounds, shrink_budget: u64) -> CanaryReport {
+        let probe = self.probe;
+        run_canary_scenario(&|| probe(true), &|| probe(false), bounds, shrink_budget)
+    }
+}
+
+/// Run the §3.2 NMI canary (the first of [`CANARIES`]).
 pub fn run_canary(bounds: &Bounds, shrink_budget: u64) -> CanaryReport {
-    run_canary_scenario(
-        &|| scenario::nmi_probe_demo(true),
-        &|| scenario::nmi_probe_demo(false),
-        bounds,
-        shrink_budget,
-    )
-}
-
-/// Run the escalation-ladder canary: the seeded `buggy_quarantine`
-/// variant (quarantined responder keeps the selective path but drops the
-/// `acked_unflushed` bookkeeping) must be caught, shrunk and replayed,
-/// while the real quarantine semantics explore clean.
-pub fn run_quarantine_canary(bounds: &Bounds, shrink_budget: u64) -> CanaryReport {
-    run_canary_scenario(
-        &|| scenario::quarantine_probe_demo(true),
-        &|| scenario::quarantine_probe_demo(false),
-        bounds,
-        shrink_budget,
-    )
-}
-
-/// Run the huge-page fracture canary: the seeded `buggy_fracture`
-/// variant (INVLPG evicting only the 4KB-sized key, leaving a split
-/// hugepage's stale 2MB entry cached) must be caught, shrunk and
-/// replayed, while the real fracture path — every INVLPG drops all page
-/// sizes — explores clean.
-pub fn run_fracture_canary(bounds: &Bounds, shrink_budget: u64) -> CanaryReport {
-    run_canary_scenario(
-        &|| scenario::fracture_probe_demo(true),
-        &|| scenario::fracture_probe_demo(false),
-        bounds,
-        shrink_budget,
-    )
-}
-
-/// Run the reuse-skip canary: the seeded `buggy_reuse_skip` variant
-/// (parking a page in the reuse window retires its oracle pairs
-/// immediately instead of at debt-flush time) must be caught, shrunk
-/// and replayed, while the real reuse-skip protocol — parked pairs stay
-/// un-retired until a real flush pays the debt — explores clean.
-pub fn run_reuse_canary(bounds: &Bounds, shrink_budget: u64) -> CanaryReport {
-    run_canary_scenario(
-        &|| scenario::reuse_probe_demo(true),
-        &|| scenario::reuse_probe_demo(false),
-        bounds,
-        shrink_budget,
-    )
-}
-
-/// Run the numaPTE canary: the seeded `buggy_numapte` variant (PTE
-/// updates only reach the initiating socket's page-table replica,
-/// leaving remote replicas stale) must be caught, shrunk and replayed,
-/// while the real deterministic replica-sync explores clean.
-pub fn run_numapte_canary(bounds: &Bounds, shrink_budget: u64) -> CanaryReport {
-    run_canary_scenario(
-        &|| scenario::numapte_probe_demo(true),
-        &|| scenario::numapte_probe_demo(false),
-        bounds,
-        shrink_budget,
-    )
+    CANARIES[0].run(bounds, shrink_budget)
 }
 
 /// The shared canary harness: `buggy` must be FIFO-safe yet caught by
@@ -312,16 +310,9 @@ pub struct GateReport {
     pub levels: Vec<LevelReport>,
     /// Per-level results over the 2D mesh interconnect, in level order.
     pub mesh_levels: Vec<LevelReport>,
-    /// The §3.2 NMI canary result.
-    pub canary: CanaryReport,
-    /// The escalation-ladder quarantine canary result.
-    pub quarantine_canary: CanaryReport,
-    /// The huge-page fracture canary result.
-    pub fracture_canary: CanaryReport,
-    /// The reuse-skip (L7) canary result.
-    pub reuse_skip_canary: CanaryReport,
-    /// The numaPTE (L8) canary result.
-    pub numapte_canary: CanaryReport,
+    /// Each canary's result under its [`Canary::key`], in
+    /// [`CANARIES`] order.
+    pub canaries: Vec<(&'static str, CanaryReport)>,
     /// Maximum choices allowed in each shrunk canary schedule.
     pub max_canary_choices: usize,
 }
@@ -331,17 +322,16 @@ impl GateReport {
     pub fn pass(&self) -> bool {
         self.levels.iter().all(|l| l.safe)
             && self.mesh_levels.iter().all(|l| l.safe)
-            && self.canary.pass(self.max_canary_choices)
-            && self.quarantine_canary.pass(self.max_canary_choices)
-            && self.fracture_canary.pass(self.max_canary_choices)
-            && self.reuse_skip_canary.pass(self.max_canary_choices)
-            && self.numapte_canary.pass(self.max_canary_choices)
+            && self
+                .canaries
+                .iter()
+                .all(|(_, c)| c.pass(self.max_canary_choices))
             && self.spent <= self.budget
     }
 
     /// Serialize for `explore_report.json`.
     pub fn to_json(&self) -> Json {
-        Json::obj()
+        let json = Json::obj()
             .with("schema_version", Json::U64(4))
             .with("budget", Json::U64(self.budget))
             .with("spent", Json::U64(self.spent))
@@ -354,12 +344,10 @@ impl GateReport {
             .with(
                 "mesh_levels",
                 Json::Arr(self.mesh_levels.iter().map(|l| l.to_json()).collect()),
-            )
-            .with("canary", self.canary.to_json())
-            .with("quarantine_canary", self.quarantine_canary.to_json())
-            .with("fracture_canary", self.fracture_canary.to_json())
-            .with("reuse_skip_canary", self.reuse_skip_canary.to_json())
-            .with("numapte_canary", self.numapte_canary.to_json())
+            );
+        self.canaries
+            .iter()
+            .fold(json, |json, (key, c)| json.with(key, c.to_json()))
     }
 }
 
@@ -385,77 +373,15 @@ mod tests {
     }
 
     #[test]
-    fn fracture_canary_has_teeth_and_real_path_is_clean() {
-        // The huge-page fracture canary end-to-end at a small budget: the
-        // seeded buggy_fracture bug needs exploration (FIFO-safe), is
-        // caught quickly, shrinks small, replays byte-identically, and
-        // the real split-then-flush path explores clean.
-        let bounds = Bounds::default().with_max_schedules(200);
-        let rep = run_fracture_canary(&bounds, 500);
-        assert!(rep.fifo_safe, "seeded bug must not fail under plain FIFO");
-        assert!(rep.caught, "explorer missed the buggy_fracture bug");
-        assert!(rep.replay_ok, "shrunk schedule diverged on replay");
-        assert!(
-            rep.safe_clean,
-            "real fracture path violated under exploration"
-        );
-        assert!(rep.shrunk_choices <= 20, "shrunk to {}", rep.shrunk_choices);
-    }
-
-    #[test]
-    fn quarantine_canary_has_teeth_and_real_path_is_clean() {
-        // The escalation-ladder canary end-to-end at a small budget: the
-        // seeded buggy_quarantine bug needs exploration (FIFO-safe), is
-        // caught quickly, shrinks small, replays byte-identically, and
-        // the real quarantine semantics explore clean.
-        let bounds = Bounds::default().with_max_schedules(200);
-        let rep = run_quarantine_canary(&bounds, 500);
-        assert!(rep.fifo_safe, "seeded bug must not fail under plain FIFO");
-        assert!(rep.caught, "explorer missed the buggy_quarantine bug");
-        assert!(rep.replay_ok, "shrunk schedule diverged on replay");
-        assert!(
-            rep.safe_clean,
-            "real quarantine semantics violated under exploration"
-        );
-        assert!(rep.shrunk_choices <= 20, "shrunk to {}", rep.shrunk_choices);
-    }
-
-    #[test]
-    fn reuse_canary_has_teeth_and_real_path_is_clean() {
-        // The reuse-skip canary end-to-end at a small budget: the seeded
-        // buggy_reuse_skip bug (retire at park) needs exploration
-        // (FIFO-safe), is caught quickly, shrinks small, replays
-        // byte-identically, and the real park-then-pay-debt path
-        // explores clean.
-        let bounds = Bounds::default().with_max_schedules(200);
-        let rep = run_reuse_canary(&bounds, 500);
-        assert!(rep.fifo_safe, "seeded bug must not fail under plain FIFO");
-        assert!(rep.caught, "explorer missed the buggy_reuse_skip bug");
-        assert!(rep.replay_ok, "shrunk schedule diverged on replay");
-        assert!(
-            rep.safe_clean,
-            "real reuse-skip path violated under exploration"
-        );
-        assert!(rep.shrunk_choices <= 20, "shrunk to {}", rep.shrunk_choices);
-    }
-
-    #[test]
-    fn numapte_canary_has_teeth_and_real_path_is_clean() {
-        // The numaPTE canary end-to-end at a small budget: the seeded
-        // buggy_numapte bug (local-socket-only replica update) needs
+    fn every_canary_has_teeth_and_its_real_path_is_clean() {
+        // Each canary end-to-end at a small budget: the seeded bug needs
         // exploration (FIFO-safe), is caught quickly, shrinks small,
-        // replays byte-identically, and the real replica-sync explores
-        // clean.
+        // replays byte-identically, and the real path explores clean.
         let bounds = Bounds::default().with_max_schedules(200);
-        let rep = run_numapte_canary(&bounds, 500);
-        assert!(rep.fifo_safe, "seeded bug must not fail under plain FIFO");
-        assert!(rep.caught, "explorer missed the buggy_numapte bug");
-        assert!(rep.replay_ok, "shrunk schedule diverged on replay");
-        assert!(
-            rep.safe_clean,
-            "real numaPTE replica-sync violated under exploration"
-        );
-        assert!(rep.shrunk_choices <= 20, "shrunk to {}", rep.shrunk_choices);
+        for canary in &CANARIES {
+            let rep = canary.run(&bounds, 500);
+            assert!(rep.pass(20), "{} canary failed: {rep:?}", canary.bug);
+        }
     }
 
     #[test]
@@ -490,11 +416,7 @@ mod tests {
             threads: 4,
             mesh_levels: vec![level.clone()],
             levels: vec![level],
-            quarantine_canary: canary.clone(),
-            fracture_canary: canary.clone(),
-            reuse_skip_canary: canary.clone(),
-            numapte_canary: canary.clone(),
-            canary,
+            canaries: CANARIES.iter().map(|c| (c.key, canary.clone())).collect(),
             max_canary_choices: 20,
         };
         assert!(gate.pass());

@@ -37,8 +37,8 @@ pub mod shrink;
 
 pub use explore::{explore, replay_twice, run_schedule, Bounds, Counterexample, Report};
 pub use gate::{
-    explore_opt_level, explore_opt_level_mesh, run_canary, run_fracture_canary, CanaryReport,
-    GateReport, LevelReport,
+    explore_opt_level, explore_opt_level_mesh, run_canary, Canary, CanaryReport, GateReport,
+    LevelReport, CANARIES,
 };
 pub use schedule::Schedule;
 pub use shrink::{shrink, Shrunk};

@@ -19,9 +19,8 @@
 //! total order a pure heap produces — the wheel is a performance
 //! front-end, not a semantic change. `Engine::new_heap_only` disables
 //! the wheel: it is the wheel's equivalence oracle, so determinism tests
-//! (and the BENCH_2 before/after comparison) can run both
-//! configurations against each other. These are the engine's only two
-//! front-ends.
+//! and the BENCH_2 scale tier can run both configurations against each
+//! other. These are the engine's only two front-ends.
 //!
 //! The wheel's single-rotation invariant: every wheel event satisfies
 //! `at - epoch < WHEEL_HORIZON`, where the epoch is `now` rounded down
@@ -559,55 +558,6 @@ impl<E> Engine<E> {
         Some(chosen.payload)
     }
 
-    /// The pre-scratch-buffer `pop_with`: allocates the candidate and
-    /// passed-over vectors on every dispatch, exactly as the engine did
-    /// before the hot-path overhaul. Kept (hidden) as the "before" side
-    /// of the BENCH_2 dispatch-throughput comparison; not for new code.
-    #[doc(hidden)]
-    pub fn pop_with_baseline<S, F>(&mut self, sched: &mut S, eligible: F) -> Option<E>
-    where
-        S: Scheduler<E>,
-        F: Fn(&E) -> bool,
-    {
-        let mut first = self.pop_min()?;
-        let t_min = self.checked_fire_time(first.at, first.seq);
-        first.at = t_min;
-        let horizon = t_min + sched.window();
-        let mut cands: Vec<Scheduled<E>> = vec![first];
-        let mut skipped: Vec<Scheduled<E>> = Vec::new();
-        while let Some(ev) = self.pop_min_within(horizon) {
-            if ev.at == t_min || eligible(&ev.payload) {
-                cands.push(ev);
-            } else {
-                skipped.push(ev);
-            }
-        }
-        let choice = if cands.len() == 1 {
-            0
-        } else {
-            let views: Vec<Candidate<'_, E>> = cands
-                .iter()
-                .map(|s| Candidate {
-                    at: s.at,
-                    seq: s.seq,
-                    payload: &s.payload,
-                })
-                .collect();
-            sched.choose(self.now, &views).min(cands.len() - 1)
-        };
-        let mut chosen = cands.swap_remove(choice);
-        chosen.at = t_min;
-        for ev in cands {
-            self.insert(ev);
-        }
-        for ev in skipped {
-            self.insert(ev);
-        }
-        self.now = t_min;
-        self.popped += 1;
-        Some(chosen.payload)
-    }
-
     /// All pending events in canonical `(fire time, seq)` order — the
     /// deterministic view a state digest needs (neither the heap's
     /// internal order nor the wheel's bucket order is meaningful).
@@ -904,30 +854,6 @@ mod tests {
             out
         };
         assert_eq!(drive(Engine::new()), drive(Engine::new_heap_only()));
-    }
-
-    #[test]
-    fn baseline_pop_with_matches_scratch_pop_with() {
-        use crate::sched::FifoScheduler;
-        let fill = |e: &mut Engine<u32>| {
-            for i in 0..200u32 {
-                e.schedule_in(Cycles::new(u64::from(i) * 37 % 1_000), i);
-            }
-        };
-        let mut a: Engine<u32> = Engine::new();
-        let mut b: Engine<u32> = Engine::new();
-        fill(&mut a);
-        fill(&mut b);
-        let mut s1 = FifoScheduler;
-        let mut s2 = FifoScheduler;
-        loop {
-            let x = a.pop_with(&mut s1, |_| false);
-            let y = b.pop_with_baseline(&mut s2, |_| false);
-            assert_eq!(x, y);
-            if x.is_none() {
-                break;
-            }
-        }
     }
 
     #[test]

@@ -11,23 +11,9 @@
 //! - `cargo xtask explore [--threads N] [--out PATH]` — the
 //!   model-checking gate: bounded schedule exploration of the shootdown
 //!   protocols at every cumulative optimization level (zero violations
-//!   expected), fanned across host cores by the sweep pool, plus a
-//!   seeded-bug canary. Budgeted at 50k schedules; writes a
+//!   expected), fanned across host cores by the sweep pool, plus the
+//!   seeded-bug canaries. Budgeted at 50k schedules; writes a
 //!   machine-readable summary to `explore_report.json`.
-//! - `cargo xtask bench [--threads N] [--out PATH] [--baseline PATH]
-//!   [--tolerance F]` — the perf gate: run the calibrated bench matrix
-//!   through the sweep pool, write `BENCH_1.json`, diff the
-//!   deterministic sim-metric blocks *byte-exactly* against the previous
-//!   snapshot and bound total wall-clock at a tolerance.
-//! - `cargo xtask scalebench [--out PATH] [--baseline PATH]
-//!   [--tolerance F]` — the scale-up gate behind `BENCH_2.json`: run the
-//!   dual-socket 2×56-core tier in both engine configurations (timing
-//!   wheel vs the pure-heap baseline) and the engine-dispatch
-//!   microbenchmark, serially so the host timings are honest. Requires
-//!   the tier sim blocks and dispatch stream digests to be identical
-//!   across engines (the wheel is observationally equivalent) and the
-//!   dispatch throughput improvement to clear its floor; then diffs the
-//!   snapshot against the committed baseline like `bench` does.
 //! - `cargo xtask engine [seed]` — the engine-equivalence gate: the
 //!   timing-wheel and pure-heap engines must produce byte-identical
 //!   state digests on a chaos-stressed machine at every cumulative
@@ -43,71 +29,68 @@
 //!   strict-parser round-trip, and a clean compile of the kernel with
 //!   tracing compiled out. Prints the paper-style "where did the cycles
 //!   go" table and writes a sample `.trace.json` (opens in Perfetto).
-//! - `cargo xtask storm [--threads N] [--scale quick|full]
-//!   [--fabric flat|mesh] [--out PATH] [--report PATH] [--baseline PATH]
-//!   [--tolerance F]` — the shootdown-storm survival gate behind
-//!   `BENCH_3.json`: the SEV-Step-style adversary pack ({mild, brisk,
-//!   savage} monitors × {none, ipi-drop, late-responder, combined}
-//!   fault presets) run at all seven cumulative optimization levels,
-//!   every cell twice. Every cell must survive — zero oracle
-//!   violations, no post-drain wedge, all threads done, byte-identical
-//!   seed replay — with the watchdog escalation ladder and storm
-//!   detector enabled throughout. `--fabric mesh` routes every cell
-//!   over the 2D mesh interconnect (the nightly variant; job IDs gain
-//!   a `mesh/` segment so the snapshot never collides with the flat
-//!   baseline). Prints the victim signal-observability table
-//!   (fault-latency percentiles per opt level), writes
-//!   `storm_report.json` with the per-cell verdicts, and diffs
-//!   `BENCH_3.json` against the committed baseline like `bench` does.
-//! - `cargo xtask fleet [--threads N] [--scale quick|full] [--out PATH]
-//!   [--report PATH] [--baseline PATH] [--tolerance F]` — the fleet
-//!   survival gate behind `BENCH_4.json`: N independent machine sims
-//!   (full kernel each) behind a deterministic load balancer, crossed
-//!   over machine-level fault presets ({crash, slow-machine, partition,
-//!   tenant-churn}) × IPI presets ({none, ipi-drop, combined}), plus
-//!   the headline tier (full scale: 1000 machines / 112k simulated
-//!   cores under the combined fault mix). Every cell must survive —
-//!   every request served or typed-failed, zero oracle violations,
-//!   every crashed machine cold-rebooted back into service or ejected
-//!   by the LB, and byte-identical replay at two thread counts. Writes
-//!   `fleet_report.json` with per-cell verdicts and diffs `BENCH_4.json`
-//!   against the committed baseline like `bench` does. Defaults to full
-//!   scale; CI runs `--scale quick`.
-//! - `cargo xtask topobench [--scale quick|full] [--out PATH]
-//!   [--baseline PATH] [--tolerance F]` — the interconnect gate behind
-//!   `BENCH_6.json`: the {flat, ring, mesh} × {4K-only, THP} matrix at
-//!   the dual-socket 2×56 tier under the Skylake-SP set-associative TLB
-//!   geometry, plus the huge-page fracture-pressure table. The whole
-//!   matrix runs at two sweep-pool thread counts (byte-identical sim
-//!   blocks required), every cell simulates twice (byte-identical seed
-//!   replay required), ring and mesh must diverge from the flat
-//!   reference, and the THP column must show real huge-page promotions
-//!   and fractures; then the snapshot diffs against the committed
-//!   baseline like `bench` does. Defaults to full scale.
+//! - `cargo xtask <snapshot gate> [--scale quick|full] [--out PATH]` —
+//!   one row of [`ENTRIES`] each, every one run by [`snapshot_gate`]:
+//!   - `bench` (`BENCH_1.json`, quick): the calibrated paper matrix —
+//!     Figs 5/7 at every opt level, Fig 9, Tables 3 and 4, the Fig 4
+//!     ablation — which is quick-scale at either `--scale`.
+//!   - `scalebench` (`BENCH_2.json`, full): the dual-socket 2×56-core,
+//!     10M-event tier under the timing wheel and the pure-heap engine;
+//!     the two sim blocks must be byte-identical.
+//!   - `storm` (`BENCH_3.json`, quick): the SEV-Step-style adversary
+//!     pack ({mild, brisk, savage} × {none, ipi-drop, late-responder,
+//!     combined}) at every paper opt level, on the flat and the mesh
+//!     fabric. Every level of every cell must survive — zero oracle
+//!     violations, no wedge, all threads done, byte-identical seed
+//!     replay — and the victim must observe the storm. Prints the
+//!     victim fault-latency signal table.
+//!   - `fleet` (`BENCH_4.json`, quick): machine-fault × IPI-fault
+//!     presets over N full-kernel machines behind a deterministic load
+//!     balancer, plus the headline tier (full scale: 1000+ machines,
+//!     100k+ cores). Every cell's survival verdicts must hold.
+//!   - `topobench` (`BENCH_6.json`, full): {flat, ring, mesh} × {4K,
+//!     THP} at the 2×56 tier under the Skylake-SP TLB geometry, plus the
+//!     huge-page fracture table. Every cell replays; ring and mesh must
+//!     diverge from flat; the THP column must promote and split.
+//!   - `optbench` (`BENCH_7.json`, quick): reuse-churn and cross-socket
+//!     AutoNUMA cells at L6/L7/L8. L7 must elide shootdowns the L6
+//!     control keeps, L8 alone must sync page-table replicas, and every
+//!     migration-storm cell must survive.
+//!
+//!   The driver takes the same five steps for each: (1) run the matrix
+//!   at 1 pool thread and at max(2, cores); (2) fail on a panicked job
+//!   or on any sim block that differs between the two runs; (3) run the
+//!   entry's check; (4) diff against `--out` — a changed sim block, or a
+//!   baseline job of this scale missing from the run, fails; baseline
+//!   jobs of the other scale are carried over verbatim; wall-clock is
+//!   bounded at [`WALL_TOLERANCE`]× the baseline's unless something was
+//!   carried; (5) write the 1-thread snapshot to `--out`, only if every
+//!   step passed.
 //! - `cargo xtask ci [seed] [--gates fast|full]` — every gate above.
 //!   `--gates fast` runs the PR-blocking tier (fmt, clippy, replay,
-//!   engine); `--gates full` runs the long matrix gates (explore,
-//!   bench, scale, topo, optbench, storm, fleet, trace); omitting the
-//!   flag runs both tiers. All selected gates run even if an early one
-//!   fails; a final table reports per-gate pass/fail with wall-clock,
-//!   the machine-readable verdicts land in `ci_report.json` next to
-//!   each crate's effective source-line count (the size trajectory,
-//!   tracked like wall-clock), and the exit code is nonzero if any gate
-//!   failed.
+//!   engine); `--gates full` runs explore, the six snapshot gates at
+//!   their CI scales, and trace; omitting the flag runs both tiers. All
+//!   selected gates run even if an early one fails; a final table
+//!   reports per-gate pass/fail with wall-clock, the machine-readable
+//!   verdicts land in `ci_report.json` next to each crate's effective
+//!   source-line count (the size trajectory, tracked like wall-clock),
+//!   and the exit code is nonzero if any gate failed.
 
 use std::path::Path;
 use std::process::{Command, ExitCode};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use tlbdown_bench::loc::effective_loc;
-use tlbdown_bench::report::{diff_sim_metrics, render_bench_json, sim_blocks, total_wall_ns};
+use tlbdown_bench::report::{
+    diff_sim_metrics, job_json, render_bench_json, render_snapshot, sim_blocks, total_wall_ns,
+};
 use tlbdown_bench::{
     bench_jobs, bench_matrix, full_matrix, optbench_levels, optbench_matrix, scale_matrix,
-    storm_matrix, storm_matrix_mesh, topobench_matrix, Scale,
+    storm_matrix, topobench_matrix, MatrixJob, Scale,
 };
+use tlbdown_check::explore::render_diff;
 use tlbdown_check::gate::{
-    per_level_bounds, run_canary, run_fracture_canary, run_numapte_canary, run_quarantine_canary,
-    run_reuse_canary, CanaryReport, GateReport, LevelReport, DEFAULT_BUDGET,
+    per_level_bounds, CanaryReport, GateReport, LevelReport, CANARIES, DEFAULT_BUDGET,
 };
 use tlbdown_check::{explore_opt_level, explore_opt_level_mesh, Bounds};
 use tlbdown_core::OptConfig;
@@ -116,13 +99,14 @@ use tlbdown_kernel::chaos::ChaosConfig;
 use tlbdown_kernel::prog::{BusyLoopProg, MadviseLoopProg};
 use tlbdown_kernel::{KernelConfig, Machine};
 use tlbdown_sim::fault::FaultSpec;
-use tlbdown_sweep::{reduce_rendered, run_jobs, Job, Json};
+use tlbdown_sweep::{reduce_rendered, resolve_threads, run_jobs, Job, Json};
 use tlbdown_trace::{
     analyze, render_attribution_table, render_phase_diff, to_chrome_json, validate_chrome,
     PhaseTotals, Trace,
 };
 use tlbdown_types::{CoreId, Cycles};
 use tlbdown_workloads::madvise::{run_scale_tier, ScaleTierCfg};
+use tlbdown_workloads::storm::StormIntensity;
 
 /// Maximum choices allowed in the shrunk canary counterexample.
 const MAX_CANARY_CHOICES: usize = 20;
@@ -130,15 +114,11 @@ const MAX_CANARY_CHOICES: usize = 20;
 /// Shrinker trial budget for the canary.
 const SHRINK_BUDGET: u64 = 2_000;
 
-/// Default wall-clock tolerance for the perf gate: the current sweep may
-/// take at most this multiple of the baseline's wall-clock. Generous,
-/// because committed baselines cross hardware; the teeth of the gate are
-/// the byte-exact sim-metric diff.
-const DEFAULT_TOLERANCE: f64 = 3.0;
-
-/// Minimum dispatch-throughput improvement (pure-heap wall-clock over
-/// timing-wheel wall-clock on the same stream) the scale gate requires.
-const MIN_DISPATCH_SPEEDUP: f64 = 2.0;
+/// Wall-clock tolerance for the snapshot gates: a run may take at most
+/// this multiple of its baseline's wall-clock. Generous, because
+/// committed baselines cross hardware; the teeth of the gate are the
+/// byte-exact sim-metric diff.
+const WALL_TOLERANCE: f64 = 3.0;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -150,104 +130,36 @@ fn main() -> ExitCode {
             parse_threads(&args),
             &flag(&args, "--out").unwrap_or_else(|| "explore_report.json".into()),
         ),
-        Some("bench") => bench_gate(
-            parse_threads(&args),
-            &flag(&args, "--out").unwrap_or_else(|| "BENCH_1.json".into()),
-            flag(&args, "--baseline"),
-            parse_tolerance(&args),
-        ),
-        Some("scalebench") => scale_bench_gate(
-            &flag(&args, "--out").unwrap_or_else(|| "BENCH_2.json".into()),
-            flag(&args, "--baseline"),
-            parse_tolerance(&args),
-        ),
-        Some("topobench") => topo_bench_gate(
-            // The committed artifact is the 2×56 tier, so `topobench`
-            // defaults to full; the reduced dispatch target keeps it
-            // CI-sized (see `topo_tier`).
-            match flag(&args, "--scale").as_deref() {
-                None | Some("full") => Scale::Full,
-                Some("quick") => Scale::Quick,
-                Some(other) => {
-                    eprintln!("xtask: bad --scale {other:?}, expected quick or full");
-                    return ExitCode::FAILURE;
-                }
-            },
-            &flag(&args, "--out").unwrap_or_else(|| "BENCH_6.json".into()),
-            flag(&args, "--baseline"),
-            parse_tolerance(&args),
-        ),
-        Some("optbench") => opt_bench_gate(
-            // The committed BENCH_7.json is the quick-scale matrix (like
-            // the storm gate, the cells are simulated twice each and the
-            // gate replays the whole matrix at two thread counts, so
-            // quick keeps CI wall-clock bounded).
-            parse_scale(&args),
-            &flag(&args, "--out").unwrap_or_else(|| "BENCH_7.json".into()),
-            flag(&args, "--baseline"),
-            parse_tolerance(&args),
-        ),
         Some("engine") => engine_gate(parse_seed(positional(&args, 1))),
-        Some("storm") => storm_gate(
-            parse_threads(&args),
-            parse_scale(&args),
-            match flag(&args, "--fabric").as_deref() {
-                None | Some("flat") => false,
-                Some("mesh") => true,
-                Some(other) => {
-                    eprintln!("xtask: bad --fabric {other:?}, expected flat or mesh");
-                    return ExitCode::FAILURE;
-                }
-            },
-            &flag(&args, "--out").unwrap_or_else(|| "BENCH_3.json".into()),
-            &flag(&args, "--report").unwrap_or_else(|| "storm_report.json".into()),
-            flag(&args, "--baseline"),
-            parse_tolerance(&args),
-        ),
-        Some("fleet") => fleet_gate(
-            parse_threads(&args),
-            // The headline 1000-machine tier is the point of this gate,
-            // so `fleet` defaults to full; CI passes `--scale quick`.
-            match flag(&args, "--scale").as_deref() {
-                None | Some("full") => Scale::Full,
-                Some("quick") => Scale::Quick,
-                Some(other) => {
-                    eprintln!("xtask: bad --scale {other:?}, expected quick or full");
-                    return ExitCode::FAILURE;
-                }
-            },
-            &flag(&args, "--out").unwrap_or_else(|| "BENCH_4.json".into()),
-            &flag(&args, "--report").unwrap_or_else(|| "fleet_report.json".into()),
-            flag(&args, "--baseline"),
-            parse_tolerance(&args),
-        ),
         Some("sweep") => sweep(
             parse_threads(&args),
-            parse_scale(&args),
+            parse_scale(&args).unwrap_or(Scale::Quick),
             flag(&args, "--out"),
         ),
         Some("trace") => {
             trace_gate(&flag(&args, "--out").unwrap_or_else(|| "sample.trace.json".into()))
         }
         Some("ci") => return ci(parse_seed(positional(&args, 1)), parse_gates(&args)),
-        _ => {
-            eprintln!(
-                "usage: cargo xtask <fmt | clippy | replay [seed] | \
-                 explore [--threads N] [--out PATH] | \
-                 bench [--threads N] [--out PATH] [--baseline PATH] [--tolerance F] | \
-                 scalebench [--out PATH] [--baseline PATH] [--tolerance F] | \
-                 topobench [--scale quick|full] [--out PATH] [--baseline PATH] [--tolerance F] | \
-                 optbench [--scale quick|full] [--out PATH] [--baseline PATH] [--tolerance F] | \
-                 engine [seed] | \
-                 storm [--threads N] [--scale quick|full] [--fabric flat|mesh] [--out PATH] \
-                 [--report PATH] [--baseline PATH] [--tolerance F] | \
-                 fleet [--threads N] [--scale quick|full] [--out PATH] [--report PATH] \
-                 [--baseline PATH] [--tolerance F] | \
-                 sweep [--threads N] [--scale quick|full] [--out PATH] | \
-                 trace [--out PATH] | ci [seed] [--gates fast|full]>"
-            );
-            return ExitCode::FAILURE;
-        }
+        cmd => match ENTRIES.iter().find(|e| Some(e.name) == cmd) {
+            Some(entry) => snapshot_gate(
+                entry,
+                parse_scale(&args).unwrap_or(entry.scale),
+                &flag(&args, "--out").unwrap_or_else(|| entry.out.into()),
+            )
+            .is_empty(),
+            None => {
+                let names: Vec<&str> = ENTRIES.iter().map(|e| e.name).collect();
+                eprintln!(
+                    "usage: cargo xtask <fmt | clippy | replay [seed] | \
+                     explore [--threads N] [--out PATH] | engine [seed] | \
+                     sweep [--threads N] [--scale quick|full] [--out PATH] | \
+                     trace [--out PATH] | ci [seed] [--gates fast|full] | \
+                     {} [--scale quick|full] [--out PATH]>",
+                    names.join(" | ")
+                );
+                return ExitCode::FAILURE;
+            }
+        },
     };
     if ok {
         ExitCode::SUCCESS
@@ -281,26 +193,12 @@ fn parse_threads(args: &[String]) -> usize {
         .unwrap_or(0)
 }
 
-fn parse_tolerance(args: &[String]) -> f64 {
-    flag(args, "--tolerance")
-        .map(|s| {
-            let v: f64 = s.parse().unwrap_or_else(|_| {
-                eprintln!("xtask: bad --tolerance {s:?}, expected a factor like 3.0");
-                std::process::exit(2);
-            });
-            if v < 1.0 {
-                eprintln!("xtask: --tolerance must be >= 1.0");
-                std::process::exit(2);
-            }
-            v
-        })
-        .unwrap_or(DEFAULT_TOLERANCE)
-}
-
-fn parse_scale(args: &[String]) -> Scale {
+/// The `--scale` value, if given.
+fn parse_scale(args: &[String]) -> Option<Scale> {
     match flag(args, "--scale").as_deref() {
-        None | Some("quick") => Scale::Quick,
-        Some("full") => Scale::Full,
+        None => None,
+        Some("quick") => Some(Scale::Quick),
+        Some("full") => Some(Scale::Full),
         Some(other) => {
             eprintln!("xtask: bad --scale {other:?}, expected quick or full");
             std::process::exit(2);
@@ -308,20 +206,13 @@ fn parse_scale(args: &[String]) -> Scale {
     }
 }
 
-/// Which CI tier to run: the fast PR-blocking gates, the long matrix
-/// gates, or (default) both.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum CiGates {
-    Fast,
-    Full,
-    All,
-}
-
-fn parse_gates(args: &[String]) -> CiGates {
+/// Which CI tier `--gates` selects: `fast` (the PR-blocking gates),
+/// `full` (the long matrix gates) or, when absent, `all`.
+fn parse_gates(args: &[String]) -> &'static str {
     match flag(args, "--gates").as_deref() {
-        None => CiGates::All,
-        Some("fast") => CiGates::Fast,
-        Some("full") => CiGates::Full,
+        None => "all",
+        Some("fast") => "fast",
+        Some("full") => "full",
         Some(other) => {
             eprintln!("xtask: bad --gates {other:?}, expected fast or full");
             std::process::exit(2);
@@ -432,12 +323,7 @@ fn replay(seed: u64) -> bool {
         true
     } else {
         eprintln!("xtask: REPLAY DIVERGED — same seed produced different stats:");
-        for (la, lb) in a.lines().zip(b.lines()) {
-            if la != lb {
-                eprintln!("  run1: {la}");
-                eprintln!("  run2: {lb}");
-            }
-        }
+        eprint!("{}", render_diff(&a, &b));
         false
     }
 }
@@ -482,37 +368,21 @@ fn print_level(topo: &str, rep: &LevelReport) {
 }
 
 fn print_canary(name: &str, c: &CanaryReport) {
-    if !c.fifo_safe {
-        eprintln!(
-            "xtask: {name} canary drifted — the seeded bug fails under FIFO \
-             (should need exploration)"
-        );
-        return;
-    }
-    if !c.caught {
-        eprintln!("xtask: CANARY FAILED — exploration missed the seeded {name} bug");
-        return;
-    }
-    if c.shrunk_choices > MAX_CANARY_CHOICES {
-        eprintln!(
-            "xtask: CANARY FAILED — {name} shrunk schedule has {} choices \
-             (> {MAX_CANARY_CHOICES}): {}",
-            c.shrunk_choices, c.schedule
-        );
-    }
-    if !c.replay_ok {
-        eprintln!(
-            "xtask: CANARY FAILED — {name} minimized schedule no longer violates or diverged"
-        );
-    }
-    if !c.safe_clean {
-        eprintln!("xtask: correct {name} check violated under exploration");
-    }
     if c.pass(MAX_CANARY_CHOICES) {
         println!(
             "xtask: {name} canary OK — seeded bug caught in {} schedules, shrunk to {} choices \
              ({} trials), replays byte-identically; correct check clean in {} schedules",
             c.caught_in_schedules, c.shrunk_choices, c.shrink_trials, c.safe_schedules
+        );
+    } else {
+        // Every requirement, so the one that broke is on the line: the
+        // bug must need exploration (FIFO-safe), be caught, shrink to at
+        // most MAX_CANARY_CHOICES, replay, and the correct check must
+        // explore clean.
+        eprintln!(
+            "xtask: CANARY FAILED — {name}: fifo_safe {}, caught {}, shrunk to {} choices \
+             (max {MAX_CANARY_CHOICES}), replay_ok {}, safe_clean {}; schedule {}",
+            c.fifo_safe, c.caught, c.shrunk_choices, c.replay_ok, c.safe_clean, c.schedule
         );
     }
 }
@@ -546,34 +416,23 @@ fn explore_gate(threads: usize, out: &str) -> bool {
     for rep in &mesh_levels {
         print_level("mesh", rep);
     }
-    let canary = run_canary(&Bounds::default(), SHRINK_BUDGET);
-    print_canary("buggy_nmi_check", &canary);
-    let quarantine_canary = run_quarantine_canary(&Bounds::default(), SHRINK_BUDGET);
-    print_canary("buggy_quarantine", &quarantine_canary);
-    let fracture_canary = run_fracture_canary(&Bounds::default(), SHRINK_BUDGET);
-    print_canary("buggy_fracture", &fracture_canary);
-    let reuse_skip_canary = run_reuse_canary(&Bounds::default(), SHRINK_BUDGET);
-    print_canary("buggy_reuse_skip", &reuse_skip_canary);
-    let numapte_canary = run_numapte_canary(&Bounds::default(), SHRINK_BUDGET);
-    print_canary("buggy_numapte", &numapte_canary);
-    let spent = levels.iter().map(|l| l.schedules).sum::<u64>()
-        + mesh_levels.iter().map(|l| l.schedules).sum::<u64>()
-        + canary.spent
-        + quarantine_canary.spent
-        + fracture_canary.spent
-        + reuse_skip_canary.spent
-        + numapte_canary.spent;
+    let canaries: Vec<(&str, CanaryReport)> = CANARIES
+        .iter()
+        .map(|c| {
+            let report = c.run(&Bounds::default(), SHRINK_BUDGET);
+            print_canary(c.bug, &report);
+            (c.key, report)
+        })
+        .collect();
+    let level_spent: u64 = levels.iter().chain(&mesh_levels).map(|l| l.schedules).sum();
+    let spent = level_spent + canaries.iter().map(|(_, c)| c.spent).sum::<u64>();
     let gate = GateReport {
         budget: DEFAULT_BUDGET,
         spent,
         threads: sweep.threads,
         levels,
         mesh_levels,
-        canary,
-        quarantine_canary,
-        fracture_canary,
-        reuse_skip_canary,
-        numapte_canary,
+        canaries,
         max_canary_choices: MAX_CANARY_CHOICES,
     };
     if let Err(e) = std::fs::write(out, gate.to_json().render_pretty()) {
@@ -595,611 +454,389 @@ fn explore_gate(threads: usize, out: &str) -> bool {
     gate.pass()
 }
 
-/// The perf gate: run the calibrated bench matrix through the sweep
-/// pool, write a `BENCH_*.json` snapshot, diff the deterministic sim
-/// metrics byte-exactly against the previous one and bound wall-clock.
-fn bench_gate(threads: usize, out: &str, baseline: Option<String>, tolerance: f64) -> bool {
-    let jobs = bench_jobs(bench_matrix());
-    println!("xtask: perf sweep — {} jobs", jobs.len());
-    let sweep = run_jobs(jobs, threads);
-    let doc = render_bench_json(&sweep, &git_rev());
-    println!(
-        "xtask: {} jobs on {} threads in {:.2?} (serial estimate {:.2?}, speedup {:.2}x)",
-        sweep.results.len(),
-        sweep.threads,
-        sweep.elapsed,
-        sweep.serial_estimate(),
-        sweep.speedup_vs_serial()
-    );
+/// One run of a snapshot entry: the snapshot, and one message per job
+/// that failed.
+type Run = (Json, Vec<String>);
 
-    // Diff against the previous snapshot (explicit --baseline, else the
-    // file we are about to overwrite).
-    let baseline_path = baseline.unwrap_or_else(|| out.to_string());
-    let mut ok = true;
-    match std::fs::read_to_string(&baseline_path) {
-        Ok(text) => {
-            match Json::parse(&text) {
-                Ok(base) => ok = gate_against_baseline(&doc, &base, &baseline_path, tolerance),
-                Err(e) => {
-                    eprintln!("xtask: baseline {baseline_path} is not valid JSON ({e}) — PERF GATE FAILED");
-                    ok = false;
-                }
-            }
-        }
-        Err(_) => {
-            println!("xtask: no baseline at {baseline_path} — recording first snapshot");
-        }
-    }
-
-    if let Err(e) = std::fs::write(out, doc.render_pretty()) {
-        eprintln!("xtask: could not write {out}: {e}");
-        return false;
-    }
-    println!("xtask: wrote {out}");
-    if ok {
-        println!("xtask: bench OK");
-    }
-    ok
+/// A snapshot gate: a committed `BENCH_*.json`, the matrix behind it and
+/// the invariants it must hold. [`snapshot_gate`] runs every entry the
+/// same way.
+struct Entry {
+    /// The command, and its row in `ci_report.json`.
+    name: &'static str,
+    /// The committed snapshot: the default `--out`, and the baseline.
+    out: &'static str,
+    /// The CI scale; `--scale` overrides it.
+    scale: Scale,
+    /// Run the matrix on `threads` pool workers.
+    run: fn(Scale, usize) -> Run,
+    /// The entry's invariants over a run's snapshot, one message per
+    /// failure.
+    check: fn(&Json, Scale) -> Vec<String>,
 }
 
-fn gate_against_baseline(doc: &Json, base: &Json, path: &str, tolerance: f64) -> bool {
-    let diff = diff_sim_metrics(doc, base);
-    let mut ok = true;
-    for id in &diff.added {
-        println!("xtask: new job (no baseline metrics): {id}");
-    }
-    for id in &diff.removed {
-        println!("xtask: job removed from matrix: {id}");
-    }
-    if !diff.metrics_match() {
-        eprintln!(
-            "xtask: PERF GATE FAILED — deterministic sim metrics drifted vs {path} for {} job(s):",
-            diff.changed.len()
-        );
-        for c in &diff.changed {
-            eprintln!(
-                "xtask:   {}: {} is {} (baseline {})",
-                c.id, c.path, c.current, c.baseline
-            );
-        }
-        eprintln!(
-            "xtask: a sim-metric diff is a behavioural change; if intentional, delete {path} to re-baseline"
-        );
-        ok = false;
-    } else {
-        println!(
-            "xtask: sim metrics byte-identical to {path} across {} common job(s)",
-            doc.get("jobs")
-                .and_then(Json::as_arr)
-                .map_or(0, <[Json]>::len)
-                - diff.added.len()
-        );
-    }
-    match (total_wall_ns(doc), total_wall_ns(base)) {
-        (Some(cur), Some(prev)) if prev > 0 => {
-            let ratio = cur as f64 / prev as f64;
-            if ratio > tolerance {
-                eprintln!(
-                    "xtask: PERF GATE FAILED — wall-clock {:.2?} is {ratio:.2}x the baseline's \
-                     {:.2?} (tolerance {tolerance:.1}x)",
-                    Duration::from_nanos(cur),
-                    Duration::from_nanos(prev)
-                );
-                ok = false;
-            } else {
-                println!(
-                    "xtask: wall-clock {:.2?} vs baseline {:.2?} ({ratio:.2}x, tolerance {tolerance:.1}x)",
-                    Duration::from_nanos(cur),
-                    Duration::from_nanos(prev)
-                );
-            }
-        }
-        _ => println!("xtask: baseline has no wall-clock totals; skipping the time bound"),
-    }
-    ok
-}
+/// The snapshot gates, in snapshot order.
+static ENTRIES: [Entry; 6] = [
+    Entry {
+        name: "bench",
+        out: "BENCH_1.json",
+        scale: Scale::Quick,
+        run: |_, threads| sweep_run(bench_matrix(), threads),
+        check: |_, _| Vec::new(),
+    },
+    Entry {
+        name: "scalebench",
+        out: "BENCH_2.json",
+        scale: Scale::Full,
+        run: |scale, threads| sweep_run(scale_matrix(scale), threads),
+        check: check_scale,
+    },
+    Entry {
+        name: "storm",
+        out: "BENCH_3.json",
+        scale: Scale::Quick,
+        run: |scale, threads| sweep_run(storm_matrix(scale), threads),
+        check: check_storm,
+    },
+    Entry {
+        name: "fleet",
+        out: "BENCH_4.json",
+        scale: Scale::Quick,
+        run: fleet_run,
+        check: check_fleet,
+    },
+    Entry {
+        name: "topobench",
+        out: "BENCH_6.json",
+        scale: Scale::Full,
+        run: |scale, threads| sweep_run(topobench_matrix(scale), threads),
+        check: check_topo,
+    },
+    Entry {
+        name: "optbench",
+        out: "BENCH_7.json",
+        scale: Scale::Quick,
+        run: |scale, threads| sweep_run(optbench_matrix(scale), threads),
+        check: check_opt,
+    },
+];
 
-/// A `u64` field of one job's host block, if present.
-fn host_u64(doc: &Json, id: &str, key: &str) -> Option<u64> {
-    doc.get("jobs")?
-        .as_arr()?
+/// Run matrix jobs through the sweep pool.
+fn sweep_run(jobs: Vec<MatrixJob>, threads: usize) -> Run {
+    let sweep = run_jobs(bench_jobs(jobs), threads);
+    let failures = sweep
+        .failures
         .iter()
-        .find(|j| j.get("id").and_then(Json::as_str) == Some(id))?
-        .get("host")?
-        .get(key)?
-        .as_u64()
+        .map(|f| format!("job {} panicked: {}", f.id, f.message))
+        .collect();
+    (render_bench_json(&sweep, &git_rev()), failures)
 }
 
-/// The scale-up gate behind `BENCH_2.json`: the 2×56-core tier under
-/// both engines plus the dispatch microbenchmark, run serially so the
-/// host timings are honest. Two checks before the baseline diff: the
-/// tier's sim blocks must be byte-identical across engines (the
-/// dispatch job asserts its own stream-digest equality internally), and
-/// the wheel must clear the dispatch throughput floor over the
-/// allocating pure-heap baseline.
-fn scale_bench_gate(out: &str, baseline: Option<String>, tolerance: f64) -> bool {
-    let jobs = bench_jobs(scale_matrix(Scale::Full));
-    println!(
-        "xtask: scale sweep — {} jobs, serial (host-timing fidelity)",
-        jobs.len()
-    );
-    let sweep = run_jobs(jobs, 1);
-    let mut doc = render_bench_json(&sweep, &git_rev());
-    let mut ok = true;
+/// The driver: run `entry` at `scale` through the five steps in the
+/// module docs, writing `out` only if every step passed. Returns the
+/// failures.
+fn snapshot_gate(entry: &Entry, scale: Scale, out: &str) -> Vec<String> {
+    let (name, s, threads) = (entry.name, scale.label(), resolve_threads(0).max(2));
+    println!("xtask: {name} at {s} scale on 1 and {threads} threads");
+    let start = Instant::now();
+    let serial = (entry.run)(scale, 1);
+    let pooled = (entry.run)(scale, threads);
+    let base = std::fs::read_to_string(out).ok().map(|t| Json::parse(&t));
+    let base_doc = base.as_ref().and_then(|b| b.as_ref().ok());
+    let (doc, mut failures) = judge(entry, scale, serial, pooled, base_doc);
+    match &base {
+        None => println!("xtask: no baseline at {out}; nothing to diff against"),
+        Some(Err(e)) => failures.push(format!("baseline {out} is not valid JSON ({e})")),
+        Some(Ok(_)) => {}
+    }
+    if failures.is_empty() {
+        match std::fs::write(out, doc.render_pretty()) {
+            Ok(()) => println!("xtask: wrote {out}; {name} OK in {:.2?}", start.elapsed()),
+            Err(e) => failures.push(format!("could not write {out}: {e}")),
+        }
+    }
+    for f in &failures {
+        eprintln!("xtask: {name} GATE FAILED — {f}");
+    }
+    failures
+}
 
-    let blocks = sim_blocks(&doc);
-    let mut identical = |kind: &str, a: &str, b: &str| match (blocks.get(a), blocks.get(b)) {
-        (Some(x), Some(y)) if x == y => {
-            println!("xtask: {kind} sim metrics byte-identical across engines");
-        }
-        (Some(_), Some(_)) => {
-            eprintln!("xtask: SCALE GATE FAILED — {kind} sim metrics differ between {a} and {b}");
-            ok = false;
-        }
-        _ => {
-            eprintln!("xtask: SCALE GATE FAILED — {kind} jobs missing from the sweep");
-            ok = false;
-        }
+/// Driver steps 2–4, without I/O: judge the 1-thread `serial` run
+/// against the `pooled` run, the entry's check and the baseline.
+/// Returns the snapshot to write — the serial run plus the baseline's
+/// carried jobs — and every failure.
+fn judge(
+    entry: &Entry,
+    scale: Scale,
+    serial: Run,
+    pooled: Run,
+    base: Option<&Json>,
+) -> (Json, Vec<String>) {
+    let (mut doc, mut failures) = serial;
+    failures.extend(pooled.1);
+    let threads = pooled.0.get("threads").and_then(Json::as_u64).unwrap_or(0);
+    for c in diff_sim_metrics(&pooled.0, &doc).changed {
+        failures.push(format!(
+            "{}: {} is {} at {threads} threads but {} at 1",
+            c.id, c.path, c.current, c.baseline
+        ));
+    }
+    failures.extend((entry.check)(&doc, scale));
+    let Some(base) = base else {
+        return (doc, failures);
     };
-    identical(
-        "scale tier",
-        "scale/full/2x56-heap",
-        "scale/full/2x56-wheel",
-    );
-
-    match (
-        host_u64(&doc, "engine/full/dispatch", "heap_ns"),
-        host_u64(&doc, "engine/full/dispatch", "wheel_ns"),
-    ) {
-        (Some(heap), Some(wheel)) if wheel > 0 => {
-            let speedup = heap as f64 / wheel as f64;
-            doc = doc.with("dispatch_speedup", Json::F64(speedup));
-            if speedup >= MIN_DISPATCH_SPEEDUP {
-                println!(
-                    "xtask: dispatch speedup {speedup:.2}x — heap {:.2?} vs wheel {:.2?} \
-                     (floor {MIN_DISPATCH_SPEEDUP:.1}x)",
-                    Duration::from_nanos(heap),
-                    Duration::from_nanos(wheel)
-                );
-            } else {
-                eprintln!(
-                    "xtask: SCALE GATE FAILED — dispatch speedup {speedup:.2}x is below the \
-                     {MIN_DISPATCH_SPEEDUP:.1}x floor (heap {:.2?}, wheel {:.2?})",
-                    Duration::from_nanos(heap),
-                    Duration::from_nanos(wheel)
-                );
-                ok = false;
+    let other = if scale == Scale::Quick {
+        "full"
+    } else {
+        "quick"
+    };
+    // Carried: baseline jobs the run did not produce whose ID names the
+    // other scale (`bench` runs its quick jobs at either scale).
+    let ran = sim_blocks(&doc);
+    let (carried, same): (Vec<Json>, Vec<Json>) = jobs(base)
+        .iter()
+        .cloned()
+        .partition(|j| !ran.contains_key(id_of(j)) && id_of(j).split('/').any(|seg| seg == other));
+    let diff = diff_sim_metrics(&doc, &Json::obj().with("jobs", Json::Arr(same)));
+    for c in diff.changed {
+        failures.push(format!(
+            "{}: {} is {} (baseline {})",
+            c.id, c.path, c.current, c.baseline
+        ));
+    }
+    for id in diff.removed {
+        failures.push(format!("{id}: in the baseline but missing from the run"));
+    }
+    for id in diff.added {
+        println!("xtask: new job (no baseline): {id}");
+    }
+    if !carried.is_empty() {
+        println!(
+            "xtask: carried {} {other}-scale job(s) over from the baseline; \
+             wall-clock bound skipped",
+            carried.len()
+        );
+        let mut all = [jobs(&doc), &carried].concat();
+        all.sort_by(|a, b| id_of(a).cmp(id_of(b)));
+        if let Json::Obj(pairs) = &mut doc {
+            if let Some((_, v)) = pairs.iter_mut().find(|(k, _)| k == "jobs") {
+                *v = Json::Arr(all);
             }
         }
-        _ => {
-            eprintln!("xtask: SCALE GATE FAILED — dispatch host timings missing");
-            ok = false;
+    } else if let (Some(cur), Some(prev)) = (total_wall_ns(&doc), total_wall_ns(base)) {
+        if cur as f64 > WALL_TOLERANCE * prev as f64 {
+            failures.push(format!(
+                "wall-clock {:.2?} is over {WALL_TOLERANCE:.1}x the baseline's {:.2?}",
+                Duration::from_nanos(cur),
+                Duration::from_nanos(prev)
+            ));
         }
     }
+    (doc, failures)
+}
 
-    let baseline_path = baseline.unwrap_or_else(|| out.to_string());
-    match std::fs::read_to_string(&baseline_path) {
-        Ok(text) => match Json::parse(&text) {
-            Ok(base) => ok &= gate_against_baseline(&doc, &base, &baseline_path, tolerance),
-            Err(e) => {
-                eprintln!(
-                    "xtask: baseline {baseline_path} is not valid JSON ({e}) — SCALE GATE FAILED"
-                );
-                ok = false;
-            }
-        },
-        Err(_) => println!("xtask: no baseline at {baseline_path} — recording first snapshot"),
-    }
+/// The jobs of a snapshot.
+fn jobs(doc: &Json) -> &[Json] {
+    doc.get("jobs").and_then(Json::as_arr).unwrap_or(&[])
+}
 
-    if let Err(e) = std::fs::write(out, doc.render_pretty()) {
-        eprintln!("xtask: could not write {out}: {e}");
-        return false;
-    }
-    println!("xtask: wrote {out}");
-    if ok {
-        println!("xtask: scalebench OK");
-    }
-    ok
+/// A snapshot job's ID.
+fn id_of(job: &Json) -> &str {
+    job.get("id").and_then(Json::as_str).unwrap_or("")
 }
 
 /// A `u64` field of one job's deterministic sim block, if present.
 fn sim_u64(doc: &Json, id: &str, key: &str) -> Option<u64> {
-    doc.get("jobs")?
-        .as_arr()?
+    jobs(doc)
         .iter()
-        .find(|j| j.get("id").and_then(Json::as_str) == Some(id))?
+        .find(|j| id_of(j) == id)?
         .get("sim")?
         .get(key)?
         .as_u64()
 }
 
-/// The interconnect gate behind `BENCH_6.json`: the topobench matrix —
-/// {flat, ring, mesh} × {4K-only, THP} at the dual-socket 2×56 tier
-/// under the Skylake-SP TLB geometry, plus the huge-page
-/// fracture-pressure table — with four checks before the baseline diff:
-/// the whole matrix is run at two sweep-pool thread counts and the
-/// deterministic sim blocks must be byte-identical between the runs;
-/// every cell's internal seed replay (each cell simulates twice) must be
-/// green; the flat cells must be byte-identical to the pre-topology
-/// scale tier in spirit — i.e. ring and mesh must *diverge* from flat
-/// (a routed interconnect that changes nothing is a wiring bug); and
-/// the THP column must actually promote and fracture huge pages.
-fn topo_bench_gate(scale: Scale, out: &str, baseline: Option<String>, tolerance: f64) -> bool {
-    let jobs = bench_jobs(topobench_matrix(scale));
-    println!(
-        "xtask: topo sweep — {} cells at {} scale, every cell simulated twice, \
-         matrix replayed at 1 and 2 pool threads",
-        jobs.len(),
-        scale.label()
-    );
-    let sweep = run_jobs(jobs, 1);
-    let doc = render_bench_json(&sweep, &git_rev());
-    let sweep2 = run_jobs(bench_jobs(topobench_matrix(scale)), 2);
-    let doc2 = render_bench_json(&sweep2, &git_rev());
-    let mut ok = true;
+/// Survival verdicts a cell records, each with its surviving value.
+const SURVIVAL: [(&str, u64); 4] = [
+    ("violations", 0),
+    ("wedged", 0),
+    ("threads_done", 1),
+    ("replay_ok", 1),
+];
 
-    if !sweep.failures.is_empty() || !sweep2.failures.is_empty() {
-        for f in sweep.failures.iter().chain(&sweep2.failures) {
-            eprintln!(
-                "xtask: TOPO GATE FAILED — job {} panicked: {}",
-                f.id, f.message
-            );
-        }
-        ok = false;
-    }
-
-    // Check 1: thread invariance — the deterministic sim blocks of the
-    // two pool runs, byte for byte.
-    if sim_blocks(&doc) == sim_blocks(&doc2) {
-        println!(
-            "xtask: thread invariance OK — {} sim blocks byte-identical at 1 and 2 pool threads",
-            sweep.results.len()
-        );
-    } else {
-        eprintln!("xtask: TOPO GATE FAILED — sim blocks differ between 1 and 2 pool threads");
-        ok = false;
-    }
-
-    // Check 2: every cell's internal seed replay.
-    let s = scale.label();
-    for r in &sweep.results {
-        if r.id.ends_with("/fracture") {
-            continue;
-        }
-        match sim_u64(&doc, &r.id, "replay_ok") {
-            Some(1) => {}
-            other => {
-                eprintln!(
-                    "xtask: TOPO GATE FAILED — {}: seed replay diverged (replay_ok = {other:?})",
-                    r.id
-                );
-                ok = false;
-            }
+/// The survival rule: job `id` must record each of `verdicts`, under
+/// `prefix`, with its surviving value. A missing key fails too.
+fn survival(doc: &Json, id: &str, prefix: &str, verdicts: &[(&str, u64)]) -> Vec<String> {
+    let mut failures = Vec::new();
+    for (key, want) in verdicts {
+        let got = sim_u64(doc, id, &format!("{prefix}{key}"));
+        if got != Some(*want) {
+            failures.push(format!("{id}: {prefix}{key} is {got:?}, want {want}"));
         }
     }
-    if ok {
-        println!("xtask: seed replay OK — every topology cell byte-identical across its two runs");
-    }
-
-    // Check 3: the routed interconnects must diverge from flat. Same
-    // workload, same seed — only the link model differs, so identical
-    // digests would mean the topology is not actually routing anything.
-    for pages in ["4k", "thp"] {
-        let flat = sim_u64(&doc, &format!("topo/{s}/flat/{pages}"), "state_digest");
-        for topo in ["ring", "mesh"] {
-            let routed = sim_u64(&doc, &format!("topo/{s}/{topo}/{pages}"), "state_digest");
-            match (flat, routed) {
-                (Some(f), Some(r)) if f != r => {}
-                (Some(f), Some(r)) => {
-                    eprintln!(
-                        "xtask: TOPO GATE FAILED — {topo}/{pages} digest {r:016x} equals \
-                         flat's {f:016x}: the routed interconnect changed nothing"
-                    );
-                    ok = false;
-                }
-                _ => {
-                    eprintln!("xtask: TOPO GATE FAILED — {topo}/{pages} cells missing digests");
-                    ok = false;
-                }
-            }
-        }
-    }
-    if ok {
-        println!("xtask: divergence OK — ring and mesh digests differ from flat in both columns");
-    }
-
-    // Check 4: the fracture-pressure table must show the THP lifecycle.
-    let frac = format!("topo/{s}/fracture");
-    let promotes = sim_u64(&doc, &frac, "thp_thp_promote").unwrap_or(0);
-    let splits = sim_u64(&doc, &frac, "thp_thp_split").unwrap_or(0);
-    if promotes > 0 && splits > 0 {
-        println!(
-            "xtask: fracture pressure OK — {promotes} huge-page promotions, {splits} fractures \
-             in the THP column"
-        );
-    } else {
-        eprintln!(
-            "xtask: TOPO GATE FAILED — fracture table shows {promotes} promotions / \
-             {splits} splits; the THP churn never exercised the huge-page lifecycle"
-        );
-        ok = false;
-    }
-
-    for r in &sweep.results {
-        print!(
-            "xtask:   {}",
-            r.output.1.rendered.replace('\n', "\nxtask:   ")
-        );
-        println!();
-    }
-
-    // Diff against the committed snapshot. Job IDs are scale-prefixed,
-    // so (like the fleet gate) a quick run must not clobber the
-    // committed full cells: baseline jobs this run didn't produce are
-    // carried over verbatim and the wall-clock bound is skipped when
-    // anything was carried.
-    let baseline_path = baseline.unwrap_or_else(|| out.to_string());
-    let mut carried: Vec<Json> = Vec::new();
-    let mut doc = doc;
-    match std::fs::read_to_string(&baseline_path) {
-        Ok(text) => match Json::parse(&text) {
-            Ok(base) => {
-                let produced: Vec<&str> = sweep.results.iter().map(|r| r.id.as_str()).collect();
-                let mut same_scale: Vec<Json> = Vec::new();
-                if let Some(base_jobs) = base.get("jobs").and_then(Json::as_arr) {
-                    for j in base_jobs {
-                        let id = j.get("id").and_then(Json::as_str);
-                        if id.is_some_and(|id| produced.contains(&id)) {
-                            same_scale.push(j.clone());
-                        } else {
-                            carried.push(j.clone());
-                        }
-                    }
-                }
-                let base_cmp = if carried.is_empty() {
-                    base
-                } else {
-                    Json::obj().with("jobs", Json::Arr(same_scale))
-                };
-                ok &= gate_against_baseline(&doc, &base_cmp, &baseline_path, tolerance);
-            }
-            Err(e) => {
-                eprintln!(
-                    "xtask: baseline {baseline_path} is not valid JSON ({e}) — TOPO GATE FAILED"
-                );
-                ok = false;
-            }
-        },
-        Err(_) => println!("xtask: no baseline at {baseline_path} — recording first snapshot"),
-    }
-    if !carried.is_empty() {
-        let mut all_jobs: Vec<Json> = doc
-            .get("jobs")
-            .and_then(Json::as_arr)
-            .map(<[Json]>::to_vec)
-            .unwrap_or_default();
-        all_jobs.extend(carried);
-        all_jobs.sort_by(|a, b| {
-            a.get("id")
-                .and_then(Json::as_str)
-                .cmp(&b.get("id").and_then(Json::as_str))
-        });
-        doc = doc.with("jobs", Json::Arr(all_jobs));
-    }
-
-    if let Err(e) = std::fs::write(out, doc.render_pretty()) {
-        eprintln!("xtask: could not write {out}: {e}");
-        return false;
-    }
-    println!("xtask: wrote {out}");
-    if ok {
-        println!("xtask: topobench OK");
-    }
-    ok
+    failures
 }
 
-/// The follow-on-level gate behind `BENCH_7.json`: the optbench matrix
-/// — reuse-churn in both window shapes and the cross-socket AutoNUMA
-/// migration storm at both balancer intensities, each at L6 (the full
-/// paper stack, the control column), L7 (+reuse-skip) and L8
-/// (+numa-pte) — with four checks before the baseline diff: the whole
-/// matrix runs at two sweep-pool thread counts and the deterministic
-/// sim blocks must be byte-identical between the runs; every cell's
-/// internal seed replay (each cell simulates twice) must be green; the
-/// window-fitting reuse cell must actually elide shootdowns at L7
-/// (hits > 0, fewer shootdowns than L6) while the control keeps the
-/// window dark; and the migration-storm cell must sync page-table
-/// replicas at L8 and only there — with every storm cell surviving
-/// (zero violations, no wedge, all threads done).
-fn opt_bench_gate(scale: Scale, out: &str, baseline: Option<String>, tolerance: f64) -> bool {
-    let jobs = bench_jobs(optbench_matrix(scale));
-    println!(
-        "xtask: optbench sweep — {} cells at {} scale, every cell simulated twice, \
-         matrix replayed at 1 and 2 pool threads",
-        jobs.len(),
-        scale.label()
-    );
-    let sweep = run_jobs(jobs, 1);
-    let doc = render_bench_json(&sweep, &git_rev());
-    let sweep2 = run_jobs(bench_jobs(optbench_matrix(scale)), 2);
-    let doc2 = render_bench_json(&sweep2, &git_rev());
-    let mut ok = true;
+/// `scalebench`: the tier's sim blocks must not depend on the engine.
+fn check_scale(doc: &Json, scale: Scale) -> Vec<String> {
+    let blocks = sim_blocks(doc);
+    let [heap, wheel] = ["heap", "wheel"].map(|e| format!("scale/{}/2x56-{e}", scale.label()));
+    match (blocks.get(&heap), blocks.get(&wheel)) {
+        (Some(h), Some(w)) if h == w => Vec::new(),
+        (Some(_), Some(_)) => vec![format!("{heap} and {wheel} sim blocks differ")],
+        _ => vec![format!("{heap} or {wheel} is missing")],
+    }
+}
 
-    if !sweep.failures.is_empty() || !sweep2.failures.is_empty() {
-        for f in sweep.failures.iter().chain(&sweep2.failures) {
-            eprintln!(
-                "xtask: OPTBENCH GATE FAILED — job {} panicked: {}",
-                f.id, f.message
-            );
+/// Opt levels every storm cell runs (L0..L6): the paper's levels, since
+/// the cells' sim blocks are byte-pinned by `BENCH_3.json`.
+const STORM_LEVELS: usize = OptConfig::PAPER_NUM_LEVELS;
+
+/// `storm`: every level of every cell survives, and the victim sees the
+/// storm (it is only an adversary if it is observed). Prints the victim
+/// signal table of both fabrics.
+fn check_storm(doc: &Json, scale: Scale) -> Vec<String> {
+    let mut failures = Vec::new();
+    for job in storm_matrix(scale) {
+        for level in 0..STORM_LEVELS {
+            let prefix = format!("L{level}_");
+            failures.extend(survival(doc, &job.id, &prefix, &SURVIVAL));
+            if sim_u64(doc, &job.id, &format!("{prefix}victim_faults")).unwrap_or(0) == 0 {
+                failures.push(format!("{} L{level}: the victim saw no storm", job.id));
+            }
         }
-        ok = false;
     }
-
-    // Check 1: thread invariance — the deterministic sim blocks of the
-    // two pool runs, byte for byte.
-    if sim_blocks(&doc) == sim_blocks(&doc2) {
-        println!(
-            "xtask: thread invariance OK — {} sim blocks byte-identical at 1 and 2 pool threads",
-            sweep.results.len()
-        );
-    } else {
-        eprintln!("xtask: OPTBENCH GATE FAILED — sim blocks differ between 1 and 2 pool threads");
-        ok = false;
+    for (fabric, seg) in [("flat", ""), ("mesh", "mesh/")] {
+        println!("xtask: victim fault-latency signal ({fabric}, fault preset none), cycles:");
+        print!("{}", storm_signal_table(doc, scale, seg));
     }
+    failures
+}
 
-    // Check 2: every cell's internal seed replay.
+/// The victim signal-observability table: fault-latency percentile
+/// upper bounds per opt level, one column group per storm intensity,
+/// read from the fault-free cells of one fabric (`seg` is its job-ID
+/// segment). This is the table EXPERIMENTS.md records.
+fn storm_signal_table(doc: &Json, scale: Scale, seg: &str) -> String {
+    let mut out = format!("{:<6}", "level");
+    for i in StormIntensity::ALL {
+        out += &format!("  {:>7} p50/p90/p99 (n)     ", i.label());
+    }
+    out.push('\n');
+    for level in 0..STORM_LEVELS {
+        out += &format!("L{level:<5}");
+        for i in StormIntensity::ALL {
+            let id = format!("storm/{}/{seg}{}/none", scale.label(), i.label());
+            let [p50, p90, p99, n] = ["fault_p50", "fault_p90", "fault_p99", "victim_faults"]
+                .map(|k| sim_u64(doc, &id, &format!("L{level}_{k}")).unwrap_or(0));
+            out += &format!("  {p50:>7}/{p90:>6}/{p99:>7} ({n:>5})");
+        }
+        out.push('\n');
+    }
+    out
+}
+
+/// `fleet`: every cell's survival verdicts hold, and at full scale the
+/// headline tier is fleet-sized.
+fn check_fleet(doc: &Json, scale: Scale) -> Vec<String> {
+    let mut failures = Vec::new();
+    for job in jobs(doc) {
+        let verdicts = job.get("sim").and_then(|s| s.get("verdicts"));
+        for key in [
+            "fully_accounted",
+            "zero_violations",
+            "crashed_recovered_or_ejected",
+        ] {
+            if verdicts.and_then(|v| v.get(key)) != Some(&Json::Bool(true)) {
+                failures.push(format!("{}: {key} is not true", id_of(job)));
+            }
+        }
+    }
+    if scale == Scale::Full {
+        let id = "fleet/full/headline";
+        let machines = sim_u64(doc, id, "machines").unwrap_or(0);
+        let cores = sim_u64(doc, id, "total_cores").unwrap_or(0);
+        if machines < 1000 || cores < 100_000 {
+            failures.push(format!("{id}: only {machines} machines, {cores} cores"));
+        }
+    }
+    failures
+}
+
+/// `topobench`: every cell replays; ring and mesh diverge from flat
+/// (same workload and seed, so an equal digest means the routed
+/// interconnect changed nothing); the fracture table shows the THP
+/// lifecycle.
+fn check_topo(doc: &Json, scale: Scale) -> Vec<String> {
     let s = scale.label();
-    for r in &sweep.results {
-        match sim_u64(&doc, &r.id, "replay_ok") {
-            Some(1) => {}
-            other => {
-                eprintln!(
-                    "xtask: OPTBENCH GATE FAILED — {}: seed replay diverged (replay_ok = {other:?})",
-                    r.id
-                );
-                ok = false;
+    let mut failures: Vec<String> = topobench_matrix(scale)
+        .iter()
+        .filter(|j| !j.id.ends_with("/fracture"))
+        .flat_map(|j| survival(doc, &j.id, "", &SURVIVAL[3..]))
+        .collect();
+    for pages in ["4k", "thp"] {
+        let digest = |topo: &str| sim_u64(doc, &format!("topo/{s}/{topo}/{pages}"), "state_digest");
+        for topo in ["ring", "mesh"] {
+            match (digest("flat"), digest(topo)) {
+                (Some(f), Some(r)) if f != r => {}
+                (flat, routed) => failures.push(format!(
+                    "{topo}/{pages} digest {routed:?} does not differ from flat's {flat:?}"
+                )),
             }
         }
     }
-    if ok {
-        println!("xtask: seed replay OK — every follow-on cell byte-identical across its two runs");
+    let frac = format!("topo/{s}/fracture");
+    let promotes = sim_u64(doc, &frac, "thp_thp_promote").unwrap_or(0);
+    let splits = sim_u64(doc, &frac, "thp_thp_split").unwrap_or(0);
+    if promotes == 0 || splits == 0 {
+        failures.push(format!(
+            "{frac}: {promotes} promotions / {splits} splits; the THP churn never \
+             exercised the huge-page lifecycle"
+        ));
     }
+    failures
+}
 
-    // Check 3: reuse-skip teeth. The window-fitting churn at L7 must
-    // elide real shootdowns against the L6 control, and the control
-    // must keep the window completely dark — a hit below level 7 would
-    // mean the level switch leaks.
-    let control_id = format!("opt/{s}/reuse/fitting/L{}", OptConfig::PAPER_MAX_LEVEL);
-    let reuse_id = format!("opt/{s}/reuse/fitting/L{}", OptConfig::PAPER_MAX_LEVEL + 1);
-    let control_sd = sim_u64(&doc, &control_id, "shootdowns");
-    let reuse_sd = sim_u64(&doc, &reuse_id, "shootdowns");
-    let control_hits = sim_u64(&doc, &control_id, "reuse_hits");
-    let reuse_hits = sim_u64(&doc, &reuse_id, "reuse_hits");
-    match (control_sd, reuse_sd, control_hits, reuse_hits) {
-        (Some(c), Some(r), Some(0), Some(h)) if r < c && h > 0 => {
-            println!(
-                "xtask: reuse-skip OK — fitting churn: {c} shootdowns at L6 vs {r} at L7 \
-                 ({h} window hits)"
-            );
-        }
-        other => {
-            eprintln!(
-                "xtask: OPTBENCH GATE FAILED — reuse-skip teeth: \
-                 (L6 shootdowns, L7 shootdowns, L6 hits, L7 hits) = {other:?}, \
-                 expected L7 < L6 with L6 hits = 0 and L7 hits > 0"
-            );
-            ok = false;
-        }
-    }
-
-    // Check 4: numaPTE teeth and survival. The cross-socket migration
-    // storm must sync replicas at L8 and only there, and every cell of
-    // the storm column must survive.
-    let numa_control = format!("opt/{s}/numa/numa-storm/L{}", OptConfig::PAPER_MAX_LEVEL);
-    let numa_id = format!("opt/{s}/numa/numa-storm/L{}", OptConfig::MAX_LEVEL);
+/// `optbench`: every cell replays and every migration-storm cell
+/// survives; the window-fitting reuse churn elides shootdowns at L7
+/// while the L6 control keeps the window dark; the migration storm
+/// syncs page-table replicas at L8 and only there.
+fn check_opt(doc: &Json, scale: Scale) -> Vec<String> {
+    let s = scale.label();
+    let mut failures: Vec<String> = optbench_matrix(scale)
+        .iter()
+        .flat_map(|j| {
+            let from = if j.id.contains("/numa/") { 0 } else { 3 };
+            survival(doc, &j.id, "", &SURVIVAL[from..])
+        })
+        .collect();
+    let [l6, l7, l8] = optbench_levels();
+    let reuse = |level, key| sim_u64(doc, &format!("opt/{s}/reuse/fitting/L{level}"), key);
     match (
-        sim_u64(&doc, &numa_control, "replica_syncs"),
-        sim_u64(&doc, &numa_id, "replica_syncs"),
+        reuse(l6, "shootdowns"),
+        reuse(l7, "shootdowns"),
+        reuse(l6, "reuse_hits"),
+        reuse(l7, "reuse_hits"),
     ) {
-        (Some(0), Some(r)) if r > 0 => {
-            println!("xtask: numaPTE OK — {r} replica syncs at L8, none below");
-        }
-        other => {
-            eprintln!(
-                "xtask: OPTBENCH GATE FAILED — numaPTE teeth: \
-                 (L6 replica syncs, L8 replica syncs) = {other:?}, expected (0, > 0)"
-            );
-            ok = false;
-        }
+        (Some(c), Some(r), Some(0), Some(h)) if r < c && h > 0 => {}
+        other => failures.push(format!(
+            "reuse-skip teeth: (L6 shootdowns, L7 shootdowns, L6 hits, L7 hits) = {other:?}, \
+             expected L7 < L6 with L6 hits = 0 and L7 hits > 0"
+        )),
     }
-    for level in optbench_levels() {
-        for intensity in ["periodic", "numa-storm"] {
-            let id = format!("opt/{s}/numa/{intensity}/L{level}");
-            let survived = sim_u64(&doc, &id, "violations") == Some(0)
-                && sim_u64(&doc, &id, "wedged") == Some(0)
-                && sim_u64(&doc, &id, "threads_done") == Some(1);
-            if !survived {
-                eprintln!("xtask: OPTBENCH GATE FAILED — {id} did not survive the storm");
-                ok = false;
-            }
-        }
+    let syncs = |l| {
+        sim_u64(
+            doc,
+            &format!("opt/{s}/numa/numa-storm/L{l}"),
+            "replica_syncs",
+        )
+    };
+    match (syncs(l6), syncs(l8)) {
+        (Some(0), Some(r)) if r > 0 => {}
+        other => failures.push(format!(
+            "numaPTE teeth: (L6, L8) replica syncs = {other:?}, expected (0, > 0)"
+        )),
     }
-    if ok {
-        println!("xtask: survival OK — every migration-storm cell clean at all three levels");
-    }
-
-    for r in &sweep.results {
-        print!(
-            "xtask:   {}",
-            r.output.1.rendered.replace('\n', "\nxtask:   ")
-        );
-        println!();
-    }
-
-    // Diff against the committed snapshot. Job IDs are scale-prefixed,
-    // so (like the topo gate) a full run must not clobber the committed
-    // quick cells: baseline jobs this run didn't produce are carried
-    // over verbatim and the wall-clock bound is skipped when anything
-    // was carried.
-    let baseline_path = baseline.unwrap_or_else(|| out.to_string());
-    let mut carried: Vec<Json> = Vec::new();
-    let mut doc = doc;
-    match std::fs::read_to_string(&baseline_path) {
-        Ok(text) => match Json::parse(&text) {
-            Ok(base) => {
-                let produced: Vec<&str> = sweep.results.iter().map(|r| r.id.as_str()).collect();
-                let mut same_scale: Vec<Json> = Vec::new();
-                if let Some(base_jobs) = base.get("jobs").and_then(Json::as_arr) {
-                    for j in base_jobs {
-                        let id = j.get("id").and_then(Json::as_str);
-                        if id.is_some_and(|id| produced.contains(&id)) {
-                            same_scale.push(j.clone());
-                        } else {
-                            carried.push(j.clone());
-                        }
-                    }
-                }
-                let base_cmp = if carried.is_empty() {
-                    base
-                } else {
-                    Json::obj().with("jobs", Json::Arr(same_scale))
-                };
-                ok &= gate_against_baseline(&doc, &base_cmp, &baseline_path, tolerance);
-            }
-            Err(e) => {
-                eprintln!(
-                    "xtask: baseline {baseline_path} is not valid JSON ({e}) — \
-                     OPTBENCH GATE FAILED"
-                );
-                ok = false;
-            }
-        },
-        Err(_) => println!("xtask: no baseline at {baseline_path} — recording first snapshot"),
-    }
-    if !carried.is_empty() {
-        let mut all_jobs: Vec<Json> = doc
-            .get("jobs")
-            .and_then(Json::as_arr)
-            .map(<[Json]>::to_vec)
-            .unwrap_or_default();
-        all_jobs.extend(carried);
-        all_jobs.sort_by(|a, b| {
-            a.get("id")
-                .and_then(Json::as_str)
-                .cmp(&b.get("id").and_then(Json::as_str))
-        });
-        doc = doc.with("jobs", Json::Arr(all_jobs));
-    }
-
-    if let Err(e) = std::fs::write(out, doc.render_pretty()) {
-        eprintln!("xtask: could not write {out}: {e}");
-        return false;
-    }
-    println!("xtask: wrote {out}");
-    if ok {
-        println!("xtask: optbench OK");
-    }
-    ok
+    failures
 }
 
 /// One chaos-stressed machine run for the engine-equivalence gate.
@@ -1276,195 +913,6 @@ fn engine_gate(seed: u64) -> bool {
     ok
 }
 
-/// Optimization levels every storm cell runs at (L0..L6 cumulative).
-/// Pinned to the paper's levels: the cells' rendered sim blocks back the
-/// committed storm/bench baselines, so follow-on levels (L7/L8) are
-/// exercised by the explore and trace gates instead.
-const STORM_LEVELS: usize = OptConfig::PAPER_NUM_LEVELS;
-
-/// Per-level survival requirements, as (metric suffix, required value)
-/// pairs read from each storm cell's deterministic sim block.
-const STORM_SURVIVAL: [(&str, u64); 4] = [
-    ("violations", 0),
-    ("wedged", 0),
-    ("threads_done", 1),
-    ("replay_ok", 1),
-];
-
-/// The victim signal-observability table: fault-latency percentile
-/// upper bounds per opt level, one column group per storm intensity,
-/// read from the fault-free cells (the clean side-channel signal the
-/// optimization levels reshape). This is the table EXPERIMENTS.md
-/// records.
-fn render_storm_signal_table(cells: &[(String, Json)], scale: Scale, mesh: bool) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::new();
-    let intensities = ["mild", "brisk", "savage"];
-    let seg = if mesh { "mesh/" } else { "" };
-    write!(out, "{:<6}", "level").unwrap();
-    for i in &intensities {
-        write!(out, "  {i:>7} p50/p90/p99 (n)     ").unwrap();
-    }
-    out.push('\n');
-    for level in 0..STORM_LEVELS {
-        write!(out, "L{level:<5}").unwrap();
-        for i in &intensities {
-            let id = format!("storm/{}/{seg}{i}/none", scale.label());
-            let sim = cells.iter().find(|(cid, _)| cid == &id).map(|(_, s)| s);
-            let get = |k: &str| {
-                sim.and_then(|s| s.get(&format!("L{level}_{k}")))
-                    .and_then(Json::as_u64)
-                    .unwrap_or(0)
-            };
-            write!(
-                out,
-                "  {:>7}/{:>6}/{:>7} ({:>5})",
-                get("fault_p50"),
-                get("fault_p90"),
-                get("fault_p99"),
-                get("victim_faults")
-            )
-            .unwrap();
-        }
-        out.push('\n');
-    }
-    out
-}
-
-/// The shootdown-storm survival gate behind `BENCH_3.json`: run the
-/// storm matrix (intensity × fault preset, L0..L6 inside each cell,
-/// every level twice) through the sweep pool, require every cell to
-/// survive — zero violations, no wedge, threads done, byte-identical
-/// replay — print the signal-observability table, write the per-cell
-/// verdicts to `report_out`, and diff the snapshot against the
-/// committed baseline like `bench` does.
-fn storm_gate(
-    threads: usize,
-    scale: Scale,
-    mesh: bool,
-    out: &str,
-    report_out: &str,
-    baseline: Option<String>,
-    tolerance: f64,
-) -> bool {
-    let jobs = bench_jobs(if mesh {
-        storm_matrix_mesh(scale)
-    } else {
-        storm_matrix(scale)
-    });
-    let fabric = if mesh { "mesh" } else { "flat" };
-    println!(
-        "xtask: storm survival matrix ({fabric} fabric) — {} cells × {STORM_LEVELS} opt levels, \
-         every cell run twice",
-        jobs.len()
-    );
-    let sweep = run_jobs(jobs, threads);
-    let doc = render_bench_json(&sweep, &git_rev());
-    println!(
-        "xtask: {} cells on {} threads in {:.2?} (serial estimate {:.2?}, speedup {:.2}x)",
-        sweep.results.len(),
-        sweep.threads,
-        sweep.elapsed,
-        sweep.serial_estimate(),
-        sweep.speedup_vs_serial()
-    );
-
-    let cells: Vec<(String, Json)> = sweep
-        .results
-        .iter()
-        .map(|r| (r.id.clone(), r.output.1.metrics.to_json()))
-        .collect();
-
-    // Survival: every requirement at every level of every cell.
-    let mut ok = true;
-    let mut cell_reports = Vec::new();
-    for (id, sim) in &cells {
-        let mut cell_ok = true;
-        for level in 0..STORM_LEVELS {
-            for (key, want) in STORM_SURVIVAL {
-                let got = sim
-                    .get(&format!("L{level}_{key}"))
-                    .and_then(Json::as_u64)
-                    .unwrap_or(u64::MAX);
-                if got != want {
-                    eprintln!(
-                        "xtask: STORM GATE FAILED — {id} L{level}: {key} = {got} (want {want})"
-                    );
-                    cell_ok = false;
-                }
-            }
-            // The storm is only an adversary if the victim observes it.
-            let faults = sim
-                .get(&format!("L{level}_victim_faults"))
-                .and_then(Json::as_u64)
-                .unwrap_or(0);
-            if faults == 0 {
-                eprintln!(
-                    "xtask: STORM GATE FAILED — {id} L{level}: victim took no \
-                     write-protect faults (storm produced no signal)"
-                );
-                cell_ok = false;
-            }
-        }
-        cell_reports.push(
-            Json::obj()
-                .with("id", Json::Str(id.clone()))
-                .with("pass", Json::Bool(cell_ok)),
-        );
-        ok &= cell_ok;
-    }
-    if ok {
-        println!(
-            "xtask: survival OK — {} cells × {STORM_LEVELS} levels: zero violations, \
-             no wedge, all threads done, byte-identical replay",
-            cells.len()
-        );
-    }
-
-    let signal_table = render_storm_signal_table(&cells, scale, mesh);
-    println!("xtask: victim fault-latency signal (fault preset none), percentile upper bounds in cycles:");
-    print!("{signal_table}");
-
-    let report = Json::obj()
-        .with("schema_version", Json::U64(1))
-        .with("git_rev", Json::Str(git_rev()))
-        .with("scale", Json::Str(scale.label().into()))
-        .with("fabric", Json::Str(fabric.into()))
-        .with("levels", Json::U64(STORM_LEVELS as u64))
-        .with("pass", Json::Bool(ok))
-        .with("cells", Json::Arr(cell_reports))
-        .with("signal_table", Json::Str(signal_table));
-    if let Err(e) = std::fs::write(report_out, report.render_pretty()) {
-        eprintln!("xtask: could not write {report_out}: {e}");
-        return false;
-    }
-    println!("xtask: wrote {report_out}");
-
-    let baseline_path = baseline.unwrap_or_else(|| out.to_string());
-    match std::fs::read_to_string(&baseline_path) {
-        Ok(text) => match Json::parse(&text) {
-            Ok(base) => ok &= gate_against_baseline(&doc, &base, &baseline_path, tolerance),
-            Err(e) => {
-                eprintln!(
-                    "xtask: baseline {baseline_path} is not valid JSON ({e}) — STORM GATE FAILED"
-                );
-                ok = false;
-            }
-        },
-        Err(_) => println!("xtask: no baseline at {baseline_path} — recording first snapshot"),
-    }
-
-    if let Err(e) = std::fs::write(out, doc.render_pretty()) {
-        eprintln!("xtask: could not write {out}: {e}");
-        return false;
-    }
-    println!("xtask: wrote {out}");
-    if ok {
-        println!("xtask: storm OK");
-    }
-    ok
-}
-
 /// The fleet survival matrix: machine-level fault presets crossed with
 /// IPI-level presets, plus the headline tier.
 fn fleet_cells(scale: Scale) -> Vec<(String, FleetCfg)> {
@@ -1501,237 +949,29 @@ fn fleet_cells(scale: Scale) -> Vec<(String, FleetCfg)> {
     cells
 }
 
-/// The fleet survival gate behind `BENCH_4.json`: run every cell of the
-/// machine-fault × IPI-fault matrix plus the headline tier (full scale:
-/// 1000 machines, 112k simulated cores), require every cell to survive
-/// — total request accounting, zero oracle violations, every crashed
-/// machine recovered or ejected, byte-identical replay at two thread
-/// counts — write the per-cell verdicts to `report_out`, and diff the
-/// snapshot against the committed baseline like `bench` does.
-fn fleet_gate(
-    threads: usize,
-    scale: Scale,
-    out: &str,
-    report_out: &str,
-    baseline: Option<String>,
-    tolerance: f64,
-) -> bool {
-    let cells = fleet_cells(scale);
-    let threads_a = tlbdown_sweep::resolve_threads(threads);
-    let threads_b = if threads_a == 1 { 2 } else { 1 };
-    println!(
-        "xtask: fleet survival matrix — {} cells, every cell replayed at {} and {} threads",
-        cells.len(),
-        threads_a,
-        threads_b
-    );
-    let start = std::time::Instant::now();
-    let mut ok = true;
-    let mut jobs_json = Vec::new();
-    let mut cell_reports = Vec::new();
-    let mut serial = Duration::ZERO;
-    for (id, cfg) in &cells {
-        let cell_start = std::time::Instant::now();
-        let (run, replay_match) = match run_fleet(cfg, threads_a) {
-            Ok(a) => match run_fleet(cfg, threads_b) {
-                Ok(b) => {
-                    let matched = a.sim_json().render() == b.sim_json().render();
-                    (Some(a), matched)
-                }
-                Err(e) => {
-                    eprintln!("xtask: FLEET GATE FAILED — {id} replay run: {e}");
-                    (Some(a), false)
-                }
-            },
-            Err(e) => {
-                eprintln!("xtask: FLEET GATE FAILED — {id}: {e}");
-                (None, false)
+/// The `fleet` entry's run: every cell of [`fleet_cells`] in turn, each
+/// a [`run_fleet`] sharded over `threads` workers.
+fn fleet_run(scale: Scale, threads: usize) -> Run {
+    let start = Instant::now();
+    let (mut jobs, mut failures) = (Vec::new(), Vec::new());
+    for (id, cfg) in fleet_cells(scale) {
+        let cell_start = Instant::now();
+        match run_fleet(&cfg, threads) {
+            Ok(r) => {
+                let config = Json::obj()
+                    .with("machines", Json::U64(u64::from(cfg.machines)))
+                    .with("total_cores", Json::U64(cfg.total_cores()))
+                    .with("window", Json::U64(cfg.window))
+                    .with("workers", Json::U64(u64::from(cfg.workers)))
+                    .with("churn_slots", Json::U64(u64::from(cfg.churn_slots)))
+                    .with("seed", Json::U64(cfg.seed));
+                jobs.push(job_json(&id, config, r.sim_json(), cell_start.elapsed()));
             }
-        };
-        let wall = cell_start.elapsed();
-        serial += wall;
-        let Some(r) = run else {
-            ok = false;
-            cell_reports.push(
-                Json::obj()
-                    .with("id", Json::Str(id.clone()))
-                    .with("pass", Json::Bool(false)),
-            );
-            continue;
-        };
-        let mut cell_ok = replay_match;
-        if !replay_match {
-            eprintln!(
-                "xtask: FLEET GATE FAILED — {id}: replay diverged between \
-                 {threads_a} and {threads_b} threads"
-            );
+            Err(e) => failures.push(format!("{id}: {e}")),
         }
-        for (name, verdict) in [
-            ("fully_accounted", r.fully_accounted),
-            ("zero_violations", r.zero_violations),
-            (
-                "crashed_recovered_or_ejected",
-                r.crashed_recovered_or_ejected,
-            ),
-        ] {
-            if !verdict {
-                eprintln!("xtask: FLEET GATE FAILED — {id}: {name} is false");
-                cell_ok = false;
-            }
-        }
-        if id.ends_with("/headline")
-            && scale == Scale::Full
-            && (r.machines < 1000 || r.total_cores < 100_000)
-        {
-            eprintln!(
-                "xtask: FLEET GATE FAILED — {id}: headline tier is {} machines / {} cores \
-                 (want 1000+ / 100k+)",
-                r.machines, r.total_cores
-            );
-            cell_ok = false;
-        }
-        println!(
-            "xtask:   {id}: {} machines / {} cores, {:.3e} req/s, {} served / {} offered, \
-             {} ejections, {} rejoins — {} in {:.2?}",
-            r.machines,
-            r.total_cores,
-            r.requests_per_sec(),
-            r.lb.served(),
-            r.lb.offered,
-            r.lb.ejections,
-            r.lb.rejoins,
-            if cell_ok { "ok" } else { "FAILED" },
-            wall
-        );
-        let config = Json::obj()
-            .with("machines", Json::U64(u64::from(cfg.machines)))
-            .with("total_cores", Json::U64(cfg.total_cores()))
-            .with("window", Json::U64(cfg.window))
-            .with("workers", Json::U64(u64::from(cfg.workers)))
-            .with("churn_slots", Json::U64(u64::from(cfg.churn_slots)))
-            .with("seed", Json::U64(cfg.seed));
-        jobs_json.push(
-            Json::obj()
-                .with("id", Json::Str(id.clone()))
-                .with("config", config)
-                .with("sim", r.sim_json())
-                .with("wall_ns", Json::U64(wall.as_nanos() as u64)),
-        );
-        cell_reports.push(
-            Json::obj()
-                .with("id", Json::Str(id.clone()))
-                .with("machines", Json::U64(u64::from(r.machines)))
-                .with("total_cores", Json::U64(r.total_cores))
-                .with("requests_per_sec", Json::F64(r.requests_per_sec()))
-                .with("offered", Json::U64(r.lb.offered))
-                .with("served", Json::U64(r.lb.served()))
-                .with("failed", Json::U64(r.lb.failed_total()))
-                .with("crashed_machines", Json::U64(r.crashed.len() as u64))
-                .with("ejections", Json::U64(r.lb.ejections))
-                .with("rejoins", Json::U64(r.lb.rejoins))
-                .with("fully_accounted", Json::Bool(r.fully_accounted))
-                .with("zero_violations", Json::Bool(r.zero_violations))
-                .with(
-                    "crashed_recovered_or_ejected",
-                    Json::Bool(r.crashed_recovered_or_ejected),
-                )
-                .with("replay_match", Json::Bool(replay_match))
-                .with("pass", Json::Bool(cell_ok)),
-        );
-        ok &= cell_ok;
     }
-    let elapsed = start.elapsed();
-    if ok {
-        println!(
-            "xtask: fleet survival OK — {} cells: total accounting, zero violations, \
-             crash recovery/ejection, byte-identical replay ({:.2?})",
-            cells.len(),
-            elapsed
-        );
-    }
-
-    let report = Json::obj()
-        .with("schema_version", Json::U64(1))
-        .with("git_rev", Json::Str(git_rev()))
-        .with("scale", Json::Str(scale.label().into()))
-        .with("pass", Json::Bool(ok))
-        .with("cells", Json::Arr(cell_reports));
-    if let Err(e) = std::fs::write(report_out, report.render_pretty()) {
-        eprintln!("xtask: could not write {report_out}: {e}");
-        return false;
-    }
-    println!("xtask: wrote {report_out}");
-
-    let run_doc = Json::obj().with("jobs", Json::Arr(jobs_json.clone())).with(
-        "totals",
-        Json::obj().with("wall_ns", Json::U64(elapsed.as_nanos() as u64)),
-    );
-    // One snapshot file holds both scales — job IDs are scale-prefixed
-    // (`fleet/quick/…`, `fleet/full/…`) — so the CI quick run diffs
-    // byte-exactly against the committed quick cells without clobbering
-    // the full tier recorded by `cargo xtask fleet`. Baseline jobs this
-    // run didn't produce are carried over verbatim; wall-clock totals
-    // aren't comparable across scales, so the time bound is skipped
-    // whenever anything was carried.
-    let baseline_path = baseline.unwrap_or_else(|| out.to_string());
-    let mut carried: Vec<Json> = Vec::new();
-    match std::fs::read_to_string(&baseline_path) {
-        Ok(text) => match Json::parse(&text) {
-            Ok(base) => {
-                let mut same_scale: Vec<Json> = Vec::new();
-                if let Some(base_jobs) = base.get("jobs").and_then(Json::as_arr) {
-                    for j in base_jobs {
-                        let id = j.get("id").and_then(Json::as_str);
-                        if id.is_some_and(|id| cells.iter().any(|(cid, _)| cid == id)) {
-                            same_scale.push(j.clone());
-                        } else {
-                            carried.push(j.clone());
-                        }
-                    }
-                }
-                let base_cmp = if carried.is_empty() {
-                    base
-                } else {
-                    Json::obj().with("jobs", Json::Arr(same_scale))
-                };
-                ok &= gate_against_baseline(&run_doc, &base_cmp, &baseline_path, tolerance);
-            }
-            Err(e) => {
-                eprintln!(
-                    "xtask: baseline {baseline_path} is not valid JSON ({e}) — FLEET GATE FAILED"
-                );
-                ok = false;
-            }
-        },
-        Err(_) => println!("xtask: no baseline at {baseline_path} — recording first snapshot"),
-    }
-    let mut all_jobs = jobs_json;
-    all_jobs.extend(carried);
-    all_jobs.sort_by(|a, b| {
-        a.get("id")
-            .and_then(Json::as_str)
-            .cmp(&b.get("id").and_then(Json::as_str))
-    });
-    let totals = Json::obj()
-        .with("jobs", Json::U64(all_jobs.len() as u64))
-        .with("wall_ns", Json::U64(elapsed.as_nanos() as u64))
-        .with("serial_ns", Json::U64(serial.as_nanos() as u64))
-        .with("speedup_vs_serial", Json::F64(1.0));
-    let doc = Json::obj()
-        .with("schema_version", Json::U64(1))
-        .with("git_rev", Json::Str(git_rev()))
-        .with("threads", Json::U64(threads_a as u64))
-        .with("jobs", Json::Arr(all_jobs))
-        .with("totals", totals);
-    if let Err(e) = std::fs::write(out, doc.render_pretty()) {
-        eprintln!("xtask: could not write {out}: {e}");
-        return false;
-    }
-    println!("xtask: wrote {out}");
-    if ok {
-        println!("xtask: fleet OK");
-    }
-    ok
+    let doc = render_snapshot(jobs, threads, start.elapsed(), &git_rev());
+    (doc, failures)
 }
 
 /// The full sweep: every figure/table job plus the seven explore jobs,
@@ -1956,12 +1196,12 @@ fn dir_loc(dir: &Path) -> std::io::Result<u64> {
 /// prints a time column and the same rows land machine-readably in
 /// `ci_report.json` (gate, verdict, seconds) for the CI artifact,
 /// together with every crate's effective source-line count.
-fn ci(seed: u64, which: CiGates) -> ExitCode {
+fn ci(seed: u64, which: &str) -> ExitCode {
     type GateFn = Box<dyn FnOnce() -> bool>;
     // (name, fast-tier?, gate). The fast tier is the PR-blocking set —
     // cheap, seconds each; the full tier is the long matrix gates CI
     // runs in a parallel job.
-    let gates: Vec<(&str, bool, GateFn)> = vec![
+    let mut gates: Vec<(&str, bool, GateFn)> = vec![
         ("fmt", true, Box::new(fmt)),
         ("clippy", true, Box::new(clippy)),
         ("replay", true, Box::new(move || replay(seed))),
@@ -1971,68 +1211,21 @@ fn ci(seed: u64, which: CiGates) -> ExitCode {
             false,
             Box::new(|| explore_gate(0, "explore_report.json")),
         ),
-        (
-            "bench",
-            false,
-            Box::new(|| bench_gate(0, "BENCH_1.json", None, DEFAULT_TOLERANCE)),
-        ),
-        (
-            "scale",
-            false,
-            Box::new(|| scale_bench_gate("BENCH_2.json", None, DEFAULT_TOLERANCE)),
-        ),
-        (
-            "topo",
-            false,
-            Box::new(|| topo_bench_gate(Scale::Full, "BENCH_6.json", None, DEFAULT_TOLERANCE)),
-        ),
-        (
-            "optbench",
-            false,
-            Box::new(|| opt_bench_gate(Scale::Quick, "BENCH_7.json", None, DEFAULT_TOLERANCE)),
-        ),
-        (
-            "storm",
-            false,
-            Box::new(|| {
-                storm_gate(
-                    0,
-                    Scale::Quick,
-                    false,
-                    "BENCH_3.json",
-                    "storm_report.json",
-                    None,
-                    DEFAULT_TOLERANCE,
-                )
-            }),
-        ),
-        (
-            "fleet",
-            false,
-            Box::new(|| {
-                fleet_gate(
-                    0,
-                    Scale::Quick,
-                    "BENCH_4.json",
-                    "fleet_report.json",
-                    None,
-                    DEFAULT_TOLERANCE,
-                )
-            }),
-        ),
-        ("trace", false, Box::new(|| trace_gate("sample.trace.json"))),
     ];
+    for e in &ENTRIES {
+        gates.push((
+            e.name,
+            false,
+            Box::new(|| snapshot_gate(e, e.scale, e.out).is_empty()),
+        ));
+    }
+    gates.push(("trace", false, Box::new(|| trace_gate("sample.trace.json"))));
     let mut rows: Vec<(&str, bool, Duration)> = Vec::new();
     for (name, fast, gate) in gates {
-        let selected = match which {
-            CiGates::All => true,
-            CiGates::Fast => fast,
-            CiGates::Full => !fast,
-        };
-        if !selected {
+        if which != "all" && (which == "fast") != fast {
             continue;
         }
-        let start = std::time::Instant::now();
+        let start = Instant::now();
         let ok = gate();
         rows.push((name, ok, start.elapsed()));
     }
@@ -2040,7 +1233,7 @@ fn ci(seed: u64, which: CiGates) -> ExitCode {
     let mut all_ok = true;
     for (name, ok, wall) in &rows {
         println!(
-            "xtask:   {name:<8} {:<4} {:>9.2?}",
+            "xtask:   {name:<10} {:<4} {:>9.2?}",
             if *ok { "PASS" } else { "FAIL" },
             wall
         );
@@ -2053,16 +1246,11 @@ fn ci(seed: u64, which: CiGates) -> ExitCode {
                 "xtask: {total} effective source lines across {} crates",
                 per_crate.len()
             );
+            let crates = per_crate
+                .iter()
+                .fold(Json::obj(), |o, (name, n)| o.with(name, Json::U64(*n)));
             Json::obj()
-                .with(
-                    "crates",
-                    Json::Obj(
-                        per_crate
-                            .into_iter()
-                            .map(|(name, n)| (name, Json::U64(n)))
-                            .collect(),
-                    ),
-                )
+                .with("crates", crates)
                 .with("total", Json::U64(total))
         }
         Err(e) => {
@@ -2074,17 +1262,7 @@ fn ci(seed: u64, which: CiGates) -> ExitCode {
     let report = Json::obj()
         .with("schema_version", Json::U64(1))
         .with("git_rev", Json::Str(git_rev()))
-        .with(
-            "gates",
-            Json::Str(
-                match which {
-                    CiGates::Fast => "fast",
-                    CiGates::Full => "full",
-                    CiGates::All => "all",
-                }
-                .into(),
-            ),
-        )
+        .with("gates", Json::Str(which.into()))
         .with("pass", Json::Bool(all_ok))
         .with(
             "results",
@@ -2115,5 +1293,342 @@ fn ci(seed: u64, which: CiGates) -> ExitCode {
     } else {
         eprintln!("xtask: ci FAILED — see the gate summary above");
         ExitCode::FAILURE
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    //! Every snapshot-gate condition, exercised on doctored copies of the
+    //! committed snapshots: no simulation runs here.
+
+    use super::*;
+
+    fn entry(name: &str) -> &'static Entry {
+        ENTRIES
+            .iter()
+            .find(|e| e.name == name)
+            .unwrap_or_else(|| panic!("no entry {name}"))
+    }
+
+    /// The committed snapshot of entry `name`.
+    fn committed(name: &str) -> Json {
+        let path = Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("../..")
+            .join(entry(name).out);
+        let text = std::fs::read_to_string(&path).expect("committed snapshot");
+        Json::parse(&text).expect("committed snapshot parses")
+    }
+
+    /// Member `key` of an object, mutably.
+    fn member<'a>(v: &'a mut Json, key: &str) -> &'a mut Json {
+        let Json::Obj(pairs) = v else {
+            panic!("{key}: not an object")
+        };
+        &mut pairs
+            .iter_mut()
+            .find(|(k, _)| k == key)
+            .unwrap_or_else(|| panic!("no member {key}"))
+            .1
+    }
+
+    /// The jobs array of a snapshot, mutably.
+    fn jobs_mut(doc: &mut Json) -> &mut Vec<Json> {
+        let Json::Arr(jobs) = member(doc, "jobs") else {
+            panic!("jobs is not an array")
+        };
+        jobs
+    }
+
+    /// The sim block of job `id`, mutably.
+    fn sim<'a>(doc: &'a mut Json, id: &str) -> &'a mut Json {
+        let job = jobs_mut(doc)
+            .iter_mut()
+            .find(|j| id_of(j) == id)
+            .unwrap_or_else(|| panic!("no job {id}"));
+        member(job, "sim")
+    }
+
+    fn bump(v: &mut Json) {
+        *v = Json::U64(v.as_u64().expect("a count") + 1);
+    }
+
+    /// The driver, given `doc` as both runs of `name` at `scale` and no
+    /// baseline, fails through the entry's check with a message that
+    /// contains `want`.
+    fn assert_check_fails(name: &str, doc: &Json, scale: Scale, want: &str) {
+        let run = (doc.clone(), Vec::new());
+        let (_, failures) = judge(entry(name), scale, run.clone(), run, None);
+        assert_has(&failures, want);
+    }
+
+    /// Judge `run` (as both thread counts' result) against the committed
+    /// snapshot of `name` at the entry's CI scale.
+    fn judge_run(name: &str, run: Run) -> (Json, Vec<String>) {
+        let e = entry(name);
+        judge(e, e.scale, run.clone(), run, Some(&committed(name)))
+    }
+
+    fn assert_has(failures: &[String], want: &str) {
+        assert!(
+            failures.iter().any(|f| f.contains(want)),
+            "expected a failure containing {want:?}, got {failures:?}"
+        );
+    }
+
+    #[test]
+    fn every_committed_snapshot_passes_its_own_gate() {
+        for e in &ENTRIES {
+            let doc = committed(e.name);
+            assert_eq!((e.check)(&doc, e.scale), Vec::<String>::new(), "{}", e.name);
+            let (out, failures) = judge_run(e.name, (doc.clone(), Vec::new()));
+            assert_eq!(failures, Vec::<String>::new(), "{}", e.name);
+            assert_eq!(sim_blocks(&out), sim_blocks(&doc), "{}", e.name);
+        }
+        // The fleet snapshot holds both scales; the full cells pass the
+        // full-scale check, headline size included.
+        assert_eq!(
+            check_fleet(&committed("fleet"), Scale::Full),
+            Vec::<String>::new()
+        );
+    }
+
+    #[test]
+    fn scalebench_fails_when_heap_and_wheel_differ() {
+        let mut doc = committed("scalebench");
+        bump(member(sim(&mut doc, "scale/full/2x56-wheel"), "events"));
+        assert_check_fails("scalebench", &doc, Scale::Full, "sim blocks differ");
+        jobs_mut(&mut doc).retain(|j| id_of(j) != "scale/full/2x56-heap");
+        assert_check_fails("scalebench", &doc, Scale::Full, "is missing");
+    }
+
+    #[test]
+    fn topobench_fails_when_a_routed_digest_equals_flat() {
+        for (topo, pages) in [("ring", "4k"), ("mesh", "thp")] {
+            let mut doc = committed("topobench");
+            let flat = sim_u64(&doc, &format!("topo/full/flat/{pages}"), "state_digest");
+            let routed = sim(&mut doc, &format!("topo/full/{topo}/{pages}"));
+            *member(routed, "state_digest") = Json::U64(flat.expect("flat digest"));
+            let want = format!("{topo}/{pages} digest");
+            assert_check_fails("topobench", &doc, Scale::Full, &want);
+        }
+    }
+
+    #[test]
+    fn topobench_fails_without_promotions_or_splits() {
+        for key in ["thp_thp_promote", "thp_thp_split"] {
+            let mut doc = committed("topobench");
+            *member(sim(&mut doc, "topo/full/fracture"), key) = Json::U64(0);
+            assert_check_fails("topobench", &doc, Scale::Full, "huge-page lifecycle");
+        }
+    }
+
+    #[test]
+    fn optbench_fails_without_reuse_hits_or_when_l6_syncs_a_replica() {
+        let mut doc = committed("optbench");
+        *member(sim(&mut doc, "opt/quick/reuse/fitting/L7"), "reuse_hits") = Json::U64(0);
+        assert_check_fails("optbench", &doc, Scale::Quick, "reuse-skip teeth");
+        let mut doc = committed("optbench");
+        *member(
+            sim(&mut doc, "opt/quick/numa/numa-storm/L6"),
+            "replica_syncs",
+        ) = Json::U64(1);
+        assert_check_fails("optbench", &doc, Scale::Quick, "numaPTE teeth");
+    }
+
+    #[test]
+    fn optbench_fails_when_a_migration_storm_cell_does_not_survive() {
+        let mut doc = committed("optbench");
+        *member(sim(&mut doc, "opt/quick/numa/periodic/L7"), "wedged") = Json::U64(1);
+        assert_check_fails("optbench", &doc, Scale::Quick, "L7: wedged is Some(1)");
+    }
+
+    #[test]
+    fn storm_fails_on_a_level_without_victim_faults() {
+        let mut doc = committed("storm");
+        *member(
+            sim(&mut doc, "storm/quick/mesh/mild/none"),
+            "L3_victim_faults",
+        ) = Json::U64(0);
+        assert_check_fails("storm", &doc, Scale::Quick, "L3: the victim saw no storm");
+    }
+
+    #[test]
+    fn storm_fails_on_a_missing_or_wrong_survival_key() {
+        let mut doc = committed("storm");
+        let Json::Obj(pairs) = sim(&mut doc, "storm/quick/savage/combined") else {
+            panic!("sim is an object")
+        };
+        pairs.retain(|(k, _)| k != "L2_wedged");
+        assert_check_fails("storm", &doc, Scale::Quick, "L2_wedged is None");
+        *member(sim(&mut doc, "storm/quick/brisk/ipi-drop"), "L4_violations") = Json::U64(1);
+        assert_check_fails("storm", &doc, Scale::Quick, "L4_violations is Some(1)");
+    }
+
+    #[test]
+    fn fleet_fails_on_a_false_verdict() {
+        for key in [
+            "fully_accounted",
+            "zero_violations",
+            "crashed_recovered_or_ejected",
+        ] {
+            let mut doc = committed("fleet");
+            let verdicts = member(sim(&mut doc, "fleet/quick/crash/combined"), "verdicts");
+            *member(verdicts, key) = Json::Bool(false);
+            assert_check_fails("fleet", &doc, Scale::Quick, &format!("{key} is not true"));
+        }
+    }
+
+    #[test]
+    fn fleet_headline_under_1000_machines_fails_at_full_scale() {
+        let mut doc = committed("fleet");
+        *member(sim(&mut doc, "fleet/full/headline"), "machines") = Json::U64(999);
+        assert_check_fails("fleet", &doc, Scale::Full, "only 999 machines");
+        // The quick headline is CI-sized by design.
+        assert_eq!(check_fleet(&doc, Scale::Quick), Vec::<String>::new());
+    }
+
+    #[test]
+    fn replay_ok_zero_fails_every_replaying_gate() {
+        for (name, id, key) in [
+            ("topobench", "topo/full/mesh/thp", "replay_ok"),
+            ("optbench", "opt/quick/reuse/overflow/L8", "replay_ok"),
+            ("storm", "storm/quick/mild/late-responder", "L5_replay_ok"),
+        ] {
+            let mut doc = committed(name);
+            *member(sim(&mut doc, id), key) = Json::U64(0);
+            let e = entry(name);
+            assert_check_fails(name, &doc, e.scale, &format!("{key} is Some(0)"));
+        }
+    }
+
+    #[test]
+    fn a_thread_count_divergence_fails() {
+        let serial = committed("optbench");
+        let mut pooled = serial.clone();
+        *member(&mut pooled, "threads") = Json::U64(2);
+        bump(member(
+            sim(&mut pooled, "opt/quick/reuse/fitting/L6"),
+            "sim_cycles",
+        ));
+        let e = entry("optbench");
+        let (_, failures) = judge(
+            e,
+            e.scale,
+            (serial.clone(), Vec::new()),
+            (pooled, Vec::new()),
+            Some(&serial),
+        );
+        assert_has(&failures, "opt/quick/reuse/fitting/L6: sim.sim_cycles is");
+        assert_has(&failures, "at 2 threads but");
+    }
+
+    #[test]
+    fn a_panicked_job_fails_and_cannot_pass_as_a_removal() {
+        let mut doc = committed("bench");
+        jobs_mut(&mut doc).retain(|j| id_of(j) != "table4/row0");
+        let panicked = vec!["job table4/row0 panicked: boom".to_string()];
+        let (_, failures) = judge_run("bench", (doc.clone(), panicked.clone()));
+        assert_has(&failures, "job table4/row0 panicked: boom");
+        assert_has(
+            &failures,
+            "table4/row0: in the baseline but missing from the run",
+        );
+        // A panic in the pooled run alone fails too.
+        let (e, base) = (entry("bench"), committed("bench"));
+        let serial = (base.clone(), Vec::new());
+        let (_, failures) = judge(e, e.scale, serial, (doc, panicked), Some(&base));
+        assert_has(&failures, "job table4/row0 panicked: boom");
+    }
+
+    #[test]
+    fn a_missing_same_scale_job_fails() {
+        let mut doc = committed("bench");
+        jobs_mut(&mut doc).retain(|j| id_of(j) != "fig9/quick/C1");
+        let (_, failures) = judge_run("bench", (doc, Vec::new()));
+        assert_eq!(
+            failures,
+            vec!["fig9/quick/C1: in the baseline but missing from the run".to_string()]
+        );
+    }
+
+    #[test]
+    fn a_changed_sim_block_fails_naming_its_path() {
+        let mut doc = committed("optbench");
+        bump(member(
+            sim(&mut doc, "opt/quick/numa/numa-storm/L6"),
+            "sim_cycles",
+        ));
+        let (_, failures) = judge_run("optbench", (doc, Vec::new()));
+        assert_has(&failures, "opt/quick/numa/numa-storm/L6: sim.sim_cycles is");
+        assert_has(&failures, "(baseline ");
+    }
+
+    #[test]
+    fn other_scale_jobs_are_carried_verbatim_and_lift_the_wall_bound() {
+        let base = committed("fleet");
+        let mut run = base.clone();
+        jobs_mut(&mut run).retain(|j| id_of(j).starts_with("fleet/quick/"));
+        // A run far slower than its baseline passes when jobs were
+        // carried: the totals of two scales are not comparable.
+        *member(member(&mut run, "totals"), "wall_ns") = Json::U64(u64::MAX / 2);
+        let (out, failures) = judge_run("fleet", (run, Vec::new()));
+        assert_eq!(failures, Vec::<String>::new());
+        assert_eq!(jobs(&out), jobs(&base), "carried jobs come back verbatim");
+        // A job the run produced is diffed, whatever scale its ID names.
+        let (e, base) = (entry("bench"), committed("bench"));
+        let run = (base.clone(), Vec::new());
+        let (out, failures) = judge(e, Scale::Full, run.clone(), run, Some(&base));
+        assert_eq!(failures, Vec::<String>::new());
+        assert_eq!(jobs(&out), jobs(&base), "nothing carried, nothing doubled");
+    }
+
+    #[test]
+    fn wall_clock_is_bounded_when_nothing_was_carried() {
+        let mut run = committed("optbench");
+        let wall = member(member(&mut run, "totals"), "wall_ns");
+        *wall = Json::U64(wall.as_u64().expect("wall_ns") * 4);
+        let (_, failures) = judge_run("optbench", (run, Vec::new()));
+        assert_has(&failures, "wall-clock");
+    }
+
+    /// A test entry whose run reproduces `optbench`'s committed snapshot
+    /// with one drifted sim value.
+    static DRIFTED: Entry = Entry {
+        name: "drifted",
+        out: "BENCH_7.json",
+        scale: Scale::Quick,
+        run: |_, _| {
+            let mut doc = committed("optbench");
+            bump(member(
+                sim(&mut doc, "opt/quick/numa/numa-storm/L6"),
+                "sim_cycles",
+            ));
+            (doc, Vec::new())
+        },
+        check: |_, _| Vec::new(),
+    };
+
+    #[test]
+    fn a_failing_gate_leaves_its_baseline_alone() {
+        let path = std::env::temp_dir().join(format!("xtask-drift-{}.json", std::process::id()));
+        let baseline = committed("optbench").render_pretty();
+        std::fs::write(&path, &baseline).expect("write scratch baseline");
+        let out = path.to_str().expect("utf-8 temp path");
+        let first = snapshot_gate(&DRIFTED, Scale::Quick, out);
+        assert_has(&first, "sim.sim_cycles is");
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), baseline);
+        let second = snapshot_gate(&DRIFTED, Scale::Quick, out);
+        assert_eq!(second, first, "a rerun fails the same way");
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), baseline);
+        // With no baseline, the same run is recorded as the first one.
+        std::fs::remove_file(&path).unwrap();
+        assert_eq!(
+            snapshot_gate(&DRIFTED, Scale::Quick, out),
+            Vec::<String>::new()
+        );
+        assert!(std::fs::read_to_string(&path)
+            .unwrap()
+            .contains("numa-storm/L6"));
+        std::fs::remove_file(&path).unwrap();
     }
 }
