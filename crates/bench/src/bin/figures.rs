@@ -4,52 +4,15 @@
 //! cargo run --release -p tlbdown-bench --bin figures -- all
 //! cargo run --release -p tlbdown-bench --bin figures -- fig6 table4 --quick
 //! ```
+//!
+//! The requested targets' jobs run on the sweep pool across all host
+//! cores; the printed text does not depend on the core count.
 
-use tlbdown_bench::{
-    ceiling_sweep, fig10, fig11, fig4_ablation, fig5_to_8, fig9, invpcid_sensitivity,
-    paravirt_hint, table2, table3, table4, Scale,
-};
+use std::process::ExitCode;
 
-fn print_table2() {
-    println!("Table 2: lines of code per optimization\n");
-    println!(
-        "  {:<38} {:>9} {:>9}   modules",
-        "optimization", "paper", "ours"
-    );
-    for r in table2() {
-        println!(
-            "  {:<38} {:>9} {:>9}   {}",
-            r.name, r.paper_loc, r.ours_loc, r.modules
-        );
-    }
-    println!();
-}
+use tlbdown_bench::{render_targets, Scale, TARGETS};
 
-fn print_table4() {
-    println!("Table 4: dTLB misses after a full or selective flush (16MB working set)\n");
-    println!(
-        "  {:<11} {:>12} {:>12} {:>12} {:>16}",
-        "env", "host pg", "guest pg", "full flush", "selective flush"
-    );
-    for r in table4() {
-        let guest = r.guest.map(|g| g.to_string()).unwrap_or_else(|| "-".into());
-        println!(
-            "  {:<11} {:>12} {:>12} {:>12} {:>16}",
-            r.env,
-            r.host.to_string(),
-            guest,
-            r.full_flush_misses,
-            r.selective_flush_misses
-        );
-    }
-    println!(
-        "\n  paper (workload-scaled): a guest 2MB page over host 4KB pages makes the\n\
-         selective flush behave like a full flush (102M vs 102M misses); every\n\
-         other configuration keeps selective flushes nearly free.\n"
-    );
-}
-
-fn main() {
+fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick");
     let scale = if quick { Scale::Quick } else { Scale::Full };
@@ -59,46 +22,23 @@ fn main() {
         .map(|s| s.as_str())
         .collect();
     if targets.is_empty() || targets.contains(&"all") {
-        targets = vec![
-            "table2",
-            "fig4",
-            "fig5",
-            "fig6",
-            "fig7",
-            "fig8",
-            "table3",
-            "fig9",
-            "fig10",
-            "fig11",
-            "table4",
-            "ablations",
-        ];
+        targets = TARGETS.to_vec();
     }
-    for t in targets {
-        match t {
-            "table2" => print_table2(),
-            "table3" => println!("{}", table3(scale)),
-            "table4" => print_table4(),
-            "fig4" => println!("{}", fig4_ablation(scale)),
-            "fig5" => println!("{}", fig5_to_8(5, scale)),
-            "fig6" => println!("{}", fig5_to_8(6, scale)),
-            "fig7" => println!("{}", fig5_to_8(7, scale)),
-            "fig8" => println!("{}", fig5_to_8(8, scale)),
-            "fig9" => println!("{}", fig9(scale)),
-            "fig10" => println!("{}", fig10(scale)),
-            "fig11" => println!("{}", fig11(scale)),
-            "ablations" => {
-                println!("{}", ceiling_sweep());
-                println!("{}", invpcid_sensitivity());
-                println!("{}", paravirt_hint());
-            }
-            other => {
-                eprintln!(
-                    "unknown target '{other}'; expected one of: all table2 table3 table4 \
-                     fig4 fig5 fig6 fig7 fig8 fig9 fig10 fig11 ablations [--quick]"
-                );
-                std::process::exit(2);
-            }
+    if let Some(other) = targets.iter().find(|t| !TARGETS.contains(t)) {
+        eprintln!(
+            "unknown target '{other}'; expected one of: all {} [--quick]",
+            TARGETS.join(" ")
+        );
+        return ExitCode::from(2);
+    }
+    match render_targets(&targets, scale, 0) {
+        Ok(text) => {
+            print!("{text}");
+            ExitCode::SUCCESS
+        }
+        Err(e) => {
+            eprintln!("{e}");
+            ExitCode::FAILURE
         }
     }
 }

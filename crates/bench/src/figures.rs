@@ -1,12 +1,16 @@
-//! The figure-regeneration functions (Figures 4–11, Table 3).
+//! The paper's tables and figures (Figures 4–11, Tables 2–4), rendered
+//! from the outputs of the [`crate::matrix`] jobs that run their cells.
 
 use tlbdown_core::OptConfig;
 use tlbdown_kernel::{KernelConfig, Machine};
+use tlbdown_sim::Summary;
+use tlbdown_sweep::{run_jobs, Job};
 use tlbdown_types::{CoreId, Cycles, Topology};
-use tlbdown_workloads::apache::{apache_speedup, ApacheCfg};
-use tlbdown_workloads::cow::{run_cow_bench, CowBenchCfg};
-use tlbdown_workloads::madvise::{run_madvise_bench, MadviseBenchCfg, Placement};
-use tlbdown_workloads::sysbench::{sysbench_speedup, SysbenchCfg};
+use tlbdown_workloads::madvise::Placement;
+
+use crate::fractured::Table4Row;
+use crate::loc::render_table2;
+use crate::matrix::{full_matrix, JobOutput, JobSpec, Printed};
 
 /// How much simulated work to spend per experiment.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -96,15 +100,145 @@ pub fn app_levels(safe: bool) -> Vec<(&'static str, OptConfig)> {
     v
 }
 
-/// Render one figure of the 5–8 family.
-pub fn fig5_to_8(fig: u32, scale: Scale) -> String {
-    let (safe, ptes) = match fig {
+/// Every target the `figures` binary accepts, in the order `all` prints
+/// them.
+pub const TARGETS: [&str; 12] = [
+    "table2",
+    "fig4",
+    "fig5",
+    "fig6",
+    "fig7",
+    "fig8",
+    "table3",
+    "fig9",
+    "fig10",
+    "fig11",
+    "table4",
+    "ablations",
+];
+
+/// Safe mode and PTE count of Figure `fig` (5–8).
+pub(crate) fn fig_mode(fig: u32) -> (bool, u64) {
+    match fig {
         5 => (true, 1),
         6 => (true, 10),
         7 => (false, 1),
         8 => (false, 10),
         _ => panic!("figure must be 5..=8"),
-    };
+    }
+}
+
+/// Run the [`full_matrix`] jobs behind `targets` (names from
+/// [`TARGETS`]) at `scale` on `threads` sweep-pool workers (0 = all host
+/// cores), then render each target in order. The text is the same for
+/// any thread count. Fails with the IDs and messages of the jobs that
+/// panicked.
+pub fn render_targets(targets: &[&str], scale: Scale, threads: usize) -> Result<String, String> {
+    let jobs = full_matrix(scale)
+        .into_iter()
+        .filter(|j| targets.iter().any(|t| selects(t, &j.spec)))
+        .map(|j| Job::new(j.id.clone(), move || (j.spec.clone(), j.run())))
+        .collect();
+    let report = run_jobs(jobs, threads);
+    if !report.failures.is_empty() {
+        let failed: Vec<String> = report
+            .failures
+            .iter()
+            .map(|f| format!("job {} panicked: {}", f.id, f.message))
+            .collect();
+        return Err(failed.join("\n"));
+    }
+    let outs = Outputs(report.results.into_iter().map(|r| r.output).collect());
+    let mut text = String::new();
+    for target in targets {
+        for block in render_target(target, scale, &outs) {
+            text += &block;
+            text.push('\n');
+        }
+    }
+    Ok(text)
+}
+
+/// Whether `target` prints the output of a job running `spec`.
+fn selects(target: &str, spec: &JobSpec) -> bool {
+    match spec {
+        JobSpec::MicroRow { fig, .. } | JobSpec::AppLevel { fig, .. } => {
+            target == format!("fig{fig}")
+        }
+        JobSpec::Table3 => target == "table3",
+        JobSpec::Fig4 => target == "fig4",
+        JobSpec::Fig9 { .. } => target == "fig9",
+        JobSpec::Table4Row { .. } => target == "table4",
+        JobSpec::Ablation { .. } => target == "ablations",
+        _ => false,
+    }
+}
+
+/// The blocks `target` prints, each followed by a blank line.
+fn render_target(target: &str, scale: Scale, outs: &Outputs) -> Vec<String> {
+    match target {
+        "table2" => vec![render_table2()],
+        "fig4" => vec![outs.text(&JobSpec::Fig4).to_string()],
+        "fig5" => vec![fig5_to_8(5, scale, outs)],
+        "fig6" => vec![fig5_to_8(6, scale, outs)],
+        "fig7" => vec![fig5_to_8(7, scale, outs)],
+        "fig8" => vec![fig5_to_8(8, scale, outs)],
+        "table3" => vec![table3(outs)],
+        "fig9" => vec![fig9(outs)],
+        "fig10" => vec![fig10(scale, outs)],
+        "fig11" => vec![fig11(scale, outs)],
+        "table4" => vec![table4(outs)],
+        "ablations" => (0..3)
+            .map(|which| outs.text(&JobSpec::Ablation { which }).to_string())
+            .collect(),
+        other => panic!("unknown figure target {other:?}"),
+    }
+}
+
+/// Finished jobs, looked up by what they ran.
+struct Outputs(Vec<(JobSpec, JobOutput)>);
+
+impl Outputs {
+    fn get(&self, spec: &JobSpec) -> &JobOutput {
+        self.0
+            .iter()
+            .find(|(s, _)| s == spec)
+            .map(|(_, o)| o)
+            .unwrap_or_else(|| panic!("no job output for {spec:?}"))
+    }
+
+    fn f64(&self, spec: &JobSpec, key: &str) -> f64 {
+        self.get(spec)
+            .metrics
+            .get_f64(key)
+            .unwrap_or_else(|| panic!("{spec:?} recorded no metric {key}"))
+    }
+
+    fn summaries(&self, spec: &JobSpec) -> &[Summary] {
+        match &self.get(spec).printed {
+            Printed::Summaries(cells) => cells,
+            other => panic!("{spec:?} printed {other:?}, not summaries"),
+        }
+    }
+
+    fn text(&self, spec: &JobSpec) -> &str {
+        match &self.get(spec).printed {
+            Printed::Text(text) => text,
+            other => panic!("{spec:?} printed {other:?}, not text"),
+        }
+    }
+
+    fn table4_row(&self, row: usize) -> &Table4Row {
+        match &self.get(&JobSpec::Table4Row { row }).printed {
+            Printed::Table4(r) => r,
+            other => panic!("Table 4 row {row} printed {other:?}"),
+        }
+    }
+}
+
+/// Render one figure of the 5–8 family.
+fn fig5_to_8(fig: u32, scale: Scale, outs: &Outputs) -> String {
+    let (safe, ptes) = fig_mode(fig);
     let mode = if safe { "safe" } else { "unsafe" };
     let mut out = format!(
         "Figure {fig}: {mode} mode, flush {ptes} PTE(s) — madvise microbenchmark\n\
@@ -112,28 +246,18 @@ pub fn fig5_to_8(fig: u32, scale: Scale) -> String {
         scale.runs(),
         scale.madvise_iters()
     );
-    for side in ["initiator", "responder"] {
-        out += &format!(
-            "  ({}) {side} cycles\n",
-            if side == "initiator" { "a" } else { "b" }
-        );
+    let n = Placement::ALL.len();
+    for (side, label) in ["initiator", "responder"].into_iter().enumerate() {
+        out += &format!("  ({}) {label} cycles\n", if side == 0 { "a" } else { "b" });
         out += &format!("  {:<14}", "config");
         for p in Placement::ALL {
             out += &format!(" {:>22}", p.label());
         }
         out += "\n";
-        for (name, opts) in micro_levels(safe) {
+        for (level, (name, _)) in micro_levels(safe).into_iter().enumerate() {
             out += &format!("  {name:<14}");
-            for p in Placement::ALL {
-                let mut cfg = MadviseBenchCfg::new(p, ptes, safe, opts);
-                cfg.iters = scale.madvise_iters();
-                cfg.runs = scale.runs();
-                let r = run_madvise_bench(&cfg).expect("microbench cell runs clean");
-                let s = if side == "initiator" {
-                    r.initiator
-                } else {
-                    r.responder
-                };
+            let cells = outs.summaries(&JobSpec::MicroRow { fig, level });
+            for s in &cells[side * n..(side + 1) * n] {
                 out += &format!(" {:>13.0} ± {:>6.0}", s.mean(), s.stddev());
             }
             out += "\n";
@@ -145,7 +269,7 @@ pub fn fig5_to_8(fig: u32, scale: Scale) -> String {
 
 /// Render Table 3: overall latency reduction, different sockets, after the
 /// four §3 techniques.
-pub fn table3(scale: Scale) -> String {
+fn table3(outs: &Outputs) -> String {
     let mut out = String::from(
         "Table 3: [initiator / responder] latency reduction, diff-socket,\n\
          all four §3 techniques vs baseline\n\n\
@@ -160,17 +284,15 @@ pub fn table3(scale: Scale) -> String {
             "  {:<8} |",
             format!("{ptes} PTE{}", if *ptes > 1 { "s" } else { "" })
         );
-        for safe in [true, false] {
-            let mut base_cfg =
-                MadviseBenchCfg::new(Placement::DiffSocket, *ptes, safe, OptConfig::baseline());
-            base_cfg.iters = scale.madvise_iters();
-            base_cfg.runs = scale.runs();
-            let mut opt_cfg = base_cfg.clone();
-            opt_cfg.opts = OptConfig::general_four();
-            let base = run_madvise_bench(&base_cfg).expect("baseline cell runs clean");
-            let opt = run_madvise_bench(&opt_cfg).expect("optimized cell runs clean");
-            let ri = 100.0 * (1.0 - opt.initiator.mean() / base.initiator.mean());
-            let rr = 100.0 * (1.0 - opt.responder.mean() / base.responder.mean());
+        for mode in ["safe", "unsafe"] {
+            let ri = outs.f64(
+                &JobSpec::Table3,
+                &format!("reduction_initiator_{mode}_{ptes}pte"),
+            );
+            let rr = outs.f64(
+                &JobSpec::Table3,
+                &format!("reduction_responder_{mode}_{ptes}pte"),
+            );
             out += &format!("  {ri:>4.0}% / {rr:>3.0}% |");
         }
         out += &format!("  {:<11} | {}\n", paper[i].1, paper[i].2);
@@ -179,26 +301,14 @@ pub fn table3(scale: Scale) -> String {
 }
 
 /// Render Figure 9: CoW fault latency.
-pub fn fig9(scale: Scale) -> String {
+fn fig9(outs: &Outputs) -> String {
     let mut out = String::from(
         "Figure 9: copy-on-write fault + access latency (cycles, mean ± σ)\n\n\
            config      |      safe mode      |     unsafe mode\n",
     );
-    let configs: [(&str, OptConfig); 3] = [
-        ("base", OptConfig::baseline()),
-        ("all (§3)", OptConfig::general_four()),
-        ("all + CoW", OptConfig::general_four().with_cow(true)),
-    ];
-    for (name, opts) in configs {
+    for (config, name) in ["base", "all (§3)", "all + CoW"].into_iter().enumerate() {
         out += &format!("  {name:<11} |");
-        for safe in [true, false] {
-            let mut cfg = CowBenchCfg::new(safe, opts);
-            cfg.pages = match scale {
-                Scale::Quick => 150,
-                Scale::Full => 400,
-            };
-            cfg.runs = scale.runs();
-            let s = run_cow_bench(&cfg).latency;
+        for s in outs.summaries(&JobSpec::Fig9 { config }) {
             out += &format!(" {:>9.0} ± {:>5.0}    |", s.mean(), s.stddev());
         }
         out += "\n";
@@ -208,7 +318,7 @@ pub fn fig9(scale: Scale) -> String {
 }
 
 /// Render Figure 10: Sysbench speedup vs thread count.
-pub fn fig10(scale: Scale) -> String {
+fn fig10(scale: Scale, outs: &Outputs) -> String {
     let mut out = String::new();
     for safe in [true, false] {
         let mode = if safe { "safe" } else { "unsafe" };
@@ -216,35 +326,13 @@ pub fn fig10(scale: Scale) -> String {
             "Figure 10({}): Sysbench rnd-write + fdatasync, {mode} mode — speedup vs baseline\n\n",
             if safe { "a" } else { "b" }
         );
-        let levels = app_levels(safe);
-        out += &format!("  {:<8}", "threads");
-        for (name, _) in &levels {
-            if *name == "base" {
-                continue;
-            }
-            out += &format!(" {name:>12}");
-        }
-        out += "\n";
-        let mut scale_cfg = SysbenchCfg::new(1, safe, OptConfig::baseline());
-        scale_cfg.duration = scale.sysbench_duration();
-        for t in scale.sysbench_threads() {
-            out += &format!("  {t:<8}");
-            for (name, opts) in &levels {
-                if *name == "base" {
-                    continue;
-                }
-                let s = sysbench_speedup(t, safe, *opts, &scale_cfg);
-                out += &format!(" {s:>11.3}x");
-            }
-            out += "\n";
-        }
-        out += "\n";
+        out += &speedup_table(10, safe, "threads", &scale.sysbench_threads(), outs);
     }
     out
 }
 
 /// Render Figure 11: Apache speedup vs server cores.
-pub fn fig11(scale: Scale) -> String {
+fn fig11(scale: Scale, outs: &Outputs) -> String {
     let mut out = String::new();
     for safe in [true, false] {
         let mode = if safe { "safe" } else { "unsafe" };
@@ -252,30 +340,61 @@ pub fn fig11(scale: Scale) -> String {
             "Figure 11({}): Apache mpm_event model, {mode} mode — speedup vs baseline\n\n",
             if safe { "a" } else { "b" }
         );
-        let levels = app_levels(safe);
-        out += &format!("  {:<6}", "cores");
-        for (name, _) in &levels {
-            if *name == "base" {
-                continue;
-            }
-            out += &format!(" {name:>12}");
-        }
-        out += "\n";
-        let mut scale_cfg = ApacheCfg::new(1, safe, OptConfig::baseline());
-        scale_cfg.duration = scale.apache_duration();
-        for c in scale.apache_cores() {
-            out += &format!("  {c:<6}");
-            for (name, opts) in &levels {
-                if *name == "base" {
-                    continue;
-                }
-                let s = apache_speedup(c, safe, *opts, &scale_cfg);
-                out += &format!(" {s:>11.3}x");
-            }
-            out += "\n";
+        out += &speedup_table(11, safe, "cores", &scale.apache_cores(), outs);
+    }
+    out
+}
+
+/// One Figure 10/11 panel: a row per thread or core count `xs`, a column
+/// per optimization level above the baseline.
+fn speedup_table(fig: u32, safe: bool, axis: &str, xs: &[u32], outs: &Outputs) -> String {
+    // The axis column is one space wider than its label.
+    let width = axis.len() + 1;
+    let levels = app_levels(safe);
+    let mut out = format!("  {axis:<width$}");
+    for (name, _) in &levels[1..] {
+        out += &format!(" {name:>12}");
+    }
+    out += "\n";
+    let key = if fig == 10 { "speedup_t" } else { "speedup_c" };
+    for x in xs {
+        out += &format!("  {x:<width$}");
+        for level in 1..levels.len() {
+            let s = outs.f64(
+                &JobSpec::AppLevel { fig, safe, level },
+                &format!("{key}{x:02}"),
+            );
+            out += &format!(" {s:>11.3}x");
         }
         out += "\n";
     }
+    out += "\n";
+    out
+}
+
+/// Render Table 4: dTLB misses after a full or selective flush.
+fn table4(outs: &Outputs) -> String {
+    let mut out =
+        String::from("Table 4: dTLB misses after a full or selective flush (16MB working set)\n\n");
+    out += &format!(
+        "  {:<11} {:>12} {:>12} {:>12} {:>16}\n",
+        "env", "host pg", "guest pg", "full flush", "selective flush"
+    );
+    for row in 0..6 {
+        let r = outs.table4_row(row);
+        let guest = r.guest.map(|g| g.to_string()).unwrap_or_else(|| "-".into());
+        out += &format!(
+            "  {:<11} {:>12} {:>12} {:>12} {:>16}\n",
+            r.env,
+            r.host.to_string(),
+            guest,
+            r.full_flush_misses,
+            r.selective_flush_misses
+        );
+    }
+    out += "\n  paper (workload-scaled): a guest 2MB page over host 4KB pages makes the\n\
+            selective flush behave like a full flush (102M vs 102M misses); every\n\
+            other configuration keeps selective flushes nearly free.\n";
     out
 }
 

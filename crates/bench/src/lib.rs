@@ -1,9 +1,10 @@
 //! The figure/table regeneration library.
 //!
-//! Every table and figure of the paper's evaluation has a function here
-//! that runs the corresponding experiment and renders the rows the paper
-//! reports; the `figures` binary dispatches to them. DESIGN.md §5 maps
-//! each experiment to its module, and EXPERIMENTS.md records a full run.
+//! Every cell of the paper's evaluation is a [`MatrixJob`]; the
+//! `figures` binary runs the requested tables' jobs on the sweep pool and
+//! renders the rows the paper reports from their outputs
+//! ([`render_targets`]). DESIGN.md §5 maps each experiment to its module,
+//! and EXPERIMENTS.md records a full run.
 
 pub mod ablations;
 pub mod figures;
@@ -14,9 +15,9 @@ pub mod metrics;
 pub mod report;
 
 pub use ablations::{ceiling_sweep, invpcid_sensitivity, paravirt_hint};
-pub use figures::{fig10, fig11, fig4_ablation, fig5_to_8, fig9, table3, Scale};
+pub use figures::{fig4_ablation, render_targets, Scale, TARGETS};
 pub use fractured::table4;
-pub use loc::table2;
+pub use loc::{render_table2, table2};
 pub use matrix::{
     bench_matrix, full_matrix, optbench_levels, optbench_matrix, scale_matrix, storm_faults,
     storm_matrix, topo_specs, topobench_matrix, JobOutput, JobSpec, MatrixJob,

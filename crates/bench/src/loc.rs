@@ -78,6 +78,23 @@ pub fn table2() -> Vec<LocRow> {
     ]
 }
 
+/// Table 2 as the `figures` binary prints it: the block at the top of
+/// `figures_output.txt`.
+pub fn render_table2() -> String {
+    let mut out = String::from("Table 2: lines of code per optimization\n\n");
+    out += &format!(
+        "  {:<38} {:>9} {:>9}   modules\n",
+        "optimization", "paper", "ours"
+    );
+    for r in table2() {
+        out += &format!(
+            "  {:<38} {:>9} {:>9}   {}\n",
+            r.name, r.paper_loc, r.ours_loc, r.modules
+        );
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,15 +1,15 @@
 //! The sweep job matrix: every figure/table of the paper's evaluation
 //! decomposed into independent, deterministic jobs.
 //!
-//! The figure-rendering functions in [`crate::figures`] loop over
-//! {optimization level} × {placement} serially; here the same work is
-//! cut along those axes into [`MatrixJob`]s, each of which builds its
-//! own machines, runs to completion, and reports a rendered fragment
-//! plus a structured [`JobMetrics`] block. Jobs share nothing, so the
-//! sweep engine (`tlbdown-sweep`) can fan them across host cores and
-//! reduce in canonical job-ID order — the parallel reduction is
-//! byte-identical to a serial one (see DESIGN.md §12, and the
-//! determinism test in `tests/sweep_determinism.rs`).
+//! A [`MatrixJob`] is the only code that builds and runs a paper cell.
+//! Each job builds its own machines, runs to completion, and reports a
+//! structured [`JobMetrics`] block plus the values the paper tables print
+//! ([`Printed`]). Jobs share nothing, so the sweep engine
+//! (`tlbdown-sweep`) can fan them across host cores and reduce in
+//! canonical job-ID order — the parallel reduction is byte-identical to
+//! a serial one (see DESIGN.md §12, and the determinism tests in
+//! `tests/sweep_determinism.rs`). [`crate::figures`] renders the tables
+//! from the outputs; the `cargo xtask` snapshot gates record the metrics.
 //!
 //! [`bench_matrix`] is the calibrated subset behind `cargo xtask bench`:
 //! small enough for CI (a few seconds of serial simulation), wide
@@ -19,6 +19,7 @@
 use tlbdown_core::OptConfig;
 use tlbdown_kernel::TlbGeometry;
 use tlbdown_sim::fault::FaultSpec;
+use tlbdown_sim::Summary;
 use tlbdown_sweep::Json;
 use tlbdown_topo::TopologySpec;
 use tlbdown_types::Cycles;
@@ -32,12 +33,12 @@ use tlbdown_workloads::storm::{run_storm, AutonumaIntensity, StormCfg, StormInte
 use tlbdown_workloads::sysbench::{run_sysbench, SysbenchCfg};
 
 use crate::ablations::{ceiling_sweep, invpcid_sensitivity, paravirt_hint};
-use crate::figures::{app_levels, fig4_ablation, micro_levels, Scale};
-use crate::fractured::table4;
+use crate::figures::{app_levels, fig4_ablation, fig_mode, micro_levels, Scale};
+use crate::fractured::{table4, Table4Row};
 use crate::metrics::JobMetrics;
 
 /// What one sweep job runs.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum JobSpec {
     /// One optimization-level row of a Figure 5–8 microbenchmark: all
     /// three placements, initiator and responder sides.
@@ -168,15 +169,32 @@ pub struct MatrixJob {
     pub spec: JobSpec,
 }
 
-/// What a job produces: a rendered text fragment plus the deterministic
-/// metric block.
+/// What a job produces: the deterministic metric block plus the values
+/// the paper tables print from it.
 #[derive(Clone, Debug)]
 pub struct JobOutput {
-    /// Human-readable fragment (concatenated in job-ID order by the
-    /// sweep reduction).
-    pub rendered: String,
     /// Sim-side metrics for `BENCH_*.json`.
     pub metrics: JobMetrics,
+    /// What [`crate::figures`] prints from this job.
+    pub printed: Printed,
+}
+
+/// The values a paper table prints from one job, beyond its metrics.
+#[derive(Clone, Debug)]
+pub enum Printed {
+    /// Nothing beyond the metrics: Table 3 and Figures 10–11 print their
+    /// `reduction_*` and `speedup_*` metrics, and no table prints the
+    /// snapshot-only kinds.
+    Metrics,
+    /// Mean-and-σ cells. A Figure 5–8 row holds the initiator cell of
+    /// each placement ([`Placement::ALL`] order), then the responder
+    /// cells; a Figure 9 configuration holds the safe-mode cell, then
+    /// the unsafe one.
+    Summaries(Vec<Summary>),
+    /// One Table 4 row.
+    Table4(Table4Row),
+    /// Finished text: the Figure 4 ablation and the DESIGN.md ablations.
+    Text(String),
 }
 
 impl MatrixJob {
@@ -279,8 +297,8 @@ impl MatrixJob {
             JobSpec::MicroRow { fig, level } => run_micro_row(*fig, *level, self.scale),
             JobSpec::Table3 => run_table3(self.scale),
             JobSpec::Fig4 => JobOutput {
-                rendered: fig4_ablation(self.scale),
                 metrics: JobMetrics::new(),
+                printed: Printed::Text(fig4_ablation(self.scale)),
             },
             JobSpec::Fig9 { config } => run_fig9(*config, self.scale),
             JobSpec::AppLevel { fig, safe, level } => {
@@ -288,12 +306,12 @@ impl MatrixJob {
             }
             JobSpec::Table4Row { row } => run_table4_row(*row),
             JobSpec::Ablation { which } => JobOutput {
-                rendered: match which {
+                metrics: JobMetrics::new(),
+                printed: Printed::Text(match which {
                     0 => ceiling_sweep(),
                     1 => invpcid_sensitivity(),
                     _ => paravirt_hint(),
-                },
-                metrics: JobMetrics::new(),
+                }),
             },
             JobSpec::ScaleTier { heap_only } => run_scale_tier_job(*heap_only, self.scale),
             JobSpec::Storm {
@@ -313,49 +331,34 @@ impl MatrixJob {
     }
 }
 
-fn fig_mode(fig: u32) -> (bool, u64) {
-    match fig {
-        5 => (true, 1),
-        6 => (true, 10),
-        7 => (false, 1),
-        8 => (false, 10),
-        _ => panic!("figure must be 5..=8"),
-    }
-}
-
 fn run_micro_row(fig: u32, level: usize, scale: Scale) -> JobOutput {
     let (safe, ptes) = fig_mode(fig);
-    let (name, opts) = micro_levels(safe)[level];
+    let (_, opts) = micro_levels(safe)[level];
     let mut metrics = JobMetrics::new();
-    let mut rendered = format!(
-        "fig{fig} {} mode, {ptes} PTE(s), level {level} ({name})\n",
-        if safe { "safe" } else { "unsafe" }
-    );
+    let mut initiators = Vec::new();
+    let mut responders = Vec::new();
     for p in Placement::ALL {
         let mut cfg = MadviseBenchCfg::new(p, ptes, safe, opts);
         cfg.iters = scale.madvise_iters();
         cfg.runs = scale.runs();
         let r = run_madvise_bench(&cfg).expect("micro row cell runs clean");
-        rendered += &format!(
-            "  {:<12} initiator {:>9.0} ± {:>6.0}   responder {:>9.0} ± {:>6.0}\n",
-            p.label(),
-            r.initiator.mean(),
-            r.initiator.stddev(),
-            r.responder.mean(),
-            r.responder.stddev()
-        );
         let key = p.label().replace('-', "_");
         metrics.put_f64(&format!("initiator_{key}_mean"), r.initiator.mean());
         metrics.put_f64(&format!("responder_{key}_mean"), r.responder.mean());
         metrics.put_u64(&format!("sim_cycles_{key}"), r.sim_cycles);
         metrics.merge_counters(&r.counters);
+        initiators.push(r.initiator);
+        responders.push(r.responder);
     }
-    JobOutput { rendered, metrics }
+    initiators.append(&mut responders);
+    JobOutput {
+        metrics,
+        printed: Printed::Summaries(initiators),
+    }
 }
 
 fn run_table3(scale: Scale) -> JobOutput {
     let mut metrics = JobMetrics::new();
-    let mut rendered = String::from("table3: diff-socket latency reduction, §3 vs baseline\n");
     for ptes in [1u64, 10] {
         for safe in [true, false] {
             let mut base_cfg =
@@ -369,25 +372,26 @@ fn run_table3(scale: Scale) -> JobOutput {
             let ri = 100.0 * (1.0 - opt.initiator.mean() / base.initiator.mean());
             let rr = 100.0 * (1.0 - opt.responder.mean() / base.responder.mean());
             let mode = if safe { "safe" } else { "unsafe" };
-            rendered +=
-                &format!("  {ptes:>2} PTE(s) {mode:<6} initiator -{ri:.0}% responder -{rr:.0}%\n");
             metrics.put_f64(&format!("reduction_initiator_{mode}_{ptes}pte"), ri);
             metrics.put_f64(&format!("reduction_responder_{mode}_{ptes}pte"), rr);
             metrics.merge_counters(&base.counters);
             metrics.merge_counters(&opt.counters);
         }
     }
-    JobOutput { rendered, metrics }
+    JobOutput {
+        metrics,
+        printed: Printed::Metrics,
+    }
 }
 
 fn run_fig9(config: usize, scale: Scale) -> JobOutput {
-    let (name, opts) = match config {
-        0 => ("base", OptConfig::baseline()),
-        1 => ("all", OptConfig::general_four()),
-        _ => ("all+cow", OptConfig::general_four().with_cow(true)),
+    let opts = match config {
+        0 => OptConfig::baseline(),
+        1 => OptConfig::general_four(),
+        _ => OptConfig::general_four().with_cow(true),
     };
     let mut metrics = JobMetrics::new();
-    let mut rendered = format!("fig9 config {config} ({name}): CoW fault latency\n");
+    let mut cells = Vec::new();
     for safe in [true, false] {
         let mut cfg = CowBenchCfg::new(safe, opts);
         cfg.pages = match scale {
@@ -397,24 +401,21 @@ fn run_fig9(config: usize, scale: Scale) -> JobOutput {
         cfg.runs = scale.runs();
         let r = run_cow_bench(&cfg);
         let mode = if safe { "safe" } else { "unsafe" };
-        rendered += &format!(
-            "  {mode:<6} {:>9.0} ± {:>5.0}\n",
-            r.latency.mean(),
-            r.latency.stddev()
-        );
         metrics.put_f64(&format!("latency_{mode}_mean"), r.latency.mean());
         metrics.put_u64(&format!("sim_cycles_{mode}"), r.sim_cycles);
         metrics.merge_counters(&r.counters);
+        cells.push(r.latency);
     }
-    JobOutput { rendered, metrics }
+    JobOutput {
+        metrics,
+        printed: Printed::Summaries(cells),
+    }
 }
 
 fn run_app_level(fig: u32, safe: bool, level: usize, scale: Scale) -> JobOutput {
-    let (name, opts) = app_levels(safe)[level];
+    let (_, opts) = app_levels(safe)[level];
     assert!(level > 0, "level 0 is the baseline; no speedup row");
-    let mode = if safe { "safe" } else { "unsafe" };
     let mut metrics = JobMetrics::new();
-    let mut rendered = format!("fig{fig} {mode} mode, level {level} ({name}): speedup\n");
     if fig == 10 {
         let mut scale_cfg = SysbenchCfg::new(1, safe, OptConfig::baseline());
         scale_cfg.duration = scale.sysbench_duration();
@@ -426,7 +427,6 @@ fn run_app_level(fig: u32, safe: bool, level: usize, scale: Scale) -> JobOutput 
             let base = run_sysbench(&base_cfg);
             let opt = run_sysbench(&opt_cfg);
             let s = opt.throughput / base.throughput;
-            rendered += &format!("  {t:>2} threads {s:>7.3}x\n");
             metrics.put_f64(&format!("speedup_t{t:02}"), s);
             metrics.merge_counters(&opt.counters);
         }
@@ -441,25 +441,25 @@ fn run_app_level(fig: u32, safe: bool, level: usize, scale: Scale) -> JobOutput 
             let base = run_apache(&base_cfg);
             let opt = run_apache(&opt_cfg);
             let s = opt.throughput / base.throughput;
-            rendered += &format!("  {c:>2} cores {s:>7.3}x\n");
             metrics.put_f64(&format!("speedup_c{c:02}"), s);
             metrics.merge_counters(&opt.counters);
         }
     }
-    JobOutput { rendered, metrics }
+    JobOutput {
+        metrics,
+        printed: Printed::Metrics,
+    }
 }
 
 fn run_table4_row(row: usize) -> JobOutput {
     let r = table4().into_iter().nth(row).expect("table 4 has six rows");
-    let guest = r.guest.map(|g| g.to_string()).unwrap_or_else(|| "-".into());
-    let rendered = format!(
-        "table4 row {row}: {} host {} guest {} — full {} selective {}\n",
-        r.env, r.host, guest, r.full_flush_misses, r.selective_flush_misses
-    );
     let mut metrics = JobMetrics::new();
     metrics.put_u64("full_flush_misses", r.full_flush_misses);
     metrics.put_u64("selective_flush_misses", r.selective_flush_misses);
-    JobOutput { rendered, metrics }
+    JobOutput {
+        metrics,
+        printed: Printed::Table4(r),
+    }
 }
 
 fn run_scale_tier_job(heap_only: bool, scale: Scale) -> JobOutput {
@@ -469,23 +469,15 @@ fn run_scale_tier_job(heap_only: bool, scale: Scale) -> JobOutput {
     };
     cfg.heap_only_engine = heap_only;
     let r = run_scale_tier(&cfg).expect("scale tier runs clean");
-    let engine = if heap_only { "heap" } else { "wheel" };
-    let rendered = format!(
-        "scale tier {}x{} ({} cores, {} engine): {} events, {} sim cycles, digest {:016x}\n",
-        cfg.sockets,
-        cfg.logical_per_socket,
-        cfg.num_cores(),
-        engine,
-        r.events,
-        r.sim_cycles,
-        r.digest
-    );
     let mut metrics = JobMetrics::new();
     metrics.put_u64("events", r.events);
     metrics.put_u64("sim_cycles", r.sim_cycles);
     metrics.put_u64("state_digest", r.digest);
     metrics.merge_counters(&r.counters);
-    JobOutput { rendered, metrics }
+    JobOutput {
+        metrics,
+        printed: Printed::Metrics,
+    }
 }
 
 /// The storm matrix's fault axis: delivery/entry faults layered under
@@ -512,19 +504,13 @@ fn storm_duration(scale: Scale) -> Cycles {
 }
 
 fn run_storm_cell(intensity: StormIntensity, fault: usize, mesh: bool, scale: Scale) -> JobOutput {
-    let (fault_name, fault_spec) = storm_faults()
+    let (_, fault_spec) = storm_faults()
         .into_iter()
         .nth(fault)
         .expect("fault index in storm_faults range");
     let mut metrics = JobMetrics::new();
-    // The flat header is byte-pinned by the committed BENCH_3.json.
-    let fabric = if mesh { " over the mesh fabric" } else { "" };
-    let mut rendered = format!(
-        "storm {} × {fault_name}{fabric}: survival and victim signal per opt level\n",
-        intensity.label()
-    );
-    // Paper levels only: each cell's rendered block is byte-pinned by
-    // the committed baselines, so the follow-on levels must not extend
+    // Paper levels only: each cell's sim block is byte-pinned by the
+    // committed BENCH_3.json, so the follow-on levels must not extend
     // this loop.
     for level in 0..=OptConfig::PAPER_MAX_LEVEL {
         let mut cfg = StormCfg::new(intensity, OptConfig::cumulative(level));
@@ -538,20 +524,6 @@ fn run_storm_cell(intensity: StormIntensity, fault: usize, mesh: bool, scale: Sc
         let replay_ok = a.digest == b.digest
             && a.sim_cycles == b.sim_cycles
             && a.counters.render_json() == b.counters.render_json();
-        rendered += &format!(
-            "  L{level} violations {} wedged {} done {} replay {} — \
-             faults {:>5} p50 {:>6} p90 {:>6} p99 {:>7} protects {:>4} bystander {:>5}\n",
-            a.violations,
-            a.wedged,
-            a.threads_done,
-            if replay_ok { "ok" } else { "DIVERGED" },
-            a.victim_faults,
-            a.fault_p50,
-            a.fault_p90,
-            a.fault_p99,
-            a.monitor_protects,
-            a.bystander_requests
-        );
         metrics.put_u64(&format!("L{level}_violations"), a.violations as u64);
         metrics.put_u64(&format!("L{level}_wedged"), a.wedged as u64);
         metrics.put_u64(&format!("L{level}_threads_done"), a.threads_done as u64);
@@ -569,7 +541,10 @@ fn run_storm_cell(intensity: StormIntensity, fault: usize, mesh: bool, scale: Sc
         metrics.put_u64(&format!("L{level}_digest"), a.digest);
         metrics.merge_counters(&a.counters);
     }
-    JobOutput { rendered, metrics }
+    JobOutput {
+        metrics,
+        printed: Printed::Metrics,
+    }
 }
 
 /// The topobench topology axis, in job order: the flat reference model,
@@ -595,7 +570,7 @@ fn topo_tier(scale: Scale) -> ScaleTierCfg {
 }
 
 fn run_topo_cell(topo: usize, thp: bool, scale: Scale) -> JobOutput {
-    let (name, spec) = topo_specs()
+    let (_, spec) = topo_specs()
         .into_iter()
         .nth(topo)
         .expect("topology index in topo_specs range");
@@ -608,20 +583,6 @@ fn run_topo_cell(topo: usize, thp: bool, scale: Scale) -> JobOutput {
     let replay_ok = a.digest == b.digest
         && a.sim_cycles == b.sim_cycles
         && a.counters.render_json() == b.counters.render_json();
-    let pages = if thp { "thp" } else { "4k" };
-    let rendered = format!(
-        "topo {name} × {pages}: {} events, {} sim cycles, digest {:016x}, replay {}\n  \
-         tlb hits {} misses {} stlb-hits {} evictions {} fractures {}\n",
-        a.events,
-        a.sim_cycles,
-        a.digest,
-        if replay_ok { "ok" } else { "DIVERGED" },
-        a.tlb_hits,
-        a.tlb_misses,
-        a.stlb_hits,
-        a.tlb_evictions,
-        a.tlb_fractures,
-    );
     let mut metrics = JobMetrics::new();
     metrics.put_u64("events", a.events);
     metrics.put_u64("sim_cycles", a.sim_cycles);
@@ -633,29 +594,20 @@ fn run_topo_cell(topo: usize, thp: bool, scale: Scale) -> JobOutput {
     metrics.put_u64("tlb_evictions", a.tlb_evictions);
     metrics.put_u64("tlb_fractures", a.tlb_fractures);
     metrics.merge_counters(&a.counters);
-    JobOutput { rendered, metrics }
+    JobOutput {
+        metrics,
+        printed: Printed::Metrics,
+    }
 }
 
 fn run_fracture_pressure(scale: Scale) -> JobOutput {
     let mut metrics = JobMetrics::new();
-    let mut rendered =
-        String::from("fracture pressure (flat interconnect, Skylake-SP geometry): 4K vs THP\n");
     for thp in [false, true] {
         let mut cfg = topo_tier(scale);
         cfg.thp = thp;
         cfg.tlb_geometry = Some(TlbGeometry::skylake_sp());
         let r = run_scale_tier(&cfg).expect("fracture cell runs clean");
         let key = if thp { "thp" } else { "4k" };
-        rendered += &format!(
-            "  {key:<4} misses {:>8} stlb-hits {:>8} evictions {:>8} fractures {:>6} \
-             promotes {:>6} splits {:>6}\n",
-            r.tlb_misses,
-            r.stlb_hits,
-            r.tlb_evictions,
-            r.tlb_fractures,
-            r.counters.get("thp_promote"),
-            r.counters.get("thp_split"),
-        );
         metrics.put_u64(&format!("{key}_tlb_misses"), r.tlb_misses);
         metrics.put_u64(&format!("{key}_stlb_hits"), r.stlb_hits);
         metrics.put_u64(&format!("{key}_tlb_evictions"), r.tlb_evictions);
@@ -665,7 +617,10 @@ fn run_fracture_pressure(scale: Scale) -> JobOutput {
         metrics.put_u64(&format!("{key}_state_digest"), r.digest);
         metrics.put_u64(&format!("{key}_sim_cycles"), r.sim_cycles);
     }
-    JobOutput { rendered, metrics }
+    JobOutput {
+        metrics,
+        printed: Printed::Metrics,
+    }
 }
 
 /// Sockets every [`JobSpec::AutonumaCell`] runs across. Two sockets
@@ -696,18 +651,6 @@ fn run_reuse_churn_cell(fitting: bool, level: usize, scale: Scale) -> JobOutput 
     let replay_ok = a.digest == b.digest
         && a.sim_cycles == b.sim_cycles
         && a.counters.render_json() == b.counters.render_json();
-    let shape = if fitting { "fitting" } else { "overflowing" };
-    let rendered = format!(
-        "reuse churn {shape} × L{level}: {} shootdowns, replay {}\n  \
-         parks {} hits {} evictions {} debt-flushes {} madvise mean {:.0}\n",
-        a.shootdowns,
-        if replay_ok { "ok" } else { "DIVERGED" },
-        a.reuse_parks,
-        a.reuse_hits,
-        a.reuse_evictions,
-        a.debt_flushes,
-        a.madvise_mean,
-    );
     let mut metrics = JobMetrics::new();
     metrics.put_u64("shootdowns", a.shootdowns);
     metrics.put_u64("reuse_parks", a.reuse_parks);
@@ -719,7 +662,10 @@ fn run_reuse_churn_cell(fitting: bool, level: usize, scale: Scale) -> JobOutput 
     metrics.put_u64("state_digest", a.digest);
     metrics.put_u64("replay_ok", replay_ok as u64);
     metrics.merge_counters(&a.counters);
-    JobOutput { rendered, metrics }
+    JobOutput {
+        metrics,
+        printed: Printed::Metrics,
+    }
 }
 
 fn run_autonuma_cell(intensity: AutonumaIntensity, level: usize, scale: Scale) -> JobOutput {
@@ -732,23 +678,6 @@ fn run_autonuma_cell(intensity: AutonumaIntensity, level: usize, scale: Scale) -
     let replay_ok = a.digest == b.digest
         && a.sim_cycles == b.sim_cycles
         && a.counters.render_json() == b.counters.render_json();
-    let rendered = format!(
-        "autonuma {} × L{level} ({AUTONUMA_CELL_SOCKETS} sockets): violations {} wedged {} \
-         done {} replay {}\n  \
-         scans {} replica-syncs {} faults {} p50 {} p90 {} p99 {} protects {}\n",
-        intensity.label(),
-        a.violations,
-        a.wedged,
-        a.threads_done,
-        if replay_ok { "ok" } else { "DIVERGED" },
-        a.autonuma_scans,
-        a.replica_syncs,
-        a.victim_faults,
-        a.fault_p50,
-        a.fault_p90,
-        a.fault_p99,
-        a.monitor_protects,
-    );
     let mut metrics = JobMetrics::new();
     metrics.put_u64("violations", a.violations as u64);
     metrics.put_u64("wedged", a.wedged as u64);
@@ -765,7 +694,10 @@ fn run_autonuma_cell(intensity: AutonumaIntensity, level: usize, scale: Scale) -
     metrics.put_u64("state_digest", a.digest);
     metrics.put_u64("replay_ok", replay_ok as u64);
     metrics.merge_counters(&a.counters);
-    JobOutput { rendered, metrics }
+    JobOutput {
+        metrics,
+        printed: Printed::Metrics,
+    }
 }
 
 /// The full sweep matrix at `scale`: every figure/table decomposed along
@@ -825,46 +757,22 @@ pub fn full_matrix(scale: Scale) -> Vec<MatrixJob> {
     jobs
 }
 
-/// The calibrated `cargo xtask bench` subset: quick scale, every
-/// microbenchmark opt level in both modes (figs 5 and 7), the CoW cells,
-/// Table 3, Table 4 and the Figure 4 ablation — a few seconds of serial
-/// simulation covering every protocol path, and wide enough (≥ 16 jobs)
-/// to fan out.
+/// The calibrated `cargo xtask bench` subset of [`full_matrix`] at quick
+/// scale: every microbenchmark opt level in both modes (figs 5 and 7),
+/// the CoW cells, Table 3, Table 4 and the Figure 4 ablation — a few
+/// seconds of serial simulation covering every protocol path, and wide
+/// enough (≥ 16 jobs) to fan out.
 pub fn bench_matrix() -> Vec<MatrixJob> {
-    let scale = Scale::Quick;
-    let s = scale.label();
-    let mut jobs = Vec::new();
-    for fig in [5u32, 7] {
-        let (safe, _) = fig_mode(fig);
-        for level in 0..micro_levels(safe).len() {
-            jobs.push(MatrixJob::new(
-                format!("fig{fig}/{s}/L{level}"),
-                scale,
-                JobSpec::MicroRow { fig, level },
-            ));
-        }
-    }
-    jobs.push(MatrixJob::new(
-        format!("table3/{s}"),
-        scale,
-        JobSpec::Table3,
-    ));
-    jobs.push(MatrixJob::new(format!("fig4/{s}"), scale, JobSpec::Fig4));
-    for config in 0..3 {
-        jobs.push(MatrixJob::new(
-            format!("fig9/{s}/C{config}"),
-            scale,
-            JobSpec::Fig9 { config },
-        ));
-    }
-    for row in 0..6 {
-        jobs.push(MatrixJob::new(
-            format!("table4/row{row}"),
-            scale,
-            JobSpec::Table4Row { row },
-        ));
-    }
-    jobs
+    full_matrix(Scale::Quick)
+        .into_iter()
+        .filter(|j| match j.spec {
+            JobSpec::MicroRow { fig, .. } => fig == 5 || fig == 7,
+            JobSpec::Table3 | JobSpec::Fig4 | JobSpec::Fig9 { .. } | JobSpec::Table4Row { .. } => {
+                true
+            }
+            _ => false,
+        })
+        .collect()
 }
 
 /// The `BENCH_2.json` scale-tier matrix: the dual-socket tier under the
@@ -1018,7 +926,10 @@ mod tests {
     fn table4_row_job_runs() {
         let job = MatrixJob::new("t4/r1".into(), Scale::Quick, JobSpec::Table4Row { row: 1 });
         let out = job.run();
-        assert!(out.rendered.contains("table4 row 1"));
+        let Printed::Table4(row) = out.printed else {
+            panic!("a Table 4 job prints its row");
+        };
+        assert_eq!(row.env, "VM");
         assert!(out.metrics.render().contains("full_flush_misses"));
     }
 
@@ -1277,7 +1188,7 @@ mod tests {
         );
         let a = job.run();
         let b = job.run();
-        assert_eq!(a.rendered, b.rendered);
+        assert_eq!(format!("{:?}", a.printed), format!("{:?}", b.printed));
         assert_eq!(a.metrics.render(), b.metrics.render());
         assert!(a.metrics.render().contains("ipis_sent"));
     }

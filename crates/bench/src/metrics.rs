@@ -1,9 +1,8 @@
 //! Structured per-job metrics for the sweep layer.
 //!
-//! Every sweep job reports, besides its rendered text fragment, a
-//! [`JobMetrics`] block: headline sim-side values (simulated cycles,
-//! latency means, speedups) plus the full machine counter set (IPIs,
-//! shootdowns, flushes — serialized through
+//! Every sweep job reports a [`JobMetrics`] block: headline sim-side
+//! values (simulated cycles, latency means, speedups) plus the full
+//! machine counter set (IPIs, shootdowns, flushes — serialized through
 //! [`tlbdown_sim::Counter::to_json`]). All of it is *deterministic
 //! simulation state*: identical across hosts, thread counts and reruns.
 //! `BENCH_*.json` therefore diffs these blocks byte-exactly — any drift
@@ -40,6 +39,11 @@ impl JobMetrics {
     pub fn put_f64(&mut self, key: &str, v: f64) {
         debug_assert!(v.is_finite(), "non-finite metric {key}");
         self.values.insert(key.to_string(), Json::F64(v));
+    }
+
+    /// A metric recorded with [`Self::put_f64`] or [`Self::put_u64`].
+    pub fn get_f64(&self, key: &str) -> Option<f64> {
+        self.values.get(key).and_then(Json::as_f64)
     }
 
     /// Merge a machine counter set into the block.

@@ -1,11 +1,11 @@
 //! The sweep determinism contract (DESIGN.md §12): a 1-thread sweep and
 //! an N-thread sweep of the same job set must produce byte-identical
-//! reduced output and identical `BENCH` sim-metric blocks. Thread count
+//! rendered figures and identical `BENCH` sim-metric blocks. Thread count
 //! and completion order must never leak into anything canonical.
 
 use tlbdown_bench::report::{render_bench_json, sim_blocks};
-use tlbdown_bench::{bench_jobs, bench_matrix, MatrixJob};
-use tlbdown_sweep::{reduce_rendered, run_jobs, Job};
+use tlbdown_bench::{bench_jobs, bench_matrix, render_targets, MatrixJob, Scale};
+use tlbdown_sweep::run_jobs;
 
 /// A cheap-but-representative slice of the bench matrix: page
 /// fracturing, CoW, the coherence ablation and one microbenchmark row —
@@ -25,26 +25,20 @@ fn test_jobs() -> Vec<MatrixJob> {
 }
 
 #[test]
-fn parallel_sweep_is_byte_identical_to_serial() {
-    let jobs = test_jobs();
-    assert!(jobs.len() >= 8, "need a wide enough job set to fan out");
-
-    let render_job = |j: &MatrixJob| -> Job<String> {
-        let j = j.clone();
-        Job::new(j.id.clone(), move || {
-            let o = j.run();
-            format!("{}sim {}\n", o.rendered, o.metrics.render())
-        })
-    };
-
-    let serial = run_jobs(jobs.iter().map(render_job).collect(), 1);
-    let parallel = run_jobs(jobs.iter().map(render_job).collect(), 4);
-    assert_eq!(serial.threads, 1);
-
-    let a = reduce_rendered(&serial, |s| s.as_str());
-    let b = reduce_rendered(&parallel, |s| s.as_str());
-    assert_eq!(a, b, "reduced sweep output must not depend on thread count");
-    assert!(a.contains("== job table4/row0 =="));
+fn figures_render_identically_at_any_thread_count() {
+    // Cheap quick-scale targets that between them read every kind of
+    // printed value: text (Fig 4), mean-and-σ cells (Fig 9), f64 metrics
+    // (Table 3) and typed rows (Table 4).
+    let targets = ["fig4", "fig9", "table3", "table4"];
+    let serial = render_targets(&targets, Scale::Quick, 1).expect("every job runs clean");
+    let pooled = render_targets(&targets, Scale::Quick, 4).expect("every job runs clean");
+    assert_eq!(
+        serial, pooled,
+        "rendered figures must not depend on thread count"
+    );
+    for title in ["Figure 4 ablation", "Figure 9:", "Table 3:", "Table 4:"] {
+        assert!(serial.contains(title), "missing {title}");
+    }
 }
 
 #[test]

@@ -14,7 +14,7 @@
 //! which keeps the merged report byte-identical no matter the thread
 //! count or completion order.
 
-use tlbdown_kernel::Machine;
+use tlbdown_kernel::{InjectedBug, Machine};
 use tlbdown_sweep::Json;
 
 use crate::explore::{explore, replay_twice, run_schedule, Bounds};
@@ -171,8 +171,8 @@ impl CanaryReport {
 pub struct Canary {
     /// The canary's key in `explore_report.json`.
     pub key: &'static str,
-    /// The seeded bug's name.
-    pub bug: &'static str,
+    /// The seeded bug.
+    pub bug: InjectedBug,
     /// The probe scenario: `probe(true)` seeds the bug.
     pub probe: fn(bool) -> Machine,
 }
@@ -190,27 +190,27 @@ pub struct Canary {
 pub const CANARIES: [Canary; 5] = [
     Canary {
         key: "canary",
-        bug: "buggy_nmi_check",
+        bug: InjectedBug::NmiCheck,
         probe: scenario::nmi_probe_demo,
     },
     Canary {
         key: "quarantine_canary",
-        bug: "buggy_quarantine",
+        bug: InjectedBug::Quarantine,
         probe: scenario::quarantine_probe_demo,
     },
     Canary {
         key: "fracture_canary",
-        bug: "buggy_fracture",
+        bug: InjectedBug::Fracture,
         probe: scenario::fracture_probe_demo,
     },
     Canary {
         key: "reuse_skip_canary",
-        bug: "buggy_reuse_skip",
+        bug: InjectedBug::ReuseSkip,
         probe: scenario::reuse_probe_demo,
     },
     Canary {
         key: "numapte_canary",
-        bug: "buggy_numapte",
+        bug: InjectedBug::NumaPte,
         probe: scenario::numapte_probe_demo,
     },
 ];
@@ -380,7 +380,7 @@ mod tests {
         let bounds = Bounds::default().with_max_schedules(200);
         for canary in &CANARIES {
             let rep = canary.run(&bounds, 500);
-            assert!(rep.pass(20), "{} canary failed: {rep:?}", canary.bug);
+            assert!(rep.pass(20), "{:?} canary failed: {rep:?}", canary.bug);
         }
     }
 

@@ -13,7 +13,7 @@
 use tlbdown_core::OptConfig;
 use tlbdown_kernel::chaos::{ChaosConfig, WatchdogConfig};
 use tlbdown_kernel::prog::{Prog, ProgAction, ProgCtx};
-use tlbdown_kernel::{KernelConfig, Machine, Syscall};
+use tlbdown_kernel::{InjectedBug, KernelConfig, Machine, Syscall};
 use tlbdown_types::{CoreId, Cycles, VirtAddr};
 
 /// Writes `pages` pages starting at `addr` once each (demand-faulting
@@ -124,14 +124,15 @@ pub fn fracture_probe_demo(buggy: bool) -> Machine {
 /// responder then re-touches a zapped subpage. The correct fracture path
 /// evicts the stale 2MB entry during the ranged flush (every INVLPG
 /// drops all page sizes), so every interleaving is safe. With `buggy`
-/// ([`KernelConfig::buggy_fracture`]), INVLPG only evicts the 4KB-sized
+/// ([`InjectedBug::Fracture`]), INVLPG only evicts the 4KB-sized
 /// key: schedules that retire the flush before the re-touch read freed
 /// memory through the surviving 2MB entry — the race the explorer must
 /// catch while the real path explores clean.
 pub fn fracture_probe(buggy: bool, zap_delay: u64) -> Machine {
     /// Subpages zapped out of the 512-page window.
     const ZAP_PAGES: u64 = 8;
-    let cfg = KernelConfig::test_machine(2).with_buggy_fracture(buggy);
+    let cfg =
+        KernelConfig::test_machine(2).with_injected_bug(buggy.then_some(InjectedBug::Fracture));
     let mut m = Machine::new(cfg);
     let mm = m.create_process().expect("boot: create process");
     let addr = m.setup_map_anon_thp(mm, 512).expect("boot: map thp anon");
@@ -336,7 +337,7 @@ pub fn reuse_probe_demo(buggy: bool) -> Machine {
 /// protocol keeps the parked oracle pairs un-retired, so the
 /// responder's re-touch through its surviving TLB entry is legal in
 /// every interleaving. With `buggy`
-/// ([`KernelConfig::buggy_reuse_skip`]) the park retires the pairs
+/// ([`InjectedBug::ReuseSkip`]) the park retires the pairs
 /// immediately: schedules where the park completes before the re-touch
 /// turn that same cached-entry hit into a stale read — the race the
 /// explorer must catch while the real reuse-skip path explores clean.
@@ -349,7 +350,7 @@ pub fn reuse_probe(buggy: bool, park_delay: u64) -> Machine {
         // Single PCID: the responder's user touches warm exactly the
         // view its re-touch reads.
         .with_safe_mode(false)
-        .with_buggy_reuse_skip(buggy);
+        .with_injected_bug(buggy.then_some(InjectedBug::ReuseSkip));
     let mut m = Machine::new(cfg);
     let mm = m.create_process().expect("boot: create process");
     let addr = m
@@ -402,7 +403,7 @@ pub fn numapte_probe_demo(buggy: bool) -> Machine {
 /// re-touches a zapped page. The real replica-sync updates socket 1's
 /// page-table replica at zap time, so a post-flush re-touch demand
 /// faults a fresh page in every interleaving. With `buggy`
-/// ([`KernelConfig::buggy_numapte`]) only socket 0's replica sees the
+/// ([`InjectedBug::NumaPte`]) only socket 0's replica sees the
 /// update: schedules that retire the flush before the re-touch leave
 /// the responder walking socket 1's stale replica — a TLB fill at the
 /// already-retired version — the race the explorer must catch while
@@ -413,7 +414,7 @@ pub fn numapte_probe(buggy: bool, zap_delay: u64) -> Machine {
     let mut cfg = KernelConfig::test_machine(2)
         .with_opts(OptConfig::baseline().with_numa_pte(true))
         .with_safe_mode(false)
-        .with_buggy_numapte(buggy);
+        .with_injected_bug(buggy.then_some(InjectedBug::NumaPte));
     // One core per socket: every walk, sync and shootdown in the duel
     // crosses the socket boundary.
     cfg.topo = tlbdown_types::Topology::new(2, 1);
@@ -474,7 +475,7 @@ pub fn quarantine_probe_demo(buggy: bool) -> Machine {
 /// *quarantined* by the watchdog escalation ladder. The real quarantine
 /// semantics force the responder onto the unconditional full-flush path,
 /// where flush and ack happen in one step and every interleaving is
-/// safe. With `buggy` set ([`KernelConfig::buggy_quarantine`]), the
+/// safe. With `buggy` set ([`InjectedBug::Quarantine`]), the
 /// responder instead keeps the selective early-ack path *and* skips the
 /// `acked_unflushed` bookkeeping — so an NMI pulled into the ack-to-
 /// flush window sails past `nmi_uaccess_okay` and reads a stale entry.
@@ -483,7 +484,7 @@ pub fn quarantine_probe_demo(buggy: bool) -> Machine {
 pub fn quarantine_probe(buggy: bool, inject_at: u64) -> Machine {
     /// Same range size as [`nmi_probe`]: a wide post-ack flush window.
     const PAGES: u64 = 8;
-    let mut cfg = KernelConfig::test_machine(2)
+    let cfg = KernelConfig::test_machine(2)
         .with_opts(
             OptConfig::baseline()
                 .with_early_ack(true)
@@ -498,8 +499,8 @@ pub fn quarantine_probe(buggy: bool, inject_at: u64) -> Machine {
                 ..WatchdogConfig::default()
             },
             ..ChaosConfig::default()
-        });
-    cfg.buggy_quarantine = buggy;
+        })
+        .with_injected_bug(buggy.then_some(InjectedBug::Quarantine));
     let mut m = Machine::new(cfg);
     m.quarantine_core(CoreId(1));
     let mm = m.create_process().expect("boot: create process");
@@ -542,7 +543,7 @@ pub fn nmi_probe(buggy: bool, inject_at: u64) -> Machine {
     /// Range size: enough PTEs that the responder's per-entry flush phase
     /// after its early ack spans thousands of cycles.
     const PAGES: u64 = 8;
-    let mut cfg = KernelConfig::test_machine(2)
+    let cfg = KernelConfig::test_machine(2)
         .with_opts(
             OptConfig::baseline()
                 .with_early_ack(true)
@@ -550,8 +551,8 @@ pub fn nmi_probe(buggy: bool, inject_at: u64) -> Machine {
         )
         // Single PCID: the responder's user touches warm exactly the view
         // the kernel probe reads.
-        .with_safe_mode(false);
-    cfg.buggy_nmi_check = buggy;
+        .with_safe_mode(false)
+        .with_injected_bug(buggy.then_some(InjectedBug::NmiCheck));
     let mut m = Machine::new(cfg);
     let mm = m.create_process().expect("boot: create process");
     let addr = m.setup_map_anon(mm, PAGES).expect("boot: map anon");

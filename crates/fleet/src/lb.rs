@@ -20,10 +20,7 @@
 //! served-after-retry, or a typed [`RequestError`]. Nothing is dropped
 //! silently — that is the fleet gate's core invariant.
 
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
-
-use tlbdown_sim::SplitMix64;
+use tlbdown_sim::{Engine, SplitMix64};
 use tlbdown_sweep::Json;
 use tlbdown_types::Cycles;
 
@@ -128,30 +125,6 @@ enum Ev {
     Hedge { req: u32, attempt: u32 },
     /// Health-check `machine`.
     Probe { machine: u32 },
-}
-
-struct QEv {
-    time: u64,
-    seq: u64,
-    ev: Ev,
-}
-
-impl PartialEq for QEv {
-    fn eq(&self, other: &Self) -> bool {
-        (self.time, self.seq) == (other.time, other.seq)
-    }
-}
-impl Eq for QEv {}
-impl PartialOrd for QEv {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for QEv {
-    // Min-heap by (time, seq): BinaryHeap is a max-heap, so reverse.
-    fn cmp(&self, other: &Self) -> Ordering {
-        (other.time, other.seq).cmp(&(self.time, self.seq))
-    }
 }
 
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -327,17 +300,8 @@ pub fn run_lb(cfg: &LbCfg, profiles: &[NodeProfile], faults: &[MachineFaults]) -
         .collect();
 
     // Seed the event queue: the open-loop arrival stream and every
-    // machine's probe train.
-    let mut heap = BinaryHeap::new();
-    let mut seq = 0u64;
-    let mut push = |heap: &mut BinaryHeap<QEv>, seq: &mut u64, time: u64, ev: Ev| {
-        *seq += 1;
-        heap.push(QEv {
-            time,
-            seq: *seq,
-            ev,
-        });
-    };
+    // machine's probe train. The engine pops in `(time, seq)` order.
+    let mut q: Engine<Ev> = Engine::new();
     let mut reqs: Vec<Req> = Vec::new();
     let interval = Cycles::FREQ_HZ as f64 / cfg.fleet_rps.max(1.0);
     let mut t = 0.0f64;
@@ -353,17 +317,12 @@ pub fn run_lb(cfg: &LbCfg, profiles: &[NodeProfile], faults: &[MachineFaults]) -
             retried: false,
             hedged: false,
         });
-        push(
-            &mut heap,
-            &mut seq,
-            t as u64,
-            Ev::Dispatch { req, attempt: 0 },
-        );
+        q.schedule_at(Cycles::new(t as u64), Ev::Dispatch { req, attempt: 0 });
     }
     for m in 0..machines.len() as u32 {
         // Stagger probe phase per machine so probe bursts don't align.
         let phase = (u64::from(m).wrapping_mul(0x9e37_79b9)) % cfg.probe_interval.max(1);
-        push(&mut heap, &mut seq, phase, Ev::Probe { machine: m });
+        q.schedule_at(Cycles::new(phase), Ev::Probe { machine: m });
     }
 
     let mut rr = 0usize; // round-robin cursor
@@ -390,7 +349,8 @@ pub fn run_lb(cfg: &LbCfg, profiles: &[NodeProfile], faults: &[MachineFaults]) -
         };
     let drain_deadline = cfg.window * 2 + cfg.timeout * (u64::from(cfg.max_retries) + 2);
 
-    while let Some(QEv { time, ev, .. }) = heap.pop() {
+    while let Some(ev) = q.pop() {
+        let time = q.now().as_u64();
         if time > drain_deadline {
             break;
         }
@@ -412,10 +372,8 @@ pub fn run_lb(cfg: &LbCfg, profiles: &[NodeProfile], faults: &[MachineFaults]) -
                         let backoff = cfg.backoff_base << attempt;
                         let jitter = (backoff as f64 * rng.next_f64() * 0.5) as u64;
                         reqs[req as usize].retried = true;
-                        push(
-                            &mut heap,
-                            &mut seq,
-                            time + backoff + jitter,
+                        q.schedule_at(
+                            Cycles::new(time + backoff + jitter),
                             Ev::Dispatch {
                                 req,
                                 attempt: attempt + 1,
@@ -427,8 +385,7 @@ pub fn run_lb(cfg: &LbCfg, profiles: &[NodeProfile], faults: &[MachineFaults]) -
                 rr = (i + 1) % n;
                 dispatch_to(
                     &mut machines,
-                    &mut heap,
-                    &mut seq,
+                    &mut q,
                     &mut rng,
                     cfg,
                     time,
@@ -436,13 +393,10 @@ pub fn run_lb(cfg: &LbCfg, profiles: &[NodeProfile], faults: &[MachineFaults]) -
                     attempt,
                     i as u32,
                     false,
-                    &mut push,
                 );
                 if cfg.hedge_after > 0 && attempt == 0 && !reqs[req as usize].hedged {
-                    push(
-                        &mut heap,
-                        &mut seq,
-                        time + cfg.hedge_after,
+                    q.schedule_at(
+                        Cycles::new(time + cfg.hedge_after),
                         Ev::Hedge { req, attempt },
                     );
                 }
@@ -461,8 +415,7 @@ pub fn run_lb(cfg: &LbCfg, profiles: &[NodeProfile], faults: &[MachineFaults]) -
                     rr = (i + 1) % n;
                     dispatch_to(
                         &mut machines,
-                        &mut heap,
-                        &mut seq,
+                        &mut q,
                         &mut rng,
                         cfg,
                         time,
@@ -470,7 +423,6 @@ pub fn run_lb(cfg: &LbCfg, profiles: &[NodeProfile], faults: &[MachineFaults]) -
                         attempt,
                         i as u32,
                         true,
-                        &mut push,
                     );
                 }
             }
@@ -520,10 +472,8 @@ pub fn run_lb(cfg: &LbCfg, profiles: &[NodeProfile], faults: &[MachineFaults]) -
                     let backoff = cfg.backoff_base << attempt;
                     let jitter = (backoff as f64 * rng.next_f64() * 0.5) as u64;
                     r.retried = true;
-                    push(
-                        &mut heap,
-                        &mut seq,
-                        time + backoff + jitter,
+                    q.schedule_at(
+                        Cycles::new(time + backoff + jitter),
                         Ev::Dispatch {
                             req,
                             attempt: attempt + 1,
@@ -563,10 +513,8 @@ pub fn run_lb(cfg: &LbCfg, profiles: &[NodeProfile], faults: &[MachineFaults]) -
                 // ends with the arrival window; the drain period only
                 // settles in-flight requests.
                 if time + cfg.probe_interval <= cfg.window {
-                    push(
-                        &mut heap,
-                        &mut seq,
-                        time + cfg.probe_interval,
+                    q.schedule_at(
+                        Cycles::new(time + cfg.probe_interval),
                         Ev::Probe { machine },
                     );
                 }
@@ -593,8 +541,7 @@ pub fn run_lb(cfg: &LbCfg, profiles: &[NodeProfile], faults: &[MachineFaults]) -
 #[allow(clippy::too_many_arguments)]
 fn dispatch_to(
     machines: &mut [MachineView],
-    heap: &mut BinaryHeap<QEv>,
-    seq: &mut u64,
+    q: &mut Engine<Ev>,
     rng: &mut SplitMix64,
     cfg: &LbCfg,
     time: u64,
@@ -602,7 +549,6 @@ fn dispatch_to(
     attempt: u32,
     i: u32,
     hedge: bool,
-    push: &mut impl FnMut(&mut BinaryHeap<QEv>, &mut u64, u64, Ev),
 ) {
     let m = &mut machines[i as usize];
     m.dispatched += 1;
@@ -617,10 +563,8 @@ fn dispatch_to(
     let ok = m.faults.reachable_at(time) && m.faults.reachable_at(done) && !crash_mid;
     m.outstanding += 1;
     if ok && svc < cfg.timeout {
-        push(
-            heap,
-            seq,
-            done,
+        q.schedule_at(
+            Cycles::new(done),
             Ev::Response {
                 req,
                 machine: i,
@@ -628,10 +572,8 @@ fn dispatch_to(
             },
         );
     } else {
-        push(
-            heap,
-            seq,
-            time + cfg.timeout,
+        q.schedule_at(
+            Cycles::new(time + cfg.timeout),
             Ev::Timeout {
                 req,
                 attempt,

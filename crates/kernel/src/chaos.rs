@@ -563,10 +563,6 @@ impl Machine {
     }
 }
 
-/// Re-export for ergonomic `use tlbdown_kernel::chaos::FaultSpec` in
-/// tests and benches.
-pub use tlbdown_sim::fault::FaultSpec as Fault;
-
 #[cfg(test)]
 mod tests {
     use super::*;

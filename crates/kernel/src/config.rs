@@ -7,6 +7,40 @@ use tlbdown_types::{CostModel, Topology};
 
 use crate::chaos::ChaosConfig;
 
+/// A deliberately broken protocol path. Each is set only by its own
+/// must-catch canary in the schedule explorer (`check::gate::CANARIES`)
+/// and its kernel tests, which show the checker catching the bug while
+/// the real path explores clean.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum InjectedBug {
+    /// Omit the §3.2 `nmi_uaccess_okay` pending-flush extension, so NMI
+    /// probes during the early-ack window read through stale entries.
+    NmiCheck,
+    /// A quarantined responder skips its unconditional-full-flush
+    /// override *and* the `acked_unflushed` bookkeeping on early ack
+    /// (rationalised as "the forced-flush path accounts for quarantined
+    /// cores"), leaving the §3.2 window unprotected.
+    Quarantine,
+    /// Responders' selective flushes remove only the 4K-sized entry for
+    /// each address, as if the flush loop walked the range at 4K stride
+    /// assuming the huge-page split already purged huge-grained entries.
+    /// Leaves a stale 2M entry cached after a ranged shootdown that
+    /// splinters a huge page.
+    Fracture,
+    /// Parking a zapped page in the L7 reuse-skip window records the
+    /// flush guarantee *immediately*, skipping the versioned-PTE deferral
+    /// protocol (the real path keeps the parked `(vpn, version)` pairs
+    /// un-retired until either a reuse-time version check proves the
+    /// restored PTE identical or a debt flush actually runs). Stale
+    /// remote entries then survive a "guaranteed" flush.
+    ReuseSkip,
+    /// L8 numaPTE updates refresh only the updating core's socket
+    /// replica instead of running the deterministic replica-sync to every
+    /// remote socket. Remote page walks then translate through the stale
+    /// replica PTE at the old version.
+    NumaPte,
+}
+
 /// Configuration of one simulated kernel boot.
 #[derive(Clone, Debug)]
 pub struct KernelConfig {
@@ -23,28 +57,12 @@ pub struct KernelConfig {
     pub safe_mode: bool,
     /// LATR-style lazy shootdowns: PTE-modifying syscalls return without
     /// waiting for (or even sending) IPIs; flushes are applied on each
-    /// core asynchronously after `lazy_latr_delay_cycles`. Reproduces the
+    /// core asynchronously after a fixed delay. Reproduces the
     /// related-work behaviour of §2.3.2 so its hazards can be demonstrated.
     pub lazy_latr: bool,
-    /// Delay before a LATR-deferred flush executes on a remote core.
-    pub lazy_latr_delay_cycles: u64,
-    /// Emulate the CPU speculatively caching the faulting PTE between
-    /// page-fault delivery and the handler's PTE update (§4.1 hazard).
-    pub speculative_fill_on_fault: bool,
-    /// Whether the safety oracle records violations (cheap; leave on).
-    pub oracle: bool,
-    /// Failure injection: omit the §3.2 `nmi_uaccess_okay` pending-flush
-    /// extension, so NMI probes during the early-ack window read through
-    /// stale entries (used by tests to demonstrate the hazard).
-    pub buggy_nmi_check: bool,
-    /// Failure injection for the escalation ladder: a quarantined
-    /// responder skips its unconditional-full-flush override *and* the
-    /// `acked_unflushed` bookkeeping on early ack (rationalised as "the
-    /// forced-flush path accounts for quarantined cores"), leaving the
-    /// §3.2 window unprotected. The schedule explorer must catch this
-    /// variant (`check::scenario::quarantine_probe`) while the real
-    /// quarantine path explores clean.
-    pub buggy_quarantine: bool,
+    /// Failure injection: run one deliberately broken protocol path
+    /// (`None`, the default, runs the real protocol everywhere).
+    pub injected_bug: Option<InjectedBug>,
     /// Maximum seeded jitter (cycles) added to IPI delivery and interrupt
     /// dispatch, emulating the microarchitectural noise behind the
     /// paper's error bars. Zero (default) keeps the machine fully
@@ -80,30 +98,6 @@ pub struct KernelConfig {
     /// historical unified FIFO pool; [`TlbGeometry::skylake_sp`] is the
     /// set-associative, page-size-aware hierarchy from CPUID leaf 0x18.
     pub tlb_geometry: TlbGeometry,
-    /// Failure injection for the THP fracture path: responders' selective
-    /// flushes remove only the 4K-sized entry for each address, as if the
-    /// flush loop walked the range at 4K stride assuming the huge-page
-    /// split already purged huge-grained entries. Leaves a stale 2M entry
-    /// cached after a ranged shootdown that splinters a huge page — the
-    /// checker's `fracture_probe` canary must catch this variant while the
-    /// real split path explores clean.
-    pub buggy_fracture: bool,
-    /// Failure injection for the L7 reuse-skip window: parking a zapped
-    /// page records the flush guarantee *immediately*, skipping the
-    /// versioned-PTE deferral protocol (the real path keeps the parked
-    /// `(vpn, version)` pairs un-retired until either a reuse-time version
-    /// check proves the restored PTE identical or a debt flush actually
-    /// runs). Stale remote entries then survive a "guaranteed" flush —
-    /// the checker's `reuse_probe` canary must catch this variant while
-    /// the real reuse-skip path explores clean.
-    pub buggy_reuse_skip: bool,
-    /// Failure injection for the L8 numaPTE replication: PTE updates
-    /// refresh only the updating core's socket replica instead of running
-    /// the deterministic replica-sync to every remote socket. Remote
-    /// page walks then translate through the stale replica PTE at the old
-    /// version — the checker's `numapte_probe` canary must catch this
-    /// variant while the real numaPTE path explores clean.
-    pub buggy_numapte: bool,
     /// Capacity of the per-mm L7 reuse-skip window. Defaults to
     /// [`crate::mm::REUSE_WINDOW_CAP`]; scenarios shrink it so small
     /// workloads overflow the window and the elision levels still pay
@@ -121,21 +115,14 @@ impl KernelConfig {
             opts: OptConfig::baseline(),
             safe_mode: true,
             lazy_latr: false,
-            lazy_latr_delay_cycles: 100_000,
-            speculative_fill_on_fault: true,
-            oracle: true,
-            buggy_nmi_check: false,
-            buggy_quarantine: false,
+            injected_bug: None,
             noise_cycles: 0,
             seed: 0x71bd,
             boot_epoch: 0,
             chaos: ChaosConfig::default(),
             interconnect: TopologySpec::Flat,
             tlb_geometry: TlbGeometry::legacy(),
-            buggy_fracture: false,
             engine_heap_only: false,
-            buggy_reuse_skip: false,
-            buggy_numapte: false,
             reuse_window_cap: crate::mm::REUSE_WINDOW_CAP,
         }
     }
@@ -185,31 +172,22 @@ impl KernelConfig {
         self
     }
 
-    /// Builder-style: inject the split-blind flush bug (see
-    /// [`KernelConfig::buggy_fracture`]).
-    pub fn with_buggy_fracture(mut self, buggy: bool) -> Self {
-        self.buggy_fracture = buggy;
+    /// Builder-style: set the injected failure (see
+    /// [`KernelConfig::injected_bug`]).
+    pub fn with_injected_bug(mut self, bug: Option<InjectedBug>) -> Self {
+        self.injected_bug = bug;
         self
+    }
+
+    /// Whether `bug` is the injected failure.
+    pub fn injects(&self, bug: InjectedBug) -> bool {
+        self.injected_bug == Some(bug)
     }
 
     /// Builder-style: run the event engine on the pure heap (reference
     /// configuration for determinism and throughput comparisons).
     pub fn with_heap_only_engine(mut self, heap_only: bool) -> Self {
         self.engine_heap_only = heap_only;
-        self
-    }
-
-    /// Builder-style: inject the retire-at-park reuse-skip bug (see
-    /// [`KernelConfig::buggy_reuse_skip`]).
-    pub fn with_buggy_reuse_skip(mut self, buggy: bool) -> Self {
-        self.buggy_reuse_skip = buggy;
-        self
-    }
-
-    /// Builder-style: inject the local-only replica-update numaPTE bug
-    /// (see [`KernelConfig::buggy_numapte`]).
-    pub fn with_buggy_numapte(mut self, buggy: bool) -> Self {
-        self.buggy_numapte = buggy;
         self
     }
 

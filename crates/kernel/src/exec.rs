@@ -11,6 +11,7 @@ use tlbdown_types::{
     CoreId, Cycles, MmId, PageSize, Pcid, PteFlags, SimError, VirtAddr, VirtRange,
 };
 
+use crate::config::InjectedBug;
 use crate::cpu::{
     FaultFrame, FaultStage, Frame, FrameSlot, NmiFrame, NmiStage, ProgFrame, ResumeState,
     ShootdownRun, SyscallFrame, SyscallStage,
@@ -421,18 +422,11 @@ impl Machine {
                     trace_emit!(self, core, None::<u64>, TraceEvent::PageWalk { va: va.0 });
                 }
                 let page = va.align_down(PageSize::Size4K);
-                if self.cfg.oracle {
-                    if acc.hit {
-                        self.oracle.check_hit(
-                            core,
-                            pcid.is_user_view(),
-                            mm_id,
-                            page,
-                            "user access",
-                        );
-                    } else {
-                        self.oracle_filled(core, pcid.is_user_view(), mm_id, &acc.entry);
-                    }
+                if acc.hit {
+                    self.oracle
+                        .check_hit(core, pcid.is_user_view(), mm_id, page, "user access");
+                } else {
+                    self.oracle_filled(core, pcid.is_user_view(), mm_id, &acc.entry);
                 }
                 // Writes keep the dirty bit honest even on cached entries
                 // (the MMU's microcode D-bit walk).
@@ -763,11 +757,7 @@ impl Machine {
                 };
                 let mut cost = costs.pte_update * removed_count.max(1);
                 if let Some(info) = info {
-                    let retire = if self.cfg.oracle {
-                        self.oracle.range_modified(mm_id, range)
-                    } else {
-                        Vec::new()
-                    };
+                    let retire = self.oracle.range_modified(mm_id, range);
                     self.reuse_bump_versions(mm_id, range);
                     cost += self.numa_replica_update(core, mm_id, &changed, &retire);
                     self.queue_flush(core, sf, info, retire);
@@ -820,11 +810,7 @@ impl Machine {
                 };
                 let mut cost = costs.pte_update * removed_count.max(1);
                 if let Some(info) = info {
-                    let retire = if self.cfg.oracle {
-                        self.oracle.range_modified(mm_id, range)
-                    } else {
-                        Vec::new()
-                    };
+                    let retire = self.oracle.range_modified(mm_id, range);
                     cost += self.numa_replica_update(core, mm_id, &changed, &retire);
                     self.queue_flush(core, sf, info, retire);
                 }
@@ -883,11 +869,7 @@ impl Machine {
                 };
                 let mut cost = costs.pte_update * n.max(1);
                 if let Some(info) = info {
-                    let retire = if self.cfg.oracle {
-                        self.oracle.range_modified(mm_id, range)
-                    } else {
-                        Vec::new()
-                    };
+                    let retire = self.oracle.range_modified(mm_id, range);
                     self.reuse_bump_versions(mm_id, range);
                     cost += self.numa_replica_update(core, mm_id, &changed, &retire);
                     // mprotect is not on the §4.2 list: always synchronous.
@@ -917,19 +899,12 @@ impl Machine {
                     };
                     match res {
                         Ok(acc) => {
-                            if self.cfg.oracle {
-                                let page = va.align_down(PageSize::Size4K);
-                                if acc.hit {
-                                    self.oracle.check_hit(
-                                        core,
-                                        false,
-                                        mm_id,
-                                        page,
-                                        "kernel uaccess",
-                                    );
-                                } else {
-                                    self.oracle_filled(core, false, mm_id, &acc.entry);
-                                }
+                            let page = va.align_down(PageSize::Size4K);
+                            if acc.hit {
+                                self.oracle
+                                    .check_hit(core, false, mm_id, page, "kernel uaccess");
+                            } else {
+                                self.oracle_filled(core, false, mm_id, &acc.entry);
                             }
                             cost += acc.cost + costs.mem_access * 63; // copy the rest of the page
                         }
@@ -1011,11 +986,7 @@ impl Machine {
         let mut sync_cost = Cycles::ZERO;
         for (va, old_pte) in &cleaned {
             let page_range = VirtRange::pages(*va, 1, PageSize::Size4K);
-            let retire = if self.cfg.oracle {
-                self.oracle.range_modified(mm_id, page_range)
-            } else {
-                Vec::new()
-            };
+            let retire = self.oracle.range_modified(mm_id, page_range);
             self.reuse_bump_versions(mm_id, page_range);
             sync_cost += self.numa_replica_update(core, mm_id, &[(*va, *old_pte)], &retire);
             let gen = self
@@ -1223,10 +1194,8 @@ impl Machine {
         self.stats.counters.bump("cow_fault");
         // §4.1 hazard: the CPU may speculatively re-cache the old PTE
         // between the fault and the PTE update.
-        if self.cfg.speculative_fill_on_fault {
-            let pcid = self.user_mode_pcid(core);
-            self.tlbs[core.index()].fill_speculative(pcid, page, PageSize::Size4K, old_pte);
-        }
+        let pcid = self.user_mode_pcid(core);
+        self.tlbs[core.index()].fill_speculative(pcid, page, PageSize::Size4K, old_pte);
         // Copy the page and swap the PTE.
         let new_pa = match self.mem.alloc(FrameState::UserPage) {
             Ok(pa) => pa,
@@ -1255,11 +1224,7 @@ impl Machine {
             self.record_error(e);
             return self.segfault(core, ff);
         }
-        let mut retire = Vec::new();
-        if self.cfg.oracle {
-            let v = self.oracle.pte_modified(mm_id, page);
-            retire.push((page.vpn(), v));
-        }
+        let retire = vec![(page.vpn(), self.oracle.pte_modified(mm_id, page))];
         let page_range = VirtRange::pages(page, 1, PageSize::Size4K);
         self.reuse_bump_versions(mm_id, page_range);
         let sync_cost = self.numa_replica_update(core, mm_id, &[(page, old_pte)], &retire);
@@ -1504,7 +1469,7 @@ impl Machine {
                 let ts = &self.cpus[core.index()].tlb_state;
                 let flush_pending = self.cpus[core.index()].acked_unflushed > 0
                     || self.cpus[core.index()].in_batched_syscall;
-                let okay = if self.cfg.buggy_nmi_check {
+                let okay = if self.cfg.injects(InjectedBug::NmiCheck) {
                     // Missing the §3.2 extension: only the mm identity check.
                     ts.loaded_mm == mm_id
                 } else {
@@ -1531,14 +1496,12 @@ impl Machine {
                     Err(_) => self.stats.counters.bump("nmi_probe_fault"),
                 }
                 if let Ok(acc) = res {
-                    if self.cfg.oracle {
-                        let page = va.align_down(PageSize::Size4K);
-                        if acc.hit {
-                            self.oracle
-                                .check_hit(core, false, mm_id, page, "nmi uaccess");
-                        } else {
-                            self.oracle_filled(core, false, mm_id, &acc.entry);
-                        }
+                    let page = va.align_down(PageSize::Size4K);
+                    if acc.hit {
+                        self.oracle
+                            .check_hit(core, false, mm_id, page, "nmi uaccess");
+                    } else {
+                        self.oracle_filled(core, false, mm_id, &acc.entry);
                     }
                 }
                 StepOut::Continue(Cycles::new(400))

@@ -41,7 +41,7 @@ mod shoot;
 mod tracewire;
 
 pub use chaos::{ChaosConfig, WatchdogConfig};
-pub use config::KernelConfig;
+pub use config::{InjectedBug, KernelConfig};
 pub use cpu::{Cpu, CpuMode};
 pub use event::Event;
 pub use machine::{Machine, MachineStats};

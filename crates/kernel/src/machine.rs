@@ -15,7 +15,7 @@ use tlbdown_sim::{Counter, Engine, SplitMix64, Summary};
 use tlbdown_tlb::Tlb;
 use tlbdown_types::{CoreId, Cycles, MmId, Pcid, SimError, SimResult, ThreadId, VirtAddr};
 
-use crate::config::KernelConfig;
+use crate::config::{InjectedBug, KernelConfig};
 use crate::cpu::{Cpu, Frame, FrameSlot, IrqFrame, IrqStage, NmiFrame, ResumeState};
 use crate::event::Event;
 use crate::mm::{File, FileId, FrameRefs, Mm};
@@ -198,7 +198,7 @@ impl Machine {
         let tlbs = (0..n)
             .map(|_| {
                 let mut t = Tlb::with_geometry(cfg.tlb_geometry.clone());
-                t.set_split_blind_invlpg(cfg.buggy_fracture);
+                t.set_split_blind_invlpg(cfg.injects(InjectedBug::Fracture));
                 t
             })
             .collect();

@@ -32,6 +32,7 @@ use tlbdown_core::FlushTlbInfo;
 use tlbdown_mem::Pte;
 use tlbdown_types::{CoreId, Cycles, MmId, PageSize, PhysAddr, VirtAddr, VirtRange};
 
+use crate::config::InjectedBug;
 use crate::cpu::SyscallFrame;
 use crate::machine::Machine;
 use crate::mm::{ReuseEntry, StalePte, Vma};
@@ -143,7 +144,7 @@ impl Machine {
         // would have recorded them. Pairs for pages that had no PTE carry
         // no flush debt; leaving them un-retired is the conservative
         // (always-legal) direction.
-        let pairs: std::collections::HashMap<u64, u64> = if any_change && self.cfg.oracle {
+        let pairs: std::collections::HashMap<u64, u64> = if any_change {
             self.oracle
                 .range_modified(mm_id, range)
                 .into_iter()
@@ -151,7 +152,7 @@ impl Machine {
         } else {
             Default::default()
         };
-        let buggy = self.cfg.buggy_reuse_skip;
+        let buggy = self.cfg.injects(InjectedBug::ReuseSkip);
         // Refresh parked pages the zap range covers but the zap itself
         // did not touch (their PTEs were already gone).
         if any_change {
@@ -184,7 +185,7 @@ impl Machine {
                 .unwrap_or(0);
             let mut retire: Vec<(u64, u64)> =
                 pairs.get(&vpn).map(|&v| vec![(vpn, v)]).unwrap_or_default();
-            if buggy && self.cfg.oracle && !retire.is_empty() {
+            if buggy && !retire.is_empty() {
                 // THE INJECTED BUG: claim the flush guarantee at park
                 // time, skipping the versioned-PTE deferral protocol —
                 // no flush ran, no fills were re-stamped, yet the pairs
@@ -252,9 +253,7 @@ impl Machine {
         // §4.1-style hazard, reused: the CPU may speculatively cache the
         // parked PTE inside the fault window, before the version check.
         let pcid = self.user_mode_pcid(core);
-        if self.cfg.speculative_fill_on_fault {
-            self.tlbs[core.index()].fill_speculative(pcid, page, PageSize::Size4K, pte);
-        }
+        self.tlbs[core.index()].fill_speculative(pcid, page, PageSize::Size4K, pte);
         let current = self
             .mms
             .get(&mm_id)?
@@ -265,15 +264,13 @@ impl Machine {
         // "Same mapping, same permissions": the access must be satisfiable
         // and the parked writability must match what the VMA grants now.
         let perms_ok = pte.flags.permits(write, fetch, true) && pte.writable() == vma.prot_write;
-        let version_ok = current == version || self.cfg.buggy_reuse_skip;
+        let version_ok = current == version || self.cfg.injects(InjectedBug::ReuseSkip);
         if !(perms_ok && version_ok) {
             // Not reusable: evict the speculative stale fill locally and
             // take the normal path. The parked entry stays as recorded
             // debt — its version can no longer match, so it sits inert
             // until an invalidation or eviction pays it off.
-            if self.cfg.speculative_fill_on_fault {
-                self.tlbs[core.index()].invlpg(pcid, page);
-            }
+            self.tlbs[core.index()].invlpg(pcid, page);
             self.stats.counters.bump("reuse_version_miss");
             return None;
         }
@@ -292,26 +289,20 @@ impl Machine {
         };
         if !map_ok {
             // Re-park so the frame reference and debt stay tracked.
-            if self.cfg.speculative_fill_on_fault {
-                self.tlbs[core.index()].invlpg(pcid, page);
-            }
+            self.tlbs[core.index()].invlpg(pcid, page);
             let cap = self.cfg.reuse_window_cap;
             if let Some(mm) = self.mms.get_mut(&mm_id) {
                 mm.reuse.park(vpn, entry, cap);
             }
             return None;
         }
-        if self.cfg.oracle {
-            for &(_, v) in &entry.retire {
-                self.oracle.reuse_restored(mm_id, page, v);
-            }
-            if self.cfg.speculative_fill_on_fault {
-                // The speculative fill now caches a *valid* identical
-                // translation: record it at the current version.
-                self.oracle
-                    .tlb_filled(core, pcid.is_user_view(), mm_id, page);
-            }
+        for &(_, v) in &entry.retire {
+            self.oracle.reuse_restored(mm_id, page, v);
         }
+        // The speculative fill now caches a *valid* identical
+        // translation: record it at the current version.
+        self.oracle
+            .tlb_filled(core, pcid.is_user_view(), mm_id, page);
         if entry.pte.dirty() {
             self.dirty_index.entry(mm_id).or_default().insert(vpn);
         }
@@ -340,7 +331,7 @@ impl Machine {
         let per_socket = self.cfg.topo.cores_per_socket();
         let my_socket = self.cfg.topo.socket_of(core);
         let mut cost = Cycles::ZERO;
-        if self.cfg.buggy_numapte {
+        if self.cfg.injects(InjectedBug::NumaPte) {
             // THE INJECTED BUG: only the local replica sees the update.
             let Some(mm) = self.mms.get_mut(&mm_id) else {
                 return Cycles::ZERO;
@@ -433,10 +424,8 @@ impl Machine {
         }
         let pcid = self.user_mode_pcid(core);
         self.tlbs[core.index()].fill_speculative(pcid, page, PageSize::Size4K, sp.pte);
-        if self.cfg.oracle {
-            self.oracle
-                .tlb_filled_at(core, pcid.is_user_view(), mm_id, page, sp.version);
-        }
+        self.oracle
+            .tlb_filled_at(core, pcid.is_user_view(), mm_id, page, sp.version);
         self.stats.counters.bump("numapte_stale_walk");
         true
     }
@@ -450,7 +439,7 @@ impl Machine {
             return;
         }
         let my_socket = self.cfg.topo.socket_of(core);
-        let buggy = self.cfg.buggy_numapte;
+        let buggy = self.cfg.injects(InjectedBug::NumaPte);
         let Some(mm) = self.mms.get_mut(&mm_id) else {
             return;
         };

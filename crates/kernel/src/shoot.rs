@@ -5,12 +5,16 @@ use tlbdown_core::smp::run_script;
 use tlbdown_core::{flush_decision, use_early_ack, FlushAction, FlushTlbInfo, Shootdown};
 use tlbdown_types::{CoreId, Cycles, PageSize, SimError, VirtRange};
 
+use crate::config::InjectedBug;
 use crate::cpu::{IrqAct, IrqFrame, IrqStage, LocalMode, SdStage, ShootdownRun};
 use crate::event::Event;
 use crate::machine::Machine;
 use crate::tracewire::trace_emit;
 #[cfg(feature = "trace")]
 use tlbdown_trace::{AckKind, SdPhaseKind, SkipKind, TraceEvent};
+
+/// Delay before a LATR-deferred flush executes on a remote core.
+const LATR_FLUSH_DELAY: Cycles = Cycles::new(100_000);
 
 /// Result of stepping an initiator shootdown run.
 pub(crate) enum SdOut {
@@ -126,7 +130,7 @@ impl Machine {
                     // asynchronously after a delay. (The §2.3.2 hazard.)
                     for t in &candidates {
                         self.engine.schedule_in(
-                            Cycles::new(self.cfg.lazy_latr_delay_cycles),
+                            LATR_FLUSH_DELAY,
                             Event::LazyFlushDue {
                                 core: *t,
                                 info: run.info,
@@ -300,7 +304,7 @@ impl Machine {
                             });
                             let access_cost = match acc {
                                 Some(Ok(a)) => {
-                                    if self.cfg.oracle && !a.hit {
+                                    if !a.hit {
                                         self.oracle.tlb_filled(
                                             core,
                                             false,
@@ -470,9 +474,7 @@ impl Machine {
     /// current versions would claim guarantees on behalf of other
     /// still-in-flight operations.
     pub(crate) fn finish_sd(&mut self, _core: CoreId, run: &ShootdownRun) {
-        if self.cfg.oracle {
-            self.oracle.retire_exact(run.info.mm, &run.retire);
-        }
+        self.oracle.retire_exact(run.info.mm, &run.retire);
         self.stats.counters.bump("shootdown_done");
     }
 
@@ -583,7 +585,8 @@ impl Machine {
                 }
                 let loaded = self.cpus[core.index()].tlb_state.loaded_mm == info.mm;
                 let mm_gen = self.mms.get(&info.mm).map(|m| m.gen.current()).unwrap_or(0);
-                let quarantine_full = self.is_quarantined(core) && !self.cfg.buggy_quarantine;
+                let quarantine_full =
+                    self.is_quarantined(core) && !self.cfg.injects(InjectedBug::Quarantine);
                 let action = if quarantine_full {
                     // Quarantine semantics: this core's selective-flush
                     // bookkeeping is no longer trusted, so every work
@@ -661,7 +664,7 @@ impl Machine {
                         .faults
                         .cacheline_jitter_hops(self.dir.jitter_hops(initiator, core));
                     f.acked = true;
-                    if self.cfg.buggy_quarantine && self.is_quarantined(core) {
+                    if self.cfg.injects(InjectedBug::Quarantine) && self.is_quarantined(core) {
                         // THE INJECTED BUG: assume the forced-flush path
                         // does the §3.2 accounting for quarantined cores
                         // and skip the `acked_unflushed` bump — but when

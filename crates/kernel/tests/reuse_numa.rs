@@ -4,7 +4,7 @@
 
 use tlbdown_core::OptConfig;
 use tlbdown_kernel::prog::ScriptProg;
-use tlbdown_kernel::{KernelConfig, Machine, ProgAction, Syscall};
+use tlbdown_kernel::{InjectedBug, KernelConfig, Machine, ProgAction, Syscall};
 use tlbdown_types::{CoreId, Cycles, Topology, VirtAddr};
 
 fn reuse_cfg() -> KernelConfig {
@@ -199,15 +199,15 @@ fn cross_core_zap_scripts(m: &mut Machine, mm: tlbdown_types::MmId, addr: VirtAd
 
 #[test]
 fn buggy_reuse_skip_retire_at_park_is_a_real_stale_read() {
-    // Satellite: `buggy_reuse_skip` claims the flush guarantee at park
+    // `InjectedBug::ReuseSkip` claims the flush guarantee at park
     // time with no flush run. Core 1's warm entry survives, so its
     // post-park touch reads through a translation the kernel has already
-    // "guaranteed" gone — a deterministic oracle violation under
-    // `speculative_fill_on_fault`. The real reuse-skip path runs the same
+    // "guaranteed" gone — a deterministic oracle violation under the
+    // §4.1 speculative fill. The real reuse-skip path runs the same
     // schedule clean: its parked pairs stay un-retired.
     for buggy in [false, true] {
-        let mut m = Machine::new(reuse_cfg().with_buggy_reuse_skip(buggy));
-        assert!(m.cfg.speculative_fill_on_fault);
+        let mut m =
+            Machine::new(reuse_cfg().with_injected_bug(buggy.then_some(InjectedBug::ReuseSkip)));
         let mm = m.create_process().expect("boot: create process");
         let addr = m.setup_map_anon(mm, 2).expect("boot: map anon");
         cross_core_zap_scripts(&mut m, mm, addr);
@@ -277,7 +277,8 @@ fn buggy_numapte_serves_a_stale_replica_walk() {
     // reads through it after the real flush retired — an oracle violation.
     // The real L8 path synced the replica, so the same schedule is clean.
     for buggy in [false, true] {
-        let mut m = Machine::new(numa_cfg().with_buggy_numapte(buggy));
+        let mut m =
+            Machine::new(numa_cfg().with_injected_bug(buggy.then_some(InjectedBug::NumaPte)));
         let mm = m.create_process().expect("boot: create process");
         let addr = m.setup_map_anon(mm, 2).expect("boot: map anon");
         run_script(

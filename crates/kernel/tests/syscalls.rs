@@ -3,7 +3,7 @@
 
 use tlbdown_core::OptConfig;
 use tlbdown_kernel::prog::{Prog, ProgAction, ProgCtx, ScriptProg};
-use tlbdown_kernel::{KernelConfig, Machine, Syscall};
+use tlbdown_kernel::{InjectedBug, KernelConfig, Machine, Syscall};
 use tlbdown_types::{CoreId, Cycles, PteFlags, VirtAddr};
 
 fn boot(cores: u32) -> Machine {
@@ -433,7 +433,9 @@ fn buggy_fracture_leaves_a_stale_huge_entry() {
         ]
     };
     for buggy in [false, true] {
-        let mut m = Machine::new(KernelConfig::test_machine(1).with_buggy_fracture(buggy));
+        let mut m = Machine::new(
+            KernelConfig::test_machine(1).with_injected_bug(buggy.then_some(InjectedBug::Fracture)),
+        );
         let mm = m.create_process().expect("boot: create process");
         let addr = m.setup_map_anon_thp(mm, 512).expect("boot: map thp anon");
         run_script(&mut m, mm, script(addr));

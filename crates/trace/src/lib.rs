@@ -31,7 +31,7 @@ pub use chrome::{to_chrome_json, validate_chrome, CHROME_SCHEMA_VERSION};
 pub use event::{
     AckKind, PerturbKind, SdPhaseKind, SkipKind, TraceEvent, TraceRecord, LOCAL_OP_BIT,
 };
-pub use ring::{NullSink, Ring, RingSink, TraceSink, VecSink};
+pub use ring::{Ring, RingSink};
 pub use span::{
     analyze, render_attribution_table, render_phase_diff, Analysis, Phase, PhaseTotals,
     ShootdownSpan,

@@ -1,4 +1,4 @@
-//! Bounded per-core ring buffers and the sink abstraction.
+//! Bounded per-core ring buffers and the per-core sink over them.
 //!
 //! Tracing must never change simulated behaviour, so the buffers are
 //! bounded and allocation-free on the push path after warm-up: a full
@@ -70,39 +70,6 @@ impl Ring {
     }
 }
 
-/// Where emitted records go. The kernel's hot path is behind a single
-/// `enabled` branch (and compiled out entirely without the `trace`
-/// feature); the sink only ever sees records that were asked for.
-pub trait TraceSink {
-    /// Accept one record.
-    fn emit(&mut self, rec: TraceRecord);
-    /// Records this sink has discarded (0 for unbounded sinks).
-    fn dropped(&self) -> u64 {
-        0
-    }
-}
-
-/// A sink that discards everything (the "tracing off" object form).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct NullSink;
-
-impl TraceSink for NullSink {
-    fn emit(&mut self, _rec: TraceRecord) {}
-}
-
-/// An unbounded sink, useful in tests and offline analysis.
-#[derive(Clone, Debug, Default)]
-pub struct VecSink {
-    /// Every record emitted, in emission order.
-    pub records: Vec<TraceRecord>,
-}
-
-impl TraceSink for VecSink {
-    fn emit(&mut self, rec: TraceRecord) {
-        self.records.push(rec);
-    }
-}
-
 /// The production sink: one bounded [`Ring`] per core, so one noisy
 /// core cannot evict another core's records.
 #[derive(Clone, Debug)]
@@ -120,6 +87,20 @@ impl RingSink {
         }
     }
 
+    /// Accept one record.
+    pub fn emit(&mut self, rec: TraceRecord) {
+        let idx = rec.core.index();
+        while self.rings.len() <= idx {
+            self.rings.push(Ring::new(self.cap));
+        }
+        self.rings[idx].push(rec);
+    }
+
+    /// Records discarded across all rings.
+    pub fn dropped(&self) -> u64 {
+        self.rings.iter().map(Ring::dropped).sum()
+    }
+
     /// Per-core drop counts.
     pub fn dropped_per_core(&self) -> Vec<u64> {
         self.rings.iter().map(Ring::dropped).collect()
@@ -135,20 +116,6 @@ impl RingSink {
         }
         all.sort_unstable_by_key(|r| r.seq);
         all
-    }
-}
-
-impl TraceSink for RingSink {
-    fn emit(&mut self, rec: TraceRecord) {
-        let idx = rec.core.index();
-        while self.rings.len() <= idx {
-            self.rings.push(Ring::new(self.cap));
-        }
-        self.rings[idx].push(rec);
-    }
-
-    fn dropped(&self) -> u64 {
-        self.rings.iter().map(Ring::dropped).sum()
     }
 }
 

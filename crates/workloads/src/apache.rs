@@ -276,19 +276,6 @@ pub fn run_apache(cfg: &ApacheCfg) -> ApacheResult {
     }
 }
 
-/// Speedup of `opts` over baseline at the same core count.
-pub fn apache_speedup(cores: u32, safe: bool, opts: OptConfig, scale: &ApacheCfg) -> f64 {
-    let mut base_cfg = scale.clone();
-    base_cfg.cores = cores;
-    base_cfg.safe = safe;
-    base_cfg.opts = OptConfig::baseline();
-    let mut opt_cfg = base_cfg.clone();
-    opt_cfg.opts = opts;
-    let base = run_apache(&base_cfg);
-    let opt = run_apache(&opt_cfg);
-    opt.throughput / base.throughput
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

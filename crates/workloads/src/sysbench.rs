@@ -238,19 +238,6 @@ pub fn run_sysbench(cfg: &SysbenchCfg) -> SysbenchResult {
     }
 }
 
-/// Speedup of `opts` over the §5 baseline at the same thread count.
-pub fn sysbench_speedup(threads: u32, safe: bool, opts: OptConfig, scale: &SysbenchCfg) -> f64 {
-    let mut base_cfg = scale.clone();
-    base_cfg.threads = threads;
-    base_cfg.safe = safe;
-    base_cfg.opts = OptConfig::baseline();
-    let mut opt_cfg = base_cfg.clone();
-    opt_cfg.opts = opts;
-    let base = run_sysbench(&base_cfg);
-    let opt = run_sysbench(&opt_cfg);
-    opt.throughput / base.throughput
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -18,9 +18,6 @@
 //!   timing-wheel and pure-heap engines must produce byte-identical
 //!   state digests on a chaos-stressed machine at every cumulative
 //!   optimization level, and on the scale-tier smoke configuration.
-//! - `cargo xtask sweep [--threads N] [--scale quick|full] [--out PATH]`
-//!   — the full figure/table matrix plus the seven explore jobs, reduced
-//!   in canonical job-ID order (byte-identical for any thread count).
 //! - `cargo xtask trace [--out PATH]` — the tracing gate: capture the
 //!   calibrated dueling-madvise workload at every cumulative optimization
 //!   level, require exact per-phase attribution (sums to end-to-end
@@ -85,8 +82,8 @@ use tlbdown_bench::report::{
     diff_sim_metrics, job_json, render_bench_json, render_snapshot, sim_blocks, total_wall_ns,
 };
 use tlbdown_bench::{
-    bench_jobs, bench_matrix, full_matrix, optbench_levels, optbench_matrix, scale_matrix,
-    storm_matrix, topobench_matrix, MatrixJob, Scale,
+    bench_jobs, bench_matrix, optbench_levels, optbench_matrix, scale_matrix, storm_matrix,
+    topobench_matrix, MatrixJob, Scale,
 };
 use tlbdown_check::explore::render_diff;
 use tlbdown_check::gate::{
@@ -97,7 +94,7 @@ use tlbdown_core::OptConfig;
 use tlbdown_fleet::{run_fleet, FleetCfg, FleetFaultSpec};
 use tlbdown_kernel::chaos::ChaosConfig;
 use tlbdown_kernel::prog::{BusyLoopProg, MadviseLoopProg};
-use tlbdown_kernel::{KernelConfig, Machine};
+use tlbdown_kernel::{InjectedBug, KernelConfig, Machine};
 use tlbdown_sim::fault::FaultSpec;
 use tlbdown_sweep::{reduce_rendered, resolve_threads, run_jobs, Job, Json};
 use tlbdown_trace::{
@@ -131,11 +128,6 @@ fn main() -> ExitCode {
             &flag(&args, "--out").unwrap_or_else(|| "explore_report.json".into()),
         ),
         Some("engine") => engine_gate(parse_seed(positional(&args, 1))),
-        Some("sweep") => sweep(
-            parse_threads(&args),
-            parse_scale(&args).unwrap_or(Scale::Quick),
-            flag(&args, "--out"),
-        ),
         Some("trace") => {
             trace_gate(&flag(&args, "--out").unwrap_or_else(|| "sample.trace.json".into()))
         }
@@ -152,7 +144,6 @@ fn main() -> ExitCode {
                 eprintln!(
                     "usage: cargo xtask <fmt | clippy | replay [seed] | \
                      explore [--threads N] [--out PATH] | engine [seed] | \
-                     sweep [--threads N] [--scale quick|full] [--out PATH] | \
                      trace [--out PATH] | ci [seed] [--gates fast|full] | \
                      {} [--scale quick|full] [--out PATH]>",
                     names.join(" | ")
@@ -367,10 +358,10 @@ fn print_level(topo: &str, rep: &LevelReport) {
     }
 }
 
-fn print_canary(name: &str, c: &CanaryReport) {
+fn print_canary(bug: InjectedBug, c: &CanaryReport) {
     if c.pass(MAX_CANARY_CHOICES) {
         println!(
-            "xtask: {name} canary OK — seeded bug caught in {} schedules, shrunk to {} choices \
+            "xtask: {bug:?} canary OK — seeded bug caught in {} schedules, shrunk to {} choices \
              ({} trials), replays byte-identically; correct check clean in {} schedules",
             c.caught_in_schedules, c.shrunk_choices, c.shrink_trials, c.safe_schedules
         );
@@ -380,7 +371,7 @@ fn print_canary(name: &str, c: &CanaryReport) {
         // most MAX_CANARY_CHOICES, replay, and the correct check must
         // explore clean.
         eprintln!(
-            "xtask: CANARY FAILED — {name}: fifo_safe {}, caught {}, shrunk to {} choices \
+            "xtask: CANARY FAILED — {bug:?}: fifo_safe {}, caught {}, shrunk to {} choices \
              (max {MAX_CANARY_CHOICES}), replay_ok {}, safe_clean {}; schedule {}",
             c.fifo_safe, c.caught, c.shrunk_choices, c.replay_ok, c.safe_clean, c.schedule
         );
@@ -972,61 +963,6 @@ fn fleet_run(scale: Scale, threads: usize) -> Run {
     }
     let doc = render_snapshot(jobs, threads, start.elapsed(), &git_rev());
     (doc, failures)
-}
-
-/// The full sweep: every figure/table job plus the seven explore jobs,
-/// reduced in canonical job-ID order. The reduction is byte-identical
-/// for any `--threads` value.
-fn sweep(threads: usize, scale: Scale, out: Option<String>) -> bool {
-    let mut jobs: Vec<Job<String>> = full_matrix(scale)
-        .into_iter()
-        .map(|j| {
-            let id = j.id.clone();
-            Job::new(id, move || {
-                let o = j.run();
-                format!("{}sim {}\n", o.rendered, o.metrics.render())
-            })
-        })
-        .collect();
-    jobs.extend(explore_level_jobs().into_iter().map(|j| {
-        let id = j.id.clone();
-        Job::new(id, move || {
-            let (rep, mesh) = (j.run)();
-            format!(
-                "{} opt level {}: {} schedules, {} branch points, {} distinct states, \
-                 {} digest-pruned — {}\n",
-                if mesh { "mesh" } else { "flat" },
-                rep.level,
-                rep.schedules,
-                rep.branch_points,
-                rep.distinct_states,
-                rep.pruned_digest,
-                if rep.safe { "safe" } else { "VIOLATION" }
-            )
-        })
-    }));
-    let n = jobs.len();
-    println!("xtask: full sweep — {n} jobs at {} scale", scale.label());
-    let report = run_jobs(jobs, threads);
-    let reduced = reduce_rendered(&report, |s| s.as_str());
-    match &out {
-        Some(path) => {
-            if let Err(e) = std::fs::write(path, &reduced) {
-                eprintln!("xtask: could not write {path}: {e}");
-                return false;
-            }
-            println!("xtask: wrote {path} ({} bytes)", reduced.len());
-        }
-        None => print!("{reduced}"),
-    }
-    println!(
-        "xtask: {n} jobs on {} threads in {:.2?} (serial estimate {:.2?}, speedup {:.2}x)",
-        report.threads,
-        report.elapsed,
-        report.serial_estimate(),
-        report.speedup_vs_serial()
-    );
-    true
 }
 
 /// One traced run of the calibrated trace-gate workload. Paper levels

@@ -8,12 +8,13 @@
 //! ```
 
 use tlbdown::core::OptConfig;
-use tlbdown::kernel::chaos::{ChaosConfig, Fault};
+use tlbdown::kernel::chaos::ChaosConfig;
 use tlbdown::kernel::prog::{BusyLoopProg, MadviseLoopProg};
 use tlbdown::kernel::{KernelConfig, Machine};
+use tlbdown::sim::fault::FaultSpec;
 use tlbdown::types::{CoreId, Cycles};
 
-fn run(fault: Fault, label: &str) {
+fn run(fault: FaultSpec, label: &str) {
     // Same seed ⇒ same fault schedule: every run of this example is
     // byte-for-byte identical (check with `cargo xtask replay`).
     let chaos = ChaosConfig::with_fault(fault, 0xc4a05);
@@ -53,8 +54,8 @@ fn run(fault: Fault, label: &str) {
 
 fn main() {
     run(
-        Fault::none(),
+        FaultSpec::none(),
         "healthy fabric (watchdog armed, never fires)",
     );
-    run(Fault::ipi_drop(), "lossy fabric: 35% of IPIs dropped");
+    run(FaultSpec::ipi_drop(), "lossy fabric: 35% of IPIs dropped");
 }

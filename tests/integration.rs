@@ -3,7 +3,7 @@
 
 use tlbdown::core::OptConfig;
 use tlbdown::kernel::prog::{BusyLoopProg, Prog, ProgAction, ProgCtx};
-use tlbdown::kernel::{KernelConfig, Machine, Syscall};
+use tlbdown::kernel::{InjectedBug, KernelConfig, Machine, Syscall};
 use tlbdown::types::{CoreId, Cycles, Topology, VirtAddr};
 
 /// mmap + touch + madvise loop over `pages` pages, `iters` times.
@@ -151,14 +151,14 @@ fn nmi_uaccess_extension_blocks_the_early_ack_hazard() {
     // With the nmi_uaccess_okay extension the probe is denied; with the
     // check omitted (failure injection) the oracle catches a stale read.
     let run = |buggy: bool| {
-        let mut cfg = KernelConfig::test_machine(2)
+        let cfg = KernelConfig::test_machine(2)
             .with_opts(
                 OptConfig::baseline()
                     .with_early_ack(true)
                     .with_concurrent(true),
             )
-            .with_safe_mode(false); // single PCID: user touches warm the probe's view
-        cfg.buggy_nmi_check = buggy;
+            .with_safe_mode(false) // single PCID: user touches warm the probe's view
+            .with_injected_bug(buggy.then_some(InjectedBug::NmiCheck));
         let mut m = Machine::new(cfg);
         let mm = m.create_process().expect("boot: create process");
         let addr = m.setup_map_anon(mm, 16).expect("boot: map anon");
