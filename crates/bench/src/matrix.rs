@@ -759,10 +759,12 @@ pub fn full_matrix(scale: Scale) -> Vec<MatrixJob> {
 
 /// The calibrated `cargo xtask bench` subset of [`full_matrix`] at quick
 /// scale: every microbenchmark opt level in both modes (figs 5 and 7),
-/// the CoW cells, Table 3, Table 4 and the Figure 4 ablation — a few
-/// seconds of serial simulation covering every protocol path, and wide
-/// enough (≥ 16 jobs) to fan out.
+/// the CoW cells, Table 3, Table 4, the Figure 4 ablation, and the top
+/// safe-mode level of Figures 10 and 11 (which pins the Sysbench and
+/// Apache programs) — a few seconds of serial simulation covering every
+/// protocol path, and wide enough (≥ 16 jobs) to fan out.
 pub fn bench_matrix() -> Vec<MatrixJob> {
+    let top_app_level = app_levels(true).len() - 1;
     full_matrix(Scale::Quick)
         .into_iter()
         .filter(|j| match j.spec {
@@ -770,6 +772,7 @@ pub fn bench_matrix() -> Vec<MatrixJob> {
             JobSpec::Table3 | JobSpec::Fig4 | JobSpec::Fig9 { .. } | JobSpec::Table4Row { .. } => {
                 true
             }
+            JobSpec::AppLevel { safe, level, .. } => safe && level == top_app_level,
             _ => false,
         })
         .collect()

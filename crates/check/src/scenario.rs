@@ -12,95 +12,37 @@
 
 use tlbdown_core::OptConfig;
 use tlbdown_kernel::chaos::{ChaosConfig, WatchdogConfig};
-use tlbdown_kernel::prog::{Prog, ProgAction, ProgCtx};
+use tlbdown_kernel::prog::{ProgAction, ScriptProg};
 use tlbdown_kernel::{InjectedBug, KernelConfig, Machine, Syscall};
 use tlbdown_types::{CoreId, Cycles, VirtAddr};
 
-/// Writes `pages` pages starting at `addr` once each (demand-faulting
-/// them in), then computes in `chunks` slices of `chunk_cycles` so the
-/// calendar queue holds resume events for interrupts to race with, then
-/// exits.
-struct TouchThenSpin {
-    addr: u64,
-    pages: u64,
-    chunks: u64,
-    chunk_cycles: u64,
-    i: u64,
-}
-
-impl Prog for TouchThenSpin {
-    fn next(&mut self, _ctx: &ProgCtx) -> ProgAction {
-        let step = self.i;
-        self.i += 1;
-        if step < self.pages {
-            ProgAction::Access {
-                va: VirtAddr::new(self.addr + step * 4096),
-                write: true,
-            }
-        } else if step < self.pages + self.chunks {
-            ProgAction::Compute(Cycles::new(self.chunk_cycles))
-        } else {
-            ProgAction::Exit
-        }
-    }
+/// Writes `pages` pages from `addr` once each (demand-faulting them in),
+/// computes in `chunks` slices of 300 cycles so the calendar queue holds
+/// resume events for interrupt arrivals to race with, re-reads
+/// `retouch` if given, and exits.
+fn warm_spin_retouch(addr: u64, pages: u64, chunks: u64, retouch: Option<u64>) -> Box<ScriptProg> {
+    let warm = (0..pages).map(|i| ProgAction::Access {
+        va: VirtAddr::new(addr + i * 4096),
+        write: true,
+    });
+    let spin = (0..chunks).map(|_| ProgAction::Compute(Cycles::new(300)));
+    let retouch = retouch.map(|va| ProgAction::Access {
+        va: VirtAddr::new(va),
+        write: false,
+    });
+    Box::new(ScriptProg::new(warm.chain(spin).chain(retouch).collect()))
 }
 
 /// Waits `delay` cycles, then `madvise(MADV_DONTNEED)`s the range and
 /// exits — one precisely-placed shootdown.
-struct DelayedZap {
-    addr: u64,
-    pages: u64,
-    delay: u64,
-    i: u64,
-}
-
-impl Prog for DelayedZap {
-    fn next(&mut self, _ctx: &ProgCtx) -> ProgAction {
-        let step = self.i;
-        self.i += 1;
-        match step {
-            0 => ProgAction::Compute(Cycles::new(self.delay)),
-            1 => ProgAction::Syscall(Syscall::MadviseDontNeed {
-                addr: VirtAddr::new(self.addr),
-                pages: self.pages,
-            }),
-            _ => ProgAction::Exit,
-        }
-    }
-}
-
-/// Writes the first page of a THP window once (the demand fault promotes
-/// the whole 2MB window), computes in short chunks so the calendar queue
-/// holds resume events for the zapper's IPI to race with, then re-reads
-/// one of the pages the concurrent zap removed, and exits.
-struct WarmThenRetouch {
-    addr: u64,
-    retouch: u64,
-    chunks: u64,
-    chunk_cycles: u64,
-    i: u64,
-}
-
-impl Prog for WarmThenRetouch {
-    fn next(&mut self, _ctx: &ProgCtx) -> ProgAction {
-        let step = self.i;
-        self.i += 1;
-        if step == 0 {
-            ProgAction::Access {
-                va: VirtAddr::new(self.addr),
-                write: true,
-            }
-        } else if step <= self.chunks {
-            ProgAction::Compute(Cycles::new(self.chunk_cycles))
-        } else if step == self.chunks + 1 {
-            ProgAction::Access {
-                va: VirtAddr::new(self.retouch),
-                write: false,
-            }
-        } else {
-            ProgAction::Exit
-        }
-    }
+fn delayed_zap(addr: u64, pages: u64, delay: u64) -> Box<ScriptProg> {
+    Box::new(ScriptProg::new(vec![
+        ProgAction::Compute(Cycles::new(delay)),
+        ProgAction::Syscall(Syscall::MadviseDontNeed {
+            addr: VirtAddr::new(addr),
+            pages,
+        }),
+    ]))
 }
 
 /// Calibrated zap delay for [`fracture_probe`]: under plain FIFO the
@@ -136,27 +78,9 @@ pub fn fracture_probe(buggy: bool, zap_delay: u64) -> Machine {
     let mut m = Machine::new(cfg);
     let mm = m.create_process().expect("boot: create process");
     let addr = m.setup_map_anon_thp(mm, 512).expect("boot: map thp anon");
-    m.spawn(
-        mm,
-        CoreId(1),
-        Box::new(WarmThenRetouch {
-            addr: addr.as_u64(),
-            retouch: addr.as_u64() + 4096,
-            chunks: 40,
-            chunk_cycles: 300,
-            i: 0,
-        }),
-    );
-    m.spawn(
-        mm,
-        CoreId(0),
-        Box::new(DelayedZap {
-            addr: addr.as_u64(),
-            pages: ZAP_PAGES,
-            delay: zap_delay,
-            i: 0,
-        }),
-    );
+    let a = addr.as_u64();
+    m.spawn(mm, CoreId(1), warm_spin_retouch(a, 1, 40, Some(a + 4096)));
+    m.spawn(mm, CoreId(0), delayed_zap(a, ZAP_PAGES, zap_delay));
     m
 }
 
@@ -194,72 +118,6 @@ pub fn dueling_madvise_on(opts: OptConfig, interconnect: tlbdown_topo::TopologyS
         Box::new(tlbdown_kernel::prog::MadviseLoopProg::new(2, 2)),
     );
     m
-}
-
-/// Touches `pages` pages once each (demand-faulting them in), computes
-/// in `chunks` slices of `chunk_cycles` so the calendar queue holds
-/// resume events for interrupt arrivals to race with, re-reads
-/// `retouch`, and exits.
-struct WarmRangeThenRetouch {
-    addr: u64,
-    pages: u64,
-    retouch: u64,
-    chunks: u64,
-    chunk_cycles: u64,
-    i: u64,
-}
-
-impl Prog for WarmRangeThenRetouch {
-    fn next(&mut self, _ctx: &ProgCtx) -> ProgAction {
-        let step = self.i;
-        self.i += 1;
-        if step < self.pages {
-            ProgAction::Access {
-                va: VirtAddr::new(self.addr + step * 4096),
-                write: true,
-            }
-        } else if step < self.pages + self.chunks {
-            ProgAction::Compute(Cycles::new(self.chunk_cycles))
-        } else if step == self.pages + self.chunks {
-            ProgAction::Access {
-                va: VirtAddr::new(self.retouch),
-                write: false,
-            }
-        } else {
-            ProgAction::Exit
-        }
-    }
-}
-
-/// Waits `delay` cycles, `munmap`s the lever range (a real shootdown
-/// whose IPI arrivals are the explorer's race-eligible lever), then
-/// `madvise(DONTNEED)`s the single park page (the elided reuse-skip
-/// zap), and exits.
-struct ZapThenPark {
-    lever: u64,
-    lever_pages: u64,
-    park: u64,
-    delay: u64,
-    i: u64,
-}
-
-impl Prog for ZapThenPark {
-    fn next(&mut self, _ctx: &ProgCtx) -> ProgAction {
-        let step = self.i;
-        self.i += 1;
-        match step {
-            0 => ProgAction::Compute(Cycles::new(self.delay)),
-            1 => ProgAction::Syscall(Syscall::Munmap {
-                addr: VirtAddr::new(self.lever),
-                pages: self.lever_pages,
-            }),
-            2 => ProgAction::Syscall(Syscall::MadviseDontNeed {
-                addr: VirtAddr::new(self.park),
-                pages: 1,
-            }),
-            _ => ProgAction::Exit,
-        }
-    }
 }
 
 /// [`dueling_madvise`] at cumulative level `level`, with shootdown
@@ -360,25 +218,25 @@ pub fn reuse_probe(buggy: bool, park_delay: u64) -> Machine {
     m.spawn(
         mm,
         CoreId(1),
-        Box::new(WarmRangeThenRetouch {
-            addr: addr.as_u64(),
-            pages: LEVER_PAGES + 1,
-            retouch: probe,
-            chunks: 40,
-            chunk_cycles: 300,
-            i: 0,
-        }),
+        warm_spin_retouch(addr.as_u64(), LEVER_PAGES + 1, 40, Some(probe)),
     );
+    // Wait, `munmap` the lever range (a real shootdown whose IPI arrivals
+    // are the explorer's race-eligible lever), then `madvise` the single
+    // probe page (the elided reuse-skip zap), and exit.
     m.spawn(
         mm,
         CoreId(0),
-        Box::new(ZapThenPark {
-            lever: addr.as_u64(),
-            lever_pages: LEVER_PAGES,
-            park: probe,
-            delay: park_delay,
-            i: 0,
-        }),
+        Box::new(ScriptProg::new(vec![
+            ProgAction::Compute(Cycles::new(park_delay)),
+            ProgAction::Syscall(Syscall::Munmap {
+                addr,
+                pages: LEVER_PAGES,
+            }),
+            ProgAction::Syscall(Syscall::MadviseDontNeed {
+                addr: VirtAddr::new(probe),
+                pages: 1,
+            }),
+        ])),
     );
     m
 }
@@ -420,29 +278,13 @@ pub fn numapte_probe(buggy: bool, zap_delay: u64) -> Machine {
     cfg.topo = tlbdown_types::Topology::new(2, 1);
     let mut m = Machine::new(cfg);
     let mm = m.create_process().expect("boot: create process");
-    let addr = m.setup_map_anon(mm, PAGES).expect("boot: map anon");
-    m.spawn(
-        mm,
-        CoreId(1),
-        Box::new(WarmRangeThenRetouch {
-            addr: addr.as_u64(),
-            pages: PAGES,
-            retouch: addr.as_u64() + (PAGES - 1) * 4096,
-            chunks: 40,
-            chunk_cycles: 300,
-            i: 0,
-        }),
-    );
-    m.spawn(
-        mm,
-        CoreId(0),
-        Box::new(DelayedZap {
-            addr: addr.as_u64(),
-            pages: PAGES,
-            delay: zap_delay,
-            i: 0,
-        }),
-    );
+    let a = m
+        .setup_map_anon(mm, PAGES)
+        .expect("boot: map anon")
+        .as_u64();
+    let last = a + (PAGES - 1) * 4096;
+    m.spawn(mm, CoreId(1), warm_spin_retouch(a, PAGES, 40, Some(last)));
+    m.spawn(mm, CoreId(0), delayed_zap(a, PAGES, zap_delay));
     m
 }
 
@@ -508,24 +350,9 @@ pub fn quarantine_probe(buggy: bool, inject_at: u64) -> Machine {
     m.spawn(
         mm,
         CoreId(1),
-        Box::new(TouchThenSpin {
-            addr: addr.as_u64(),
-            pages: PAGES,
-            chunks: 200,
-            chunk_cycles: 300,
-            i: 0,
-        }),
+        warm_spin_retouch(addr.as_u64(), PAGES, 200, None),
     );
-    m.spawn(
-        mm,
-        CoreId(0),
-        Box::new(DelayedZap {
-            addr: addr.as_u64(),
-            pages: PAGES,
-            delay: 12_000,
-            i: 0,
-        }),
-    );
+    m.spawn(mm, CoreId(0), delayed_zap(addr.as_u64(), PAGES, 12_000));
     m.run_until(Cycles::new(inject_at));
     let probe = VirtAddr::new(addr.as_u64() + (PAGES - 1) * 4096);
     m.inject_nmi(CoreId(0), CoreId(1), Some(probe));
@@ -559,24 +386,9 @@ pub fn nmi_probe(buggy: bool, inject_at: u64) -> Machine {
     m.spawn(
         mm,
         CoreId(1),
-        Box::new(TouchThenSpin {
-            addr: addr.as_u64(),
-            pages: PAGES,
-            chunks: 200,
-            chunk_cycles: 300,
-            i: 0,
-        }),
+        warm_spin_retouch(addr.as_u64(), PAGES, 200, None),
     );
-    m.spawn(
-        mm,
-        CoreId(0),
-        Box::new(DelayedZap {
-            addr: addr.as_u64(),
-            pages: PAGES,
-            delay: 12_000,
-            i: 0,
-        }),
-    );
+    m.spawn(mm, CoreId(0), delayed_zap(addr.as_u64(), PAGES, 12_000));
     // Warm-up runs FIFO inside the builder; exploration starts at the
     // injection point with the shootdown machinery in (or near) flight.
     m.run_until(Cycles::new(inject_at));

@@ -17,14 +17,13 @@ use std::rc::Rc;
 
 use tlbdown_core::OptConfig;
 use tlbdown_kernel::chaos::{ChaosConfig, WatchdogConfig};
-use tlbdown_kernel::mm::FileId;
-use tlbdown_kernel::prog::{Prog, ProgAction, ProgCtx};
-use tlbdown_kernel::{KernelConfig, Machine, Syscall};
+use tlbdown_kernel::{KernelConfig, Machine};
 use tlbdown_sim::fault::FaultSpec;
 use tlbdown_sim::{Counter, SplitMix64};
 use tlbdown_sweep::Json;
 use tlbdown_trace::{analyze, PhaseTotals};
-use tlbdown_types::{CoreId, Cycles, SimError, SimResult, Topology, VirtAddr};
+use tlbdown_types::{CoreId, Cycles, SimError, SimResult, Topology};
+use tlbdown_workloads::apache::{ServeStats, ServeWorker};
 
 use crate::fault::MachineFaults;
 
@@ -148,108 +147,6 @@ impl NodeProfile {
     }
 }
 
-/// Shared request accounting between a boot's workers and the harness.
-#[derive(Default)]
-struct NodeAccum {
-    cold_n: u64,
-    cold_cycles: u64,
-    warm_n: u64,
-    warm_cycles: u64,
-    in_flight: u64,
-}
-
-/// One serving worker: open-loop arrivals; serve = mmap / touch / send /
-/// compute / munmap, with the request latency recorded cold or warm by
-/// its start time relative to this boot.
-struct FleetWorker {
-    files: Vec<FileId>,
-    file_pages: u64,
-    interval: f64,
-    next_arrival: f64,
-    request_work: u64,
-    rng: SplitMix64,
-    accum: Rc<RefCell<NodeAccum>>,
-    cold_until: u64,
-    deadline: u64,
-    state: u32,
-    addr: u64,
-    touch: u64,
-    req_start: u64,
-}
-
-impl Prog for FleetWorker {
-    fn next(&mut self, ctx: &ProgCtx) -> ProgAction {
-        let now = ctx.now.as_u64();
-        match self.state {
-            0 => {
-                if now >= self.deadline {
-                    return ProgAction::Exit;
-                }
-                if (now as f64) < self.next_arrival {
-                    let wait = (self.next_arrival - now as f64).ceil() as u64;
-                    return ProgAction::Compute(Cycles::new(wait.max(1)));
-                }
-                self.next_arrival += self.interval * self.rng.exponential(1.0);
-                self.state = 1;
-                self.req_start = now;
-                self.accum.borrow_mut().in_flight += 1;
-                let file = self.files[self.rng.gen_range(self.files.len() as u64) as usize];
-                ProgAction::Syscall(Syscall::MmapFile {
-                    file,
-                    page_offset: 0,
-                    pages: self.file_pages,
-                    shared: true,
-                })
-            }
-            1 => {
-                self.addr = ctx.retval;
-                self.touch = 0;
-                self.state = 2;
-                ProgAction::Nop
-            }
-            2 => {
-                if self.touch < self.file_pages {
-                    let va = VirtAddr::new(self.addr + self.touch * 4096);
-                    self.touch += 1;
-                    ProgAction::Access { va, write: false }
-                } else {
-                    self.state = 3;
-                    ProgAction::Syscall(Syscall::Send {
-                        addr: VirtAddr::new(self.addr),
-                        pages: self.file_pages,
-                    })
-                }
-            }
-            3 => {
-                self.state = 4;
-                ProgAction::Compute(Cycles::new(self.request_work))
-            }
-            4 => {
-                self.state = 5;
-                ProgAction::Syscall(Syscall::Munmap {
-                    addr: VirtAddr::new(self.addr),
-                    pages: self.file_pages,
-                })
-            }
-            5 => {
-                let lat = now.saturating_sub(self.req_start);
-                let mut a = self.accum.borrow_mut();
-                a.in_flight -= 1;
-                if self.req_start < self.cold_until {
-                    a.cold_n += 1;
-                    a.cold_cycles += lat;
-                } else {
-                    a.warm_n += 1;
-                    a.warm_cycles += lat;
-                }
-                self.state = 0;
-                ProgAction::Nop
-            }
-            _ => ProgAction::Exit,
-        }
-    }
-}
-
 /// Boot one kernel for `deadline` cycles of serving, populate it, run
 /// it, and fold its stats into the profile accumulators.
 #[allow(clippy::too_many_arguments)]
@@ -258,7 +155,7 @@ fn run_boot(
     cfg: &NodeCfg,
     deadline: u64,
     boot_seed: u64,
-    accum: &Rc<RefCell<NodeAccum>>,
+    stats: &Rc<RefCell<ServeStats>>,
     turnovers: &Rc<Cell<u64>>,
 ) -> SimResult<()> {
     let mm = m.create_process()?;
@@ -269,25 +166,17 @@ fn run_boot(
     let mut rng = SplitMix64::new(boot_seed);
     let interval = Cycles::FREQ_HZ as f64 / (cfg.offered_rps / f64::from(cfg.workers.max(1)));
     for w in 0..cfg.workers {
-        m.spawn(
-            mm,
-            CoreId(w),
-            Box::new(FleetWorker {
-                files: files.clone(),
-                file_pages: cfg.file_pages,
-                interval,
-                next_arrival: 0.0,
-                request_work: cfg.request_work,
-                rng: rng.fork(),
-                accum: accum.clone(),
-                cold_until: cfg.cold_window.min(deadline),
-                deadline,
-                state: 0,
-                addr: 0,
-                touch: 0,
-                req_start: 0,
-            }),
-        );
+        let worker = ServeWorker::new(
+            files.clone(),
+            cfg.file_pages,
+            deadline,
+            rng.fork(),
+            stats.clone(),
+        )
+        .open_loop(interval)
+        .request_work(cfg.request_work)
+        .cold_until(cfg.cold_window.min(deadline));
+        m.spawn(mm, CoreId(w), Box::new(worker));
     }
     if cfg.faults.churn && cfg.churn_slots > 0 {
         let churn_mm = m.create_process()?;
@@ -367,7 +256,7 @@ pub fn run_node(cfg: &NodeCfg) -> SimResult<NodeProfile> {
         }
     };
 
-    let accum = Rc::new(RefCell::new(NodeAccum::default()));
+    let stats = Rc::new(RefCell::new(ServeStats::default()));
     let turnovers = Rc::new(Cell::new(0u64));
     let mut profile = NodeProfile {
         machine_id: cfg.machine_id,
@@ -394,14 +283,14 @@ pub fn run_node(cfg: &NodeCfg) -> SimResult<NodeProfile> {
         if boot > 0 {
             // The crash takes whatever was in flight with it — a typed
             // loss the profile reports, never a silent one.
-            let mut a = accum.borrow_mut();
-            profile.lost_in_flight += a.in_flight;
-            a.in_flight = 0;
-            drop(a);
+            let mut s = stats.borrow_mut();
+            profile.lost_in_flight += s.in_flight;
+            s.in_flight = 0;
+            drop(s);
             machine = machine.cold_reboot();
         }
         let boot_seed = cfg.seed ^ (boot as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        run_boot(&mut machine, cfg, deadline, boot_seed, &accum, &turnovers)?;
+        run_boot(&mut machine, cfg, deadline, boot_seed, &stats, &turnovers)?;
         if cfg.trace_capacity > 0 {
             let trace = machine.take_trace();
             let analysis = analyze(&trace);
@@ -417,19 +306,11 @@ pub fn run_node(cfg: &NodeCfg) -> SimResult<NodeProfile> {
         profile.digest ^= machine.state_digest().rotate_left((boot as u32 % 63) + 1);
         profile.counters.merge(&machine.stats.counters);
     }
-    let a = accum.borrow();
-    profile.requests = a.cold_n + a.warm_n;
+    let s = stats.borrow();
+    profile.requests = s.completed;
     profile.turnovers = turnovers.get();
-    profile.warm_latency = if a.warm_n > 0 {
-        a.warm_cycles as f64 / a.warm_n as f64
-    } else {
-        0.0
-    };
-    profile.cold_latency = if a.cold_n > 0 {
-        a.cold_cycles as f64 / a.cold_n as f64
-    } else {
-        0.0
-    };
+    profile.warm_latency = s.warm_latency();
+    profile.cold_latency = s.cold_latency();
     profile.shootdowns = totals.shootdowns;
     profile.shootdown_cost_mean = totals.mean_total();
     profile.shootdown_cost_cycles = totals.total_cycles();

@@ -35,48 +35,39 @@ use crate::tracewire::trace_emit;
 #[cfg(feature = "trace")]
 use tlbdown_trace::{AckKind, PerturbKind, TraceEvent};
 
-/// The storm detector: a per-core EWMA of shootdown inter-arrival gaps.
-///
-/// Under a shootdown storm (a sev-step-style monitor hammering a victim
-/// with one shootdown per faulting access) a responder can be *healthy*
-/// yet slow simply because it is drowning in IRQs; firing the full
-/// escalation ladder at it would be a false positive. When the detector
-/// is enabled and a watchdog fires with acks still missing while any
-/// pending responder's arrival EWMA is below `hot_gap_cycles`, the
-/// check is postponed (bounded by `max_widens`) instead of escalating.
-///
-/// The EWMA is *tracked* unconditionally (a few integer ops per IPI
-/// send) but only *consulted* when `enabled` — and only on the
-/// fired-with-pending-acks path, which benign runs never reach. Enabling
-/// the detector therefore cannot perturb a fault-free schedule: same
-/// events, same times, same counters, byte-identical metrics.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct StormDetectorConfig {
-    /// Whether widening is applied at all.
-    pub enabled: bool,
-    /// An arrival EWMA below this many cycles marks the core as
-    /// storm-loaded.
-    pub hot_gap_cycles: u64,
-    /// Each widening postpones the check by `timeout_cycles ×` this.
-    pub widen_factor: u64,
-    /// Bounded number of widenings per watchdog chain, so a genuinely
-    /// wedged responder still reaches the degrade rung.
-    pub max_widens: u32,
-    /// EWMA decay: `ewma += (gap - ewma) >> ewma_shift`.
-    pub ewma_shift: u32,
-}
+/// Maximum seeded jitter added to each watchdog backoff re-arm, in
+/// cycles: it de-synchronizes retry herds, and is drawn from a dedicated
+/// stream only when a retry is actually scheduled, so healthy runs never
+/// touch it.
+const JITTER_CYCLES: u64 = 2_500;
+/// Consecutive degrade-rung stalls before a responder is quarantined.
+const QUARANTINE_AFTER: u32 = 3;
 
-impl Default for StormDetectorConfig {
-    fn default() -> Self {
-        StormDetectorConfig {
-            enabled: false,
-            hot_gap_cycles: 50_000,
-            widen_factor: 4,
-            max_widens: 2,
-            ewma_shift: 3,
-        }
-    }
-}
+// The storm detector: a per-core EWMA of shootdown inter-arrival gaps.
+//
+// Under a shootdown storm (a sev-step-style monitor hammering a victim
+// with one shootdown per faulting access) a responder can be *healthy*
+// yet slow simply because it is drowning in IRQs; firing the full
+// escalation ladder at it would be a false positive. When the detector
+// is on and a watchdog fires with acks still missing while any pending
+// responder's arrival EWMA is below `STORM_HOT_GAP_CYCLES`, the check is
+// postponed (at most `STORM_MAX_WIDENS` times) instead of escalating.
+//
+// The EWMA is *tracked* unconditionally (a few integer ops per IPI send)
+// but only *consulted* when the detector is on — and only on the
+// fired-with-pending-acks path, which benign runs never reach. Turning
+// the detector on therefore cannot perturb a fault-free schedule: same
+// events, same times, same counters, byte-identical metrics.
+
+/// An arrival EWMA below this many cycles marks the core storm-loaded.
+const STORM_HOT_GAP_CYCLES: u64 = 50_000;
+/// Each widening postpones the check by `timeout_cycles ×` this.
+const STORM_WIDEN_FACTOR: u64 = 4;
+/// Widenings per watchdog chain, so a genuinely wedged responder still
+/// reaches the degrade rung.
+const STORM_MAX_WIDENS: u32 = 2;
+/// EWMA decay: `ewma += (gap - ewma) >> STORM_EWMA_SHIFT`.
+const STORM_EWMA_SHIFT: u32 = 3;
 
 /// The csd-lock watchdog on the initiator's ack spin-wait, grown into a
 /// Linux-style escalation ladder:
@@ -86,15 +77,15 @@ impl Default for StormDetectorConfig {
 /// 2. **degrade** — give up on the laggards: forced full flush + forced
 ///    ack per core, recorded as [`SimError::ShootdownStall`];
 /// 3. **quarantine** — a core that rode the ladder to the degrade rung
-///    `quarantine_after` consecutive times is exiled: shootdowns that
-///    find it pending skip the retry rung entirely (straight to the
-///    forced flush) and the responder itself applies unconditional
+///    three consecutive times is exiled: shootdowns that find it
+///    pending skip the retry rung entirely (straight to the forced
+///    flush) and the responder itself applies unconditional
 ///    full-flush semantics until `probation_acks` healthy
 ///    acknowledgements buy its way back in.
 ///
-/// The storm detector (`storm`) sits in front of the ladder and widens
-/// the effective timeout under load so a merely-swamped responder is not
-/// mistaken for a wedged one.
+/// The storm detector (`storm_detector`) sits in front of the ladder and
+/// widens the effective timeout under load so a merely-swamped responder
+/// is not mistaken for a wedged one.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct WatchdogConfig {
     /// Whether the watchdog is armed at all.
@@ -105,18 +96,12 @@ pub struct WatchdogConfig {
     pub timeout_cycles: u64,
     /// Bounded IPI re-sends before degrading to the forced-flush path.
     pub max_resends: u32,
-    /// Maximum seeded jitter added to each backoff re-arm (de-synchronizes
-    /// retry herds; drawn from a dedicated stream only when a retry is
-    /// actually scheduled, so healthy runs never touch it).
-    pub jitter_cycles: u64,
-    /// Consecutive degrade-rung stalls before a responder is
-    /// quarantined. `0` disables quarantine.
-    pub quarantine_after: u32,
     /// Healthy (non-forced) acknowledgements a quarantined responder
     /// must deliver before it rejoins the selective-flush path.
     pub probation_acks: u32,
-    /// The storm detector in front of the ladder.
-    pub storm: StormDetectorConfig,
+    /// Whether the storm detector widens the timeout for storm-loaded
+    /// responders. Off by default.
+    pub storm_detector: bool,
 }
 
 impl Default for WatchdogConfig {
@@ -125,10 +110,8 @@ impl Default for WatchdogConfig {
             enabled: true,
             timeout_cycles: 1_000_000,
             max_resends: 2,
-            jitter_cycles: 2_500,
-            quarantine_after: 3,
             probation_acks: 2,
-            storm: StormDetectorConfig::default(),
+            storm_detector: false,
         }
     }
 }
@@ -288,7 +271,7 @@ impl Machine {
             return;
         }
         let gap = now.saturating_sub(last);
-        let s = self.cfg.chaos.watchdog.storm.ewma_shift;
+        let s = STORM_EWMA_SHIFT;
         let ewma = self.esc.ewma_gap[i];
         self.esc.ewma_gap[i] = if ewma == u64::MAX {
             gap
@@ -331,21 +314,19 @@ impl Machine {
     /// watchdog config, exactly as an organic entry would.
     pub fn quarantine_core(&mut self, core: CoreId) {
         let i = core.index();
-        self.esc.streak[i] = self.cfg.chaos.watchdog.quarantine_after;
+        self.esc.streak[i] = QUARANTINE_AFTER;
         self.esc.quarantined[i] = true;
         self.esc.probation[i] = self.cfg.chaos.watchdog.probation_acks.max(1);
     }
 
     /// `core` rode the ladder to the degrade rung: bump its stall streak
-    /// and quarantine it once the streak reaches the configured K.
+    /// and quarantine it once the streak reaches [`QUARANTINE_AFTER`].
     fn note_stall(&mut self, core: CoreId) {
-        let w = &self.cfg.chaos.watchdog;
-        let (after, acks) = (w.quarantine_after, w.probation_acks);
         let i = core.index();
         self.esc.streak[i] = self.esc.streak[i].saturating_add(1);
-        if after > 0 && !self.esc.quarantined[i] && self.esc.streak[i] >= after {
+        if !self.esc.quarantined[i] && self.esc.streak[i] >= QUARANTINE_AFTER {
             self.esc.quarantined[i] = true;
-            self.esc.probation[i] = acks.max(1);
+            self.esc.probation[i] = self.cfg.chaos.watchdog.probation_acks.max(1);
             self.stats.counters.bump("quarantine_entries");
             let streak = self.esc.streak[i];
             self.record_error(SimError::ResponderQuarantined { core, streak });
@@ -386,12 +367,12 @@ impl Machine {
         // than wedged — postpone the check instead of escalating. Benign
         // runs never reach this line, so an enabled-but-idle detector is
         // perturbation-free by construction.
-        if w.storm.enabled && widened < w.storm.max_widens {
+        if w.storm_detector && widened < STORM_MAX_WIDENS {
             let hot = pending
                 .iter()
-                .any(|t| self.esc.ewma_gap[t.index()] < w.storm.hot_gap_cycles);
+                .any(|t| self.esc.ewma_gap[t.index()] < STORM_HOT_GAP_CYCLES);
             if hot {
-                let grace = w.timeout_cycles.saturating_mul(w.storm.widen_factor);
+                let grace = w.timeout_cycles.saturating_mul(STORM_WIDEN_FACTOR);
                 self.stats.counters.bump("storm_widen");
                 self.stats.counters.add("storm_detected_cycles", grace);
                 trace_emit!(
@@ -464,11 +445,7 @@ impl Machine {
             let backoff = w
                 .timeout_cycles
                 .saturating_mul(1u64 << (resends + 1).min(6));
-            let jitter = if w.jitter_cycles > 0 {
-                self.esc.jitter_rng.gen_range(w.jitter_cycles + 1)
-            } else {
-                0
-            };
+            let jitter = self.esc.jitter_rng.gen_range(JITTER_CYCLES + 1);
             self.engine.schedule_in(
                 Cycles::new(backoff + jitter),
                 Event::CsdWatchdog {
@@ -573,17 +550,19 @@ mod tests {
         assert!(w.enabled);
         assert!(w.timeout_cycles >= 100_000);
         assert!(w.max_resends >= 1);
-        assert!(w.jitter_cycles < w.timeout_cycles, "jitter stays a tweak");
-        assert!(w.quarantine_after >= 1, "one stall must never quarantine");
+        assert!(JITTER_CYCLES < w.timeout_cycles, "jitter stays a tweak");
+        const { assert!(QUARANTINE_AFTER >= 1, "one stall must never quarantine") };
         assert!(w.probation_acks >= 1);
     }
 
     #[test]
     fn storm_detector_defaults_off() {
-        let s = StormDetectorConfig::default();
-        assert!(!s.enabled, "opt-in: benign configs must not widen");
-        assert!(s.max_widens >= 1 && s.widen_factor >= 1);
-        assert!(s.ewma_shift >= 1 && s.ewma_shift < 32);
+        let w = WatchdogConfig::default();
+        assert!(!w.storm_detector, "opt-in: benign configs must not widen");
+        const {
+            assert!(STORM_MAX_WIDENS >= 1 && STORM_WIDEN_FACTOR >= 1);
+            assert!(STORM_EWMA_SHIFT >= 1 && STORM_EWMA_SHIFT < 32);
+        }
     }
 
     #[test]

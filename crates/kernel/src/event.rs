@@ -45,7 +45,7 @@ pub enum Event {
         /// How many re-sends this watchdog chain has already issued.
         resends: u32,
         /// How many times the storm detector already widened this
-        /// chain's timeout (bounded; see `StormDetectorConfig`).
+        /// chain's timeout (bounded; see `WatchdogConfig::storm_detector`).
         widened: u32,
     },
     /// Degraded recovery: force a conservative full flush + ack on a

@@ -7,6 +7,7 @@
 //! kernel turns [`ProgAction`]s into simulated instructions, page faults
 //! and system calls.
 
+use tlbdown_sim::SplitMix64;
 use tlbdown_types::{Cycles, VirtAddr};
 
 use crate::mm::FileId;
@@ -122,29 +123,23 @@ pub trait Prog {
     fn next(&mut self, ctx: &ProgCtx) -> ProgAction;
 }
 
-/// A trivial program executing a fixed script (useful in tests).
+/// A program executing a fixed list of actions, then exiting — for any
+/// program whose steps do not depend on syscall results.
 #[derive(Debug)]
 pub struct ScriptProg {
     script: Vec<ProgAction>,
     idx: usize,
-    /// Return values observed after each step (for test assertions).
-    pub retvals: Vec<u64>,
 }
 
 impl ScriptProg {
     /// Run the given actions in order, then exit.
     pub fn new(script: Vec<ProgAction>) -> Self {
-        ScriptProg {
-            script,
-            idx: 0,
-            retvals: Vec::new(),
-        }
+        ScriptProg { script, idx: 0 }
     }
 }
 
 impl Prog for ScriptProg {
-    fn next(&mut self, ctx: &ProgCtx) -> ProgAction {
-        self.retvals.push(ctx.retval);
+    fn next(&mut self, _ctx: &ProgCtx) -> ProgAction {
         let a = self
             .script
             .get(self.idx)
@@ -170,11 +165,12 @@ impl Prog for BusyLoopProg {
 /// touch every page, `madvise(MADV_DONTNEED)` the range, and repeat
 /// `iters` times. Each iteration zaps live PTEs and so forces one full
 /// shootdown against every core sharing the mm — the §5.1 initiator
-/// shape, reused by the chaos harness and benches.
+/// shape, reused by the workloads, the chaos harness and benches.
 #[derive(Debug)]
 pub struct MadviseLoopProg {
     pages: u64,
     iters: u64,
+    jitter: Option<SplitMix64>,
     state: u32,
     addr: u64,
     touch: u64,
@@ -187,11 +183,35 @@ impl MadviseLoopProg {
         MadviseLoopProg {
             pages,
             iters,
+            jitter: None,
             state: 0,
             addr: 0,
             touch: 0,
             iter: 0,
         }
+    }
+
+    /// Compute for a seeded 0–95 cycles before each `madvise`. The
+    /// paper's σ comes from real-machine noise; here it comes from this.
+    pub fn with_jitter(mut self, rng: SplitMix64) -> Self {
+        self.jitter = Some(rng);
+        self
+    }
+
+    /// Loop over the already-mapped range at `addr` instead of mapping
+    /// one first.
+    pub fn premapped(mut self, addr: VirtAddr) -> Self {
+        self.addr = addr.as_u64();
+        self.state = 2;
+        self
+    }
+
+    fn zap(&mut self) -> ProgAction {
+        self.state = 4;
+        ProgAction::Syscall(Syscall::MadviseDontNeed {
+            addr: VirtAddr::new(self.addr),
+            pages: self.pages,
+        })
     }
 }
 
@@ -208,20 +228,20 @@ impl Prog for MadviseLoopProg {
                 self.state = 2;
                 ProgAction::Nop
             }
-            2 => {
-                if self.touch < self.pages {
-                    let va = VirtAddr::new(self.addr + self.touch * 4096);
-                    self.touch += 1;
-                    ProgAction::Access { va, write: true }
-                } else {
-                    self.state = 3;
-                    ProgAction::Syscall(Syscall::MadviseDontNeed {
-                        addr: VirtAddr::new(self.addr),
-                        pages: self.pages,
-                    })
-                }
+            2 if self.touch < self.pages => {
+                let va = VirtAddr::new(self.addr + self.touch * 4096);
+                self.touch += 1;
+                ProgAction::Access { va, write: true }
             }
-            3 => {
+            2 => match &mut self.jitter {
+                Some(rng) => {
+                    self.state = 3;
+                    ProgAction::Compute(Cycles::new(rng.gen_range(96)))
+                }
+                None => self.zap(),
+            },
+            3 => self.zap(),
+            4 => {
                 self.iter += 1;
                 if self.iter >= self.iters {
                     ProgAction::Exit
@@ -260,6 +280,29 @@ mod tests {
         );
         assert_eq!(p.next(&ctx), ProgAction::Exit);
         assert_eq!(p.next(&ctx), ProgAction::Exit);
+    }
+
+    #[test]
+    fn madvise_loop_jitters_before_each_zap_of_a_premapped_range() {
+        let mut p = MadviseLoopProg::new(2, 2)
+            .with_jitter(SplitMix64::new(7))
+            .premapped(VirtAddr::new(0x4000));
+        let ctx = ProgCtx::default();
+        for tail in [ProgAction::Nop, ProgAction::Exit] {
+            for va in [0x4000, 0x5000] {
+                let va = VirtAddr::new(va);
+                assert_eq!(p.next(&ctx), ProgAction::Access { va, write: true });
+            }
+            assert!(matches!(p.next(&ctx), ProgAction::Compute(c) if c.as_u64() < 96));
+            assert_eq!(
+                p.next(&ctx),
+                ProgAction::Syscall(Syscall::MadviseDontNeed {
+                    addr: VirtAddr::new(0x4000),
+                    pages: 2
+                })
+            );
+            assert_eq!(p.next(&ctx), tail);
+        }
     }
 
     #[test]

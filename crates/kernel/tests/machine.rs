@@ -3,7 +3,7 @@
 //! variant — while flagging the LATR-style lazy mode.
 
 use tlbdown_core::OptConfig;
-use tlbdown_kernel::prog::{BusyLoopProg, Prog, ProgAction, ProgCtx, ScriptProg};
+use tlbdown_kernel::prog::{BusyLoopProg, MadviseLoopProg, Prog, ProgAction, ProgCtx, ScriptProg};
 use tlbdown_kernel::{KernelConfig, Machine, Syscall};
 use tlbdown_types::{CoreId, Cycles, VirtAddr};
 
@@ -15,75 +15,11 @@ fn boot(cores: u32, opts: OptConfig, safe: bool) -> Machine {
     )
 }
 
-/// A program that mmaps, touches pages, madvises them away, repeatedly.
-struct MadviseLoop {
-    pages: u64,
-    iters: u64,
-    state: u32,
-    addr: u64,
-    touch: u64,
-    iter: u64,
-}
-
-impl MadviseLoop {
-    fn new(pages: u64, iters: u64) -> Self {
-        MadviseLoop {
-            pages,
-            iters,
-            state: 0,
-            addr: 0,
-            touch: 0,
-            iter: 0,
-        }
-    }
-}
-
-impl Prog for MadviseLoop {
-    fn next(&mut self, ctx: &ProgCtx) -> ProgAction {
-        match self.state {
-            0 => {
-                self.state = 1;
-                ProgAction::Syscall(Syscall::MmapAnon { pages: self.pages })
-            }
-            1 => {
-                self.addr = ctx.retval;
-                self.touch = 0;
-                self.state = 2;
-                ProgAction::Nop
-            }
-            2 => {
-                if self.touch < self.pages {
-                    let va = VirtAddr::new(self.addr + self.touch * 4096);
-                    self.touch += 1;
-                    ProgAction::Access { va, write: true }
-                } else {
-                    self.state = 3;
-                    ProgAction::Syscall(Syscall::MadviseDontNeed {
-                        addr: VirtAddr::new(self.addr),
-                        pages: self.pages,
-                    })
-                }
-            }
-            3 => {
-                self.iter += 1;
-                if self.iter >= self.iters {
-                    ProgAction::Exit
-                } else {
-                    self.touch = 0;
-                    self.state = 2;
-                    ProgAction::Nop
-                }
-            }
-            _ => ProgAction::Exit,
-        }
-    }
-}
-
 #[test]
 fn single_thread_madvise_runs_clean() {
     let mut m = boot(2, OptConfig::baseline(), true);
     let mm = m.create_process().expect("boot: create process");
-    m.spawn(mm, CoreId(0), Box::new(MadviseLoop::new(4, 10)));
+    m.spawn(mm, CoreId(0), Box::new(MadviseLoopProg::new(4, 10)));
     m.run();
     assert_eq!(m.stats.counters.get("madvise_dontneed"), 10);
     assert_eq!(
@@ -104,7 +40,7 @@ fn shootdown_reaches_responder() {
     // must IPI core 1.
     let mut m = boot(2, OptConfig::baseline(), true);
     let mm = m.create_process().expect("boot: create process");
-    m.spawn(mm, CoreId(0), Box::new(MadviseLoop::new(4, 5)));
+    m.spawn(mm, CoreId(0), Box::new(MadviseLoopProg::new(4, 5)));
     m.spawn(mm, CoreId(1), Box::new(BusyLoopProg));
     m.run_until(Cycles::new(3_000_000));
     assert!(
@@ -135,9 +71,9 @@ fn all_optimizations_stay_safe() {
         for (level, _, opts) in OptConfig::all_levels() {
             let mut m = boot(4, opts, safe);
             let mm = m.create_process().expect("boot: create process");
-            m.spawn(mm, CoreId(0), Box::new(MadviseLoop::new(8, 8)));
+            m.spawn(mm, CoreId(0), Box::new(MadviseLoopProg::new(8, 8)));
             m.spawn(mm, CoreId(1), Box::new(BusyLoopProg));
-            m.spawn(mm, CoreId(2), Box::new(MadviseLoop::new(3, 8)));
+            m.spawn(mm, CoreId(2), Box::new(MadviseLoopProg::new(3, 8)));
             m.run_until(Cycles::new(20_000_000));
             assert!(
                 m.violations().is_empty(),
@@ -160,7 +96,7 @@ fn optimized_initiator_is_faster() {
     let lat = |opts: OptConfig| {
         let mut m = boot(2, opts, true);
         let mm = m.create_process().expect("boot: create process");
-        m.spawn(mm, CoreId(0), Box::new(MadviseLoop::new(10, 50)));
+        m.spawn(mm, CoreId(0), Box::new(MadviseLoopProg::new(10, 50)));
         m.spawn(mm, CoreId(1), Box::new(BusyLoopProg));
         m.run_until(Cycles::new(50_000_000));
         m.stats.syscall_lat[&(CoreId(0), "madvise_dontneed")].mean()
@@ -179,8 +115,7 @@ fn early_ack_not_used_for_munmap_freed_tables() {
     // the optimization is on (§3.2).
     let mut m = boot(2, OptConfig::baseline().with_early_ack(true), true);
     let mm = m.create_process().expect("boot: create process");
-    let script = ScriptProg::new(vec![ProgAction::Syscall(Syscall::MmapAnon { pages: 4 })]);
-    // Manual script: mmap, touch, munmap.
+    // mmap, touch the pages mmap returned, munmap.
     struct P {
         state: u32,
         addr: u64,
@@ -215,7 +150,6 @@ fn early_ack_not_used_for_munmap_freed_tables() {
             }
         }
     }
-    drop(script);
     m.spawn(
         mm,
         CoreId(0),
@@ -259,29 +193,6 @@ fn latr_lazy_mode_trips_the_oracle() {
             }
         }
     }
-    struct Zapper {
-        state: u32,
-        addr: u64,
-    }
-    impl Prog for Zapper {
-        fn next(&mut self, _ctx: &ProgCtx) -> ProgAction {
-            match self.state {
-                0 => {
-                    self.state = 1;
-                    // Warm-up delay so the toucher caches the mapping.
-                    ProgAction::Compute(Cycles::new(60_000))
-                }
-                1 => {
-                    self.state = 2;
-                    ProgAction::Syscall(Syscall::MadviseDontNeed {
-                        addr: VirtAddr::new(self.addr),
-                        pages: 1,
-                    })
-                }
-                _ => ProgAction::Exit,
-            }
-        }
-    }
     let run = |lazy: bool| {
         let mut m = Machine::new(
             KernelConfig::test_machine(2)
@@ -289,16 +200,21 @@ fn latr_lazy_mode_trips_the_oracle() {
                 .with_lazy_latr(lazy),
         );
         let mm = m.create_process().expect("boot: create process");
-        // Both threads use a fixed address: mmap + touch it first via a
-        // setup program on core 0, which publishes the address.
-        let addr = {
-            m.spawn(mm, CoreId(0), Box::new(MmapOnce::default()));
-            m.run_until(Cycles::new(1_000_000));
-            MMAP_RESULT.with(|r| r.get())
-        };
-        assert_ne!(addr, 0, "setup mmap failed");
-        m.spawn(mm, CoreId(1), Box::new(Toucher { addr, i: 0 }));
-        m.spawn(mm, CoreId(0), Box::new(Zapper { state: 0, addr }));
+        let addr = m.setup_map_anon(mm, 1).expect("boot: map anon");
+        m.spawn(
+            mm,
+            CoreId(1),
+            Box::new(Toucher {
+                addr: addr.as_u64(),
+                i: 0,
+            }),
+        );
+        // Warm-up delay so the toucher caches the mapping, then zap it.
+        let zapper = ScriptProg::new(vec![
+            ProgAction::Compute(Cycles::new(60_000)),
+            ProgAction::Syscall(Syscall::MadviseDontNeed { addr, pages: 1 }),
+        ]);
+        m.spawn(mm, CoreId(0), Box::new(zapper));
         m.run_until(Cycles::new(10_000_000));
         m.violations().len()
     };
@@ -309,36 +225,6 @@ fn latr_lazy_mode_trips_the_oracle() {
     );
 }
 
-thread_local! {
-    static MMAP_RESULT: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
-}
-
-/// Helper prog: mmap one page, publish the address, touch it, exit.
-#[derive(Default)]
-struct MmapOnce {
-    state: u32,
-}
-
-impl Prog for MmapOnce {
-    fn next(&mut self, ctx: &ProgCtx) -> ProgAction {
-        match self.state {
-            0 => {
-                self.state = 1;
-                ProgAction::Syscall(Syscall::MmapAnon { pages: 1 })
-            }
-            1 => {
-                MMAP_RESULT.with(|r| r.set(ctx.retval));
-                self.state = 2;
-                ProgAction::Access {
-                    va: VirtAddr::new(ctx.retval),
-                    write: true,
-                }
-            }
-            _ => ProgAction::Exit,
-        }
-    }
-}
-
 #[test]
 fn lazy_core_skips_ipi_and_syncs_on_wakeup() {
     // Core 1 runs a thread, exits (going lazy on the mm), then the
@@ -346,15 +232,13 @@ fn lazy_core_skips_ipi_and_syncs_on_wakeup() {
     // the same mm it must flush at switch-in.
     let mut m = boot(2, OptConfig::baseline(), true);
     let mm = m.create_process().expect("boot: create process");
-    m.spawn(mm, CoreId(0), Box::new(MmapOnce::default()));
-    m.run_until(Cycles::new(1_000_000));
-    let addr = MMAP_RESULT.with(|r| r.get());
+    let addr = m.setup_map_anon(mm, 1).expect("boot: map anon");
     // Core 1 touches the page then exits → lazy.
     m.spawn(
         mm,
         CoreId(1),
         Box::new(ScriptProg::new(vec![ProgAction::Access {
-            va: VirtAddr::new(addr),
+            va: addr,
             write: false,
         }])),
     );
@@ -365,10 +249,7 @@ fn lazy_core_skips_ipi_and_syncs_on_wakeup() {
         mm,
         CoreId(0),
         Box::new(ScriptProg::new(vec![ProgAction::Syscall(
-            Syscall::MadviseDontNeed {
-                addr: VirtAddr::new(addr),
-                pages: 1,
-            },
+            Syscall::MadviseDontNeed { addr, pages: 1 },
         )])),
     );
     m.run_until(Cycles::new(3_000_000));
@@ -384,7 +265,7 @@ fn lazy_core_skips_ipi_and_syncs_on_wakeup() {
         mm,
         CoreId(1),
         Box::new(ScriptProg::new(vec![ProgAction::Access {
-            va: VirtAddr::new(addr),
+            va: addr,
             write: false,
         }])),
     );
@@ -422,7 +303,7 @@ fn unknown_mm_setup_is_a_typed_error_not_a_panic() {
 fn cold_reboot_restarts_fresh_and_deterministic() {
     let run_workload = |m: &mut Machine| {
         let mm = m.create_process().expect("create process");
-        m.spawn(mm, CoreId(0), Box::new(MadviseLoop::new(4, 6)));
+        m.spawn(mm, CoreId(0), Box::new(MadviseLoopProg::new(4, 6)));
         m.spawn(mm, CoreId(1), Box::new(BusyLoopProg));
         m.run_until(Cycles::new(2_000_000));
         assert!(m.violations().is_empty(), "{:?}", m.violations());

@@ -10,7 +10,7 @@
 //! (wrk at 150k req/s), so throughput plateaus once the offered load is
 //! met — the paper's 11-core saturation.
 
-use std::cell::Cell;
+use std::cell::RefCell;
 use std::rc::Rc;
 
 use tlbdown_core::OptConfig;
@@ -45,12 +45,6 @@ pub struct ApacheCfg {
     /// Interconnect model; `Flat` keeps the run byte-identical to the
     /// pre-topology pipeline.
     pub interconnect: TopologySpec,
-    /// Give each worker a 2MB transparent-hugepage scratch arena (an
-    /// allocator pool): between requests the worker touches a rotating
-    /// arena page and periodically `madvise`s it away, alternating a
-    /// partial zap — which fractures the promoted huge leaf — with a
-    /// full zap that re-arms promotion.
-    pub thp: bool,
 }
 
 impl ApacheCfg {
@@ -67,7 +61,6 @@ impl ApacheCfg {
             duration: Cycles::new(10_000_000),
             seed: 0xa9ac4e,
             interconnect: TopologySpec::Flat,
-            thp: false,
         }
     }
 }
@@ -87,50 +80,133 @@ pub struct ApacheResult {
     pub sim_cycles: u64,
 }
 
-/// One worker thread: open-loop arrivals, serve = mmap/touch/send/munmap.
-struct ApacheWorker {
+/// Request accounting shared between a set of [`ServeWorker`]s and the
+/// harness that reads it.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct ServeStats {
+    /// Requests served to completion.
+    pub completed: u64,
+    /// Requests started but not yet completed.
+    pub in_flight: u64,
+    /// Completed requests that started before their worker's cold
+    /// deadline (see [`ServeWorker::cold_until`]).
+    pub cold: u64,
+    /// Summed service latency of the cold requests, in cycles.
+    pub cold_cycles: u64,
+    /// Summed service latency of the warm (all other) requests, in cycles.
+    pub warm_cycles: u64,
+}
+
+impl ServeStats {
+    /// Mean service latency of warm requests, in cycles (0 when none).
+    pub fn warm_latency(&self) -> f64 {
+        mean(self.warm_cycles, self.completed - self.cold)
+    }
+
+    /// Mean service latency of cold requests, in cycles (0 when none).
+    pub fn cold_latency(&self) -> f64 {
+        mean(self.cold_cycles, self.cold)
+    }
+}
+
+fn mean(cycles: u64, n: u64) -> f64 {
+    if n > 0 {
+        cycles as f64 / n as f64
+    } else {
+        0.0
+    }
+}
+
+/// One serving worker, the §5.3 request: `mmap` a file, touch each page
+/// (demand faults), `send` it (the kernel reads the user mapping),
+/// compute, and `munmap` it (a shootdown to every sibling sharing the
+/// mm), until the deadline. Closed loop unless [`ServeWorker::open_loop`]
+/// sets an arrival rate; the compute step runs only with
+/// [`ServeWorker::request_work`] set.
+pub struct ServeWorker {
     files: Vec<FileId>,
     file_pages: u64,
-    interval: f64, // cycles between arrivals at this worker
+    deadline: u64,
+    rng: SplitMix64,
+    stats: Rc<RefCell<ServeStats>>,
+    /// Mean cycles between open-loop arrivals (`None`: closed loop).
+    interval: Option<f64>,
     next_arrival: f64,
     request_work: u64,
-    rng: SplitMix64,
-    completed: Rc<Cell<u64>>,
+    cold_until: u64,
     state: u32,
     addr: u64,
     touch: u64,
-    deadline: u64,
-    /// THP scratch arena base (0 = no arena). See [`ApacheCfg::thp`].
-    arena: u64,
-    /// Rotating touch cursor within the arena's hot prefix.
-    arena_next: u64,
-    /// Completed touch cycles; parity picks partial vs full zap.
-    arena_round: u64,
+    req_start: u64,
 }
 
-/// Pages of the arena a worker touches per cycle before zapping — small
-/// enough that short runs complete several promote/fracture rounds.
-const ARENA_HOT_PAGES: u64 = 16;
-/// Pages zapped on fracture (partial) rounds.
-const ARENA_FRACTURE_PAGES: u64 = 8;
-/// Full arena size: one 2MB huge page.
-const ARENA_PAGES: u64 = 512;
+impl ServeWorker {
+    /// A closed-loop worker serving random picks of `files` (each
+    /// `file_pages` long) until `deadline`, counting into `stats`.
+    pub fn new(
+        files: Vec<FileId>,
+        file_pages: u64,
+        deadline: u64,
+        rng: SplitMix64,
+        stats: Rc<RefCell<ServeStats>>,
+    ) -> Self {
+        ServeWorker {
+            files,
+            file_pages,
+            deadline,
+            rng,
+            stats,
+            interval: None,
+            next_arrival: 0.0,
+            request_work: 0,
+            cold_until: 0,
+            state: 0,
+            addr: 0,
+            touch: 0,
+            req_start: 0,
+        }
+    }
 
-impl Prog for ApacheWorker {
+    /// Open loop: requests arrive at exponentially distributed gaps of
+    /// mean `interval` cycles, and the worker idles until each one.
+    pub fn open_loop(mut self, interval: f64) -> Self {
+        self.interval = Some(interval);
+        self
+    }
+
+    /// Application work per request (parsing, socket handling), in
+    /// cycles, between the `send` and the `munmap`.
+    pub fn request_work(mut self, cycles: u64) -> Self {
+        self.request_work = cycles;
+        self
+    }
+
+    /// Requests starting before cycle `t` count as cold in [`ServeStats`].
+    pub fn cold_until(mut self, t: u64) -> Self {
+        self.cold_until = t;
+        self
+    }
+}
+
+impl Prog for ServeWorker {
     fn next(&mut self, ctx: &ProgCtx) -> ProgAction {
-        let now = ctx.now.as_u64() as f64;
+        let now = ctx.now.as_u64();
         match self.state {
-            // Wait for the next request to arrive.
+            // Wait for the next request to arrive, then map a file.
             0 => {
-                if now as u64 >= self.deadline {
+                if now >= self.deadline {
                     return ProgAction::Exit;
                 }
-                if now < self.next_arrival {
-                    let wait = (self.next_arrival - now).ceil() as u64;
-                    return ProgAction::Compute(Cycles::new(wait.max(1)));
+                if let Some(interval) = self.interval {
+                    if (now as f64) < self.next_arrival {
+                        let wait = (self.next_arrival - now as f64).ceil() as u64;
+                        return ProgAction::Compute(Cycles::new(wait.max(1)));
+                    }
+                    self.next_arrival += interval * self.rng.exponential(1.0);
                 }
-                self.next_arrival += self.interval * self.rng.exponential(1.0);
                 self.state = 1;
+                self.req_start = now;
+                self.stats.borrow_mut().in_flight += 1;
                 let file = self.files[self.rng.gen_range(self.files.len() as u64) as usize];
                 ProgAction::Syscall(Syscall::MmapFile {
                     file,
@@ -139,7 +215,7 @@ impl Prog for ApacheWorker {
                     shared: true,
                 })
             }
-            // Touch each page of the mapping (demand faults).
+            // Touch each page of the mapping (demand faults), then send it.
             1 => {
                 self.addr = ctx.retval;
                 self.touch = 0;
@@ -152,7 +228,7 @@ impl Prog for ApacheWorker {
                     self.touch += 1;
                     ProgAction::Access { va, write: false }
                 } else {
-                    self.state = 3;
+                    self.state = if self.request_work > 0 { 3 } else { 4 };
                     ProgAction::Syscall(Syscall::Send {
                         addr: VirtAddr::new(self.addr),
                         pages: self.file_pages,
@@ -172,40 +248,18 @@ impl Prog for ApacheWorker {
                 })
             }
             5 => {
-                self.completed.set(self.completed.get() + 1);
-                self.state = if self.arena != 0 { 6 } else { 0 };
-                ProgAction::Nop
-            }
-            // THP arena churn: touch a rotating page of the scratch
-            // arena; after `ARENA_HOT_PAGES` touches, zap — alternately
-            // partial (fracturing the promoted huge leaf into 4K
-            // entries) and full (emptying the 2M window so the next
-            // touch promotes again).
-            6 => {
-                let page = self.arena_next % ARENA_HOT_PAGES;
-                self.arena_next += 1;
-                self.state = if self.arena_next.is_multiple_of(ARENA_HOT_PAGES) {
-                    7
+                let latency = now - self.req_start;
+                let mut s = self.stats.borrow_mut();
+                s.in_flight -= 1;
+                s.completed += 1;
+                if self.req_start < self.cold_until {
+                    s.cold += 1;
+                    s.cold_cycles += latency;
                 } else {
-                    0
-                };
-                ProgAction::Access {
-                    va: VirtAddr::new(self.arena + page * 4096),
-                    write: true,
+                    s.warm_cycles += latency;
                 }
-            }
-            7 => {
-                let pages = if self.arena_round.is_multiple_of(2) {
-                    ARENA_FRACTURE_PAGES
-                } else {
-                    ARENA_PAGES
-                };
-                self.arena_round += 1;
                 self.state = 0;
-                ProgAction::Syscall(Syscall::MadviseDontNeed {
-                    addr: VirtAddr::new(self.arena),
-                    pages,
-                })
+                ProgAction::Nop
             }
             _ => ProgAction::Exit,
         }
@@ -227,37 +281,20 @@ pub fn run_apache(cfg: &ApacheCfg) -> ApacheResult {
     let files: Vec<FileId> = (0..cfg.files)
         .map(|_| m.create_file(cfg.file_pages).expect("boot: create file"))
         .collect();
-    let completed = Rc::new(Cell::new(0u64));
+    let stats = Rc::new(RefCell::new(ServeStats::default()));
     let mut rng = SplitMix64::new(cfg.seed);
     let per_worker_interval = Cycles::FREQ_HZ as f64 / (cfg.offered_rps / cfg.cores as f64);
     for t in 0..cfg.cores {
-        let arena = if cfg.thp {
-            m.setup_map_anon_thp(mm, ARENA_PAGES)
-                .expect("boot: map thp arena")
-                .as_u64()
-        } else {
-            0
-        };
-        m.spawn(
-            mm,
-            CoreId(t),
-            Box::new(ApacheWorker {
-                files: files.clone(),
-                file_pages: cfg.file_pages,
-                interval: per_worker_interval,
-                next_arrival: 0.0,
-                request_work: cfg.request_work,
-                rng: rng.fork(),
-                completed: completed.clone(),
-                state: 0,
-                addr: 0,
-                touch: 0,
-                deadline: cfg.duration.as_u64(),
-                arena,
-                arena_next: 0,
-                arena_round: 0,
-            }),
-        );
+        let worker = ServeWorker::new(
+            files.clone(),
+            cfg.file_pages,
+            cfg.duration.as_u64(),
+            rng.fork(),
+            stats.clone(),
+        )
+        .open_loop(per_worker_interval)
+        .request_work(cfg.request_work);
+        m.spawn(mm, CoreId(t), Box::new(worker));
     }
     m.run_until(cfg.duration);
     assert!(
@@ -266,7 +303,7 @@ pub fn run_apache(cfg: &ApacheCfg) -> ApacheResult {
         m.violations()
     );
     let seconds = cfg.duration.as_secs_f64();
-    let n = completed.get();
+    let n = stats.borrow().completed;
     ApacheResult {
         requests: n,
         seconds,
@@ -315,24 +352,6 @@ mod tests {
             (r.requests as f64) > offered_in_window * 0.55,
             "20 cores should meet most of the offered load: {} vs {offered_in_window:.0}",
             r.requests
-        );
-    }
-
-    #[test]
-    fn thp_arena_churn_promotes_and_fractures_between_requests() {
-        let mut cfg = ApacheCfg::new(2, true, OptConfig::baseline());
-        cfg.duration = Cycles::new(3_000_000);
-        cfg.files = 8;
-        cfg.thp = true;
-        let r = run_apache(&cfg);
-        assert!(r.requests > 0, "thp arena must not starve request serving");
-        assert!(
-            r.counters.get("thp_promote") > 0,
-            "first arena touch of an empty window must promote"
-        );
-        assert!(
-            r.counters.get("thp_split") > 0,
-            "partial arena zap must fracture the huge leaf"
         );
     }
 

@@ -7,7 +7,7 @@
 //! all + the CoW access-trick.
 
 use tlbdown_core::OptConfig;
-use tlbdown_kernel::prog::{Prog, ProgAction, ProgCtx};
+use tlbdown_kernel::prog::{ProgAction, ScriptProg};
 use tlbdown_kernel::{KernelConfig, Machine};
 use tlbdown_sim::{Counter, SplitMix64, Summary};
 use tlbdown_topo::TopologySpec;
@@ -41,27 +41,6 @@ impl CowBenchCfg {
             runs: 5,
             seed: 0xc0,
             interconnect: TopologySpec::Flat,
-        }
-    }
-}
-
-/// First-write program over a private file mapping, in random page order.
-struct CowWriter {
-    addr: u64,
-    order: Vec<u64>,
-    idx: usize,
-}
-
-impl Prog for CowWriter {
-    fn next(&mut self, _ctx: &ProgCtx) -> ProgAction {
-        if self.idx >= self.order.len() {
-            return ProgAction::Exit;
-        }
-        let page = self.order[self.idx];
-        self.idx += 1;
-        ProgAction::Access {
-            va: VirtAddr::new(self.addr + page * 4096),
-            write: true,
         }
     }
 }
@@ -101,43 +80,18 @@ pub fn run_cow_bench(cfg: &CowBenchCfg) -> CowBenchResult {
         let mut order: Vec<u64> = (0..cfg.pages).collect();
         rng.shuffle(&mut order);
         // Pre-read each page so the read-only mapping (and its TLB entry)
-        // exists before the write, as in the paper's private-file setup.
-        let mut script: Vec<u64> = order.clone();
-        script.reverse();
-        struct PreReader {
-            addr: u64,
-            pages: Vec<u64>,
-            then: CowWriter,
-            reading: bool,
-        }
-        impl Prog for PreReader {
-            fn next(&mut self, ctx: &ProgCtx) -> ProgAction {
-                if self.reading {
-                    if let Some(p) = self.pages.pop() {
-                        return ProgAction::Access {
-                            va: VirtAddr::new(self.addr + p * 4096),
-                            write: false,
-                        };
-                    }
-                    self.reading = false;
-                }
-                self.then.next(ctx)
-            }
-        }
-        m.spawn(
-            mm,
-            CoreId(0),
-            Box::new(PreReader {
-                addr: addr.as_u64(),
-                pages: script,
-                then: CowWriter {
-                    addr: addr.as_u64(),
-                    order,
-                    idx: 0,
-                },
-                reading: true,
-            }),
-        );
+        // exists before the write, as in the paper's private-file setup;
+        // then write each page once, in the same random order.
+        let script = [false, true]
+            .into_iter()
+            .flat_map(|write| {
+                order.iter().map(move |&page| ProgAction::Access {
+                    va: VirtAddr::new(addr.as_u64() + page * 4096),
+                    write,
+                })
+            })
+            .collect();
+        m.spawn(mm, CoreId(0), Box::new(ScriptProg::new(script)));
         m.run_until(Cycles::new(cfg.pages * 200_000));
         assert!(
             m.violations().is_empty(),

@@ -11,6 +11,8 @@
 //!   on a memory-mapped file over emulated persistent memory.
 //! - [`apache`]: the §5.3/Figure 11 thread-per-request webserver model
 //!   that mmaps, touches, sends and munmaps a small file per request.
+//!   Its [`apache::ServeWorker`] is the one serving program: the storm
+//!   bystanders and the fleet nodes run it too.
 
 //! - [`storm`]: the shootdown-storm adversary — SEV-Step-style monitor
 //!   cores write-protect/unprotect a victim's working set in a tight

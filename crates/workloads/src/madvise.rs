@@ -10,7 +10,7 @@
 
 use tlbdown_core::OptConfig;
 use tlbdown_kernel::chaos::ChaosConfig;
-use tlbdown_kernel::prog::{BusyLoopProg, Prog, ProgAction, ProgCtx};
+use tlbdown_kernel::prog::{BusyLoopProg, MadviseLoopProg, Prog, ProgAction, ProgCtx};
 use tlbdown_kernel::{KernelConfig, Machine, Syscall, TlbGeometry};
 use tlbdown_sim::{Counter, SplitMix64, Summary};
 use tlbdown_topo::TopologySpec;
@@ -119,63 +119,6 @@ pub struct MadviseBenchResult {
     pub sim_cycles: u64,
 }
 
-/// The initiator program: mmap once, then loop touch-and-madvise.
-struct Initiator {
-    addr: u64,
-    ptes: u64,
-    iters: u64,
-    state: u32,
-    touch: u64,
-    iter: u64,
-    rng: SplitMix64,
-}
-
-impl Prog for Initiator {
-    fn next(&mut self, ctx: &ProgCtx) -> ProgAction {
-        match self.state {
-            0 => {
-                self.state = 1;
-                ProgAction::Syscall(Syscall::MmapAnon { pages: self.ptes })
-            }
-            1 => {
-                self.addr = ctx.retval;
-                self.state = 2;
-                ProgAction::Nop
-            }
-            2 => {
-                if self.touch < self.ptes {
-                    let va = VirtAddr::new(self.addr + self.touch * 4096);
-                    self.touch += 1;
-                    ProgAction::Access { va, write: true }
-                } else {
-                    self.state = 3;
-                    // Seeded jitter: the std-dev the paper reports comes
-                    // from real-machine noise; here it comes from this.
-                    ProgAction::Compute(Cycles::new(self.rng.gen_range(96)))
-                }
-            }
-            3 => {
-                self.state = 4;
-                ProgAction::Syscall(Syscall::MadviseDontNeed {
-                    addr: VirtAddr::new(self.addr),
-                    pages: self.ptes,
-                })
-            }
-            4 => {
-                self.iter += 1;
-                if self.iter >= self.iters {
-                    ProgAction::Exit
-                } else {
-                    self.touch = 0;
-                    self.state = 2;
-                    ProgAction::Nop
-                }
-            }
-            _ => ProgAction::Exit,
-        }
-    }
-}
-
 /// Run one experiment; returns per-run means aggregated across runs.
 ///
 /// Fails with a typed [`SimError`] instead of panicking when a run
@@ -240,19 +183,8 @@ fn run_with_hooks(
         let mut m = Machine::new(kc);
         let mm = m.create_process()?;
         let rng = SplitMix64::new(cfg.seed ^ run.wrapping_mul(0x9e37_79b9));
-        m.spawn(
-            mm,
-            CoreId(0),
-            Box::new(Initiator {
-                addr: 0,
-                ptes: cfg.ptes,
-                iters: cfg.iters,
-                state: 0,
-                touch: 0,
-                iter: 0,
-                rng,
-            }),
-        );
+        let initiator_prog = MadviseLoopProg::new(cfg.ptes, cfg.iters).with_jitter(rng);
+        m.spawn(mm, CoreId(0), Box::new(initiator_prog));
         m.spawn(mm, cfg.placement.responder_core(), Box::new(BusyLoopProg));
         pre(run, &mut m);
         // Generous deadline; the initiator exits well before it.
@@ -513,19 +445,8 @@ pub fn run_scale_tier(cfg: &ScaleTierCfg) -> SimResult<ScaleTierResult> {
                     }),
                 );
             } else {
-                m.spawn(
-                    mm,
-                    CoreId(core),
-                    Box::new(Initiator {
-                        addr: 0,
-                        ptes: cfg.ptes,
-                        iters: u64::MAX,
-                        state: 0,
-                        touch: 0,
-                        iter: 0,
-                        rng,
-                    }),
-                );
+                let prog = MadviseLoopProg::new(cfg.ptes, u64::MAX).with_jitter(rng);
+                m.spawn(mm, CoreId(core), Box::new(prog));
             }
         } else {
             m.spawn(mm, CoreId(core), Box::new(BusyLoopProg));
@@ -699,20 +620,11 @@ pub fn run_reuse_churn(cfg: &ReuseChurnCfg) -> SimResult<ReuseChurnResult> {
     let rng = SplitMix64::new(cfg.seed);
     let deadline = cfg.iters * 400_000;
     // The region is pre-mapped so the readers share its address; the
-    // initiator starts in its touch phase (state 2) instead of mmaping.
-    m.spawn(
-        mm,
-        CoreId(0),
-        Box::new(Initiator {
-            addr: addr.as_u64(),
-            ptes: cfg.working_set_pages,
-            iters: cfg.iters,
-            state: 2,
-            touch: 0,
-            iter: 0,
-            rng,
-        }),
-    );
+    // initiator starts in its touch phase instead of mmaping.
+    let initiator = MadviseLoopProg::new(cfg.working_set_pages, cfg.iters)
+        .with_jitter(rng)
+        .premapped(addr);
+    m.spawn(mm, CoreId(0), Box::new(initiator));
     for core in 1..cfg.cores {
         m.spawn(
             mm,
@@ -871,12 +783,8 @@ mod tests {
         // consulted only on the fire-with-pending-acks path, which a
         // benign run never reaches — so enabling it may not move a
         // single counter, latency sample, digest bit or cycle.
-        use tlbdown_kernel::chaos::StormDetectorConfig;
         let detector_on = |mut chaos: ChaosConfig| {
-            chaos.watchdog.storm = StormDetectorConfig {
-                enabled: true,
-                ..StormDetectorConfig::default()
-            };
+            chaos.watchdog.storm_detector = true;
             chaos
         };
 

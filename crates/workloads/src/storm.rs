@@ -31,11 +31,11 @@
 //! same [`StormCfg`] ⇒ byte-identical [`StormResult`], which the storm
 //! gate (`cargo xtask storm`) verifies by running every cell twice.
 
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
 use tlbdown_core::OptConfig;
-use tlbdown_kernel::chaos::{ChaosConfig, StormDetectorConfig, WatchdogConfig};
+use tlbdown_kernel::chaos::{ChaosConfig, WatchdogConfig};
 use tlbdown_kernel::mm::FileId;
 use tlbdown_kernel::prog::{Prog, ProgAction, ProgCtx};
 use tlbdown_kernel::{KernelConfig, Machine, Syscall};
@@ -43,6 +43,8 @@ use tlbdown_sim::fault::FaultSpec;
 use tlbdown_sim::{Counter, SplitMix64};
 use tlbdown_topo::TopologySpec;
 use tlbdown_types::{CoreId, Cycles, SimError, SimResult, VirtAddr};
+
+use crate::apache::{ServeStats, ServeWorker};
 
 /// How a victim walks its working set.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -265,10 +267,7 @@ impl StormCfg {
                 enabled: true,
                 timeout_cycles: 250_000,
                 max_resends: 2,
-                storm: StormDetectorConfig {
-                    enabled: true,
-                    ..StormDetectorConfig::default()
-                },
+                storm_detector: true,
                 ..WatchdogConfig::default()
             },
             duration: Cycles::new(4_000_000),
@@ -453,71 +452,6 @@ impl Prog for VictimProg {
     }
 }
 
-/// A bystander worker: closed-loop Apache-style serving in its own mm —
-/// mmap a small file, touch it, `send` it, tear it down.
-struct BystanderProg {
-    files: Vec<FileId>,
-    file_pages: u64,
-    deadline: u64,
-    rng: SplitMix64,
-    completed: Rc<Cell<u64>>,
-    state: u32,
-    addr: u64,
-    touch: u64,
-}
-
-impl Prog for BystanderProg {
-    fn next(&mut self, ctx: &ProgCtx) -> ProgAction {
-        match self.state {
-            0 => {
-                if ctx.now.as_u64() >= self.deadline {
-                    return ProgAction::Exit;
-                }
-                let file = self.files[self.rng.gen_range(self.files.len() as u64) as usize];
-                self.state = 1;
-                ProgAction::Syscall(Syscall::MmapFile {
-                    file,
-                    page_offset: 0,
-                    pages: self.file_pages,
-                    shared: true,
-                })
-            }
-            1 => {
-                self.addr = ctx.retval;
-                self.touch = 0;
-                self.state = 2;
-                ProgAction::Nop
-            }
-            2 => {
-                if self.touch < self.file_pages {
-                    let va = VirtAddr::new(self.addr + self.touch * 4096);
-                    self.touch += 1;
-                    ProgAction::Access { va, write: false }
-                } else {
-                    self.state = 3;
-                    ProgAction::Syscall(Syscall::Send {
-                        addr: VirtAddr::new(self.addr),
-                        pages: self.file_pages,
-                    })
-                }
-            }
-            3 => {
-                self.state = 4;
-                ProgAction::Syscall(Syscall::Munmap {
-                    addr: VirtAddr::new(self.addr),
-                    pages: self.file_pages,
-                })
-            }
-            4 => {
-                self.completed.set(self.completed.get() + 1);
-                self.state = 0;
-                ProgAction::Nop
-            }
-            _ => ProgAction::Exit,
-        }
-    }
-}
-
 /// Run one storm cell to its deadline, drain, and report.
 ///
 /// Fails with a typed [`SimError`] on a misconfigured cell or a boot
@@ -622,7 +556,7 @@ pub fn run_storm(cfg: &StormCfg) -> SimResult<StormResult> {
 
     // Bystander mm: separate process, separate files — its shootdowns
     // are its own; the storm reaches it only through shared hardware.
-    let served = Rc::new(Cell::new(0u64));
+    let served = Rc::new(RefCell::new(ServeStats::default()));
     if cfg.bystanders > 0 {
         let by_mm = m.create_process()?;
         let mut files: Vec<FileId> = Vec::with_capacity(8);
@@ -630,20 +564,14 @@ pub fn run_storm(cfg: &StormCfg) -> SimResult<StormResult> {
             files.push(m.create_file(cfg.bystander_file_pages)?);
         }
         for _ in 0..cfg.bystanders {
-            m.spawn(
-                by_mm,
-                CoreId(next_core),
-                Box::new(BystanderProg {
-                    files: files.clone(),
-                    file_pages: cfg.bystander_file_pages,
-                    deadline,
-                    rng: rng.fork(),
-                    completed: served.clone(),
-                    state: 0,
-                    addr: 0,
-                    touch: 0,
-                }),
+            let worker = ServeWorker::new(
+                files.clone(),
+                cfg.bystander_file_pages,
+                deadline,
+                rng.fork(),
+                served.clone(),
             );
+            m.spawn(by_mm, CoreId(next_core), Box::new(worker));
             next_core += 1;
         }
     }
@@ -668,6 +596,7 @@ pub fn run_storm(cfg: &StormCfg) -> SimResult<StormResult> {
         ),
         None => (0, 0, 0, 0),
     };
+    let bystander_requests = served.borrow().completed;
     Ok(StormResult {
         violations: m.violations().len(),
         wedged,
@@ -679,7 +608,7 @@ pub fn run_storm(cfg: &StormCfg) -> SimResult<StormResult> {
         monitor_protects: m.stats.counters.get("mprotect"),
         autonuma_scans: scans.get(),
         replica_syncs: m.stats.counters.get("numapte_replica_sync"),
-        bystander_requests: served.get(),
+        bystander_requests,
         counters: m.stats.counters.clone(),
         sim_cycles: m.now().as_u64(),
         digest: m.state_digest(),

@@ -45,12 +45,6 @@ pub struct SysbenchCfg {
     /// Interconnect model; `Flat` keeps the run byte-identical to the
     /// pre-topology pipeline.
     pub interconnect: TopologySpec,
-    /// Give each worker a 2MB transparent-hugepage scratch arena (the
-    /// sysbench row buffer): after each `fdatasync` the worker touches a
-    /// rotating arena page and periodically `madvise`s the arena away,
-    /// alternating a partial zap that fractures the promoted huge leaf
-    /// with a full zap that re-arms promotion.
-    pub thp: bool,
 }
 
 impl SysbenchCfg {
@@ -66,7 +60,6 @@ impl SysbenchCfg {
             think: 12_000,
             seed: 0x5b,
             interconnect: TopologySpec::Flat,
-            thp: false,
         }
     }
 }
@@ -97,21 +90,7 @@ struct Worker {
     writes_since_sync: u64,
     ops: Rc<Cell<u64>>,
     state: u32,
-    /// THP scratch arena base (0 = no arena). See [`SysbenchCfg::thp`].
-    arena: u64,
-    /// Rotating touch cursor within the arena's hot prefix.
-    arena_next: u64,
-    /// Completed touch cycles; parity picks partial vs full zap.
-    arena_round: u64,
 }
-
-/// Arena pages touched between zaps — one per fsync, so short runs still
-/// complete several promote/fracture rounds.
-const ARENA_HOT_PAGES: u64 = 8;
-/// Pages zapped on fracture (partial) rounds.
-const ARENA_FRACTURE_PAGES: u64 = 4;
-/// Full arena size: one 2MB huge page.
-const ARENA_PAGES: u64 = 512;
 
 impl Prog for Worker {
     fn next(&mut self, _ctx: &ProgCtx) -> ProgAction {
@@ -137,38 +116,8 @@ impl Prog for Worker {
             }
             2 => {
                 self.writes_since_sync = 0;
-                self.state = if self.arena != 0 { 3 } else { 0 };
-                ProgAction::Syscall(Syscall::Fdatasync { file: self.file })
-            }
-            // THP arena churn after each fsync: touch a rotating arena
-            // page; every `ARENA_HOT_PAGES` touches, zap — alternately
-            // partial (fracturing the promoted huge leaf) and full
-            // (emptying the 2M window so the next touch promotes again).
-            3 => {
-                let page = self.arena_next % ARENA_HOT_PAGES;
-                self.arena_next += 1;
-                self.state = if self.arena_next.is_multiple_of(ARENA_HOT_PAGES) {
-                    4
-                } else {
-                    0
-                };
-                ProgAction::Access {
-                    va: VirtAddr::new(self.arena + page * 4096),
-                    write: true,
-                }
-            }
-            4 => {
-                let pages = if self.arena_round.is_multiple_of(2) {
-                    ARENA_FRACTURE_PAGES
-                } else {
-                    ARENA_PAGES
-                };
-                self.arena_round += 1;
                 self.state = 0;
-                ProgAction::Syscall(Syscall::MadviseDontNeed {
-                    addr: VirtAddr::new(self.arena),
-                    pages,
-                })
+                ProgAction::Syscall(Syscall::Fdatasync { file: self.file })
             }
             _ => ProgAction::Exit,
         }
@@ -195,13 +144,6 @@ pub fn run_sysbench(cfg: &SysbenchCfg) -> SysbenchResult {
     let ops = Rc::new(Cell::new(0u64));
     let mut rng = SplitMix64::new(cfg.seed);
     for t in 0..cfg.threads {
-        let arena = if cfg.thp {
-            m.setup_map_anon_thp(mm, ARENA_PAGES)
-                .expect("boot: map thp arena")
-                .as_u64()
-        } else {
-            0
-        };
         m.spawn(
             mm,
             CoreId(t), // socket-0 cores, one thread per logical CPU
@@ -215,9 +157,6 @@ pub fn run_sysbench(cfg: &SysbenchCfg) -> SysbenchResult {
                 writes_since_sync: 0,
                 ops: ops.clone(),
                 state: 0,
-                arena,
-                arena_next: 0,
-                arena_round: 0,
             }),
         );
     }
@@ -264,34 +203,15 @@ mod tests {
 
     #[test]
     fn fdatasync_causes_shootdown_work() {
-        let mut cfg = SysbenchCfg::new(2, true, OptConfig::baseline());
-        cfg.duration = Cycles::new(2_000_000);
-        cfg.file_pages = 2048;
-        let kc = KernelConfig {
-            topo: Topology::paper_machine(),
-            ..KernelConfig::paper_baseline()
-        };
-        let _ = kc;
-        let r = run_sysbench(&cfg);
+        let r = quick(2, true, OptConfig::baseline());
         assert!(r.ops > 0);
-    }
-
-    #[test]
-    fn thp_scratch_arena_promotes_and_fractures() {
-        let mut cfg = SysbenchCfg::new(2, true, OptConfig::baseline());
-        cfg.duration = Cycles::new(2_000_000);
-        cfg.file_pages = 2048;
-        cfg.thp = true;
-        let r = run_sysbench(&cfg);
-        assert!(r.ops > 0, "arena churn must not starve the write loop");
-        assert!(
-            r.counters.get("thp_promote") > 0,
-            "first arena touch of an empty window must promote"
-        );
-        assert!(
-            r.counters.get("thp_split") > 0,
-            "partial arena zap must fracture the huge leaf"
-        );
+        for counter in ["fdatasync", "writeback_pages", "shootdown", "ipis_sent"] {
+            assert!(
+                r.counters.get(counter) > 0,
+                "no {counter}: {:?}",
+                r.counters
+            );
+        }
     }
 
     #[test]

@@ -30,7 +30,8 @@
 //!   one row of [`ENTRIES`] each, every one run by [`snapshot_gate`]:
 //!   - `bench` (`BENCH_1.json`, quick): the calibrated paper matrix —
 //!     Figs 5/7 at every opt level, Fig 9, Tables 3 and 4, the Fig 4
-//!     ablation — which is quick-scale at either `--scale`.
+//!     ablation, and the top safe-mode level of Figs 10/11 — which is
+//!     quick-scale at either `--scale`.
 //!   - `scalebench` (`BENCH_2.json`, full): the dual-socket 2×56-core,
 //!     10M-event tier under the timing wheel and the pure-heap engine;
 //!     the two sim blocks must be byte-identical.

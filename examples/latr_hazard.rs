@@ -8,7 +8,7 @@
 //! cargo run --release --example latr_hazard
 //! ```
 
-use tlbdown::kernel::prog::{Prog, ProgAction, ProgCtx};
+use tlbdown::kernel::prog::{Prog, ProgAction, ProgCtx, ScriptProg};
 use tlbdown::kernel::{KernelConfig, Machine, Syscall};
 use tlbdown::types::{CoreId, Cycles, VirtAddr};
 
@@ -31,54 +31,21 @@ impl Prog for Toucher {
     }
 }
 
-/// Maps the page, lets the toucher cache it, then releases it.
-struct Zapper {
-    state: u32,
-    addr: u64,
-}
-
-impl Prog for Zapper {
-    fn next(&mut self, ctx: &ProgCtx) -> ProgAction {
-        match self.state {
-            0 => {
-                self.state = 1;
-                ProgAction::Syscall(Syscall::MmapAnon { pages: 1 })
-            }
-            1 => {
-                self.addr = ctx.retval;
-                self.state = 2;
-                ProgAction::Access {
-                    va: VirtAddr::new(self.addr),
-                    write: true,
-                }
-            }
-            2 => {
-                // Let the toucher warm its TLB entry.
-                self.state = 3;
-                ProgAction::Compute(Cycles::new(100_000))
-            }
-            3 => {
-                self.state = 4;
-                ProgAction::Syscall(Syscall::MadviseDontNeed {
-                    addr: VirtAddr::new(self.addr),
-                    pages: 1,
-                })
-            }
-            _ => ProgAction::Exit,
-        }
-    }
-}
-
 fn run(lazy: bool) -> usize {
     let cfg = KernelConfig::test_machine(2).with_lazy_latr(lazy);
     let mut m = Machine::new(cfg);
     let mm = m.create_process().expect("boot: create process");
-    let zapper = Zapper { state: 0, addr: 0 };
-    // The zapper must publish the address to the toucher; in this demo we
-    // run the mmap synchronously first by a tiny warm-up simulation.
-    let mut probe = Machine::new(KernelConfig::test_machine(1));
-    let pmm = probe.create_process().expect("boot: create process");
-    let addr = probe.setup_map_anon(pmm, 1).expect("boot: map anon"); // deterministic cursor: same addr
+    let addr = m.setup_map_anon(mm, 1).expect("boot: map anon");
+    // The zapper touches the page, lets the toucher cache it, then
+    // releases it.
+    let zapper = ScriptProg::new(vec![
+        ProgAction::Access {
+            va: addr,
+            write: true,
+        },
+        ProgAction::Compute(Cycles::new(100_000)),
+        ProgAction::Syscall(Syscall::MadviseDontNeed { addr, pages: 1 }),
+    ]);
     m.spawn(mm, CoreId(0), Box::new(zapper));
     m.spawn(
         mm,

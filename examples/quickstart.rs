@@ -6,53 +6,9 @@
 //! ```
 
 use tlbdown::core::OptConfig;
-use tlbdown::kernel::prog::{BusyLoopProg, Prog, ProgAction, ProgCtx};
-use tlbdown::kernel::{KernelConfig, Machine, Syscall};
-use tlbdown::types::{CoreId, Cycles, Topology, VirtAddr};
-
-/// mmap 8 pages, touch them, madvise them away — one shootdown per loop.
-struct Demo {
-    state: u32,
-    addr: u64,
-    touch: u64,
-    iter: u64,
-}
-
-impl Prog for Demo {
-    fn next(&mut self, ctx: &ProgCtx) -> ProgAction {
-        match self.state {
-            0 => {
-                self.state = 1;
-                ProgAction::Syscall(Syscall::MmapAnon { pages: 8 })
-            }
-            1 => {
-                self.addr = ctx.retval;
-                self.state = 2;
-                ProgAction::Nop
-            }
-            2 => {
-                if self.touch < 8 {
-                    let va = VirtAddr::new(self.addr + self.touch * 4096);
-                    self.touch += 1;
-                    ProgAction::Access { va, write: true }
-                } else {
-                    self.state = 3;
-                    ProgAction::Syscall(Syscall::MadviseDontNeed {
-                        addr: VirtAddr::new(self.addr),
-                        pages: 8,
-                    })
-                }
-            }
-            3 => {
-                self.iter += 1;
-                self.touch = 0;
-                self.state = if self.iter < 100 { 2 } else { 4 };
-                ProgAction::Nop
-            }
-            _ => ProgAction::Exit,
-        }
-    }
-}
+use tlbdown::kernel::prog::{BusyLoopProg, MadviseLoopProg};
+use tlbdown::kernel::{KernelConfig, Machine};
+use tlbdown::types::{CoreId, Cycles, Topology};
 
 fn run(opts: OptConfig, label: &str) {
     let cfg = KernelConfig {
@@ -62,17 +18,10 @@ fn run(opts: OptConfig, label: &str) {
     .with_opts(opts);
     let mut m = Machine::new(cfg);
     let mm = m.create_process().expect("boot: create process");
-    // Initiator on socket 0, responder on socket 1 — the worst case.
-    m.spawn(
-        mm,
-        CoreId(0),
-        Box::new(Demo {
-            state: 0,
-            addr: 0,
-            touch: 0,
-            iter: 0,
-        }),
-    );
+    // Initiator on socket 0, responder on socket 1 — the worst case. The
+    // initiator maps 8 pages, then touches them and madvises them away
+    // 100 times: one shootdown per loop.
+    m.spawn(mm, CoreId(0), Box::new(MadviseLoopProg::new(8, 100)));
     m.spawn(mm, CoreId(28), Box::new(BusyLoopProg));
     m.run_until(Cycles::new(100_000_000));
 

@@ -2,68 +2,9 @@
 //! public API end to end.
 
 use tlbdown::core::OptConfig;
-use tlbdown::kernel::prog::{BusyLoopProg, Prog, ProgAction, ProgCtx};
+use tlbdown::kernel::prog::{BusyLoopProg, MadviseLoopProg, Prog, ProgAction, ProgCtx, ScriptProg};
 use tlbdown::kernel::{InjectedBug, KernelConfig, Machine, Syscall};
 use tlbdown::types::{CoreId, Cycles, Topology, VirtAddr};
-
-/// mmap + touch + madvise loop over `pages` pages, `iters` times.
-struct MadviseLoop {
-    pages: u64,
-    iters: u64,
-    state: u32,
-    addr: u64,
-    touch: u64,
-    iter: u64,
-}
-
-impl MadviseLoop {
-    fn new(pages: u64, iters: u64) -> Self {
-        MadviseLoop {
-            pages,
-            iters,
-            state: 0,
-            addr: 0,
-            touch: 0,
-            iter: 0,
-        }
-    }
-}
-
-impl Prog for MadviseLoop {
-    fn next(&mut self, ctx: &ProgCtx) -> ProgAction {
-        match self.state {
-            0 => {
-                self.state = 1;
-                ProgAction::Syscall(Syscall::MmapAnon { pages: self.pages })
-            }
-            1 => {
-                self.addr = ctx.retval;
-                self.state = 2;
-                ProgAction::Nop
-            }
-            2 => {
-                if self.touch < self.pages {
-                    let va = VirtAddr::new(self.addr + self.touch * 4096);
-                    self.touch += 1;
-                    ProgAction::Access { va, write: true }
-                } else {
-                    self.state = 3;
-                    ProgAction::Syscall(Syscall::MadviseDontNeed {
-                        addr: VirtAddr::new(self.addr),
-                        pages: self.pages,
-                    })
-                }
-            }
-            3 => {
-                self.iter += 1;
-                self.touch = 0;
-                self.state = if self.iter < self.iters { 2 } else { 4 };
-                ProgAction::Nop
-            }
-            _ => ProgAction::Exit,
-        }
-    }
-}
 
 #[test]
 fn multicast_uses_cluster_batches() {
@@ -75,7 +16,7 @@ fn multicast_uses_cluster_batches() {
     };
     let mut m = Machine::new(cfg);
     let mm = m.create_process().expect("boot: create process");
-    m.spawn(mm, CoreId(0), Box::new(MadviseLoop::new(4, 3)));
+    m.spawn(mm, CoreId(0), Box::new(MadviseLoopProg::new(4, 3)));
     for i in 1..=20u32 {
         let core = if i <= 10 {
             CoreId(i * 2)
@@ -103,9 +44,9 @@ fn identical_seeds_are_bit_identical() {
         cfg.seed = 0xfeed;
         let mut m = Machine::new(cfg);
         let mm = m.create_process().expect("boot: create process");
-        m.spawn(mm, CoreId(0), Box::new(MadviseLoop::new(6, 20)));
+        m.spawn(mm, CoreId(0), Box::new(MadviseLoopProg::new(6, 20)));
         m.spawn(mm, CoreId(1), Box::new(BusyLoopProg));
-        m.spawn(mm, CoreId(2), Box::new(MadviseLoop::new(3, 20)));
+        m.spawn(mm, CoreId(2), Box::new(MadviseLoopProg::new(3, 20)));
         m.run_until(Cycles::new(20_000_000));
         (
             m.now(),
@@ -132,8 +73,8 @@ fn batched_core_is_skipped_and_resyncs() {
     let mm = m.create_process().expect("boot: create process");
     // Two threads madvise-looping concurrently: each spends most time in
     // the (batched) syscall, so each is regularly skipped by the other.
-    m.spawn(mm, CoreId(0), Box::new(MadviseLoop::new(8, 40)));
-    m.spawn(mm, CoreId(1), Box::new(MadviseLoop::new(8, 40)));
+    m.spawn(mm, CoreId(0), Box::new(MadviseLoopProg::new(8, 40)));
+    m.spawn(mm, CoreId(1), Box::new(MadviseLoopProg::new(8, 40)));
     m.run_until(Cycles::new(60_000_000));
     assert_eq!(m.stats.counters.get("madvise_dontneed"), 80);
     assert!(
@@ -182,24 +123,6 @@ fn nmi_uaccess_extension_blocks_the_early_ack_hazard() {
                 }
             }
         }
-        // Initiator repeatedly zaps the whole region (10+ PTEs → a long
-        // responder flush window after the early ack).
-        struct Zapper {
-            addr: u64,
-            i: u64,
-        }
-        impl Prog for Zapper {
-            fn next(&mut self, _ctx: &ProgCtx) -> ProgAction {
-                self.i += 1;
-                if self.i > 400 {
-                    return ProgAction::Exit;
-                }
-                ProgAction::Syscall(Syscall::MadviseDontNeed {
-                    addr: VirtAddr::new(self.addr),
-                    pages: 16,
-                })
-            }
-        }
         m.spawn(
             mm,
             CoreId(1),
@@ -208,14 +131,10 @@ fn nmi_uaccess_extension_blocks_the_early_ack_hazard() {
                 i: 0,
             }),
         );
-        m.spawn(
-            mm,
-            CoreId(0),
-            Box::new(Zapper {
-                addr: addr.as_u64(),
-                i: 0,
-            }),
-        );
+        // Initiator repeatedly zaps the whole region (10+ PTEs → a long
+        // responder flush window after the early ack).
+        let zap = ProgAction::Syscall(Syscall::MadviseDontNeed { addr, pages: 16 });
+        m.spawn(mm, CoreId(0), Box::new(ScriptProg::new(vec![zap; 400])));
         // Rain NMIs on the responder, probing the last page of the range
         // (flushed last → widest stale window).
         let probe = VirtAddr::new(addr.as_u64() + 15 * 4096);
@@ -259,35 +178,19 @@ fn cow_after_fork_style_sharing_is_isolated() {
     let addr_a = m.setup_map_file(mm_a, f, false).expect("boot: map file");
     let addr_b = m.setup_map_file(mm_b, f, false).expect("boot: map file");
     // A reads then writes every page (CoW); B only reads.
-    let script = |addr: u64, write: bool| {
-        struct P {
-            addr: u64,
-            write: bool,
-            i: u64,
+    let script = |addr: VirtAddr, writer: bool| {
+        let access = |i: u64, write| ProgAction::Access {
+            va: VirtAddr::new(addr.as_u64() + i * 4096),
+            write,
+        };
+        let mut steps: Vec<_> = (0..4).map(|i| access(i, false)).collect();
+        if writer {
+            steps.extend((0..4).map(|i| access(i, true)));
         }
-        impl Prog for P {
-            fn next(&mut self, _ctx: &ProgCtx) -> ProgAction {
-                let step = self.i;
-                self.i += 1;
-                if step < 4 {
-                    ProgAction::Access {
-                        va: VirtAddr::new(self.addr + step * 4096),
-                        write: false,
-                    }
-                } else if step < 8 && self.write {
-                    ProgAction::Access {
-                        va: VirtAddr::new(self.addr + (step - 4) * 4096),
-                        write: true,
-                    }
-                } else {
-                    ProgAction::Exit
-                }
-            }
-        }
-        Box::new(P { addr, write, i: 0 })
+        Box::new(ScriptProg::new(steps))
     };
-    m.spawn(mm_a, CoreId(0), script(addr_a.as_u64(), true));
-    m.spawn(mm_b, CoreId(1), script(addr_b.as_u64(), false));
+    m.spawn(mm_a, CoreId(0), script(addr_a, true));
+    m.spawn(mm_b, CoreId(1), script(addr_b, false));
     m.run_until(Cycles::new(10_000_000));
     assert_eq!(m.stats.counters.get("cow_fault"), 4);
     assert!(m.violations().is_empty(), "{:?}", m.violations());
@@ -323,7 +226,7 @@ fn safe_mode_flushes_both_views() {
     cfg.noise_cycles = 100;
     let mut m = Machine::new(cfg);
     let mm = m.create_process().expect("boot: create process");
-    m.spawn(mm, CoreId(0), Box::new(MadviseLoop::new(10, 60)));
+    m.spawn(mm, CoreId(0), Box::new(MadviseLoopProg::new(10, 60)));
     m.spawn(mm, CoreId(1), Box::new(BusyLoopProg));
     m.run_until(Cycles::new(80_000_000));
     assert_eq!(m.stats.counters.get("madvise_dontneed"), 60);
