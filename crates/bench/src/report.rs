@@ -148,13 +148,13 @@ pub fn total_wall_ns(doc: &Json) -> Option<u64> {
 /// Rendering of the side of a [`SimChange`] where the path is absent.
 const ABSENT: &str = "<absent>";
 
-/// Where one job's `sim` block first differs from its baseline.
+/// One place where a job's `sim` block differs from its baseline.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SimChange {
     /// The job's ID.
     pub id: String,
-    /// Key path of the first difference in document order, rooted at
-    /// the block: `sim.counters.ipis_sent`, array elements as `[i]`.
+    /// Key path of the difference, rooted at the block:
+    /// `sim.counters.ipis_sent`, array elements as `[i]`.
     pub path: String,
     /// Compact rendering of the value at `path` now, or `<absent>`.
     pub current: String,
@@ -170,9 +170,9 @@ pub struct SimDiff {
     pub added: Vec<String>,
     /// Job IDs present in the baseline but gone now (matrix shrank).
     pub removed: Vec<String>,
-    /// Jobs whose `sim` block bytes changed — a behavioural regression
-    /// (or an intentional protocol change needing a new baseline) —
-    /// each with the first differing value.
+    /// Every differing leaf of the common jobs' `sim` blocks — a
+    /// behavioural regression (or an intentional protocol change needing
+    /// a new baseline) — in job order, then document order.
     pub changed: Vec<SimChange>,
 }
 
@@ -198,7 +198,7 @@ pub fn diff_sim_metrics(current: &Json, baseline: &Json) -> SimDiff {
         match base.get(id) {
             None => diff.added.push(id.to_string()),
             Some(b) => {
-                if let Some((path, current, baseline)) = first_difference(sim, b, "sim") {
+                for (path, current, baseline) in differences(sim, b, "sim") {
                     diff.changed.push(SimChange {
                         id: id.to_string(),
                         path,
@@ -233,38 +233,34 @@ fn children(v: &Json) -> Option<Vec<(String, &Json)>> {
     }
 }
 
-/// The first place `cur` and `base` render differently, walking both in
-/// document order: `(path, current, baseline)`. Members compare by
-/// position, so a key present on only one side is reported with
-/// [`ABSENT`] on the other.
-fn first_difference(cur: &Json, base: &Json, path: &str) -> Option<(String, String, String)> {
+/// Every place `cur` and `base` render differently, as
+/// `(path, current, baseline)`: each differing leaf, in `cur`'s document
+/// order, then the members only `base` has. Members pair by label, so a
+/// member present on only one side is reported with [`ABSENT`] on the
+/// other; members that match but sit in another order report `path`
+/// itself.
+fn differences(cur: &Json, base: &Json, path: &str) -> Vec<(String, String, String)> {
+    let mut out = Vec::new();
     if cur.render() == base.render() {
-        return None;
+        return out;
     }
     if let (Some(a), Some(b)) = (children(cur), children(base)) {
-        let lookup = |side: &[(String, &Json)], label: &str| {
-            side.iter()
-                .find(|(l, _)| l == label)
-                .map_or_else(|| ABSENT.to_string(), |(_, v)| v.render())
-        };
-        for i in 0..a.len().max(b.len()) {
-            match (a.get(i), b.get(i)) {
-                (Some((la, va)), Some((lb, vb))) if la == lb => {
-                    if let Some(d) = first_difference(va, vb, &format!("{path}{la}")) {
-                        return Some(d);
-                    }
-                }
-                (Some((la, va)), _) => {
-                    return Some((format!("{path}{la}"), va.render(), lookup(&b, la)))
-                }
-                (None, Some((lb, vb))) => {
-                    return Some((format!("{path}{lb}"), lookup(&a, lb), vb.render()))
-                }
-                (None, None) => break,
+        for (label, va) in &a {
+            match b.iter().find(|(l, _)| l == label) {
+                Some((_, vb)) => out.extend(differences(va, vb, &format!("{path}{label}"))),
+                None => out.push((format!("{path}{label}"), va.render(), ABSENT.into())),
+            }
+        }
+        for (label, vb) in &b {
+            if !a.iter().any(|(l, _)| l == label) {
+                out.push((format!("{path}{label}"), ABSENT.into(), vb.render()));
             }
         }
     }
-    Some((path.to_string(), cur.render(), base.render()))
+    if out.is_empty() {
+        out.push((path.to_string(), cur.render(), base.render()));
+    }
+    out
 }
 
 #[cfg(test)]
@@ -345,13 +341,49 @@ mod tests {
             .with("a", Json::U64(1))
             .with("counters", Json::obj());
         assert_eq!(
-            first_difference(&cur, &base, "sim"),
-            Some(("sim.counters.x".into(), "2".into(), ABSENT.into()))
+            differences(&cur, &base, "sim"),
+            [("sim.counters.x".into(), "2".into(), ABSENT.into())]
         );
         assert_eq!(
-            first_difference(&base, &cur, "sim"),
-            Some(("sim.counters.x".into(), ABSENT.into(), "2".into()))
+            differences(&base, &cur, "sim"),
+            [("sim.counters.x".into(), ABSENT.into(), "2".into())]
         );
-        assert_eq!(first_difference(&cur, &cur, "sim"), None);
+        assert_eq!(differences(&cur, &cur, "sim"), []);
+        // Same members in another order: no leaf differs, the block does.
+        let swapped = Json::obj()
+            .with("counters", Json::obj().with("x", Json::U64(2)))
+            .with("a", Json::U64(1));
+        assert_eq!(
+            differences(&swapped, &cur, "sim"),
+            [("sim".into(), swapped.render(), cur.render())]
+        );
+    }
+
+    #[test]
+    fn diff_lists_every_changed_key_of_a_job() {
+        let snapshot = |digest: u64, ipis: u64| {
+            let sim = Json::obj()
+                .with("state_digest", Json::U64(digest))
+                .with("steps", Json::U64(7))
+                .with("counters", Json::obj().with("ipis", Json::U64(ipis)));
+            let job = Json::obj()
+                .with("id", Json::Str("j".into()))
+                .with("sim", sim);
+            Json::obj().with("jobs", Json::Arr(vec![job]))
+        };
+        let change = |path: &str, current: &str, baseline: &str| SimChange {
+            id: "j".into(),
+            path: path.into(),
+            current: current.into(),
+            baseline: baseline.into(),
+        };
+        let diff = diff_sim_metrics(&snapshot(2, 5), &snapshot(1, 4));
+        assert_eq!(
+            diff.changed,
+            [
+                change("sim.state_digest", "2", "1"),
+                change("sim.counters.ipis", "5", "4"),
+            ]
+        );
     }
 }

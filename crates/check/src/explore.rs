@@ -206,12 +206,16 @@ fn liveness_ok(m: &Machine, drained: bool) -> bool {
 }
 
 /// Canonical rendering of a finished machine for byte-identical replay
-/// comparison.
+/// comparison. Each digest component gets its own line, so a replay
+/// divergence names the part of the state that differs.
 pub fn render_run(m: &Machine, steps: u64) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "steps {steps}");
     let _ = writeln!(out, "final_time {}", m.now().as_u64());
     let _ = writeln!(out, "digest {:#018x}", m.state_digest());
+    for (name, d) in m.digest_components() {
+        let _ = writeln!(out, "digest.{name} {d:#018x}");
+    }
     let _ = writeln!(out, "violations {}", m.violations().len());
     for v in m.violations() {
         let _ = writeln!(out, "violation {v}");
@@ -487,7 +491,8 @@ pub fn render_diff(a: &str, b: &str) -> String {
 mod tests {
     use std::collections::HashSet;
 
-    use super::{render_diff, DigestWalk};
+    use super::{render_diff, run_schedule, Bounds, DigestWalk};
+    use crate::scenario;
 
     /// The digests a walk over `from..until` takes when the digest after
     /// branch point `i` is `feed[i]`.
@@ -531,6 +536,31 @@ mod tests {
                 "steps 3\ndigest 0x2\nerrors 0\n"
             ),
             "run1: digest 0x1\nrun2: digest 0x2\n"
+        );
+    }
+
+    #[test]
+    fn render_diff_names_the_differing_digest_component() {
+        let build = || scenario::dueling_madvise_at(0);
+        let a = run_schedule(&build, &Bounds::default(), &[]);
+        let mut b = run_schedule(&build, &Bounds::default(), &[]);
+        b.machine.cpus[0].resume_token += 1;
+        let (ra, rb) = (a.stats_render(), b.stats_render());
+        let line = |r: &str, key: &str| {
+            r.lines()
+                .find(|l| l.starts_with(key))
+                .expect("rendered")
+                .to_owned()
+        };
+        assert_eq!(
+            render_diff(&ra, &rb),
+            format!(
+                "run1: {}\nrun2: {}\nrun1: {}\nrun2: {}\n",
+                line(&ra, "digest "),
+                line(&rb, "digest "),
+                line(&ra, "digest.cpus "),
+                line(&rb, "digest.cpus "),
+            )
         );
     }
 

@@ -25,7 +25,7 @@ pub enum DeferOutcome {
 }
 
 /// Per-task batched-flush state.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, Hash)]
 pub struct BatchState {
     active: bool,
     slots: Vec<FlushTlbInfo>,

@@ -4,7 +4,7 @@ use crate::deferred::DeferredUserFlush;
 use tlbdown_types::{MmId, Pcid};
 
 /// The per-CPU TLB bookkeeping the shootdown protocol consults.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Hash)]
 pub struct CpuTlbState {
     /// The address space loaded on this CPU.
     pub loaded_mm: MmId,

@@ -13,7 +13,7 @@ use crate::info::FLUSH_CEILING;
 use tlbdown_types::{PageSize, VirtRange};
 
 /// A recorded pending flush of the user address space.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct PendingFlush {
     /// Merged range to invalidate (meaningless when `full`).
     pub range: VirtRange,
@@ -50,7 +50,7 @@ impl PendingFlush {
 /// assert!(!p.full);
 /// assert_eq!(p.entries(), 6);
 /// ```
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq, Hash)]
 pub struct DeferredUserFlush {
     pending: Option<PendingFlush>,
 }

@@ -39,7 +39,7 @@ impl MmGen {
 }
 
 /// What a CPU receiving a flush request must do.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub enum FlushAction {
     /// The local TLB already covers this generation — nothing to do.
     /// (The fast path that defeats early acknowledgement during storms.)

@@ -9,7 +9,7 @@ pub const FLUSH_CEILING: u64 = 33;
 
 /// Description of one TLB flush request, mirroring Linux's
 /// `struct flush_tlb_info` (§3.3 item 2, §4.2).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct FlushTlbInfo {
     /// The address space whose mappings changed.
     pub mm: MmId,

@@ -11,7 +11,7 @@ use tlbdown_types::{CoreId, Cycles};
 pub struct ShootdownId(pub u64);
 
 /// Where a shootdown is in its lifecycle.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum ShootdownPhase {
     /// The initiator is issuing ICR writes.
     SendingIpis,
@@ -35,7 +35,7 @@ pub fn use_early_ack(info: &FlushTlbInfo, opts: &OptConfig) -> bool {
 }
 
 /// One in-flight shootdown, tracked by the initiator.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Hash)]
 pub struct Shootdown {
     /// Unique id.
     pub id: ShootdownId,

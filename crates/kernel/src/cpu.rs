@@ -32,7 +32,7 @@ pub enum CpuMode {
 }
 
 /// Scheduling state of one frame.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum ResumeState {
     /// A `Resume` event is scheduled to fire when the current stage's
     /// work completes.
@@ -51,7 +51,7 @@ pub enum ResumeState {
 }
 
 /// A frame plus its scheduling state.
-#[derive(Debug)]
+#[derive(Debug, Hash)]
 pub struct FrameSlot {
     /// The execution frame.
     pub frame: Frame,
@@ -60,7 +60,7 @@ pub struct FrameSlot {
 }
 
 /// One entry of a core's execution stack.
-#[derive(Debug)]
+#[derive(Debug, Hash)]
 pub enum Frame {
     /// Idle kernel thread (bottom frame when no thread is runnable).
     Idle,
@@ -77,7 +77,7 @@ pub enum Frame {
 }
 
 /// User-program frame state.
-#[derive(Debug)]
+#[derive(Debug, Hash)]
 pub struct ProgFrame {
     /// Index of the thread in `Machine::threads`.
     pub thread: usize,
@@ -92,7 +92,7 @@ pub struct ProgFrame {
 }
 
 /// Stages of a system call.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum SyscallStage {
     /// Kernel entry completed; acquire `mmap_sem`.
     AcquireSem,
@@ -111,7 +111,7 @@ pub enum SyscallStage {
 }
 
 /// A system-call frame.
-#[derive(Debug)]
+#[derive(Debug, Hash)]
 pub struct SyscallFrame {
     /// Retire pairs accumulated while batching (attached to the last
     /// barrier shootdown so nothing retires before every flush ran).
@@ -142,7 +142,7 @@ pub struct SyscallFrame {
 }
 
 /// Stages of a page fault.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum FaultStage {
     /// Fault dispatch done; classify and resolve.
     Resolve,
@@ -153,7 +153,7 @@ pub enum FaultStage {
 }
 
 /// A page-fault frame.
-#[derive(Debug)]
+#[derive(Debug, Hash)]
 pub struct FaultFrame {
     /// Faulting address.
     pub va: VirtAddr,
@@ -179,7 +179,7 @@ pub struct FaultFrame {
 /// `LocalFlush → UserFlush → SendIpis → Wait`, while concurrent flushing
 /// runs `SendIpis → LocalFlush → UserFlush → Wait`, overlapping the local
 /// work with IPI delivery and remote flushing.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum SdStage {
     /// Charge `shootdown_prep`, compute targets, decide ordering.
     Prep,
@@ -197,7 +197,7 @@ pub enum SdStage {
 }
 
 /// How the initiator removes its own stale translation.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum LocalMode {
     /// Ordinary local flush (INVLPG loop or full flush).
     Normal,
@@ -211,7 +211,7 @@ pub enum LocalMode {
 
 /// The initiator-side state of one shootdown, embedded in syscall and
 /// fault frames.
-#[derive(Debug)]
+#[derive(Debug, Hash)]
 pub struct ShootdownRun {
     /// The flush description.
     pub info: FlushTlbInfo,
@@ -292,7 +292,7 @@ impl ShootdownRun {
 }
 
 /// Stages of the shootdown IRQ handler (responder side).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum IrqStage {
     /// Vectoring/dispatch completed; drain the call-single queue.
     DrainQueue,
@@ -311,7 +311,7 @@ pub enum IrqStage {
 }
 
 /// What the responder decided to do for the current work item.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum IrqAct {
     /// Nothing decided yet.
     Pending,
@@ -324,7 +324,7 @@ pub enum IrqAct {
 }
 
 /// The shootdown interrupt handler frame.
-#[derive(Debug)]
+#[derive(Debug, Hash)]
 pub struct IrqFrame {
     /// Dispatch start (responder-interruption accounting, §5.1).
     pub started: Cycles,
@@ -363,7 +363,7 @@ pub struct IrqFrame {
 }
 
 /// Stages of the NMI handler.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum NmiStage {
     /// Handler body: optionally probe user memory (kprobe-style).
     Body,
@@ -372,7 +372,7 @@ pub enum NmiStage {
 }
 
 /// An NMI frame (failure injection for the §3.2 hazard).
-#[derive(Debug)]
+#[derive(Debug, Hash)]
 pub struct NmiFrame {
     /// Current stage.
     pub stage: NmiStage,

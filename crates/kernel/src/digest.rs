@@ -2,13 +2,39 @@
 //!
 //! The schedule explorer (the `check` crate) prunes its DFS when it
 //! reaches a state it has already expanded. "Same state" is judged by
-//! [`Machine::state_digest`]: an FNV-1a hash over a canonical rendering
-//! of everything the shootdown protocols read or write — per-core
-//! `cpu_tlbstate`, the TLB contents, call-single queues, in-flight
-//! shootdown records, per-mm generation counters, the frame stacks, and
-//! the pending event queue. Components backed by hash maps are sorted
-//! into a canonical order first, so the digest is independent of
-//! iteration order and identical across runs within one build.
+//! [`Machine::state_digest`], a fold of the named component digests that
+//! [`Machine::digest_components`] returns, in this order:
+//!
+//! - `events`: the clock, the pending event queue, and the number of
+//!   oracle violations and recorded errors;
+//! - `cpus`: per core, `cpu_tlbstate`, the call-single queue, the
+//!   early-ack debt, the batched-syscall flag, the resume token, the
+//!   frame stack and the per-mm PCID generations;
+//! - `escalation`: the watchdog ladder per core and its jitter stream;
+//! - `tlbs`: each core's TLB entries and fracture flag;
+//! - `shootdowns`: the in-flight shootdown records;
+//! - `mms`: per address space, the generation, the cpumask, the VMA
+//!   starts and the mmap cursor;
+//! - `reuse`: the L7 reuse windows and PTE versions, only when
+//!   `reuse_skip` is on;
+//! - `numa`: the L8 stale replicas, only when `numa_pte` is on;
+//! - `links`: interconnect link occupancy, only on a routed topology.
+//!
+//! A component that is off hashes no bytes, so the paper's six levels on
+//! the flat fabric see constant `reuse`, `numa` and `links` digests.
+//!
+//! # Encoding
+//!
+//! Each component is a 64-bit FNV-1a hash of the bytes that
+//! `#[derive(Hash)]` feeds it: the fields of each struct in declaration
+//! order, every integer and enum discriminant as fixed-width
+//! little-endian bytes (`usize` as 8 bytes), every collection preceded
+//! by its length, every string followed by a `0xff` byte, and no field
+//! or type names. Renaming a field therefore keeps every digest; adding,
+//! removing or reordering one moves them. State held in hash maps is
+//! sorted first — shootdowns and address spaces by id, PCID generations
+//! by mm, TLB entries by their unique fill sequence number — so no digest
+//! depends on iteration order.
 //!
 //! The digest is *partial* by design (it skips page-table contents and
 //! program-internal state, which are functions of the completed
@@ -17,23 +43,36 @@
 //! as equal futures for pruning. It is exact for what replay verification
 //! needs — two runs of the same schedule on the same scenario must agree
 //! on every hashed component, so a digest mismatch is proof of
-//! nondeterminism.
+//! nondeterminism, and the differing component says where.
 
-use std::fmt::Write as _;
+use std::hash::{Hash, Hasher};
+
+use tlbdown_tlb::TlbEntry;
+use tlbdown_types::MmId;
 
 use crate::machine::Machine;
+use crate::mm::Mm;
 
 /// 64-bit FNV-1a offset basis.
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 /// 64-bit FNV-1a prime.
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
-/// Streaming FNV-1a hasher over the canonical state rendering.
+/// Streaming FNV-1a that takes every integer as little-endian bytes, so
+/// a digest does not depend on the host's byte order or pointer width.
+/// Signed integers reach the unsigned writers through `Hasher`'s
+/// defaults.
 struct Fnv(u64);
 
 impl Fnv {
     fn new() -> Self {
         Fnv(FNV_OFFSET)
+    }
+}
+
+impl Hasher for Fnv {
+    fn finish(&self) -> u64 {
+        self.0
     }
 
     fn write(&mut self, bytes: &[u8]) {
@@ -42,111 +81,178 @@ impl Fnv {
             self.0 = self.0.wrapping_mul(FNV_PRIME);
         }
     }
+
+    fn write_u16(&mut self, n: u16) {
+        self.write(&n.to_le_bytes());
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.write(&n.to_le_bytes());
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.write(&n.to_le_bytes());
+    }
+
+    fn write_u128(&mut self, n: u128) {
+        self.write(&n.to_le_bytes());
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.write_u64(n as u64);
+    }
 }
 
-impl std::fmt::Write for Fnv {
-    fn write_str(&mut self, s: &str) -> std::fmt::Result {
-        self.write(s.as_bytes());
-        Ok(())
+/// Feeds one component's state to the hasher.
+type HashComponent = fn(&Machine, &mut Fnv);
+
+/// The digest components in fold order (see the module docs).
+const COMPONENTS: [(&str, HashComponent); 9] = [
+    ("events", events),
+    ("cpus", cpus),
+    ("escalation", escalation),
+    ("tlbs", tlbs),
+    ("shootdowns", shootdowns),
+    ("mms", mms),
+    ("reuse", reuse),
+    ("numa", numa),
+    ("links", links),
+];
+
+fn events(m: &Machine, h: &mut Fnv) {
+    m.engine.now().hash(h);
+    m.engine.pending().hash(h);
+    m.violations().len().hash(h);
+    m.recorded_errors().len().hash(h);
+}
+
+fn cpus(m: &Machine, h: &mut Fnv) {
+    for cpu in &m.cpus {
+        (
+            &cpu.tlb_state,
+            &cpu.csq,
+            cpu.acked_unflushed,
+            cpu.in_batched_syscall,
+            cpu.resume_token,
+            &cpu.frames,
+        )
+            .hash(h);
+        let mut gens: Vec<_> = cpu.pcid_gens.iter().collect();
+        gens.sort_unstable_by_key(|(mm, _)| **mm);
+        gens.hash(h);
+    }
+}
+
+/// Escalation-ladder state steers future flush decisions (quarantine
+/// override, storm widening), so it is part of the protocol state.
+fn escalation(m: &Machine, h: &mut Fnv) {
+    let e = &m.esc;
+    for i in 0..m.cpus.len() {
+        (
+            e.streak[i],
+            e.quarantined[i],
+            e.probation[i],
+            e.ewma_gap[i],
+            e.last_arrival[i],
+        )
+            .hash(h);
+    }
+    e.jitter_rng.hash(h);
+}
+
+fn tlbs(m: &Machine, h: &mut Fnv) {
+    for tlb in &m.tlbs {
+        let mut entries: Vec<&TlbEntry> = tlb.iter_entries().collect();
+        entries.sort_unstable_by_key(|e| e.fill_seq);
+        (entries, tlb.fracture_flag()).hash(h);
+    }
+}
+
+fn shootdowns(m: &Machine, h: &mut Fnv) {
+    let mut sds: Vec<_> = m.shootdowns.iter().collect();
+    sds.sort_unstable_by_key(|(id, _)| **id);
+    sds.hash(h);
+}
+
+/// The address spaces in id order.
+fn sorted_mms(m: &Machine) -> Vec<(&MmId, &Mm)> {
+    let mut mms: Vec<_> = m.mms.iter().collect();
+    mms.sort_unstable_by_key(|(id, _)| **id);
+    mms
+}
+
+fn mms(m: &Machine, h: &mut Fnv) {
+    for (id, mm) in sorted_mms(m) {
+        (id, mm.gen.current(), &mm.cpumask, mm.vmas.len()).hash(h);
+        mm.vmas.keys().for_each(|start| start.hash(h));
+        mm.mmap_cursor.hash(h);
+    }
+}
+
+/// L7 state steers future flush decisions only when the level is on.
+fn reuse(m: &Machine, h: &mut Fnv) {
+    if !m.cfg.opts.reuse_skip {
+        return;
+    }
+    for (id, mm) in sorted_mms(m) {
+        (id, mm.reuse.len()).hash(h);
+        for (vpn, e) in mm.reuse.iter() {
+            (vpn, e.pte, e.version, &e.retire).hash(h);
+        }
+        mm.reuse.fifo_order().count().hash(h);
+        mm.reuse.fifo_order().for_each(|vpn| vpn.hash(h));
+        mm.pte_versions.hash(h);
+    }
+}
+
+/// L8 state steers future walks only when the level is on. A socket
+/// whose stale map has emptied hashes like a socket that never had one:
+/// both replicas are current.
+fn numa(m: &Machine, h: &mut Fnv) {
+    if !m.cfg.opts.numa_pte {
+        return;
+    }
+    for (id, mm) in sorted_mms(m) {
+        let stale = mm.numa_stale.iter().flat_map(|(socket, ptes)| {
+            ptes.iter()
+                .map(move |(vpn, sp)| (socket, vpn, sp.pte, sp.version))
+        });
+        (id, stale.clone().count()).hash(h);
+        stale.for_each(|s| s.hash(h));
+    }
+}
+
+/// Interconnect link occupancy steers future transfer costs under routed
+/// topologies. The flat reference has no link state.
+fn links(m: &Machine, h: &mut Fnv) {
+    if m.dir.interconnect().is_flat() {
+        return;
+    }
+    for ic in [m.dir.interconnect(), m.fabric.interconnect()] {
+        ic.digest_items().count().hash(h);
+        ic.digest_items().for_each(|link| link.hash(h));
     }
 }
 
 impl Machine {
-    /// Hash the protocol-relevant machine state into one `u64`. See the
-    /// module docs for coverage and caveats.
+    /// The named digests of the protocol-relevant state's components, in
+    /// fold order. See the module docs for what each covers.
+    pub fn digest_components(&self) -> [(&'static str, u64); 9] {
+        COMPONENTS.map(|(name, hash)| {
+            let mut h = Fnv::new();
+            hash(self, &mut h);
+            (name, h.finish())
+        })
+    }
+
+    /// Hash the protocol-relevant machine state into one `u64`: the
+    /// FNV-1a fold of [`Machine::digest_components`].
     pub fn state_digest(&self) -> u64 {
         let mut h = Fnv::new();
-        let _ = write!(h, "t={};", self.engine.now().as_u64());
-        for (i, cpu) in self.cpus.iter().enumerate() {
-            let _ = write!(
-                h,
-                "cpu{i}:ts={:?};csq={:?};au={};bs={};tok={};",
-                cpu.tlb_state,
-                cpu.csq,
-                cpu.acked_unflushed,
-                cpu.in_batched_syscall,
-                cpu.resume_token,
-            );
-            let _ = write!(h, "frames={:?};", cpu.frames);
-            let mut gens: Vec<_> = cpu.pcid_gens.iter().collect();
-            gens.sort_unstable_by_key(|(mm, _)| **mm);
-            let _ = write!(h, "pcid_gens={gens:?};");
-            // Escalation-ladder state steers future flush decisions
-            // (quarantine override, storm widening), so it is part of
-            // the protocol state.
-            let _ = write!(
-                h,
-                "esc=({},{},{},{},{});",
-                self.esc.streak[i],
-                self.esc.quarantined[i],
-                self.esc.probation[i],
-                self.esc.ewma_gap[i],
-                self.esc.last_arrival[i],
-            );
+        for (_, d) in self.digest_components() {
+            h.write_u64(d);
         }
-        let _ = write!(h, "esc_rng={:?};", self.esc.jitter_rng);
-        for (i, tlb) in self.tlbs.iter().enumerate() {
-            let mut entries: Vec<String> = tlb.iter_entries().map(|e| format!("{e:?}")).collect();
-            entries.sort_unstable();
-            let _ = write!(h, "tlb{i}={entries:?};frac={};", tlb.fracture_flag());
-        }
-        let mut sds: Vec<_> = self.shootdowns.iter().collect();
-        sds.sort_unstable_by_key(|(id, _)| **id);
-        for (id, sd) in sds {
-            let _ = write!(h, "sd{:?}={sd:?};", id);
-        }
-        let mut mms: Vec<_> = self.mms.iter().collect();
-        mms.sort_unstable_by_key(|(id, _)| **id);
-        for (id, mm) in mms {
-            let _ = write!(
-                h,
-                "mm{:?}:gen={};mask={:?};vmas={:?};cursor={};",
-                id,
-                mm.gen.current(),
-                mm.cpumask,
-                mm.vmas.keys().collect::<Vec<_>>(),
-                mm.mmap_cursor,
-            );
-            // L7/L8 state steers future flush decisions only when the
-            // level is on; gating the fold keeps every digest produced
-            // under the paper's six levels byte-identical to before.
-            if self.cfg.opts.reuse_skip {
-                for (vpn, e) in mm.reuse.iter() {
-                    let _ = write!(h, "ru{vpn}={:?}v{}r{:?};", e.pte, e.version, e.retire);
-                }
-                let order: Vec<_> = mm.reuse.fifo_order().collect();
-                let _ = write!(h, "ruo={order:?};pv={:?};", mm.pte_versions);
-            }
-            if self.cfg.opts.numa_pte {
-                for (socket, stale) in &mm.numa_stale {
-                    for (vpn, sp) in stale {
-                        let _ = write!(h, "ns{socket}:{vpn}={:?}v{};", sp.pte, sp.version);
-                    }
-                }
-            }
-        }
-        for (at, seq, ev) in self.engine.pending() {
-            let _ = write!(h, "ev@{}#{seq}={ev:?};", at.as_u64());
-        }
-        // Interconnect link occupancy steers future transfer costs, so it
-        // is protocol state under routed topologies. The flat reference
-        // has no link state and contributes nothing, keeping every
-        // pre-topology digest byte-identical.
-        if !self.dir.interconnect().is_flat() {
-            for (a, b, q) in self.dir.interconnect().digest_items() {
-                let _ = write!(h, "icd{a}-{b}={q};");
-            }
-            for (a, b, q) in self.fabric.interconnect().digest_items() {
-                let _ = write!(h, "icf{a}-{b}={q};");
-            }
-        }
-        let _ = write!(
-            h,
-            "viol={};err={};",
-            self.violations().len(),
-            self.recorded_errors().len()
-        );
-        h.0
+        h.finish()
     }
 }
 
@@ -159,17 +265,24 @@ mod tests {
     use crate::machine::Machine;
     use crate::prog::MadviseLoopProg;
 
-    fn run_one() -> Vec<u64> {
+    /// Two madvise loops on a 2-core test machine under FIFO scheduling,
+    /// stepped at most `max_steps` times; returns the machine and the
+    /// digest after every step.
+    fn run(max_steps: usize) -> (Machine, Vec<u64>) {
         let mut m = Machine::new(KernelConfig::test_machine(2));
         let mm = m.create_process().expect("boot: create process");
         m.spawn(mm, CoreId(0), Box::new(MadviseLoopProg::new(2, 1)));
         m.spawn(mm, CoreId(1), Box::new(MadviseLoopProg::new(2, 1)));
         let mut sched = FifoScheduler;
         let mut digests = Vec::new();
-        while m.step_with(&mut sched) {
+        while digests.len() < max_steps && m.step_with(&mut sched) {
             digests.push(m.state_digest());
         }
-        digests
+        (m, digests)
+    }
+
+    fn run_one() -> Vec<u64> {
+        run(usize::MAX).1
     }
 
     #[test]
@@ -186,5 +299,34 @@ mod tests {
         // Not every step changes protocol state, but many must.
         let distinct: std::collections::HashSet<_> = d.iter().collect();
         assert!(distinct.len() > d.len() / 2);
+    }
+
+    #[test]
+    fn digest_encoding_is_pinned() {
+        // The byte encoding is `#[derive(Hash)]` through std's `Hash`
+        // impls. A toolchain that changes those impls, or a reordered or
+        // added field in a hashed type, moves every pinned digest in the
+        // BENCH snapshots; this test names the cause. Step 40 is mid-run,
+        // with TLB entries and kernel frames live.
+        let (m, _) = run(40);
+        assert_eq!(m.state_digest(), 0x6a49_d297_d8c6_06d4);
+    }
+
+    #[test]
+    fn each_component_covers_its_own_state() {
+        let (a, _) = run(40);
+        let (mut b, _) = run(40);
+        assert_eq!(a.digest_components(), b.digest_components());
+        assert!(b.tlbs[0].iter_entries().next().is_some());
+        b.tlbs[0].flush_all(true);
+        let differing: Vec<&str> = a
+            .digest_components()
+            .iter()
+            .zip(b.digest_components())
+            .filter(|(x, y)| x.1 != y.1)
+            .map(|(x, _)| x.0)
+            .collect();
+        assert_eq!(differing, ["tlbs"]);
+        assert_ne!(a.state_digest(), b.state_digest());
     }
 }

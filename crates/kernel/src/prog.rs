@@ -13,7 +13,7 @@ use tlbdown_types::{Cycles, VirtAddr};
 use crate::mm::FileId;
 
 /// A system call a program can issue.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Syscall {
     /// Map `pages` of private anonymous memory; returns the address.
     MmapAnon {

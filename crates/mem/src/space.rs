@@ -17,18 +17,31 @@ pub struct Walk {
     pub pte: Pte,
     /// The page size mapped by the leaf.
     pub size: PageSize,
-    /// Physical addresses of the table pages traversed, root first.
-    /// These are what the paging-structure cache would hold and what a
-    /// speculative walker touches (machine-check hazard, §3.2).
-    pub trace: Vec<PhysAddr>,
     /// Base virtual address of the mapped page.
     pub page_base: VirtAddr,
+    /// The table pages traversed, root first; only the first `depth`
+    /// entries are meaningful.
+    trace: [PhysAddr; 4],
+    /// Tables traversed: 2 to 4 (a 1GB, 2MB or 4KB leaf).
+    depth: u8,
 }
 
 impl Walk {
     /// Translate `va` through this walk's leaf.
     pub fn translate(&self, va: VirtAddr) -> PhysAddr {
         self.pte.addr.add(va.page_offset(self.size))
+    }
+
+    /// Physical addresses of the table pages traversed, root first.
+    /// These are what the paging-structure cache would hold and what a
+    /// speculative walker touches (machine-check hazard, §3.2).
+    pub fn trace(&self) -> &[PhysAddr] {
+        &self.trace[..usize::from(self.depth)]
+    }
+
+    /// The table page holding the leaf entry.
+    pub fn leaf_table(&self) -> PhysAddr {
+        self.trace[usize::from(self.depth) - 1]
     }
 }
 
@@ -162,10 +175,9 @@ impl AddrSpace {
     /// Walk the tables for `va`, returning the leaf and the trace of table
     /// pages touched. Does not modify accessed/dirty bits.
     pub fn walk(&self, va: VirtAddr) -> SimResult<Walk> {
-        let mut table_addr = self.root;
-        let mut trace = vec![table_addr];
-        for level in (0..=3u8).rev() {
-            let entry = self.table(table_addr)[va.pt_index(level)];
+        let mut trace = [self.root; 4];
+        for (depth, level) in (0..=3u8).rev().enumerate() {
+            let entry = self.table(trace[depth])[va.pt_index(level)];
             if !entry.present() {
                 return Err(SimError::NotMapped(va));
             }
@@ -179,12 +191,12 @@ impl AddrSpace {
                 return Ok(Walk {
                     pte: entry,
                     size,
-                    trace,
                     page_base: va.align_down(size),
+                    trace,
+                    depth: depth as u8 + 1,
                 });
             }
-            table_addr = entry.addr;
-            trace.push(table_addr);
+            trace[depth + 1] = entry.addr;
         }
         unreachable!("level-0 entries always terminate the walk");
     }
@@ -200,7 +212,7 @@ impl AddrSpace {
     /// updates, and the CoW PTE swap.
     pub fn update_entry(&mut self, va: VirtAddr, f: impl FnOnce(Pte) -> Pte) -> SimResult<Pte> {
         let walk = self.walk(va)?;
-        let leaf_table = *walk.trace.last().expect("walk trace is never empty");
+        let leaf_table = walk.leaf_table();
         let level = Self::leaf_level(walk.size);
         let idx = va.pt_index(level);
         let slot = &mut self.table_mut(leaf_table)[idx];
@@ -231,9 +243,8 @@ impl AddrSpace {
         while va < range.end {
             match self.walk(va) {
                 Ok(w) => {
-                    let leaf_table = *w.trace.last().expect("non-empty trace");
                     let level = Self::leaf_level(w.size);
-                    self.table_mut(leaf_table)[va.pt_index(level)] = Pte::EMPTY;
+                    self.table_mut(w.leaf_table())[va.pt_index(level)] = Pte::EMPTY;
                     out.removed.push((w.page_base, w.pte, w.size));
                     va = w.page_base.add(w.size.bytes());
                 }
@@ -290,9 +301,8 @@ impl AddrSpace {
                 Ok(w) => {
                     let new = w.pte.with(set).without(clear);
                     if new != w.pte {
-                        let leaf_table = *w.trace.last().expect("non-empty trace");
                         let level = Self::leaf_level(w.size);
-                        self.table_mut(leaf_table)[va.pt_index(level)] = new;
+                        self.table_mut(w.leaf_table())[va.pt_index(level)] = new;
                         changed.push((w.page_base, new, w.size));
                     }
                     va = w.page_base.add(w.size.bytes());
@@ -323,7 +333,7 @@ impl AddrSpace {
             }
             PageSize::Size2M => {}
         }
-        let parent = *w.trace.last().expect("walk trace is never empty");
+        let parent = w.leaf_table();
         let idx = w.page_base.pt_index(1);
         let new = self.alloc_table(mem)?;
         let flags = w.pte.flags.without(PteFlags::HUGE);
@@ -409,7 +419,7 @@ mod tests {
         assert_eq!(w.pte.addr, pa);
         assert_eq!(w.size, PageSize::Size4K);
         assert_eq!(w.translate(va.add(0x123)), pa.add(0x123));
-        assert_eq!(w.trace.len(), 4, "4KB walk touches 4 table pages");
+        assert_eq!(w.trace().len(), 4, "4KB walk touches 4 table pages");
         assert_eq!(w.page_base, va);
     }
 
@@ -426,7 +436,7 @@ mod tests {
         let w = s.walk(va.add(0x12345)).unwrap();
         assert_eq!(w.size, PageSize::Size2M);
         assert!(w.pte.huge());
-        assert_eq!(w.trace.len(), 3, "2MB walk touches 3 table pages");
+        assert_eq!(w.trace().len(), 3, "2MB walk touches 3 table pages");
         assert_eq!(w.translate(va.add(0x12345)), pa.add(0x12345));
     }
 

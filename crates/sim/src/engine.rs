@@ -562,10 +562,15 @@ impl<E> Engine<E> {
     /// deterministic view a state digest needs (neither the heap's
     /// internal order nor the wheel's bucket order is meaningful).
     pub fn pending(&self) -> Vec<(Cycles, u64, &E)> {
-        let mut v: Vec<(Cycles, u64, &E)> = self
-            .slots
+        // Visit only the 64-slot groups the occupancy bitmap marks: the
+        // wheel has thousands of slots and usually a handful of events.
+        let wheel = self
+            .occ
             .iter()
-            .flatten()
+            .enumerate()
+            .filter(|(_, bits)| **bits != 0)
+            .flat_map(|(w, _)| self.slots[w * 64..(w + 1) * 64].iter().flatten());
+        let mut v: Vec<(Cycles, u64, &E)> = wheel
             .chain(self.far.iter().map(|Reverse(s)| s))
             .map(|s| (s.at, s.seq, &s.payload))
             .collect();
@@ -732,13 +737,25 @@ mod tests {
     #[test]
     fn pending_is_sorted_canonically() {
         let mut e: Engine<u32> = Engine::new();
-        e.schedule_at(Cycles::new(30), 3);
-        e.schedule_at(Cycles::new(10), 1);
-        e.schedule_at(Cycles::new(10), 2);
+        let mut heap: Engine<u32> = Engine::new_heap_only();
+        // Ties, three 64-slot groups of the wheel, and the far heap.
+        let events = [
+            (70_000, 5),
+            (30, 3),
+            (10, 1),
+            (10, 2),
+            (5_000, 4),
+            (200_000, 6),
+        ];
+        for (at, v) in events {
+            e.schedule_at(Cycles::new(at), v);
+            heap.schedule_at(Cycles::new(at), v);
+        }
         let p = e.pending();
         let vals: Vec<u32> = p.iter().map(|(_, _, v)| **v).collect();
-        assert_eq!(vals, vec![1, 2, 3]);
+        assert_eq!(vals, vec![1, 2, 3, 4, 5, 6]);
         assert!(p[0].1 < p[1].1, "ties ordered by seq");
+        assert_eq!(p, heap.pending(), "the wheel lists what the heap does");
     }
 
     #[test]

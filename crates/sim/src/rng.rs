@@ -6,7 +6,7 @@
 //! versions.
 
 /// SplitMix64 pseudo-random number generator.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Hash)]
 pub struct SplitMix64 {
     state: u64,
 }

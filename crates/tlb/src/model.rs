@@ -18,7 +18,7 @@ pub const DEFAULT_ITLB_CAPACITY: usize = 128;
 pub const DEFAULT_PWC_CAPACITY: usize = 32;
 
 /// One cached translation.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct TlbEntry {
     /// Base virtual address of the mapped page.
     pub page_base: VirtAddr,
