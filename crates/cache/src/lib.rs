@@ -14,10 +14,8 @@
 //! structures the paper identifies as contended are modelled — application
 //! data is not (DESIGN.md §8).
 
-use std::collections::HashMap;
-
 use tlbdown_topo::{Interconnect, TopologySpec};
-use tlbdown_types::{CoreId, CostModel, Cycles, Distance, Topology};
+use tlbdown_types::{CoreId, CostModel, Cycles, Distance, FastMap, Topology};
 
 /// Handle to one modelled 64-byte cacheline.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -66,11 +64,11 @@ pub struct CacheDirectory {
     /// it delegates to the distance-constant costs and carries no state, so
     /// flat runs are byte-identical to the pre-routing model.
     interconnect: Interconnect,
-    lines: HashMap<LineId, LineState>,
+    lines: FastMap<LineId, LineState>,
     names: Vec<&'static str>,
     stats: CacheStats,
     /// Per-line transfer counts, for the Figure 4 ablation.
-    per_line_transfers: HashMap<LineId, u64>,
+    per_line_transfers: FastMap<LineId, u64>,
 }
 
 impl CacheDirectory {
@@ -85,10 +83,10 @@ impl CacheDirectory {
             interconnect: Interconnect::new(topo.clone(), spec),
             topo,
             costs,
-            lines: HashMap::new(),
+            lines: FastMap::default(),
             names: Vec::new(),
             stats: CacheStats::default(),
-            per_line_transfers: HashMap::new(),
+            per_line_transfers: FastMap::default(),
         }
     }
 

@@ -28,12 +28,11 @@
 //! CSQ work, and no acknowledged-but-unflushed items. Any breach yields a
 //! [`Counterexample`] carrying a replayable [`Schedule`].
 
-use std::collections::HashSet;
 use std::fmt::{self, Write as _};
 
 use tlbdown_kernel::Machine;
 use tlbdown_sim::{Candidate, Scheduler};
-use tlbdown_types::{Cycles, SimError};
+use tlbdown_types::{Cycles, FastSet, SimError};
 
 use crate::schedule::Schedule;
 
@@ -237,14 +236,14 @@ pub fn render_run(m: &Machine, steps: u64) -> String {
 struct DigestWalk<'v> {
     from: usize,
     until: usize,
-    visited: &'v HashSet<u64>,
+    visited: &'v FastSet<u64>,
     /// `digests[k]` is the state digest after branch point `from + k`.
     digests: Vec<u64>,
     repeated: bool,
 }
 
 impl<'v> DigestWalk<'v> {
-    fn new(from: usize, until: usize, visited: &'v HashSet<u64>) -> Self {
+    fn new(from: usize, until: usize, visited: &'v FastSet<u64>) -> Self {
         DigestWalk {
             from,
             until,
@@ -382,7 +381,7 @@ impl Report {
 /// the schedule budget is exhausted.
 pub fn explore(build: &Scenario<'_>, bounds: &Bounds) -> Report {
     let mut stats = ExploreStats::default();
-    let mut visited: HashSet<u64> = HashSet::new();
+    let mut visited: FastSet<u64> = FastSet::default();
     let mut stack: Vec<Vec<u16>> = vec![Vec::new()];
     while let Some(prefix) = stack.pop() {
         if stats.schedules >= bounds.max_schedules {
@@ -489,7 +488,7 @@ pub fn render_diff(a: &str, b: &str) -> String {
 
 #[cfg(test)]
 mod tests {
-    use std::collections::HashSet;
+    use tlbdown_types::FastSet;
 
     use super::{render_diff, run_schedule, Bounds, DigestWalk};
     use crate::scenario;
@@ -497,7 +496,7 @@ mod tests {
     /// The digests a walk over `from..until` takes when the digest after
     /// branch point `i` is `feed[i]`.
     fn walk_digests(from: usize, until: usize, visited: &[u64], feed: &[u64]) -> Vec<u64> {
-        let visited: HashSet<u64> = visited.iter().copied().collect();
+        let visited: FastSet<u64> = visited.iter().copied().collect();
         let mut walk = DigestWalk::new(from, until, &visited);
         for (i, &d) in feed.iter().enumerate() {
             walk.after_branch(i, || d);

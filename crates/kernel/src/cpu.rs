@@ -15,7 +15,7 @@ use std::collections::VecDeque;
 use tlbdown_apic::LocalApic;
 use tlbdown_core::{BatchState, CpuTlbState, FlushAction, FlushTlbInfo, ShootdownId};
 use tlbdown_types::PhysAddr;
-use tlbdown_types::{CoreId, Cycles, VirtAddr};
+use tlbdown_types::{CoreId, Cycles, FastMap, MmId, VirtAddr};
 
 use crate::prog::Syscall;
 
@@ -59,7 +59,18 @@ pub struct FrameSlot {
     pub resume: ResumeState,
 }
 
+// `step_core` pops the top slot off the stack and pushes it back on
+// every dispatch, so each byte of a slot is copied twice per event.
+// Keep the large frame bodies boxed (see `Frame`).
+const _: () = assert!(std::mem::size_of::<FrameSlot>() <= 72);
+
 /// One entry of a core's execution stack.
+///
+/// The syscall, fault and IRQ bodies are boxed: inline they made every
+/// slot 408 bytes, and moving slots cost 8–29% of perfbench's host time
+/// (EXPERIMENTS.md, "Where the unattributed time went"). A `Box<T>`
+/// hashes and formats as its `T`, so digests and renderings do not see
+/// the box.
 #[derive(Debug, Hash)]
 pub enum Frame {
     /// Idle kernel thread (bottom frame when no thread is runnable).
@@ -67,11 +78,11 @@ pub enum Frame {
     /// The pinned user thread's program.
     Prog(ProgFrame),
     /// An in-flight system call.
-    Syscall(SyscallFrame),
+    Syscall(Box<SyscallFrame>),
     /// An in-flight page fault.
-    Fault(FaultFrame),
+    Fault(Box<FaultFrame>),
     /// The TLB-shootdown interrupt handler.
-    Irq(IrqFrame),
+    Irq(Box<IrqFrame>),
     /// A non-maskable interrupt handler.
     Nmi(NmiFrame),
 }
@@ -408,7 +419,7 @@ pub struct Cpu {
     pub in_batched_syscall: bool,
     /// Per-mm synced generation for previously-loaded address spaces whose
     /// PCID-tagged entries may survive in the TLB.
-    pub pcid_gens: std::collections::HashMap<tlbdown_types::MmId, u64>,
+    pub pcid_gens: FastMap<MmId, u64>,
 }
 
 impl Cpu {

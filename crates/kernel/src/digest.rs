@@ -262,17 +262,23 @@ mod tests {
     use tlbdown_types::CoreId;
 
     use crate::config::KernelConfig;
+    use crate::cpu::Frame;
     use crate::machine::Machine;
     use crate::prog::MadviseLoopProg;
 
-    /// Two madvise loops on a 2-core test machine under FIFO scheduling,
-    /// stepped at most `max_steps` times; returns the machine and the
-    /// digest after every step.
-    fn run(max_steps: usize) -> (Machine, Vec<u64>) {
+    /// Two madvise loops on a 2-core test machine.
+    fn duel() -> Machine {
         let mut m = Machine::new(KernelConfig::test_machine(2));
         let mm = m.create_process().expect("boot: create process");
         m.spawn(mm, CoreId(0), Box::new(MadviseLoopProg::new(2, 1)));
         m.spawn(mm, CoreId(1), Box::new(MadviseLoopProg::new(2, 1)));
+        m
+    }
+
+    /// The duel under FIFO scheduling, stepped at most `max_steps` times;
+    /// returns the machine and the digest after every step.
+    fn run(max_steps: usize) -> (Machine, Vec<u64>) {
+        let mut m = duel();
         let mut sched = FifoScheduler;
         let mut digests = Vec::new();
         while digests.len() < max_steps && m.step_with(&mut sched) {
@@ -297,7 +303,7 @@ mod tests {
         let d = run_one();
         assert!(d.len() > 10);
         // Not every step changes protocol state, but many must.
-        let distinct: std::collections::HashSet<_> = d.iter().collect();
+        let distinct: tlbdown_types::FastSet<_> = d.iter().collect();
         assert!(distinct.len() > d.len() / 2);
     }
 
@@ -310,6 +316,28 @@ mod tests {
         // with TLB entries and kernel frames live.
         let (m, _) = run(40);
         assert_eq!(m.state_digest(), 0x6a49_d297_d8c6_06d4);
+    }
+
+    #[test]
+    fn live_syscall_and_irq_frames_are_pinned() {
+        // The duel stopped mid-shootdown, at its first step with both a
+        // syscall frame and a shootdown-IRQ frame on the stacks. The
+        // frame bodies are boxed; a `Box<T>` hashes as its `T`, and this
+        // value was pinned before they were boxed.
+        let live = |m: &Machine, kind: fn(&Frame) -> bool| {
+            m.cpus
+                .iter()
+                .any(|c| c.frames.iter().any(|slot| kind(&slot.frame)))
+        };
+        let mut m = duel();
+        let mut sched = FifoScheduler;
+        while !(live(&m, |f| matches!(f, Frame::Syscall(_)))
+            && live(&m, |f| matches!(f, Frame::Irq(_))))
+        {
+            assert!(m.step_with(&mut sched), "the duel never shot down");
+        }
+        assert_eq!(m.engine.events_processed(), 50);
+        assert_eq!(m.state_digest(), 0x3941_b3d2_3c1d_c505);
     }
 
     #[test]

@@ -324,7 +324,7 @@ impl Machine {
             ProgAction::Syscall(call) => {
                 let entry = Cycles::new(self.cfg.costs.syscall(self.cfg.safe_mode).as_u64() / 2);
                 StepOut::Push {
-                    frame: Frame::Syscall(SyscallFrame {
+                    frame: Frame::Syscall(Box::new(SyscallFrame {
                         call,
                         stage: SyscallStage::AcquireSem,
                         retval: 0,
@@ -336,7 +336,7 @@ impl Machine {
                         batched: false,
                         did_batch: false,
                         batch: tlbdown_core::BatchState::new(),
-                    }),
+                    })),
                     cost: entry,
                 }
             }
@@ -441,7 +441,7 @@ impl Machine {
             Err(_) => {
                 let jitter = self.noise();
                 StepOut::Push {
-                    frame: Frame::Fault(FaultFrame {
+                    frame: Frame::Fault(Box::new(FaultFrame {
                         va,
                         write,
                         is_fetch: fetch,
@@ -450,7 +450,7 @@ impl Machine {
                         pending_frees: Vec::new(),
                         started: self.engine.now(),
                         label: "fault",
-                    }),
+                    })),
                     cost: self.cfg.costs.fault_dispatch(self.cfg.safe_mode) + jitter,
                 }
             }

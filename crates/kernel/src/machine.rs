@@ -4,7 +4,7 @@
 //! `shoot.rs` (the shootdown initiator/responder state machines); both are
 //! `impl Machine` blocks over the state defined here.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use tlbdown_apic::{DeliveryOutcome, IpiFabric, LocalApic, Vector};
 use tlbdown_cache::CacheDirectory;
@@ -13,7 +13,7 @@ use tlbdown_mem::{FrameState, PhysMem};
 use tlbdown_sim::fault::FaultPlan;
 use tlbdown_sim::{Counter, Engine, SplitMix64, Summary};
 use tlbdown_tlb::Tlb;
-use tlbdown_types::{CoreId, Cycles, MmId, Pcid, SimError, SimResult, ThreadId, VirtAddr};
+use tlbdown_types::{CoreId, Cycles, FastMap, MmId, Pcid, SimError, SimResult, ThreadId, VirtAddr};
 
 use crate::config::{InjectedBug, KernelConfig};
 use crate::cpu::{Cpu, Frame, FrameSlot, IrqFrame, IrqStage, NmiFrame, ResumeState};
@@ -57,17 +57,17 @@ pub struct MachineStats {
     /// Monotone event counters (IPIs, shootdowns, faults, ...).
     pub counters: Counter,
     /// Per-(core, syscall) latency summaries, in cycles.
-    pub syscall_lat: HashMap<(CoreId, &'static str), Summary>,
+    pub syscall_lat: FastMap<(CoreId, &'static str), Summary>,
     /// Per-core shootdown-IRQ interruption summaries, in cycles
     /// (the §5.1 responder metric).
-    pub irq_lat: HashMap<CoreId, Summary>,
+    pub irq_lat: FastMap<CoreId, Summary>,
     /// Per-(core, fault kind) latency summaries, in cycles
     /// (the §5.1 / Figure 9 CoW metric uses kind = "cow").
-    pub fault_lat: HashMap<(CoreId, &'static str), Summary>,
+    pub fault_lat: FastMap<(CoreId, &'static str), Summary>,
     /// Per-fault-kind latency histograms (log₂ buckets) — the
     /// distribution behind the storm workload's signal-observability
     /// table, where a Summary's mean hides the attacker-visible tail.
-    pub fault_hist: HashMap<&'static str, tlbdown_sim::Histogram>,
+    pub fault_hist: FastMap<&'static str, tlbdown_sim::Histogram>,
 }
 
 impl MachineStats {
@@ -119,15 +119,15 @@ pub struct Machine {
     /// Per-core execution state.
     pub cpus: Vec<Cpu>,
     /// Address spaces.
-    pub mms: HashMap<MmId, Mm>,
+    pub mms: FastMap<MmId, Mm>,
     /// Simulated files (page cache).
-    pub files: HashMap<FileId, File>,
+    pub files: FastMap<FileId, File>,
     /// Data-frame reference counts.
     pub frame_refs: FrameRefs,
     /// All threads ever spawned.
     pub threads: Vec<Thread>,
     /// In-flight shootdowns.
-    pub shootdowns: HashMap<ShootdownId, Shootdown>,
+    pub shootdowns: FastMap<ShootdownId, Shootdown>,
     /// The safety oracle.
     pub oracle: Oracle,
     /// Measurements.
@@ -139,11 +139,11 @@ pub struct Machine {
     /// address spaces on hot paths, watchdog-degraded shootdown stalls.
     pub(crate) errors: Vec<SimError>,
     /// Probe addresses for in-flight injected NMIs.
-    pub(crate) pending_nmi_probe: HashMap<CoreId, Option<VirtAddr>>,
+    pub(crate) pending_nmi_probe: FastMap<CoreId, Option<VirtAddr>>,
     /// Per-mm index of dirty user pages (vpn), maintained on write access;
     /// stands in for the page-cache dirty tags that let real writeback
     /// visit only dirty pages.
-    pub(crate) dirty_index: HashMap<MmId, std::collections::BTreeSet<u64>>,
+    pub(crate) dirty_index: FastMap<MmId, std::collections::BTreeSet<u64>>,
     /// Seeded jitter stream (see `KernelConfig::noise_cycles`).
     pub(crate) noise_rng: SplitMix64,
     /// Watchdog escalation-ladder state: per-core stall streaks,
@@ -220,7 +220,7 @@ impl Machine {
                     resume_token: 0,
                     acked_unflushed: 0,
                     in_batched_syscall: false,
-                    pcid_gens: HashMap::with_capacity(8),
+                    pcid_gens: FastMap::with_capacity_and_hasher(8, Default::default()),
                 }
             })
             .collect();
@@ -237,17 +237,17 @@ impl Machine {
             smp,
             fabric,
             cpus,
-            mms: HashMap::with_capacity(8),
-            files: HashMap::with_capacity(8),
+            mms: FastMap::with_capacity_and_hasher(8, Default::default()),
+            files: FastMap::with_capacity_and_hasher(8, Default::default()),
             frame_refs: FrameRefs::new(),
             threads: Vec::with_capacity(n as usize + 4),
-            shootdowns: HashMap::with_capacity(n as usize * 2),
+            shootdowns: FastMap::with_capacity_and_hasher(n as usize * 2, Default::default()),
             oracle: Oracle::new(),
             stats: MachineStats::default(),
             faults,
             errors: Vec::new(),
-            pending_nmi_probe: HashMap::new(),
-            dirty_index: HashMap::with_capacity(8),
+            pending_nmi_probe: FastMap::default(),
+            dirty_index: FastMap::with_capacity_and_hasher(8, Default::default()),
             noise_rng: SplitMix64::new(cfg_seed),
             esc,
             #[cfg(feature = "trace")]
@@ -513,12 +513,7 @@ impl Machine {
 
     /// Run until simulated time reaches `deadline` (or the queue drains).
     pub fn run_until(&mut self, deadline: Cycles) {
-        loop {
-            match self.engine.peek_time() {
-                Some(t) if t <= deadline => {}
-                _ => break,
-            }
-            let Some(ev) = self.engine.pop() else { break };
+        while let Some(ev) = self.engine.pop_until(deadline) {
             self.handle(ev);
         }
     }
@@ -699,7 +694,7 @@ impl Machine {
         }
         cost += entry_delay;
         self.stats.counters.bump("irq_dispatch");
-        let frame = Frame::Irq(IrqFrame {
+        let frame = Frame::Irq(Box::new(IrqFrame {
             started: self.engine.now(),
             stage: IrqStage::DrainQueue,
             queue: Vec::new(),
@@ -715,7 +710,7 @@ impl Machine {
             cur_initiator: CoreId(0),
             cur_early: false,
             cur_buggy_ack: false,
-        });
+        }));
         self.push_frame(core, frame, cost);
     }
 

@@ -1,11 +1,13 @@
 //! Address spaces, VMAs and the simulated page cache.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use crate::sem::RwSem;
 use tlbdown_core::MmGen;
 use tlbdown_mem::{AddrSpace, Pte};
-use tlbdown_types::{CoreId, MmId, Pcid, PhysAddr, SimError, SimResult, VirtAddr, VirtRange};
+use tlbdown_types::{
+    CoreId, FastMap, MmId, Pcid, PhysAddr, SimError, SimResult, VirtAddr, VirtRange,
+};
 
 /// Identifier of a simulated file (page-cache object).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -315,7 +317,7 @@ impl Mm {
 /// cache), i.e. `struct page::_refcount`.
 #[derive(Debug, Default)]
 pub struct FrameRefs {
-    refs: HashMap<u64, u32>,
+    refs: FastMap<u64, u32>,
 }
 
 impl FrameRefs {

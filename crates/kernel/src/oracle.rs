@@ -15,21 +15,19 @@
 //! class the paper warns aggressive batching creates (§2.3.2), and it is
 //! what the LATR-style lazy mode in this repository trips.
 
-use std::collections::HashMap;
-
-use tlbdown_types::{CoreId, MmId, SimError, VirtAddr, VirtRange};
+use tlbdown_types::{CoreId, FastMap, MmId, SimError, VirtAddr, VirtRange};
 
 /// The safety oracle.
 #[derive(Debug, Default)]
 pub struct Oracle {
     /// Current modification version per (mm, vpn).
-    versions: HashMap<(MmId, u64), u64>,
+    versions: FastMap<(MmId, u64), u64>,
     /// Highest version whose flush has been guaranteed, per (mm, vpn).
-    retired: HashMap<(MmId, u64), u64>,
+    retired: FastMap<(MmId, u64), u64>,
     /// Fill-time version of live TLB entries, per (core, pcid-view, mm,
     /// vpn). The view bit distinguishes kernel- and user-PCID entries so
     /// PTI double-flush bugs are caught independently per view.
-    fills: HashMap<(CoreId, bool, MmId, u64), u64>,
+    fills: FastMap<(CoreId, bool, MmId, u64), u64>,
     /// Violations found.
     violations: Vec<SimError>,
 }

@@ -30,7 +30,7 @@
 
 use tlbdown_core::FlushTlbInfo;
 use tlbdown_mem::Pte;
-use tlbdown_types::{CoreId, Cycles, MmId, PageSize, PhysAddr, VirtAddr, VirtRange};
+use tlbdown_types::{CoreId, Cycles, FastMap, MmId, PageSize, PhysAddr, VirtAddr, VirtRange};
 
 use crate::config::InjectedBug;
 use crate::cpu::SyscallFrame;
@@ -144,7 +144,7 @@ impl Machine {
         // would have recorded them. Pairs for pages that had no PTE carry
         // no flush debt; leaving them un-retired is the conservative
         // (always-legal) direction.
-        let pairs: std::collections::HashMap<u64, u64> = if any_change {
+        let pairs: FastMap<u64, u64> = if any_change {
             self.oracle
                 .range_modified(mm_id, range)
                 .into_iter()

@@ -1,8 +1,6 @@
 //! Physical frame allocation with use-after-free detection.
 
-use std::collections::HashMap;
-
-use tlbdown_types::{PhysAddr, SimError, SimResult};
+use tlbdown_types::{FastMap, PhysAddr, SimError, SimResult};
 
 /// What a physical frame is currently used for.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -29,12 +27,12 @@ pub struct PhysMem {
     total_frames: u64,
     next_never_used: u64,
     free_list: Vec<u64>,
-    states: HashMap<u64, FrameState>,
+    states: FastMap<u64, FrameState>,
     /// Monotone counter of free operations, used as a "frame epoch": a
     /// cached translation to a frame freed after the cache fill is stale.
     free_epoch: u64,
     /// Epoch at which each currently-free frame was last freed.
-    freed_at: HashMap<u64, u64>,
+    freed_at: FastMap<u64, u64>,
     allocated: u64,
 }
 
@@ -45,9 +43,9 @@ impl PhysMem {
             total_frames,
             next_never_used: 1, // frame 0 reserved so PhysAddr(0) is never valid
             free_list: Vec::new(),
-            states: HashMap::new(),
+            states: FastMap::default(),
             free_epoch: 0,
-            freed_at: HashMap::new(),
+            freed_at: FastMap::default(),
             allocated: 0,
         }
     }

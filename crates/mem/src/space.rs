@@ -4,11 +4,11 @@
 //! while the frames themselves come from [`PhysMem`], so freed-table
 //! detection and walk traces work on real physical addresses.
 
-use std::collections::HashMap;
-
 use crate::frame::{FrameState, PhysMem};
 use crate::pte::{Pte, TablePage};
-use tlbdown_types::{PageSize, PhysAddr, PteFlags, SimError, SimResult, VirtAddr, VirtRange};
+use tlbdown_types::{
+    FastMap, PageSize, PhysAddr, PteFlags, SimError, SimResult, VirtAddr, VirtRange,
+};
 
 /// Result of a page walk.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -60,7 +60,7 @@ pub struct UnmapOutcome {
 #[derive(Debug)]
 pub struct AddrSpace {
     root: PhysAddr,
-    tables: HashMap<u64, Box<TablePage>>,
+    tables: FastMap<u64, Box<TablePage>>,
 }
 
 /// Flags used on non-leaf (table-pointer) entries.
@@ -73,7 +73,7 @@ impl AddrSpace {
     pub fn new(mem: &mut PhysMem) -> SimResult<Self> {
         let mut s = AddrSpace {
             root: PhysAddr(0),
-            tables: HashMap::new(),
+            tables: FastMap::default(),
         };
         s.root = s.alloc_table(mem)?;
         Ok(s)

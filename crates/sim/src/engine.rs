@@ -454,17 +454,27 @@ impl<E> Engine<E> {
         self.now
     }
 
+    /// Advance the clock to `ev`'s fire time and hand out its payload.
+    #[inline]
+    fn dispatch(&mut self, ev: Scheduled<E>) -> E {
+        self.now = self.checked_fire_time(ev.at, ev.seq);
+        self.popped += 1;
+        ev.payload
+    }
+
     /// Pop the next event, advancing the clock to its fire time.
     pub fn pop(&mut self) -> Option<E> {
         let ev = self.pop_min()?;
-        self.now = self.checked_fire_time(ev.at, ev.seq);
-        self.popped += 1;
-        Some(ev.payload)
+        Some(self.dispatch(ev))
     }
 
-    /// The fire time of the next event without popping it.
-    pub fn peek_time(&self) -> Option<Cycles> {
-        self.min_key().map(|(at, _, _)| at)
+    /// Pop the next event if it fires at or before `deadline`, advancing
+    /// the clock to its fire time; otherwise leave the queue and clock
+    /// alone. It finds the minimum once, so a loop bounded by a deadline
+    /// scans the queue once per dispatch.
+    pub fn pop_until(&mut self, deadline: Cycles) -> Option<E> {
+        let ev = self.pop_min_within(deadline)?;
+        Some(self.dispatch(ev))
     }
 
     /// Pop the next event with a pluggable [`Scheduler`] deciding among
@@ -633,10 +643,39 @@ mod tests {
         e.schedule_in(Cycles::new(50), 1);
         assert_eq!(e.pop(), Some(1));
         e.schedule_at(Cycles::new(10), 2); // "past"
-        assert_eq!(e.peek_time(), Some(Cycles::new(50)));
-        assert_eq!(e.pop(), Some(2));
+        assert_eq!(e.pop_until(Cycles::new(49)), None, "clamped to 50, not 10");
+        assert_eq!(e.pop_until(Cycles::new(50)), Some(2));
         assert_eq!(e.now(), Cycles::new(50));
         assert_eq!(e.time_regressions(), 0, "clamped schedule is not an error");
+    }
+
+    #[test]
+    fn pop_until_takes_exactly_the_due_events() {
+        // Near events go to the wheel and `far` ones to the far heap;
+        // payloads name the (at, seq) dispatch order.
+        let far = WHEEL_HORIZON + 100;
+        let mut e: Engine<u32> = Engine::new();
+        for (at, v) in [
+            (far, 50),
+            (40, 30),
+            (7, 10),
+            (far + 1, 70),
+            (40, 31),
+            (20, 20),
+            (far, 51),
+            (2 * far, 90),
+        ] {
+            e.schedule_at(Cycles::new(at), v);
+        }
+        let mut until = |d: u64| -> (Vec<u32>, u64, usize) {
+            let got = std::iter::from_fn(|| e.pop_until(Cycles::new(d))).collect();
+            (got, e.now().as_u64(), e.len())
+        };
+        assert_eq!(until(6), (vec![], 0, 8), "nothing due: clock stays");
+        assert_eq!(until(40), (vec![10, 20, 30, 31], 40, 4));
+        assert_eq!(until(far), (vec![50, 51], far, 2));
+        assert_eq!(until(far), (vec![], far, 2));
+        assert_eq!(until(u64::MAX), (vec![70, 90], 2 * far, 0));
     }
 
     #[test]

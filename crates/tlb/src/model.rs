@@ -1,9 +1,9 @@
 //! The TLB data structure and its flush-instruction semantics.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::VecDeque;
 
 use tlbdown_mem::{AddrSpace, Pte};
-use tlbdown_types::{CostModel, Cycles, PageSize, Pcid, PhysAddr, VirtAddr};
+use tlbdown_types::{CostModel, Cycles, FastMap, FastSet, PageSize, Pcid, PhysAddr, VirtAddr};
 
 use crate::geometry::{SetAssocGeometry, TlbGeometry};
 
@@ -152,7 +152,7 @@ pub struct TlbStats {
 /// accesses.
 #[derive(Debug, Default)]
 pub struct ItlbModel {
-    entries: HashMap<Key, TlbEntry>,
+    entries: FastMap<Key, TlbEntry>,
 }
 
 impl ItlbModel {
@@ -231,21 +231,21 @@ impl ItlbModel {
 pub struct Tlb {
     geometry: TlbGeometry,
     capacity: usize,
-    entries: HashMap<Key, TlbEntry>,
+    entries: FastMap<Key, TlbEntry>,
     fifo: VecDeque<Key>,
     // Set-associative state, unused (and empty) under the legacy geometry.
     // `entries` stays the single source of truth for presence; these index
     // it per (structure, set) for replacement, and `l1` marks the subset
     // cached in the first-level arrays (inclusive hierarchy).
-    set_fifo: HashMap<(u8, u32), VecDeque<Key>>,
-    set_occ: HashMap<(u8, u32), u32>,
-    l1: HashSet<Key>,
-    l1_fifo: HashMap<(u8, u32), VecDeque<Key>>,
-    l1_occ: HashMap<(u8, u32), u32>,
+    set_fifo: FastMap<(u8, u32), VecDeque<Key>>,
+    set_occ: FastMap<(u8, u32), u32>,
+    l1: FastSet<Key>,
+    l1_fifo: FastMap<(u8, u32), VecDeque<Key>>,
+    l1_occ: FastMap<(u8, u32), u32>,
     split_blind_invlpg: bool,
     fill_seq: u64,
     fractured_count: usize,
-    pwc: HashMap<(u16, u64), u64>,
+    pwc: FastMap<(u16, u64), u64>,
     pwc_fifo: VecDeque<(u16, u64)>,
     pwc_capacity: usize,
     itlb: ItlbModel,
@@ -276,17 +276,17 @@ impl Tlb {
         Tlb {
             geometry,
             capacity,
-            entries: HashMap::new(),
+            entries: FastMap::default(),
             fifo: VecDeque::new(),
-            set_fifo: HashMap::new(),
-            set_occ: HashMap::new(),
-            l1: HashSet::new(),
-            l1_fifo: HashMap::new(),
-            l1_occ: HashMap::new(),
+            set_fifo: FastMap::default(),
+            set_occ: FastMap::default(),
+            l1: FastSet::default(),
+            l1_fifo: FastMap::default(),
+            l1_occ: FastMap::default(),
             split_blind_invlpg: false,
             fill_seq: 0,
             fractured_count: 0,
-            pwc: HashMap::new(),
+            pwc: FastMap::default(),
             pwc_fifo: VecDeque::new(),
             pwc_capacity: DEFAULT_PWC_CAPACITY,
             itlb: ItlbModel::default(),

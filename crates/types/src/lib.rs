@@ -10,6 +10,7 @@ pub mod addr;
 pub mod cost;
 pub mod error;
 pub mod flags;
+pub mod hash;
 pub mod ids;
 pub mod topology;
 
@@ -17,5 +18,6 @@ pub use addr::{PageSize, PhysAddr, VirtAddr, VirtRange};
 pub use cost::{CostModel, Cycles, Distance};
 pub use error::{SimError, SimResult};
 pub use flags::PteFlags;
+pub use hash::{FastMap, FastSet};
 pub use ids::{CoreId, MmId, Pcid, ProcessId, ThreadId};
 pub use topology::Topology;
