@@ -503,10 +503,7 @@ impl Machine {
         if let Some(mm) = self.mms.get(&mm_id) {
             let pcid = mm.pcid;
             let cur_gen = mm.gen.current();
-            self.tlbs[core.index()].flush_pcid(pcid);
-            if self.cfg.safe_mode {
-                self.tlbs[core.index()].flush_pcid(pcid.user_sibling());
-            }
+            self.flush_pcid_pair(core, pcid);
             let ts = &mut self.cpus[core.index()].tlb_state;
             if ts.loaded_mm == mm_id {
                 // The TLB holds nothing for this mm any more; anything the

@@ -261,9 +261,10 @@ pub struct ShootdownRun {
 }
 
 impl ShootdownRun {
-    /// Build a run for `info`; the flush entry lists are derived from the
-    /// info's range unless it is (effectively) a full flush.
-    pub fn new(info: FlushTlbInfo) -> Self {
+    /// Build a run for `info` that retires the oracle pairs `retire` when
+    /// it completes; the flush entry lists are derived from the info's
+    /// range unless it is (effectively) a full flush.
+    pub fn new(info: FlushTlbInfo, retire: Vec<(u64, u64)>) -> Self {
         let local_full = info.effective_full();
         let entries: Vec<VirtAddr> = if local_full {
             Vec::new()
@@ -281,7 +282,7 @@ impl ShootdownRun {
             uidx: 0,
             initial_targets: 0,
             local_mode: LocalMode::Normal,
-            retire: Vec::new(),
+            retire,
             decided: None,
             user_handled: false,
             trace_op: None,

@@ -8,7 +8,7 @@
 use tlbdown_core::{cow_flush_method, CowFlushMethod, FlushTlbInfo};
 use tlbdown_mem::{FrameState, Pte};
 use tlbdown_types::{
-    CoreId, Cycles, MmId, PageSize, Pcid, PteFlags, SimError, VirtAddr, VirtRange,
+    CoreId, Cycles, MmId, PageSize, Pcid, PhysAddr, PteFlags, SimError, VirtAddr, VirtRange,
 };
 
 use crate::config::InjectedBug;
@@ -58,6 +58,17 @@ pub(crate) enum StepOut {
     /// below. Only kernel frames (syscalls/faults) may return this — the
     /// base frame must stay on the stack.
     Error(SimError),
+}
+
+/// The flush a PTE change owes: the ranged flush that must reach a sink
+/// (a batch, a barrier or a direct run) and the oracle `(vpn, version)`
+/// pairs its completion retires. Built only by [`Machine::owe_flush`].
+#[must_use]
+pub(crate) struct OwedFlush {
+    /// The ranged flush, at the generation the change bumped to.
+    pub info: FlushTlbInfo,
+    /// Oracle pairs to retire when the flush completes.
+    pub retire: Vec<(u64, u64)>,
 }
 
 impl Machine {
@@ -147,29 +158,36 @@ impl Machine {
     // --- Idle / scheduling ---
 
     fn step_idle(&mut self, core: CoreId) -> StepOut {
-        if let Some(idx) = self.cpus[core.index()].runqueue.pop_front() {
-            match self.context_switch_in(core, idx) {
-                Ok(cost) => StepOut::Replace {
-                    frame: Frame::Prog(ProgFrame {
-                        thread: idx,
-                        pending_access: None,
-                        retval: 0,
-                        fault_info: None,
-                    }),
-                    cost,
-                },
-                Err(e) => {
-                    // A thread whose mm vanished can never run; park it
-                    // and retry the runqueue on the next idle step.
-                    self.record_error(e);
-                    self.threads[idx].done = true;
-                    StepOut::Continue(self.cfg.costs.thread_switch)
-                }
-            }
-        } else {
+        let Some(idx) = self.cpus[core.index()].runqueue.pop_front() else {
             // Stay idle in lazy-TLB mode.
-            StepOut::Block
+            return StepOut::Block;
+        };
+        match self.switch_to(core, idx) {
+            Ok(out) => out,
+            Err(e) => {
+                // A thread whose mm vanished can never run; park it and
+                // retry the runqueue on the next idle step.
+                self.record_error(e);
+                self.threads[idx].done = true;
+                StepOut::Continue(self.cfg.costs.thread_switch)
+            }
         }
+    }
+
+    /// Switch `core` to thread `idx` and replace the current base frame
+    /// with the thread's program frame. Fails, with nothing mutated, if
+    /// the thread's address space no longer exists.
+    fn switch_to(&mut self, core: CoreId, idx: usize) -> Result<StepOut, SimError> {
+        let cost = self.context_switch_in(core, idx)?;
+        Ok(StepOut::Replace {
+            frame: Frame::Prog(ProgFrame {
+                thread: idx,
+                pending_access: None,
+                retval: 0,
+                fault_info: None,
+            }),
+            cost,
+        })
     }
 
     /// Switch `core` to thread `idx`; returns the switch cost. Handles the
@@ -218,12 +236,7 @@ impl Machine {
                 Some(g) if g < cur_gen => {
                     // Stale PCID-tagged entries survive the CR3 reload;
                     // flush them (lazy-exit / switch-in sync, §2.2).
-                    self.tlbs[core.index()].flush_pcid(pcid);
-                    cost += self.cfg.costs.full_flush;
-                    if self.cfg.safe_mode {
-                        self.tlbs[core.index()].flush_pcid(pcid.user_sibling());
-                        cost += self.cfg.costs.full_flush;
-                    }
+                    cost += self.flush_pcid_pair(core, pcid);
                     self.stats.counters.bump("switch_in_flush");
                     cur_gen
                 }
@@ -242,13 +255,7 @@ impl Machine {
             let local = self.cpus[core.index()].tlb_state.local_tlb_gen;
             if local < cur_gen {
                 let pcid = self.cpus[core.index()].tlb_state.kernel_pcid;
-                self.tlbs[core.index()].flush_pcid(pcid);
-                cost += self.cfg.costs.full_flush;
-                if self.cfg.safe_mode {
-                    let upcid = self.cpus[core.index()].tlb_state.user_pcid;
-                    self.tlbs[core.index()].flush_pcid(upcid);
-                    cost += self.cfg.costs.full_flush;
-                }
+                cost += self.flush_pcid_pair(core, pcid);
                 self.cpus[core.index()].tlb_state.local_tlb_gen = cur_gen;
                 self.stats.counters.bump("lazy_exit_flush");
             }
@@ -265,18 +272,8 @@ impl Machine {
     fn enter_idle(&mut self, core: CoreId) -> StepOut {
         self.cpus[core.index()].current = None;
         while let Some(idx) = self.cpus[core.index()].runqueue.pop_front() {
-            match self.context_switch_in(core, idx) {
-                Ok(cost) => {
-                    return StepOut::Replace {
-                        frame: Frame::Prog(ProgFrame {
-                            thread: idx,
-                            pending_access: None,
-                            retval: 0,
-                            fault_info: None,
-                        }),
-                        cost,
-                    }
-                }
+            match self.switch_to(core, idx) {
+                Ok(out) => return out,
                 Err(e) => {
                     self.record_error(e);
                     self.threads[idx].done = true;
@@ -341,31 +338,21 @@ impl Machine {
                 }
             }
             ProgAction::Yield => {
-                let cpu = &mut self.cpus[core.index()];
-                if let Some(next) = cpu.runqueue.pop_front() {
-                    match self.context_switch_in(core, next) {
-                        Ok(cost) => {
-                            self.cpus[core.index()].runqueue.push_back(idx);
-                            StepOut::Replace {
-                                frame: Frame::Prog(ProgFrame {
-                                    thread: next,
-                                    pending_access: None,
-                                    retval: 0,
-                                    fault_info: None,
-                                }),
-                                cost,
-                            }
-                        }
-                        Err(e) => {
-                            // The target's mm vanished: keep running the
-                            // current thread instead of switching.
-                            self.record_error(e);
-                            self.threads[next].done = true;
-                            StepOut::Continue(self.cfg.costs.thread_switch)
-                        }
+                let Some(next) = self.cpus[core.index()].runqueue.pop_front() else {
+                    return StepOut::Continue(self.cfg.costs.thread_switch);
+                };
+                match self.switch_to(core, next) {
+                    Ok(out) => {
+                        self.cpus[core.index()].runqueue.push_back(idx);
+                        out
                     }
-                } else {
-                    StepOut::Continue(self.cfg.costs.thread_switch)
+                    Err(e) => {
+                        // The target's mm vanished: keep running the
+                        // current thread instead of switching.
+                        self.record_error(e);
+                        self.threads[next].done = true;
+                        StepOut::Continue(self.cfg.costs.thread_switch)
+                    }
                 }
             }
             ProgAction::Exit => {
@@ -571,9 +558,7 @@ impl Machine {
             }
             SyscallStage::BarrierNext => {
                 if let Some((info, retire)) = sf.barrier.pop_front() {
-                    let mut run = ShootdownRun::new(info);
-                    run.retire = retire;
-                    sf.sd = Some(run);
+                    sf.sd = Some(ShootdownRun::new(info, retire));
                     sf.stage = SyscallStage::Shootdown;
                 } else {
                     sf.stage = SyscallStage::Release;
@@ -641,13 +626,7 @@ impl Machine {
                     let ts = &self.cpus[core.index()].tlb_state;
                     if ts.local_tlb_gen < cur_gen {
                         let kpcid = ts.kernel_pcid;
-                        let upcid = ts.user_pcid;
-                        self.tlbs[core.index()].flush_pcid(kpcid);
-                        flush_cost += self.cfg.costs.full_flush;
-                        if self.cfg.safe_mode {
-                            self.tlbs[core.index()].flush_pcid(upcid);
-                            flush_cost += self.cfg.costs.full_flush;
-                        }
+                        flush_cost += self.flush_pcid_pair(core, kpcid);
                         self.cpus[core.index()].tlb_state.local_tlb_gen = cur_gen;
                         self.cpus[core.index()].tlb_state.deferred_user.take();
                         self.stats.counters.bump("batched_exit_flush");
@@ -729,38 +708,23 @@ impl Machine {
                 self.split_huge_leaves(mm_id, range);
                 // L7: parked pages the unmap covers must pay their elided
                 // flush before the mapping disappears.
-                self.reuse_invalidate_range(core, sf, mm_id, range);
-                let (removed_count, info, changed) = {
+                self.reuse_invalidate_range(sf, mm_id, range);
+                let out = {
                     let mm = self.mms.get_mut(&mm_id).ok_or(SimError::NoSuchMm(mm_id))?;
                     mm.remove_vmas(range);
-                    let out = mm.space.unmap_range(&mut self.mem, range);
-                    let n = out.removed.len();
-                    let mut info = None;
-                    if n > 0 || out.freed_tables {
-                        let gen = mm.gen.bump();
-                        let mut i = FlushTlbInfo::ranged(mm_id, range, PageSize::Size4K, gen);
-                        if out.freed_tables {
-                            i = i.with_freed_tables();
-                        }
-                        info = Some(i);
-                    }
-                    let changed: Vec<(VirtAddr, Pte)> =
-                        out.removed.iter().map(|&(va, pte, _)| (va, pte)).collect();
-                    for (_, pte, _) in &out.removed {
-                        match self.frame_refs.put_page(pte.addr) {
-                            Ok(true) => sf.pending_frees.push(pte.addr),
-                            Ok(false) => {}
-                            Err(e) => self.record_error(e),
-                        }
-                    }
-                    (n as u64, info, changed)
+                    mm.space.unmap_range(&mut self.mem, range)
                 };
-                let mut cost = costs.pte_update * removed_count.max(1);
-                if let Some(info) = info {
-                    let retire = self.oracle.range_modified(mm_id, range);
-                    self.reuse_bump_versions(mm_id, range);
-                    cost += self.numa_replica_update(core, mm_id, &changed, &retire);
-                    self.queue_flush(core, sf, info, retire);
+                for &(_, pte, _) in &out.removed {
+                    self.release_frame(pte.addr, &mut sf.pending_frees);
+                }
+                let mut cost = costs.pte_update * (out.removed.len() as u64).max(1);
+                if !out.removed.is_empty() || out.freed_tables {
+                    let (mut owed, sync) = self.pte_changed(core, mm_id, range, &out.removed)?;
+                    if out.freed_tables {
+                        owed.info = owed.info.with_freed_tables();
+                    }
+                    cost += sync;
+                    self.queue_flush(sf, owed);
                 }
                 sf.retval = 0;
                 Ok(cost)
@@ -768,51 +732,30 @@ impl Machine {
             Syscall::MadviseDontNeed { addr, pages } => {
                 let range = VirtRange::pages(addr, pages, PageSize::Size4K);
                 self.split_huge_leaves(mm_id, range);
-                // L7 reuse-skip: park the zapped pages (frames stay
-                // referenced, oracle pairs stay un-retired) and elide the
-                // shootdown entirely. Capacity evictions and stale twins
-                // pay their debt through queue_flush inside the helper.
+                let removed = {
+                    let mm = self.mms.get_mut(&mm_id).ok_or(SimError::NoSuchMm(mm_id))?;
+                    mm.space.zap_range(range).removed
+                };
+                let mut cost = costs.pte_update * (removed.len() as u64).max(1);
                 if self.cfg.opts.reuse_skip {
-                    let removed = {
-                        let mm = self.mms.get_mut(&mm_id).ok_or(SimError::NoSuchMm(mm_id))?;
-                        mm.space.zap_range(range).removed
-                    };
-                    let n = removed.len() as u64;
-                    let changed: Vec<(VirtAddr, Pte)> =
-                        removed.iter().map(|&(va, pte, _)| (va, pte)).collect();
-                    self.reuse_park_zap(core, sf, mm_id, range, removed);
+                    // L7 reuse-skip: park the zapped pages (frames stay
+                    // referenced, oracle pairs stay un-retired) and elide
+                    // the shootdown entirely. Capacity evictions and stale
+                    // twins pay their debt through queue_flush inside the
+                    // helper.
+                    self.reuse_park_zap(sf, mm_id, range, &removed);
                     // L8 on top of L7: the zap is still a PTE update the
                     // socket replicas must see, flush elision or not.
-                    let sync = self.numa_replica_update(core, mm_id, &changed, &[]);
-                    sf.retval = 0;
-                    return Ok(costs.pte_update * n.max(1) + sync);
-                }
-                let (removed_count, info, changed) = {
-                    let mm = self.mms.get_mut(&mm_id).ok_or(SimError::NoSuchMm(mm_id))?;
-                    let out = mm.space.zap_range(range);
-                    let n = out.removed.len();
-                    let info = if n > 0 {
-                        let gen = mm.gen.bump();
-                        Some(FlushTlbInfo::ranged(mm_id, range, PageSize::Size4K, gen))
-                    } else {
-                        None
-                    };
-                    let changed: Vec<(VirtAddr, Pte)> =
-                        out.removed.iter().map(|&(va, pte, _)| (va, pte)).collect();
-                    for (_, pte, _) in &out.removed {
-                        match self.frame_refs.put_page(pte.addr) {
-                            Ok(true) => sf.pending_frees.push(pte.addr),
-                            Ok(false) => {}
-                            Err(e) => self.record_error(e),
-                        }
+                    cost += self.numa_replica_update(core, mm_id, &removed, &[]);
+                } else {
+                    for &(_, pte, _) in &removed {
+                        self.release_frame(pte.addr, &mut sf.pending_frees);
                     }
-                    (n as u64, info, changed)
-                };
-                let mut cost = costs.pte_update * removed_count.max(1);
-                if let Some(info) = info {
-                    let retire = self.oracle.range_modified(mm_id, range);
-                    cost += self.numa_replica_update(core, mm_id, &changed, &retire);
-                    self.queue_flush(core, sf, info, retire);
+                    if !removed.is_empty() {
+                        let (owed, sync) = self.pte_changed(core, mm_id, range, &removed)?;
+                        cost += sync;
+                        self.queue_flush(sf, owed);
+                    }
                 }
                 sf.retval = 0;
                 Ok(cost)
@@ -846,36 +789,27 @@ impl Machine {
                 self.split_huge_leaves(mm_id, range);
                 // L7: a permission change over parked pages invalidates
                 // their "same permissions" premise — pay the debt first.
-                self.reuse_invalidate_range(core, sf, mm_id, range);
-                let (n, info, changed) = {
-                    let mm = self.mms.get_mut(&mm_id).ok_or(SimError::NoSuchMm(mm_id))?;
-                    let (set, clear) = if write {
-                        (PteFlags::WRITABLE, PteFlags::empty())
-                    } else {
-                        (PteFlags::empty(), PteFlags::WRITABLE)
-                    };
-                    let changed = mm.space.protect_range(range, set, clear);
-                    let n = changed.len() as u64;
-                    // Only permission *reductions* require a flush.
-                    let info = if n > 0 && !write {
-                        let gen = mm.gen.bump();
-                        Some(FlushTlbInfo::ranged(mm_id, range, PageSize::Size4K, gen))
-                    } else {
-                        None
-                    };
-                    let changed: Vec<(VirtAddr, Pte)> =
-                        changed.into_iter().map(|(va, pte, _)| (va, pte)).collect();
-                    (n, info, changed)
+                self.reuse_invalidate_range(sf, mm_id, range);
+                let (set, clear) = if write {
+                    (PteFlags::WRITABLE, PteFlags::empty())
+                } else {
+                    (PteFlags::empty(), PteFlags::WRITABLE)
                 };
-                let mut cost = costs.pte_update * n.max(1);
-                if let Some(info) = info {
-                    let retire = self.oracle.range_modified(mm_id, range);
-                    self.reuse_bump_versions(mm_id, range);
-                    cost += self.numa_replica_update(core, mm_id, &changed, &retire);
+                let changed = {
+                    let mm = self.mms.get_mut(&mm_id).ok_or(SimError::NoSuchMm(mm_id))?;
+                    mm.space.protect_range(range, set, clear)
+                };
+                let mut cost = costs.pte_update * (changed.len() as u64).max(1);
+                // Only permission *reductions* require a flush.
+                if !changed.is_empty() && !write {
+                    let (owed, sync) = self.pte_changed(core, mm_id, range, &changed)?;
+                    cost += sync;
                     // mprotect is not on the §4.2 list: always synchronous.
-                    let mut run = ShootdownRun::new(info);
-                    run.retire = retire;
-                    sf.sd = Some(run);
+                    // The assignment deliberately replaces a debt run that
+                    // `reuse_invalidate_range` may have put in `sf.sd`:
+                    // this range flush covers the parked page and retires
+                    // a newer version of it.
+                    sf.sd = Some(ShootdownRun::new(owed.info, owed.retire));
                 }
                 sf.retval = 0;
                 Ok(cost)
@@ -938,7 +872,7 @@ impl Machine {
         let costs = self.cfg.costs.clone();
         // L7: writeback write-protects pages, so parked entries in the
         // range lose their "same permissions" premise — pay the debt.
-        self.reuse_invalidate_range(core, sf, mm_id, range);
+        self.reuse_invalidate_range(sf, mm_id, range);
         // Visit only pages the dirty index names within the range.
         let candidates: Vec<u64> = self
             .dirty_index
@@ -984,19 +918,12 @@ impl Machine {
         }
         // One flush (and oracle stamp) per cleaned page.
         let mut sync_cost = Cycles::ZERO;
-        for (va, old_pte) in &cleaned {
-            let page_range = VirtRange::pages(*va, 1, PageSize::Size4K);
-            let retire = self.oracle.range_modified(mm_id, page_range);
-            self.reuse_bump_versions(mm_id, page_range);
-            sync_cost += self.numa_replica_update(core, mm_id, &[(*va, *old_pte)], &retire);
-            let gen = self
-                .mms
-                .get_mut(&mm_id)
-                .ok_or(SimError::NoSuchMm(mm_id))?
-                .gen
-                .bump();
-            let info = FlushTlbInfo::ranged(mm_id, page_range, PageSize::Size4K, gen);
-            self.queue_flush(core, sf, info, retire);
+        for &(va, old_pte) in &cleaned {
+            let page_range = VirtRange::pages(va, 1, PageSize::Size4K);
+            let (owed, sync) =
+                self.pte_changed(core, mm_id, page_range, &[(va, old_pte, PageSize::Size4K)])?;
+            sync_cost += sync;
+            self.queue_flush(sf, owed);
         }
         self.stats
             .counters
@@ -1004,25 +931,64 @@ impl Machine {
         Ok(costs.pte_update * (cleaned.len() as u64).max(1) + sync_cost)
     }
 
-    /// Route a flush either through batching (§4.2) or synchronously.
-    /// `retire` is the oracle snapshot to apply when the flush completes.
-    pub(crate) fn queue_flush(
+    /// The flush a PTE change over `range` of `mm_id` owes, stated once:
+    /// stamp new oracle versions for every page of the range, make the
+    /// matching L7 `pte_versions` bump, sync the L8 page-table replicas
+    /// for the `changed` entries (`(page, old entry, size)`, as the
+    /// page-table ops report them), bump the mm generation and build the
+    /// ranged flush. Returns the flush and the replica-sync cost. The
+    /// caller hands the flush to a sink: [`Machine::queue_flush`] (batch
+    /// or barrier), or a direct run on the frame (mprotect, the CoW
+    /// fault).
+    pub(crate) fn pte_changed(
         &mut self,
-        _core: CoreId,
-        sf: &mut SyscallFrame,
-        info: FlushTlbInfo,
+        core: CoreId,
+        mm_id: MmId,
+        range: VirtRange,
+        changed: &[(VirtAddr, Pte, PageSize)],
+    ) -> Result<(OwedFlush, Cycles), SimError> {
+        let retire = self.oracle.range_modified(mm_id, range);
+        self.reuse_bump_versions(mm_id, range);
+        let sync = self.numa_replica_update(core, mm_id, changed, &retire);
+        Ok((self.owe_flush(mm_id, range, retire)?, sync))
+    }
+
+    /// The generation-and-info half of [`Machine::pte_changed`]: bump the
+    /// mm generation and build the ranged flush that retires `retire`.
+    /// An L7 flush debt uses it alone, since its oracle pairs were
+    /// stamped when the page was parked.
+    pub(crate) fn owe_flush(
+        &mut self,
+        mm_id: MmId,
+        range: VirtRange,
         retire: Vec<(u64, u64)>,
-    ) {
+    ) -> Result<OwedFlush, SimError> {
+        let mm = self.mms.get_mut(&mm_id).ok_or(SimError::NoSuchMm(mm_id))?;
+        let info = FlushTlbInfo::ranged(mm_id, range, PageSize::Size4K, mm.gen.bump());
+        Ok(OwedFlush { info, retire })
+    }
+
+    /// Drop the reference a zapped or replaced PTE held on frame `pa`. A
+    /// frame that lost its last reference joins `pending_frees`, to be
+    /// freed only after the covering flush completes.
+    pub(crate) fn release_frame(&mut self, pa: PhysAddr, pending_frees: &mut Vec<PhysAddr>) {
+        match self.frame_refs.put_page(pa) {
+            Ok(true) => pending_frees.push(pa),
+            Ok(false) => {}
+            Err(e) => self.record_error(e),
+        }
+    }
+
+    /// Route a flush either through batching (§4.2) or synchronously.
+    pub(crate) fn queue_flush(&mut self, sf: &mut SyscallFrame, owed: OwedFlush) {
         if sf.batched {
-            sf.batch.defer(info);
-            sf.batched_retires.extend(retire);
+            sf.batch.defer(owed.info);
+            sf.batched_retires.extend(owed.retire);
             self.stats.counters.bump("flush_deferred");
         } else if sf.sd.is_none() {
-            let mut run = ShootdownRun::new(info);
-            run.retire = retire;
-            sf.sd = Some(run);
+            sf.sd = Some(ShootdownRun::new(owed.info, owed.retire));
         } else {
-            sf.barrier.push_back((info, retire));
+            sf.barrier.push_back((owed.info, owed.retire));
         }
     }
 
@@ -1202,11 +1168,7 @@ impl Machine {
             Err(_) => return self.segfault(core, ff),
         };
         self.frame_refs.get_page(new_pa);
-        match self.frame_refs.put_page(old_pte.addr) {
-            Ok(true) => ff.pending_frees.push(old_pte.addr),
-            Ok(false) => {}
-            Err(e) => self.record_error(e),
-        }
+        self.release_frame(old_pte.addr, &mut ff.pending_frees);
         let new_flags = old_pte
             .flags
             .with(PteFlags::WRITABLE | PteFlags::DIRTY | PteFlags::ACCESSED)
@@ -1224,25 +1186,18 @@ impl Machine {
             self.record_error(e);
             return self.segfault(core, ff);
         }
-        let retire = vec![(page.vpn(), self.oracle.pte_modified(mm_id, page))];
+        // Flush: a 1-page shootdown run; the local part uses either
+        // INVLPG or the §4.1 access trick.
         let page_range = VirtRange::pages(page, 1, PageSize::Size4K);
-        self.reuse_bump_versions(mm_id, page_range);
-        let sync_cost = self.numa_replica_update(core, mm_id, &[(page, old_pte)], &retire);
-        // Flush: bump the generation and build a 1-page shootdown run; the
-        // local part uses either INVLPG or the §4.1 access trick.
-        let Some(mm) = self.mms.get_mut(&mm_id) else {
-            self.record_error(SimError::NoSuchMm(mm_id));
-            return self.segfault(core, ff);
+        let changed = [(page, old_pte, PageSize::Size4K)];
+        let (owed, sync_cost) = match self.pte_changed(core, mm_id, page_range, &changed) {
+            Ok(x) => x,
+            Err(e) => {
+                self.record_error(e);
+                return self.segfault(core, ff);
+            }
         };
-        let gen = mm.gen.bump();
-        let info = FlushTlbInfo::ranged(
-            mm_id,
-            VirtRange::pages(page, 1, PageSize::Size4K),
-            PageSize::Size4K,
-            gen,
-        );
-        let mut run = ShootdownRun::new(info);
-        run.retire = retire;
+        let mut run = ShootdownRun::new(owed.info, owed.retire);
         if cow_flush_method(old_pte.flags, &self.cfg.opts) == CowFlushMethod::AccessTrick {
             run = run.with_cow_trick(page);
             self.stats.counters.bump("cow_access_trick");
@@ -1314,7 +1269,7 @@ impl Machine {
         mm_id: MmId,
         va: VirtAddr,
         write: bool,
-    ) -> Option<tlbdown_types::PhysAddr> {
+    ) -> Option<PhysAddr> {
         let page = va.align_down(PageSize::Size4K);
         let vma = self.mms.get(&mm_id)?.vma_at(va).cloned()?;
         // L7: a parked identical mapping short-circuits the whole fault —

@@ -28,7 +28,6 @@
 //!
 //! [`Oracle::reuse_restored`]: crate::oracle::Oracle::reuse_restored
 
-use tlbdown_core::FlushTlbInfo;
 use tlbdown_mem::Pte;
 use tlbdown_types::{CoreId, Cycles, FastMap, MmId, PageSize, PhysAddr, VirtAddr, VirtRange};
 
@@ -75,30 +74,18 @@ impl Machine {
     /// invalidation.
     pub(crate) fn reuse_pay_debt(
         &mut self,
-        core: CoreId,
         sf: &mut SyscallFrame,
         mm_id: MmId,
         vpn: u64,
         entry: ReuseEntry,
     ) {
-        let page = VirtAddr::new(vpn << 12);
-        let Some(mm) = self.mms.get_mut(&mm_id) else {
+        let page_range = VirtRange::pages(VirtAddr::new(vpn << 12), 1, PageSize::Size4K);
+        let Ok(owed) = self.owe_flush(mm_id, page_range, entry.retire) else {
             return;
         };
-        let gen = mm.gen.bump();
-        let info = FlushTlbInfo::ranged(
-            mm_id,
-            VirtRange::pages(page, 1, PageSize::Size4K),
-            PageSize::Size4K,
-            gen,
-        );
         self.stats.counters.bump("reuse_debt_flush");
-        self.queue_flush(core, sf, info, entry.retire);
-        match self.frame_refs.put_page(entry.pte.addr) {
-            Ok(true) => sf.pending_frees.push(entry.pte.addr),
-            Ok(false) => {}
-            Err(e) => self.record_error(e),
-        }
+        self.queue_flush(sf, owed);
+        self.release_frame(entry.pte.addr, &mut sf.pending_frees);
     }
 
     /// Invalidate parked entries overlapping `range` before a conflicting
@@ -106,7 +93,6 @@ impl Machine {
     /// mean: each hit pays its debt flush. No-op when reuse-skip is off.
     pub(crate) fn reuse_invalidate_range(
         &mut self,
-        core: CoreId,
         sf: &mut SyscallFrame,
         mm_id: MmId,
         range: VirtRange,
@@ -119,22 +105,20 @@ impl Machine {
             None => return,
         };
         for (vpn, entry) in hits {
-            self.reuse_pay_debt(core, sf, mm_id, vpn, entry);
+            self.reuse_pay_debt(sf, mm_id, vpn, entry);
         }
     }
 
     /// Park the pages a reuse-skip `madvise(DONTNEED)` zap removed,
     /// eliding their shootdown. Already-parked pages covered by the range
     /// are refreshed to the new version (a re-zap of a zapped page is a
-    /// no-op whose new oracle pair simply joins the parked debt). Returns
-    /// the zap's flush elision count for the caller's cost math.
+    /// no-op whose new oracle pair simply joins the parked debt).
     pub(crate) fn reuse_park_zap(
         &mut self,
-        core: CoreId,
         sf: &mut SyscallFrame,
         mm_id: MmId,
         range: VirtRange,
-        removed: Vec<(VirtAddr, Pte, PageSize)>,
+        removed: &[(VirtAddr, Pte, PageSize)],
     ) {
         let any_change = !removed.is_empty();
         if any_change {
@@ -176,7 +160,7 @@ impl Machine {
             }
         }
         let n = removed.len() as u64;
-        for (va, pte, _) in removed {
+        for &(va, pte, _) in removed {
             let vpn = va.vpn();
             let version = self
                 .mms
@@ -201,7 +185,7 @@ impl Machine {
                 None => None,
             };
             if let Some(old) = old {
-                self.reuse_pay_debt(core, sf, mm_id, vpn, old);
+                self.reuse_pay_debt(sf, mm_id, vpn, old);
             }
             let cap = self.cfg.reuse_window_cap;
             let evicted = match self.mms.get_mut(&mm_id) {
@@ -218,7 +202,7 @@ impl Machine {
             };
             if let Some((evpn, evicted)) = evicted {
                 self.stats.counters.bump("reuse_evict");
-                self.reuse_pay_debt(core, sf, mm_id, evpn, evicted);
+                self.reuse_pay_debt(sf, mm_id, evpn, evicted);
             }
         }
         self.stats.counters.add("reuse_park", n);
@@ -311,6 +295,7 @@ impl Machine {
     }
 
     /// Propagate a PTE update to every socket's page-table replica (L8).
+    /// `changed` lists the updated entries as `(page, old entry, size)`.
     ///
     /// The real path charges one cacheline batch per remote socket, routed
     /// through the interconnect hop distance to that socket, and keeps all
@@ -321,7 +306,7 @@ impl Machine {
         &mut self,
         core: CoreId,
         mm_id: MmId,
-        changed: &[(VirtAddr, Pte)],
+        changed: &[(VirtAddr, Pte, PageSize)],
         pairs: &[(u64, u64)],
     ) -> Cycles {
         if !self.numa_pte_active() || changed.is_empty() {
@@ -337,7 +322,7 @@ impl Machine {
                 return Cycles::ZERO;
             };
             if let Some(local) = mm.numa_stale.get_mut(&my_socket) {
-                for (va, _) in changed {
+                for (va, ..) in changed {
                     local.remove(&va.vpn());
                 }
             }
@@ -346,7 +331,7 @@ impl Machine {
                     continue;
                 }
                 let stale = mm.numa_stale.entry(s).or_default();
-                for (va, old_pte) in changed {
+                for (va, old_pte, _) in changed {
                     let vnew = pairs
                         .iter()
                         .find(|(vp, _)| *vp == va.vpn())
@@ -379,7 +364,7 @@ impl Machine {
             }
             if let Some(mm) = self.mms.get_mut(&mm_id) {
                 for stale in mm.numa_stale.values_mut() {
-                    for (va, _) in changed {
+                    for (va, ..) in changed {
                         stale.remove(&va.vpn());
                     }
                 }

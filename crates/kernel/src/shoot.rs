@@ -3,7 +3,7 @@
 
 use tlbdown_core::smp::run_script;
 use tlbdown_core::{flush_decision, use_early_ack, FlushAction, FlushTlbInfo, Shootdown};
-use tlbdown_types::{CoreId, Cycles, PageSize, SimError, VirtRange};
+use tlbdown_types::{CoreId, Cycles, PageSize, Pcid, SimError, VirtAddr, VirtRange};
 
 use crate::config::InjectedBug;
 use crate::cpu::{IrqAct, IrqFrame, IrqStage, LocalMode, SdStage, ShootdownRun};
@@ -95,6 +95,36 @@ impl Machine {
 }
 
 impl Machine {
+    /// Flush every entry an mm's PCID pair tags on `core`: `pcid` (the
+    /// kernel PCID) and, under PTI, its user-view sibling. Returns the
+    /// cost of the full flushes; sites that model no cost ignore it.
+    pub(crate) fn flush_pcid_pair(&mut self, core: CoreId, pcid: Pcid) -> Cycles {
+        let tlb = &mut self.tlbs[core.index()];
+        tlb.flush_pcid(pcid);
+        let mut cost = self.cfg.costs.full_flush;
+        if self.cfg.safe_mode {
+            tlb.flush_pcid(pcid.user_sibling());
+            cost += self.cfg.costs.full_flush;
+        }
+        cost
+    }
+
+    /// One per-entry flush step on `core`: INVLPG of `va` under the
+    /// kernel PCID, or INVPCID under the PTI user PCID when `user`. Traces
+    /// it under `op` and returns its cost plus any slow-core penalty.
+    fn flush_entry(&mut self, core: CoreId, op: Option<u64>, va: VirtAddr, user: bool) -> Cycles {
+        let ts = &self.cpus[core.index()].tlb_state;
+        let cost = if user {
+            self.tlbs[core.index()].invpcid_single(ts.user_pcid, va);
+            self.cfg.costs.invpcid_single
+        } else {
+            self.tlbs[core.index()].invlpg(ts.kernel_pcid, va);
+            self.cfg.costs.invlpg
+        };
+        trace_emit!(self, core, op, TraceEvent::Invlpg { va: va.0, user });
+        cost + self.faults.invlpg_penalty(core)
+    }
+
     /// The stage following `from`, honouring the §3.1 ordering.
     fn sd_next(&self, from: SdStage) -> SdStage {
         let concurrent = self.cfg.opts.concurrent_flush;
@@ -333,18 +363,7 @@ impl Machine {
                         if run.kidx < run.kernel_entries.len() {
                             let va = run.kernel_entries[run.kidx];
                             run.kidx += 1;
-                            self.tlbs[core.index()].invlpg(kpcid, va);
-                            trace_emit!(
-                                self,
-                                core,
-                                run.trace_op,
-                                TraceEvent::Invlpg {
-                                    va: va.0,
-                                    user: false,
-                                }
-                            );
-                            let slow = self.faults.invlpg_penalty(core);
-                            SdOut::Continue(self.cfg.costs.invlpg + slow)
+                            SdOut::Continue(self.flush_entry(core, run.trace_op, va, false))
                         } else {
                             self.cpus[core.index()].tlb_state.local_tlb_gen = upto;
                             run.stage = self.sd_next(SdStage::LocalFlush);
@@ -361,7 +380,6 @@ impl Machine {
                     run.stage = self.sd_next(SdStage::UserFlush);
                     return SdOut::Continue(Cycles::ZERO);
                 }
-                let upcid = self.cpus[core.index()].tlb_state.user_pcid;
                 let in_context = self.cfg.opts.in_context_flush && !run.info.freed_tables;
                 if in_context {
                     // §3.4 interplay: while waiting for the FIRST remote
@@ -376,19 +394,8 @@ impl Machine {
                     if interleave && run.uidx < run.user_entries.len() {
                         let va = run.user_entries[run.uidx];
                         run.uidx += 1;
-                        self.tlbs[core.index()].invpcid_single(upcid, va);
                         self.stats.counters.bump("interleaved_user_flush");
-                        trace_emit!(
-                            self,
-                            core,
-                            run.trace_op,
-                            TraceEvent::Invlpg {
-                                va: va.0,
-                                user: true
-                            }
-                        );
-                        let slow = self.faults.invlpg_penalty(core);
-                        return SdOut::Continue(self.cfg.costs.invpcid_single + slow);
+                        return SdOut::Continue(self.flush_entry(core, run.trace_op, va, true));
                     }
                     if run.uidx < run.user_entries.len() {
                         let rest = VirtRange::new(run.user_entries[run.uidx], run.info.range.end);
@@ -406,18 +413,7 @@ impl Machine {
                     if run.uidx < run.user_entries.len() {
                         let va = run.user_entries[run.uidx];
                         run.uidx += 1;
-                        self.tlbs[core.index()].invpcid_single(upcid, va);
-                        trace_emit!(
-                            self,
-                            core,
-                            run.trace_op,
-                            TraceEvent::Invlpg {
-                                va: va.0,
-                                user: true
-                            }
-                        );
-                        let slow = self.faults.invlpg_penalty(core);
-                        SdOut::Continue(self.cfg.costs.invpcid_single + slow)
+                        SdOut::Continue(self.flush_entry(core, run.trace_op, va, true))
                     } else {
                         run.stage = self.sd_next(SdStage::UserFlush);
                         SdOut::Continue(Cycles::ZERO)
@@ -601,10 +597,7 @@ impl Machine {
                         // mm's own PCID; flush them wholesale and record
                         // the synced generation for the next switch-in.
                         if let Some(pcid) = self.mms.get(&info.mm).map(|m| m.pcid) {
-                            self.tlbs[core.index()].flush_pcid(pcid);
-                            if self.cfg.safe_mode {
-                                self.tlbs[core.index()].flush_pcid(pcid.user_sibling());
-                            }
+                            self.flush_pcid_pair(core, pcid);
                             self.cpus[core.index()].pcid_gens.insert(info.mm, mm_gen);
                             trace_emit!(
                                 self,
@@ -734,22 +727,10 @@ impl Machine {
                 }
             }
             IrqStage::FlushEntry => {
-                let kpcid = self.cpus[core.index()].tlb_state.kernel_pcid;
                 if f.eidx < f.entries.len() {
                     let va = f.entries[f.eidx];
                     f.eidx += 1;
-                    self.tlbs[core.index()].invlpg(kpcid, va);
-                    trace_emit!(
-                        self,
-                        core,
-                        Some(f.queue[f.qidx].0),
-                        TraceEvent::Invlpg {
-                            va: va.0,
-                            user: false,
-                        }
-                    );
-                    let slow = self.faults.invlpg_penalty(core);
-                    StepOut::Continue(self.cfg.costs.invlpg + slow)
+                    StepOut::Continue(self.flush_entry(core, Some(f.queue[f.qidx].0), va, false))
                 } else {
                     self.cpus[core.index()].tlb_state.local_tlb_gen = f.upto;
                     // local_tlb_gen lives in the tlbstate line (§3.3
@@ -789,21 +770,9 @@ impl Machine {
                     f.stage = IrqStage::LateAck;
                     StepOut::Continue(Cycles::ZERO)
                 } else if f.uidx < f.user_entries.len() {
-                    let upcid = self.cpus[core.index()].tlb_state.user_pcid;
                     let va = f.user_entries[f.uidx];
                     f.uidx += 1;
-                    self.tlbs[core.index()].invpcid_single(upcid, va);
-                    trace_emit!(
-                        self,
-                        core,
-                        Some(f.queue[f.qidx].0),
-                        TraceEvent::Invlpg {
-                            va: va.0,
-                            user: true
-                        }
-                    );
-                    let slow = self.faults.invlpg_penalty(core);
-                    StepOut::Continue(self.cfg.costs.invpcid_single + slow)
+                    StepOut::Continue(self.flush_entry(core, Some(f.queue[f.qidx].0), va, true))
                 } else {
                     f.stage = IrqStage::LateAck;
                     StepOut::Continue(Cycles::ZERO)
@@ -895,10 +864,7 @@ impl Machine {
         match flush_decision(ts.local_tlb_gen, mm_gen, &info) {
             FlushAction::Skip => {}
             FlushAction::Full { upto } => {
-                self.tlbs[core.index()].flush_pcid(kpcid);
-                if self.cfg.safe_mode {
-                    self.tlbs[core.index()].flush_pcid(upcid);
-                }
+                self.flush_pcid_pair(core, kpcid);
                 self.cpus[core.index()].tlb_state.local_tlb_gen = upto;
             }
             FlushAction::Selective {

@@ -406,3 +406,127 @@ fn overlapping_mmap_records_a_typed_error_instead_of_panicking() {
     );
     assert!(m.violations().is_empty());
 }
+
+/// The L7 version mirror: every PTE change that stamps a new oracle
+/// version must make the matching bump of the kernel-side
+/// `pte_versions`, because the reuse-time version check reads only the
+/// kernel side. A missed bump lets a parked page be reused across a
+/// change it never saw. Runs every PTE-changing path once over one mm on
+/// a 2-socket × 2-core machine at cumulative `level` and checks the
+/// mirror on every page it touched.
+fn pte_versions_mirror_the_oracle_at(level: usize) {
+    let mut cfg = KernelConfig::test_machine(4).with_opts(OptConfig::cumulative(level));
+    cfg.topo = Topology::new(2, 2);
+    let mut m = Machine::new(cfg);
+    let mm = m.create_process().expect("boot: create process");
+    let anon = m.setup_map_anon(mm, 4).expect("boot: map anon");
+    let shared_file = m.create_file(2).expect("boot: create file");
+    let shared = m
+        .setup_map_file(mm, shared_file, true)
+        .expect("boot: map shared file");
+    let private_file = m.create_file(1).expect("boot: create file");
+    let private = m
+        .setup_map_file(mm, private_file, false)
+        .expect("boot: map private file");
+    let page = |base: VirtAddr, i: u64| base.add(i * 4096);
+    let write = |va: VirtAddr| ProgAction::Access { va, write: true };
+    // A reader on the other socket caches the anon and shared pages, so
+    // the flushes have a remote target and the replica sync a remote
+    // socket.
+    run_script(
+        &mut m,
+        mm,
+        2,
+        (0..4)
+            .map(|i| page(anon, i))
+            .chain([shared, page(shared, 1)])
+            .map(|va| ProgAction::Access { va, write: false })
+            .collect(),
+    );
+    run_script(
+        &mut m,
+        mm,
+        0,
+        vec![
+            ProgAction::Compute(Cycles::new(200_000)),
+            write(page(anon, 0)),
+            write(page(anon, 1)),
+            write(page(anon, 2)),
+            write(page(anon, 3)),
+            // Parks anon pages 0 and 1.
+            ProgAction::Syscall(Syscall::MadviseDontNeed {
+                addr: anon,
+                pages: 2,
+            }),
+            // Two overlapping read-only mprotects; the first covers the
+            // parked page 1.
+            ProgAction::Syscall(Syscall::Mprotect {
+                addr: page(anon, 1),
+                pages: 2,
+                write: false,
+            }),
+            ProgAction::Syscall(Syscall::Mprotect {
+                addr: page(anon, 2),
+                pages: 2,
+                write: false,
+            }),
+            write(shared),
+            write(page(shared, 1)),
+            ProgAction::Syscall(Syscall::Msync {
+                addr: shared,
+                pages: 1,
+            }),
+            ProgAction::Syscall(Syscall::Fdatasync { file: shared_file }),
+            // Demand-faults the private page read-only, then CoW-faults.
+            write(private),
+            // Pays the debt of parked page 0 and unmaps the rest.
+            ProgAction::Syscall(Syscall::Munmap {
+                addr: anon,
+                pages: 4,
+            }),
+        ],
+    );
+    m.run();
+
+    let counters = &m.stats.counters;
+    assert_eq!(counters.get("reuse_park"), 2, "L{level}: madvise parked");
+    assert!(
+        counters.get("reuse_debt_flush") >= 2,
+        "L{level}: mprotect and munmap paid parked debt"
+    );
+    assert_eq!(
+        counters.get("writeback_pages"),
+        2,
+        "L{level}: msync + fdatasync"
+    );
+    assert_eq!(counters.get("cow_fault"), 1, "L{level}: CoW write");
+    if level >= 8 {
+        assert!(
+            counters.get("numapte_replica_sync") > 0,
+            "L{level}: replicas synced"
+        );
+    }
+    let touched = (0..4)
+        .map(|i| page(anon, i))
+        .chain([shared, page(shared, 1), private]);
+    for va in touched {
+        let oracle = m.oracle.current_version(mm, va);
+        assert!(oracle > 0, "L{level}: {va:?} was never changed");
+        assert_eq!(
+            oracle,
+            m.mms[&mm].pte_versions[&va.vpn()],
+            "L{level}: kernel version of {va:?} does not mirror the oracle"
+        );
+    }
+    assert!(m.violations().is_empty(), "L{level}: {:?}", m.violations());
+}
+
+#[test]
+fn pte_versions_mirror_the_oracle_at_l7() {
+    pte_versions_mirror_the_oracle_at(7);
+}
+
+#[test]
+fn pte_versions_mirror_the_oracle_at_l8() {
+    pte_versions_mirror_the_oracle_at(8);
+}
