@@ -82,12 +82,7 @@ pub enum JobSpec {
     /// The dual-socket scale tier (DESIGN.md §14): 2×56 logical cores,
     /// one shared mm, madvise initiators broadcasting into busy loops,
     /// run to a fixed engine-dispatch count.
-    ScaleTier {
-        /// Run the pure-heap reference engine instead of the timing
-        /// wheel. Sim metrics are byte-identical either way; only host
-        /// wall-clock differs.
-        heap_only: bool,
-    },
+    ScaleTier,
     /// One shootdown-storm survival cell (`cargo xtask storm`): a storm
     /// intensity × fault preset, run at every cumulative optimization
     /// level L0..L6 with each level executed **twice** — the second run
@@ -213,7 +208,7 @@ impl MatrixJob {
             JobSpec::AppLevel { .. } => "app_level",
             JobSpec::Table4Row { .. } => "table4_row",
             JobSpec::Ablation { .. } => "ablation",
-            JobSpec::ScaleTier { .. } => "scale_tier",
+            JobSpec::ScaleTier => "scale_tier",
             JobSpec::Storm { .. } => "storm",
             JobSpec::TopoCell { .. } => "topo_cell",
             JobSpec::FracturePressure => "fracture_pressure",
@@ -243,9 +238,6 @@ impl MatrixJob {
             }
             JobSpec::Ablation { which } => {
                 obj = obj.with("which", Json::U64(*which as u64));
-            }
-            JobSpec::ScaleTier { heap_only } => {
-                obj = obj.with("heap_only", Json::Bool(*heap_only));
             }
             JobSpec::Storm {
                 intensity,
@@ -286,7 +278,7 @@ impl MatrixJob {
                     .with("level", Json::U64(*level as u64))
                     .with("sockets", Json::U64(u64::from(AUTONUMA_CELL_SOCKETS)));
             }
-            JobSpec::Table3 | JobSpec::Fig4 | JobSpec::FracturePressure => {}
+            JobSpec::Table3 | JobSpec::Fig4 | JobSpec::ScaleTier | JobSpec::FracturePressure => {}
         }
         obj
     }
@@ -313,7 +305,7 @@ impl MatrixJob {
                     _ => paravirt_hint(),
                 }),
             },
-            JobSpec::ScaleTier { heap_only } => run_scale_tier_job(*heap_only, self.scale),
+            JobSpec::ScaleTier => run_scale_tier_job(self.scale),
             JobSpec::Storm {
                 intensity,
                 fault,
@@ -462,12 +454,11 @@ fn run_table4_row(row: usize) -> JobOutput {
     }
 }
 
-fn run_scale_tier_job(heap_only: bool, scale: Scale) -> JobOutput {
-    let mut cfg = match scale {
+fn run_scale_tier_job(scale: Scale) -> JobOutput {
+    let cfg = match scale {
         Scale::Quick => ScaleTierCfg::smoke(),
         Scale::Full => ScaleTierCfg::dual_socket_56(10_000_000),
     };
-    cfg.heap_only_engine = heap_only;
     let r = run_scale_tier(&cfg).expect("scale tier runs clean");
     let mut metrics = JobMetrics::new();
     metrics.put_u64("events", r.events);
@@ -778,26 +769,16 @@ pub fn bench_matrix() -> Vec<MatrixJob> {
         .collect()
 }
 
-/// The `BENCH_2.json` scale-tier matrix: the dual-socket tier under the
-/// timing wheel and under the pure-heap engine. The two jobs must
-/// produce byte-identical sim blocks (the engines are observationally
-/// equivalent); their `wall_ns` are the end-to-end host-time record.
-/// Run at `Scale::Full` for the committed snapshot, `Scale::Quick` in
-/// tests.
+/// The `BENCH_2.json` scale-tier matrix: one job, the dual-socket tier.
+/// Its sim block pins the engine's dispatch order at scale; its
+/// `wall_ns` is the end-to-end host-time record. Run at `Scale::Full`
+/// for the committed snapshot, `Scale::Quick` in tests.
 pub fn scale_matrix(scale: Scale) -> Vec<MatrixJob> {
-    let s = scale.label();
-    vec![
-        MatrixJob::new(
-            format!("scale/{s}/2x56-heap"),
-            scale,
-            JobSpec::ScaleTier { heap_only: true },
-        ),
-        MatrixJob::new(
-            format!("scale/{s}/2x56-wheel"),
-            scale,
-            JobSpec::ScaleTier { heap_only: false },
-        ),
-    ]
+    vec![MatrixJob::new(
+        format!("scale/{}/2x56", scale.label()),
+        scale,
+        JobSpec::ScaleTier,
+    )]
 }
 
 /// The `BENCH_3.json` shootdown-storm survival matrix behind
@@ -934,19 +915,6 @@ mod tests {
         };
         assert_eq!(row.env, "VM");
         assert!(out.metrics.render().contains("full_flush_misses"));
-    }
-
-    #[test]
-    fn scale_matrix_engines_are_observationally_identical() {
-        let jobs = scale_matrix(Scale::Quick);
-        assert_eq!(jobs.len(), 2);
-        let heap_tier = jobs[0].run();
-        let wheel_tier = jobs[1].run();
-        assert_eq!(
-            heap_tier.metrics.render(),
-            wheel_tier.metrics.render(),
-            "scale-tier sim metrics must not depend on the engine front-end"
-        );
     }
 
     #[test]

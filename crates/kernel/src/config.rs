@@ -80,13 +80,6 @@ pub struct KernelConfig {
     /// Chaos layer: fault injection and the csd-lock watchdog. Inert
     /// faults and an armed (but never-firing) watchdog by default.
     pub chaos: ChaosConfig,
-    /// Bypass the engine's timing-wheel front-end and run every event
-    /// through the pure binary heap — the pre-overhaul dispatch
-    /// structure. The two configurations are byte-identical in every
-    /// simulated outcome (the determinism gate proves it); this flag
-    /// exists for those proofs and for before/after throughput
-    /// comparisons, not for production runs.
-    pub engine_heap_only: bool,
     /// Interconnect model routing cross-core cacheline transfers and IPI
     /// wire delivery. [`TopologySpec::Flat`] (default) is the pinned
     /// distance-constant reference — byte-identical to the pre-topology
@@ -122,7 +115,6 @@ impl KernelConfig {
             chaos: ChaosConfig::default(),
             interconnect: TopologySpec::Flat,
             tlb_geometry: TlbGeometry::legacy(),
-            engine_heap_only: false,
             reuse_window_cap: crate::mm::REUSE_WINDOW_CAP,
         }
     }
@@ -182,13 +174,6 @@ impl KernelConfig {
     /// Whether `bug` is the injected failure.
     pub fn injects(&self, bug: InjectedBug) -> bool {
         self.injected_bug == Some(bug)
-    }
-
-    /// Builder-style: run the event engine on the pure heap (reference
-    /// configuration for determinism and throughput comparisons).
-    pub fn with_heap_only_engine(mut self, heap_only: bool) -> Self {
-        self.engine_heap_only = heap_only;
-        self
     }
 
     /// Builder-style: set the L7 reuse-window capacity (see

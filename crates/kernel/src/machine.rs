@@ -178,7 +178,6 @@ impl Machine {
         // identity, keeping all single-boot digests unchanged.
         let cfg_seed = cfg.epoch_seed(cfg.seed);
         let fault_seed = cfg.epoch_seed(cfg.chaos.fault_seed);
-        let heap_only = cfg.engine_heap_only;
         let faults = FaultPlan::new(cfg.chaos.fault.clone(), fault_seed, n);
         let esc = crate::chaos::Escalation::new(n, fault_seed);
         // The directory and fabric carry separate interconnect instances:
@@ -226,11 +225,7 @@ impl Machine {
             .collect();
         Machine {
             cfg,
-            engine: if heap_only {
-                Engine::new_heap_only()
-            } else {
-                Engine::new()
-            },
+            engine: Engine::new(),
             mem: PhysMem::paper_machine(),
             tlbs,
             dir,

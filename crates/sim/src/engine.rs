@@ -2,33 +2,10 @@
 //!
 //! # Hot-path layout
 //!
-//! The engine stores pending events in two structures:
-//!
-//! - a **timing wheel** of [`WHEEL_SLOTS`] buckets, each
-//!   [`SLOT_CYCLES`] cycles wide, holding every event whose fire time is
-//!   within [`WHEEL_HORIZON`] cycles of the current wheel epoch — the
-//!   overwhelming majority of events (per-instruction resumes, IPI
-//!   deliveries, cacheline transfers all cost well under the horizon);
-//! - a **far heap** (`BinaryHeap`) for the rare long timers (watchdog
-//!   deadlines, batched-reclaim delays) beyond the horizon.
-//!
-//! Insertion into the wheel is O(1); popping scans an occupancy bitmap
-//! for the next non-empty slot and takes the slot's `(at, seq)` minimum.
-//! Every pop compares the wheel minimum against the far-heap minimum by
-//! the same `(at, seq)` key, so the dispatch order is *exactly* the
-//! total order a pure heap produces — the wheel is a performance
-//! front-end, not a semantic change. `Engine::new_heap_only` disables
-//! the wheel: it is the wheel's equivalence oracle, so determinism tests
-//! and the BENCH_2 scale tier can run both configurations against each
-//! other. These are the engine's only two front-ends.
-//!
-//! The wheel's single-rotation invariant: every wheel event satisfies
-//! `at - epoch < WHEEL_HORIZON`, where the epoch is `now` rounded down
-//! to a slot boundary. It holds at insertion by construction and is
-//! preserved as `now` advances because the epoch only grows. Two wheel
-//! events can therefore never map to the same slot from different
-//! rotations, and scanning slots cyclically from the cursor visits
-//! events in granule order.
+//! Pending events live in one `BinaryHeap`, ordered by `(at, seq)`:
+//! fire time first, then the order they were scheduled in. The sequence
+//! number is unique, so the order is total and every run dispatches the
+//! same events in the same order.
 //!
 //! Time is checked on every dispatch, in release builds too: an event
 //! whose fire time is behind the clock is clamped to "now" and recorded
@@ -42,27 +19,6 @@ use tlbdown_types::{Cycles, SimError};
 
 use crate::sched::{Candidate, Scheduler};
 
-/// log2 of the width of one wheel slot, in cycles.
-///
-/// The geometry trades bucket-scan length against cache footprint:
-/// finer granules shorten the per-pop bucket min-scan but grow the slot
-/// spine past what stays cache-resident (a 1-cycle/65536-slot wheel
-/// measured *slower* than the pure heap on the 2×56-core tier purely
-/// from spine misses). 64-cycle granules keep the whole wheel — spine,
-/// bitmap and live buckets — under ~50KB, and at the simulator's event
-/// density (one dispatch every ~2 simulated cycles on the scale tier) a
-/// granule holds only a handful of events to scan.
-const SLOT_SHIFT: u32 = 6;
-/// Width of one wheel slot: events in the same 64-cycle granule share a
-/// bucket and are min-scanned on pop.
-const SLOT_CYCLES: u64 = 1 << SLOT_SHIFT;
-/// Number of wheel slots (power of two so the slot index is a mask).
-const WHEEL_SLOTS: usize = 1 << 11;
-/// How far ahead of the wheel epoch an event may fire and still live in
-/// the wheel: `SLOT_CYCLES * WHEEL_SLOTS` = 131072 cycles. Everything
-/// with a longer fuse (watchdog deadlines, LATR-style deferred flushes)
-/// takes the far heap.
-const WHEEL_HORIZON: u64 = SLOT_CYCLES * WHEEL_SLOTS as u64;
 /// Upper bound on retained [`SimError::TimeRegression`] records; the
 /// total count is unbounded but the per-engine log is capped so a
 /// pathological schedule cannot turn the error path into an allocator
@@ -98,15 +54,6 @@ impl<E> Ord for Scheduled<E> {
     }
 }
 
-/// Where the minimum pending event currently lives.
-#[derive(Clone, Copy, Debug)]
-enum MinLoc {
-    /// `(slot, index)` into the wheel.
-    Wheel(usize, usize),
-    /// Top of the far heap.
-    Far,
-}
-
 /// A deterministic discrete-event engine.
 ///
 /// # Examples
@@ -130,19 +77,8 @@ pub struct Engine<E> {
     now: Cycles,
     seq: u64,
     popped: u64,
-    /// Near-time events, bucketed by `(at >> SLOT_SHIFT) % WHEEL_SLOTS`.
-    /// Empty (never allocated) in heap-only mode.
-    slots: Vec<Vec<Scheduled<E>>>,
-    /// Occupancy bitmap over `slots`: bit set ⇔ slot non-empty.
-    occ: Vec<u64>,
-    /// Number of events currently in the wheel.
-    wheel_len: usize,
-    /// Events beyond the wheel horizon (and, in heap-only mode, all
-    /// events).
-    far: BinaryHeap<Reverse<Scheduled<E>>>,
-    /// When true the wheel is bypassed entirely — the reference
-    /// configuration for determinism tests and the BENCH before/after.
-    heap_only: bool,
+    /// Every pending event, minimum `(at, seq)` on top.
+    heap: BinaryHeap<Reverse<Scheduled<E>>>,
     /// Reusable candidate buffer for [`Engine::pop_with`].
     cand_buf: Vec<Scheduled<E>>,
     /// Reusable passed-over buffer for [`Engine::pop_with`].
@@ -160,47 +96,18 @@ impl<E> Default for Engine<E> {
 }
 
 impl<E> Engine<E> {
-    /// Create an empty engine at time zero, with the timing-wheel
-    /// front-end enabled.
+    /// Create an empty engine at time zero.
     pub fn new() -> Self {
-        Self::with_front_end(false)
-    }
-
-    /// Create an empty engine whose events all go through the
-    /// `BinaryHeap` — the pre-wheel configuration, kept as the reference
-    /// for byte-identity tests and throughput comparisons.
-    pub fn new_heap_only() -> Self {
-        Self::with_front_end(true)
-    }
-
-    fn with_front_end(heap_only: bool) -> Self {
-        let (slots, occ) = if heap_only {
-            (Vec::new(), Vec::new())
-        } else {
-            (
-                (0..WHEEL_SLOTS).map(|_| Vec::new()).collect(),
-                vec![0u64; WHEEL_SLOTS / 64],
-            )
-        };
         Engine {
             now: Cycles::ZERO,
             seq: 0,
             popped: 0,
-            slots,
-            occ,
-            wheel_len: 0,
-            far: BinaryHeap::new(),
-            heap_only,
+            heap: BinaryHeap::new(),
             cand_buf: Vec::new(),
             skip_buf: Vec::new(),
             regressions: 0,
             regression_log: Vec::new(),
         }
-    }
-
-    /// Whether the timing-wheel front-end is active.
-    pub fn uses_wheel(&self) -> bool {
-        !self.heap_only
     }
 
     /// The current simulated time (the fire time of the last popped event).
@@ -210,12 +117,12 @@ impl<E> Engine<E> {
 
     /// Number of events waiting in the queue.
     pub fn len(&self) -> usize {
-        self.wheel_len + self.far.len()
+        self.heap.len()
     }
 
     /// Whether no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.heap.is_empty()
     }
 
     /// Total number of events processed so far.
@@ -259,10 +166,7 @@ impl<E> Engine<E> {
     /// Scheduling in the past is a logic error in the caller; the engine
     /// clamps such events to fire "now" rather than corrupting time order.
     pub fn schedule_at(&mut self, at: Cycles, payload: E) {
-        let at = at.max(self.now);
-        let seq = self.seq;
-        self.seq += 1;
-        self.insert(Scheduled { at, seq, payload });
+        self.schedule_at_unchecked(at.max(self.now), payload);
     }
 
     /// Schedule `payload` to fire `delay` cycles from now.
@@ -278,161 +182,17 @@ impl<E> Engine<E> {
     pub fn schedule_at_unchecked(&mut self, at: Cycles, payload: E) {
         let seq = self.seq;
         self.seq += 1;
-        // Bypass the wheel: a stale time would index a slot behind the
-        // cursor and mask the very corruption this models.
-        self.far.push(Reverse(Scheduled { at, seq, payload }));
-    }
-
-    /// Current wheel epoch: `now` rounded down to a slot boundary.
-    #[inline]
-    fn epoch(&self) -> u64 {
-        self.now.as_u64() >> SLOT_SHIFT << SLOT_SHIFT
-    }
-
-    /// Route one event to the wheel or the far heap, preserving its seq.
-    #[inline]
-    fn insert(&mut self, ev: Scheduled<E>) {
-        if self.heap_only || ev.at.as_u64().wrapping_sub(self.epoch()) >= WHEEL_HORIZON {
-            self.far.push(Reverse(ev));
-            return;
-        }
-        let slot = (ev.at.as_u64() >> SLOT_SHIFT) as usize & (WHEEL_SLOTS - 1);
-        self.slots[slot].push(ev);
-        self.occ[slot / 64] |= 1u64 << (slot % 64);
-        self.wheel_len += 1;
-    }
-
-    /// First occupied slot at or cyclically after `start`, if any.
-    #[inline]
-    fn first_occupied_from(&self, start: usize) -> Option<usize> {
-        let words = self.occ.len();
-        let (sw, sb) = (start / 64, start % 64);
-        let masked = self.occ[sw] & (!0u64 << sb);
-        if masked != 0 {
-            return Some(sw * 64 + masked.trailing_zeros() as usize);
-        }
-        for step in 1..=words {
-            let w = (sw + step) % words;
-            let mut bits = self.occ[w];
-            if w == sw {
-                // Wrapped all the way around: only the bits before
-                // `start` remain unexamined.
-                bits &= (1u64 << sb).wrapping_sub(1);
-            }
-            if bits != 0 {
-                return Some(w * 64 + bits.trailing_zeros() as usize);
-            }
-        }
-        None
-    }
-
-    /// `(at, seq, index)` of the minimum event in `slot`. The slot must
-    /// be non-empty (occupancy bit set).
-    #[inline]
-    fn slot_min(&self, slot: usize) -> (Cycles, u64, usize) {
-        let bucket = &self.slots[slot];
-        let mut best = (bucket[0].at, bucket[0].seq, 0usize);
-        for (i, ev) in bucket.iter().enumerate().skip(1) {
-            if (ev.at, ev.seq) < (best.0, best.1) {
-                best = (ev.at, ev.seq, i);
-            }
-        }
-        best
-    }
-
-    /// The minimum pending event's key and location across the wheel
-    /// and the far heap.
-    #[inline]
-    fn min_key(&self) -> Option<(Cycles, u64, MinLoc)> {
-        let wheel = if self.wheel_len > 0 {
-            let cursor = (self.now.as_u64() >> SLOT_SHIFT) as usize & (WHEEL_SLOTS - 1);
-            self.first_occupied_from(cursor).map(|slot| {
-                let (at, seq, idx) = self.slot_min(slot);
-                (at, seq, MinLoc::Wheel(slot, idx))
-            })
-        } else {
-            None
-        };
-        let far = self
-            .far
-            .peek()
-            .map(|Reverse(ev)| (ev.at, ev.seq, MinLoc::Far));
-        match (wheel, far) {
-            (Some(w), Some(f)) => Some(if (w.0, w.1) <= (f.0, f.1) { w } else { f }),
-            (w, f) => w.or(f),
-        }
-    }
-
-    /// Remove and return the event at `loc` (as reported by
-    /// [`Engine::min_key`] with no intervening mutation).
-    #[inline]
-    fn take_at(&mut self, loc: MinLoc) -> Option<Scheduled<E>> {
-        match loc {
-            MinLoc::Wheel(slot, idx) => {
-                let ev = self.slots[slot].swap_remove(idx);
-                if self.slots[slot].is_empty() {
-                    self.occ[slot / 64] &= !(1u64 << (slot % 64));
-                }
-                self.wheel_len -= 1;
-                Some(ev)
-            }
-            MinLoc::Far => self.far.pop().map(|Reverse(ev)| ev),
-        }
-    }
-
-    /// Remove and return the minimum pending event.
-    #[inline]
-    fn pop_min(&mut self) -> Option<Scheduled<E>> {
-        let (_, _, loc) = self.min_key()?;
-        self.take_at(loc)
+        self.heap.push(Reverse(Scheduled { at, seq, payload }));
     }
 
     /// Remove and return the minimum pending event if it fires at or
     /// before `horizon`.
     #[inline]
     fn pop_min_within(&mut self, horizon: Cycles) -> Option<Scheduled<E>> {
-        let (at, _, loc) = self.min_key()?;
-        if at > horizon {
+        if self.heap.peek()?.0.at > horizon {
             return None;
         }
-        self.take_at(loc)
-    }
-
-    /// [`Engine::pop_min_within`] restricted to wheel slot `slot` plus
-    /// the far heap. Complete only when `horizon` lies in the same wheel
-    /// granule as the event just dispatched and no clamp moved the
-    /// clock: every other wheel slot then holds strictly later granules,
-    /// so nothing outside `slot` can fire at or before `horizon`. This
-    /// is the common window-0 dispatch, and it skips the second
-    /// occupancy-bitmap scan a full [`Engine::min_key`] would pay.
-    #[inline]
-    fn pop_slot_within(&mut self, horizon: Cycles, slot: usize) -> Option<Scheduled<E>> {
-        let wheel = if self.slots[slot].is_empty() {
-            None
-        } else {
-            let (at, seq, idx) = self.slot_min(slot);
-            Some((at, seq, MinLoc::Wheel(slot, idx)))
-        };
-        let far = self
-            .far
-            .peek()
-            .map(|Reverse(ev)| (ev.at, ev.seq, MinLoc::Far));
-        let best = match (wheel, far) {
-            (Some(w), Some(f)) => {
-                if (w.0, w.1) <= (f.0, f.1) {
-                    w
-                } else {
-                    f
-                }
-            }
-            (Some(w), None) => w,
-            (None, Some(f)) => f,
-            (None, None) => return None,
-        };
-        if best.0 > horizon {
-            return None;
-        }
-        self.take_at(best.2)
+        self.heap.pop().map(|Reverse(ev)| ev)
     }
 
     /// Validate a dispatched fire time against the clock: a stale time
@@ -464,14 +224,14 @@ impl<E> Engine<E> {
 
     /// Pop the next event, advancing the clock to its fire time.
     pub fn pop(&mut self) -> Option<E> {
-        let ev = self.pop_min()?;
+        let Reverse(ev) = self.heap.pop()?;
         Some(self.dispatch(ev))
     }
 
     /// Pop the next event if it fires at or before `deadline`, advancing
     /// the clock to its fire time; otherwise leave the queue and clock
-    /// alone. It finds the minimum once, so a loop bounded by a deadline
-    /// scans the queue once per dispatch.
+    /// alone. It looks at the minimum once, so a loop bounded by a
+    /// deadline reads the queue once per dispatch.
     pub fn pop_until(&mut self, deadline: Cycles) -> Option<E> {
         let ev = self.pop_min_within(deadline)?;
         Some(self.dispatch(ev))
@@ -483,11 +243,11 @@ impl<E> Engine<E> {
     /// Candidates are every event tied at the minimum pending fire time,
     /// plus any event within `sched.window()` of it for which `eligible`
     /// returns true (interrupt arrivals whose latency is an estimate, not
-    /// a contract). When the scheduler picks a candidate later than the
-    /// minimum, the passed-over events are re-queued at the chosen fire
-    /// time with their original sequence numbers — i.e. they are *delayed*,
-    /// never dropped or reordered among themselves, and they re-enter the
-    /// candidate set on the next pop.
+    /// a contract). The chosen event fires at the minimum fire time;
+    /// every passed-over event goes back into the queue with its own
+    /// fire time and sequence number — i.e. nothing is dropped or
+    /// reordered, and the passed-over events re-enter the candidate set
+    /// on the next pop.
     ///
     /// With [`FifoScheduler`](crate::sched::FifoScheduler) this is
     /// step-for-step identical to [`Engine::pop`].
@@ -501,33 +261,17 @@ impl<E> Engine<E> {
         S: Scheduler<E>,
         F: Fn(&E) -> bool,
     {
-        let mut first = self.pop_min()?;
-        let orig_at = first.at;
+        let Reverse(mut first) = self.heap.pop()?;
         let t_min = self.checked_fire_time(first.at, first.seq);
         first.at = t_min;
         let horizon = t_min + sched.window();
-        // With the wheel active, an unclamped dispatch whose horizon
-        // stays inside the dispatch granule (every window-0 pop) can
-        // only have candidates in that one slot or the far heap.
-        let slot = (t_min.as_u64() >> SLOT_SHIFT) as usize & (WHEEL_SLOTS - 1);
-        // Guard on the wheel actually being allocated: the heap-only
-        // mode leaves `slots` empty and would index out of bounds here.
-        let same_granule = !self.slots.is_empty()
-            && orig_at == t_min
-            && horizon.as_u64() >> SLOT_SHIFT == t_min.as_u64() >> SLOT_SHIFT;
         // Gather the candidate set: ties at t_min unconditionally, then
         // race-eligible events up to the horizon. Ineligible in-window
         // events are set aside untouched.
         let mut cands = std::mem::take(&mut self.cand_buf);
         let mut skipped = std::mem::take(&mut self.skip_buf);
         cands.push(first);
-        loop {
-            let next = if same_granule {
-                self.pop_slot_within(horizon, slot)
-            } else {
-                self.pop_min_within(horizon)
-            };
-            let Some(ev) = next else { break };
+        while let Some(ev) = self.pop_min_within(horizon) {
             if ev.at == t_min || eligible(&ev.payload) {
                 cands.push(ev);
             } else {
@@ -547,20 +291,15 @@ impl<E> Engine<E> {
                 .collect();
             sched.choose(self.now, &views).min(cands.len() - 1)
         };
-        let mut chosen = cands.swap_remove(choice);
         // Choosing a race-eligible event from later in the window means it
         // arrived *early*: it fires now, at t_min. (Its nominal time was
         // only a latency estimate.) Everything passed over — candidates
         // and ineligible in-window events alike — goes back untouched, so
         // time never advances past a pending event and the remaining
         // orders stay reachable at the next pop.
-        chosen.at = t_min;
-        for ev in cands.drain(..) {
-            self.insert(ev);
-        }
-        for ev in skipped.drain(..) {
-            self.insert(ev);
-        }
+        let chosen = cands.swap_remove(choice);
+        self.heap
+            .extend(cands.drain(..).chain(skipped.drain(..)).map(Reverse));
         self.cand_buf = cands;
         self.skip_buf = skipped;
         self.now = t_min;
@@ -569,40 +308,25 @@ impl<E> Engine<E> {
     }
 
     /// All pending events in canonical `(fire time, seq)` order — the
-    /// deterministic view a state digest needs (neither the heap's
-    /// internal order nor the wheel's bucket order is meaningful).
+    /// deterministic view a state digest needs (the heap's internal
+    /// order is not meaningful).
     pub fn pending(&self) -> Vec<(Cycles, u64, &E)> {
-        // Visit only the 64-slot groups the occupancy bitmap marks: the
-        // wheel has thousands of slots and usually a handful of events.
-        let wheel = self
-            .occ
+        let mut v: Vec<(Cycles, u64, &E)> = self
+            .heap
             .iter()
-            .enumerate()
-            .filter(|(_, bits)| **bits != 0)
-            .flat_map(|(w, _)| self.slots[w * 64..(w + 1) * 64].iter().flatten());
-        let mut v: Vec<(Cycles, u64, &E)> = wheel
-            .chain(self.far.iter().map(|Reverse(s)| s))
-            .map(|s| (s.at, s.seq, &s.payload))
+            .map(|Reverse(s)| (s.at, s.seq, &s.payload))
             .collect();
         v.sort_unstable_by_key(|(at, seq, _)| (*at, *seq));
         v
     }
 
     /// Drop all pending events and reset the clock (for test reuse).
-    /// Scratch and slot capacity is retained; the front-end mode is not
-    /// changed.
+    /// Scratch capacity is retained.
     pub fn reset(&mut self) {
         self.now = Cycles::ZERO;
         self.seq = 0;
         self.popped = 0;
-        for s in &mut self.slots {
-            s.clear();
-        }
-        for w in &mut self.occ {
-            *w = 0;
-        }
-        self.wheel_len = 0;
-        self.far.clear();
+        self.heap.clear();
         self.regressions = 0;
         self.regression_log.clear();
     }
@@ -610,8 +334,11 @@ impl<E> Engine<E> {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeMap;
+
     use super::*;
     use crate::rng::SplitMix64;
+    use crate::sched::FifoScheduler;
 
     #[test]
     fn events_fire_in_time_order() {
@@ -651,9 +378,9 @@ mod tests {
 
     #[test]
     fn pop_until_takes_exactly_the_due_events() {
-        // Near events go to the wheel and `far` ones to the far heap;
-        // payloads name the (at, seq) dispatch order.
-        let far = WHEEL_HORIZON + 100;
+        // Near events and long timers; payloads name the (at, seq)
+        // dispatch order.
+        let far = 200_000;
         let mut e: Engine<u32> = Engine::new();
         for (at, v) in [
             (far, 50),
@@ -702,7 +429,6 @@ mod tests {
 
     #[test]
     fn pop_with_fifo_matches_pop() {
-        use crate::sched::FifoScheduler;
         let fill = |e: &mut Engine<u32>| {
             e.schedule_in(Cycles::new(10), 1);
             e.schedule_in(Cycles::new(10), 2);
@@ -776,8 +502,7 @@ mod tests {
     #[test]
     fn pending_is_sorted_canonically() {
         let mut e: Engine<u32> = Engine::new();
-        let mut heap: Engine<u32> = Engine::new_heap_only();
-        // Ties, three 64-slot groups of the wheel, and the far heap.
+        // Ties, near events and long timers, scheduled out of order.
         let events = [
             (70_000, 5),
             (30, 3),
@@ -788,20 +513,18 @@ mod tests {
         ];
         for (at, v) in events {
             e.schedule_at(Cycles::new(at), v);
-            heap.schedule_at(Cycles::new(at), v);
         }
         let p = e.pending();
         let vals: Vec<u32> = p.iter().map(|(_, _, v)| **v).collect();
         assert_eq!(vals, vec![1, 2, 3, 4, 5, 6]);
         assert!(p[0].1 < p[1].1, "ties ordered by seq");
-        assert_eq!(p, heap.pending(), "the wheel lists what the heap does");
     }
 
     #[test]
     fn reset_clears_state() {
         let mut e: Engine<u32> = Engine::new();
         e.schedule_in(Cycles::new(5), 1);
-        e.schedule_in(Cycles::new(500_000), 2); // one in the far heap too
+        e.schedule_in(Cycles::new(500_000), 2);
         e.pop();
         e.reset();
         assert!(e.is_empty());
@@ -827,89 +550,126 @@ mod tests {
     }
 
     #[test]
-    fn far_horizon_events_cross_into_range_in_order() {
-        // Events far beyond the wheel horizon stay in the far heap but
-        // still interleave correctly with near events as time advances.
+    fn distant_events_interleave_with_later_schedules() {
+        // Long timers still interleave correctly with events scheduled
+        // after the clock has moved towards them.
+        let far = 131_072;
         let mut e: Engine<u32> = Engine::new();
-        e.schedule_at(Cycles::new(WHEEL_HORIZON * 3), 30);
-        e.schedule_at(Cycles::new(WHEEL_HORIZON + 5), 10);
+        e.schedule_at(Cycles::new(far * 3), 30);
+        e.schedule_at(Cycles::new(far + 5), 10);
         e.schedule_at(Cycles::new(7), 1);
         assert_eq!(e.pop(), Some(1));
-        // Schedule near the far event's time *after* the clock moved.
-        e.schedule_at(Cycles::new(WHEEL_HORIZON + 4), 9);
+        e.schedule_at(Cycles::new(far + 4), 9);
         assert_eq!(e.pop(), Some(9));
         assert_eq!(e.pop(), Some(10));
-        e.schedule_at(Cycles::new(WHEEL_HORIZON * 3), 31); // tie with 30: FIFO
+        e.schedule_at(Cycles::new(far * 3), 31); // tie with 30: FIFO
         assert_eq!(e.pop(), Some(30));
         assert_eq!(e.pop(), Some(31));
         assert_eq!(e.pop(), None);
     }
 
-    /// Drive an engine through a deterministic pseudo-random
-    /// schedule/pop workload and record every dispatch.
-    fn churn(mut e: Engine<u64>, seed: u64) -> Vec<(u64, u64)> {
-        let mut rng = SplitMix64::new(seed);
-        let mut out = Vec::new();
-        let mut next_payload = 0u64;
-        for _ in 0..64 {
-            e.schedule_in(Cycles::new(rng.gen_range(2_000)), next_payload);
-            next_payload += 1;
+    /// The queue's specification: a sorted map from `(at, seq)` to
+    /// payload, with the same clamp and clock rules as the engine.
+    #[derive(Default)]
+    struct Reference {
+        now: Cycles,
+        seq: u64,
+        queue: BTreeMap<(Cycles, u64), u64>,
+    }
+
+    impl Reference {
+        fn schedule_in(&mut self, delay: Cycles, v: u64) {
+            self.queue.insert((self.now + delay, self.seq), v);
+            self.seq += 1;
         }
-        while let Some(v) = e.pop() {
-            out.push((e.now().as_u64(), v));
-            if out.len() >= 20_000 {
-                break;
+
+        fn pop_until(&mut self, deadline: Cycles) -> Option<u64> {
+            let entry = self.queue.first_entry()?;
+            if entry.key().0 > deadline {
+                return None;
             }
-            // Mixed delay profile: ties, near, slot-boundary, far.
+            let ((at, _), v) = entry.remove_entry();
+            self.now = at;
+            Some(v)
+        }
+
+        fn pending(&self) -> Vec<(Cycles, u64, &u64)> {
+            self.queue
+                .iter()
+                .map(|(&(at, seq), v)| (at, seq, v))
+                .collect()
+        }
+    }
+
+    /// Drive an engine and the [`Reference`] through the same seeded
+    /// mix of schedules (ties, near, medium and long delays) and pops
+    /// (`pop`, `pop_until` and `pop_with` under [`FifoScheduler`]),
+    /// requiring the same payload, clock and pending list at every
+    /// step, until the queue drains. Returns the engine, the number of
+    /// events scheduled and the peak queue length.
+    fn churn(seed: u64) -> (Engine<u64>, u64, usize) {
+        let mut rng = SplitMix64::new(seed);
+        let mut e: Engine<u64> = Engine::new();
+        let mut r = Reference::default();
+        let mut next = 0u64;
+        let mut peak = 0;
+        for _ in 0..64 {
+            let delay = Cycles::new(rng.gen_range(2_000));
+            e.schedule_in(delay, next);
+            r.schedule_in(delay, next);
+            next += 1;
+        }
+        let mut dispatched = 0;
+        while !e.is_empty() {
+            peak = peak.max(e.len());
+            let (got, want) = match rng.gen_range(3) {
+                0 => (e.pop(), r.pop_until(Cycles::new(u64::MAX))),
+                1 => {
+                    let deadline = e.now() + Cycles::new(rng.gen_range(4_000));
+                    (e.pop_until(deadline), r.pop_until(deadline))
+                }
+                _ => (
+                    e.pop_with(&mut FifoScheduler, |v| v % 2 == 1),
+                    r.pop_until(Cycles::new(u64::MAX)),
+                ),
+            };
+            assert_eq!(got, want, "seed {seed:#x}, dispatch {dispatched}");
+            assert_eq!(e.now(), r.now, "seed {seed:#x}, dispatch {dispatched}");
+            if dispatched % 101 == 0 {
+                assert_eq!(e.pending(), r.pending(), "seed {seed:#x}");
+            }
+            if got.is_none() {
+                continue;
+            }
+            dispatched += 1;
             let roll = rng.gen_range(100);
-            let n = if next_payload < 15_000 { 2 } else { 0 };
+            let n = if next < 15_000 { 2 } else { 0 };
             for _ in 0..n {
-                let delay = match roll {
+                let delay = Cycles::new(match roll {
                     0..=9 => 0,
                     10..=69 => rng.gen_range(4_000),
-                    70..=89 => SLOT_CYCLES * rng.gen_range(WHEEL_SLOTS as u64),
-                    _ => WHEEL_HORIZON + rng.gen_range(1_000_000),
-                };
-                e.schedule_in(Cycles::new(delay), next_payload);
-                next_payload += 1;
+                    70..=89 => 64 * rng.gen_range(2_048),
+                    _ => 131_072 + rng.gen_range(1_000_000),
+                });
+                e.schedule_in(delay, next);
+                r.schedule_in(delay, next);
+                next += 1;
             }
         }
-        out
+        assert!(r.queue.is_empty(), "seed {seed:#x}");
+        (e, next, peak)
     }
 
     #[test]
-    fn wheel_and_heap_dispatch_identically() {
-        // The structural determinism argument, checked empirically: the
-        // wheel front-end must reproduce the pure heap's total order on
-        // an adversarial mix of ties, near, boundary and far delays.
+    fn queue_matches_a_sorted_map_reference() {
         for seed in [0u64, 1, 0x51ab, 0xdead_beef] {
-            let wheel = churn(Engine::new(), seed);
-            let heap = churn(Engine::new_heap_only(), seed);
-            assert_eq!(wheel, heap, "seed {seed:#x} diverged");
+            let (e, scheduled, peak) = churn(seed);
+            assert!(
+                peak > 1_000,
+                "seed {seed:#x}: the churn builds a deep queue"
+            );
+            assert_eq!(e.events_processed(), scheduled, "seed {seed:#x}");
         }
-    }
-
-    #[test]
-    fn wheel_and_heap_agree_under_pop_with() {
-        use crate::sched::FifoScheduler;
-        let drive = |mut e: Engine<u64>| {
-            let mut rng = SplitMix64::new(99);
-            let mut sched = FifoScheduler;
-            let mut out = Vec::new();
-            for i in 0..32 {
-                e.schedule_in(Cycles::new(rng.gen_range(500)), i);
-            }
-            let mut next = 32u64;
-            while let Some(v) = e.pop_with(&mut sched, |p| *p % 2 == 1) {
-                out.push((e.now().as_u64(), v));
-                if next < 5_000 {
-                    e.schedule_in(Cycles::new(rng.gen_range(3 * SLOT_CYCLES)), next);
-                    next += 1;
-                }
-            }
-            out
-        };
-        assert_eq!(drive(Engine::new()), drive(Engine::new_heap_only()));
     }
 
     #[test]
@@ -950,7 +710,6 @@ mod tests {
 
     #[test]
     fn pop_with_reports_regressions_too() {
-        use crate::sched::FifoScheduler;
         let mut e: Engine<u32> = Engine::new();
         e.schedule_in(Cycles::new(100), 1);
         e.pop();
@@ -959,13 +718,5 @@ mod tests {
         assert_eq!(e.pop_with(&mut s, |_| false), Some(2));
         assert_eq!(e.now(), Cycles::new(100));
         assert_eq!(e.time_regressions(), 1);
-    }
-
-    #[test]
-    fn heap_only_mode_reports_itself() {
-        let e: Engine<u32> = Engine::new();
-        assert!(e.uses_wheel());
-        let e: Engine<u32> = Engine::new_heap_only();
-        assert!(!e.uses_wheel());
     }
 }

@@ -283,7 +283,7 @@ impl Prog for ThpInitiator {
 /// initiators broadcasting shootdowns into a single shared mm, run until
 /// a fixed number of engine dispatches instead of a simulated deadline.
 /// The driver is [`Machine::step`] — the plain FIFO dispatch fast path —
-/// so the run measures (and stresses) the engine front-end itself.
+/// so the run measures (and stresses) the event queue itself.
 #[derive(Clone, Debug)]
 pub struct ScaleTierCfg {
     /// Socket count.
@@ -305,8 +305,11 @@ pub struct ScaleTierCfg {
     pub opts: OptConfig,
     /// Seed for the initiators' jitter streams.
     pub seed: u64,
-    /// Run the reference pure-heap engine instead of the timing wheel
-    /// (before/after comparisons; simulated outcome is identical).
+    /// Ignored: the engine has one event queue, so there is no second
+    /// one to select. Only perfbench still sets this field, for its
+    /// `scale` check; the next change to the benchmark deletes the field
+    /// together with that check, which until then compares the tier
+    /// with a fresh rerun of itself.
     pub heap_only_engine: bool,
     /// Chaos layer. Inert by default; the perturbation-freedom test pins
     /// that the storm detector alone never moves the state digest.
@@ -372,8 +375,8 @@ impl ScaleTierCfg {
 }
 
 /// What a scale-tier run produced. Everything here is deterministic —
-/// byte-identical between the timing-wheel and pure-heap engines and
-/// across reruns; wall-clock is the caller's to measure.
+/// byte-identical across reruns and host thread counts, and pinned by
+/// `BENCH_2.json`; wall-clock is the caller's to measure.
 #[derive(Clone, Debug)]
 pub struct ScaleTierResult {
     /// Events actually dispatched (== `target_events` unless the queue
@@ -419,7 +422,6 @@ pub fn run_scale_tier(cfg: &ScaleTierCfg) -> SimResult<ScaleTierResult> {
     }
     .with_opts(cfg.opts)
     .with_safe_mode(cfg.safe)
-    .with_heap_only_engine(cfg.heap_only_engine)
     .with_chaos(cfg.chaos.clone())
     .with_topology(cfg.interconnect.clone());
     if let Some(geometry) = &cfg.tlb_geometry {

@@ -14,10 +14,6 @@
 //!   expected), fanned across host cores by the sweep pool, plus the
 //!   seeded-bug canaries. Budgeted at 50k schedules; writes a
 //!   machine-readable summary to `explore_report.json`.
-//! - `cargo xtask engine [seed]` — the engine-equivalence gate: the
-//!   timing-wheel and pure-heap engines must produce byte-identical
-//!   state digests on a chaos-stressed machine at every cumulative
-//!   optimization level, and on the scale-tier smoke configuration.
 //! - `cargo xtask trace [--out PATH]` — the tracing gate: capture the
 //!   calibrated dueling-madvise workload at every cumulative optimization
 //!   level, require exact per-phase attribution (sums to end-to-end
@@ -33,8 +29,8 @@
 //!     ablation, and the top safe-mode level of Figs 10/11 — which is
 //!     quick-scale at either `--scale`.
 //!   - `scalebench` (`BENCH_2.json`, full): the dual-socket 2×56-core,
-//!     10M-event tier under the timing wheel and the pure-heap engine;
-//!     the two sim blocks must be byte-identical.
+//!     10M-event tier, one job; its sim block pins the engine's dispatch
+//!     order at scale, and the job must be present.
 //!   - `storm` (`BENCH_3.json`, quick): the SEV-Step-style adversary
 //!     pack ({mild, brisk, savage} × {none, ipi-drop, late-responder,
 //!     combined}) at every paper opt level, on the flat and the mesh
@@ -65,8 +61,8 @@
 //!   carried; (5) write the 1-thread snapshot to `--out`, only if every
 //!   step passed.
 //! - `cargo xtask ci [seed] [--gates fast|full]` — every gate above.
-//!   `--gates fast` runs the PR-blocking tier (fmt, clippy, replay,
-//!   engine); `--gates full` runs explore, the six snapshot gates at
+//!   `--gates fast` runs the PR-blocking tier (fmt, clippy, replay);
+//!   `--gates full` runs explore, the six snapshot gates at
 //!   their CI scales, and trace; omitting the flag runs both tiers. All
 //!   selected gates run even if an early one fails; a final table
 //!   reports per-gate pass/fail with wall-clock, the machine-readable
@@ -103,7 +99,6 @@ use tlbdown_trace::{
     PhaseTotals, Trace,
 };
 use tlbdown_types::{CoreId, Cycles};
-use tlbdown_workloads::madvise::{run_scale_tier, ScaleTierCfg};
 use tlbdown_workloads::storm::StormIntensity;
 
 /// Maximum choices allowed in the shrunk canary counterexample.
@@ -128,7 +123,6 @@ fn main() -> ExitCode {
             parse_threads(&args),
             &flag(&args, "--out").unwrap_or_else(|| "explore_report.json".into()),
         ),
-        Some("engine") => engine_gate(parse_seed(positional(&args, 1))),
         Some("trace") => {
             trace_gate(&flag(&args, "--out").unwrap_or_else(|| "sample.trace.json".into()))
         }
@@ -144,7 +138,7 @@ fn main() -> ExitCode {
                 let names: Vec<&str> = ENTRIES.iter().map(|e| e.name).collect();
                 eprintln!(
                     "usage: cargo xtask <fmt | clippy | replay [seed] | \
-                     explore [--threads N] [--out PATH] | engine [seed] | \
+                     explore [--threads N] [--out PATH] | \
                      trace [--out PATH] | ci [seed] [--gates fast|full] | \
                      {} [--scale quick|full] [--out PATH]>",
                     names.join(" | ")
@@ -668,14 +662,13 @@ fn survival(doc: &Json, id: &str, prefix: &str, verdicts: &[(&str, u64)]) -> Vec
     failures
 }
 
-/// `scalebench`: the tier's sim blocks must not depend on the engine.
+/// `scalebench`: the tier's one job must be in the run.
 fn check_scale(doc: &Json, scale: Scale) -> Vec<String> {
-    let blocks = sim_blocks(doc);
-    let [heap, wheel] = ["heap", "wheel"].map(|e| format!("scale/{}/2x56-{e}", scale.label()));
-    match (blocks.get(&heap), blocks.get(&wheel)) {
-        (Some(h), Some(w)) if h == w => Vec::new(),
-        (Some(_), Some(_)) => vec![format!("{heap} and {wheel} sim blocks differ")],
-        _ => vec![format!("{heap} or {wheel} is missing")],
+    let id = format!("scale/{}/2x56", scale.label());
+    if sim_blocks(doc).contains_key(&id) {
+        Vec::new()
+    } else {
+        vec![format!("{id} is missing")]
     }
 }
 
@@ -829,80 +822,6 @@ fn check_opt(doc: &Json, scale: Scale) -> Vec<String> {
         )),
     }
     failures
-}
-
-/// One chaos-stressed machine run for the engine-equivalence gate.
-fn engine_gate_run(level: usize, seed: u64, heap_only: bool) -> (u64, u64, usize, usize) {
-    let chaos = ChaosConfig::with_fault(FaultSpec::everything(), seed);
-    let mut m = Machine::new(
-        KernelConfig::test_machine(4)
-            .with_opts(OptConfig::cumulative(level))
-            .with_chaos(chaos)
-            .with_heap_only_engine(heap_only),
-    );
-    let mm = m.create_process().expect("boot: create process");
-    m.spawn(mm, CoreId(0), Box::new(MadviseLoopProg::new(8, 6)));
-    m.spawn(mm, CoreId(1), Box::new(BusyLoopProg));
-    m.spawn(mm, CoreId(2), Box::new(MadviseLoopProg::new(3, 6)));
-    m.spawn(mm, CoreId(3), Box::new(BusyLoopProg));
-    m.run_until(Cycles::new(10_000_000));
-    (
-        m.state_digest(),
-        m.now().as_u64(),
-        m.violations().len(),
-        m.recorded_errors().len(),
-    )
-}
-
-/// The engine-equivalence gate: the timing-wheel and pure-heap engines
-/// must be observationally identical — same state digest, final time,
-/// violation and error counts — on a chaos-stressed machine at every
-/// cumulative optimization level, and on the scale-tier smoke
-/// configuration.
-fn engine_gate(seed: u64) -> bool {
-    println!("xtask: engine-equivalence check, seed {seed:#x}");
-    let mut ok = true;
-    for (level, _, _) in OptConfig::all_levels() {
-        let level = level as usize;
-        let wheel = engine_gate_run(level, seed, false);
-        let heap = engine_gate_run(level, seed, true);
-        if wheel != heap {
-            eprintln!(
-                "xtask: ENGINE GATE FAILED — level {level}: wheel \
-                 (digest {:016x}, t {}, {} violations, {} errors) != heap \
-                 (digest {:016x}, t {}, {} violations, {} errors)",
-                wheel.0, wheel.1, wheel.2, wheel.3, heap.0, heap.1, heap.2, heap.3
-            );
-            ok = false;
-        }
-    }
-    if ok {
-        println!(
-            "xtask: engine OK — chaos-run state digests byte-identical across engines \
-             at all {} opt levels",
-            OptConfig::NUM_LEVELS
-        );
-    }
-    let tier = |heap_only: bool| {
-        let mut cfg = ScaleTierCfg::smoke();
-        cfg.heap_only_engine = heap_only;
-        let r = run_scale_tier(&cfg).expect("engine gate: scale-tier smoke runs clean");
-        (r.digest, r.events, r.sim_cycles)
-    };
-    let (wheel, heap) = (tier(false), tier(true));
-    if wheel == heap {
-        println!(
-            "xtask: engine OK — scale-tier smoke digest {:016x} identical across engines",
-            wheel.0
-        );
-    } else {
-        eprintln!(
-            "xtask: ENGINE GATE FAILED — scale-tier smoke diverged: \
-             wheel {wheel:?} vs heap {heap:?}"
-        );
-        ok = false;
-    }
-    ok
 }
 
 /// The fleet survival matrix: machine-level fault presets crossed with
@@ -1142,7 +1061,6 @@ fn ci(seed: u64, which: &str) -> ExitCode {
         ("fmt", true, Box::new(fmt)),
         ("clippy", true, Box::new(clippy)),
         ("replay", true, Box::new(move || replay(seed))),
-        ("engine", true, Box::new(move || engine_gate(seed))),
         (
             "explore",
             false,
@@ -1330,12 +1248,15 @@ mod tests {
     }
 
     #[test]
-    fn scalebench_fails_when_heap_and_wheel_differ() {
+    fn scalebench_fails_when_the_tier_job_is_missing() {
         let mut doc = committed("scalebench");
-        bump(member(sim(&mut doc, "scale/full/2x56-wheel"), "events"));
-        assert_check_fails("scalebench", &doc, Scale::Full, "sim blocks differ");
-        jobs_mut(&mut doc).retain(|j| id_of(j) != "scale/full/2x56-heap");
-        assert_check_fails("scalebench", &doc, Scale::Full, "is missing");
+        jobs_mut(&mut doc).retain(|j| id_of(j) != "scale/full/2x56");
+        assert_check_fails(
+            "scalebench",
+            &doc,
+            Scale::Full,
+            "scale/full/2x56 is missing",
+        );
     }
 
     #[test]
