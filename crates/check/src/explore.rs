@@ -87,12 +87,6 @@ impl Bounds {
         self.preemption_bound = n;
         self
     }
-
-    /// Builder-style: set the perturbation window.
-    pub fn with_window(mut self, w: Cycles) -> Self {
-        self.window = w;
-        self
-    }
 }
 
 /// The recording/replaying scheduler driving one run. Forced choices are
@@ -167,11 +161,6 @@ impl RunReport {
     /// Whether this run breached safety or liveness.
     pub fn violated(&self) -> bool {
         !self.violations.is_empty() || !self.live
-    }
-
-    /// Digest of the final machine state.
-    pub fn final_digest(&self) -> u64 {
-        self.machine.state_digest()
     }
 
     /// Canonical rendering of final time, digest, violations, errors and

@@ -92,14 +92,6 @@ pub fn dueling_madvise(opts: OptConfig) -> Machine {
     dueling_madvise_on(opts, tlbdown_topo::TopologySpec::Flat)
 }
 
-/// [`dueling_madvise`] routed over the 2D mesh interconnect: same
-/// programs, but every cacheline transfer and IPI pays per-hop link and
-/// congestion costs. The protocol must stay safe and live no matter what
-/// the interconnect does to relative timing.
-pub fn dueling_madvise_mesh(opts: OptConfig) -> Machine {
-    dueling_madvise_on(opts, tlbdown_topo::TopologySpec::mesh())
-}
-
 /// [`dueling_madvise`] over an arbitrary interconnect shape.
 pub fn dueling_madvise_on(opts: OptConfig, interconnect: tlbdown_topo::TopologySpec) -> Machine {
     let cfg = KernelConfig::test_machine(2)
@@ -135,7 +127,10 @@ pub fn dueling_madvise_at(level: u8) -> Machine {
     dueling_madvise_at_on(level, tlbdown_topo::TopologySpec::Flat)
 }
 
-/// [`dueling_madvise_at`] routed over the 2D mesh interconnect.
+/// [`dueling_madvise_at`] routed over the 2D mesh interconnect: every
+/// cacheline transfer and IPI pays per-hop link and congestion costs,
+/// and the protocol must stay safe and live whatever that does to
+/// relative timing.
 pub fn dueling_madvise_mesh_at(level: u8) -> Machine {
     dueling_madvise_at_on(level, tlbdown_topo::TopologySpec::mesh())
 }

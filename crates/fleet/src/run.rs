@@ -24,7 +24,7 @@ use tlbdown_sweep::{run_jobs, Job, Json};
 use tlbdown_types::{Cycles, SimError, SimResult};
 
 use crate::fault::{FleetFaultPlan, FleetFaultSpec};
-use crate::lb::{LbCfg, LbResult, RequestError};
+use crate::lb::{LbCfg, LbResult};
 use crate::node::{run_node, NodeCfg, NodeProfile};
 
 /// Configuration of one fleet run (one cell of the survival matrix, or
@@ -351,14 +351,6 @@ pub fn replay_fleet(cfg: &FleetCfg, threads_a: usize, threads_b: usize) -> SimRe
         )));
     }
     Ok(a)
-}
-
-/// Kinds of LB request errors, re-exported for reports.
-pub fn error_name(e: RequestError) -> &'static str {
-    match e {
-        RequestError::TimedOut => "timed_out",
-        RequestError::NoHealthyMachine => "no_healthy_machine",
-    }
 }
 
 /// A fleet run takes `window` simulated cycles; expose it as seconds

@@ -438,17 +438,4 @@ impl Cpu {
             Some(_) => CpuMode::Kernel,
         }
     }
-
-    /// Whether the frame *under* the current interrupt frame was user mode
-    /// (the PTI dispatch-cost rule; evaluated before pushing).
-    pub fn mode_below_top(&self) -> CpuMode {
-        if self.frames.len() < 2 {
-            return CpuMode::Idle;
-        }
-        match &self.frames[self.frames.len() - 2].frame {
-            Frame::Prog(_) => CpuMode::User,
-            Frame::Idle => CpuMode::Idle,
-            _ => CpuMode::Kernel,
-        }
-    }
 }

@@ -533,7 +533,7 @@ impl Machine {
                 }
             },
             SyscallStage::Shootdown => {
-                let Some(run) = sf.sd.as_mut() else {
+                let Some(out) = self.step_frame_sd(core, &mut sf.sd) else {
                     // A Shootdown stage with no run in flight is a broken
                     // frame transition (corrupted barrier queue); fail the
                     // call instead of taking the whole simulation down.
@@ -544,17 +544,10 @@ impl Machine {
                     sf.stage = SyscallStage::Release;
                     return StepOut::Continue(Cycles::ZERO);
                 };
-                match self.step_sd(core, run) {
-                    SdOut::Continue(c) => StepOut::Continue(c),
-                    SdOut::Block => StepOut::Block,
-                    SdOut::Done(c) => {
-                        if let Some(run) = sf.sd.take() {
-                            self.finish_sd(core, &run);
-                        }
-                        sf.stage = SyscallStage::BarrierNext;
-                        StepOut::Continue(c)
-                    }
+                if sf.sd.is_none() {
+                    sf.stage = SyscallStage::BarrierNext;
                 }
+                out
             }
             SyscallStage::BarrierNext => {
                 if let Some((info, retire)) = sf.barrier.pop_front() {
@@ -708,7 +701,8 @@ impl Machine {
                 self.split_huge_leaves(mm_id, range);
                 // L7: parked pages the unmap covers must pay their elided
                 // flush before the mapping disappears.
-                self.reuse_invalidate_range(sf, mm_id, range);
+                let debts = self.reuse_invalidate_range(sf, mm_id, range);
+                self.count_debt_flushes(debts);
                 let out = {
                     let mm = self.mms.get_mut(&mm_id).ok_or(SimError::NoSuchMm(mm_id))?;
                     mm.remove_vmas(range);
@@ -789,7 +783,7 @@ impl Machine {
                 self.split_huge_leaves(mm_id, range);
                 // L7: a permission change over parked pages invalidates
                 // their "same permissions" premise — pay the debt first.
-                self.reuse_invalidate_range(sf, mm_id, range);
+                let mut debts = self.reuse_invalidate_range(sf, mm_id, range);
                 let (set, clear) = if write {
                     (PteFlags::WRITABLE, PteFlags::empty())
                 } else {
@@ -808,9 +802,14 @@ impl Machine {
                     // The assignment deliberately replaces a debt run that
                     // `reuse_invalidate_range` may have put in `sf.sd`:
                     // this range flush covers the parked page and retires
-                    // a newer version of it.
-                    sf.sd = Some(ShootdownRun::new(owed.info, owed.retire));
+                    // a newer version of it. The replaced run never runs,
+                    // so it is not a debt flush.
+                    let run = ShootdownRun::new(owed.info, owed.retire);
+                    if sf.sd.replace(run).is_some() {
+                        debts = debts.saturating_sub(1);
+                    }
                 }
+                self.count_debt_flushes(debts);
                 sf.retval = 0;
                 Ok(cost)
             }
@@ -872,7 +871,8 @@ impl Machine {
         let costs = self.cfg.costs.clone();
         // L7: writeback write-protects pages, so parked entries in the
         // range lose their "same permissions" premise — pay the debt.
-        self.reuse_invalidate_range(sf, mm_id, range);
+        let debts = self.reuse_invalidate_range(sf, mm_id, range);
+        self.count_debt_flushes(debts);
         // Visit only pages the dirty index names within the range.
         let candidates: Vec<u64> = self
             .dirty_index
@@ -979,6 +979,24 @@ impl Machine {
         }
     }
 
+    /// One step of the shootdown run a syscall or fault frame holds in
+    /// `slot`. A run that completes is retired (`finish_sd`) and taken
+    /// out of the slot, so an empty slot afterwards means the frame moves
+    /// on to its next stage. `None` when the slot was already empty: a
+    /// broken frame transition, which each caller fails in its own way.
+    fn step_frame_sd(&mut self, core: CoreId, slot: &mut Option<ShootdownRun>) -> Option<StepOut> {
+        Some(match self.step_sd(core, slot.as_mut()?) {
+            SdOut::Continue(c) => StepOut::Continue(c),
+            SdOut::Block => StepOut::Block,
+            SdOut::Done(c) => {
+                if let Some(run) = slot.take() {
+                    self.finish_sd(core, &run);
+                }
+                StepOut::Continue(c)
+            }
+        })
+    }
+
     /// Route a flush either through batching (§4.2) or synchronously.
     pub(crate) fn queue_flush(&mut self, sf: &mut SyscallFrame, owed: OwedFlush) {
         if sf.batched {
@@ -998,7 +1016,7 @@ impl Machine {
         match ff.stage {
             FaultStage::Resolve => self.fault_resolve(core, ff),
             FaultStage::Shootdown => {
-                let Some(run) = ff.sd.as_mut() else {
+                let Some(out) = self.step_frame_sd(core, &mut ff.sd) else {
                     // A Shootdown stage with no run is a broken frame
                     // transition; record it and unwind through Return so
                     // the deferred frees still happen.
@@ -1008,17 +1026,10 @@ impl Machine {
                     ff.stage = FaultStage::Return;
                     return StepOut::Continue(Cycles::ZERO);
                 };
-                match self.step_sd(core, run) {
-                    SdOut::Continue(c) => StepOut::Continue(c),
-                    SdOut::Block => StepOut::Block,
-                    SdOut::Done(c) => {
-                        if let Some(run) = ff.sd.take() {
-                            self.finish_sd(core, &run);
-                        }
-                        ff.stage = FaultStage::Return;
-                        StepOut::Continue(c)
-                    }
+                if ff.sd.is_none() {
+                    ff.stage = FaultStage::Return;
                 }
+                out
             }
             FaultStage::Return => {
                 for pa in ff.pending_frees.drain(..) {

@@ -443,18 +443,6 @@ impl Machine {
         Ok(addr)
     }
 
-    /// Clear all measurement state (statistics, TLB/coherence/fabric
-    /// counters) without touching machine state — used to exclude warm-up
-    /// phases from benchmark numbers.
-    pub fn reset_measurements(&mut self) {
-        self.stats = MachineStats::default();
-        for t in &mut self.tlbs {
-            t.reset_stats();
-        }
-        self.dir.reset_stats();
-        self.fabric.reset_stats();
-    }
-
     /// Spawn a thread of `mm` pinned to `core`; it starts running when the
     /// core picks it up (immediately if the core is idle).
     pub fn spawn(&mut self, mm: MmId, core: CoreId, prog: Box<dyn Prog>) -> ThreadId {
@@ -527,20 +515,6 @@ impl Machine {
             }
             None => false,
         }
-    }
-
-    /// Run under `sched` until the queue drains or `max_steps` events have
-    /// been processed; returns the number of events processed.
-    pub fn run_with<S: tlbdown_sim::Scheduler<Event>>(
-        &mut self,
-        sched: &mut S,
-        max_steps: u64,
-    ) -> u64 {
-        let mut steps = 0;
-        while steps < max_steps && self.step_with(sched) {
-            steps += 1;
-        }
-        steps
     }
 
     fn handle(&mut self, ev: Event) {

@@ -39,8 +39,9 @@ impl Oracle {
     }
 
     /// Record that the PTE mapping `(mm, page)` changed (unmap, protect,
-    /// CoW swap). Returns the new version, which the caller threads into
-    /// [`Oracle::retire_range`] when the covering flush retires.
+    /// CoW swap). Returns the new version, which the caller hands to
+    /// [`Oracle::retire_exact`] as a `(vpn, version)` pair when the
+    /// covering flush completes.
     pub fn pte_modified(&mut self, mm: MmId, page: VirtAddr) -> u64 {
         let v = self.versions.entry((mm, page.vpn())).or_insert(0);
         *v += 1;
@@ -69,35 +70,6 @@ impl Oracle {
         for &(vpn, ver) in pairs {
             let r = self.retired.entry((mm, vpn)).or_insert(0);
             *r = (*r).max(ver);
-        }
-    }
-
-    /// The kernel has completed the flush guarantee for `range` up to the
-    /// current version of each page.
-    pub fn retire_range(&mut self, mm: MmId, range: VirtRange) {
-        let mut va = range.start;
-        while va < range.end {
-            let key = (mm, va.vpn());
-            if let Some(&v) = self.versions.get(&key) {
-                let r = self.retired.entry(key).or_insert(0);
-                *r = (*r).max(v);
-            }
-            va = va.add(4096);
-        }
-    }
-
-    /// The kernel has completed a full-mm flush guarantee.
-    pub fn retire_all(&mut self, mm: MmId) {
-        let keys: Vec<(MmId, u64)> = self
-            .versions
-            .keys()
-            .filter(|(m, _)| *m == mm)
-            .copied()
-            .collect();
-        for key in keys {
-            let v = self.versions[&key];
-            let r = self.retired.entry(key).or_insert(0);
-            *r = (*r).max(v);
         }
     }
 
@@ -204,6 +176,11 @@ mod tests {
         VirtAddr::new(n * 4096)
     }
 
+    /// The range holding just [`page`]`(1)`.
+    fn one_page() -> VirtRange {
+        VirtRange::pages(page(1), 1, PageSize::Size4K)
+    }
+
     #[test]
     fn fresh_entries_are_fine() {
         let mut o = Oracle::new();
@@ -216,11 +193,11 @@ mod tests {
     fn stale_after_retire_is_a_violation() {
         let mut o = Oracle::new();
         o.tlb_filled(CORE, false, MM, page(1)); // filled at version 0
-        o.pte_modified(MM, page(1)); // version 1
-                                     // Window: access before retire is legal.
+        let pairs = o.range_modified(MM, one_page()); // version 1
+                                                      // Window: access before retire is legal.
         o.check_hit(CORE, false, MM, page(1), "during window");
         assert!(o.violations().is_empty());
-        o.retire_range(MM, VirtRange::pages(page(1), 1, PageSize::Size4K));
+        o.retire_exact(MM, &pairs);
         o.check_hit(CORE, false, MM, page(1), "after retire");
         assert_eq!(o.violations().len(), 1);
     }
@@ -228,47 +205,12 @@ mod tests {
     #[test]
     fn refill_after_modify_is_fine() {
         let mut o = Oracle::new();
-        o.pte_modified(MM, page(1));
-        o.retire_range(MM, VirtRange::pages(page(1), 1, PageSize::Size4K));
+        let pairs = o.range_modified(MM, one_page());
+        o.retire_exact(MM, &pairs);
         // The flush removed the entry; the next access refills at v1.
         o.tlb_filled(CORE, false, MM, page(1));
         o.check_hit(CORE, false, MM, page(1), "refilled");
         assert!(o.violations().is_empty());
-    }
-
-    #[test]
-    fn retire_all_covers_every_page() {
-        let mut o = Oracle::new();
-        o.tlb_filled(CORE, false, MM, page(1));
-        o.tlb_filled(CORE, false, MM, page(9));
-        o.range_modified(MM, VirtRange::pages(page(1), 1, PageSize::Size4K));
-        o.pte_modified(MM, page(9));
-        o.retire_all(MM);
-        o.check_hit(CORE, false, MM, page(9), "full flush retired");
-        assert_eq!(o.violations().len(), 1);
-    }
-
-    #[test]
-    fn retire_range_excludes_boundary_pages() {
-        // Retiring [1, 3) must not retire page 0 (before the range) or
-        // page 3 (== range.end, exclusive): stale entries on the boundary
-        // pages stay legal until their own flush retires.
-        let mut o = Oracle::new();
-        for n in [0, 1, 2, 3] {
-            o.tlb_filled(CORE, false, MM, page(n)); // all filled at v0
-            o.pte_modified(MM, page(n)); // all bumped to v1
-        }
-        o.retire_range(MM, VirtRange::pages(page(1), 2, PageSize::Size4K));
-        o.check_hit(CORE, false, MM, page(0), "before range");
-        o.check_hit(CORE, false, MM, page(3), "at exclusive end");
-        assert!(
-            o.violations().is_empty(),
-            "boundary pages wrongly retired: {:?}",
-            o.violations()
-        );
-        o.check_hit(CORE, false, MM, page(1), "inside range");
-        o.check_hit(CORE, false, MM, page(2), "inside range");
-        assert_eq!(o.violations().len(), 2);
     }
 
     #[test]
@@ -279,8 +221,8 @@ mod tests {
         let mut o = Oracle::new();
         o.tlb_filled(CORE, true, MM, page(1)); // user view, v0
         o.tlb_filled(CORE, false, MM, page(1)); // kernel view, v0
-        o.pte_modified(MM, page(1));
-        o.retire_range(MM, VirtRange::pages(page(1), 1, PageSize::Size4K));
+        let pairs = o.range_modified(MM, one_page());
+        o.retire_exact(MM, &pairs);
         // Only the user view refills after the flush.
         o.tlb_filled(CORE, true, MM, page(1));
         o.check_hit(CORE, true, MM, page(1), "user view refilled");
@@ -379,8 +321,8 @@ mod tests {
     fn per_core_independence() {
         let mut o = Oracle::new();
         o.tlb_filled(CoreId(0), false, MM, page(1));
-        o.pte_modified(MM, page(1));
-        o.retire_range(MM, VirtRange::pages(page(1), 1, PageSize::Size4K));
+        let pairs = o.range_modified(MM, one_page());
+        o.retire_exact(MM, &pairs);
         // Core 1 refilled after the change; core 0 kept the stale entry.
         o.tlb_filled(CoreId(1), false, MM, page(1));
         o.check_hit(CoreId(1), false, MM, page(1), "fresh on core 1");

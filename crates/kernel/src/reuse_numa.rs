@@ -71,42 +71,56 @@ impl Machine {
     /// Pay the flush debt of one parked page: a real (queued) flush
     /// carrying the parked retire pairs, plus the frame release the park
     /// deferred. Runs on eviction, replacement, and conflicting-operation
-    /// invalidation.
+    /// invalidation. Returns whether a flush was queued; the caller
+    /// counts it ([`Machine::count_debt_flushes`]) once it knows the
+    /// flush runs.
     pub(crate) fn reuse_pay_debt(
         &mut self,
         sf: &mut SyscallFrame,
         mm_id: MmId,
         vpn: u64,
         entry: ReuseEntry,
-    ) {
+    ) -> bool {
         let page_range = VirtRange::pages(VirtAddr::new(vpn << 12), 1, PageSize::Size4K);
         let Ok(owed) = self.owe_flush(mm_id, page_range, entry.retire) else {
-            return;
+            return false;
         };
-        self.stats.counters.bump("reuse_debt_flush");
         self.queue_flush(sf, owed);
         self.release_frame(entry.pte.addr, &mut sf.pending_frees);
+        true
+    }
+
+    /// Count `n` debt flushes that will run as `reuse_debt_flush`.
+    pub(crate) fn count_debt_flushes(&mut self, n: u64) {
+        if n > 0 {
+            self.stats.counters.add("reuse_debt_flush", n);
+        }
     }
 
     /// Invalidate parked entries overlapping `range` before a conflicting
     /// operation (munmap / mprotect / writeback) changes what the pages
-    /// mean: each hit pays its debt flush. No-op when reuse-skip is off.
+    /// mean: each hit pays its debt flush. Returns how many debt flushes
+    /// it queued, uncounted: the first one lands in an empty `sf.sd`,
+    /// and mprotect's own range flush may replace it. No-op when
+    /// reuse-skip is off.
     pub(crate) fn reuse_invalidate_range(
         &mut self,
         sf: &mut SyscallFrame,
         mm_id: MmId,
         range: VirtRange,
-    ) {
+    ) -> u64 {
         if !self.reuse_active() {
-            return;
+            return 0;
         }
         let hits = match self.mms.get_mut(&mm_id) {
             Some(mm) => mm.reuse.take_range(range),
-            None => return,
+            None => return 0,
         };
+        let mut queued = 0;
         for (vpn, entry) in hits {
-            self.reuse_pay_debt(sf, mm_id, vpn, entry);
+            queued += u64::from(self.reuse_pay_debt(sf, mm_id, vpn, entry));
         }
+        queued
     }
 
     /// Park the pages a reuse-skip `madvise(DONTNEED)` zap removed,
@@ -185,7 +199,8 @@ impl Machine {
                 None => None,
             };
             if let Some(old) = old {
-                self.reuse_pay_debt(sf, mm_id, vpn, old);
+                let queued = self.reuse_pay_debt(sf, mm_id, vpn, old);
+                self.count_debt_flushes(u64::from(queued));
             }
             let cap = self.cfg.reuse_window_cap;
             let evicted = match self.mms.get_mut(&mm_id) {
@@ -202,7 +217,8 @@ impl Machine {
             };
             if let Some((evpn, evicted)) = evicted {
                 self.stats.counters.bump("reuse_evict");
-                self.reuse_pay_debt(sf, mm_id, evpn, evicted);
+                let queued = self.reuse_pay_debt(sf, mm_id, evpn, evicted);
+                self.count_debt_flushes(u64::from(queued));
             }
         }
         self.stats.counters.add("reuse_park", n);

@@ -13,8 +13,8 @@
 //!   is the pinned reference: it delegates to the distance-constant
 //!   [`CostModel`] selectors, touches no link state and contributes nothing
 //!   to the machine digest, so flat runs stay **byte-identical** to the
-//!   pre-routing simulator (the same role `engine_heap_only` plays for the
-//!   event engine).
+//!   pre-routing simulator (`engine_determinism.rs` pins an explicit
+//!   `Flat` against the default at every optimization level).
 //! - [`TopologySpec::Ring`] arranges physical cores on a ring;
 //!   [`TopologySpec::Mesh`] on a near-square 2D grid with XY
 //!   (dimension-ordered) routing. Both charge per-hop link costs plus a
