@@ -112,11 +112,6 @@ impl IpiFabric {
         &self.stats
     }
 
-    /// Reset statistics.
-    pub fn reset_stats(&mut self) {
-        self.stats = FabricStats::default();
-    }
-
     /// Plan a shootdown multicast from `from` to `targets`.
     ///
     /// Targets are grouped into x2APIC cluster batches. The initiator
