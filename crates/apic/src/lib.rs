@@ -339,7 +339,7 @@ mod tests {
         let mut f = IpiFabric::with_interconnect(
             Topology::paper_machine(),
             CostModel::default(),
-            TopologySpec::mesh(),
+            TopologySpec::Mesh,
         );
         let near = f.unicast_plan(CoreId(0), CoreId(4)).deliveries[0].arrives_in;
         let far = f.unicast_plan(CoreId(0), CoreId(54)).deliveries[0].arrives_in;

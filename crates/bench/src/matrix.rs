@@ -508,7 +508,7 @@ fn run_storm_cell(intensity: StormIntensity, fault: usize, mesh: bool, scale: Sc
         cfg.fault = fault_spec.clone();
         cfg.duration = storm_duration(scale);
         if mesh {
-            cfg.interconnect = TopologySpec::mesh();
+            cfg.interconnect = TopologySpec::Mesh;
         }
         let a = run_storm(&cfg).expect("storm cell runs clean");
         let b = run_storm(&cfg).expect("storm cell runs clean");
@@ -543,8 +543,8 @@ fn run_storm_cell(intensity: StormIntensity, fault: usize, mesh: bool, scale: Sc
 pub fn topo_specs() -> Vec<(&'static str, TopologySpec)> {
     vec![
         ("flat", TopologySpec::Flat),
-        ("ring", TopologySpec::ring()),
-        ("mesh", TopologySpec::mesh()),
+        ("ring", TopologySpec::Ring),
+        ("mesh", TopologySpec::Mesh),
     ]
 }
 

@@ -30,9 +30,9 @@ fn fnv1a(s: &str) -> u64 {
     })
 }
 
-/// Run the dueling-madvise workload, returning the state digest and the
-/// full trace export.
-fn traced_run(cfg: KernelConfig) -> (u64, String) {
+/// Run the dueling-madvise workload, returning the state digest, the
+/// full trace export and the IPIs the run sent.
+fn traced_run(cfg: KernelConfig) -> (u64, String, u64) {
     let mut m = Machine::new(cfg);
     m.start_tracing(1 << 13);
     let mm = m.create_process().expect("boot: create process");
@@ -42,12 +42,15 @@ fn traced_run(cfg: KernelConfig) -> (u64, String) {
     m.spawn(mm, CoreId(3), Box::new(BusyLoopProg));
     m.run_until(Cycles::new(4_000_000));
     let export = to_chrome_json(&m.take_trace()).render();
-    (m.state_digest(), export)
+    (m.state_digest(), export, m.stats.counters.get("ipis_sent"))
 }
 
 /// [`traced_run`] with the export hashed: `(state digest, trace hash)`.
+/// A pinned run must shoot down, or it pins no IPI, shootdown or
+/// cross-socket dispatch.
 fn pinned_run(cfg: KernelConfig) -> (u64, u64) {
-    let (digest, export) = traced_run(cfg);
+    let (digest, export, ipis) = traced_run(cfg);
+    assert!(ipis > 0, "the pinned run sent no IPI");
     (digest, fnv1a(&export))
 }
 
@@ -68,7 +71,8 @@ fn machines() -> [(&'static str, KernelConfig); 2] {
 }
 
 /// `(state digest, trace hash)` of [`traced_run`] per machine of
-/// [`machines`], at cumulative levels L0..L8.
+/// [`machines`], at cumulative levels L0..L8, with the reuse window
+/// capped at two entries so L7 and L8 still shoot down.
 const LEVEL_PINS: [[(u64, u64); OptConfig::NUM_LEVELS]; 2] = [
     [
         (0xb029_466c_8e37_34df, 0x3951_7a41_9d01_7566),
@@ -78,8 +82,8 @@ const LEVEL_PINS: [[(u64, u64); OptConfig::NUM_LEVELS]; 2] = [
         (0x9765_9185_be94_f051, 0xb354_797f_a971_c545),
         (0x9765_9185_be94_f051, 0xb354_797f_a971_c545),
         (0xe9c0_a09a_a22e_b548, 0xa534_2a52_8a49_6bf8),
-        (0xa173_cdfe_a80d_98be, 0x3a63_2739_4cda_c936),
-        (0xb9ba_3277_94d2_92fd, 0x3a63_2739_4cda_c936),
+        (0x2d70_0508_175a_1d32, 0xbc18_fd4d_6950_6635),
+        (0x872c_3f31_3e30_8de9, 0xbc18_fd4d_6950_6635),
     ],
     [
         (0x5d76_68c6_94a1_1299, 0x2451_7ac2_7c7f_d2c0),
@@ -89,8 +93,8 @@ const LEVEL_PINS: [[(u64, u64); OptConfig::NUM_LEVELS]; 2] = [
         (0xfa78_a0a1_54f8_4cc3, 0x9724_d5c4_0219_1ac8),
         (0xfa78_a0a1_54f8_4cc3, 0x9724_d5c4_0219_1ac8),
         (0x09d7_f87b_094e_3b45, 0x5ba4_96d4_dab1_ec8d),
-        (0xa173_cdfe_a80d_98be, 0x3a63_2739_4cda_c936),
-        (0xb9ba_3277_94d2_92fd, 0xd3a3_cecb_c4d4_2d57),
+        (0x53d6_f071_5878_25b4, 0x4896_5ffc_23fd_b646),
+        (0x9bac_f89d_d204_80a0, 0xf9ba_5c9b_2472_297e),
     ],
 ];
 
@@ -98,8 +102,9 @@ const LEVEL_PINS: [[(u64, u64); OptConfig::NUM_LEVELS]; 2] = [
 fn dispatch_is_pinned_at_every_opt_level() {
     for ((machine, base), pins) in machines().into_iter().zip(LEVEL_PINS) {
         for ((level, _, opts), pin) in OptConfig::all_levels().zip(pins) {
+            let cfg = base.clone().with_opts(opts).with_reuse_window_cap(2);
             assert_eq!(
-                pinned_run(base.clone().with_opts(opts)),
+                pinned_run(cfg),
                 pin,
                 "(state digest, trace hash) moved on {machine} at opt level {level}"
             );
@@ -151,11 +156,11 @@ fn routed_dispatch_is_pinned() {
     // runs are pinned like the flat ones.
     let pins = [
         (
-            TopologySpec::ring(),
+            TopologySpec::Ring,
             (0x3476_927b_e99d_96c5, 0xe5bb_5611_e20d_049a),
         ),
         (
-            TopologySpec::mesh(),
+            TopologySpec::Mesh,
             (0x406a_ed7b_bae7_2372, 0xc933_b80c_36f3_90ae),
         ),
     ];
@@ -178,6 +183,10 @@ fn smoke_tier(interconnect: TopologySpec) -> (u64, u64, u64, u64) {
         ..ScaleTierCfg::smoke()
     };
     let r = run_scale_tier(&cfg).expect("tier runs clean");
+    assert!(
+        r.counters.get("ipis_sent") > 0,
+        "the pinned tier sent no IPI"
+    );
     (
         r.digest,
         r.events,
@@ -202,7 +211,7 @@ fn scale_tier_smoke_is_pinned() {
 #[test]
 fn mesh_scale_tier_smoke_is_pinned() {
     assert_eq!(
-        smoke_tier(TopologySpec::mesh()),
+        smoke_tier(TopologySpec::Mesh),
         (
             0xadbb_b2c5_3de7_470b,
             40_000,
@@ -214,9 +223,10 @@ fn mesh_scale_tier_smoke_is_pinned() {
 
 #[test]
 fn chaos_stress_is_pinned_at_every_opt_level() {
-    // The chaos-stressed duel with every fault armed, at the seed the
-    // replay gate uses: `(state digest, final time, violations, recorded
-    // errors)` per cumulative level L0..L8.
+    // The chaos-stressed duel with every fault armed, the reuse window
+    // capped at two entries so L7 and L8 still shoot down: `(state
+    // digest, final time, violations, recorded errors)` per cumulative
+    // level L0..L8.
     let pins: [(u64, u64, usize, usize); OptConfig::NUM_LEVELS] = [
         (0x5be5_2d6e_2e19_fc60, 9_999_883, 0, 0),
         (0x8a65_012b_e3f1_e686, 9_999_872, 0, 0),
@@ -225,15 +235,16 @@ fn chaos_stress_is_pinned_at_every_opt_level() {
         (0xda33_17a2_f01b_03a3, 9_999_881, 0, 0),
         (0xda33_17a2_f01b_03a3, 9_999_881, 0, 0),
         (0x2f8d_4ad7_99dd_5cea, 9_999_815, 0, 0),
-        (0x5604_2f77_161f_0740, 9_999_890, 0, 0),
-        (0x7e13_badc_b9b6_454f, 9_999_890, 0, 0),
+        (0x7d51_54b1_d460_8a0f, 9_999_999, 0, 0),
+        (0x6556_7de9_3ea7_2380, 9_999_999, 0, 0),
     ];
     for (level, pin) in pins.into_iter().enumerate() {
         let chaos = ChaosConfig::with_fault(FaultSpec::everything(), 0x0dd5_eed5);
         let mut m = Machine::new(
             KernelConfig::test_machine(4)
                 .with_opts(OptConfig::cumulative(level))
-                .with_chaos(chaos),
+                .with_chaos(chaos)
+                .with_reuse_window_cap(2),
         );
         let mm = m.create_process().expect("boot: create process");
         m.spawn(mm, CoreId(0), Box::new(MadviseLoopProg::new(8, 6)));
@@ -241,6 +252,10 @@ fn chaos_stress_is_pinned_at_every_opt_level() {
         m.spawn(mm, CoreId(2), Box::new(MadviseLoopProg::new(3, 6)));
         m.spawn(mm, CoreId(3), Box::new(BusyLoopProg));
         m.run_until(Cycles::new(10_000_000));
+        assert!(
+            m.stats.counters.get("ipis_sent") > 0,
+            "the chaos run sent no IPI at opt level {level}"
+        );
         let got = (
             m.state_digest(),
             m.now().as_u64(),

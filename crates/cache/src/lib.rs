@@ -371,7 +371,7 @@ mod tests {
         let mut d = CacheDirectory::with_interconnect(
             Topology::paper_machine(),
             CostModel::default(),
-            TopologySpec::mesh(),
+            TopologySpec::Mesh,
         );
         let l = d.new_line("routed");
         d.write(CoreId(4), l); // phys 2
@@ -394,7 +394,7 @@ mod tests {
         let mut d = CacheDirectory::with_interconnect(
             Topology::paper_machine(),
             CostModel::default(),
-            TopologySpec::ring(),
+            TopologySpec::Ring,
         );
         let l = d.new_line("inv");
         d.read(CoreId(4), l);

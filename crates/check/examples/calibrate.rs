@@ -7,7 +7,7 @@ fn main() {
     let bounds = Bounds::default().with_max_schedules(400);
     for inject_at in (10_000..26_000).step_by(500) {
         let build = move || scenario::nmi_probe(true, inject_at);
-        let fifo = run_schedule(&build, &bounds, &[]);
+        let fifo = run_schedule(&build, &[]);
         let report = explore::explore(&build, &bounds);
         let safe_build = move || scenario::nmi_probe(false, inject_at);
         let safe_report = explore::explore(&safe_build, &bounds);

@@ -11,7 +11,7 @@
 //! - **preemption bound**: at most `preemption_bound` non-FIFO choices
 //!   per schedule (the classic Musuvathi/Qadeer iterative-context-bound
 //!   argument: real concurrency bugs need very few preemptions);
-//! - **branch-depth bound**: branch points past `max_branch_points` are
+//! - **branch-depth bound**: branch points past `MAX_BRANCH_POINTS` are
 //!   not expanded;
 //! - **digest pruning**: the walk over a run's branch list reads the
 //!   machine's [`state_digest`](tlbdown_kernel::Machine::state_digest)
@@ -41,23 +41,26 @@ use crate::schedule::Schedule;
 /// programs, same injections) — the schedule is the only free variable.
 pub type Scenario<'a> = dyn Fn() -> Machine + 'a;
 
+/// Per-run event budget; a run that fails to drain its queue within it
+/// is reported as a liveness violation, so scenarios must use
+/// terminating programs.
+const MAX_STEPS: u64 = 500_000;
+
+/// Branch points past this index are not expanded (depth bound).
+const MAX_BRANCH_POINTS: usize = 256;
+
+/// Timing-perturbation window handed to the scheduler: race-eligible
+/// interrupt arrivals within this many cycles of the minimum pending fire
+/// time join the candidate set.
+pub const WINDOW: Cycles = Cycles::new(2_000);
+
 /// Exploration bounds.
 #[derive(Clone, Debug)]
 pub struct Bounds {
     /// Total schedules (runs) to execute before giving up.
     pub max_schedules: u64,
-    /// Per-run event budget; a run that fails to drain its queue within
-    /// it is reported as a liveness violation, so scenarios must use
-    /// terminating programs.
-    pub max_steps: u64,
-    /// Branch points past this index are not expanded (depth bound).
-    pub max_branch_points: usize,
     /// Maximum non-FIFO choices per schedule (preemption bound).
     pub preemption_bound: usize,
-    /// Timing-perturbation window handed to the scheduler: race-eligible
-    /// interrupt arrivals within this many cycles of the minimum pending
-    /// fire time join the candidate set.
-    pub window: Cycles,
     /// Whether digest-based pruning is on.
     pub prune: bool,
 }
@@ -66,10 +69,7 @@ impl Default for Bounds {
     fn default() -> Self {
         Bounds {
             max_schedules: 2_000,
-            max_steps: 500_000,
-            max_branch_points: 256,
             preemption_bound: 3,
-            window: Cycles::new(2_000),
             prune: true,
         }
     }
@@ -256,24 +256,23 @@ impl<'v> DigestWalk<'v> {
 
 /// Execute one schedule against a fresh scenario machine. Takes no state
 /// digest; the report computes its final one on demand.
-pub fn run_schedule(build: &Scenario<'_>, bounds: &Bounds, forced: &[u16]) -> RunReport {
-    execute(build, bounds, forced, None)
+pub fn run_schedule(build: &Scenario<'_>, forced: &[u16]) -> RunReport {
+    execute(build, forced, None)
 }
 
 /// The run loop behind [`run_schedule`] and [`explore`]: only an explorer
 /// run passes a walk, and only its walk takes state digests.
 fn execute(
     build: &Scenario<'_>,
-    bounds: &Bounds,
     forced: &[u16],
     mut walk: Option<&mut DigestWalk<'_>>,
 ) -> RunReport {
     let mut m = build();
-    let mut sched = ExploreScheduler::new(bounds.window, forced.to_vec());
+    let mut sched = ExploreScheduler::new(WINDOW, forced.to_vec());
     let mut steps = 0u64;
     let mut drained = false;
     loop {
-        if steps >= bounds.max_steps {
+        if steps >= MAX_STEPS {
             break;
         }
         let branches_before = sched.arities.len();
@@ -379,12 +378,12 @@ pub fn explore(build: &Scenario<'_>, bounds: &Bounds) -> Report {
         }
         let from = prefix.len();
         let until = if bounds.prune {
-            bounds.max_branch_points
+            MAX_BRANCH_POINTS
         } else {
             from
         };
         let mut walk = DigestWalk::new(from, until, &visited);
-        let run = execute(build, bounds, &prefix, Some(&mut walk));
+        let run = execute(build, &prefix, Some(&mut walk));
         let digests = walk.digests;
         stats.schedules += 1;
         stats.digests += digests.len() as u64;
@@ -409,7 +408,7 @@ pub fn explore(build: &Scenario<'_>, bounds: &Bounds) -> Report {
         // exactly the branch points this walk reads.
         let base_preemptions = prefix.iter().filter(|c| **c != 0).count();
         for i in from..run.arities.len() {
-            if i >= bounds.max_branch_points {
+            if i >= MAX_BRANCH_POINTS {
                 stats.pruned_depth += 1;
                 break;
             }
@@ -440,13 +439,16 @@ pub fn explore(build: &Scenario<'_>, bounds: &Bounds) -> Report {
 /// machines and require byte-identical outcomes: the stats rendering,
 /// which carries the step count and final digest. Returns the (identical)
 /// report, or an error listing the lines that differ.
+///
+/// A single run reads none of the `Bounds`; the parameter stays because
+/// the benchmark package calls this function with it.
 pub fn replay_twice(
     build: &Scenario<'_>,
-    bounds: &Bounds,
+    _bounds: &Bounds,
     schedule: &Schedule,
 ) -> Result<RunReport, String> {
-    let a = run_schedule(build, bounds, &schedule.choices);
-    let b = run_schedule(build, bounds, &schedule.choices);
+    let a = run_schedule(build, &schedule.choices);
+    let b = run_schedule(build, &schedule.choices);
     let (ra, rb) = (a.stats_render(), b.stats_render());
     if ra != rb {
         return Err(format!("replay diverged:\n{}", render_diff(&ra, &rb)));
@@ -479,7 +481,7 @@ pub fn render_diff(a: &str, b: &str) -> String {
 mod tests {
     use tlbdown_types::FastSet;
 
-    use super::{render_diff, run_schedule, Bounds, DigestWalk};
+    use super::{render_diff, run_schedule, DigestWalk};
     use crate::scenario;
 
     /// The digests a walk over `from..until` takes when the digest after
@@ -530,8 +532,8 @@ mod tests {
     #[test]
     fn render_diff_names_the_differing_digest_component() {
         let build = || scenario::dueling_madvise_at(0);
-        let a = run_schedule(&build, &Bounds::default(), &[]);
-        let mut b = run_schedule(&build, &Bounds::default(), &[]);
+        let a = run_schedule(&build, &[]);
+        let mut b = run_schedule(&build, &[]);
         b.machine.cpus[0].resume_token += 1;
         let (ra, rb) = (a.stats_render(), b.stats_render());
         let line = |r: &str, key: &str| {

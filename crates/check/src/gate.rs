@@ -239,7 +239,7 @@ pub fn run_canary_scenario(
     shrink_budget: u64,
 ) -> CanaryReport {
     let mut spent = 0u64;
-    let fifo_safe = !run_schedule(buggy, bounds, &[]).violated();
+    let fifo_safe = !run_schedule(buggy, &[]).violated();
     spent += 1;
     if !fifo_safe {
         return CanaryReport {
@@ -271,7 +271,7 @@ pub fn run_canary_scenario(
             spent,
         };
     };
-    let minimized = shrink::shrink(buggy, bounds, &cex.schedule, shrink_budget);
+    let minimized = shrink::shrink(buggy, &cex.schedule, shrink_budget);
     spent += minimized.stats.trials;
     let replay_ok = matches!(
         replay_twice(buggy, bounds, &minimized.schedule),

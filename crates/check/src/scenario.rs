@@ -132,7 +132,7 @@ pub fn dueling_madvise_at(level: u8) -> Machine {
 /// and the protocol must stay safe and live whatever that does to
 /// relative timing.
 pub fn dueling_madvise_mesh_at(level: u8) -> Machine {
-    dueling_madvise_at_on(level, tlbdown_topo::TopologySpec::mesh())
+    dueling_madvise_at_on(level, tlbdown_topo::TopologySpec::Mesh)
 }
 
 fn dueling_madvise_at_on(level: u8, interconnect: tlbdown_topo::TopologySpec) -> Machine {

@@ -16,7 +16,7 @@
 //! the breach — typically a handful of choices naming exactly the racy
 //! reorderings.
 
-use crate::explore::{run_schedule, Bounds, Scenario};
+use crate::explore::{run_schedule, Scenario};
 use crate::schedule::Schedule;
 
 /// Counters describing a shrink run.
@@ -43,16 +43,11 @@ pub struct Shrunk {
 /// `max_trials` candidate runs. `failing` itself must violate; the
 /// function panics otherwise (callers hand it a counterexample straight
 /// from [`explore`](crate::explore::explore)).
-pub fn shrink(
-    build: &Scenario<'_>,
-    bounds: &Bounds,
-    failing: &Schedule,
-    max_trials: u64,
-) -> Shrunk {
+pub fn shrink(build: &Scenario<'_>, failing: &Schedule, max_trials: u64) -> Shrunk {
     let mut stats = ShrinkStats::default();
     let fails = |choices: &[u16], stats: &mut ShrinkStats| -> bool {
         stats.trials += 1;
-        let bad = run_schedule(build, bounds, choices).violated();
+        let bad = run_schedule(build, choices).violated();
         if bad {
             stats.still_failing += 1;
         }

@@ -82,7 +82,7 @@ fn seeded_nmi_bug_is_caught_shrunk_and_replayed() {
     let bounds = Bounds::default();
     let buggy = || scenario::nmi_probe_demo(true);
 
-    let fifo = run_schedule(&buggy, &bounds, &[]);
+    let fifo = run_schedule(&buggy, &[]);
     assert!(
         !fifo.violated(),
         "demo must not fail under FIFO — the bug is schedule-dependent"
@@ -100,7 +100,7 @@ fn seeded_nmi_bug_is_caught_shrunk_and_replayed() {
     );
 
     // Shrink to the essential choices.
-    let minimized = shrink(&buggy, &bounds, &cex.schedule, 2_000);
+    let minimized = shrink(&buggy, &cex.schedule, 2_000);
     assert!(
         minimized.schedule.len() <= 20,
         "shrunk schedule too long: {}",
@@ -124,7 +124,7 @@ fn seeded_nmi_bug_is_caught_shrunk_and_replayed() {
     );
     // Including under the exact minimized schedule that broke the buggy
     // variant.
-    assert!(!run_schedule(&correct, &bounds, &parsed.choices).violated());
+    assert!(!run_schedule(&correct, &parsed.choices).violated());
 }
 
 #[test]
@@ -136,18 +136,17 @@ fn nmi_injection_scan_over_inflight_shootdown() {
     // trip the oracle at at least one, and some safe run must actually
     // deny a probe (proving the scan really lands NMIs inside the
     // early-ack window rather than missing the shootdown entirely).
-    let bounds = Bounds::default();
     let mut buggy_hits = 0;
     let mut denied_seen = false;
     for t in (13_000..20_000).step_by(250) {
-        let safe = run_schedule(&|| scenario::nmi_probe(false, t), &bounds, &[]);
+        let safe = run_schedule(&|| scenario::nmi_probe(false, t), &[]);
         assert!(
             !safe.violated(),
             "correct check violated under FIFO at inject_at={t}: {:?}",
             safe.violations
         );
         denied_seen |= safe.stats_render().contains("counter nmi_uaccess_denied");
-        let buggy = run_schedule(&|| scenario::nmi_probe(true, t), &bounds, &[]);
+        let buggy = run_schedule(&|| scenario::nmi_probe(true, t), &[]);
         if buggy.violated() {
             buggy_hits += 1;
         }

@@ -4,7 +4,7 @@
 //! sums exactly to its measured end-to-end latency, at every optimization
 //! level. Plus the two determinism pillars — byte-identical exports
 //! across replays, and a no-trace guard proving tracing never perturbs
-//! the simulation.
+//! the simulation — and the identities the same runs' counters obey.
 
 use tlbdown_check::scenario::{dueling_madvise, dueling_madvise_at};
 use tlbdown_core::OptConfig;
@@ -36,6 +36,33 @@ fn phase_attribution_sums_exactly_at_every_opt_level() {
                 "level {lvl} op {:#x}: phases must partition the span",
                 s.op
             );
+        }
+    }
+}
+
+#[test]
+fn duel_counters_obey_their_identities_at_every_opt_level() {
+    // Pairs of counters that count the same events on the duel's FIFO
+    // run: every shootdown completes, every IPI sent is dispatched as one
+    // shootdown IRQ, every early ack is a shootdown's, and every
+    // anonymous fill is a demand fault. From L6 on, each deferred flush
+    // runs in a batch.
+    for (lvl, _, _) in OptConfig::all_levels() {
+        let mut m = dueling_madvise_at(lvl);
+        m.run();
+        let c = |name| m.stats.counters.get(name);
+        let mut pairs = vec![
+            ("shootdown", "shootdown_done"),
+            ("ipis_sent", "shootdown_irq"),
+            ("shootdown_irq", "irq_dispatch"),
+            ("early_ack", "early_ack_shootdown"),
+            ("anon", "demand_fault"),
+        ];
+        if lvl >= 6 {
+            pairs.push(("flush_deferred", "batched_flushes"));
+        }
+        for (a, b) in pairs {
+            assert_eq!(c(a), c(b), "level {lvl}: {a} != {b}");
         }
     }
 }

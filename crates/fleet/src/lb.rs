@@ -27,7 +27,17 @@ use tlbdown_types::Cycles;
 use crate::fault::MachineFaults;
 use crate::node::NodeProfile;
 
-/// Load balancer configuration.
+/// Re-dispatch attempts after the first.
+const MAX_RETRIES: u32 = 3;
+/// Consecutive observed failures (probe or request) that eject a machine
+/// from rotation.
+const EJECT_AFTER: u32 = 3;
+/// Consecutive probe successes an ejected machine must string together
+/// (its probation) before rejoining rotation.
+const PROBATION_ACKS: u32 = 2;
+
+/// Load balancer configuration. The LB's timers scale to `warm_latency`
+/// and `window` (see [`run_lb`]).
 #[derive(Clone, Debug)]
 pub struct LbCfg {
     /// Fleet ticks over which arrivals are generated (responses and
@@ -36,46 +46,11 @@ pub struct LbCfg {
     /// Offered load across the whole fleet, requests per simulated
     /// second.
     pub fleet_rps: f64,
-    /// Ticks before an unanswered dispatch times out.
-    pub timeout: u64,
-    /// Re-dispatch attempts after the first (0 = no retries).
-    pub max_retries: u32,
-    /// Base backoff before the first retry; doubles per attempt, with
-    /// seeded jitter.
-    pub backoff_base: u64,
-    /// Ticks after a first dispatch before a hedge copy is sent to a
-    /// different machine (0 disables hedging).
-    pub hedge_after: u64,
-    /// Ticks between health probes of each machine.
-    pub probe_interval: u64,
-    /// Consecutive observed failures (probe or request) that eject a
-    /// machine from rotation.
-    pub eject_after: u32,
-    /// Consecutive probe successes an ejected machine must string
-    /// together (its probation) before rejoining rotation.
-    pub probation_acks: u32,
+    /// The fleet's observed warm service latency, in ticks (floored at
+    /// 1,000).
+    pub warm_latency: u64,
     /// Seed for arrival spacing, jitter and hedge target choice.
     pub seed: u64,
-}
-
-impl LbCfg {
-    /// Defaults scaled to a warm service latency: timeout at 8×, hedge
-    /// at 3×, backoff from 1×.
-    pub fn scaled_to(warm_latency: u64, window: u64, fleet_rps: f64, seed: u64) -> Self {
-        let warm = warm_latency.max(1_000);
-        LbCfg {
-            window,
-            fleet_rps,
-            timeout: warm * 8,
-            max_retries: 3,
-            backoff_base: warm,
-            hedge_after: warm * 3,
-            probe_interval: (window / 24).max(1),
-            eject_after: 3,
-            probation_acks: 2,
-            seed,
-        }
-    }
 }
 
 /// Why a request ultimately failed. Typed: the gate requires every
@@ -260,8 +235,16 @@ impl LbResult {
 
 /// Run the LB phase over `profiles` (canonical machine order) and the
 /// matching fault plan rows. Serial and fully deterministic.
+///
+/// The timers scale to the warm service latency: a dispatch times out
+/// after 8× it, an unanswered first dispatch is hedged after 3×, and
+/// retries back off from 1×, doubling per attempt with seeded jitter.
+/// Each machine is probed 24 times per window.
 pub fn run_lb(cfg: &LbCfg, profiles: &[NodeProfile], faults: &[MachineFaults]) -> LbResult {
     assert_eq!(profiles.len(), faults.len(), "one fault row per profile");
+    let warm = cfg.warm_latency.max(1_000);
+    let (timeout, backoff_base, hedge_after) = (warm * 8, warm, warm * 3);
+    let probe_interval = (cfg.window / 24).max(1);
     let mut rng = SplitMix64::new(cfg.seed ^ 0x1b);
     let mut machines: Vec<MachineView> = profiles
         .iter()
@@ -270,7 +253,7 @@ pub fn run_lb(cfg: &LbCfg, profiles: &[NodeProfile], faults: &[MachineFaults]) -
             let warm = if p.warm_latency > 0.0 {
                 p.warm_latency
             } else {
-                cfg.backoff_base as f64
+                backoff_base as f64
             };
             let warm = (warm * f.slow_factor).ceil() as u64;
             let cold = if p.cold_latency > p.warm_latency {
@@ -280,7 +263,7 @@ pub fn run_lb(cfg: &LbCfg, profiles: &[NodeProfile], faults: &[MachineFaults]) -
             };
             let cold_until = f.crash_at.map(|at| {
                 let up = at.saturating_add(f.downtime);
-                (up, up.saturating_add(cfg.timeout * 2))
+                (up, up.saturating_add(timeout * 2))
             });
             MachineView {
                 faults: f.clone(),
@@ -321,7 +304,7 @@ pub fn run_lb(cfg: &LbCfg, profiles: &[NodeProfile], faults: &[MachineFaults]) -
     }
     for m in 0..machines.len() as u32 {
         // Stagger probe phase per machine so probe bursts don't align.
-        let phase = (u64::from(m).wrapping_mul(0x9e37_79b9)) % cfg.probe_interval.max(1);
+        let phase = (u64::from(m).wrapping_mul(0x9e37_79b9)) % probe_interval;
         q.schedule_at(Cycles::new(phase), Ev::Probe { machine: m });
     }
 
@@ -347,7 +330,7 @@ pub fn run_lb(cfg: &LbCfg, profiles: &[NodeProfile], faults: &[MachineFaults]) -
                 out.failed.sort();
             }
         };
-    let drain_deadline = cfg.window * 2 + cfg.timeout * (u64::from(cfg.max_retries) + 2);
+    let drain_deadline = cfg.window * 2 + timeout * (u64::from(MAX_RETRIES) + 2);
 
     while let Some(ev) = q.pop() {
         let time = q.now().as_u64();
@@ -365,11 +348,11 @@ pub fn run_lb(cfg: &LbCfg, profiles: &[NodeProfile], faults: &[MachineFaults]) -
                     .map(|k| (rr + k) % n)
                     .find(|&i| machines[i].lb == LbState::Healthy);
                 let Some(i) = pick else {
-                    if attempt >= cfg.max_retries {
+                    if attempt >= MAX_RETRIES {
                         reqs[req as usize].state = ReqState::Failed(RequestError::NoHealthyMachine);
                         fail(&mut out, RequestError::NoHealthyMachine);
                     } else {
-                        let backoff = cfg.backoff_base << attempt;
+                        let backoff = backoff_base << attempt;
                         let jitter = (backoff as f64 * rng.next_f64() * 0.5) as u64;
                         reqs[req as usize].retried = true;
                         q.schedule_at(
@@ -387,18 +370,15 @@ pub fn run_lb(cfg: &LbCfg, profiles: &[NodeProfile], faults: &[MachineFaults]) -
                     &mut machines,
                     &mut q,
                     &mut rng,
-                    cfg,
+                    timeout,
                     time,
                     req,
                     attempt,
                     i as u32,
                     false,
                 );
-                if cfg.hedge_after > 0 && attempt == 0 && !reqs[req as usize].hedged {
-                    q.schedule_at(
-                        Cycles::new(time + cfg.hedge_after),
-                        Ev::Hedge { req, attempt },
-                    );
+                if attempt == 0 && !reqs[req as usize].hedged {
+                    q.schedule_at(Cycles::new(time + hedge_after), Ev::Hedge { req, attempt });
                 }
             }
             Ev::Hedge { req, attempt } => {
@@ -417,7 +397,7 @@ pub fn run_lb(cfg: &LbCfg, profiles: &[NodeProfile], faults: &[MachineFaults]) -
                         &mut machines,
                         &mut q,
                         &mut rng,
-                        cfg,
+                        timeout,
                         time,
                         req,
                         attempt,
@@ -459,17 +439,17 @@ pub fn run_lb(cfg: &LbCfg, profiles: &[NodeProfile], faults: &[MachineFaults]) -
             } => {
                 let m = &mut machines[machine as usize];
                 m.outstanding = m.outstanding.saturating_sub(1);
-                observe_failure(m, cfg, &mut out);
+                observe_failure(m, &mut out);
                 let r = &mut reqs[req as usize];
                 if r.state != ReqState::Pending {
                     continue;
                 }
-                if attempt >= cfg.max_retries {
+                if attempt >= MAX_RETRIES {
                     r.state = ReqState::Failed(RequestError::TimedOut);
                     fail(&mut out, RequestError::TimedOut);
                 } else {
                     // Jittered exponential backoff, chaos-ladder style.
-                    let backoff = cfg.backoff_base << attempt;
+                    let backoff = backoff_base << attempt;
                     let jitter = (backoff as f64 * rng.next_f64() * 0.5) as u64;
                     r.retried = true;
                     q.schedule_at(
@@ -486,19 +466,11 @@ pub fn run_lb(cfg: &LbCfg, profiles: &[NodeProfile], faults: &[MachineFaults]) -
                 let m = &mut machines[machine as usize];
                 match (m.lb, up) {
                     (LbState::Healthy, true) => m.fail_streak = 0,
-                    (LbState::Healthy, false) => observe_failure(m, cfg, &mut out),
-                    (LbState::Ejected, true) => {
-                        m.lb = if cfg.probation_acks <= 1 {
-                            m.rejoins += 1;
-                            out.rejoins += 1;
-                            LbState::Healthy
-                        } else {
-                            LbState::Probation { acks: 1 }
-                        };
-                    }
+                    (LbState::Healthy, false) => observe_failure(m, &mut out),
+                    (LbState::Ejected, true) => m.lb = LbState::Probation { acks: 1 },
                     (LbState::Ejected, false) => {}
                     (LbState::Probation { acks }, true) => {
-                        if acks + 1 >= cfg.probation_acks {
+                        if acks + 1 >= PROBATION_ACKS {
                             m.lb = LbState::Healthy;
                             m.fail_streak = 0;
                             m.rejoins += 1;
@@ -512,11 +484,8 @@ pub fn run_lb(cfg: &LbCfg, profiles: &[NodeProfile], faults: &[MachineFaults]) -
                 // The probe train (and with it the LB's health state)
                 // ends with the arrival window; the drain period only
                 // settles in-flight requests.
-                if time + cfg.probe_interval <= cfg.window {
-                    q.schedule_at(
-                        Cycles::new(time + cfg.probe_interval),
-                        Ev::Probe { machine },
-                    );
+                if time + probe_interval <= cfg.window {
+                    q.schedule_at(Cycles::new(time + probe_interval), Ev::Probe { machine });
                 }
             }
         }
@@ -543,7 +512,7 @@ fn dispatch_to(
     machines: &mut [MachineView],
     q: &mut Engine<Ev>,
     rng: &mut SplitMix64,
-    cfg: &LbCfg,
+    timeout: u64,
     time: u64,
     req: u32,
     attempt: u32,
@@ -562,7 +531,7 @@ fn dispatch_to(
         .unwrap_or(false);
     let ok = m.faults.reachable_at(time) && m.faults.reachable_at(done) && !crash_mid;
     m.outstanding += 1;
-    if ok && svc < cfg.timeout {
+    if ok && svc < timeout {
         q.schedule_at(
             Cycles::new(done),
             Ev::Response {
@@ -573,7 +542,7 @@ fn dispatch_to(
         );
     } else {
         q.schedule_at(
-            Cycles::new(time + cfg.timeout),
+            Cycles::new(time + timeout),
             Ev::Timeout {
                 req,
                 attempt,
@@ -586,12 +555,12 @@ fn dispatch_to(
 /// A request timeout or failed probe against an in-rotation machine:
 /// bump its failure streak and eject it when the streak crosses the
 /// threshold.
-fn observe_failure(m: &mut MachineView, cfg: &LbCfg, out: &mut LbResult) {
+fn observe_failure(m: &mut MachineView, out: &mut LbResult) {
     if m.lb == LbState::Ejected {
         return;
     }
     m.fail_streak += 1;
-    if m.fail_streak >= cfg.eject_after {
+    if m.fail_streak >= EJECT_AFTER {
         if m.lb != LbState::Ejected {
             m.ejections += 1;
             out.ejections += 1;
@@ -638,7 +607,12 @@ mod tests {
     #[test]
     fn healthy_fleet_serves_everything_first_try() {
         let (profiles, faults) = healthy_fleet(8);
-        let cfg = LbCfg::scaled_to(50_000, 40_000_000, 40_000.0, 0x1de);
+        let cfg = LbCfg {
+            window: 40_000_000,
+            fleet_rps: 40_000.0,
+            warm_latency: 50_000,
+            seed: 0x1de,
+        };
         let r = run_lb(&cfg, &profiles, &faults);
         assert!(r.offered > 100, "window must generate load: {}", r.offered);
         assert!(r.fully_accounted());
@@ -659,7 +633,12 @@ mod tests {
         let window = 40_000_000u64;
         let plan = FleetFaultPlan::new(&spec, 42, n, window);
         let profiles: Vec<_> = (0..n).map(|i| profile(i, 50_000.0)).collect();
-        let cfg = LbCfg::scaled_to(50_000, window, 40_000.0, 7);
+        let cfg = LbCfg {
+            window,
+            fleet_rps: 40_000.0,
+            warm_latency: 50_000,
+            seed: 7,
+        };
         let a = run_lb(&cfg, &profiles, &plan.machines);
         let b = run_lb(&cfg, &profiles, &plan.machines);
         assert_eq!(a.to_json(window).render(), b.to_json(window).render());
@@ -678,7 +657,12 @@ mod tests {
         faults[5].crash_at = Some(window / 2);
         faults[5].downtime = window;
         let profiles: Vec<_> = (0..n).map(|i| profile(i, 50_000.0)).collect();
-        let cfg = LbCfg::scaled_to(50_000, window, 40_000.0, 11);
+        let cfg = LbCfg {
+            window,
+            fleet_rps: 40_000.0,
+            warm_latency: 50_000,
+            seed: 11,
+        };
         let r = run_lb(&cfg, &profiles, &faults);
         assert!(r.fully_accounted());
         assert!(
@@ -703,7 +687,12 @@ mod tests {
         // One machine partitions for a long stretch mid-window.
         faults[1].partition = Some((window / 8, window / 2));
         let profiles: Vec<_> = (0..n).map(|i| profile(i, 50_000.0)).collect();
-        let cfg = LbCfg::scaled_to(50_000, window, 20_000.0, 3);
+        let cfg = LbCfg {
+            window,
+            fleet_rps: 20_000.0,
+            warm_latency: 50_000,
+            seed: 3,
+        };
         let r = run_lb(&cfg, &profiles, &faults);
         assert!(r.fully_accounted());
         assert!(

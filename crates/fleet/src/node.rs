@@ -27,6 +27,33 @@ use tlbdown_workloads::apache::{ServeStats, ServeWorker};
 
 use crate::fault::MachineFaults;
 
+/// The serving window, in cycles (shared with the LB phase).
+pub const WINDOW: u64 = 1_200_000;
+/// Cores running Apache-style serving workers.
+pub const WORKERS: u32 = 4;
+/// Cores running tenant-churn slots (active only when the fault plan
+/// marks the machine churning).
+pub const CHURN_SLOTS: u32 = 2;
+/// Sockets of a node's topology.
+pub(crate) const SOCKETS: u32 = 2;
+/// SMT ways of a node's cores.
+const SMT: u32 = 2;
+/// Pages per served file.
+const FILE_PAGES: u64 = 2;
+/// Distinct files served.
+const FILES: u64 = 8;
+/// Application work per request, in cycles.
+const REQUEST_WORK: u64 = 20_000;
+/// Aggregate offered load inside the node, requests per simulated
+/// second.
+const OFFERED_RPS: f64 = 400_000.0;
+/// Requests starting within this many cycles of a (re)boot count toward
+/// the cold-latency bucket (empty-TLB refill tax).
+const COLD_WINDOW: u64 = 300_000;
+/// Trace ring capacity per core: every boot is traced for its
+/// shootdown critical-path aggregates.
+const TRACE_CAPACITY: usize = 1 << 10;
+
 /// Configuration of one node simulation. Built by the fleet runner from
 /// the fleet config plus the machine's [`MachineFaults`]; everything a
 /// node touches is in here, so the job closure is self-contained.
@@ -34,30 +61,8 @@ use crate::fault::MachineFaults;
 pub struct NodeCfg {
     /// This machine's fleet ID.
     pub machine_id: u32,
-    /// Socket count of the node's topology.
-    pub sockets: u32,
     /// Logical cores per socket.
     pub logical_per_socket: u32,
-    /// SMT ways.
-    pub smt: u32,
-    /// Cores running Apache-style serving workers.
-    pub workers: u32,
-    /// Cores running tenant-churn slots (active only when the fault
-    /// plan marks the machine churning).
-    pub churn_slots: u32,
-    /// Pages per served file.
-    pub file_pages: u64,
-    /// Distinct files served.
-    pub files: u64,
-    /// Application work per request, in cycles.
-    pub request_work: u64,
-    /// Aggregate offered load, requests per simulated second.
-    pub offered_rps: f64,
-    /// The serving window, in cycles (shared with the LB phase).
-    pub window: u64,
-    /// Requests starting within this many cycles of a (re)boot count
-    /// toward the cold-latency bucket (empty-TLB refill tax).
-    pub cold_window: u64,
     /// Optimizations active.
     pub opts: OptConfig,
     /// Mitigations on?
@@ -68,14 +73,12 @@ pub struct NodeCfg {
     pub faults: MachineFaults,
     /// Per-machine seed (derived from the fleet seed and machine ID).
     pub seed: u64,
-    /// Trace ring capacity per core; 0 disables tracing.
-    pub trace_capacity: usize,
 }
 
 impl NodeCfg {
     /// Total logical cores this node simulates.
     pub fn num_cores(&self) -> u32 {
-        self.sockets * self.logical_per_socket
+        SOCKETS * self.logical_per_socket
     }
 }
 
@@ -159,35 +162,35 @@ fn run_boot(
     turnovers: &Rc<Cell<u64>>,
 ) -> SimResult<()> {
     let mm = m.create_process()?;
-    let mut files = Vec::with_capacity(cfg.files as usize);
-    for _ in 0..cfg.files {
-        files.push(m.create_file(cfg.file_pages)?);
+    let mut files = Vec::with_capacity(FILES as usize);
+    for _ in 0..FILES {
+        files.push(m.create_file(FILE_PAGES)?);
     }
     let mut rng = SplitMix64::new(boot_seed);
-    let interval = Cycles::FREQ_HZ as f64 / (cfg.offered_rps / f64::from(cfg.workers.max(1)));
-    for w in 0..cfg.workers {
+    let interval = Cycles::FREQ_HZ as f64 / (OFFERED_RPS / f64::from(WORKERS));
+    for w in 0..WORKERS {
         let worker = ServeWorker::new(
             files.clone(),
-            cfg.file_pages,
+            FILE_PAGES,
             deadline,
             rng.fork(),
             stats.clone(),
         )
         .open_loop(interval)
-        .request_work(cfg.request_work)
-        .cold_until(cfg.cold_window.min(deadline));
+        .request_work(REQUEST_WORK)
+        .cold_until(COLD_WINDOW.min(deadline));
         m.spawn(mm, CoreId(w), Box::new(worker));
     }
-    if cfg.faults.churn && cfg.churn_slots > 0 {
+    if cfg.faults.churn {
         let churn_mm = m.create_process()?;
-        for s in 0..cfg.churn_slots {
+        for s in 0..CHURN_SLOTS {
             let churn_cfg = tlbdown_workloads::churn::ChurnCfg::brisk(
                 Cycles::new(deadline),
                 boot_seed ^ u64::from(s + 1).wrapping_mul(0x2545_f491),
             );
             m.spawn(
                 churn_mm,
-                CoreId(cfg.workers + s),
+                CoreId(WORKERS + s),
                 Box::new(tlbdown_workloads::churn::ChurnProg::new(
                     churn_cfg,
                     turnovers.clone(),
@@ -195,9 +198,7 @@ fn run_boot(
             );
         }
     }
-    if cfg.trace_capacity > 0 {
-        m.start_tracing(cfg.trace_capacity);
-    }
+    m.start_tracing(TRACE_CAPACITY);
     // Run past the deadline so in-flight requests and shootdowns drain;
     // workers exit at `deadline` on their own.
     m.run_until(Cycles::new(deadline + deadline / 4));
@@ -207,16 +208,14 @@ fn run_boot(
 /// Run one node through its window (crashing and rebooting if the plan
 /// says so) and summarize it. Pure function of `cfg`.
 pub fn run_node(cfg: &NodeCfg) -> SimResult<NodeProfile> {
-    if cfg.workers + cfg.churn_slots > cfg.num_cores() {
+    if WORKERS + CHURN_SLOTS > cfg.num_cores() {
         return Err(SimError::InvalidArgument(format!(
-            "machine {}: {} workers + {} churn slots exceed {} cores",
+            "machine {}: {WORKERS} workers + {CHURN_SLOTS} churn slots exceed {} cores",
             cfg.machine_id,
-            cfg.workers,
-            cfg.churn_slots,
             cfg.num_cores()
         )));
     }
-    let topo = Topology::new(cfg.sockets, cfg.logical_per_socket).with_smt(cfg.smt);
+    let topo = Topology::new(SOCKETS, cfg.logical_per_socket).with_smt(SMT);
     let mut kc = KernelConfig {
         topo,
         ..KernelConfig::paper_baseline()
@@ -232,7 +231,7 @@ pub fn run_node(cfg: &NodeCfg) -> SimResult<NodeProfile> {
             // whole run. Scale the ladder's base rung to the window
             // (storm cells do the same) so drops cost retries, not the
             // machine.
-            timeout_cycles: (cfg.window / 24).max(10_000),
+            timeout_cycles: (WINDOW / 24).max(10_000),
             ..WatchdogConfig::default()
         },
     });
@@ -241,13 +240,11 @@ pub fn run_node(cfg: &NodeCfg) -> SimResult<NodeProfile> {
     // Segment the window around the crash: [0, crash_at) on boot 0,
     // then — after `downtime` ticks of darkness — whatever window
     // remains on boot 1, cold TLBs and all.
-    let crash_at = cfg.faults.crash_at.filter(|&t| t < cfg.window);
+    let crash_at = cfg.faults.crash_at.filter(|&t| t < WINDOW);
     let segments: Vec<u64> = match crash_at {
-        None => vec![cfg.window],
+        None => vec![WINDOW],
         Some(t) => {
-            let after = cfg
-                .window
-                .saturating_sub(t.saturating_add(cfg.faults.downtime));
+            let after = WINDOW.saturating_sub(t.saturating_add(cfg.faults.downtime));
             if after > 0 {
                 vec![t, after]
             } else {
@@ -291,14 +288,10 @@ pub fn run_node(cfg: &NodeCfg) -> SimResult<NodeProfile> {
         }
         let boot_seed = cfg.seed ^ (boot as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
         run_boot(&mut machine, cfg, deadline, boot_seed, &stats, &turnovers)?;
-        if cfg.trace_capacity > 0 {
-            let trace = machine.take_trace();
-            let analysis = analyze(&trace);
-            let t = PhaseTotals::of(&analysis, true);
-            totals.shootdowns += t.shootdowns;
-            for (acc, v) in totals.cycles.iter_mut().zip(t.cycles.iter()) {
-                *acc += v;
-            }
+        let t = PhaseTotals::of(&analyze(&machine.take_trace()), true);
+        totals.shootdowns += t.shootdowns;
+        for (acc, v) in totals.cycles.iter_mut().zip(t.cycles.iter()) {
+            *acc += v;
         }
         profile.violations += machine.violations().len() as u64;
         profile.kernel_errors += machine.recorded_errors().len() as u64;
@@ -324,23 +317,12 @@ mod tests {
     fn tiny(machine_id: u32) -> NodeCfg {
         NodeCfg {
             machine_id,
-            sockets: 2,
             logical_per_socket: 8,
-            smt: 2,
-            workers: 4,
-            churn_slots: 2,
-            file_pages: 2,
-            files: 8,
-            request_work: 20_000,
-            offered_rps: 400_000.0,
-            window: 1_200_000,
-            cold_window: 300_000,
             opts: OptConfig::baseline(),
             safe: true,
             ipi: FaultSpec::none(),
             faults: MachineFaults::healthy(),
             seed: 0xf1ee7 + u64::from(machine_id),
-            trace_capacity: 1 << 10,
         }
     }
 

@@ -25,38 +25,20 @@ use tlbdown_types::{Cycles, SimError, SimResult};
 
 use crate::fault::{FleetFaultPlan, FleetFaultSpec};
 use crate::lb::{LbCfg, LbResult};
-use crate::node::{run_node, NodeCfg, NodeProfile};
+use crate::node::{run_node, NodeCfg, NodeProfile, SOCKETS, WINDOW};
+
+/// Offered load at the LB per machine in the fleet, requests/sec.
+const LB_RPS_PER_MACHINE: f64 = 40_000.0;
 
 /// Configuration of one fleet run (one cell of the survival matrix, or
-/// the headline tier).
+/// the headline tier). Every machine is a dual-socket node serving over
+/// the shared [`WINDOW`].
 #[derive(Clone, Debug)]
 pub struct FleetCfg {
     /// Machines in the fleet.
     pub machines: u32,
-    /// Sockets per machine.
-    pub sockets: u32,
     /// Logical cores per socket.
     pub logical_per_socket: u32,
-    /// SMT ways.
-    pub smt: u32,
-    /// Serving workers per machine.
-    pub workers: u32,
-    /// Tenant-churn slots per machine (armed by the fault plan).
-    pub churn_slots: u32,
-    /// Pages per served file.
-    pub file_pages: u64,
-    /// Distinct files per machine.
-    pub files: u64,
-    /// Per-request application work, cycles.
-    pub request_work: u64,
-    /// Offered load per machine inside the node sim, requests/sec.
-    pub node_rps: f64,
-    /// Offered load across the fleet at the LB, requests/sec.
-    pub lb_rps_per_machine: f64,
-    /// The shared fleet window, in cycles.
-    pub window: u64,
-    /// Cold-window length after each (re)boot, cycles.
-    pub cold_window: u64,
     /// Optimizations inside every machine's kernel.
     pub opts: OptConfig,
     /// Mitigations on?
@@ -65,8 +47,6 @@ pub struct FleetCfg {
     pub spec: FleetFaultSpec,
     /// Fleet seed; machines and the LB derive their streams from it.
     pub seed: u64,
-    /// Trace ring capacity per core (0 disables tracing).
-    pub trace_capacity: usize,
 }
 
 impl FleetCfg {
@@ -74,23 +54,11 @@ impl FleetCfg {
     pub fn quick(machines: u32, spec: FleetFaultSpec, seed: u64) -> Self {
         FleetCfg {
             machines,
-            sockets: 2,
             logical_per_socket: 8,
-            smt: 2,
-            workers: 4,
-            churn_slots: 2,
-            file_pages: 2,
-            files: 8,
-            request_work: 20_000,
-            node_rps: 400_000.0,
-            lb_rps_per_machine: 40_000.0,
-            window: 1_200_000,
-            cold_window: 300_000,
             opts: OptConfig::baseline(),
             safe: true,
             spec,
             seed,
-            trace_capacity: 1 << 10,
         }
     }
 
@@ -100,9 +68,7 @@ impl FleetCfg {
     pub fn full_tier(spec: FleetFaultSpec, seed: u64) -> Self {
         FleetCfg {
             machines: 1000,
-            sockets: 2,
             logical_per_socket: 56,
-            smt: 2,
             ..FleetCfg::quick(0, FleetFaultSpec::none(), seed)
         }
         .with_spec(spec)
@@ -115,34 +81,23 @@ impl FleetCfg {
         self
     }
 
-    /// Total simulated logical cores across the fleet.
-    pub fn total_cores(&self) -> u64 {
-        u64::from(self.machines) * u64::from(self.sockets) * u64::from(self.logical_per_socket)
-    }
-
     /// The node config for machine `i` under fault row `f`.
     fn node_cfg(&self, i: u32, f: &crate::fault::MachineFaults) -> NodeCfg {
         NodeCfg {
             machine_id: i,
-            sockets: self.sockets,
             logical_per_socket: self.logical_per_socket,
-            smt: self.smt,
-            workers: self.workers,
-            churn_slots: self.churn_slots,
-            file_pages: self.file_pages,
-            files: self.files,
-            request_work: self.request_work,
-            offered_rps: self.node_rps,
-            window: self.window,
-            cold_window: self.cold_window,
             opts: self.opts,
             safe: self.safe,
             ipi: self.spec.ipi.clone(),
             faults: f.clone(),
             // Independent per-machine stream, prefix-stable like the plan.
             seed: self.seed ^ u64::from(i + 1).wrapping_mul(0x2545_f491_4f6c_dd1d),
-            trace_capacity: self.trace_capacity,
         }
+    }
+
+    /// Total simulated logical cores across the fleet.
+    pub fn total_cores(&self) -> u64 {
+        u64::from(self.machines) * u64::from(SOCKETS) * u64::from(self.logical_per_socket)
     }
 }
 
@@ -269,7 +224,7 @@ impl FleetResult {
 /// node job surfaces as `SimError::InvalidArgument` naming the machine
 /// (the pool's typed `JobError`), never as a lost machine.
 pub fn run_fleet(cfg: &FleetCfg, threads: usize) -> SimResult<FleetResult> {
-    let plan = FleetFaultPlan::new(&cfg.spec, cfg.seed, cfg.machines, cfg.window);
+    let plan = FleetFaultPlan::new(&cfg.spec, cfg.seed, cfg.machines, WINDOW);
     let jobs: Vec<Job<SimResult<NodeProfile>>> = (0..cfg.machines)
         .map(|i| {
             let node = cfg.node_cfg(i, &plan.machines[i as usize]);
@@ -305,12 +260,12 @@ pub fn run_fleet(cfg: &FleetCfg, threads: usize) -> SimResult<FleetResult> {
             sum / n as f64
         }
     };
-    let lb_cfg = LbCfg::scaled_to(
-        warm_mean.ceil() as u64,
-        cfg.window,
-        cfg.lb_rps_per_machine * f64::from(cfg.machines),
-        cfg.seed ^ 0x1b,
-    );
+    let lb_cfg = LbCfg {
+        window: WINDOW,
+        fleet_rps: LB_RPS_PER_MACHINE * f64::from(cfg.machines),
+        warm_latency: warm_mean.ceil() as u64,
+        seed: cfg.seed ^ 0x1b,
+    };
     let lb = crate::lb::run_lb(&lb_cfg, &profiles, &plan.machines);
 
     let crashed: Vec<u32> = plan.crashed().map(|i| i as u32).collect();
@@ -323,7 +278,7 @@ pub fn run_fleet(cfg: &FleetCfg, threads: usize) -> SimResult<FleetResult> {
     Ok(FleetResult {
         machines: cfg.machines,
         total_cores: cfg.total_cores(),
-        window: cfg.window,
+        window: WINDOW,
         profiles,
         lb,
         crashed,

@@ -100,23 +100,6 @@ impl TlbGeometry {
             stlb_hit_extra: 9,
         })
     }
-
-    /// Short label for tables and CLI flags.
-    pub fn label(&self) -> &'static str {
-        match self {
-            TlbGeometry::Legacy { .. } => "legacy",
-            TlbGeometry::SetAssoc(_) => "skylake",
-        }
-    }
-
-    /// Parse a CLI label.
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "legacy" => Some(Self::legacy()),
-            "skylake" => Some(Self::skylake_sp()),
-            _ => None,
-        }
-    }
 }
 
 impl Default for TlbGeometry {
@@ -147,13 +130,5 @@ mod tests {
             panic!("legacy is a pool");
         };
         assert_eq!(capacity, 1536);
-    }
-
-    #[test]
-    fn labels_round_trip() {
-        for s in ["legacy", "skylake"] {
-            assert_eq!(TlbGeometry::parse(s).unwrap().label(), s);
-        }
-        assert!(TlbGeometry::parse("alder-lake").is_none());
     }
 }

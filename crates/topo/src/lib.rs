@@ -35,44 +35,28 @@ use std::collections::BTreeMap;
 
 use tlbdown_types::{CoreId, CostModel, Cycles, Topology};
 
-/// Per-link cost and congestion parameters for a routed topology.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct LinkParams {
-    /// Cycles per hop for a cacheline transfer.
-    pub cacheline_hop: u64,
-    /// Cycles per hop for an IPI.
-    pub ipi_hop: u64,
-    /// One-time extra cycles when a cacheline route crosses sockets.
-    pub socket_penalty_cacheline: u64,
-    /// One-time extra cycles when an IPI route crosses sockets.
-    pub socket_penalty_ipi: u64,
-    /// Occupancy (cycles of service) a message deposits on each link it
-    /// traverses — the "D" of the M/D/1-style model.
-    pub service: u64,
-    /// Occupancy drained from a link between consecutive traversals, the
-    /// deterministic stand-in for elapsed time. `drain < service` means a
-    /// saturated link builds backlog.
-    pub drain: u64,
-    /// Upper bound on the queueing delay charged per link per message.
-    pub queue_cap: u64,
-}
+// Link costs of the ring and the mesh, calibrated so a mid-distance
+// route lands near the flat constants (DESIGN.md §18): divergence comes
+// from routing distance and congestion, not from a wholesale re-pricing
+// of communication.
 
-impl Default for LinkParams {
-    /// Calibrated so a mid-distance route lands near the flat constants
-    /// (DESIGN.md §18): divergence comes from routing distance and
-    /// congestion, not from a wholesale re-pricing of communication.
-    fn default() -> Self {
-        LinkParams {
-            cacheline_hop: 28,
-            ipi_hop: 110,
-            socket_penalty_cacheline: 200,
-            socket_penalty_ipi: 600,
-            service: 24,
-            drain: 16,
-            queue_cap: 4096,
-        }
-    }
-}
+/// Cycles per hop for a cacheline transfer.
+const CACHELINE_HOP: u64 = 28;
+/// Cycles per hop for an IPI.
+const IPI_HOP: u64 = 110;
+/// One-time extra cycles when a cacheline route crosses sockets.
+const SOCKET_PENALTY_CACHELINE: u64 = 200;
+/// One-time extra cycles when an IPI route crosses sockets.
+const SOCKET_PENALTY_IPI: u64 = 600;
+/// Occupancy (cycles of service) a message deposits on each link it
+/// traverses — the "D" of the M/D/1-style model.
+const SERVICE: u64 = 24;
+/// Occupancy drained from a link between consecutive traversals, the
+/// deterministic stand-in for elapsed time. `DRAIN < SERVICE` means a
+/// saturated link builds backlog.
+const DRAIN: u64 = 16;
+/// Upper bound on the queueing delay charged per link per message.
+const QUEUE_CAP: u64 = 4096;
 
 /// The interconnect shape of the simulated machine.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -81,37 +65,27 @@ pub enum TopologySpec {
     #[default]
     Flat,
     /// Physical cores on a ring; routes take the shorter arc.
-    Ring(LinkParams),
+    Ring,
     /// Physical cores on a near-square 2D grid with XY routing.
-    Mesh(LinkParams),
+    Mesh,
 }
 
 impl TopologySpec {
-    /// A ring with default link parameters.
-    pub fn ring() -> Self {
-        TopologySpec::Ring(LinkParams::default())
-    }
-
-    /// A mesh with default link parameters.
-    pub fn mesh() -> Self {
-        TopologySpec::Mesh(LinkParams::default())
-    }
-
     /// Short label for tables and CLI flags.
     pub fn label(&self) -> &'static str {
         match self {
             TopologySpec::Flat => "flat",
-            TopologySpec::Ring(_) => "ring",
-            TopologySpec::Mesh(_) => "mesh",
+            TopologySpec::Ring => "ring",
+            TopologySpec::Mesh => "mesh",
         }
     }
 
-    /// Parse a CLI label. Ring/mesh get default link parameters.
+    /// Parse a CLI label.
     pub fn parse(s: &str) -> Option<Self> {
         match s {
             "flat" => Some(TopologySpec::Flat),
-            "ring" => Some(TopologySpec::ring()),
-            "mesh" => Some(TopologySpec::mesh()),
+            "ring" => Some(TopologySpec::Ring),
+            "mesh" => Some(TopologySpec::Mesh),
             _ => None,
         }
     }
@@ -119,13 +93,6 @@ impl TopologySpec {
     /// Whether this is the flat reference model.
     pub fn is_flat(&self) -> bool {
         matches!(self, TopologySpec::Flat)
-    }
-
-    fn params(&self) -> Option<&LinkParams> {
-        match self {
-            TopologySpec::Flat => None,
-            TopologySpec::Ring(p) | TopologySpec::Mesh(p) => Some(p),
-        }
     }
 }
 
@@ -208,7 +175,7 @@ impl Interconnect {
         let mut edges = Vec::new();
         match &self.spec {
             TopologySpec::Flat => {}
-            TopologySpec::Ring(_) => {
+            TopologySpec::Ring => {
                 let n = self.phys_count();
                 let fwd = (b + n - a) % n; // hops going clockwise from a
                 let step: i64 = if fwd <= n - fwd { 1 } else { -1 };
@@ -219,7 +186,7 @@ impl Interconnect {
                     cur = next;
                 }
             }
-            TopologySpec::Mesh(_) => {
+            TopologySpec::Mesh => {
                 let w = self.mesh_width();
                 let (ax, ay) = (a % w, a / w);
                 let (bx, by) = (b % w, b / w);
@@ -264,11 +231,13 @@ impl Interconnect {
     /// times path length plus the socket-crossing penalty otherwise.
     /// Returns `None` under flat (no routing metric exists).
     pub fn static_cost(&self, a: CoreId, b: CoreId, ipi: bool) -> Option<u64> {
-        let p = self.spec.params()?;
+        if self.spec.is_flat() {
+            return None;
+        }
         let (hop, penalty) = if ipi {
-            (p.ipi_hop, p.socket_penalty_ipi)
+            (IPI_HOP, SOCKET_PENALTY_IPI)
         } else {
-            (p.cacheline_hop, p.socket_penalty_cacheline)
+            (CACHELINE_HOP, SOCKET_PENALTY_CACHELINE)
         };
         let hops = self.hops(a, b);
         let cross = self.topo.socket_of(a) != self.topo.socket_of(b);
@@ -283,7 +252,6 @@ impl Interconnect {
         if path.is_empty() {
             return 0;
         }
-        let p = self.spec.params().expect("routed topology").clone();
         let mut total = path.len() as u64 * hop_cost;
         if self.topo.socket_of(from) != self.topo.socket_of(to) {
             total += penalty;
@@ -291,9 +259,9 @@ impl Interconnect {
         self.stats.routed_transfers += 1;
         for e in path {
             let q = self.links.entry(e).or_insert(0);
-            *q = q.saturating_sub(p.drain);
-            let wait = (*q).min(p.queue_cap);
-            *q += p.service;
+            *q = q.saturating_sub(DRAIN);
+            let wait = (*q).min(QUEUE_CAP);
+            *q += SERVICE;
             total += wait;
             self.stats.hop_traversals += 1;
             self.stats.queued_cycles += wait;
@@ -313,9 +281,7 @@ impl Interconnect {
         if self.topo.physical_of(from) == self.topo.physical_of(to) {
             return costs.cacheline_local;
         }
-        let p = self.spec.params().expect("routed topology");
-        let (hop, pen) = (p.cacheline_hop, p.socket_penalty_cacheline);
-        Cycles::new(self.route(from, to, hop, pen))
+        Cycles::new(self.route(from, to, CACHELINE_HOP, SOCKET_PENALTY_CACHELINE))
     }
 
     /// Wire latency of an IPI from `from` to `to`. Flat delegates to the
@@ -328,9 +294,7 @@ impl Interconnect {
         if self.topo.physical_of(from) == self.topo.physical_of(to) {
             return costs.ipi_latency(tlbdown_types::Distance::SameCore);
         }
-        let p = self.spec.params().expect("routed topology");
-        let (hop, pen) = (p.ipi_hop, p.socket_penalty_ipi);
-        Cycles::new(self.route(from, to, hop, pen))
+        Cycles::new(self.route(from, to, IPI_HOP, SOCKET_PENALTY_IPI))
     }
 
     /// Canonical iteration over live link occupancies, for digest folding.
@@ -368,7 +332,7 @@ mod tests {
 
     #[test]
     fn ring_distance_scales_with_separation() {
-        let mut ic = paper(TopologySpec::ring());
+        let mut ic = paper(TopologySpec::Ring);
         let c = CostModel::default();
         // Physical neighbours (logical cores 2,3 are phys 1; 4,5 phys 2).
         let near = ic.cacheline_transfer(&c, CoreId(2), CoreId(4));
@@ -385,7 +349,7 @@ mod tests {
 
     #[test]
     fn ring_takes_the_shorter_arc() {
-        let ic = paper(TopologySpec::ring());
+        let ic = paper(TopologySpec::Ring);
         // 28 physical cores: phys 0 → phys 27 is one hop backwards.
         assert_eq!(ic.hops(CoreId(0), CoreId(54)), 1);
         // phys 0 → phys 14 is the diameter.
@@ -394,7 +358,7 @@ mod tests {
 
     #[test]
     fn mesh_routes_xy() {
-        let ic = paper(TopologySpec::mesh());
+        let ic = paper(TopologySpec::Mesh);
         // 28 phys cores → 6-wide grid. phys 0 at (0,0), phys 8 at (2,1):
         // 2 X hops + 1 Y hop.
         assert_eq!(ic.hops(CoreId(0), CoreId(16)), 3);
@@ -402,21 +366,20 @@ mod tests {
 
     #[test]
     fn cross_socket_pays_the_penalty_once() {
-        let ic = paper(TopologySpec::ring());
-        let p = LinkParams::default();
+        let ic = paper(TopologySpec::Ring);
         let same = ic.static_cost(CoreId(0), CoreId(4), false).unwrap();
-        assert_eq!(same, ic.hops(CoreId(0), CoreId(4)) * p.cacheline_hop);
+        assert_eq!(same, ic.hops(CoreId(0), CoreId(4)) * CACHELINE_HOP);
         let cross = ic.static_cost(CoreId(0), CoreId(54), false).unwrap();
         assert_eq!(
             cross,
-            ic.hops(CoreId(0), CoreId(54)) * p.cacheline_hop + p.socket_penalty_cacheline
+            ic.hops(CoreId(0), CoreId(54)) * CACHELINE_HOP + SOCKET_PENALTY_CACHELINE
         );
     }
 
     #[test]
     fn congestion_builds_and_drains_deterministically() {
         let c = CostModel::default();
-        let mut ic = paper(TopologySpec::mesh());
+        let mut ic = paper(TopologySpec::Mesh);
         // Hammer one route: queueing delay must be monotonically
         // non-decreasing while the link saturates (service > drain).
         let first = ic.cacheline_transfer(&c, CoreId(0), CoreId(28));
@@ -430,7 +393,7 @@ mod tests {
         assert!(ic.stats().queued_cycles > 0);
         assert!(ic.stats().peak_queue > 0);
         // Replay from scratch is byte-identical.
-        let mut ic2 = paper(TopologySpec::mesh());
+        let mut ic2 = paper(TopologySpec::Mesh);
         let again = ic2.cacheline_transfer(&c, CoreId(0), CoreId(28));
         assert_eq!(first, again);
     }
@@ -438,7 +401,7 @@ mod tests {
     #[test]
     fn digest_items_are_sorted_and_reflect_traffic() {
         let c = CostModel::default();
-        let mut ic = paper(TopologySpec::ring());
+        let mut ic = paper(TopologySpec::Ring);
         ic.ipi_transfer(&c, CoreId(0), CoreId(8));
         let items: Vec<_> = ic.digest_items().collect();
         assert!(!items.is_empty());
@@ -459,7 +422,7 @@ mod tests {
     proptest! {
         #[test]
         fn mesh_static_cost_is_symmetric(a in 0u32..56, b in 0u32..56) {
-            let ic = paper(TopologySpec::mesh());
+            let ic = paper(TopologySpec::Mesh);
             prop_assert_eq!(
                 ic.static_cost(CoreId(a), CoreId(b), false),
                 ic.static_cost(CoreId(b), CoreId(a), false)
@@ -471,7 +434,7 @@ mod tests {
         fn mesh_static_cost_respects_triangle_inequality(
             a in 0u32..56, b in 0u32..56, c in 0u32..56
         ) {
-            let ic = paper(TopologySpec::mesh());
+            let ic = paper(TopologySpec::Mesh);
             for ipi in [false, true] {
                 let ab = ic.static_cost(CoreId(a), CoreId(b), ipi).unwrap();
                 let bc = ic.static_cost(CoreId(b), CoreId(c), ipi).unwrap();
@@ -484,7 +447,7 @@ mod tests {
         fn ring_static_cost_is_a_metric_too(
             a in 0u32..56, b in 0u32..56, c in 0u32..56
         ) {
-            let ic = paper(TopologySpec::ring());
+            let ic = paper(TopologySpec::Ring);
             let ab = ic.static_cost(CoreId(a), CoreId(b), false).unwrap();
             let ba = ic.static_cost(CoreId(b), CoreId(a), false).unwrap();
             prop_assert_eq!(ab, ba);

@@ -21,6 +21,15 @@ use tlbdown_sim::{Counter, SplitMix64};
 use tlbdown_topo::TopologySpec;
 use tlbdown_types::{CoreId, Cycles, Topology, VirtAddr};
 
+/// Aggregate offered load, requests per simulated second (wrk's rate).
+const OFFERED_RPS: f64 = 150_000.0;
+/// Pages per served file (≤ 3 in the paper).
+const FILE_PAGES: u64 = 3;
+/// Number of distinct files served.
+const FILES: u64 = 64;
+/// Application work per request (parsing, socket handling) in cycles.
+const REQUEST_WORK: u64 = 110_000;
+
 /// Configuration of one Apache run.
 #[derive(Clone, Debug)]
 pub struct ApacheCfg {
@@ -30,14 +39,6 @@ pub struct ApacheCfg {
     pub safe: bool,
     /// Optimizations active.
     pub opts: OptConfig,
-    /// Aggregate offered load, requests per simulated second (wrk's rate).
-    pub offered_rps: f64,
-    /// Pages per served file (≤ 3 in the paper).
-    pub file_pages: u64,
-    /// Number of distinct files served.
-    pub files: u64,
-    /// Application work per request (parsing, socket handling) in cycles.
-    pub request_work: u64,
     /// Simulated duration.
     pub duration: Cycles,
     /// RNG seed.
@@ -54,10 +55,6 @@ impl ApacheCfg {
             cores,
             safe,
             opts,
-            offered_rps: 150_000.0,
-            file_pages: 3,
-            files: 64,
-            request_work: 110_000,
             duration: Cycles::new(10_000_000),
             seed: 0xa9ac4e,
             interconnect: TopologySpec::Flat,
@@ -278,22 +275,22 @@ pub fn run_apache(cfg: &ApacheCfg) -> ApacheResult {
     .with_topology(cfg.interconnect.clone());
     let mut m = Machine::new(kc);
     let mm = m.create_process().expect("boot: create process");
-    let files: Vec<FileId> = (0..cfg.files)
-        .map(|_| m.create_file(cfg.file_pages).expect("boot: create file"))
+    let files: Vec<FileId> = (0..FILES)
+        .map(|_| m.create_file(FILE_PAGES).expect("boot: create file"))
         .collect();
     let stats = Rc::new(RefCell::new(ServeStats::default()));
     let mut rng = SplitMix64::new(cfg.seed);
-    let per_worker_interval = Cycles::FREQ_HZ as f64 / (cfg.offered_rps / cfg.cores as f64);
+    let per_worker_interval = Cycles::FREQ_HZ as f64 / (OFFERED_RPS / cfg.cores as f64);
     for t in 0..cfg.cores {
         let worker = ServeWorker::new(
             files.clone(),
-            cfg.file_pages,
+            FILE_PAGES,
             cfg.duration.as_u64(),
             rng.fork(),
             stats.clone(),
         )
         .open_loop(per_worker_interval)
-        .request_work(cfg.request_work);
+        .request_work(REQUEST_WORK);
         m.spawn(mm, CoreId(t), Box::new(worker));
     }
     m.run_until(cfg.duration);
@@ -320,7 +317,6 @@ mod tests {
     fn quick(cores: u32, opts: OptConfig) -> ApacheResult {
         let mut cfg = ApacheCfg::new(cores, true, opts);
         cfg.duration = Cycles::new(3_000_000);
-        cfg.files = 8;
         run_apache(&cfg)
     }
 
@@ -337,9 +333,8 @@ mod tests {
         // With enough cores, served ≈ offered, not cores × capacity.
         let mut cfg = ApacheCfg::new(20, true, OptConfig::baseline());
         cfg.duration = Cycles::new(4_000_000);
-        cfg.offered_rps = 150_000.0;
         let r = run_apache(&cfg);
-        let offered_in_window = cfg.offered_rps * cfg.duration.as_secs_f64();
+        let offered_in_window = OFFERED_RPS * cfg.duration.as_secs_f64();
         assert!(
             (r.requests as f64) < offered_in_window * 1.15,
             "served {} cannot exceed offered {offered_in_window:.0} by much",
@@ -359,8 +354,7 @@ mod tests {
     fn mesh_interconnect_replays_byte_identically() {
         let mut cfg = ApacheCfg::new(2, true, OptConfig::baseline());
         cfg.duration = Cycles::new(2_000_000);
-        cfg.files = 8;
-        cfg.interconnect = TopologySpec::mesh();
+        cfg.interconnect = TopologySpec::Mesh;
         let a = run_apache(&cfg);
         let b = run_apache(&cfg);
         assert!(a.requests > 0);

@@ -24,16 +24,18 @@ use tlbdown_kernel::Syscall;
 use tlbdown_sim::SplitMix64;
 use tlbdown_types::{Cycles, VirtAddr};
 
+/// Pages each tenant generation maps (its working set).
+const PAGES: u64 = 8;
+/// Upper bound of the compute between one generation's exit and the
+/// next one's spawn, in cycles; jittered from the seed.
+const RESPAWN_THINK: u64 = 200;
+/// Compute a generation performs before exiting ("the process ran"), in
+/// cycles; jittered per generation from the seed.
+const LIFETIME_WORK: u64 = 30_000;
+
 /// Configuration of one tenant-churn slot.
 #[derive(Clone, Debug)]
 pub struct ChurnCfg {
-    /// Pages each tenant generation maps (its working set).
-    pub pages: u64,
-    /// Mean compute between a generation's page touches, in cycles.
-    pub touch_think: u64,
-    /// Compute a generation performs before exiting ("the process ran"),
-    /// in cycles; jittered per generation from the seed.
-    pub lifetime_work: u64,
     /// Simulated time at which the slot stops spawning generations.
     pub deadline: Cycles,
     /// Seed for the slot's jitter stream.
@@ -44,13 +46,7 @@ impl ChurnCfg {
     /// A brisk churn slot: small working sets, short lifetimes — the
     /// turnover itself, not the tenant's work, dominates.
     pub fn brisk(deadline: Cycles, seed: u64) -> Self {
-        ChurnCfg {
-            pages: 8,
-            touch_think: 200,
-            lifetime_work: 30_000,
-            deadline,
-            seed,
-        }
+        ChurnCfg { deadline, seed }
     }
 }
 
@@ -90,9 +86,7 @@ impl Prog for ChurnProg {
                     return ProgAction::Exit;
                 }
                 self.state = 1;
-                ProgAction::Syscall(Syscall::MmapAnon {
-                    pages: self.cfg.pages,
-                })
+                ProgAction::Syscall(Syscall::MmapAnon { pages: PAGES })
             }
             1 => {
                 self.addr = ctx.retval;
@@ -102,14 +96,14 @@ impl Prog for ChurnProg {
             }
             // Fault the working set in, a page at a time with think gaps.
             2 => {
-                if self.touch < self.cfg.pages {
+                if self.touch < PAGES {
                     let va = VirtAddr::new(self.addr + self.touch * 4096);
                     self.touch += 1;
                     ProgAction::Access { va, write: true }
                 } else {
                     self.state = 3;
-                    let jitter = self.rng.gen_range(self.cfg.lifetime_work.max(1));
-                    ProgAction::Compute(Cycles::new(self.cfg.lifetime_work + jitter))
+                    let jitter = self.rng.gen_range(LIFETIME_WORK);
+                    ProgAction::Compute(Cycles::new(LIFETIME_WORK + jitter))
                 }
             }
             // The generation "exits": unmap everything at once.
@@ -117,15 +111,13 @@ impl Prog for ChurnProg {
                 self.state = 4;
                 ProgAction::Syscall(Syscall::Munmap {
                     addr: VirtAddr::new(self.addr),
-                    pages: self.cfg.pages,
+                    pages: PAGES,
                 })
             }
             4 => {
                 self.turnovers.set(self.turnovers.get() + 1);
                 self.state = 0;
-                ProgAction::Compute(Cycles::new(
-                    1 + self.rng.gen_range(self.cfg.touch_think.max(1)),
-                ))
+                ProgAction::Compute(Cycles::new(1 + self.rng.gen_range(RESPAWN_THINK)))
             }
             _ => ProgAction::Exit,
         }

@@ -278,6 +278,11 @@ impl Prog for ThpInitiator {
     }
 }
 
+/// Sockets of the scale tier.
+const SCALE_TIER_SOCKETS: u32 = 2;
+/// SMT ways of the scale tier's cores.
+const SCALE_TIER_SMT: u32 = 2;
+
 /// Configuration of the dual-socket scale tier: a machine far beyond the
 /// paper's 2×28 evaluation box, every core busy, a handful of madvise
 /// initiators broadcasting shootdowns into a single shared mm, run until
@@ -286,12 +291,8 @@ impl Prog for ThpInitiator {
 /// so the run measures (and stresses) the event queue itself.
 #[derive(Clone, Debug)]
 pub struct ScaleTierCfg {
-    /// Socket count.
-    pub sockets: u32,
-    /// Logical cores per socket.
+    /// Logical cores per socket (2-way SMT).
     pub logical_per_socket: u32,
-    /// SMT ways.
-    pub smt: u32,
     /// How many cores run the madvise initiator (evenly spaced; the
     /// rest run busy loops that absorb the IPIs).
     pub initiators: u32,
@@ -336,9 +337,7 @@ impl ScaleTierCfg {
     /// million engine dispatches.
     pub fn dual_socket_56(target_events: u64) -> Self {
         ScaleTierCfg {
-            sockets: 2,
             logical_per_socket: 56,
-            smt: 2,
             initiators: 4,
             ptes: 10,
             target_events,
@@ -358,19 +357,12 @@ impl ScaleTierCfg {
     /// exercising cross-socket broadcast shootdowns under full load.
     pub fn smoke() -> Self {
         ScaleTierCfg {
-            sockets: 2,
             logical_per_socket: 8,
-            smt: 2,
             initiators: 2,
             ptes: 4,
             target_events: 40_000,
             ..Self::dual_socket_56(0)
         }
-    }
-
-    /// Total logical cores in the tier.
-    pub fn num_cores(&self) -> u32 {
-        self.sockets * self.logical_per_socket
     }
 }
 
@@ -408,7 +400,7 @@ pub struct ScaleTierResult {
 /// Fails with a typed [`SimError`] on a misconfigured tier, a boot that
 /// cannot allocate, or an oracle violation at scale.
 pub fn run_scale_tier(cfg: &ScaleTierCfg) -> SimResult<ScaleTierResult> {
-    let topo = Topology::new(cfg.sockets, cfg.logical_per_socket).with_smt(cfg.smt);
+    let topo = Topology::new(SCALE_TIER_SOCKETS, cfg.logical_per_socket).with_smt(SCALE_TIER_SMT);
     let n = topo.num_cores();
     if cfg.initiators < 1 || cfg.initiators > n {
         return Err(SimError::InvalidArgument(format!(
@@ -516,6 +508,11 @@ impl Prog for ChurnReader {
     }
 }
 
+/// Cores of the reuse-churn machine: core 0 churns, the rest read the
+/// working set in the same mm and absorb whatever IPIs the churn still
+/// sends.
+const REUSE_CHURN_CORES: u32 = 4;
+
 /// Configuration of the reuse-heavy churn adversary: one initiator
 /// cycling a fixed working set through touch → `madvise(MADV_DONTNEED)`
 /// → re-touch of the *same* mapping, forever re-creating the exact
@@ -526,9 +523,6 @@ impl Prog for ChurnReader {
 /// real flush.
 #[derive(Clone, Debug)]
 pub struct ReuseChurnCfg {
-    /// Total cores; core 0 churns, the rest busy-wait in the same mm
-    /// and absorb whatever IPIs the churn still sends.
-    pub cores: u32,
     /// Pages in the churned working set.
     pub working_set_pages: u64,
     /// Reuse-window capacity the kernel runs with (the pressure knob:
@@ -550,7 +544,6 @@ impl ReuseChurnCfg {
     /// shootdown.
     pub fn fitting(opts: OptConfig) -> Self {
         ReuseChurnCfg {
-            cores: 4,
             working_set_pages: 8,
             reuse_window_cap: 16,
             iters: 40,
@@ -602,17 +595,12 @@ pub struct ReuseChurnResult {
 /// Fails with a typed [`SimError`] on a misconfigured cell, a boot that
 /// cannot allocate, or an oracle violation.
 pub fn run_reuse_churn(cfg: &ReuseChurnCfg) -> SimResult<ReuseChurnResult> {
-    if cfg.cores < 2 {
-        return Err(SimError::InvalidArgument(
-            "reuse churn needs an initiator and at least one responder".into(),
-        ));
-    }
     if cfg.working_set_pages < 1 || cfg.reuse_window_cap < 1 {
         return Err(SimError::InvalidArgument(
             "reuse churn needs a non-empty working set and window".into(),
         ));
     }
-    let kc = KernelConfig::test_machine(cfg.cores)
+    let kc = KernelConfig::test_machine(REUSE_CHURN_CORES)
         .with_opts(cfg.opts)
         .with_safe_mode(cfg.safe)
         .with_reuse_window_cap(cfg.reuse_window_cap);
@@ -627,7 +615,7 @@ pub fn run_reuse_churn(cfg: &ReuseChurnCfg) -> SimResult<ReuseChurnResult> {
         .with_jitter(rng)
         .premapped(addr);
     m.spawn(mm, CoreId(0), Box::new(initiator));
-    for core in 1..cfg.cores {
+    for core in 1..REUSE_CHURN_CORES {
         m.spawn(
             mm,
             CoreId(core),
@@ -744,7 +732,7 @@ mod tests {
     fn mesh_scale_tier_diverges_from_flat_but_replays_byte_identically() {
         let flat_cfg = ScaleTierCfg::smoke();
         let mut mesh_cfg = flat_cfg.clone();
-        mesh_cfg.interconnect = TopologySpec::mesh();
+        mesh_cfg.interconnect = TopologySpec::Mesh;
         let flat = run_scale_tier(&flat_cfg).expect("flat tier runs clean");
         let a = run_scale_tier(&mesh_cfg).expect("mesh tier runs clean");
         let b = run_scale_tier(&mesh_cfg).expect("mesh tier runs clean");

@@ -16,10 +16,10 @@
 //!   victim's shared-file working set (same mm as the victims — the
 //!   monitor is a co-resident thread, as in a deduplicating hypervisor
 //!   or a malicious runtime);
-//! - **victim cores** write through the working set in a configurable
-//!   pattern ([`AccessPattern`]): each write to a protected page faults
-//!   down the `re_dirty` path, re-enabling the page until the next
-//!   protect burst;
+//! - **victim cores** write through the working set in the intensity's
+//!   pattern (sequential, strided or hot-set): each write to a protected
+//!   page faults down the `re_dirty` path, re-enabling the page until
+//!   the next protect burst;
 //! - **bystander cores** serve Apache-style traffic (mmap / touch /
 //!   send / munmap of small files) in a *separate* mm — collateral
 //!   damage is visible as lost bystander throughput, not correctness.
@@ -46,9 +46,20 @@ use tlbdown_types::{CoreId, Cycles, SimError, SimResult, VirtAddr};
 
 use crate::apache::{ServeStats, ServeWorker};
 
+/// Cores on the storm machine.
+const CORES: u32 = 8;
+/// Cores running the victim access loop.
+const VICTIMS: u32 = 2;
+/// Pages per bystander-served file.
+const BYSTANDER_FILE_PAGES: u64 = 3;
+/// Post-deadline drain window: in-flight shootdowns (including full
+/// watchdog escalations) must complete within it or the run is declared
+/// wedged.
+const DRAIN: Cycles = Cycles::new(16_000_000);
+
 /// How a victim walks its working set.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum AccessPattern {
+enum AccessPattern {
     /// Page `i`, `i+1`, ... wrapping — the prefetch-friendly baseline.
     Sequential,
     /// Fixed stride through the set (TLB-hostile; stride should be
@@ -67,15 +78,6 @@ pub enum AccessPattern {
 }
 
 impl AccessPattern {
-    /// Short label for tables.
-    pub fn label(self) -> &'static str {
-        match self {
-            AccessPattern::Sequential => "sequential",
-            AccessPattern::Strided { .. } => "strided",
-            AccessPattern::HotSet { .. } => "hot-set",
-        }
-    }
-
     /// The next page index after `idx` for a set of `pages` pages.
     fn next(self, idx: u64, pages: u64, rng: &mut SplitMix64) -> u64 {
         match self {
@@ -139,23 +141,22 @@ impl AutonumaIntensity {
             AutonumaIntensity::Storm => (1, 16, 8_000),
         }
     }
-
-    /// Scanner cores this intensity claims.
-    pub fn scanners(self) -> u32 {
-        self.params().0
-    }
 }
 
-/// Named storm intensities (the survival matrix's first axis).
+/// Named storm intensities (the survival matrix's first axis). Each
+/// fixes the cell's shape: monitor count, working set, think times and
+/// the victims' access pattern.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum StormIntensity {
     /// One monitor, long think time: an attacker pacing itself below
-    /// the storm detector's radar.
+    /// the storm detector's radar. Victims walk a 16-page set in order.
     Mild,
     /// One monitor at single-step rates: the detector's design point.
+    /// Victims stride through a 32-page set.
     Brisk,
     /// Two monitors hammering the same set with near-zero think time:
-    /// the densest IPI storm the pack produces.
+    /// the densest IPI storm the pack produces. Victims mostly hit an
+    /// 8-page hot set of a 64-page working set.
     Savage,
 }
 
@@ -175,30 +176,37 @@ impl StormIntensity {
             StormIntensity::Savage => "savage",
         }
     }
+
+    /// `(monitor cores, working-set pages, monitor think cycles, victim
+    /// think cycles)` for the intensity. The monitor think time between
+    /// protect-toggle syscalls is the storm-intensity knob: smaller means
+    /// denser shootdowns.
+    fn params(self) -> (u32, u64, u64, u64) {
+        match self {
+            StormIntensity::Mild => (1, 16, 150_000, 800),
+            StormIntensity::Brisk => (1, 32, 40_000, 400),
+            StormIntensity::Savage => (2, 64, 10_000, 200),
+        }
+    }
+
+    /// How the intensity's victims walk the working set.
+    fn pattern(self) -> AccessPattern {
+        match self {
+            StormIntensity::Mild => AccessPattern::Sequential,
+            StormIntensity::Brisk => AccessPattern::Strided { stride: 7 },
+            StormIntensity::Savage => AccessPattern::HotSet { hot_pages: 8 },
+        }
+    }
 }
 
-/// Configuration of one storm cell.
+/// Configuration of one storm cell on an 8-core machine: the monitors
+/// and two victims first, then the AutoNUMA scanners, and every remaining
+/// core serves bystander traffic.
 #[derive(Clone, Debug)]
 pub struct StormCfg {
-    /// Total cores (single-socket test topology).
-    pub cores: u32,
-    /// Cores running the protect/unprotect monitor loop.
-    pub monitors: u32,
-    /// Cores running the victim access loop.
-    pub victims: u32,
-    /// Cores serving Apache-style bystander traffic (the rest idle).
-    pub bystanders: u32,
-    /// Victim working-set size, in pages.
-    pub working_set_pages: u64,
-    /// Victim access pattern.
-    pub pattern: AccessPattern,
-    /// Monitor think time between protect-toggle syscalls, in cycles
-    /// (the storm-intensity knob: smaller ⇒ denser shootdowns).
-    pub monitor_think: u64,
-    /// Victim think time between writes, in cycles.
-    pub victim_think: u64,
-    /// Pages per bystander-served file.
-    pub bystander_file_pages: u64,
+    /// The storm's shape: monitors, working set, think times and the
+    /// victims' access pattern.
+    pub intensity: StormIntensity,
     /// Optimizations active.
     pub opts: OptConfig,
     /// Mitigations on?
@@ -213,10 +221,6 @@ pub struct StormCfg {
     pub watchdog: WatchdogConfig,
     /// Workload deadline: programs exit at this simulated time.
     pub duration: Cycles,
-    /// Post-deadline drain window: in-flight shootdowns (including full
-    /// watchdog escalations) must complete within it or the run is
-    /// declared wedged.
-    pub drain: Cycles,
     /// Seed for victim/bystander jitter streams.
     pub seed: u64,
     /// Interconnect model routing the storm's IPIs. `Flat` keeps every
@@ -226,10 +230,10 @@ pub struct StormCfg {
     pub interconnect: TopologySpec,
     /// AutoNUMA migration-storm axis. `Off` (the default everywhere a
     /// cell is byte-pinned) leaves the machine exactly as it was before
-    /// the axis existed; use [`StormCfg::with_autonuma`] to claim the
-    /// balancer's core from the bystander population.
+    /// the axis existed. The balancer's cores come out of the bystander
+    /// population.
     pub autonuma: AutonumaIntensity,
-    /// Sockets the `cores` split across (1 keeps the pinned cells'
+    /// Sockets the cores split across (1 keeps the pinned cells'
     /// single-socket topology; 2+ makes every balancer protect and
     /// hinting fault cross the socket boundary, which is what numaPTE's
     /// replica sync at opt level 8 exists to survive).
@@ -237,28 +241,10 @@ pub struct StormCfg {
 }
 
 impl StormCfg {
-    /// A storm cell at the given intensity on an 8-core box.
+    /// A storm cell at the given intensity.
     pub fn new(intensity: StormIntensity, opts: OptConfig) -> Self {
-        let (monitors, working_set_pages, monitor_think, victim_think) = match intensity {
-            StormIntensity::Mild => (1, 16, 150_000, 800),
-            StormIntensity::Brisk => (1, 32, 40_000, 400),
-            StormIntensity::Savage => (2, 64, 10_000, 200),
-        };
-        let pattern = match intensity {
-            StormIntensity::Mild => AccessPattern::Sequential,
-            StormIntensity::Brisk => AccessPattern::Strided { stride: 7 },
-            StormIntensity::Savage => AccessPattern::HotSet { hot_pages: 8 },
-        };
         StormCfg {
-            cores: 8,
-            monitors,
-            victims: 2,
-            bystanders: 8 - monitors - 2,
-            working_set_pages,
-            pattern,
-            monitor_think,
-            victim_think,
-            bystander_file_pages: 3,
+            intensity,
             opts,
             safe: true,
             fault: FaultSpec::none(),
@@ -271,7 +257,6 @@ impl StormCfg {
                 ..WatchdogConfig::default()
             },
             duration: Cycles::new(4_000_000),
-            drain: Cycles::new(16_000_000),
             seed: 0x5e75_7e9b,
             interconnect: TopologySpec::Flat,
             autonuma: AutonumaIntensity::Off,
@@ -279,13 +264,9 @@ impl StormCfg {
         }
     }
 
-    /// Layer an AutoNUMA balancer onto the cell, trading bystander
-    /// cores for the scanners the intensity claims (and returning them
-    /// when the intensity drops).
+    /// Layer an AutoNUMA balancer onto the cell.
     pub fn with_autonuma(mut self, intensity: AutonumaIntensity) -> Self {
-        self.bystanders += self.autonuma.scanners();
         self.autonuma = intensity;
-        self.bystanders = self.bystanders.saturating_sub(intensity.scanners());
         self
     }
 }
@@ -457,22 +438,13 @@ impl Prog for VictimProg {
 /// Fails with a typed [`SimError`] on a misconfigured cell or a boot
 /// that cannot allocate, instead of panicking mid-sweep.
 pub fn run_storm(cfg: &StormCfg) -> SimResult<StormResult> {
-    if cfg.monitors < 1 || cfg.victims < 1 {
-        return Err(SimError::InvalidArgument(
-            "a storm needs at least one monitor and one victim".into(),
-        ));
-    }
+    let (monitors, working_set_pages, monitor_think, victim_think) = cfg.intensity.params();
     let (scanners, scan_chunk, scan_think) = cfg.autonuma.params();
-    if cfg.monitors + cfg.victims + cfg.bystanders + scanners > cfg.cores {
+    let bystanders = CORES - monitors - VICTIMS - scanners;
+    if cfg.sockets < 1 || !CORES.is_multiple_of(cfg.sockets) {
         return Err(SimError::InvalidArgument(format!(
-            "core populations {}+{}+{}+{scanners} exceed the {}-core machine",
-            cfg.monitors, cfg.victims, cfg.bystanders, cfg.cores
-        )));
-    }
-    if cfg.sockets < 1 || !cfg.cores.is_multiple_of(cfg.sockets) {
-        return Err(SimError::InvalidArgument(format!(
-            "{} cores do not split evenly across {} sockets",
-            cfg.cores, cfg.sockets
+            "{CORES} cores do not split evenly across {} sockets",
+            cfg.sockets
         )));
     }
     let chaos = ChaosConfig {
@@ -480,13 +452,13 @@ pub fn run_storm(cfg: &StormCfg) -> SimResult<StormResult> {
         fault_seed: cfg.fault_seed,
         watchdog: cfg.watchdog.clone(),
     };
-    let mut kc = KernelConfig::test_machine(cfg.cores)
+    let mut kc = KernelConfig::test_machine(CORES)
         .with_opts(cfg.opts)
         .with_safe_mode(cfg.safe)
         .with_chaos(chaos)
         .with_topology(cfg.interconnect.clone());
     if cfg.sockets > 1 {
-        kc.topo = tlbdown_types::Topology::new(cfg.sockets, cfg.cores / cfg.sockets);
+        kc.topo = tlbdown_types::Topology::new(cfg.sockets, CORES / cfg.sockets);
     }
     kc.seed = cfg.seed;
     let mut m = Machine::new(kc);
@@ -495,18 +467,18 @@ pub fn run_storm(cfg: &StormCfg) -> SimResult<StormResult> {
     // working set is a shared file mapping so write-protect faults
     // resolve down the `re_dirty` path instead of segfaulting.
     let victim_mm = m.create_process()?;
-    let ws_file = m.create_file(cfg.working_set_pages)?;
+    let ws_file = m.create_file(working_set_pages)?;
     let ws_addr = m.setup_map_file(victim_mm, ws_file, true)?;
     let deadline = cfg.duration.as_u64();
     let mut next_core = 0u32;
-    for _ in 0..cfg.monitors {
+    for _ in 0..monitors {
         m.spawn(
             victim_mm,
             CoreId(next_core),
             Box::new(MonitorProg {
                 addr: ws_addr.0,
-                pages: cfg.working_set_pages,
-                think: cfg.monitor_think,
+                pages: working_set_pages,
+                think: monitor_think,
                 deadline,
                 state: 0,
             }),
@@ -514,15 +486,15 @@ pub fn run_storm(cfg: &StormCfg) -> SimResult<StormResult> {
         next_core += 1;
     }
     let mut rng = SplitMix64::new(cfg.seed ^ 0x9e37_79b9_7f4a_7c15);
-    for _ in 0..cfg.victims {
+    for _ in 0..VICTIMS {
         m.spawn(
             victim_mm,
             CoreId(next_core),
             Box::new(VictimProg {
                 addr: ws_addr.0,
-                pages: cfg.working_set_pages,
-                pattern: cfg.pattern,
-                think: cfg.victim_think,
+                pages: working_set_pages,
+                pattern: cfg.intensity.pattern(),
+                think: victim_think,
                 deadline,
                 idx: 0,
                 rng: rng.fork(),
@@ -542,8 +514,8 @@ pub fn run_storm(cfg: &StormCfg) -> SimResult<StormResult> {
             CoreId(next_core),
             Box::new(AutonumaScannerProg {
                 addr: ws_addr.0,
-                pages: cfg.working_set_pages,
-                chunk: scan_chunk.clamp(1, cfg.working_set_pages),
+                pages: working_set_pages,
+                chunk: scan_chunk.clamp(1, working_set_pages),
                 think: scan_think,
                 deadline,
                 pos: 0,
@@ -557,16 +529,16 @@ pub fn run_storm(cfg: &StormCfg) -> SimResult<StormResult> {
     // Bystander mm: separate process, separate files — its shootdowns
     // are its own; the storm reaches it only through shared hardware.
     let served = Rc::new(RefCell::new(ServeStats::default()));
-    if cfg.bystanders > 0 {
+    if bystanders > 0 {
         let by_mm = m.create_process()?;
         let mut files: Vec<FileId> = Vec::with_capacity(8);
         for _ in 0..8 {
-            files.push(m.create_file(cfg.bystander_file_pages)?);
+            files.push(m.create_file(BYSTANDER_FILE_PAGES)?);
         }
-        for _ in 0..cfg.bystanders {
+        for _ in 0..bystanders {
             let worker = ServeWorker::new(
                 files.clone(),
-                cfg.bystander_file_pages,
+                BYSTANDER_FILE_PAGES,
                 deadline,
                 rng.fork(),
                 served.clone(),
@@ -580,7 +552,7 @@ pub fn run_storm(cfg: &StormCfg) -> SimResult<StormResult> {
     // Drain: whatever the storm left in flight — including a watchdog
     // chain walking the full widen/retry/degrade ladder — must settle
     // within the drain window.
-    m.run_until(cfg.duration + cfg.drain);
+    m.run_until(cfg.duration + DRAIN);
 
     let wedged = !m.shootdowns.is_empty()
         || m.cpus
@@ -665,7 +637,7 @@ mod tests {
         let cfg = {
             let mut c = StormCfg::new(StormIntensity::Savage, OptConfig::all());
             c.duration = Cycles::new(1_200_000);
-            c.interconnect = TopologySpec::mesh();
+            c.interconnect = TopologySpec::Mesh;
             c
         };
         let a = run_storm(&cfg).expect("mesh storm runs clean");
@@ -764,17 +736,13 @@ mod tests {
 
     #[test]
     fn every_pattern_produces_faults() {
-        for pattern in [
-            AccessPattern::Sequential,
-            AccessPattern::Strided { stride: 7 },
-            AccessPattern::HotSet { hot_pages: 4 },
-        ] {
-            let mut cfg = StormCfg::new(StormIntensity::Brisk, OptConfig::baseline());
-            cfg.pattern = pattern;
+        // Each intensity's victims walk in their own access pattern.
+        for intensity in StormIntensity::ALL {
+            let mut cfg = StormCfg::new(intensity, OptConfig::baseline());
             cfg.duration = Cycles::new(1_200_000);
             let r = run_storm(&cfg).expect("storm runs clean");
-            assert_eq!(r.violations, 0, "{}", pattern.label());
-            assert!(r.victim_faults > 0, "{}: no faults", pattern.label());
+            assert_eq!(r.violations, 0, "{}", intensity.label());
+            assert!(r.victim_faults > 0, "{}: no faults", intensity.label());
         }
     }
 }

@@ -18,6 +18,18 @@ use tlbdown_sim::{Counter, SplitMix64};
 use tlbdown_topo::TopologySpec;
 use tlbdown_types::{CoreId, Cycles, Topology, VirtAddr};
 
+/// File size in 4KB pages, 32MB (a scaled-down stand-in for the paper's
+/// 3GB file; the flush dynamics depend on dirty-page counts, not file
+/// size).
+const FILE_PAGES: u64 = 8192;
+/// Writes between `fdatasync` calls (sysbench's default cadence).
+const FSYNC_EVERY: u64 = 8;
+/// Application think-time per write, in cycles (sysbench row generation,
+/// checksumming and block I/O bookkeeping around each write; calibrated
+/// so kernel TLB work is ≈20–25% of runtime, the regime in which the
+/// paper's Figure 10 magnitudes arise).
+const THINK: u64 = 12_000;
+
 /// Configuration of one Sysbench run.
 #[derive(Clone, Debug)]
 pub struct SysbenchCfg {
@@ -27,19 +39,8 @@ pub struct SysbenchCfg {
     pub safe: bool,
     /// Optimizations active.
     pub opts: OptConfig,
-    /// File size in 4KB pages (a scaled-down stand-in for the paper's 3GB
-    /// file; the flush dynamics depend on dirty-page counts, not file
-    /// size).
-    pub file_pages: u64,
-    /// Writes between `fdatasync` calls (sysbench's default cadence).
-    pub fsync_every: u64,
     /// Simulated duration.
     pub duration: Cycles,
-    /// Application think-time per write, in cycles (sysbench row
-    /// generation, checksumming and block I/O bookkeeping around each
-    /// write; calibrated so kernel TLB work is ≈20–25% of runtime, the
-    /// regime in which the paper's Figure 10 magnitudes arise).
-    pub think: u64,
     /// RNG seed.
     pub seed: u64,
     /// Interconnect model; `Flat` keeps the run byte-identical to the
@@ -54,10 +55,7 @@ impl SysbenchCfg {
             threads,
             safe,
             opts,
-            file_pages: 8192, // 32MB
-            fsync_every: 8,
             duration: Cycles::new(12_000_000),
-            think: 12_000,
             seed: 0x5b,
             interconnect: TopologySpec::Flat,
         }
@@ -83,9 +81,6 @@ pub struct SysbenchResult {
 struct Worker {
     addr: u64,
     file: FileId,
-    file_pages: u64,
-    fsync_every: u64,
-    think: u64,
     rng: SplitMix64,
     writes_since_sync: u64,
     ops: Rc<Cell<u64>>,
@@ -98,7 +93,7 @@ impl Prog for Worker {
             0 => {
                 // Write a random page.
                 self.state = 1;
-                let page = self.rng.gen_range(self.file_pages);
+                let page = self.rng.gen_range(FILE_PAGES);
                 ProgAction::Access {
                     va: VirtAddr::new(self.addr + page * 4096),
                     write: true,
@@ -107,12 +102,12 @@ impl Prog for Worker {
             1 => {
                 self.ops.set(self.ops.get() + 1);
                 self.writes_since_sync += 1;
-                self.state = if self.writes_since_sync >= self.fsync_every {
+                self.state = if self.writes_since_sync >= FSYNC_EVERY {
                     2
                 } else {
                     0
                 };
-                ProgAction::Compute(Cycles::new(self.think))
+                ProgAction::Compute(Cycles::new(THINK))
             }
             2 => {
                 self.writes_since_sync = 0;
@@ -139,7 +134,7 @@ pub fn run_sysbench(cfg: &SysbenchCfg) -> SysbenchResult {
     .with_topology(cfg.interconnect.clone());
     let mut m = Machine::new(kc);
     let mm = m.create_process().expect("boot: create process");
-    let file = m.create_file(cfg.file_pages).expect("boot: create file");
+    let file = m.create_file(FILE_PAGES).expect("boot: create file");
     let addr = m.setup_map_file(mm, file, true).expect("boot: map file"); // MAP_SHARED
     let ops = Rc::new(Cell::new(0u64));
     let mut rng = SplitMix64::new(cfg.seed);
@@ -150,9 +145,6 @@ pub fn run_sysbench(cfg: &SysbenchCfg) -> SysbenchResult {
             Box::new(Worker {
                 addr: addr.as_u64(),
                 file,
-                file_pages: cfg.file_pages,
-                fsync_every: cfg.fsync_every,
-                think: cfg.think,
                 rng: rng.fork(),
                 writes_since_sync: 0,
                 ops: ops.clone(),
@@ -184,7 +176,6 @@ mod tests {
     fn quick(threads: u32, safe: bool, opts: OptConfig) -> SysbenchResult {
         let mut cfg = SysbenchCfg::new(threads, safe, opts);
         cfg.duration = Cycles::new(2_000_000);
-        cfg.file_pages = 2048;
         run_sysbench(&cfg)
     }
 

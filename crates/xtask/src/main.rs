@@ -3,11 +3,6 @@
 //! - `cargo xtask fmt` — the formatting gate: `cargo fmt --all -- --check`.
 //! - `cargo xtask clippy` — the lint gate: `cargo clippy --all-targets`
 //!   with warnings promoted to errors.
-//! - `cargo xtask replay [seed]` — the determinism gate: run the chaos
-//!   stress workload twice from the same seed and require byte-identical
-//!   stats output. Any hidden nondeterminism (hash-map iteration order
-//!   leaking into scheduling, wall-clock use, an unseeded RNG) shows up
-//!   here as a diff.
 //! - `cargo xtask explore [--threads N] [--out PATH]` — the
 //!   model-checking gate: bounded schedule exploration of the shootdown
 //!   protocols at every cumulative optimization level (zero violations
@@ -16,12 +11,12 @@
 //!   machine-readable summary to `explore_report.json`.
 //! - `cargo xtask trace [--out PATH]` — the tracing gate: capture the
 //!   calibrated dueling-madvise workload at every cumulative optimization
-//!   level, require exact per-phase attribution (sums to end-to-end
-//!   latency for every shootdown), byte-identical exports across replays
-//!   and pool thread counts, Chrome trace_event schema validity with a
-//!   strict-parser round-trip, and a clean compile of the kernel with
-//!   tracing compiled out. Prints the paper-style "where did the cycles
-//!   go" table and writes a sample `.trace.json` (opens in Perfetto).
+//!   level, print the paper-style "where did the cycles go" table, write
+//!   a sample `.trace.json` (opens in Perfetto) and require a clean
+//!   compile of the kernel with tracing compiled out. Exact attribution,
+//!   replay, thread-count invariance and the export's schema are tier-1
+//!   tests (`check/tests/trace_phases.rs`,
+//!   `bench/tests/trace_determinism.rs`).
 //! - `cargo xtask <snapshot gate> [--scale quick|full] [--out PATH]` —
 //!   one row of [`ENTRIES`] each, every one run by [`snapshot_gate`]:
 //!   - `bench` (`BENCH_1.json`, quick): the calibrated paper matrix —
@@ -60,8 +55,8 @@
 //!   bounded at [`WALL_TOLERANCE`]× the baseline's unless something was
 //!   carried; (5) write the 1-thread snapshot to `--out`, only if every
 //!   step passed.
-//! - `cargo xtask ci [seed] [--gates fast|full]` — every gate above.
-//!   `--gates fast` runs the PR-blocking tier (fmt, clippy, replay);
+//! - `cargo xtask ci [--gates fast|full]` — every gate above.
+//!   `--gates fast` runs the PR-blocking tier (fmt, clippy);
 //!   `--gates full` runs explore, the six snapshot gates at
 //!   their CI scales, and trace; omitting the flag runs both tiers. All
 //!   selected gates run even if an early one fails; a final table
@@ -82,23 +77,18 @@ use tlbdown_bench::{
     bench_jobs, bench_matrix, optbench_levels, optbench_matrix, scale_matrix, storm_matrix,
     topobench_matrix, MatrixJob, Scale,
 };
-use tlbdown_check::explore::render_diff;
 use tlbdown_check::gate::{
     per_level_bounds, CanaryReport, GateReport, LevelReport, CANARIES, DEFAULT_BUDGET,
 };
 use tlbdown_check::{explore_opt_level, explore_opt_level_mesh, Bounds};
 use tlbdown_core::OptConfig;
-use tlbdown_fleet::{run_fleet, FleetCfg, FleetFaultSpec};
-use tlbdown_kernel::chaos::ChaosConfig;
-use tlbdown_kernel::prog::{BusyLoopProg, MadviseLoopProg};
-use tlbdown_kernel::{InjectedBug, KernelConfig, Machine};
+use tlbdown_fleet::{run_fleet, FleetCfg, FleetFaultSpec, CHURN_SLOTS, WINDOW, WORKERS};
+use tlbdown_kernel::InjectedBug;
 use tlbdown_sim::fault::FaultSpec;
-use tlbdown_sweep::{reduce_rendered, resolve_threads, run_jobs, Job, Json};
+use tlbdown_sweep::{resolve_threads, run_jobs, Job, Json};
 use tlbdown_trace::{
-    analyze, render_attribution_table, render_phase_diff, to_chrome_json, validate_chrome,
-    PhaseTotals, Trace,
+    analyze, render_attribution_table, render_phase_diff, to_chrome_json, PhaseTotals, Trace,
 };
-use tlbdown_types::{CoreId, Cycles};
 use tlbdown_workloads::storm::StormIntensity;
 
 /// Maximum choices allowed in the shrunk canary counterexample.
@@ -118,7 +108,6 @@ fn main() -> ExitCode {
     let ok = match args.first().map(String::as_str) {
         Some("fmt") => fmt(),
         Some("clippy") => clippy(),
-        Some("replay") => replay(parse_seed(positional(&args, 1))),
         Some("explore") => explore_gate(
             parse_threads(&args),
             &flag(&args, "--out").unwrap_or_else(|| "explore_report.json".into()),
@@ -126,7 +115,7 @@ fn main() -> ExitCode {
         Some("trace") => {
             trace_gate(&flag(&args, "--out").unwrap_or_else(|| "sample.trace.json".into()))
         }
-        Some("ci") => return ci(parse_seed(positional(&args, 1)), parse_gates(&args)),
+        Some("ci") => return ci(parse_gates(&args)),
         cmd => match ENTRIES.iter().find(|e| Some(e.name) == cmd) {
             Some(entry) => snapshot_gate(
                 entry,
@@ -137,9 +126,9 @@ fn main() -> ExitCode {
             None => {
                 let names: Vec<&str> = ENTRIES.iter().map(|e| e.name).collect();
                 eprintln!(
-                    "usage: cargo xtask <fmt | clippy | replay [seed] | \
+                    "usage: cargo xtask <fmt | clippy | \
                      explore [--threads N] [--out PATH] | \
-                     trace [--out PATH] | ci [seed] [--gates fast|full] | \
+                     trace [--out PATH] | ci [--gates fast|full] | \
                      {} [--scale quick|full] [--out PATH]>",
                     names.join(" | ")
                 );
@@ -160,12 +149,6 @@ fn flag(args: &[String], name: &str) -> Option<String> {
         .position(|a| a == name)
         .and_then(|i| args.get(i + 1))
         .cloned()
-}
-
-/// The positional argument at `idx`, skipping nothing — but only if it
-/// does not look like a flag.
-fn positional(args: &[String], idx: usize) -> Option<&String> {
-    args.get(idx).filter(|a| !a.starts_with("--"))
 }
 
 fn parse_threads(args: &[String]) -> usize {
@@ -204,21 +187,6 @@ fn parse_gates(args: &[String]) -> &'static str {
             std::process::exit(2);
         }
     }
-}
-
-fn parse_seed(arg: Option<&String>) -> u64 {
-    arg.map(|s| {
-        let s = s.trim();
-        let parsed = match s.strip_prefix("0x") {
-            Some(hex) => u64::from_str_radix(hex, 16),
-            None => s.parse(),
-        };
-        parsed.unwrap_or_else(|_| {
-            eprintln!("xtask: bad seed {s:?}, expected a u64 (decimal or 0x-hex)");
-            std::process::exit(2);
-        })
-    })
-    .unwrap_or(0x0dd5_eed5)
 }
 
 /// The current commit hash, for snapshot provenance.
@@ -267,51 +235,6 @@ fn clippy() -> bool {
             "warnings",
         ],
     )
-}
-
-/// One full chaos-stress run, rendered to a canonical stats string.
-fn replay_run(seed: u64) -> String {
-    use std::fmt::Write as _;
-    let chaos = ChaosConfig::with_fault(FaultSpec::everything(), seed);
-    let mut m = Machine::new(
-        KernelConfig::test_machine(4)
-            .with_opts(OptConfig::general_four())
-            .with_chaos(chaos),
-    );
-    let mm = m.create_process().expect("boot: create process");
-    m.spawn(mm, CoreId(0), Box::new(MadviseLoopProg::new(8, 6)));
-    m.spawn(mm, CoreId(1), Box::new(BusyLoopProg));
-    m.spawn(mm, CoreId(2), Box::new(MadviseLoopProg::new(3, 6)));
-    m.spawn(mm, CoreId(3), Box::new(BusyLoopProg));
-    m.run_until(Cycles::new(80_000_000));
-
-    let mut out = String::new();
-    let mut counters: Vec<(&'static str, u64)> = m.stats.counters.iter().collect();
-    counters.sort_unstable();
-    writeln!(out, "final_time {}", m.now().as_u64()).unwrap();
-    writeln!(out, "violations {}", m.violations().len()).unwrap();
-    writeln!(out, "errors {}", m.recorded_errors().len()).unwrap();
-    for (k, v) in counters {
-        writeln!(out, "counter {k} {v}").unwrap();
-    }
-    out
-}
-
-fn replay(seed: u64) -> bool {
-    println!("xtask: deterministic-replay check, seed {seed:#x}");
-    let a = replay_run(seed);
-    let b = replay_run(seed);
-    if a == b {
-        println!(
-            "xtask: replay OK — {} stats lines byte-identical across two runs",
-            a.lines().count()
-        );
-        true
-    } else {
-        eprintln!("xtask: REPLAY DIVERGED — same seed produced different stats:");
-        eprint!("{}", render_diff(&a, &b));
-        false
-    }
 }
 
 /// The per-level explorations as sweep jobs: every cumulative level over
@@ -383,7 +306,7 @@ fn explore_gate(threads: usize, out: &str) -> bool {
         "xtask: bounded schedule exploration, budget {DEFAULT_BUDGET} schedules \
          (preemption bound {}, window {} cycles)",
         per_level.preemption_bound,
-        per_level.window.as_u64()
+        tlbdown_check::explore::WINDOW.as_u64()
     );
     let sweep = run_jobs(explore_level_jobs(), threads);
     let mut levels: Vec<LevelReport> = Vec::new();
@@ -872,9 +795,9 @@ fn fleet_run(scale: Scale, threads: usize) -> Run {
                 let config = Json::obj()
                     .with("machines", Json::U64(u64::from(cfg.machines)))
                     .with("total_cores", Json::U64(cfg.total_cores()))
-                    .with("window", Json::U64(cfg.window))
-                    .with("workers", Json::U64(u64::from(cfg.workers)))
-                    .with("churn_slots", Json::U64(u64::from(cfg.churn_slots)))
+                    .with("window", Json::U64(WINDOW))
+                    .with("workers", Json::U64(u64::from(WORKERS)))
+                    .with("churn_slots", Json::U64(u64::from(CHURN_SLOTS)))
                     .with("seed", Json::U64(cfg.seed));
                 jobs.push(job_json(&id, config, r.sim_json(), cell_start.elapsed()));
             }
@@ -895,112 +818,34 @@ fn traced_dueling(level: usize) -> Trace {
     m.take_trace()
 }
 
-/// The tracing gate. Five checks, all of which run even if an early one
-/// fails: exact per-phase attribution at every optimization level,
-/// byte-identical exports across two replays, thread-count invariance
-/// through the sweep pool, Chrome trace_event schema validity with a
-/// strict-parser round-trip, and the no-trace build of the kernel.
-/// Writes a sample export (Perfetto-loadable) to `out`.
+/// The tracing gate: the per-phase attribution table at every
+/// optimization level, a sample export (Perfetto-loadable) written to
+/// `out`, and the no-trace build of the kernel. Exact attribution,
+/// replay, thread-count invariance and the export's schema are tier-1
+/// tests on the same runs.
 fn trace_gate(out: &str) -> bool {
-    let mut ok = true;
-
-    // 1. Exact attribution at every cumulative optimization level.
-    let mut columns = Vec::new();
-    for (level, _, _) in OptConfig::all_levels() {
-        let level = level as usize;
-        let trace = traced_dueling(level);
-        let a = analyze(&trace);
-        let inexact = a
-            .spans
-            .iter()
-            .filter(|s| s.phase_sum() != s.end_to_end())
-            .count();
-        if inexact > 0 || a.incomplete > 0 || trace.dropped_total() > 0 || a.spans.is_empty() {
-            eprintln!(
-                "xtask: TRACE GATE FAILED — level {level}: {inexact} inexact span(s), \
-                 {} incomplete, {} dropped, {} spans",
-                a.incomplete,
-                trace.dropped_total(),
-                a.spans.len()
-            );
-            ok = false;
-        }
-        columns.push((format!("L{level}"), PhaseTotals::of(&a, true)));
-    }
-    if ok {
-        println!(
-            "xtask: attribution exact for every shootdown at all {} opt levels \
-             (phase sums == end-to-end)",
-            OptConfig::NUM_LEVELS
-        );
-    }
+    let columns: Vec<_> = OptConfig::all_levels()
+        .map(|(level, _, _)| {
+            let a = analyze(&traced_dueling(level as usize));
+            (format!("L{level}"), PhaseTotals::of(&a, true))
+        })
+        .collect();
     println!("xtask: critical path, dueling_madvise, mean cycles per remote shootdown:");
     print!("{}", render_attribution_table(&columns));
     if let (Some(first), Some(last)) = (columns.first(), columns.last()) {
         print!("{}", render_phase_diff(first, last));
     }
 
-    // 2. Replay determinism: two captures, byte-identical export.
-    let sample = to_chrome_json(&traced_dueling(6));
-    let rendered = sample.render();
-    if rendered != to_chrome_json(&traced_dueling(6)).render() {
-        eprintln!("xtask: TRACE GATE FAILED — two replays exported different bytes");
-        ok = false;
-    } else {
-        println!(
-            "xtask: replay OK — {} byte export identical across two runs",
-            rendered.len()
-        );
-    }
-
-    // 3. Thread invariance: the same seven jobs through the sweep pool.
-    let trace_jobs = || -> Vec<Job<String>> {
-        OptConfig::all_levels()
-            .map(|(level, _, _)| {
-                Job::new(format!("trace/L{level}"), move || {
-                    to_chrome_json(&traced_dueling(level as usize)).render()
-                })
-            })
-            .collect()
-    };
-    let serial = reduce_rendered(&run_jobs(trace_jobs(), 1), |s: &String| s.as_str());
-    let pooled = reduce_rendered(&run_jobs(trace_jobs(), 4), |s: &String| s.as_str());
-    if serial != pooled {
-        eprintln!("xtask: TRACE GATE FAILED — exports differ between --threads 1 and 4");
-        ok = false;
-    } else {
-        println!("xtask: thread invariance OK — reductions byte-identical at 1 and 4 threads");
-    }
-
-    // 4. Schema validity + strict-parser round-trip.
-    match Json::parse(&rendered) {
-        Ok(parsed) if parsed.render() != rendered => {
-            eprintln!("xtask: TRACE GATE FAILED — export does not round-trip byte-exactly");
-            ok = false;
-        }
-        Ok(parsed) => match validate_chrome(&parsed) {
-            Ok(n) => println!("xtask: schema OK — {n} Chrome trace_event records validated"),
-            Err(e) => {
-                eprintln!("xtask: TRACE GATE FAILED — invalid Chrome trace: {e}");
-                ok = false;
-            }
-        },
-        Err(e) => {
-            eprintln!("xtask: TRACE GATE FAILED — export is not canonical JSON: {e}");
-            ok = false;
-        }
-    }
-
-    // 5. The compiled-out configuration must still build.
-    if run_cargo(
+    // The compiled-out configuration must still build.
+    let ok = run_cargo(
         "no-trace build",
         &["build", "-p", "tlbdown-kernel", "--no-default-features"],
-    ) {
+    );
+    if ok {
         println!("xtask: no-trace build OK — kernel compiles with tracing compiled out");
-    } else {
-        ok = false;
     }
 
+    let sample = to_chrome_json(&traced_dueling(6));
     if let Err(e) = std::fs::write(out, sample.render_pretty()) {
         eprintln!("xtask: could not write {out}: {e}");
         return false;
@@ -1052,7 +897,7 @@ fn dir_loc(dir: &Path) -> std::io::Result<u64> {
 /// prints a time column and the same rows land machine-readably in
 /// `ci_report.json` (gate, verdict, seconds) for the CI artifact,
 /// together with every crate's effective source-line count.
-fn ci(seed: u64, which: &str) -> ExitCode {
+fn ci(which: &str) -> ExitCode {
     type GateFn = Box<dyn FnOnce() -> bool>;
     // (name, fast-tier?, gate). The fast tier is the PR-blocking set —
     // cheap, seconds each; the full tier is the long matrix gates CI
@@ -1060,7 +905,6 @@ fn ci(seed: u64, which: &str) -> ExitCode {
     let mut gates: Vec<(&str, bool, GateFn)> = vec![
         ("fmt", true, Box::new(fmt)),
         ("clippy", true, Box::new(clippy)),
-        ("replay", true, Box::new(move || replay(seed))),
         (
             "explore",
             false,

@@ -23,12 +23,12 @@ fn main() {
         "bounds: {} schedules max, preemption bound {}, window {} cycles\n",
         bounds.max_schedules,
         bounds.preemption_bound,
-        bounds.window.as_u64()
+        explore::WINDOW.as_u64()
     );
 
     // 1. The FIFO schedule is safe even with the check broken.
     let buggy = || scenario::nmi_probe_demo(true);
-    let fifo = run_schedule(&buggy, &bounds, &[]);
+    let fifo = run_schedule(&buggy, &[]);
     println!(
         "FIFO schedule, buggy nmi check:   {} ({} events)",
         if fifo.violated() { "VIOLATION" } else { "safe" },
@@ -51,7 +51,7 @@ fn main() {
     }
 
     // 3. Shrink to the choices that matter.
-    let minimized = shrink(&buggy, &bounds, &cex.schedule, 2_000);
+    let minimized = shrink(&buggy, &cex.schedule, 2_000);
     println!(
         "shrunk:    {} ({} choices, {} perturbations, {} trials)",
         minimized.schedule,
@@ -75,7 +75,7 @@ fn main() {
     );
     // The exact minimized schedule that broke the buggy variant is
     // harmless with the §3.2 extension in place.
-    let same = run_schedule(&correct, &bounds, &minimized.schedule.choices);
+    let same = run_schedule(&correct, &minimized.schedule.choices);
     assert!(!same.violated());
     println!("minimized schedule vs correct check: safe");
 }

@@ -25,11 +25,7 @@ use tlbdown::workloads::madvise::{
 };
 
 fn topologies() -> Vec<TopologySpec> {
-    vec![
-        TopologySpec::Flat,
-        TopologySpec::ring(),
-        TopologySpec::mesh(),
-    ]
+    vec![TopologySpec::Flat, TopologySpec::Ring, TopologySpec::Mesh]
 }
 
 fn main() {

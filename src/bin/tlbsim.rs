@@ -113,12 +113,9 @@ fn parse() -> Result<Args, String> {
             }
             "--trace" => a.trace = Some(value(&mut i)?),
             "--topology" => {
-                a.topology = match value(&mut i)?.as_str() {
-                    "flat" => TopologySpec::Flat,
-                    "ring" => TopologySpec::ring(),
-                    "mesh" => TopologySpec::mesh(),
-                    t => return Err(format!("unknown topology '{t}' (flat|ring|mesh)")),
-                }
+                let t = value(&mut i)?;
+                a.topology = TopologySpec::parse(&t)
+                    .ok_or_else(|| format!("unknown topology '{t}' (flat|ring|mesh)"))?
             }
             "--help" | "-h" => {
                 println!(
