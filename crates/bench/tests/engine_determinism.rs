@@ -8,9 +8,11 @@
 //! routed fabrics, and on the scale tier. Any change to the order in
 //! which the engine dispatches events moves one of these values, so an
 //! engine change that reorders dispatch fails tier 1, not only the
-//! full-tier snapshots. The values were recorded when the engine still
+//! full-tier snapshots. Most values were recorded when the engine still
 //! had a timing wheel in front of its heap, and both front-ends
-//! produced them byte for byte.
+//! produced them byte for byte; the L7 and L8 tuples of the per-level
+//! and chaos pins were recorded on the one-heap engine, when those runs
+//! got a two-entry reuse window.
 
 use tlbdown_core::OptConfig;
 use tlbdown_kernel::chaos::ChaosConfig;
