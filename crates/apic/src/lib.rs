@@ -68,7 +68,7 @@ pub struct FabricStats {
     /// Total ICR writes (multicast batches).
     pub icr_writes: u64,
     /// NMIs delivered.
-    pub nmis: u64,
+    pub(crate) nmis: u64,
 }
 
 /// The interconnect between local APICs.
@@ -142,11 +142,6 @@ impl IpiFabric {
         }
     }
 
-    /// Plan a unicast IPI.
-    pub fn unicast_plan(&mut self, from: CoreId, target: CoreId) -> IpiPlan {
-        self.multicast_plan(from, &[target])
-    }
-
     /// Plan an NMI (single target, bypasses masking at the receiver).
     pub fn nmi_plan(&mut self, from: CoreId, target: CoreId) -> PlannedDelivery {
         self.stats.nmis += 1;
@@ -183,11 +178,6 @@ impl LocalApic {
     /// Create an unmasked local APIC.
     pub fn new() -> Self {
         LocalApic::default()
-    }
-
-    /// Whether maskable interrupts are currently blocked.
-    pub fn masked(&self) -> bool {
-        self.masked
     }
 
     /// Whether an interrupt handler is currently running.
@@ -253,7 +243,7 @@ mod tests {
     #[test]
     fn unicast_same_socket_latency() {
         let mut f = fabric();
-        let plan = f.unicast_plan(CoreId(0), CoreId(5));
+        let plan = f.multicast_plan(CoreId(0), &[CoreId(5)]);
         let c = CostModel::default();
         assert_eq!(plan.batches, 1);
         assert_eq!(plan.initiator_busy, c.ipi_send);
@@ -266,8 +256,8 @@ mod tests {
     #[test]
     fn cross_socket_costs_more() {
         let mut f = fabric();
-        let near = f.unicast_plan(CoreId(0), CoreId(5)).deliveries[0].arrives_in;
-        let far = f.unicast_plan(CoreId(0), CoreId(40)).deliveries[0].arrives_in;
+        let near = f.multicast_plan(CoreId(0), &[CoreId(5)]).deliveries[0].arrives_in;
+        let far = f.multicast_plan(CoreId(0), &[CoreId(40)]).deliveries[0].arrives_in;
         assert!(far > near);
     }
 
@@ -341,14 +331,14 @@ mod tests {
             CostModel::default(),
             TopologySpec::Mesh,
         );
-        let near = f.unicast_plan(CoreId(0), CoreId(4)).deliveries[0].arrives_in;
-        let far = f.unicast_plan(CoreId(0), CoreId(54)).deliveries[0].arrives_in;
+        let near = f.multicast_plan(CoreId(0), &[CoreId(4)]).deliveries[0].arrives_in;
+        let far = f.multicast_plan(CoreId(0), &[CoreId(54)]).deliveries[0].arrives_in;
         assert!(far > near);
         assert!(f.interconnect().stats().hop_traversals > 0);
         // A storm of cross-socket IPIs queues on the shared links.
         let mut last = Cycles::ZERO;
         for _ in 0..64 {
-            last = f.unicast_plan(CoreId(0), CoreId(54)).deliveries[0].arrives_in;
+            last = f.multicast_plan(CoreId(0), &[CoreId(54)]).deliveries[0].arrives_in;
         }
         assert!(last > far, "link never congested");
     }

@@ -10,7 +10,7 @@ fn arb_targets() -> impl Strategy<Value = Vec<CoreId>> {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig { cases: 128, ..ProptestConfig::default() })]
+    #![proptest_config(ProptestConfig::with_cases(128))]
 
     /// Every target receives exactly one delivery, batches never exceed
     /// the cluster size, and the number of ICR writes equals the number

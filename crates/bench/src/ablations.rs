@@ -12,7 +12,7 @@ use tlbdown_workloads::madvise::{run_madvise_bench, MadviseBenchCfg, Placement};
 /// per *PTE* should drop sharply once the request escalates to a full
 /// flush — the tradeoff behind Linux's `tlb_single_page_flush_ceiling`
 /// (§2.1: "FreeBSD ... 4096, whereas Linux places the ceiling at 33").
-pub fn ceiling_sweep() -> String {
+pub(crate) fn ceiling_sweep() -> String {
     let mut out = String::from(
         "Ablation A: flush size vs the 33-entry full-flush ceiling (safe mode,\n\
          same-socket responder, baseline protocol)\n\n\
@@ -39,7 +39,7 @@ pub fn ceiling_sweep() -> String {
 /// Sensitivity of the in-context optimization (§3.4) to the
 /// INVPCID-vs-INVLPG cost gap: if INVPCID were as fast as INVLPG, the
 /// optimization would buy almost nothing.
-pub fn invpcid_sensitivity() -> String {
+pub(crate) fn invpcid_sensitivity() -> String {
     let mut out = String::from(
         "Ablation B: §3.4 benefit vs the INVPCID cost premium (safe mode,\n\
          same-socket, 10 PTEs; responder cycles)\n\n\
@@ -75,7 +75,7 @@ pub fn invpcid_sensitivity() -> String {
 
 /// The §7 paravirtual hint: guest flush instructions and re-touch misses
 /// with and without the hint, in a fractured configuration.
-pub fn paravirt_hint() -> String {
+pub(crate) fn paravirt_hint() -> String {
     let run = |hint: bool| -> (u64, u64) {
         let mut mem = PhysMem::new(1 << 24);
         let mut gspace = AddrSpace::new(&mut mem).expect("guest tables");

@@ -401,7 +401,7 @@ fn table4(outs: &Outputs) -> String {
 /// Render the Figure 4 ablation: coherence traffic of one shootdown under
 /// the baseline vs consolidated cacheline layout, measured on a live
 /// machine run.
-pub fn fig4_ablation(scale: Scale) -> String {
+pub(crate) fn fig4_ablation(scale: Scale) -> String {
     let run = |consolidated: bool| -> (f64, f64, usize) {
         let opts = OptConfig::baseline().with_cacheline(consolidated);
         let kc = KernelConfig {

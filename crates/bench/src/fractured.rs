@@ -17,18 +17,18 @@ use tlbdown_virt::{build_nested_mappings, NestedCpu};
 
 /// One Table 4 row.
 #[derive(Clone, Debug)]
-pub struct Table4Row {
+pub(crate) struct Table4Row {
     /// "VM" or "Bare-Metal".
-    pub env: &'static str,
+    pub(crate) env: &'static str,
     /// Host page size.
-    pub host: PageSize,
+    pub(crate) host: PageSize,
     /// Guest page size (equals host size for bare metal).
-    pub guest: Option<PageSize>,
+    pub(crate) guest: Option<PageSize>,
     /// dTLB misses in the re-touch pass after a full flush.
-    pub full_flush_misses: u64,
+    pub(crate) full_flush_misses: u64,
     /// dTLB misses in the re-touch pass after a selective flush of an
     /// unrelated, unmapped address.
-    pub selective_flush_misses: u64,
+    pub(crate) selective_flush_misses: u64,
 }
 
 const REGION_BYTES: u64 = 16 << 20; // 16MB working set
@@ -147,7 +147,7 @@ fn bare_metal_row(host: PageSize) -> Table4Row {
 }
 
 /// Produce all six Table 4 rows.
-pub fn table4() -> Vec<Table4Row> {
+pub(crate) fn table4() -> Vec<Table4Row> {
     vec![
         vm_row(PageSize::Size4K, PageSize::Size4K),
         vm_row(PageSize::Size2M, PageSize::Size4K),

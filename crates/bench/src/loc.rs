@@ -6,10 +6,20 @@
 //! lines excluded, test modules excluded), printed next to the paper's
 //! numbers for comparison.
 
-/// Count effective lines: non-blank, non-comment, stopping at the test
+/// The size of some source code, outside its test modules.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Loc {
+    /// Effective lines: non-blank and non-comment.
+    pub lines: u64,
+    /// Lines that declare a name other crates can use: their trimmed
+    /// text starts with `pub ` (a `pub(crate)` line does not count).
+    pub public: u64,
+}
+
+/// Count effective lines and public declarations, stopping at the test
 /// module (tests are not part of the "patch").
-pub fn effective_loc(source: &str) -> u64 {
-    let mut count = 0;
+pub fn effective_loc(source: &str) -> Loc {
+    let mut loc = Loc::default();
     for line in source.lines() {
         let t = line.trim();
         if t == "#[cfg(test)]" {
@@ -18,32 +28,33 @@ pub fn effective_loc(source: &str) -> u64 {
         if t.is_empty() || t.starts_with("//") {
             continue;
         }
-        count += 1;
+        loc.lines += 1;
+        loc.public += u64::from(t.starts_with("pub "));
     }
-    count
+    loc
 }
 
 /// One Table 2 row.
 #[derive(Clone, Debug)]
-pub struct LocRow {
+pub(crate) struct LocRow {
     /// Optimization name (paper's wording).
-    pub name: &'static str,
+    pub(crate) name: &'static str,
     /// The paper's reported patch size.
-    pub paper_loc: u64,
+    pub(crate) paper_loc: u64,
     /// This repository's implementing-module size.
-    pub ours_loc: u64,
+    pub(crate) ours_loc: u64,
     /// Which modules were counted.
-    pub modules: &'static str,
+    pub(crate) modules: &'static str,
 }
 
 /// Produce Table 2.
-pub fn table2() -> Vec<LocRow> {
-    let protocol = effective_loc(include_str!("../../core/src/protocol.rs"));
-    let smp = effective_loc(include_str!("../../core/src/smp.rs"));
-    let deferred = effective_loc(include_str!("../../core/src/deferred.rs"));
-    let cow = effective_loc(include_str!("../../core/src/cow.rs"));
-    let batch = effective_loc(include_str!("../../core/src/batch.rs"));
-    let gen = effective_loc(include_str!("../../core/src/gen.rs"));
+pub(crate) fn table2() -> Vec<LocRow> {
+    let protocol = effective_loc(include_str!("../../core/src/protocol.rs")).lines;
+    let smp = effective_loc(include_str!("../../core/src/smp.rs")).lines;
+    let deferred = effective_loc(include_str!("../../core/src/deferred.rs")).lines;
+    let cow = effective_loc(include_str!("../../core/src/cow.rs")).lines;
+    let batch = effective_loc(include_str!("../../core/src/batch.rs")).lines;
+    let gen = effective_loc(include_str!("../../core/src/gen.rs")).lines;
     vec![
         LocRow {
             name: "Concurrent flushes",
@@ -101,8 +112,14 @@ mod tests {
 
     #[test]
     fn effective_loc_skips_comments_blanks_and_tests() {
-        let src = "// comment\n\npub fn f() {}\n/// doc\nstruct S;\n#[cfg(test)]\nmod tests { fn g() {} }\n";
-        assert_eq!(effective_loc(src), 2);
+        let src = "// comment\n\npub fn f() {}\n/// doc\nstruct S;\n    pub(crate) x: u8,\n#[cfg(test)]\nmod tests { pub fn g() {} }\n";
+        assert_eq!(
+            effective_loc(src),
+            Loc {
+                lines: 3,
+                public: 1
+            }
+        );
     }
 
     #[test]

@@ -84,12 +84,11 @@ pub enum JobSpec {
     /// run to a fixed engine-dispatch count.
     ScaleTier,
     /// One shootdown-storm survival cell (`cargo xtask storm`): a storm
-    /// intensity × fault preset, run at every cumulative optimization
-    /// level L0..L6 with each level executed **twice** — the second run
-    /// is the byte-identical seed-replay check, recorded per level as
-    /// `L{n}_replay_ok` alongside the survival verdict (violations,
-    /// wedge, thread completion) and the victim's fault-latency signal
-    /// percentiles.
+    /// intensity × fault preset, run once at every cumulative
+    /// optimization level L0..L6, recording per level the survival
+    /// verdict (violations, wedge, thread completion), the victim's
+    /// fault-latency signal percentiles and the run's digest and sim
+    /// cycles.
     Storm {
         /// Storm intensity (first matrix axis).
         intensity: StormIntensity,
@@ -104,10 +103,8 @@ pub enum JobSpec {
     /// matrix (`cargo xtask topobench`): the dual-socket scale tier
     /// re-run under a routed interconnect and the Skylake-SP
     /// set-associative TLB geometry, with either the 4K madvise
-    /// initiators or the THP-arena churn initiators. Each cell runs
-    /// **twice** — the second run is the byte-identical seed-replay
-    /// check, recorded as `replay_ok` next to the per-core-summed TLB
-    /// capacity-pressure stats.
+    /// initiators or the THP-arena churn initiators, recording the
+    /// per-core-summed TLB capacity-pressure stats.
     TopoCell {
         /// Index into [`topo_specs`]: 0 = flat, 1 = ring, 2 = mesh.
         topo: usize,
@@ -126,8 +123,6 @@ pub enum JobSpec {
     /// optimization level, in either the window-fitting shape (level 7
     /// elides every steady-state shootdown) or the overflowing shape
     /// (every park capacity-evicts and the deferred debt comes due).
-    /// The cell runs **twice**; the second run is the byte-identical
-    /// seed-replay check recorded as `replay_ok`.
     ReuseChurn {
         /// Working set fits the reuse window (the best case) instead of
         /// overflowing it every round (the adversarial case).
@@ -141,7 +136,6 @@ pub enum JobSpec {
     /// layered on, split across two sockets so every balancer protect
     /// and victim hinting fault is a cross-socket PTE update — the
     /// traffic numaPTE's replica sync (level 8) exists to survive.
-    /// Runs twice for the `replay_ok` seed-replay check.
     AutonumaCell {
         /// Balancer intensity (periodic background scan vs
         /// migration-storm rates).
@@ -159,9 +153,9 @@ pub struct MatrixJob {
     /// of these.
     pub id: String,
     /// Simulated-work scale.
-    pub scale: Scale,
+    pub(crate) scale: Scale,
     /// The experiment.
-    pub spec: JobSpec,
+    pub(crate) spec: JobSpec,
 }
 
 /// What a job produces: the deterministic metric block plus the values
@@ -169,14 +163,14 @@ pub struct MatrixJob {
 #[derive(Clone, Debug)]
 pub struct JobOutput {
     /// Sim-side metrics for `BENCH_*.json`.
-    pub metrics: JobMetrics,
+    pub(crate) metrics: JobMetrics,
     /// What [`crate::figures`] prints from this job.
-    pub printed: Printed,
+    pub(crate) printed: Printed,
 }
 
 /// The values a paper table prints from one job, beyond its metrics.
 #[derive(Clone, Debug)]
-pub enum Printed {
+pub(crate) enum Printed {
     /// Nothing beyond the metrics: Table 3 and Figures 10–11 print their
     /// `reduction_*` and `speedup_*` metrics, and no table prints the
     /// snapshot-only kinds.
@@ -199,7 +193,7 @@ impl MatrixJob {
 
     /// The job's configuration as JSON (recorded next to its metrics in
     /// `BENCH_*.json` so a snapshot is self-describing).
-    pub fn config_json(&self) -> Json {
+    pub(crate) fn config_json(&self) -> Json {
         let kind = match &self.spec {
             JobSpec::MicroRow { .. } => "micro_row",
             JobSpec::Table3 => "table3",
@@ -284,7 +278,7 @@ impl MatrixJob {
     }
 
     /// Execute the job. Pure: everything it touches is built here.
-    pub fn run(&self) -> JobOutput {
+    pub(crate) fn run(&self) -> JobOutput {
         match &self.spec {
             JobSpec::MicroRow { fig, level } => run_micro_row(*fig, *level, self.scale),
             JobSpec::Table3 => run_table3(self.scale),
@@ -475,7 +469,7 @@ fn run_scale_tier_job(scale: Scale) -> JobOutput {
 /// the shootdown storm, ending in the composite preset that stacks IPI
 /// drop, delay and duplication at once. The escalation ladder must keep
 /// every cell alive (zero violations, no wedge) under all of them.
-pub fn storm_faults() -> Vec<(&'static str, FaultSpec)> {
+pub(crate) fn storm_faults() -> Vec<(&'static str, FaultSpec)> {
     vec![
         ("none", FaultSpec::none()),
         ("ipi-drop", FaultSpec::ipi_drop()),
@@ -511,14 +505,9 @@ fn run_storm_cell(intensity: StormIntensity, fault: usize, mesh: bool, scale: Sc
             cfg.interconnect = TopologySpec::Mesh;
         }
         let a = run_storm(&cfg).expect("storm cell runs clean");
-        let b = run_storm(&cfg).expect("storm cell runs clean");
-        let replay_ok = a.digest == b.digest
-            && a.sim_cycles == b.sim_cycles
-            && a.counters.render_json() == b.counters.render_json();
         metrics.put_u64(&format!("L{level}_violations"), a.violations as u64);
         metrics.put_u64(&format!("L{level}_wedged"), a.wedged as u64);
         metrics.put_u64(&format!("L{level}_threads_done"), a.threads_done as u64);
-        metrics.put_u64(&format!("L{level}_replay_ok"), replay_ok as u64);
         metrics.put_u64(&format!("L{level}_victim_faults"), a.victim_faults);
         metrics.put_u64(&format!("L{level}_fault_p50"), a.fault_p50);
         metrics.put_u64(&format!("L{level}_fault_p90"), a.fault_p90);
@@ -540,7 +529,7 @@ fn run_storm_cell(intensity: StormIntensity, fault: usize, mesh: bool, scale: Sc
 
 /// The topobench topology axis, in job order: the flat reference model,
 /// the bidirectional ring, and the 2D mesh.
-pub fn topo_specs() -> Vec<(&'static str, TopologySpec)> {
+pub(crate) fn topo_specs() -> Vec<(&'static str, TopologySpec)> {
     vec![
         ("flat", TopologySpec::Flat),
         ("ring", TopologySpec::Ring),
@@ -549,8 +538,8 @@ pub fn topo_specs() -> Vec<(&'static str, TopologySpec)> {
 }
 
 /// Tier shape for one topobench cell: the smoke tier at `Quick`, the
-/// 2×56 tier at a reduced dispatch target at `Full` — seven cells × two
-/// replay runs each (plus the gate's second thread-count pass) must stay
+/// 2×56 tier at a reduced dispatch target at `Full` — seven cells (run
+/// again by the gate's second thread-count pass) must stay
 /// within a CI-friendly wall-clock budget, and topology/geometry
 /// contrast saturates well before the BENCH_2 ten-million-event target.
 fn topo_tier(scale: Scale) -> ScaleTierCfg {
@@ -570,15 +559,10 @@ fn run_topo_cell(topo: usize, thp: bool, scale: Scale) -> JobOutput {
     cfg.thp = thp;
     cfg.tlb_geometry = Some(TlbGeometry::skylake_sp());
     let a = run_scale_tier(&cfg).expect("topo cell runs clean");
-    let b = run_scale_tier(&cfg).expect("topo cell runs clean");
-    let replay_ok = a.digest == b.digest
-        && a.sim_cycles == b.sim_cycles
-        && a.counters.render_json() == b.counters.render_json();
     let mut metrics = JobMetrics::new();
     metrics.put_u64("events", a.events);
     metrics.put_u64("sim_cycles", a.sim_cycles);
     metrics.put_u64("state_digest", a.digest);
-    metrics.put_u64("replay_ok", replay_ok as u64);
     metrics.put_u64("tlb_hits", a.tlb_hits);
     metrics.put_u64("tlb_misses", a.tlb_misses);
     metrics.put_u64("stlb_hits", a.stlb_hits);
@@ -638,10 +622,6 @@ fn run_reuse_churn_cell(fitting: bool, level: usize, scale: Scale) -> JobOutput 
     };
     cfg.iters = reuse_churn_iters(scale);
     let a = run_reuse_churn(&cfg).expect("reuse churn cell runs clean");
-    let b = run_reuse_churn(&cfg).expect("reuse churn cell runs clean");
-    let replay_ok = a.digest == b.digest
-        && a.sim_cycles == b.sim_cycles
-        && a.counters.render_json() == b.counters.render_json();
     let mut metrics = JobMetrics::new();
     metrics.put_u64("shootdowns", a.shootdowns);
     metrics.put_u64("reuse_parks", a.reuse_parks);
@@ -651,7 +631,6 @@ fn run_reuse_churn_cell(fitting: bool, level: usize, scale: Scale) -> JobOutput 
     metrics.put_f64("madvise_mean", a.madvise_mean);
     metrics.put_u64("sim_cycles", a.sim_cycles);
     metrics.put_u64("state_digest", a.digest);
-    metrics.put_u64("replay_ok", replay_ok as u64);
     metrics.merge_counters(&a.counters);
     JobOutput {
         metrics,
@@ -665,10 +644,6 @@ fn run_autonuma_cell(intensity: AutonumaIntensity, level: usize, scale: Scale) -
     cfg.sockets = AUTONUMA_CELL_SOCKETS;
     cfg.duration = storm_duration(scale);
     let a = run_storm(&cfg).expect("autonuma cell runs clean");
-    let b = run_storm(&cfg).expect("autonuma cell runs clean");
-    let replay_ok = a.digest == b.digest
-        && a.sim_cycles == b.sim_cycles
-        && a.counters.render_json() == b.counters.render_json();
     let mut metrics = JobMetrics::new();
     metrics.put_u64("violations", a.violations as u64);
     metrics.put_u64("wedged", a.wedged as u64);
@@ -683,7 +658,6 @@ fn run_autonuma_cell(intensity: AutonumaIntensity, level: usize, scale: Scale) -
     metrics.put_u64("bystander_requests", a.bystander_requests);
     metrics.put_u64("sim_cycles", a.sim_cycles);
     metrics.put_u64("state_digest", a.digest);
-    metrics.put_u64("replay_ok", replay_ok as u64);
     metrics.merge_counters(&a.counters);
     JobOutput {
         metrics,
@@ -693,7 +667,7 @@ fn run_autonuma_cell(intensity: AutonumaIntensity, level: usize, scale: Scale) -
 
 /// The full sweep matrix at `scale`: every figure/table decomposed along
 /// its optimization-level axis.
-pub fn full_matrix(scale: Scale) -> Vec<MatrixJob> {
+pub(crate) fn full_matrix(scale: Scale) -> Vec<MatrixJob> {
     let s = scale.label();
     let mut jobs = Vec::new();
     for fig in 5..=8u32 {
@@ -784,7 +758,7 @@ pub fn scale_matrix(scale: Scale) -> Vec<MatrixJob> {
 /// The `BENCH_3.json` shootdown-storm survival matrix behind
 /// `cargo xtask storm`: every [`StormIntensity`] × every
 /// [`storm_faults`] preset, with all seven cumulative optimization
-/// levels (each run twice, for the seed-replay check) inside each cell,
+/// levels inside each cell,
 /// first over the flat reference interconnect and then routed over the
 /// 2D mesh. Mesh job IDs carry a `mesh/` segment, so the two fabrics
 /// never collide in the snapshot.
@@ -813,9 +787,8 @@ pub fn storm_matrix(scale: Scale) -> Vec<MatrixJob> {
 /// The `BENCH_6.json` interconnect matrix behind `cargo xtask topobench`:
 /// {flat, ring, mesh} × {4K-only, THP} at the dual-socket tier under the
 /// Skylake-SP TLB geometry, plus the huge-page fracture-pressure table.
-/// Every cell asserts its own byte-identical seed replay (`replay_ok`);
-/// the xtask gate additionally runs the whole matrix at two sweep-pool
-/// thread counts and byte-diffs the two reductions.
+/// The xtask gate runs the whole matrix at two sweep-pool thread counts
+/// and byte-diffs the two reductions, which is its replay check.
 pub fn topobench_matrix(scale: Scale) -> Vec<MatrixJob> {
     let s = scale.label();
     let mut jobs = Vec::new();
@@ -852,9 +825,8 @@ pub fn optbench_levels() -> [usize; 3] {
 /// (window-fitting and overflowing) and the cross-socket AutoNUMA
 /// migration storm at both balancer intensities, each cell run at the
 /// full paper stack (L6, the control), +reuse-skip (L7) and +numa-pte
-/// (L8). Every cell runs twice for the seed-replay check; the xtask
-/// gate additionally replays the whole matrix at two sweep-pool thread
-/// counts and byte-diffs the two reductions.
+/// (L8). The xtask gate runs the whole matrix at two sweep-pool thread
+/// counts and byte-diffs the two reductions, which is its replay check.
 pub fn optbench_matrix(scale: Scale) -> Vec<MatrixJob> {
     let s = scale.label();
     let mut jobs = Vec::new();
@@ -914,7 +886,7 @@ mod tests {
             panic!("a Table 4 job prints its row");
         };
         assert_eq!(row.env, "VM");
-        assert!(out.metrics.render().contains("full_flush_misses"));
+        assert!(out.metrics.to_json().render().contains("full_flush_misses"));
     }
 
     #[test]
@@ -948,9 +920,9 @@ mod tests {
     }
 
     #[test]
-    fn storm_cell_survives_and_replays() {
+    fn storm_cell_survives() {
         // One mild cell end-to-end through the job interface: survival
-        // and replay metrics present and green at every level.
+        // metrics present and green at every level.
         let job = MatrixJob::new(
             "storm/quick/mild/combined".into(),
             Scale::Quick,
@@ -971,7 +943,6 @@ mod tests {
             assert_eq!(get("violations"), 0, "L{level} violated");
             assert_eq!(get("wedged"), 0, "L{level} wedged");
             assert_eq!(get("threads_done"), 1, "L{level} threads hung");
-            assert_eq!(get("replay_ok"), 1, "L{level} replay diverged");
             assert!(get("victim_faults") > 0, "L{level} produced no signal");
         }
         assert_eq!(
@@ -1000,9 +971,9 @@ mod tests {
     }
 
     #[test]
-    fn topo_cell_replays_and_reports_capacity_pressure() {
+    fn topo_cell_reports_capacity_pressure() {
         // The mesh × THP quick cell end-to-end through the job
-        // interface: internal seed-replay green, TLB pressure visible.
+        // interface: TLB pressure visible.
         let job = MatrixJob::new(
             "topo/quick/mesh/thp".into(),
             Scale::Quick,
@@ -1015,7 +986,6 @@ mod tests {
                 .and_then(Json::as_u64)
                 .unwrap_or_else(|| panic!("missing {k}"))
         };
-        assert_eq!(get("replay_ok"), 1, "mesh cell replay diverged");
         assert!(get("tlb_misses") > 0, "no TLB pressure recorded");
         let promotes = sim
             .get("counters")
@@ -1056,9 +1026,9 @@ mod tests {
     }
 
     #[test]
-    fn reuse_churn_cell_elides_shootdowns_and_replays() {
+    fn reuse_churn_cell_elides_shootdowns() {
         // The fitting cell at L6 (control) vs L7 (+reuse-skip) through
-        // the job interface: elision visible, seed replay green.
+        // the job interface: elision visible.
         let run = |level: usize| {
             let job = MatrixJob::new(
                 format!("opt/quick/reuse/fitting/L{level}"),
@@ -1077,8 +1047,6 @@ mod tests {
         };
         let control = run(OptConfig::PAPER_MAX_LEVEL);
         let reuse = run(OptConfig::PAPER_MAX_LEVEL + 1);
-        assert_eq!(get(&control, "replay_ok"), 1);
-        assert_eq!(get(&reuse, "replay_ok"), 1);
         assert_eq!(
             get(&control, "reuse_hits"),
             0,
@@ -1115,7 +1083,6 @@ mod tests {
             assert_eq!(get(sim, "violations"), 0, "{name} violated");
             assert_eq!(get(sim, "wedged"), 0, "{name} wedged");
             assert_eq!(get(sim, "threads_done"), 1, "{name} threads hung");
-            assert_eq!(get(sim, "replay_ok"), 1, "{name} replay diverged");
             assert!(get(sim, "autonuma_scans") > 0, "{name} balancer idle");
         }
         assert_eq!(
@@ -1160,7 +1127,7 @@ mod tests {
         let a = job.run();
         let b = job.run();
         assert_eq!(format!("{:?}", a.printed), format!("{:?}", b.printed));
-        assert_eq!(a.metrics.render(), b.metrics.render());
-        assert!(a.metrics.render().contains("ipis_sent"));
+        assert_eq!(a.metrics.to_json().render(), b.metrics.to_json().render());
+        assert!(a.metrics.to_json().render().contains("ipis_sent"));
     }
 }

@@ -25,46 +25,40 @@ pub struct JobMetrics {
 
 impl JobMetrics {
     /// An empty block.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         JobMetrics::default()
     }
 
     /// Record an integer metric.
-    pub fn put_u64(&mut self, key: &str, v: u64) {
+    pub(crate) fn put_u64(&mut self, key: &str, v: u64) {
         self.values.insert(key.to_string(), Json::U64(v));
     }
 
     /// Record a float metric (must be finite — these come from
     /// deterministic simulation math).
-    pub fn put_f64(&mut self, key: &str, v: f64) {
+    pub(crate) fn put_f64(&mut self, key: &str, v: f64) {
         debug_assert!(v.is_finite(), "non-finite metric {key}");
         self.values.insert(key.to_string(), Json::F64(v));
     }
 
     /// A metric recorded with [`Self::put_f64`] or [`Self::put_u64`].
-    pub fn get_f64(&self, key: &str) -> Option<f64> {
+    pub(crate) fn get_f64(&self, key: &str) -> Option<f64> {
         self.values.get(key).and_then(Json::as_f64)
     }
 
     /// Merge a machine counter set into the block.
-    pub fn merge_counters(&mut self, c: &Counter) {
+    pub(crate) fn merge_counters(&mut self, c: &Counter) {
         self.counters.merge(c);
     }
 
     /// The canonical JSON object: headline keys in sorted order, then
     /// the full counter set under `"counters"`.
-    pub fn to_json(&self) -> Json {
+    pub(crate) fn to_json(&self) -> Json {
         let mut obj = Json::obj();
         for (k, v) in &self.values {
             obj = obj.with(k, v.clone());
         }
         obj.with("counters", self.counters.to_json())
-    }
-
-    /// Canonical compact rendering — the unit of byte-exact comparison
-    /// in the perf gate and the sweep determinism test.
-    pub fn render(&self) -> String {
-        self.to_json().render()
     }
 }
 
@@ -81,12 +75,12 @@ mod tests {
         c.add("ipis_sent", 3);
         m.merge_counters(&c);
         assert_eq!(
-            m.render(),
+            m.to_json().render(),
             "{\"alpha\":7,\"zeta\":1.5,\"counters\":{\"ipis_sent\":3}}"
         );
         // Whole-valued floats canonicalize to integers.
         let mut w = JobMetrics::new();
         w.put_f64("v", 4.0);
-        assert_eq!(w.render(), "{\"v\":4,\"counters\":{}}");
+        assert_eq!(w.to_json().render(), "{\"v\":4,\"counters\":{}}");
     }
 }

@@ -21,7 +21,7 @@ use tlbdown_sweep::{Job, Json, SweepReport};
 use crate::matrix::{JobOutput, MatrixJob};
 
 /// Version of the `BENCH_*.json` schema.
-pub const BENCH_SCHEMA_VERSION: u64 = 1;
+pub(crate) const BENCH_SCHEMA_VERSION: u64 = 1;
 
 /// Wrap matrix jobs for the sweep pool, carrying each job's config JSON
 /// alongside its output so the snapshot is self-describing.
@@ -176,18 +176,6 @@ pub struct SimDiff {
     pub changed: Vec<SimChange>,
 }
 
-impl SimDiff {
-    /// Whether every common job's sim metrics matched byte-exactly.
-    pub fn metrics_match(&self) -> bool {
-        self.changed.is_empty()
-    }
-
-    /// Whether the job sets were identical too.
-    pub fn identical_matrix(&self) -> bool {
-        self.added.is_empty() && self.removed.is_empty()
-    }
-}
-
 /// Compare two snapshots' `sim` blocks byte-exactly (job set changes are
 /// reported separately from metric changes).
 pub fn diff_sim_metrics(current: &Json, baseline: &Json) -> SimDiff {
@@ -292,7 +280,7 @@ mod tests {
         let parsed = Json::parse(&a.render_pretty()).expect("snapshot parses");
         assert_eq!(parsed.get("schema_version"), Some(&Json::U64(1)));
         let diff = diff_sim_metrics(&a, &parsed);
-        assert!(diff.metrics_match() && diff.identical_matrix());
+        assert!(diff.changed.is_empty() && diff.added.is_empty() && diff.removed.is_empty());
         assert_eq!(sim_blocks(&a).len(), 2);
         assert!(total_wall_ns(&a).is_some());
     }
@@ -329,7 +317,7 @@ mod tests {
         );
         assert_eq!(diff.added, vec!["t4/r1".to_string()]);
         assert!(diff.removed.is_empty());
-        assert!(!diff.metrics_match());
+        assert!(!diff.changed.is_empty());
     }
 
     #[test]

@@ -37,13 +37,13 @@ enum LineState {
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Loads that hit a copy the requesting core already held.
-    pub local_hits: u64,
+    pub(crate) local_hits: u64,
     /// Lines transferred from another core on the same socket.
     pub same_socket_transfers: u64,
     /// Lines transferred across the interconnect.
     pub cross_socket_transfers: u64,
     /// Read-for-ownership upgrades that invalidated remote copies.
-    pub invalidations: u64,
+    pub(crate) invalidations: u64,
     /// Fills satisfied from memory (no core held the line).
     pub memory_fills: u64,
 }
@@ -109,19 +109,9 @@ impl CacheDirectory {
         id
     }
 
-    /// Diagnostic name of a line.
-    pub fn name(&self, line: LineId) -> &'static str {
-        self.names[line.0 as usize]
-    }
-
     /// Accumulated statistics.
     pub fn stats(&self) -> &CacheStats {
         &self.stats
-    }
-
-    /// Transfers recorded against one line.
-    pub fn line_transfers(&self, line: LineId) -> u64 {
-        self.per_line_transfers.get(&line).copied().unwrap_or(0)
     }
 
     /// Reset statistics (not line states).
@@ -361,9 +351,13 @@ mod tests {
         d.write(CoreId(0), l);
         d.read(CoreId(2), l); // different physical core (1 is 0's SMT sibling)
         d.read(CoreId(2), l2);
-        assert_eq!(d.line_transfers(l), 1);
-        assert_eq!(d.line_transfers(l2), 0, "memory fills are not transfers");
-        assert_eq!(d.name(l2), "other");
+        assert_eq!(d.per_line_transfers.get(&l), Some(&1));
+        assert_eq!(
+            d.per_line_transfers.get(&l2),
+            None,
+            "memory fills are not transfers"
+        );
+        assert_eq!(d.names[l2.0 as usize], "other");
     }
 
     #[test]

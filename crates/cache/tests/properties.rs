@@ -21,7 +21,7 @@ fn arb_ops() -> impl Strategy<Value = Vec<Op>> {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig { cases: 128, ..ProptestConfig::default() })]
+    #![proptest_config(ProptestConfig::with_cases(128))]
 
     /// Single-writer/multi-reader: after any operation sequence, a write
     /// leaves exactly one holder; reads only ever add sharers.

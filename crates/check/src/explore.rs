@@ -31,7 +31,7 @@
 use std::fmt::{self, Write as _};
 
 use tlbdown_kernel::Machine;
-use tlbdown_sim::{Candidate, Scheduler};
+use tlbdown_sim::Scheduler;
 use tlbdown_types::{Cycles, FastSet, SimError};
 
 use crate::schedule::Schedule;
@@ -39,7 +39,7 @@ use crate::schedule::Schedule;
 /// A scenario: a deterministic recipe producing a fresh machine. Every
 /// run of the closure must build an identical machine (same config, same
 /// programs, same injections) — the schedule is the only free variable.
-pub type Scenario<'a> = dyn Fn() -> Machine + 'a;
+pub(crate) type Scenario<'a> = dyn Fn() -> Machine + 'a;
 
 /// Per-run event budget; a run that fails to drain its queue within it
 /// is reported as a liveness violation, so scenarios must use
@@ -93,18 +93,18 @@ impl Bounds {
 /// consumed first; every branch point past them takes candidate 0 (FIFO).
 /// Arity and the choice actually taken are recorded at each branch.
 #[derive(Debug)]
-pub struct ExploreScheduler {
+pub(crate) struct ExploreScheduler {
     window: Cycles,
     forced: Vec<u16>,
     /// Choice taken at each branch point encountered so far.
-    pub choices: Vec<u16>,
+    pub(crate) choices: Vec<u16>,
     /// Candidate count at each branch point encountered so far.
-    pub arities: Vec<u16>,
+    pub(crate) arities: Vec<u16>,
 }
 
 impl ExploreScheduler {
     /// A scheduler replaying `forced` then defaulting to FIFO.
-    pub fn new(window: Cycles, forced: Vec<u16>) -> Self {
+    pub(crate) fn new(window: Cycles, forced: Vec<u16>) -> Self {
         ExploreScheduler {
             window,
             forced,
@@ -114,21 +114,20 @@ impl ExploreScheduler {
     }
 }
 
-impl<E> Scheduler<E> for ExploreScheduler {
+impl Scheduler for ExploreScheduler {
     fn window(&self) -> Cycles {
         self.window
     }
 
-    fn choose(&mut self, _now: Cycles, candidates: &[Candidate<'_, E>]) -> usize {
+    fn choose(&mut self, candidates: usize) -> usize {
         let i = self.choices.len();
         let pick = match self.forced.get(i) {
             // A forced choice beyond the observed arity clamps to the last
             // candidate (can happen while shrinking mutates schedules).
-            Some(c) => (*c as usize).min(candidates.len() - 1),
+            Some(c) => (*c as usize).min(candidates - 1),
             None => 0,
         };
-        self.arities
-            .push(candidates.len().min(u16::MAX as usize) as u16);
+        self.arities.push(candidates.min(u16::MAX as usize) as u16);
         self.choices.push(pick as u16);
         pick
     }
@@ -141,19 +140,19 @@ impl<E> Scheduler<E> for ExploreScheduler {
 pub struct RunReport {
     /// The full choice vector actually taken (forced prefix, clamped,
     /// plus FIFO defaults).
-    pub schedule: Schedule,
+    pub(crate) schedule: Schedule,
     /// Candidate count at each branch point.
-    pub arities: Vec<u16>,
+    pub(crate) arities: Vec<u16>,
     /// Events processed.
     pub steps: u64,
     /// Whether the event queue drained within the step budget.
-    pub drained: bool,
+    pub(crate) drained: bool,
     /// Oracle violations (stale TLB use, machine checks).
     pub violations: Vec<SimError>,
     /// Non-fatal kernel errors recorded during the run.
-    pub errors: Vec<SimError>,
+    pub(crate) errors: Vec<SimError>,
     /// Whether the liveness invariant held at the end of the run.
-    pub live: bool,
+    pub(crate) live: bool,
     machine: Machine,
 }
 
@@ -196,7 +195,7 @@ fn liveness_ok(m: &Machine, drained: bool) -> bool {
 /// Canonical rendering of a finished machine for byte-identical replay
 /// comparison. Each digest component gets its own line, so a replay
 /// divergence names the part of the state that differs.
-pub fn render_run(m: &Machine, steps: u64) -> String {
+pub(crate) fn render_run(m: &Machine, steps: u64) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "steps {steps}");
     let _ = writeln!(out, "final_time {}", m.now().as_u64());
@@ -343,8 +342,6 @@ pub struct Counterexample {
     /// Whether the breach was a liveness failure (queue failed to drain
     /// or left in-flight shootdown state) rather than an oracle hit.
     pub liveness: bool,
-    /// Events processed before the breach.
-    pub steps: u64,
 }
 
 /// Result of an exploration.
@@ -397,7 +394,6 @@ pub fn explore(build: &Scenario<'_>, bounds: &Bounds) -> Report {
                     schedule: run.schedule.normalized(),
                     liveness: run.violations.is_empty(),
                     violations: run.violations,
-                    steps: run.steps,
                 }),
             };
         }
@@ -458,7 +454,7 @@ pub fn replay_twice(
 
 /// The lines at which two renderings differ, as `run1:`/`run2:` pairs; a
 /// line present on one side only pairs with `<absent>`.
-pub fn render_diff(a: &str, b: &str) -> String {
+pub(crate) fn render_diff(a: &str, b: &str) -> String {
     let (mut la, mut lb) = (a.lines(), b.lines());
     let mut diff = String::new();
     loop {

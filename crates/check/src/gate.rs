@@ -25,7 +25,7 @@ use crate::shrink;
 pub const DEFAULT_BUDGET: u64 = 50_000;
 
 /// Per-optimization-level schedule budget.
-pub const PER_LEVEL_SCHEDULES: u64 = 2_000;
+pub(crate) const PER_LEVEL_SCHEDULES: u64 = 2_000;
 
 /// The bounds used for each per-level exploration.
 pub fn per_level_bounds() -> Bounds {
@@ -174,7 +174,7 @@ pub struct Canary {
     /// The seeded bug.
     pub bug: InjectedBug,
     /// The probe scenario: `probe(true)` seeds the bug.
-    pub probe: fn(bool) -> Machine,
+    pub(crate) probe: fn(bool) -> Machine,
 }
 
 /// Every canary the explore gate runs, in report order:
@@ -232,7 +232,7 @@ pub fn run_canary(bounds: &Bounds, shrink_budget: u64) -> CanaryReport {
 /// The shared canary harness: `buggy` must be FIFO-safe yet caught by
 /// exploration; the shrunk counterexample must replay byte-identically;
 /// `safe` must explore clean under the same bounds.
-pub fn run_canary_scenario(
+pub(crate) fn run_canary_scenario(
     buggy: &crate::explore::Scenario<'_>,
     safe: &crate::explore::Scenario<'_>,
     bounds: &Bounds,

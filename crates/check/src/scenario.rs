@@ -52,10 +52,10 @@ fn delayed_zap(addr: u64, pages: u64, delay: u64) -> Box<ScriptProg> {
 /// pulls the IPI ahead of the re-touch, so the flush runs and retires
 /// first and the re-touch then goes through whatever the fracture path
 /// left cached.
-pub const FRACTURE_PROBE_DEMO_ZAP_DELAY: u64 = 7_000;
+pub(crate) const FRACTURE_PROBE_DEMO_ZAP_DELAY: u64 = 7_000;
 
 /// The [`fracture_probe`] scenario at the calibrated zap delay.
-pub fn fracture_probe_demo(buggy: bool) -> Machine {
+pub(crate) fn fracture_probe_demo(buggy: bool) -> Machine {
     fracture_probe(buggy, FRACTURE_PROBE_DEMO_ZAP_DELAY)
 }
 
@@ -70,7 +70,7 @@ pub fn fracture_probe_demo(buggy: bool) -> Machine {
 /// key: schedules that retire the flush before the re-touch read freed
 /// memory through the surviving 2MB entry — the race the explorer must
 /// catch while the real path explores clean.
-pub fn fracture_probe(buggy: bool, zap_delay: u64) -> Machine {
+pub(crate) fn fracture_probe(buggy: bool, zap_delay: u64) -> Machine {
     /// Subpages zapped out of the 512-page window.
     const ZAP_PAGES: u64 = 8;
     let cfg =
@@ -93,7 +93,10 @@ pub fn dueling_madvise(opts: OptConfig) -> Machine {
 }
 
 /// [`dueling_madvise`] over an arbitrary interconnect shape.
-pub fn dueling_madvise_on(opts: OptConfig, interconnect: tlbdown_topo::TopologySpec) -> Machine {
+pub(crate) fn dueling_madvise_on(
+    opts: OptConfig,
+    interconnect: tlbdown_topo::TopologySpec,
+) -> Machine {
     let cfg = KernelConfig::test_machine(2)
         .with_opts(opts)
         .with_topology(interconnect);
@@ -131,7 +134,7 @@ pub fn dueling_madvise_at(level: u8) -> Machine {
 /// cacheline transfer and IPI pays per-hop link and congestion costs,
 /// and the protocol must stay safe and live whatever that does to
 /// relative timing.
-pub fn dueling_madvise_mesh_at(level: u8) -> Machine {
+pub(crate) fn dueling_madvise_mesh_at(level: u8) -> Machine {
     dueling_madvise_at_on(level, tlbdown_topo::TopologySpec::Mesh)
 }
 
@@ -175,10 +178,10 @@ fn dueling_madvise_at_on(level: u8, interconnect: tlbdown_topo::TopologySpec) ->
 /// munmap's IPI arrivals earlier both finishes the initiator's
 /// shootdown sooner (the park runs earlier) and spends responder cycles
 /// in the IRQ handler (the re-touch runs later), crossing the two.
-pub const REUSE_PROBE_DEMO_PARK_DELAY: u64 = 16_000;
+pub(crate) const REUSE_PROBE_DEMO_PARK_DELAY: u64 = 16_000;
 
 /// The [`reuse_probe`] scenario at the calibrated park delay.
-pub fn reuse_probe_demo(buggy: bool) -> Machine {
+pub(crate) fn reuse_probe_demo(buggy: bool) -> Machine {
     reuse_probe(buggy, REUSE_PROBE_DEMO_PARK_DELAY)
 }
 
@@ -194,7 +197,7 @@ pub fn reuse_probe_demo(buggy: bool) -> Machine {
 /// immediately: schedules where the park completes before the re-touch
 /// turn that same cached-entry hit into a stale read — the race the
 /// explorer must catch while the real reuse-skip path explores clean.
-pub fn reuse_probe(buggy: bool, park_delay: u64) -> Machine {
+pub(crate) fn reuse_probe(buggy: bool, park_delay: u64) -> Machine {
     /// Lever range: enough PTEs that the munmap shootdown's IPI + ack +
     /// per-entry flush machinery spans a perturbable stretch of cycles.
     const LEVER_PAGES: u64 = 8;
@@ -243,10 +246,10 @@ pub fn reuse_probe(buggy: bool, park_delay: u64) -> Machine {
 /// re-touch: the flush then runs and retires first, the re-touch
 /// misses its flushed TLB, and the page walk goes through whatever the
 /// socket's replica holds.
-pub const NUMAPTE_PROBE_DEMO_ZAP_DELAY: u64 = 15_000;
+pub(crate) const NUMAPTE_PROBE_DEMO_ZAP_DELAY: u64 = 15_000;
 
 /// The [`numapte_probe`] scenario at the calibrated zap delay.
-pub fn numapte_probe_demo(buggy: bool) -> Machine {
+pub(crate) fn numapte_probe_demo(buggy: bool) -> Machine {
     numapte_probe(buggy, NUMAPTE_PROBE_DEMO_ZAP_DELAY)
 }
 
@@ -261,7 +264,7 @@ pub fn numapte_probe_demo(buggy: bool) -> Machine {
 /// the responder walking socket 1's stale replica — a TLB fill at the
 /// already-retired version — the race the explorer must catch while
 /// the real numaPTE path explores clean.
-pub fn numapte_probe(buggy: bool, zap_delay: u64) -> Machine {
+pub(crate) fn numapte_probe(buggy: bool, zap_delay: u64) -> Machine {
     /// Range size: same wide post-ack flush window as [`nmi_probe`].
     const PAGES: u64 = 8;
     let mut cfg = KernelConfig::test_machine(2)
@@ -288,7 +291,7 @@ pub fn numapte_probe(buggy: bool, zap_delay: u64) -> Machine {
 /// just after the responder's flush completes — but the explorer's
 /// timing-perturbation window can pull the arrival back inside the
 /// early-ack window, where only the §3.2 extension saves the probe.
-pub const NMI_PROBE_DEMO_INJECT_AT: u64 = 17_500;
+pub(crate) const NMI_PROBE_DEMO_INJECT_AT: u64 = 17_500;
 
 /// The [`nmi_probe`] scenario at the calibrated demo injection time.
 pub fn nmi_probe_demo(buggy: bool) -> Machine {
@@ -299,10 +302,10 @@ pub fn nmi_probe_demo(buggy: bool) -> Machine {
 /// way as [`NMI_PROBE_DEMO_INJECT_AT`]: FIFO-safe, but inside the
 /// explorer's perturbation reach of the quarantined responder's
 /// ack-to-flush window.
-pub const QUARANTINE_PROBE_DEMO_INJECT_AT: u64 = 17_500;
+pub(crate) const QUARANTINE_PROBE_DEMO_INJECT_AT: u64 = 17_500;
 
 /// The [`quarantine_probe`] scenario at the calibrated injection time.
-pub fn quarantine_probe_demo(buggy: bool) -> Machine {
+pub(crate) fn quarantine_probe_demo(buggy: bool) -> Machine {
     quarantine_probe(buggy, QUARANTINE_PROBE_DEMO_INJECT_AT)
 }
 
@@ -318,7 +321,7 @@ pub fn quarantine_probe_demo(buggy: bool) -> Machine {
 /// flush window sails past `nmi_uaccess_okay` and reads a stale entry.
 /// The explorer must catch that variant while the real path explores
 /// clean.
-pub fn quarantine_probe(buggy: bool, inject_at: u64) -> Machine {
+pub(crate) fn quarantine_probe(buggy: bool, inject_at: u64) -> Machine {
     /// Same range size as [`nmi_probe`]: a wide post-ack flush window.
     const PAGES: u64 = 8;
     let cfg = KernelConfig::test_machine(2)

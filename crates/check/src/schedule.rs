@@ -21,7 +21,7 @@ pub struct Schedule {
 
 impl Schedule {
     /// The all-FIFO schedule (no perturbation).
-    pub fn fifo() -> Self {
+    pub(crate) fn fifo() -> Self {
         Schedule::default()
     }
 
@@ -47,7 +47,7 @@ impl Schedule {
     }
 
     /// Drop trailing FIFO choices; they are implicit.
-    pub fn normalized(mut self) -> Self {
+    pub(crate) fn normalized(mut self) -> Self {
         while self.choices.last() == Some(&0) {
             self.choices.pop();
         }

@@ -25,9 +25,9 @@ pub struct ShrinkStats {
     /// Candidate schedules executed.
     pub trials: u64,
     /// Trials that still violated (accepted moves plus the final verify).
-    pub still_failing: u64,
+    pub(crate) still_failing: u64,
     /// Full passes over the move classes until fixpoint.
-    pub passes: u32,
+    pub(crate) passes: u32,
 }
 
 /// Outcome of shrinking: the minimized schedule plus counters.

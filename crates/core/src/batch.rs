@@ -12,7 +12,7 @@ use crate::info::FlushTlbInfo;
 
 /// Number of deferred-flush slots ("we also allocate 4 entries to keep
 /// track of the deferred flushes").
-pub const BATCH_SLOTS: usize = 4;
+pub(crate) const BATCH_SLOTS: usize = 4;
 
 /// What happened to a flush handed to [`BatchState::defer`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -35,16 +35,6 @@ impl BatchState {
     /// Inactive, empty state.
     pub fn new() -> Self {
         BatchState::default()
-    }
-
-    /// Whether batched mode is active (`batched_mode` variable).
-    pub fn active(&self) -> bool {
-        self.active
-    }
-
-    /// Number of pending deferred flushes.
-    pub fn pending_count(&self) -> usize {
-        self.slots.len()
     }
 
     /// Enter batched mode at the start of a suitable system call.
@@ -111,11 +101,11 @@ mod tests {
     fn defer_and_release() {
         let mut b = BatchState::new();
         b.begin();
-        assert!(b.active());
+        assert!(b.active);
         assert_eq!(b.defer(info(1)), DeferOutcome::Deferred);
         assert_eq!(b.defer(info(2)), DeferOutcome::Deferred);
         let out = b.end();
-        assert!(!b.active());
+        assert!(!b.active);
         assert_eq!(out.len(), 2);
         assert_eq!(out[0].new_tlb_gen, 1);
     }
@@ -156,7 +146,7 @@ mod tests {
         b.defer(info(1));
         b.end();
         b.begin();
-        assert_eq!(b.pending_count(), 0);
+        assert_eq!(b.slots.len(), 0);
         b.end();
     }
 

@@ -62,7 +62,7 @@ impl DeferredUserFlush {
     }
 
     /// Whether any user flush is pending on this CPU.
-    pub fn is_pending(&self) -> bool {
+    pub(crate) fn is_pending(&self) -> bool {
         self.pending.is_some()
     }
 

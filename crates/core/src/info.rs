@@ -41,7 +41,7 @@ impl FlushTlbInfo {
     }
 
     /// A full-flush request.
-    pub fn full(mm: MmId, new_tlb_gen: u64) -> Self {
+    pub(crate) fn full(mm: MmId, new_tlb_gen: u64) -> Self {
         FlushTlbInfo {
             mm,
             range: VirtRange::new(tlbdown_types::VirtAddr(0), tlbdown_types::VirtAddr(0)),
@@ -59,7 +59,7 @@ impl FlushTlbInfo {
     }
 
     /// Number of pages this request names (0 when full).
-    pub fn page_count(&self) -> u64 {
+    pub(crate) fn page_count(&self) -> u64 {
         if self.full {
             0
         } else {

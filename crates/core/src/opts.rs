@@ -55,7 +55,7 @@ pub struct OptConfig {
 ///
 /// Levels 0–6 are the source paper's six optimizations; levels 7 and 8 are
 /// the follow-on-literature extensions (reuse-skip and numaPTE).
-pub const CUMULATIVE_NAMES: [&str; 9] = [
+pub(crate) const CUMULATIVE_NAMES: [&str; 9] = [
     "base",
     "+concurrent",
     "+early-ack",
@@ -142,7 +142,7 @@ impl OptConfig {
     /// Number of cumulative levels in the source paper itself (baseline
     /// through userspace-safe batching). The committed `BENCH_*.json`
     /// baselines render exactly these levels, so matrix cells whose
-    /// output is byte-pinned iterate [`paper_levels`], never
+    /// output is byte-pinned loop over `0..PAPER_NUM_LEVELS`, never
     /// [`all_levels`].
     pub const PAPER_NUM_LEVELS: usize = 7;
 
@@ -150,14 +150,6 @@ impl OptConfig {
     /// (`PAPER_NUM_LEVELS - 1`). `cumulative(PAPER_MAX_LEVEL)` equals
     /// [`OptConfig::all`].
     pub const PAPER_MAX_LEVEL: usize = Self::PAPER_NUM_LEVELS - 1;
-
-    /// Iterate the paper's own cumulative levels as `(level, name,
-    /// config)` — the byte-pinned set behind the committed bench
-    /// baselines. Follow-on levels (reuse-skip, numaPTE) are excluded on
-    /// purpose; loops that must cover every level use [`all_levels`].
-    pub fn paper_levels() -> impl Iterator<Item = (u8, &'static str, OptConfig)> {
-        (0..Self::PAPER_NUM_LEVELS).map(|n| (n as u8, CUMULATIVE_NAMES[n], Self::cumulative(n)))
-    }
 
     /// Iterate every cumulative level as `(level, name, config)`.
     ///

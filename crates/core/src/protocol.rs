@@ -38,7 +38,7 @@ pub fn use_early_ack(info: &FlushTlbInfo, opts: &OptConfig) -> bool {
 #[derive(Clone, Debug, Hash)]
 pub struct Shootdown {
     /// Unique id.
-    pub id: ShootdownId,
+    pub(crate) id: ShootdownId,
     /// The initiating core.
     pub initiator: CoreId,
     /// The work description sent to responders.
@@ -51,9 +51,9 @@ pub struct Shootdown {
     pub early_ack: bool,
     /// Simulated time at which the initiator started the operation
     /// (for latency accounting).
-    pub started: Cycles,
+    pub(crate) started: Cycles,
     /// Phase of the protocol.
-    pub phase: ShootdownPhase,
+    pub(crate) phase: ShootdownPhase,
 }
 
 impl Shootdown {

@@ -35,7 +35,7 @@ pub enum LineOp {
 
 impl LineOp {
     /// Execute this operation on `core`, returning its coherence cost.
-    pub fn execute(self, dir: &mut CacheDirectory, core: CoreId) -> Cycles {
+    pub(crate) fn execute(self, dir: &mut CacheDirectory, core: CoreId) -> Cycles {
         match self {
             LineOp::Read(l) => dir.read(core, l),
             LineOp::Write(l) => dir.write(core, l),
@@ -102,19 +102,14 @@ impl SmpLayer {
         }
     }
 
-    /// Whether this layer uses the consolidated layout.
-    pub fn consolidated(&self) -> bool {
-        self.consolidated
-    }
-
     /// The CFD line for an (initiator, target) pair — the line the ack
     /// travels on.
-    pub fn cfd(&self, initiator: CoreId, target: CoreId) -> LineId {
+    pub(crate) fn cfd(&self, initiator: CoreId, target: CoreId) -> LineId {
         self.cfd_line[initiator.index()][target.index()]
     }
 
     /// The line carrying `target`'s lazy-mode indication.
-    pub fn lazy_line(&self, target: CoreId) -> LineId {
+    pub(crate) fn lazy_line(&self, target: CoreId) -> LineId {
         if self.consolidated {
             self.csq_line[target.index()]
         } else {

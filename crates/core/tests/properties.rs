@@ -16,7 +16,7 @@ fn info(gen: u64, start_page: u64, pages: u64) -> FlushTlbInfo {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+    #![proptest_config(ProptestConfig::with_cases(256))]
 
     /// The generation protocol always makes progress and never regresses:
     /// for any interleaving of flush requests, applying the decisions in

@@ -18,22 +18,22 @@ use tlbdown_sim::SplitMix64;
 #[derive(Clone, Debug, PartialEq)]
 pub struct FleetFaultSpec {
     /// Probability a machine crashes (and cold-reboots) mid-window.
-    pub crash_p: f64,
+    pub(crate) crash_p: f64,
     /// Ticks a crashed machine stays down before its reboot completes.
-    pub crash_downtime: u64,
+    pub(crate) crash_downtime: u64,
     /// Probability a machine is a straggler.
-    pub slow_p: f64,
+    pub(crate) slow_p: f64,
     /// Latency multiplier on straggler machines (≥ 1.0 to matter).
-    pub slow_factor: f64,
+    pub(crate) slow_factor: f64,
     /// Probability the LB↔machine link partitions once mid-window.
-    pub partition_p: f64,
+    pub(crate) partition_p: f64,
     /// Ticks a partition lasts.
-    pub partition_len: u64,
+    pub(crate) partition_len: u64,
     /// Probability a machine hosts tenant churn (mmap/munmap storms
     /// from process turnover) alongside its serving workers.
-    pub churn_p: f64,
+    pub(crate) churn_p: f64,
     /// IPI-level faults injected inside every machine's kernel.
-    pub ipi: FaultSpec,
+    pub(crate) ipi: FaultSpec,
 }
 
 impl Default for FleetFaultSpec {
@@ -44,7 +44,7 @@ impl Default for FleetFaultSpec {
 
 impl FleetFaultSpec {
     /// No machine-level hazards, no IPI faults.
-    pub fn none() -> Self {
+    pub(crate) fn none() -> Self {
         FleetFaultSpec {
             crash_p: 0.0,
             crash_downtime: 0,
@@ -58,7 +58,7 @@ impl FleetFaultSpec {
     }
 
     /// A third of the fleet crashes mid-window and cold-reboots.
-    pub fn crash() -> Self {
+    pub(crate) fn crash() -> Self {
         FleetFaultSpec {
             crash_p: 0.35,
             crash_downtime: 600_000,
@@ -67,7 +67,7 @@ impl FleetFaultSpec {
     }
 
     /// A fifth of the fleet serves at a third of normal speed.
-    pub fn slow_machine() -> Self {
+    pub(crate) fn slow_machine() -> Self {
         FleetFaultSpec {
             slow_p: 0.2,
             slow_factor: 3.0,
@@ -76,7 +76,7 @@ impl FleetFaultSpec {
     }
 
     /// A quarter of the fleet loses its LB link for a stretch.
-    pub fn partition() -> Self {
+    pub(crate) fn partition() -> Self {
         FleetFaultSpec {
             partition_p: 0.25,
             partition_len: 900_000,
@@ -85,7 +85,7 @@ impl FleetFaultSpec {
     }
 
     /// Half the fleet hosts tenant churn under its serving workers.
-    pub fn tenant_churn() -> Self {
+    pub(crate) fn tenant_churn() -> Self {
         FleetFaultSpec {
             churn_p: 0.5,
             ..FleetFaultSpec::none()
@@ -112,7 +112,7 @@ impl FleetFaultSpec {
     /// IPI layers. Commutative, associative, idempotent; `none()` is the
     /// identity.
     #[must_use]
-    pub fn merge(&self, other: &FleetFaultSpec) -> FleetFaultSpec {
+    pub(crate) fn merge(&self, other: &FleetFaultSpec) -> FleetFaultSpec {
         FleetFaultSpec {
             crash_p: self.crash_p.max(other.crash_p),
             crash_downtime: self.crash_downtime.max(other.crash_downtime),
@@ -142,20 +142,20 @@ impl FleetFaultSpec {
 #[derive(Clone, Debug, PartialEq)]
 pub struct MachineFaults {
     /// Fleet tick at which the machine crashes, if it does.
-    pub crash_at: Option<u64>,
+    pub(crate) crash_at: Option<u64>,
     /// Ticks the machine is down after its crash.
-    pub downtime: u64,
+    pub(crate) downtime: u64,
     /// Service-latency multiplier (1.0 for a healthy machine).
-    pub slow_factor: f64,
+    pub(crate) slow_factor: f64,
     /// LB↔machine partition window `[start, end)`, if any.
-    pub partition: Option<(u64, u64)>,
+    pub(crate) partition: Option<(u64, u64)>,
     /// Whether this machine hosts tenant churn.
-    pub churn: bool,
+    pub(crate) churn: bool,
 }
 
 impl MachineFaults {
     /// A machine nothing happens to.
-    pub fn healthy() -> Self {
+    pub(crate) fn healthy() -> Self {
         MachineFaults {
             crash_at: None,
             downtime: 0,
@@ -166,7 +166,7 @@ impl MachineFaults {
     }
 
     /// Whether the LB can reach this machine at fleet tick `t`.
-    pub fn reachable_at(&self, t: u64) -> bool {
+    pub(crate) fn reachable_at(&self, t: u64) -> bool {
         if let Some(at) = self.crash_at {
             if t >= at && t < at.saturating_add(self.downtime) {
                 return false;
@@ -186,7 +186,7 @@ impl MachineFaults {
 #[derive(Clone, Debug)]
 pub struct FleetFaultPlan {
     /// Per-machine fates, indexed by machine ID.
-    pub machines: Vec<MachineFaults>,
+    pub(crate) machines: Vec<MachineFaults>,
 }
 
 impl FleetFaultPlan {
@@ -194,7 +194,7 @@ impl FleetFaultPlan {
     /// ticks. Crashes land in the middle 20–70% of the window so the LB
     /// sees both pre-crash service and post-recovery traffic; partitions
     /// start anywhere they can still finish.
-    pub fn new(spec: &FleetFaultSpec, seed: u64, machines: u32, window: u64) -> Self {
+    pub(crate) fn new(spec: &FleetFaultSpec, seed: u64, machines: u32, window: u64) -> Self {
         let mut out = Vec::with_capacity(machines as usize);
         for i in 0..machines {
             // Independent stream per machine: adding machines never
@@ -225,7 +225,7 @@ impl FleetFaultPlan {
     }
 
     /// Machines the plan crashes.
-    pub fn crashed(&self) -> impl Iterator<Item = usize> + '_ {
+    pub(crate) fn crashed(&self) -> impl Iterator<Item = usize> + '_ {
         self.machines
             .iter()
             .enumerate()

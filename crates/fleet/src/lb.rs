@@ -42,15 +42,15 @@ const PROBATION_ACKS: u32 = 2;
 pub struct LbCfg {
     /// Fleet ticks over which arrivals are generated (responses and
     /// retries may drain past it).
-    pub window: u64,
+    pub(crate) window: u64,
     /// Offered load across the whole fleet, requests per simulated
     /// second.
-    pub fleet_rps: f64,
+    pub(crate) fleet_rps: f64,
     /// The fleet's observed warm service latency, in ticks (floored at
     /// 1,000).
-    pub warm_latency: u64,
+    pub(crate) warm_latency: u64,
     /// Seed for arrival spacing, jitter and hedge target choice.
-    pub seed: u64,
+    pub(crate) seed: u64,
 }
 
 /// Why a request ultimately failed. Typed: the gate requires every
@@ -152,48 +152,48 @@ impl MachineView {
 #[derive(Clone, Debug)]
 pub struct LbResult {
     /// Requests generated over the window.
-    pub offered: u64,
+    pub(crate) offered: u64,
     /// Requests served on their first dispatch (hedge wins included).
-    pub served_first: u64,
+    pub(crate) served_first: u64,
     /// Requests served only after at least one retry.
-    pub served_retried: u64,
+    pub(crate) served_retried: u64,
     /// Requests whose winning response came from a hedge copy.
-    pub hedge_wins: u64,
+    pub(crate) hedge_wins: u64,
     /// Typed failures by kind, canonically ordered.
-    pub failed: Vec<(RequestError, u64)>,
+    pub(crate) failed: Vec<(RequestError, u64)>,
     /// Sum of served request latencies, in ticks.
-    pub latency_sum: u64,
+    pub(crate) latency_sum: u64,
     /// Max served request latency, in ticks.
-    pub latency_max: u64,
+    pub(crate) latency_max: u64,
     /// Ejection events across the fleet.
     pub ejections: u64,
     /// Ejected machines that made it back through probation.
     pub rejoins: u64,
     /// Final LB state per machine: true if in rotation (healthy or
     /// probation) at the end.
-    pub in_rotation: Vec<bool>,
+    pub(crate) in_rotation: Vec<bool>,
     /// Per-machine dispatch counts (canonical machine order).
-    pub dispatched: Vec<u64>,
+    pub(crate) dispatched: Vec<u64>,
 }
 
 impl LbResult {
     /// Total requests served.
-    pub fn served(&self) -> u64 {
+    pub(crate) fn served(&self) -> u64 {
         self.served_first + self.served_retried
     }
 
     /// Total typed failures.
-    pub fn failed_total(&self) -> u64 {
+    pub(crate) fn failed_total(&self) -> u64 {
         self.failed.iter().map(|(_, n)| n).sum()
     }
 
     /// Every request must end served or typed-failed.
-    pub fn fully_accounted(&self) -> bool {
+    pub(crate) fn fully_accounted(&self) -> bool {
         self.served() + self.failed_total() == self.offered
     }
 
     /// Mean served latency in ticks.
-    pub fn latency_mean(&self) -> f64 {
+    pub(crate) fn latency_mean(&self) -> f64 {
         if self.served() == 0 {
             0.0
         } else {
@@ -202,7 +202,7 @@ impl LbResult {
     }
 
     /// Served requests per simulated second.
-    pub fn requests_per_sec(&self, window: u64) -> f64 {
+    pub(crate) fn requests_per_sec(&self, window: u64) -> f64 {
         if window == 0 {
             return 0.0;
         }
@@ -210,7 +210,7 @@ impl LbResult {
     }
 
     /// Canonical JSON block (fixed key order, deterministic values).
-    pub fn to_json(&self, window: u64) -> Json {
+    pub(crate) fn to_json(&self, window: u64) -> Json {
         let failed = self
             .failed
             .iter()
@@ -240,7 +240,7 @@ impl LbResult {
 /// after 8× it, an unanswered first dispatch is hedged after 3×, and
 /// retries back off from 1×, doubling per attempt with seeded jitter.
 /// Each machine is probed 24 times per window.
-pub fn run_lb(cfg: &LbCfg, profiles: &[NodeProfile], faults: &[MachineFaults]) -> LbResult {
+pub(crate) fn run_lb(cfg: &LbCfg, profiles: &[NodeProfile], faults: &[MachineFaults]) -> LbResult {
     assert_eq!(profiles.len(), faults.len(), "one fault row per profile");
     let warm = cfg.warm_latency.max(1_000);
     let (timeout, backoff_base, hedge_after) = (warm * 8, warm, warm * 3);
@@ -561,10 +561,8 @@ fn observe_failure(m: &mut MachineView, out: &mut LbResult) {
     }
     m.fail_streak += 1;
     if m.fail_streak >= EJECT_AFTER {
-        if m.lb != LbState::Ejected {
-            m.ejections += 1;
-            out.ejections += 1;
-        }
+        m.ejections += 1;
+        out.ejections += 1;
         m.lb = LbState::Ejected;
         m.fail_streak = 0;
     }
@@ -583,7 +581,6 @@ mod tests {
             requests: 1000,
             turnovers: 0,
             lost_in_flight: 0,
-            crashed: false,
             boots: 1,
             warm_latency: warm,
             cold_latency: warm * 3.0,

@@ -35,5 +35,5 @@ pub mod run;
 
 pub use fault::{FleetFaultPlan, FleetFaultSpec, MachineFaults};
 pub use lb::{LbCfg, LbResult, RequestError};
-pub use node::{run_node, NodeCfg, NodeProfile, CHURN_SLOTS, WINDOW, WORKERS};
-pub use run::{replay_fleet, run_fleet, window_secs, FleetCfg, FleetResult};
+pub use node::{NodeCfg, NodeProfile, CHURN_SLOTS, WINDOW, WORKERS};
+pub use run::{replay_fleet, run_fleet, FleetCfg, FleetResult};

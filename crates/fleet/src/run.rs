@@ -21,7 +21,7 @@
 
 use tlbdown_core::OptConfig;
 use tlbdown_sweep::{run_jobs, Job, Json};
-use tlbdown_types::{Cycles, SimError, SimResult};
+use tlbdown_types::{SimError, SimResult};
 
 use crate::fault::{FleetFaultPlan, FleetFaultSpec};
 use crate::lb::{LbCfg, LbResult};
@@ -38,13 +38,13 @@ pub struct FleetCfg {
     /// Machines in the fleet.
     pub machines: u32,
     /// Logical cores per socket.
-    pub logical_per_socket: u32,
+    pub(crate) logical_per_socket: u32,
     /// Optimizations inside every machine's kernel.
-    pub opts: OptConfig,
+    pub(crate) opts: OptConfig,
     /// Mitigations on?
-    pub safe: bool,
+    pub(crate) safe: bool,
     /// Machine-level fault spec (carries the IPI layer too).
-    pub spec: FleetFaultSpec,
+    pub(crate) spec: FleetFaultSpec,
     /// Fleet seed; machines and the LB derive their streams from it.
     pub seed: u64,
 }
@@ -76,7 +76,7 @@ impl FleetCfg {
 
     /// Builder-style: replace the fault spec.
     #[must_use]
-    pub fn with_spec(mut self, spec: FleetFaultSpec) -> Self {
+    pub(crate) fn with_spec(mut self, spec: FleetFaultSpec) -> Self {
         self.spec = spec;
         self
     }
@@ -108,10 +108,8 @@ pub struct FleetResult {
     pub machines: u32,
     /// Simulated logical cores across the fleet.
     pub total_cores: u64,
-    /// The fleet window, cycles.
-    pub window: u64,
     /// Per-machine profiles, canonical order.
-    pub profiles: Vec<NodeProfile>,
+    pub(crate) profiles: Vec<NodeProfile>,
     /// The LB phase's request ledger.
     pub lb: LbResult,
     /// Machines the fault plan crashed.
@@ -133,7 +131,7 @@ impl FleetResult {
 
     /// Served requests per simulated second across the fleet.
     pub fn requests_per_sec(&self) -> f64 {
-        self.lb.requests_per_sec(self.window)
+        self.lb.requests_per_sec(WINDOW)
     }
 
     /// Aggregate node-phase numbers (canonical order, so deterministic).
@@ -172,7 +170,7 @@ impl FleetResult {
     }
 
     /// Fold of the per-machine digests (canonical order).
-    pub fn digest(&self) -> u64 {
+    pub(crate) fn digest(&self) -> u64 {
         let mut d = 0xcbf2_9ce4_8422_2325u64;
         for p in &self.profiles {
             d ^= p.digest;
@@ -189,7 +187,7 @@ impl FleetResult {
         Json::obj()
             .with("machines", Json::U64(u64::from(self.machines)))
             .with("total_cores", Json::U64(self.total_cores))
-            .with("window", Json::U64(self.window))
+            .with("window", Json::U64(WINDOW))
             .with(
                 "node",
                 Json::obj()
@@ -202,7 +200,7 @@ impl FleetResult {
                     .with("shootdown_cost_cycles", Json::U64(shoot_cycles))
                     .with("shootdown_cost_mean", Json::F64(mean)),
             )
-            .with("lb", self.lb.to_json(self.window))
+            .with("lb", self.lb.to_json(WINDOW))
             .with(
                 "verdicts",
                 Json::obj()
@@ -278,7 +276,6 @@ pub fn run_fleet(cfg: &FleetCfg, threads: usize) -> SimResult<FleetResult> {
     Ok(FleetResult {
         machines: cfg.machines,
         total_cores: cfg.total_cores(),
-        window: WINDOW,
         profiles,
         lb,
         crashed,
@@ -306,12 +303,6 @@ pub fn replay_fleet(cfg: &FleetCfg, threads_a: usize, threads_b: usize) -> SimRe
         )));
     }
     Ok(a)
-}
-
-/// A fleet run takes `window` simulated cycles; expose it as seconds
-/// for report headers.
-pub fn window_secs(window: u64) -> f64 {
-    window as f64 / Cycles::FREQ_HZ as f64
 }
 
 #[cfg(test)]

@@ -305,7 +305,7 @@ impl Machine {
     }
 
     /// Whether `core` is currently quarantined by the escalation ladder.
-    pub fn is_quarantined(&self, core: CoreId) -> bool {
+    pub(crate) fn is_quarantined(&self, core: CoreId) -> bool {
         self.esc.quarantined[core.index()]
     }
 

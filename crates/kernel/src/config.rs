@@ -172,7 +172,7 @@ impl KernelConfig {
     }
 
     /// Whether `bug` is the injected failure.
-    pub fn injects(&self, bug: InjectedBug) -> bool {
+    pub(crate) fn injects(&self, bug: InjectedBug) -> bool {
         self.injected_bug == Some(bug)
     }
 
@@ -184,14 +184,14 @@ impl KernelConfig {
     }
 
     /// Builder-style: set the boot epoch (see [`Self::boot_epoch`]).
-    pub fn with_boot_epoch(mut self, epoch: u64) -> Self {
+    pub(crate) fn with_boot_epoch(mut self, epoch: u64) -> Self {
         self.boot_epoch = epoch;
         self
     }
 
     /// Seed for a derived stream, mixed with the boot epoch. Epoch 0 is
     /// the identity so pre-existing single-boot digests are unchanged.
-    pub fn epoch_seed(&self, base: u64) -> u64 {
+    pub(crate) fn epoch_seed(&self, base: u64) -> u64 {
         base ^ self.boot_epoch.wrapping_mul(0x9e37_79b9_7f4a_7c15)
     }
 }

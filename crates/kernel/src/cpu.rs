@@ -19,21 +19,9 @@ use tlbdown_types::{CoreId, Cycles, FastMap, MmId, VirtAddr};
 
 use crate::prog::Syscall;
 
-/// Privilege mode of a core, as visible to cost accounting (PTI makes
-/// user-mode interrupt delivery more expensive, §5.2).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum CpuMode {
-    /// Executing a user program.
-    User,
-    /// Executing kernel code (syscall, fault, IRQ).
-    Kernel,
-    /// Idle kernel thread (lazy-TLB mode).
-    Idle,
-}
-
 /// Scheduling state of one frame.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum ResumeState {
+pub(crate) enum ResumeState {
     /// A `Resume` event is scheduled to fire when the current stage's
     /// work completes.
     Scheduled {
@@ -52,11 +40,11 @@ pub enum ResumeState {
 
 /// A frame plus its scheduling state.
 #[derive(Debug, Hash)]
-pub struct FrameSlot {
+pub(crate) struct FrameSlot {
     /// The execution frame.
-    pub frame: Frame,
+    pub(crate) frame: Frame,
     /// Its scheduling state.
-    pub resume: ResumeState,
+    pub(crate) resume: ResumeState,
 }
 
 // `step_core` pops the top slot off the stack and pushes it back on
@@ -72,7 +60,7 @@ const _: () = assert!(std::mem::size_of::<FrameSlot>() <= 72);
 /// hashes and formats as its `T`, so digests and renderings do not see
 /// the box.
 #[derive(Debug, Hash)]
-pub enum Frame {
+pub(crate) enum Frame {
     /// Idle kernel thread (bottom frame when no thread is runnable).
     Idle,
     /// The pinned user thread's program.
@@ -89,22 +77,22 @@ pub enum Frame {
 
 /// User-program frame state.
 #[derive(Debug, Hash)]
-pub struct ProgFrame {
+pub(crate) struct ProgFrame {
     /// Index of the thread in `Machine::threads`.
-    pub thread: usize,
+    pub(crate) thread: usize,
     /// A pending access to run (set when returning from a fault so the
     /// faulting access retries).
-    pub pending_access: Option<(VirtAddr, bool, bool)>,
+    pub(crate) pending_access: Option<(VirtAddr, bool, bool)>,
     /// Value to deliver to the program on its next step.
-    pub retval: u64,
+    pub(crate) retval: u64,
     /// Start time and kind of the fault the pending access is retrying
     /// after; the access-latency metric (Figure 9) spans fault + retry.
-    pub fault_info: Option<(Cycles, &'static str)>,
+    pub(crate) fault_info: Option<(Cycles, &'static str)>,
 }
 
 /// Stages of a system call.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum SyscallStage {
+pub(crate) enum SyscallStage {
     /// Kernel entry completed; acquire `mmap_sem`.
     AcquireSem,
     /// Blocked on `mmap_sem`.
@@ -123,38 +111,38 @@ pub enum SyscallStage {
 
 /// A system-call frame.
 #[derive(Debug, Hash)]
-pub struct SyscallFrame {
+pub(crate) struct SyscallFrame {
     /// Retire pairs accumulated while batching (attached to the last
     /// barrier shootdown so nothing retires before every flush ran).
-    pub batched_retires: Vec<(u64, u64)>,
+    pub(crate) batched_retires: Vec<(u64, u64)>,
     /// The call being serviced.
-    pub call: Syscall,
+    pub(crate) call: Syscall,
     /// Current stage.
-    pub stage: SyscallStage,
+    pub(crate) stage: SyscallStage,
     /// Value returned to the program.
-    pub retval: u64,
+    pub(crate) retval: u64,
     /// Active shootdown run, if any.
-    pub sd: Option<ShootdownRun>,
+    pub(crate) sd: Option<ShootdownRun>,
     /// Flushes queued to run sequentially (multi-VMA fdatasync, and the
     /// §4.2 batching barrier at `mmap_sem` release), each with its retire
     /// pairs.
-    pub barrier: VecDeque<(FlushTlbInfo, Vec<(u64, u64)>)>,
+    pub(crate) barrier: VecDeque<(FlushTlbInfo, Vec<(u64, u64)>)>,
     /// Frames whose freeing must wait until the covering flushes complete
     /// (Linux's mmu-gather discipline; freeing earlier is the LATR hazard).
-    pub pending_frees: Vec<PhysAddr>,
+    pub(crate) pending_frees: Vec<PhysAddr>,
     /// Start time (latency accounting).
-    pub started: Cycles,
+    pub(crate) started: Cycles,
     /// Whether this frame entered batched mode and must end it.
-    pub batched: bool,
+    pub(crate) batched: bool,
     /// Whether this frame *ever* entered batched mode (Exit re-sync).
-    pub did_batch: bool,
+    pub(crate) did_batch: bool,
     /// §4.2 per-invocation batching state (`batched_mode` + 4 slots).
-    pub batch: BatchState,
+    pub(crate) batch: BatchState,
 }
 
 /// Stages of a page fault.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum FaultStage {
+pub(crate) enum FaultStage {
     /// Fault dispatch done; classify and resolve.
     Resolve,
     /// Run the CoW shootdown (remote part).
@@ -165,23 +153,23 @@ pub enum FaultStage {
 
 /// A page-fault frame.
 #[derive(Debug, Hash)]
-pub struct FaultFrame {
+pub(crate) struct FaultFrame {
     /// Faulting address.
-    pub va: VirtAddr,
+    pub(crate) va: VirtAddr,
     /// Whether the faulting access was a write.
-    pub write: bool,
+    pub(crate) write: bool,
     /// Whether the faulting access was an instruction fetch.
-    pub is_fetch: bool,
+    pub(crate) is_fetch: bool,
     /// Current stage.
-    pub stage: FaultStage,
+    pub(crate) stage: FaultStage,
     /// Active shootdown run, if any (CoW with sharers).
-    pub sd: Option<ShootdownRun>,
+    pub(crate) sd: Option<ShootdownRun>,
     /// Frames to free once the flush completes.
-    pub pending_frees: Vec<PhysAddr>,
+    pub(crate) pending_frees: Vec<PhysAddr>,
     /// Start time (latency accounting).
-    pub started: Cycles,
+    pub(crate) started: Cycles,
     /// Classification label for statistics ("anon", "cow", "file", ...).
-    pub label: &'static str,
+    pub(crate) label: &'static str,
 }
 
 /// Stages of the initiator-side shootdown state machine.
@@ -191,7 +179,7 @@ pub struct FaultFrame {
 /// runs `SendIpis → LocalFlush → UserFlush → Wait`, overlapping the local
 /// work with IPI delivery and remote flushing.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum SdStage {
+pub(crate) enum SdStage {
     /// Charge `shootdown_prep`, compute targets, decide ordering.
     Prep,
     /// Cacheline work + ICR writes for all targets.
@@ -209,7 +197,7 @@ pub enum SdStage {
 
 /// How the initiator removes its own stale translation.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum LocalMode {
+pub(crate) enum LocalMode {
     /// Ordinary local flush (INVLPG loop or full flush).
     Normal,
     /// §4.1 CoW trick: an atomic no-op RMW at the faulting address
@@ -223,48 +211,48 @@ pub enum LocalMode {
 /// The initiator-side state of one shootdown, embedded in syscall and
 /// fault frames.
 #[derive(Debug, Hash)]
-pub struct ShootdownRun {
+pub(crate) struct ShootdownRun {
     /// The flush description.
-    pub info: FlushTlbInfo,
+    pub(crate) info: FlushTlbInfo,
     /// Current stage.
-    pub stage: SdStage,
+    pub(crate) stage: SdStage,
     /// Registered shootdown id (None when there are no remote targets).
-    pub sd: Option<ShootdownId>,
+    pub(crate) sd: Option<ShootdownId>,
     /// Whether the local flush is a full flush.
-    pub local_full: bool,
+    pub(crate) local_full: bool,
     /// Individual kernel-PCID entries to INVLPG locally.
-    pub kernel_entries: Vec<VirtAddr>,
+    pub(crate) kernel_entries: Vec<VirtAddr>,
     /// Index into `kernel_entries`.
-    pub kidx: usize,
+    pub(crate) kidx: usize,
     /// Individual user-PCID entries to flush (PTI only).
-    pub user_entries: Vec<VirtAddr>,
+    pub(crate) user_entries: Vec<VirtAddr>,
     /// Index into `user_entries`.
-    pub uidx: usize,
+    pub(crate) uidx: usize,
     /// Number of remote targets at send time.
-    pub initial_targets: usize,
+    pub(crate) initial_targets: usize,
     /// How the local flush is performed.
-    pub local_mode: LocalMode,
+    pub(crate) local_mode: LocalMode,
     /// `(vpn, version)` pairs to retire in the oracle when this run
     /// completes (snapshotted at PTE-modification time).
-    pub retire: Vec<(u64, u64)>,
+    pub(crate) retire: Vec<(u64, u64)>,
     /// The local flush decision, computed on entry to `LocalFlush`.
-    pub decided: Option<FlushAction>,
+    pub(crate) decided: Option<FlushAction>,
     /// Whether the user-PCID side was already handled (full-flush deferral).
-    pub user_handled: bool,
+    pub(crate) user_handled: bool,
     /// Trace-layer bookkeeping: the trace operation id for this run (the
     /// shootdown id when one was registered, a synthetic local id
     /// otherwise). Set on leaving `Prep`; `None` when tracing is off.
-    pub trace_op: Option<u64>,
+    pub(crate) trace_op: Option<u64>,
     /// Trace-layer bookkeeping: the last stage a phase mark was emitted
     /// for, so each stage transition is recorded exactly once.
-    pub trace_stage: Option<SdStage>,
+    pub(crate) trace_stage: Option<SdStage>,
 }
 
 impl ShootdownRun {
     /// Build a run for `info` that retires the oracle pairs `retire` when
     /// it completes; the flush entry lists are derived from the info's
     /// range unless it is (effectively) a full flush.
-    pub fn new(info: FlushTlbInfo, retire: Vec<(u64, u64)>) -> Self {
+    pub(crate) fn new(info: FlushTlbInfo, retire: Vec<(u64, u64)>) -> Self {
         let local_full = info.effective_full();
         let entries: Vec<VirtAddr> = if local_full {
             Vec::new()
@@ -296,7 +284,7 @@ impl ShootdownRun {
     /// faulting access is a write, which architecturally cannot translate
     /// through the stale write-protected entry — the hardware re-walks and
     /// caches the new PTE when the access retries.
-    pub fn with_cow_trick(mut self, va: VirtAddr) -> Self {
+    pub(crate) fn with_cow_trick(mut self, va: VirtAddr) -> Self {
         self.local_mode = LocalMode::CowTrick { va };
         self.user_handled = true;
         self
@@ -305,7 +293,7 @@ impl ShootdownRun {
 
 /// Stages of the shootdown IRQ handler (responder side).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum IrqStage {
+pub(crate) enum IrqStage {
     /// Vectoring/dispatch completed; drain the call-single queue.
     DrainQueue,
     /// Fetch the next work item's cachelines.
@@ -324,7 +312,7 @@ pub enum IrqStage {
 
 /// What the responder decided to do for the current work item.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum IrqAct {
+pub(crate) enum IrqAct {
     /// Nothing decided yet.
     Pending,
     /// Generation already covered — nothing to do (§5.2 storm skips).
@@ -337,46 +325,46 @@ pub enum IrqAct {
 
 /// The shootdown interrupt handler frame.
 #[derive(Debug, Hash)]
-pub struct IrqFrame {
+pub(crate) struct IrqFrame {
     /// Dispatch start (responder-interruption accounting, §5.1).
-    pub started: Cycles,
+    pub(crate) started: Cycles,
     /// Current stage.
-    pub stage: IrqStage,
+    pub(crate) stage: IrqStage,
     /// Work items drained from the CSQ.
-    pub queue: Vec<ShootdownId>,
+    pub(crate) queue: Vec<ShootdownId>,
     /// Index of the current work item.
-    pub qidx: usize,
+    pub(crate) qidx: usize,
     /// Whether the current item was early-acknowledged.
-    pub acked: bool,
+    pub(crate) acked: bool,
     /// Kernel-PCID entries to flush for the current item.
-    pub entries: Vec<VirtAddr>,
+    pub(crate) entries: Vec<VirtAddr>,
     /// Index into `entries`.
-    pub eidx: usize,
+    pub(crate) eidx: usize,
     /// User-PCID entries to flush eagerly (PTI baseline).
-    pub user_entries: Vec<VirtAddr>,
+    pub(crate) user_entries: Vec<VirtAddr>,
     /// Index into `user_entries`.
-    pub uidx: usize,
+    pub(crate) uidx: usize,
     /// Generation to sync to when the current item's flush completes.
-    pub upto: u64,
+    pub(crate) upto: u64,
     /// Decision for the current item.
-    pub act: IrqAct,
+    pub(crate) act: IrqAct,
     /// Work description captured at fetch time (the shootdown record may
     /// be reaped by the initiator after an early ack).
-    pub cur_info: Option<FlushTlbInfo>,
+    pub(crate) cur_info: Option<FlushTlbInfo>,
     /// Initiator of the current item.
-    pub cur_initiator: CoreId,
+    pub(crate) cur_initiator: CoreId,
     /// Whether the current item allows early acknowledgement.
-    pub cur_early: bool,
+    pub(crate) cur_early: bool,
     /// Failure injection (`buggy_quarantine`): the current item was
     /// early-acked *without* the `acked_unflushed` bump, so `LateAck`
     /// must skip the matching decrement or a healthy item's §3.2 window
     /// accounting would be stolen.
-    pub cur_buggy_ack: bool,
+    pub(crate) cur_buggy_ack: bool,
 }
 
 /// Stages of the NMI handler.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum NmiStage {
+pub(crate) enum NmiStage {
     /// Handler body: optionally probe user memory (kprobe-style).
     Body,
     /// Return from NMI.
@@ -385,11 +373,11 @@ pub enum NmiStage {
 
 /// An NMI frame (failure injection for the §3.2 hazard).
 #[derive(Debug, Hash)]
-pub struct NmiFrame {
+pub(crate) struct NmiFrame {
     /// Current stage.
-    pub stage: NmiStage,
+    pub(crate) stage: NmiStage,
     /// User address the handler will probe, if any.
-    pub probe: Option<VirtAddr>,
+    pub(crate) probe: Option<VirtAddr>,
 }
 
 /// A core.
@@ -400,13 +388,13 @@ pub struct Cpu {
     /// `cpu_tlbstate`.
     pub tlb_state: CpuTlbState,
     /// Interrupt reception state.
-    pub lapic: LocalApic,
+    pub(crate) lapic: LocalApic,
     /// Execution stack (bottom = thread / idle).
-    pub frames: Vec<FrameSlot>,
+    pub(crate) frames: Vec<FrameSlot>,
     /// Threads pinned to this core, by index into `Machine::threads`.
-    pub runqueue: VecDeque<usize>,
+    pub(crate) runqueue: VecDeque<usize>,
     /// Currently running thread.
-    pub current: Option<usize>,
+    pub(crate) current: Option<usize>,
     /// Call-single queue: pending shootdown work pushed by initiators.
     pub csq: VecDeque<ShootdownId>,
     /// Resume-token; stale `Resume` events are dropped.
@@ -417,25 +405,8 @@ pub struct Cpu {
     /// §4.2: this core is inside a batched-mode syscall — it touches no
     /// user memory, so initiators skip its IPI; it re-syncs via the
     /// generation check before returning to userspace.
-    pub in_batched_syscall: bool,
+    pub(crate) in_batched_syscall: bool,
     /// Per-mm synced generation for previously-loaded address spaces whose
     /// PCID-tagged entries may survive in the TLB.
-    pub pcid_gens: FastMap<MmId, u64>,
-}
-
-impl Cpu {
-    /// The current privilege mode, derived from the frame stack.
-    pub fn mode(&self) -> CpuMode {
-        match self.frames.last() {
-            None
-            | Some(FrameSlot {
-                frame: Frame::Idle, ..
-            }) => CpuMode::Idle,
-            Some(FrameSlot {
-                frame: Frame::Prog(_),
-                ..
-            }) => CpuMode::User,
-            Some(_) => CpuMode::Kernel,
-        }
-    }
+    pub(crate) pcid_gens: FastMap<MmId, u64>,
 }

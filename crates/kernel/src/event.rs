@@ -66,7 +66,7 @@ impl Event {
     /// physically legal execution the checker must cover. Everything else
     /// (resumes, watchdogs, deferred flushes) is causally anchored to the
     /// issuing core's own progress and only branches on exact ties.
-    pub fn race_eligible(&self) -> bool {
+    pub(crate) fn race_eligible(&self) -> bool {
         matches!(self, Event::IpiArrive { .. } | Event::NmiArrive { .. })
     }
 }

@@ -66,9 +66,9 @@ pub(crate) enum StepOut {
 #[must_use]
 pub(crate) struct OwedFlush {
     /// The ranged flush, at the generation the change bumped to.
-    pub info: FlushTlbInfo,
+    pub(crate) info: FlushTlbInfo,
     /// Oracle pairs to retire when the flush completes.
-    pub retire: Vec<(u64, u64)>,
+    pub(crate) retire: Vec<(u64, u64)>,
 }
 
 impl Machine {

@@ -42,7 +42,7 @@ mod tracewire;
 
 pub use chaos::{ChaosConfig, WatchdogConfig};
 pub use config::{InjectedBug, KernelConfig};
-pub use cpu::{Cpu, CpuMode};
+pub use cpu::Cpu;
 pub use event::Event;
 pub use machine::{Machine, MachineStats};
 pub use mm::{FileId, Mm, Vma, VmaKind};

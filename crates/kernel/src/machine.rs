@@ -29,13 +29,13 @@ use tlbdown_trace::TraceEvent;
 /// A thread pinned to a core.
 pub struct Thread {
     /// Identifier.
-    pub id: ThreadId,
+    pub(crate) id: ThreadId,
     /// Address space the thread runs in.
-    pub mm: MmId,
+    pub(crate) mm: MmId,
     /// The user program.
-    pub prog: Box<dyn Prog>,
+    pub(crate) prog: Box<dyn Prog>,
     /// The core this thread is pinned to.
-    pub core: CoreId,
+    pub(crate) core: CoreId,
     /// Whether the program has exited.
     pub done: bool,
 }
@@ -72,7 +72,7 @@ pub struct MachineStats {
 
 impl MachineStats {
     /// Record a syscall completion.
-    pub fn record_syscall(&mut self, core: CoreId, name: &'static str, lat: Cycles) {
+    pub(crate) fn record_syscall(&mut self, core: CoreId, name: &'static str, lat: Cycles) {
         self.syscall_lat
             .entry((core, name))
             .or_default()
@@ -81,13 +81,13 @@ impl MachineStats {
     }
 
     /// Record a shootdown-IRQ interruption on a responder.
-    pub fn record_irq(&mut self, core: CoreId, lat: Cycles) {
+    pub(crate) fn record_irq(&mut self, core: CoreId, lat: Cycles) {
         self.irq_lat.entry(core).or_default().record_cycles(lat);
         self.counters.bump("shootdown_irq");
     }
 
     /// Record a page-fault completion.
-    pub fn record_fault(&mut self, core: CoreId, kind: &'static str, lat: Cycles) {
+    pub(crate) fn record_fault(&mut self, core: CoreId, kind: &'static str, lat: Cycles) {
         self.fault_lat
             .entry((core, kind))
             .or_default()
@@ -123,7 +123,7 @@ pub struct Machine {
     /// Simulated files (page cache).
     pub files: FastMap<FileId, File>,
     /// Data-frame reference counts.
-    pub frame_refs: FrameRefs,
+    pub(crate) frame_refs: FrameRefs,
     /// All threads ever spawned.
     pub threads: Vec<Thread>,
     /// In-flight shootdowns.
@@ -154,7 +154,7 @@ pub struct Machine {
     /// Disabled by default; emission behind one branch, and compiled
     /// out entirely without the `trace` feature.
     #[cfg(feature = "trace")]
-    pub tracer: tlbdown_trace::Tracer,
+    pub(crate) tracer: tlbdown_trace::Tracer,
     next_sd: u64,
     next_mm: u64,
     next_pcid: u16,
@@ -326,7 +326,6 @@ impl Machine {
         self.mms.insert(
             id,
             Mm {
-                id,
                 space,
                 gen: MmGen::new(),
                 cpumask: BTreeSet::new(),
@@ -507,7 +506,7 @@ impl Machine {
     /// when the queue is drained. With
     /// [`FifoScheduler`](tlbdown_sim::FifoScheduler) this replays exactly
     /// what [`Machine::run`] does.
-    pub fn step_with<S: tlbdown_sim::Scheduler<Event>>(&mut self, sched: &mut S) -> bool {
+    pub fn step_with<S: tlbdown_sim::Scheduler>(&mut self, sched: &mut S) -> bool {
         match self.engine.pop_with(sched, Event::race_eligible) {
             Some(ev) => {
                 self.handle(ev);

@@ -5,9 +5,7 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use crate::sem::RwSem;
 use tlbdown_core::MmGen;
 use tlbdown_mem::{AddrSpace, Pte};
-use tlbdown_types::{
-    CoreId, FastMap, MmId, Pcid, PhysAddr, SimError, SimResult, VirtAddr, VirtRange,
-};
+use tlbdown_types::{CoreId, FastMap, Pcid, PhysAddr, SimError, SimResult, VirtAddr, VirtRange};
 
 /// Identifier of a simulated file (page-cache object).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -64,7 +62,7 @@ pub struct Vma {
 
 impl Vma {
     /// Whether `va` falls inside this VMA.
-    pub fn contains(&self, va: VirtAddr) -> bool {
+    pub(crate) fn contains(&self, va: VirtAddr) -> bool {
         self.range.contains(va)
     }
 }
@@ -78,16 +76,16 @@ pub const REUSE_WINDOW_CAP: usize = 32;
 /// removed, the kernel-side PTE version recorded at park time, and the
 /// oracle `(vpn, version)` pairs whose flush guarantee is still owed.
 #[derive(Clone, Debug)]
-pub struct ReuseEntry {
+pub(crate) struct ReuseEntry {
     /// The removed PTE, reinstalled verbatim on a window hit.
-    pub pte: Pte,
+    pub(crate) pte: Pte,
     /// Kernel-side PTE version at park time; a reuse is only legal while
     /// this still equals the page's current version.
-    pub version: u64,
+    pub(crate) version: u64,
     /// Oracle pairs owed to `retire_exact` if a debt flush ever runs.
     /// Empty once the guarantee has been declared (reuse restore, or the
     /// buggy retire-at-park shortcut).
-    pub retire: Vec<(u64, u64)>,
+    pub(crate) retire: Vec<(u64, u64)>,
 }
 
 /// The bounded per-mm window of recently zapped pages (arXiv 2409.10946).
@@ -108,7 +106,7 @@ pub struct ReuseWindow {
 
 impl ReuseWindow {
     /// A fresh, empty window.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         ReuseWindow::default()
     }
 
@@ -117,7 +115,12 @@ impl ReuseWindow {
     /// comes from [`crate::KernelConfig::reuse_window_cap`] so scenarios
     /// can shrink the window and exercise capacity evictions with small
     /// workloads.
-    pub fn park(&mut self, vpn: u64, entry: ReuseEntry, cap: usize) -> Option<(u64, ReuseEntry)> {
+    pub(crate) fn park(
+        &mut self,
+        vpn: u64,
+        entry: ReuseEntry,
+        cap: usize,
+    ) -> Option<(u64, ReuseEntry)> {
         let mut evicted = None;
         if !self.entries.contains_key(&vpn) && self.entries.len() >= cap {
             if let Some(old_vpn) = self.order.pop_front() {
@@ -131,7 +134,7 @@ impl ReuseWindow {
     }
 
     /// Remove and return the parked entry for `vpn`, if any.
-    pub fn take(&mut self, vpn: u64) -> Option<ReuseEntry> {
+    pub(crate) fn take(&mut self, vpn: u64) -> Option<ReuseEntry> {
         let e = self.entries.remove(&vpn);
         if e.is_some() {
             self.order.retain(|&v| v != vpn);
@@ -139,24 +142,19 @@ impl ReuseWindow {
         e
     }
 
-    /// Whether `vpn` is parked.
-    pub fn contains(&self, vpn: u64) -> bool {
-        self.entries.contains_key(&vpn)
-    }
-
     /// Peek at the parked entry for `vpn`.
-    pub fn get(&self, vpn: u64) -> Option<&ReuseEntry> {
+    pub(crate) fn get(&self, vpn: u64) -> Option<&ReuseEntry> {
         self.entries.get(&vpn)
     }
 
     /// Mutable peek (version refresh on a covering re-zap).
-    pub fn get_mut(&mut self, vpn: u64) -> Option<&mut ReuseEntry> {
+    pub(crate) fn get_mut(&mut self, vpn: u64) -> Option<&mut ReuseEntry> {
         self.entries.get_mut(&vpn)
     }
 
     /// Remove and return every parked entry whose page lies in `range`
     /// (conflicting-operation invalidation), in ascending vpn order.
-    pub fn take_range(&mut self, range: VirtRange) -> Vec<(u64, ReuseEntry)> {
+    pub(crate) fn take_range(&mut self, range: VirtRange) -> Vec<(u64, ReuseEntry)> {
         let lo = range.start.vpn();
         let hi = range.end.vpn();
         let vpns: Vec<u64> = self
@@ -184,13 +182,13 @@ impl ReuseWindow {
     }
 
     /// Iterate parked entries in ascending vpn order (digest folding).
-    pub fn iter(&self) -> impl Iterator<Item = (&u64, &ReuseEntry)> {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (&u64, &ReuseEntry)> {
         self.entries.iter()
     }
 
     /// The FIFO eviction order, oldest first. Part of the protocol state:
     /// which entry an overflow evicts decides which debt flush runs next.
-    pub fn fifo_order(&self) -> impl Iterator<Item = &u64> {
+    pub(crate) fn fifo_order(&self) -> impl Iterator<Item = &u64> {
         self.order.iter()
     }
 }
@@ -200,19 +198,17 @@ impl ReuseWindow {
 /// `buggy_numapte` injection ever creates these — the real L8 path syncs
 /// every socket's replica deterministically at update time.
 #[derive(Clone, Copy, Debug)]
-pub struct StalePte {
+pub(crate) struct StalePte {
     /// The old translation the un-synced replica still serves.
-    pub pte: Pte,
+    pub(crate) pte: Pte,
     /// The modification version the replica last saw (current - 1 at the
     /// time the sync was skipped).
-    pub version: u64,
+    pub(crate) version: u64,
 }
 
 /// An address space (`mm_struct`).
 #[derive(Debug)]
 pub struct Mm {
-    /// Identifier.
-    pub id: MmId,
     /// The (kernel-view) page tables. Under PTI the user view shares leaf
     /// PTEs; the simulation models the user view as the same table set
     /// accessed under the user PCID.
@@ -220,11 +216,11 @@ pub struct Mm {
     /// TLB generation counter.
     pub gen: MmGen,
     /// Cores on which this mm is (or may be) loaded, including lazy ones.
-    pub cpumask: BTreeSet<CoreId>,
+    pub(crate) cpumask: BTreeSet<CoreId>,
     /// VMAs by start address.
-    pub vmas: BTreeMap<u64, Vma>,
+    pub(crate) vmas: BTreeMap<u64, Vma>,
     /// `mmap_sem`.
-    pub mmap_sem: RwSem,
+    pub(crate) mmap_sem: RwSem,
     /// The kernel-view PCID assigned to this mm (user view is the PTI
     /// sibling). The simulation assigns PCIDs globally and never recycles
     /// them — a documented simplification of Linux's 6-slot per-CPU cache.
@@ -243,7 +239,7 @@ pub struct Mm {
     /// page-table replica still holds an old PTE. The real replica-sync
     /// path keeps this empty; only `buggy_numapte` (skipping remote-socket
     /// sync) populates it.
-    pub numa_stale: BTreeMap<u32, BTreeMap<u64, StalePte>>,
+    pub(crate) numa_stale: BTreeMap<u32, BTreeMap<u64, StalePte>>,
 }
 
 impl Mm {
@@ -270,7 +266,7 @@ impl Mm {
     }
 
     /// Remove VMAs fully covered by `range`; partial overlaps split.
-    pub fn remove_vmas(&mut self, range: VirtRange) -> Vec<Vma> {
+    pub(crate) fn remove_vmas(&mut self, range: VirtRange) -> Vec<Vma> {
         let keys: Vec<u64> = self
             .vmas
             .iter()
@@ -316,18 +312,18 @@ impl Mm {
 /// Reference counts for data frames shared across mappings (CoW, page
 /// cache), i.e. `struct page::_refcount`.
 #[derive(Debug, Default)]
-pub struct FrameRefs {
+pub(crate) struct FrameRefs {
     refs: FastMap<u64, u32>,
 }
 
 impl FrameRefs {
     /// New empty table.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         FrameRefs::default()
     }
 
     /// Increment the refcount of the frame at `pa` (insert at 1).
-    pub fn get_page(&mut self, pa: PhysAddr) {
+    pub(crate) fn get_page(&mut self, pa: PhysAddr) {
         *self.refs.entry(pa.pfn()).or_insert(0) += 1;
     }
 
@@ -335,7 +331,7 @@ impl FrameRefs {
     /// be freed by the caller). An untracked frame — a double free or an
     /// unmatched put — surfaces as [`SimError::FrameUnderflow`] so the
     /// unmap/CoW hot paths record it instead of panicking.
-    pub fn put_page(&mut self, pa: PhysAddr) -> SimResult<bool> {
+    pub(crate) fn put_page(&mut self, pa: PhysAddr) -> SimResult<bool> {
         let Some(c) = self.refs.get_mut(&pa.pfn()) else {
             return Err(SimError::FrameUnderflow { pfn: pa.pfn() });
         };
@@ -346,11 +342,6 @@ impl FrameRefs {
         } else {
             Ok(false)
         }
-    }
-
-    /// Current count (0 if untracked).
-    pub fn count(&self, pa: PhysAddr) -> u32 {
-        self.refs.get(&pa.pfn()).copied().unwrap_or(0)
     }
 }
 
@@ -396,7 +387,6 @@ mod tests {
         let mut mem = PhysMem::new(1 << 16);
         let space = AddrSpace::new(&mut mem).unwrap();
         let m = Mm {
-            id: MmId::new(1),
             space,
             gen: MmGen::new(),
             cpumask: BTreeSet::new(),
@@ -486,7 +476,7 @@ mod tests {
     fn reuse_window_parks_and_takes() {
         let mut w = ReuseWindow::new();
         assert!(w.park(7, parked(1), REUSE_WINDOW_CAP).is_none());
-        assert!(w.contains(7));
+        assert!(w.entries.contains_key(&7));
         let e = w.take(7).unwrap();
         assert_eq!(e.version, 1);
         assert!(w.is_empty());
@@ -503,7 +493,7 @@ mod tests {
         let (evicted_vpn, _) = w.park(1000, parked(2), REUSE_WINDOW_CAP).unwrap();
         assert_eq!(evicted_vpn, 0);
         assert_eq!(w.len(), REUSE_WINDOW_CAP);
-        assert!(!w.contains(0) && w.contains(1000));
+        assert!(!w.entries.contains_key(&0) && w.entries.contains_key(&1000));
     }
 
     #[test]
@@ -519,7 +509,9 @@ mod tests {
             PageSize::Size4K,
         ));
         assert_eq!(hit.iter().map(|(v, _)| *v).collect::<Vec<_>>(), vec![5]);
-        assert!(w.contains(2) && w.contains(9) && !w.contains(5));
+        assert!(
+            w.entries.contains_key(&2) && w.entries.contains_key(&9) && !w.entries.contains_key(&5)
+        );
     }
 
     #[test]
@@ -528,10 +520,10 @@ mod tests {
         let pa = PhysAddr::new(0x5000);
         r.get_page(pa);
         r.get_page(pa);
-        assert_eq!(r.count(pa), 2);
+        assert_eq!(r.refs.get(&pa.pfn()), Some(&2));
         assert_eq!(r.put_page(pa), Ok(false));
         assert_eq!(r.put_page(pa), Ok(true));
-        assert_eq!(r.count(pa), 0);
+        assert_eq!(r.refs.get(&pa.pfn()), None);
         // A third put is a double free: a typed error, not a panic.
         assert_eq!(
             r.put_page(pa),

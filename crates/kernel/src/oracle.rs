@@ -34,7 +34,7 @@ pub struct Oracle {
 
 impl Oracle {
     /// A fresh oracle.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Oracle::default()
     }
 
@@ -42,7 +42,7 @@ impl Oracle {
     /// CoW swap). Returns the new version, which the caller hands to
     /// [`Oracle::retire_exact`] as a `(vpn, version)` pair when the
     /// covering flush completes.
-    pub fn pte_modified(&mut self, mm: MmId, page: VirtAddr) -> u64 {
+    pub(crate) fn pte_modified(&mut self, mm: MmId, page: VirtAddr) -> u64 {
         let v = self.versions.entry((mm, page.vpn())).or_insert(0);
         *v += 1;
         *v
@@ -54,7 +54,7 @@ impl Oracle {
     /// current versions would overcommit: another core may have modified a
     /// page again (with its own flush still in flight) between this
     /// operation's PTE update and its flush completion.
-    pub fn range_modified(&mut self, mm: MmId, range: VirtRange) -> Vec<(u64, u64)> {
+    pub(crate) fn range_modified(&mut self, mm: MmId, range: VirtRange) -> Vec<(u64, u64)> {
         let mut pairs = Vec::new();
         let mut va = range.start;
         while va < range.end {
@@ -66,7 +66,7 @@ impl Oracle {
 
     /// The kernel has completed the flush guarantee for exactly the given
     /// `(vpn, version)` pairs.
-    pub fn retire_exact(&mut self, mm: MmId, pairs: &[(u64, u64)]) {
+    pub(crate) fn retire_exact(&mut self, mm: MmId, pairs: &[(u64, u64)]) {
         for &(vpn, ver) in pairs {
             let r = self.retired.entry((mm, vpn)).or_insert(0);
             *r = (*r).max(ver);
@@ -75,7 +75,7 @@ impl Oracle {
 
     /// Record a TLB fill on `core` (under the kernel- or user-PCID view)
     /// for `(mm, page)` at the current version.
-    pub fn tlb_filled(&mut self, core: CoreId, user_view: bool, mm: MmId, page: VirtAddr) {
+    pub(crate) fn tlb_filled(&mut self, core: CoreId, user_view: bool, mm: MmId, page: VirtAddr) {
         let v = self.versions.get(&(mm, page.vpn())).copied().unwrap_or(0);
         self.fills.insert((core, user_view, mm, page.vpn()), v);
     }
@@ -85,7 +85,7 @@ impl Oracle {
     /// lags the real page tables — a stale numaPTE socket replica fills at
     /// the version the replica last saw, so a later retire of the real
     /// update correctly flags any access that survives it.
-    pub fn tlb_filled_at(
+    pub(crate) fn tlb_filled_at(
         &mut self,
         core: CoreId,
         user_view: bool,
@@ -111,7 +111,7 @@ impl Oracle {
     /// version whose flush was elided; retiring without the re-stamp (what
     /// `buggy_reuse_skip` effectively does at park time) flags the very
     /// next hit through a surviving entry.
-    pub fn reuse_restored(&mut self, mm: MmId, page: VirtAddr, version: u64) {
+    pub(crate) fn reuse_restored(&mut self, mm: MmId, page: VirtAddr, version: u64) {
         for ((_, _, m, vp), fill) in self.fills.iter_mut() {
             if *m == mm && *vp == page.vpn() && *fill < version {
                 *fill = version;
@@ -123,7 +123,7 @@ impl Oracle {
 
     /// Check a user-mode (or NMI uaccess) access on `core` that *hit* the
     /// TLB. Records a violation if the entry predates a retired flush.
-    pub fn check_hit(
+    pub(crate) fn check_hit(
         &mut self,
         core: CoreId,
         user_view: bool,
@@ -154,13 +154,8 @@ impl Oracle {
     }
 
     /// Violations recorded so far.
-    pub fn violations(&self) -> &[SimError] {
+    pub(crate) fn violations(&self) -> &[SimError] {
         &self.violations
-    }
-
-    /// Record an externally detected violation (e.g. machine check).
-    pub fn record(&mut self, e: SimError) {
-        self.violations.push(e);
     }
 }
 

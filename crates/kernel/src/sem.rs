@@ -11,7 +11,7 @@ use tlbdown_types::CoreId;
 
 /// Lock mode requested by a waiter.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SemMode {
+pub(crate) enum SemMode {
     /// Shared (down_read).
     Read,
     /// Exclusive (down_write).
@@ -20,7 +20,7 @@ pub enum SemMode {
 
 /// A fair FIFO reader–writer semaphore.
 #[derive(Debug, Default)]
-pub struct RwSem {
+pub(crate) struct RwSem {
     readers: Vec<CoreId>,
     writer: Option<CoreId>,
     waiters: VecDeque<(CoreId, SemMode)>,
@@ -28,23 +28,23 @@ pub struct RwSem {
 
 impl RwSem {
     /// An unlocked semaphore.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         RwSem::default()
     }
 
     /// Whether `core` currently holds the semaphore in any mode.
-    pub fn held_by(&self, core: CoreId) -> bool {
+    pub(crate) fn held_by(&self, core: CoreId) -> bool {
         self.writer == Some(core) || self.readers.contains(&core)
     }
 
     /// Whether anyone holds the semaphore.
-    pub fn is_locked(&self) -> bool {
+    pub(crate) fn is_locked(&self) -> bool {
         self.writer.is_some() || !self.readers.is_empty()
     }
 
     /// Try to acquire; on contention the core is queued and `false` is
     /// returned (the caller blocks until [`RwSem::release`] grants it).
-    pub fn acquire(&mut self, core: CoreId, mode: SemMode) -> bool {
+    pub(crate) fn acquire(&mut self, core: CoreId, mode: SemMode) -> bool {
         debug_assert!(!self.held_by(core), "mmap_sem does not nest");
         let can = match mode {
             // Fairness: readers don't overtake queued writers.
@@ -69,7 +69,7 @@ impl RwSem {
     /// # Panics
     ///
     /// Panics if `core` does not hold the semaphore.
-    pub fn release(&mut self, core: CoreId) -> Vec<CoreId> {
+    pub(crate) fn release(&mut self, core: CoreId) -> Vec<CoreId> {
         if self.writer == Some(core) {
             self.writer = None;
         } else if let Some(pos) = self.readers.iter().position(|&c| c == core) {
@@ -107,11 +107,6 @@ impl RwSem {
         }
         woken
     }
-
-    /// Number of queued waiters.
-    pub fn waiting(&self) -> usize {
-        self.waiters.len()
-    }
 }
 
 #[cfg(test)]
@@ -136,7 +131,7 @@ mod tests {
         assert!(s.acquire(A, SemMode::Write));
         assert!(!s.acquire(B, SemMode::Read));
         assert!(!s.acquire(C, SemMode::Write));
-        assert_eq!(s.waiting(), 2);
+        assert_eq!(s.waiters.len(), 2);
         let woken = s.release(A);
         assert_eq!(woken, vec![B], "FIFO: reader B first");
         let woken = s.release(B);

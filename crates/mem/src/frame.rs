@@ -61,11 +61,6 @@ impl PhysMem {
         self.allocated
     }
 
-    /// Current free-operation epoch.
-    pub fn epoch(&self) -> u64 {
-        self.free_epoch
-    }
-
     /// Allocate one 4KB frame for the given use.
     pub fn alloc(&mut self, state: FrameState) -> SimResult<PhysAddr> {
         debug_assert_ne!(state, FrameState::Free);
@@ -142,44 +137,33 @@ impl PhysMem {
         self.free_list.push(pfn);
         self.allocated -= 1;
     }
-
-    /// Current state of the frame containing `addr`.
-    pub fn state(&self, addr: PhysAddr) -> FrameState {
-        self.states
-            .get(&addr.pfn())
-            .copied()
-            .unwrap_or(FrameState::Free)
-    }
-
-    /// Whether the frame is a live (allocated) page table.
-    pub fn is_live_table(&self, addr: PhysAddr) -> bool {
-        self.state(addr) == FrameState::PageTable
-    }
-
-    /// If the frame containing `addr` is free, the epoch at which it was
-    /// last freed (`None` for never-allocated frames).
-    pub fn freed_epoch(&self, addr: PhysAddr) -> Option<u64> {
-        self.freed_at.get(&addr.pfn()).copied()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// Current state of the frame containing `addr`.
+    fn state(m: &PhysMem, addr: PhysAddr) -> FrameState {
+        m.states
+            .get(&addr.pfn())
+            .copied()
+            .unwrap_or(FrameState::Free)
+    }
+
     #[test]
     fn alloc_free_cycle() {
         let mut m = PhysMem::new(1024);
         let a = m.alloc(FrameState::UserPage).unwrap();
-        assert_eq!(m.state(a), FrameState::UserPage);
+        assert_eq!(state(&m, a), FrameState::UserPage);
         assert_eq!(m.allocated_frames(), 1);
         m.free(a);
-        assert_eq!(m.state(a), FrameState::Free);
+        assert_eq!(state(&m, a), FrameState::Free);
         assert_eq!(m.allocated_frames(), 0);
         // Frame is recycled.
         let b = m.alloc(FrameState::PageTable).unwrap();
         assert_eq!(a, b);
-        assert!(m.is_live_table(b));
+        assert_eq!(state(&m, b), FrameState::PageTable);
     }
 
     #[test]
@@ -202,7 +186,7 @@ mod tests {
         let mut m = PhysMem::new(4096);
         let base = m.alloc_contiguous(512, FrameState::UserPage).unwrap();
         for i in 0..512 {
-            assert_eq!(m.state(base.add(i * 4096)), FrameState::UserPage);
+            assert_eq!(state(&m, base.add(i * 4096)), FrameState::UserPage);
         }
         assert_eq!(m.allocated_frames(), 512);
     }
@@ -212,12 +196,12 @@ mod tests {
         let mut m = PhysMem::new(64);
         let a = m.alloc(FrameState::PageTable).unwrap();
         let b = m.alloc(FrameState::PageTable).unwrap();
-        assert_eq!(m.freed_epoch(a), None);
+        assert_eq!(m.freed_at.get(&a.pfn()).copied(), None);
         m.free(a);
         m.free(b);
-        assert_eq!(m.freed_epoch(a), Some(1));
-        assert_eq!(m.freed_epoch(b), Some(2));
-        assert_eq!(m.epoch(), 2);
+        assert_eq!(m.freed_at.get(&a.pfn()).copied(), Some(1));
+        assert_eq!(m.freed_at.get(&b.pfn()).copied(), Some(2));
+        assert_eq!(m.free_epoch, 2);
     }
 
     #[test]

@@ -16,7 +16,7 @@ pub struct Pte {
 
 impl Pte {
     /// The all-zero, not-present entry.
-    pub const EMPTY: Pte = Pte {
+    pub(crate) const EMPTY: Pte = Pte {
         addr: PhysAddr(0),
         flags: PteFlags(0),
     };
@@ -32,7 +32,7 @@ impl Pte {
     }
 
     /// Whether this entry maps a hugepage at its level.
-    pub const fn huge(self) -> bool {
+    pub(crate) const fn huge(self) -> bool {
         self.flags.contains(PteFlags::HUGE)
     }
 
@@ -70,7 +70,7 @@ impl Pte {
 
 /// One 4KB page-table page: 512 entries, as at every level of the x86-64
 /// radix tree.
-pub type TablePage = [Pte; 512];
+pub(crate) type TablePage = [Pte; 512];
 
 #[cfg(test)]
 mod tests {

@@ -32,15 +32,8 @@ impl Walk {
         self.pte.addr.add(va.page_offset(self.size))
     }
 
-    /// Physical addresses of the table pages traversed, root first.
-    /// These are what the paging-structure cache would hold and what a
-    /// speculative walker touches (machine-check hazard, §3.2).
-    pub fn trace(&self) -> &[PhysAddr] {
-        &self.trace[..usize::from(self.depth)]
-    }
-
     /// The table page holding the leaf entry.
-    pub fn leaf_table(&self) -> PhysAddr {
+    pub(crate) fn leaf_table(&self) -> PhysAddr {
         self.trace[usize::from(self.depth) - 1]
     }
 }
@@ -77,16 +70,6 @@ impl AddrSpace {
         };
         s.root = s.alloc_table(mem)?;
         Ok(s)
-    }
-
-    /// Physical address of the root (PML4) table — what CR3 would hold.
-    pub fn root(&self) -> PhysAddr {
-        self.root
-    }
-
-    /// Number of live table pages (including the root).
-    pub fn table_count(&self) -> usize {
-        self.tables.len()
     }
 
     fn alloc_table(&mut self, mem: &mut PhysMem) -> SimResult<PhysAddr> {
@@ -419,7 +402,7 @@ mod tests {
         assert_eq!(w.pte.addr, pa);
         assert_eq!(w.size, PageSize::Size4K);
         assert_eq!(w.translate(va.add(0x123)), pa.add(0x123));
-        assert_eq!(w.trace().len(), 4, "4KB walk touches 4 table pages");
+        assert_eq!(w.depth, 4, "4KB walk touches 4 table pages");
         assert_eq!(w.page_base, va);
     }
 
@@ -436,7 +419,7 @@ mod tests {
         let w = s.walk(va.add(0x12345)).unwrap();
         assert_eq!(w.size, PageSize::Size2M);
         assert!(w.pte.huge());
-        assert_eq!(w.trace().len(), 3, "2MB walk touches 3 table pages");
+        assert_eq!(w.depth, 3, "2MB walk touches 3 table pages");
         assert_eq!(w.translate(va.add(0x12345)), pa.add(0x12345));
     }
 
@@ -567,11 +550,11 @@ mod tests {
             )
             .unwrap();
         }
-        let tables_before = s.table_count();
+        let tables_before = s.tables.len();
         let out = s.zap_range(VirtRange::pages(base, 8, PageSize::Size4K));
         assert_eq!(out.removed.len(), 8);
         assert!(!out.freed_tables, "zap must keep table pages");
-        assert_eq!(s.table_count(), tables_before, "zap must keep table pages");
+        assert_eq!(s.tables.len(), tables_before, "zap must keep table pages");
 
         // Remap and then unmap: tables are garbage-collected.
         for i in 0..8 {
@@ -588,7 +571,7 @@ mod tests {
         let out = s.unmap_range(&mut mem, VirtRange::pages(base, 8, PageSize::Size4K));
         assert_eq!(out.removed.len(), 8);
         assert!(out.freed_tables, "unmap must free empty table pages");
-        assert_eq!(s.table_count(), 1, "only the root remains");
+        assert_eq!(s.tables.len(), 1, "only the root remains");
     }
 
     #[test]
@@ -655,7 +638,7 @@ mod tests {
             .unwrap();
         }
         let frames_before_destroy = mem.allocated_frames();
-        let tables = s.table_count() as u64;
+        let tables = s.tables.len() as u64;
         assert!(tables > 1);
         s.destroy(&mut mem);
         assert_eq!(mem.allocated_frames(), frames_before_destroy - tables);

@@ -10,7 +10,7 @@ fn arb_pages() -> impl Strategy<Value = Vec<u64>> {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+    #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// map → walk returns exactly what was mapped, for every page.
     #[test]

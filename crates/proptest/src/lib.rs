@@ -23,25 +23,24 @@ pub mod collection;
 pub mod strategy;
 pub mod test_runner;
 
-/// Runner configuration: the `cases` knob of real proptest plus padding
-/// fields so `..ProptestConfig::default()` struct-update syntax works.
+/// Runner configuration: the `cases` knob of real proptest.
 #[derive(Clone, Debug)]
 pub struct ProptestConfig {
     /// Number of generated cases per property.
     pub cases: u32,
-    /// Accepted for API compatibility; unused (no shrinking here).
-    pub max_shrink_iters: u32,
-    /// Accepted for API compatibility; unused (no rejection sampling).
-    pub max_global_rejects: u32,
+}
+
+impl ProptestConfig {
+    /// A configuration running `cases` cases, as real proptest's
+    /// `ProptestConfig::with_cases`.
+    pub fn with_cases(cases: u32) -> Self {
+        ProptestConfig { cases }
+    }
 }
 
 impl Default for ProptestConfig {
     fn default() -> Self {
-        ProptestConfig {
-            cases: 256,
-            max_shrink_iters: 0,
-            max_global_rejects: 0,
-        }
+        ProptestConfig::with_cases(256)
     }
 }
 

@@ -22,7 +22,7 @@ impl TestRng {
     }
 
     /// Next uniformly distributed 64-bit value.
-    pub fn next_u64(&mut self) -> u64 {
+    pub(crate) fn next_u64(&mut self) -> u64 {
         self.state = self.state.wrapping_add(0x9e37_79b9_7f4a_7c15);
         let mut z = self.state;
         z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
@@ -31,13 +31,13 @@ impl TestRng {
     }
 
     /// Uniform value in `[0, bound)`; `bound` must be positive.
-    pub fn gen_range(&mut self, bound: u64) -> u64 {
+    pub(crate) fn gen_range(&mut self, bound: u64) -> u64 {
         assert!(bound > 0, "gen_range bound must be positive");
         ((self.next_u64() as u128 * bound as u128) >> 64) as u64
     }
 
     /// Uniform `f64` in `[0, 1)`.
-    pub fn next_f64(&mut self) -> f64 {
+    pub(crate) fn next_f64(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 }

@@ -17,7 +17,7 @@ use std::collections::BinaryHeap;
 
 use tlbdown_types::{Cycles, SimError};
 
-use crate::sched::{Candidate, Scheduler};
+use crate::sched::Scheduler;
 
 /// Upper bound on retained [`SimError::TimeRegression`] records; the
 /// total count is unbounded but the per-engine log is capped so a
@@ -83,7 +83,9 @@ pub struct Engine<E> {
     cand_buf: Vec<Scheduled<E>>,
     /// Reusable passed-over buffer for [`Engine::pop_with`].
     skip_buf: Vec<Scheduled<E>>,
-    /// Total number of time regressions observed (always counted).
+    /// Total number of dispatches that found an event behind the clock
+    /// (each was clamped to fire "now" and logged as
+    /// [`SimError::TimeRegression`]); always counted.
     regressions: u64,
     /// First few regression records, drained by the owner.
     regression_log: Vec<SimError>,
@@ -115,37 +117,9 @@ impl<E> Engine<E> {
         self.now
     }
 
-    /// Number of events waiting in the queue.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Whether no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-
     /// Total number of events processed so far.
     pub fn events_processed(&self) -> u64 {
         self.popped
-    }
-
-    /// The sequence number the *next* scheduled event will receive.
-    ///
-    /// Together with [`Engine::events_processed`] this gives trace
-    /// layers two deterministic monotone stamps: one for when work was
-    /// scheduled, one for the dispatch a record was emitted under. Both
-    /// are pure simulation state — no host time, no allocation order —
-    /// so anything keyed on them replays byte-identically.
-    pub fn next_seq(&self) -> u64 {
-        self.seq
-    }
-
-    /// Total number of dispatches that found an event behind the clock
-    /// (each was clamped to fire "now" and logged as
-    /// [`SimError::TimeRegression`]).
-    pub fn time_regressions(&self) -> u64 {
-        self.regressions
     }
 
     /// Whether any unretrieved [`SimError::TimeRegression`] records are
@@ -155,8 +129,8 @@ impl<E> Engine<E> {
     }
 
     /// Drain the pending regression records (capped at the first
-    /// [`MAX_REGRESSION_LOG`] per drain; [`Engine::time_regressions`]
-    /// keeps the exact total).
+    /// [`MAX_REGRESSION_LOG`] per drain; the engine keeps the exact
+    /// total).
     pub fn take_time_errors(&mut self) -> Vec<SimError> {
         std::mem::take(&mut self.regression_log)
     }
@@ -179,7 +153,7 @@ impl<E> Engine<E> {
     /// delay). Exists so the always-on time-regression path is testable;
     /// not part of the simulation API.
     #[doc(hidden)]
-    pub fn schedule_at_unchecked(&mut self, at: Cycles, payload: E) {
+    pub(crate) fn schedule_at_unchecked(&mut self, at: Cycles, payload: E) {
         let seq = self.seq;
         self.seq += 1;
         self.heap.push(Reverse(Scheduled { at, seq, payload }));
@@ -253,12 +227,11 @@ impl<E> Engine<E> {
     /// step-for-step identical to [`Engine::pop`].
     ///
     /// The candidate and passed-over sets live in scratch buffers owned
-    /// by the engine, so the common single-candidate dispatch performs no
-    /// allocation; only a multi-candidate branch point (a model-checker
-    /// choice) builds the borrowed [`Candidate`] views.
+    /// by the engine, so a dispatch allocates nothing, branch points
+    /// included: the scheduler sees only the candidate count.
     pub fn pop_with<S, F>(&mut self, sched: &mut S, eligible: F) -> Option<E>
     where
-        S: Scheduler<E>,
+        S: Scheduler,
         F: Fn(&E) -> bool,
     {
         let Reverse(mut first) = self.heap.pop()?;
@@ -281,15 +254,7 @@ impl<E> Engine<E> {
         let choice = if cands.len() == 1 {
             0
         } else {
-            let views: Vec<Candidate<'_, E>> = cands
-                .iter()
-                .map(|s| Candidate {
-                    at: s.at,
-                    seq: s.seq,
-                    payload: &s.payload,
-                })
-                .collect();
-            sched.choose(self.now, &views).min(cands.len() - 1)
+            sched.choose(cands.len()).min(cands.len() - 1)
         };
         // Choosing a race-eligible event from later in the window means it
         // arrived *early*: it fires now, at t_min. (Its nominal time was
@@ -319,17 +284,6 @@ impl<E> Engine<E> {
         v.sort_unstable_by_key(|(at, seq, _)| (*at, *seq));
         v
     }
-
-    /// Drop all pending events and reset the clock (for test reuse).
-    /// Scratch capacity is retained.
-    pub fn reset(&mut self) {
-        self.now = Cycles::ZERO;
-        self.seq = 0;
-        self.popped = 0;
-        self.heap.clear();
-        self.regressions = 0;
-        self.regression_log.clear();
-    }
 }
 
 #[cfg(test)]
@@ -338,6 +292,17 @@ mod tests {
 
     use super::*;
     use crate::rng::SplitMix64;
+
+    /// Drop all pending events and reset the clock, keeping scratch
+    /// capacity, so one engine can be reused.
+    fn reset<E>(e: &mut Engine<E>) {
+        e.now = Cycles::ZERO;
+        e.seq = 0;
+        e.popped = 0;
+        e.heap.clear();
+        e.regressions = 0;
+        e.regression_log.clear();
+    }
     use crate::sched::FifoScheduler;
 
     #[test]
@@ -373,7 +338,7 @@ mod tests {
         assert_eq!(e.pop_until(Cycles::new(49)), None, "clamped to 50, not 10");
         assert_eq!(e.pop_until(Cycles::new(50)), Some(2));
         assert_eq!(e.now(), Cycles::new(50));
-        assert_eq!(e.time_regressions(), 0, "clamped schedule is not an error");
+        assert_eq!(e.regressions, 0, "clamped schedule is not an error");
     }
 
     #[test]
@@ -396,7 +361,7 @@ mod tests {
         }
         let mut until = |d: u64| -> (Vec<u32>, u64, usize) {
             let got = std::iter::from_fn(|| e.pop_until(Cycles::new(d))).collect();
-            (got, e.now().as_u64(), e.len())
+            (got, e.now().as_u64(), e.heap.len())
         };
         assert_eq!(until(6), (vec![], 0, 8), "nothing due: clock stays");
         assert_eq!(until(40), (vec![10, 20, 30, 31], 40, 4));
@@ -454,9 +419,9 @@ mod tests {
     #[test]
     fn pop_with_branches_on_ties() {
         struct PickLast;
-        impl<E> Scheduler<E> for PickLast {
-            fn choose(&mut self, _now: Cycles, c: &[Candidate<'_, E>]) -> usize {
-                c.len() - 1
+        impl Scheduler for PickLast {
+            fn choose(&mut self, candidates: usize) -> usize {
+                candidates - 1
             }
         }
         let mut e: Engine<u32> = Engine::new();
@@ -474,12 +439,12 @@ mod tests {
     #[test]
     fn window_pulls_eligible_events_forward() {
         struct PickLastWindowed;
-        impl<E> Scheduler<E> for PickLastWindowed {
+        impl Scheduler for PickLastWindowed {
             fn window(&self) -> Cycles {
                 Cycles::new(100)
             }
-            fn choose(&mut self, _now: Cycles, c: &[Candidate<'_, E>]) -> usize {
-                c.len() - 1
+            fn choose(&mut self, candidates: usize) -> usize {
+                candidates - 1
             }
         }
         let mut e: Engine<u32> = Engine::new();
@@ -526,27 +491,27 @@ mod tests {
         e.schedule_in(Cycles::new(5), 1);
         e.schedule_in(Cycles::new(500_000), 2);
         e.pop();
-        e.reset();
-        assert!(e.is_empty());
+        reset(&mut e);
+        assert!(e.heap.is_empty());
         assert_eq!(e.now(), Cycles::ZERO);
-        assert_eq!(e.len(), 0);
+        assert_eq!(e.heap.len(), 0);
         assert!(e.pending().is_empty());
     }
 
     #[test]
     fn trace_stamps_are_monotone() {
         let mut e: Engine<u32> = Engine::new();
-        assert_eq!(e.next_seq(), 0);
+        assert_eq!(e.seq, 0);
         assert_eq!(e.events_processed(), 0);
         e.schedule_in(Cycles::new(5), 1);
         e.schedule_in(Cycles::new(5), 2);
-        assert_eq!(e.next_seq(), 2, "one seq per scheduled event");
+        assert_eq!(e.seq, 2, "one seq per scheduled event");
         e.pop();
         assert_eq!(e.events_processed(), 1);
         e.pop();
         assert_eq!(e.events_processed(), 2);
-        e.reset();
-        assert_eq!(e.next_seq(), 0);
+        reset(&mut e);
+        assert_eq!(e.seq, 0);
     }
 
     #[test]
@@ -620,8 +585,8 @@ mod tests {
             next += 1;
         }
         let mut dispatched = 0;
-        while !e.is_empty() {
-            peak = peak.max(e.len());
+        while !e.heap.is_empty() {
+            peak = peak.max(e.heap.len());
             let (got, want) = match rng.gen_range(3) {
                 0 => (e.pop(), r.pop_until(Cycles::new(u64::MAX))),
                 1 => {
@@ -681,7 +646,7 @@ mod tests {
         e.schedule_at_unchecked(Cycles::new(40), 2);
         assert_eq!(e.pop(), Some(2));
         assert_eq!(e.now(), Cycles::new(100), "clock stayed monotone");
-        assert_eq!(e.time_regressions(), 1);
+        assert_eq!(e.regressions, 1);
         assert!(e.has_time_errors());
         let errs = e.take_time_errors();
         assert_eq!(
@@ -704,7 +669,7 @@ mod tests {
             e.schedule_at_unchecked(Cycles::new(5), i);
         }
         while e.pop().is_some() {}
-        assert_eq!(e.time_regressions(), 50);
+        assert_eq!(e.regressions, 50);
         assert_eq!(e.take_time_errors().len(), MAX_REGRESSION_LOG);
     }
 
@@ -717,6 +682,6 @@ mod tests {
         let mut s = FifoScheduler;
         assert_eq!(e.pop_with(&mut s, |_| false), Some(2));
         assert_eq!(e.now(), Cycles::new(100));
-        assert_eq!(e.time_regressions(), 1);
+        assert_eq!(e.regressions, 1);
     }
 }

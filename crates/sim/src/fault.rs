@@ -130,7 +130,7 @@ impl FaultSpec {
     }
 
     /// CSD cachelines bounce slowly between sockets.
-    pub fn cacheline_jitter() -> Self {
+    pub(crate) fn cacheline_jitter() -> Self {
         FaultSpec {
             cacheline_jitter_p: 0.7,
             cacheline_jitter_max: 5_000,
@@ -139,7 +139,7 @@ impl FaultSpec {
     }
 
     /// Two cores execute flush instructions an order of magnitude slower.
-    pub fn slow_invlpg() -> Self {
+    pub(crate) fn slow_invlpg() -> Self {
         FaultSpec {
             slow_invlpg_cores: 2,
             slow_invlpg_penalty: 2_000,
@@ -228,29 +228,17 @@ impl FaultSpec {
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct FaultCounters {
     /// IPIs delivered late.
-    pub ipis_delayed: u64,
+    pub(crate) ipis_delayed: u64,
     /// IPIs lost.
-    pub ipis_dropped: u64,
+    pub(crate) ipis_dropped: u64,
     /// IPIs delivered twice.
-    pub ipis_duplicated: u64,
+    pub(crate) ipis_duplicated: u64,
     /// Delayed IRQ entries.
     pub irq_entries_delayed: u64,
     /// Jittered cacheline transfers.
-    pub cachelines_jittered: u64,
+    pub(crate) cachelines_jittered: u64,
     /// Slowed flush instructions.
-    pub slow_flushes: u64,
-}
-
-impl FaultCounters {
-    /// Total injections of any kind.
-    pub fn total(&self) -> u64 {
-        self.ipis_delayed
-            + self.ipis_dropped
-            + self.ipis_duplicated
-            + self.irq_entries_delayed
-            + self.cachelines_jittered
-            + self.slow_flushes
-    }
+    pub(crate) slow_flushes: u64,
 }
 
 /// A seeded, reproducible fault schedule.
@@ -291,29 +279,9 @@ impl FaultPlan {
         }
     }
 
-    /// An inert plan (no faults ever).
-    pub fn inert() -> Self {
-        FaultPlan::new(FaultSpec::none(), 0, 0)
-    }
-
-    /// Whether this plan can ever inject anything.
-    pub fn is_inert(&self) -> bool {
-        self.spec.is_inert()
-    }
-
-    /// The spec this plan runs.
-    pub fn spec(&self) -> &FaultSpec {
-        &self.spec
-    }
-
     /// Injection counts so far.
     pub fn counters(&self) -> &FaultCounters {
         &self.counters
-    }
-
-    /// Cores afflicted with slow flush instructions.
-    pub fn slow_cores(&self) -> &[CoreId] {
-        &self.slow_cores
     }
 
     /// Decide the fate of one IPI delivery to `_target`.
@@ -363,7 +331,7 @@ impl FaultPlan {
     }
 
     /// Extra latency for one CSD cacheline transfer.
-    pub fn cacheline_jitter(&mut self) -> Cycles {
+    pub(crate) fn cacheline_jitter(&mut self) -> Cycles {
         let s = &self.spec;
         if s.cacheline_jitter_p == 0.0 || s.cacheline_jitter_max == 0 {
             return Cycles::ZERO;
@@ -420,7 +388,7 @@ mod tests {
             assert_eq!(p.cacheline_jitter(), Cycles::ZERO);
             assert_eq!(p.invlpg_penalty(CoreId(0)), Cycles::ZERO);
         }
-        assert_eq!(p.counters().total(), 0);
+        assert_eq!(*p.counters(), FaultCounters::default());
     }
 
     #[test]
@@ -469,10 +437,10 @@ mod tests {
     fn slow_cores_are_deterministic_and_counted() {
         let a = FaultPlan::new(FaultSpec::slow_invlpg(), 42, 8);
         let b = FaultPlan::new(FaultSpec::slow_invlpg(), 42, 8);
-        assert_eq!(a.slow_cores(), b.slow_cores());
-        assert_eq!(a.slow_cores().len(), 2);
+        assert_eq!(a.slow_cores, b.slow_cores);
+        assert_eq!(a.slow_cores.len(), 2);
         let mut p = FaultPlan::new(FaultSpec::slow_invlpg(), 42, 8);
-        let slow = p.slow_cores()[0];
+        let slow = p.slow_cores[0];
         assert!(p.invlpg_penalty(slow) > Cycles::ZERO);
         assert_eq!(p.counters().slow_flushes, 1);
     }

@@ -26,5 +26,5 @@ pub mod stats;
 pub use engine::Engine;
 pub use fault::{FaultCounters, FaultPlan, FaultSpec, IpiFault};
 pub use rng::SplitMix64;
-pub use sched::{Candidate, FifoScheduler, Scheduler};
+pub use sched::{FifoScheduler, Scheduler};
 pub use stats::{Counter, Histogram, Summary};

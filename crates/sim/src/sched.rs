@@ -30,20 +30,9 @@
 
 use tlbdown_types::Cycles;
 
-/// One event the scheduler may fire next, in canonical `(at, seq)` order.
-#[derive(Debug)]
-pub struct Candidate<'a, E> {
-    /// Scheduled fire time.
-    pub at: Cycles,
-    /// Engine sequence number (scheduling order; unique).
-    pub seq: u64,
-    /// The event payload.
-    pub payload: &'a E,
-}
-
 /// A policy choosing which of several commutative-ambiguous events fires
 /// next. See the module docs for what counts as a candidate.
-pub trait Scheduler<E> {
+pub trait Scheduler {
     /// Width of the timing-perturbation window in cycles: race-eligible
     /// events within `window` of the minimum pending fire time become
     /// candidates alongside the same-cycle ties. Zero (the default)
@@ -52,12 +41,12 @@ pub trait Scheduler<E> {
         Cycles::ZERO
     }
 
-    /// Pick the index of the candidate that fires next. Called only when
-    /// there are at least two candidates; `candidates` is sorted by
-    /// `(at, seq)` and `candidates[0]` is what plain FIFO would pick.
-    /// Returning an out-of-range index is a contract violation (the
-    /// engine clamps it to the last candidate).
-    fn choose(&mut self, now: Cycles, candidates: &[Candidate<'_, E>]) -> usize;
+    /// Pick the index of the candidate that fires next, out of
+    /// `candidates` of them. Called only when there are at least two;
+    /// candidates are ordered by `(fire time, seq)`, and index 0 is what
+    /// plain FIFO would pick. Returning an out-of-range index is a
+    /// contract violation (the engine clamps it to the last candidate).
+    fn choose(&mut self, candidates: usize) -> usize;
 }
 
 /// The identity policy: always pick the first candidate. With this
@@ -66,8 +55,8 @@ pub trait Scheduler<E> {
 #[derive(Debug, Default, Clone, Copy)]
 pub struct FifoScheduler;
 
-impl<E> Scheduler<E> for FifoScheduler {
-    fn choose(&mut self, _now: Cycles, _candidates: &[Candidate<'_, E>]) -> usize {
+impl Scheduler for FifoScheduler {
+    fn choose(&mut self, _candidates: usize) -> usize {
         0
     }
 }

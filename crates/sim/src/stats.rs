@@ -69,42 +69,6 @@ impl Summary {
         }
     }
 
-    /// Smallest observation (0 for an empty summary).
-    pub fn min(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.min
-        }
-    }
-
-    /// Largest observation (0 for an empty summary).
-    pub fn max(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.max
-        }
-    }
-
-    /// The summary as a canonical [`Json`] object. Means and σ are exact
-    /// f64s computed from deterministic inputs, and the shared writer's
-    /// float policy (whole values as integers, non-finite as `null`)
-    /// keeps the rendering byte-stable for identical runs.
-    pub fn to_json(&self) -> Json {
-        Json::obj()
-            .with("n", Json::U64(self.n))
-            .with("mean", Json::F64(self.mean()))
-            .with("stddev", Json::F64(self.stddev()))
-            .with("min", Json::F64(self.min()))
-            .with("max", Json::F64(self.max()))
-    }
-
-    /// Compact rendering of [`Summary::to_json`].
-    pub fn render_json(&self) -> String {
-        self.to_json().render()
-    }
-
     /// Merge another summary into this one (parallel Welford combination).
     pub fn merge(&mut self, other: &Summary) {
         if other.n == 0 {
@@ -177,11 +141,6 @@ impl Counter {
         }
     }
 
-    /// Number of additions that saturated instead of wrapping.
-    pub fn overflow_count(&self) -> u64 {
-        self.overflows
-    }
-
     /// Current value of `name` (0 if never bumped).
     pub fn get(&self, name: &str) -> u64 {
         self.counts.get(name).copied().unwrap_or(0)
@@ -190,12 +149,6 @@ impl Counter {
     /// Iterate over `(name, value)` pairs in name order.
     pub fn iter(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
         self.counts.iter().map(|(k, v)| (*k, *v))
-    }
-
-    /// Reset every counter to zero.
-    pub fn clear(&mut self) {
-        self.counts.clear();
-        self.overflows = 0;
     }
 
     /// Add every counter of `other` into this set (sweep-layer reduction
@@ -248,7 +201,7 @@ impl Default for Histogram {
 
 impl Histogram {
     /// An empty histogram covering `[0, 2^63)` in 64 log2 buckets.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Histogram {
             buckets: vec![0; 64],
             total: 0,
@@ -284,21 +237,49 @@ impl Histogram {
         }
         u64::MAX
     }
-
-    /// Iterate over non-empty `(bucket_lower_bound, count)` pairs.
-    pub fn iter_nonzero(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        self.buckets
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(i, &c)| (1u64 << i, c))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// Reset every counter to zero.
+    fn clear(c: &mut Counter) {
+        c.counts.clear();
+        c.overflows = 0;
+    }
+
+    /// Smallest observation (0 for an empty summary).
+    fn min(s: &Summary) -> f64 {
+        if s.n == 0 {
+            0.0
+        } else {
+            s.min
+        }
+    }
+
+    /// Largest observation (0 for an empty summary).
+    fn max(s: &Summary) -> f64 {
+        if s.n == 0 {
+            0.0
+        } else {
+            s.max
+        }
+    }
+
+    /// The summary as a compact canonical JSON object. Means and σ are
+    /// exact f64s computed from deterministic inputs, and the shared
+    /// writer's float policy (whole values as integers, non-finite as
+    /// `null`) keeps the rendering byte-stable for identical runs.
+    fn render_json(s: &Summary) -> String {
+        Json::obj()
+            .with("n", Json::U64(s.n))
+            .with("mean", Json::F64(s.mean()))
+            .with("stddev", Json::F64(s.stddev()))
+            .with("min", Json::F64(min(s)))
+            .with("max", Json::F64(max(s)))
+            .render()
+    }
     #[test]
     fn summary_mean_and_stddev() {
         let mut s = Summary::new();
@@ -308,8 +289,8 @@ mod tests {
         assert!((s.mean() - 5.0).abs() < 1e-12);
         // Sample stddev of this classic dataset is ~2.138.
         assert!((s.stddev() - 2.1380899).abs() < 1e-6);
-        assert_eq!(s.min(), 2.0);
-        assert_eq!(s.max(), 9.0);
+        assert_eq!(min(&s), 2.0);
+        assert_eq!(max(&s), 9.0);
         assert_eq!(s.count(), 8);
     }
 
@@ -338,8 +319,8 @@ mod tests {
         let s = Summary::new();
         assert_eq!(s.mean(), 0.0);
         assert_eq!(s.stddev(), 0.0);
-        assert_eq!(s.min(), 0.0);
-        assert_eq!(s.max(), 0.0);
+        assert_eq!(min(&s), 0.0);
+        assert_eq!(max(&s), 0.0);
     }
 
     #[test]
@@ -353,7 +334,7 @@ mod tests {
         assert_eq!(c.get("absent"), 0);
         let all: Vec<_> = c.iter().collect();
         assert_eq!(all, vec![("ipi", 3), ("miss", 1)]);
-        c.clear();
+        clear(&mut c);
         assert_eq!(c.get("ipi"), 0);
     }
 
@@ -368,8 +349,7 @@ mod tests {
         assert!(h.percentile_ub(0.5) <= 8);
         // p100 covers 1000 → bucket [512,1024) → ub 1024.
         assert_eq!(h.percentile_ub(1.0), 1024);
-        let nz: Vec<_> = h.iter_nonzero().collect();
-        assert!(nz.contains(&(512, 1)));
+        assert_eq!(h.buckets[9], 1, "1000 lands in [512, 1024)");
     }
 
     #[test]
@@ -396,7 +376,7 @@ mod tests {
         c.add("near_max", u64::MAX - 1);
         c.add("near_max", 5); // would wrap to 3 with unchecked +=
         assert_eq!(c.get("near_max"), u64::MAX);
-        assert_eq!(c.overflow_count(), 1);
+        assert_eq!(c.overflows, 1);
         assert_eq!(
             c.render_json(),
             format!("{{\"near_max\":{},\"counter_overflow\":1}}", u64::MAX),
@@ -404,14 +384,14 @@ mod tests {
         // Merging carries the saturation record along.
         let mut total = Counter::new();
         total.merge(&c);
-        assert_eq!(total.overflow_count(), 1);
+        assert_eq!(total.overflows, 1);
         assert_eq!(total.get("near_max"), u64::MAX);
         // A clean counter renders with no overflow key at all.
         let mut clean = Counter::new();
         clean.bump("ok");
         assert_eq!(clean.render_json(), "{\"ok\":1}");
-        c.clear();
-        assert_eq!(c.overflow_count(), 0);
+        clear(&mut c);
+        assert_eq!(c.overflows, 0);
     }
 
     #[test]
@@ -420,11 +400,11 @@ mod tests {
         s.record(2.0);
         s.record(4.0);
         assert_eq!(
-            s.render_json(),
+            render_json(&s),
             "{\"n\":2,\"mean\":3,\"stddev\":1.4142135623730951,\"min\":2,\"max\":4}"
         );
         assert_eq!(
-            Summary::new().render_json(),
+            render_json(&Summary::new()),
             "{\"n\":0,\"mean\":0,\"stddev\":0,\"min\":0,\"max\":0}"
         );
     }

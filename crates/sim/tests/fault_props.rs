@@ -42,7 +42,7 @@ fn arb_spec(seed: u64) -> FaultSpec {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+    #![proptest_config(ProptestConfig::with_cases(256))]
 
     /// a ∨ b = b ∨ a.
     #[test]

@@ -5,7 +5,7 @@ use tlbdown_sim::{Engine, SplitMix64, Summary};
 use tlbdown_types::Cycles;
 
 proptest! {
-    #![proptest_config(ProptestConfig { cases: 128, ..ProptestConfig::default() })]
+    #![proptest_config(ProptestConfig::with_cases(128))]
 
     /// Events pop in nondecreasing time order with FIFO ties, regardless
     /// of insertion order.

@@ -36,9 +36,9 @@ use std::time::{Duration, Instant};
 pub struct Job<T> {
     /// Stable identifier; the canonical reduction order is the sorted
     /// order of these IDs, so they must be unique within a sweep.
-    pub id: String,
+    pub(crate) id: String,
     /// The work itself.
-    pub run: Box<dyn FnOnce() -> T + Send>,
+    pub(crate) run: Box<dyn FnOnce() -> T + Send>,
 }
 
 impl<T> Job<T> {
@@ -76,9 +76,6 @@ pub struct JobError {
     /// `assert!` case), else a placeholder. Deterministic for
     /// deterministic jobs, so it is safe inside byte-compared blocks.
     pub message: String,
-    /// Host wall-clock spent inside the closure before it panicked
-    /// (non-canonical).
-    pub wall: Duration,
 }
 
 /// A finished sweep: results in canonical job-ID order plus host-side
@@ -94,27 +91,6 @@ pub struct SweepReport<T> {
     pub elapsed: Duration,
     /// Worker threads actually used.
     pub threads: usize,
-}
-
-impl<T> SweepReport<T> {
-    /// Sum of per-job wall-clock times — an estimate of what a serial
-    /// run of the same job set would have cost (each job is isolated, so
-    /// serial time is the sum of job times up to scheduling noise).
-    /// Panicked jobs count the time they burned before unwinding.
-    pub fn serial_estimate(&self) -> Duration {
-        self.results.iter().map(|r| r.wall).sum::<Duration>()
-            + self.failures.iter().map(|f| f.wall).sum::<Duration>()
-    }
-
-    /// `serial_estimate / elapsed`: the sweep's speedup over a serial
-    /// run. ~1.0 on one core; approaches `threads` for a wide matrix.
-    pub fn speedup_vs_serial(&self) -> f64 {
-        let e = self.elapsed.as_secs_f64();
-        if e <= 0.0 {
-            return 1.0;
-        }
-        self.serial_estimate().as_secs_f64() / e
-    }
 }
 
 /// Resolve a requested thread count: 0 means "all host cores".
@@ -159,7 +135,6 @@ fn execute_job<T: Send>(job: Job<T>, tx: &mpsc::Sender<Result<JobResult<T>, JobE
         Err(payload) => tx.send(Err(JobError {
             id: job.id,
             message: panic_message(payload.as_ref()),
-            wall,
         })),
     };
 }

@@ -34,14 +34,14 @@
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SetWays {
     /// Number of sets (1 = fully associative).
-    pub sets: u32,
+    pub(crate) sets: u32,
     /// Ways per set.
-    pub ways: u32,
+    pub(crate) ways: u32,
 }
 
 impl SetWays {
     /// Total entries.
-    pub fn capacity(self) -> u32 {
+    pub(crate) fn capacity(self) -> u32 {
         self.sets * self.ways
     }
 }
@@ -50,18 +50,18 @@ impl SetWays {
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SetAssocGeometry {
     /// First-level DTLB for 4K pages.
-    pub l1_4k: SetWays,
+    pub(crate) l1_4k: SetWays,
     /// First-level DTLB for 2M pages.
-    pub l1_2m: SetWays,
+    pub(crate) l1_2m: SetWays,
     /// First-level DTLB for 1G pages.
-    pub l1_1g: SetWays,
+    pub(crate) l1_1g: SetWays,
     /// Unified second-level TLB shared by 4K and 2M pages.
-    pub stlb_4k_2m: SetWays,
+    pub(crate) stlb_4k_2m: SetWays,
     /// Dedicated second-level TLB for 1G pages.
-    pub stlb_1g: SetWays,
+    pub(crate) stlb_1g: SetWays,
     /// Extra access cycles when a translation hits the STLB but not the
     /// L1 array (the Skylake STLB-hit penalty).
-    pub stlb_hit_extra: u64,
+    pub(crate) stlb_hit_extra: u64,
 }
 
 /// How a [`crate::Tlb`] organises its entries.

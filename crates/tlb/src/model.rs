@@ -3,7 +3,7 @@
 use std::collections::VecDeque;
 
 use tlbdown_mem::{AddrSpace, Pte};
-use tlbdown_types::{CostModel, Cycles, FastMap, FastSet, PageSize, Pcid, PhysAddr, VirtAddr};
+use tlbdown_types::{CostModel, Cycles, FastMap, FastSet, PageSize, Pcid, VirtAddr};
 
 use crate::geometry::{SetAssocGeometry, TlbGeometry};
 
@@ -11,11 +11,9 @@ use crate::geometry::{SetAssocGeometry, TlbGeometry};
 const GLOBAL_TAG: u16 = u16::MAX;
 
 /// Default unified TLB capacity, sized like a Skylake STLB.
-pub const DEFAULT_CAPACITY: usize = 1536;
-/// Default ITLB capacity.
-pub const DEFAULT_ITLB_CAPACITY: usize = 128;
+pub(crate) const DEFAULT_CAPACITY: usize = 1536;
 /// Default paging-structure cache capacity.
-pub const DEFAULT_PWC_CAPACITY: usize = 32;
+pub(crate) const DEFAULT_PWC_CAPACITY: usize = 32;
 
 /// One cached translation.
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
@@ -99,8 +97,6 @@ pub enum TlbFault {
 /// Result of a successful TLB access.
 #[derive(Clone, Debug)]
 pub struct Access {
-    /// Translated physical address.
-    pub pa: PhysAddr,
     /// Whether the access hit the TLB (false = filled by a page walk).
     pub hit: bool,
     /// Cycle cost of the access, including any page walk.
@@ -117,19 +113,19 @@ pub struct TlbStats {
     /// Accesses requiring a page walk.
     pub misses: u64,
     /// Entries inserted.
-    pub fills: u64,
+    pub(crate) fills: u64,
     /// Entries removed by any flush.
-    pub entries_invalidated: u64,
+    pub(crate) entries_invalidated: u64,
     /// Selective (single-address) flush operations executed as requested.
-    pub selective_flushes: u64,
+    pub(crate) selective_flushes: u64,
     /// Full flushes executed as requested (CR3 write / flush_all).
-    pub full_flushes: u64,
+    pub(crate) full_flushes: u64,
     /// Selective flushes escalated to full flushes by the fracture flag.
     pub fracture_escalations: u64,
     /// Complete paging-structure-cache wipes (INVLPG side-effect).
-    pub pwc_flushes: u64,
+    pub(crate) pwc_flushes: u64,
     /// Entries dropped because a permission re-walk replaced them.
-    pub perm_rewalks: u64,
+    pub(crate) perm_rewalks: u64,
     /// Entries evicted by capacity pressure.
     pub evictions: u64,
     /// Times the fractured-entry accounting was found inconsistent and
@@ -137,7 +133,7 @@ pub struct TlbStats {
     /// zero). Always zero in a correct model; checked in release builds
     /// too, where the old `debug_assert` would have let a stuck fracture
     /// flag silently escalate every later selective flush.
-    pub fracture_leaks: u64,
+    pub(crate) fracture_leaks: u64,
     /// Hits that missed the L1 arrays and paid the STLB penalty. Always
     /// zero under the legacy single-pool geometry.
     pub stlb_hits: u64,
@@ -157,7 +153,7 @@ pub struct ItlbModel {
 
 impl ItlbModel {
     /// Look up a cached instruction translation.
-    pub fn lookup(&self, pcid: Pcid, va: VirtAddr) -> Option<&TlbEntry> {
+    pub(crate) fn lookup(&self, pcid: Pcid, va: VirtAddr) -> Option<&TlbEntry> {
         for size in [PageSize::Size4K, PageSize::Size2M, PageSize::Size1G] {
             if let Some(e) = self.entries.get(&key_for(pcid.0, va, size)) {
                 return Some(e);
@@ -195,16 +191,6 @@ impl ItlbModel {
         } else {
             self.entries.retain(|(tag, _, _), _| *tag == GLOBAL_TAG);
         }
-    }
-
-    /// Number of cached instruction translations.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the ITLB is empty.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
     }
 }
 
@@ -294,11 +280,6 @@ impl Tlb {
         }
     }
 
-    /// The geometry this TLB is organised as.
-    pub fn geometry(&self) -> &TlbGeometry {
-        &self.geometry
-    }
-
     /// Inject the split-blind flush bug: selective flushes only remove the
     /// 4K-sized entry for the address, as if the flush loop walked the
     /// range at 4K stride assuming a huge-page split already removed the
@@ -306,13 +287,6 @@ impl Tlb {
     /// `buggy_fracture` checker canary.
     pub fn set_split_blind_invlpg(&mut self, buggy: bool) {
         self.split_blind_invlpg = buggy;
-    }
-
-    /// Whether a translation is cached in the first-level arrays (always
-    /// false under the legacy geometry, which has no levels).
-    pub fn in_l1(&self, pcid: Pcid, va: VirtAddr, size: PageSize) -> bool {
-        self.l1.contains(&key_for(pcid.0, va, size))
-            || self.l1.contains(&key_for(GLOBAL_TAG, va, size))
     }
 
     /// Accumulated statistics.
@@ -351,11 +325,6 @@ impl Tlb {
     /// behind Table 4's full-flush behaviour).
     pub fn fracture_flag(&self) -> bool {
         self.fractured_count > 0
-    }
-
-    /// The ITLB.
-    pub fn itlb(&self) -> &ItlbModel {
-        &self.itlb
     }
 
     /// Iterate over all cached data translations (oracle checks).
@@ -505,7 +474,7 @@ impl Tlb {
     // --- Paging-structure cache ---
 
     /// Whether the PWC covers the upper levels of a walk for `(pcid, va)`.
-    pub fn pwc_hit(&self, pcid: Pcid, va: VirtAddr) -> bool {
+    pub(crate) fn pwc_hit(&self, pcid: Pcid, va: VirtAddr) -> bool {
         self.pwc.contains_key(&(pcid.0, va.as_u64() >> 21))
     }
 
@@ -529,11 +498,6 @@ impl Tlb {
         }
         self.pwc.clear();
         self.pwc_fifo.clear();
-    }
-
-    /// Number of live paging-structure-cache entries.
-    pub fn pwc_len(&self) -> usize {
-        self.pwc.len()
     }
 
     // --- Flush instructions ---
@@ -687,9 +651,7 @@ impl Tlb {
                         self.l1_promote(key);
                     }
                 }
-                let pa = e.pte.addr.add(va.page_offset(e.size));
                 return Ok(Access {
-                    pa,
                     hit: true,
                     cost,
                     entry: e,
@@ -716,9 +678,7 @@ impl Tlb {
         if let Some(e) = self.itlb.lookup(pcid, va).cloned() {
             if e.pte.flags.permits(false, true, user) {
                 self.stats.hits += 1;
-                let pa = e.pte.addr.add(va.page_offset(e.size));
                 return Ok(Access {
-                    pa,
                     hit: true,
                     cost: costs.mem_access,
                     entry: e,
@@ -741,9 +701,7 @@ impl Tlb {
         self.itlb.insert(entry.clone());
         self.stats.misses += 1;
         let cost = costs.mem_access + costs.page_walk_pwc_miss;
-        let pa = walk.translate(va);
         Ok(Access {
-            pa,
             hit: false,
             cost,
             entry,
@@ -786,7 +744,6 @@ impl Tlb {
         self.pwc_insert(pcid, va);
         self.stats.misses += 1;
         Ok(Access {
-            pa: walk.translate(va),
             hit: false,
             cost: costs.mem_access + walk_cost,
             entry,
@@ -820,7 +777,20 @@ impl Tlb {
 mod tests {
     use super::*;
     use tlbdown_mem::{FrameState, PhysMem};
-    use tlbdown_types::PteFlags;
+    use tlbdown_types::{PhysAddr, PteFlags};
+
+    /// The physical address `va` translates to through the entry an
+    /// access used.
+    fn translated(a: &Access, va: VirtAddr) -> PhysAddr {
+        a.entry.pte.addr.add(va.page_offset(a.entry.size))
+    }
+
+    /// Whether a translation is cached in the first-level arrays (always
+    /// false under the legacy geometry, which has no levels).
+    fn in_l1(tlb: &Tlb, pcid: Pcid, va: VirtAddr, size: PageSize) -> bool {
+        tlb.l1.contains(&key_for(pcid.0, va, size))
+            || tlb.l1.contains(&key_for(GLOBAL_TAG, va, size))
+    }
 
     fn setup() -> (PhysMem, AddrSpace, Tlb, CostModel) {
         let mut mem = PhysMem::new(1 << 20);
@@ -851,12 +821,12 @@ mod tests {
             .access(P, VirtAddr::new(0x1234), false, true, &mut s, &costs)
             .unwrap();
         assert!(!a1.hit);
-        assert_eq!(a1.pa, pa.add(0x234));
+        assert_eq!(translated(&a1, VirtAddr::new(0x1234)), pa.add(0x234));
         let a2 = tlb
             .access(P, VirtAddr::new(0x1678), false, true, &mut s, &costs)
             .unwrap();
         assert!(a2.hit);
-        assert_eq!(a2.pa, pa.add(0x678));
+        assert_eq!(translated(&a2, VirtAddr::new(0x1678)), pa.add(0x678));
         assert_eq!(tlb.stats().hits, 1);
         assert_eq!(tlb.stats().misses, 1);
         assert!(a2.cost < a1.cost);
@@ -877,7 +847,11 @@ mod tests {
             .access(P, VirtAddr::new(0x1000), false, true, &mut s, &costs)
             .unwrap();
         assert!(a.hit);
-        assert_eq!(a.pa, pa_old, "stale entry still used — that's the hazard");
+        assert_eq!(
+            translated(&a, VirtAddr::new(0x1000)),
+            pa_old,
+            "stale entry still used — that's the hazard"
+        );
     }
 
     #[test]
@@ -889,11 +863,11 @@ mod tests {
             .unwrap();
         tlb.access(P, VirtAddr::new(0x40_0000), false, true, &mut s, &costs)
             .unwrap();
-        assert!(tlb.pwc_len() >= 2);
+        assert!(tlb.pwc.len() >= 2);
         tlb.invlpg(P, VirtAddr::new(0x1000));
         assert!(tlb.lookup(P, VirtAddr::new(0x1000)).is_none());
         assert!(tlb.lookup(P, VirtAddr::new(0x40_0000)).is_some());
-        assert_eq!(tlb.pwc_len(), 0, "INVLPG wipes the whole PWC");
+        assert_eq!(tlb.pwc.len(), 0, "INVLPG wipes the whole PWC");
         assert_eq!(tlb.stats().pwc_flushes, 1);
     }
 
@@ -906,11 +880,11 @@ mod tests {
             .unwrap();
         tlb.access(P, VirtAddr::new(0x40_0000), false, true, &mut s, &costs)
             .unwrap();
-        let pwc_before = tlb.pwc_len();
+        let pwc_before = tlb.pwc.len();
         tlb.invpcid_single(P, VirtAddr::new(0x1000));
         assert!(tlb.lookup(P, VirtAddr::new(0x1000)).is_none());
         assert_eq!(
-            tlb.pwc_len(),
+            tlb.pwc.len(),
             pwc_before - 1,
             "only the target's PWC entry drops"
         );
@@ -988,7 +962,7 @@ mod tests {
         // A write cannot use the stale read-only entry: hardware re-walks.
         let a = tlb.access(P, va, true, true, &mut s, &costs).unwrap();
         assert!(!a.hit);
-        assert_eq!(a.pa, pa2);
+        assert_eq!(translated(&a, va), pa2);
         assert_eq!(tlb.stats().perm_rewalks, 1);
         // And the fresh writable entry is now cached.
         let a = tlb.access(P, va, true, true, &mut s, &costs).unwrap();
@@ -1100,14 +1074,14 @@ mod tests {
         s.map(&mut mem, va, pa, PageSize::Size4K, PteFlags::user_rx())
             .unwrap();
         tlb.fetch(P, va, true, &mut s, &costs).unwrap();
-        assert_eq!(tlb.itlb().len(), 1);
+        assert_eq!(tlb.itlb.entries.len(), 1);
         // Data accesses do not touch the ITLB (the §4.1 executable-PTE rule).
         let va2 = VirtAddr::new(0x6000);
         map_user_page(&mut mem, &mut s, 0x6000);
         tlb.access(P, va2, true, true, &mut s, &costs).unwrap();
-        assert_eq!(tlb.itlb().len(), 1);
+        assert_eq!(tlb.itlb.entries.len(), 1);
         tlb.invlpg(P, va);
-        assert_eq!(tlb.itlb().len(), 0);
+        assert_eq!(tlb.itlb.entries.len(), 0);
     }
 
     #[test]
@@ -1150,7 +1124,7 @@ mod tests {
         }
         assert_eq!(tlb.len(), 5);
         let first = VirtAddr::new(0x40_0000);
-        assert!(!tlb.in_l1(P, first, PageSize::Size4K), "L1-evicted");
+        assert!(!in_l1(&tlb, P, first, PageSize::Size4K), "L1-evicted");
         let slow = tlb.access(P, first, false, true, &mut s, &costs).unwrap();
         assert!(slow.hit);
         assert_eq!(slow.cost, Cycles(costs.mem_access.0 + 9));
@@ -1195,7 +1169,7 @@ mod tests {
             .unwrap();
         assert_eq!(a.cost, costs.mem_access);
         assert_eq!(tlb.stats().stlb_hits, 0);
-        assert!(!tlb.in_l1(P, VirtAddr::new(0x1000), PageSize::Size4K));
+        assert!(!in_l1(&tlb, P, VirtAddr::new(0x1000), PageSize::Size4K));
     }
 
     #[test]
@@ -1211,6 +1185,6 @@ mod tests {
         s.update_entry(va, |p| Pte::new(pa2, p.flags)).unwrap();
         let a = tlb.access(P, va, false, true, &mut s, &costs).unwrap();
         assert!(a.hit);
-        assert_eq!(a.pa, pa);
+        assert_eq!(translated(&a, va), pa);
     }
 }

@@ -75,7 +75,7 @@ impl Model {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig { cases: 128, ..ProptestConfig::default() })]
+    #![proptest_config(ProptestConfig::with_cases(128))]
 
     /// The TLB's flush-instruction semantics agree with a simple
     /// set-theoretic reference model (no fractured entries, no capacity

@@ -91,7 +91,7 @@ impl TopologySpec {
     }
 
     /// Whether this is the flat reference model.
-    pub fn is_flat(&self) -> bool {
+    pub(crate) fn is_flat(&self) -> bool {
         matches!(self, TopologySpec::Flat)
     }
 }
@@ -100,13 +100,13 @@ impl TopologySpec {
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct LinkStats {
     /// Routed transfers (cacheline + IPI) that traversed at least one link.
-    pub routed_transfers: u64,
+    pub(crate) routed_transfers: u64,
     /// Total link traversals (sum of hops over all routed transfers).
     pub hop_traversals: u64,
     /// Total queueing delay charged by congested links, in cycles.
-    pub queued_cycles: u64,
+    pub(crate) queued_cycles: u64,
     /// Highest link occupancy observed, in cycles of service.
-    pub peak_queue: u64,
+    pub(crate) peak_queue: u64,
 }
 
 /// A routed interconnect instance with per-link congestion state.
@@ -138,11 +138,6 @@ impl Interconnect {
     /// Whether this is the flat (byte-identical reference) model.
     pub fn is_flat(&self) -> bool {
         self.spec.is_flat()
-    }
-
-    /// The shape this interconnect routes over.
-    pub fn spec(&self) -> &TopologySpec {
-        &self.spec
     }
 
     /// Accumulated routing statistics (all zero under flat).

@@ -19,7 +19,7 @@ use crate::span::{analyze, Phase};
 use crate::Trace;
 
 /// Schema version stamped into `otherData`.
-pub const CHROME_SCHEMA_VERSION: u64 = 1;
+pub(crate) const CHROME_SCHEMA_VERSION: u64 = 1;
 
 fn base_event(name: &str, ph: &str, ts: u64, tid: u32) -> Json {
     Json::obj()

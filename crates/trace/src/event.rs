@@ -13,7 +13,7 @@ use tlbdown_types::{CoreId, Cycles};
 /// machine-level `ShootdownId` (no remote targets — a purely local
 /// flush). Keeps tracer-allocated ids disjoint from real ones without
 /// perturbing the machine's id allocator.
-pub const LOCAL_OP_BIT: u64 = 1 << 63;
+pub(crate) const LOCAL_OP_BIT: u64 = 1 << 63;
 
 /// Initiator-side shootdown stage, as traced. Mirrors the kernel's
 /// `SdStage` minus its terminal state: a phase record marks *entry* into
@@ -34,7 +34,7 @@ pub enum SdPhaseKind {
 
 impl SdPhaseKind {
     /// Stable lower-case label (used in exported trace names).
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             SdPhaseKind::Prep => "prep",
             SdPhaseKind::SendIpis => "send_ipis",
@@ -59,7 +59,7 @@ pub enum AckKind {
 
 impl AckKind {
     /// Stable lower-case label.
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             AckKind::Early => "early",
             AckKind::Late => "late",
@@ -85,7 +85,7 @@ pub enum SkipKind {
 
 impl SkipKind {
     /// Stable lower-case label.
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             SkipKind::Lazy => "lazy",
             SkipKind::Batched => "batched",
@@ -130,7 +130,7 @@ pub enum PerturbKind {
 
 impl PerturbKind {
     /// Stable lower-case label.
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             PerturbKind::IpiDropped => "ipi_dropped",
             PerturbKind::IpiDuplicated => "ipi_duplicated",
@@ -294,18 +294,18 @@ impl TraceEvent {
 pub struct TraceRecord {
     /// Global emission order, assigned by the tracer. Total and gapless
     /// *before* ring-buffer drops; the analysis layer sorts on it.
-    pub seq: u64,
+    pub(crate) seq: u64,
     /// Simulated time of emission.
-    pub at: Cycles,
+    pub(crate) at: Cycles,
     /// The engine's processed-event count at emission — ties a record to
     /// the exact dispatch it happened under.
-    pub dispatch: u64,
+    pub(crate) dispatch: u64,
     /// The core the event happened on.
-    pub core: CoreId,
+    pub(crate) core: CoreId,
     /// The shootdown operation this record belongs to, if any. Real
     /// `ShootdownId` values for remote operations; tracer-allocated ids
     /// with [`LOCAL_OP_BIT`] set for local-only flushes.
-    pub op: Option<u64>,
+    pub(crate) op: Option<u64>,
     /// The event.
     pub ev: TraceEvent,
 }

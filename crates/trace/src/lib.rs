@@ -27,16 +27,15 @@ pub mod event;
 pub mod ring;
 pub mod span;
 
-pub use chrome::{to_chrome_json, validate_chrome, CHROME_SCHEMA_VERSION};
-pub use event::{
-    AckKind, PerturbKind, SdPhaseKind, SkipKind, TraceEvent, TraceRecord, LOCAL_OP_BIT,
-};
+pub use chrome::{to_chrome_json, validate_chrome};
+pub use event::{AckKind, PerturbKind, SdPhaseKind, SkipKind, TraceEvent, TraceRecord};
 pub use ring::{Ring, RingSink};
 pub use span::{
     analyze, render_attribution_table, render_phase_diff, Analysis, Phase, PhaseTotals,
     ShootdownSpan,
 };
 
+use event::LOCAL_OP_BIT;
 use tlbdown_types::{CoreId, Cycles};
 
 /// A captured trace: the merged record stream plus per-core drop
@@ -47,7 +46,7 @@ pub struct Trace {
     /// [`TraceRecord::seq`]).
     pub records: Vec<TraceRecord>,
     /// Per-core ring-buffer drop counts at capture time.
-    pub dropped: Vec<u64>,
+    pub(crate) dropped: Vec<u64>,
 }
 
 impl Trace {
@@ -145,16 +144,6 @@ impl Tracer {
         id
     }
 
-    /// Total records emitted so far (including any later dropped).
-    pub fn emitted(&self) -> u64 {
-        self.seq
-    }
-
-    /// Total records dropped by the rings so far.
-    pub fn dropped(&self) -> u64 {
-        self.sink.dropped()
-    }
-
     /// Capture and clear the buffered records. Sequence and id counters
     /// keep running, so repeated captures stay globally ordered.
     pub fn take(&mut self) -> Trace {
@@ -173,7 +162,7 @@ mod tests {
     fn disabled_tracer_emits_nothing() {
         let mut t = Tracer::disabled();
         t.emit(Cycles::new(5), 0, CoreId(0), None, TraceEvent::IpiDeliver);
-        assert_eq!(t.emitted(), 0);
+        assert_eq!(t.seq, 0);
         assert!(t.take().is_empty());
     }
 

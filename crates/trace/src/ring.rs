@@ -20,7 +20,7 @@ pub struct Ring {
 
 impl Ring {
     /// A ring holding at most `cap` records (`cap` ≥ 1).
-    pub fn new(cap: usize) -> Ring {
+    pub(crate) fn new(cap: usize) -> Ring {
         assert!(cap >= 1, "trace ring capacity must be at least 1");
         Ring {
             buf: VecDeque::with_capacity(cap),
@@ -30,7 +30,7 @@ impl Ring {
     }
 
     /// Append a record, evicting the oldest one if the ring is full.
-    pub fn push(&mut self, rec: TraceRecord) {
+    pub(crate) fn push(&mut self, rec: TraceRecord) {
         if self.buf.len() == self.cap {
             self.buf.pop_front();
             self.dropped += 1;
@@ -38,34 +38,14 @@ impl Ring {
         self.buf.push_back(rec);
     }
 
-    /// Records currently buffered.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Whether the ring holds no records.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
     /// Records evicted so far; monotone over the ring's lifetime.
-    pub fn dropped(&self) -> u64 {
+    pub(crate) fn dropped(&self) -> u64 {
         self.dropped
-    }
-
-    /// The configured capacity.
-    pub fn capacity(&self) -> usize {
-        self.cap
-    }
-
-    /// Iterate the buffered records, oldest first.
-    pub fn iter(&self) -> impl Iterator<Item = &TraceRecord> {
-        self.buf.iter()
     }
 
     /// Drain the buffered records, oldest first. The drop counter is
     /// *not* reset — it counts evictions, not reads.
-    pub fn drain(&mut self) -> Vec<TraceRecord> {
+    pub(crate) fn drain(&mut self) -> Vec<TraceRecord> {
         self.buf.drain(..).collect()
     }
 }
@@ -80,7 +60,7 @@ pub struct RingSink {
 
 impl RingSink {
     /// A sink with `cores` rings of `cap` records each.
-    pub fn new(cores: usize, cap: usize) -> RingSink {
+    pub(crate) fn new(cores: usize, cap: usize) -> RingSink {
         RingSink {
             rings: (0..cores).map(|_| Ring::new(cap)).collect(),
             cap,
@@ -88,7 +68,7 @@ impl RingSink {
     }
 
     /// Accept one record.
-    pub fn emit(&mut self, rec: TraceRecord) {
+    pub(crate) fn emit(&mut self, rec: TraceRecord) {
         let idx = rec.core.index();
         while self.rings.len() <= idx {
             self.rings.push(Ring::new(self.cap));
@@ -96,20 +76,15 @@ impl RingSink {
         self.rings[idx].push(rec);
     }
 
-    /// Records discarded across all rings.
-    pub fn dropped(&self) -> u64 {
-        self.rings.iter().map(Ring::dropped).sum()
-    }
-
     /// Per-core drop counts.
-    pub fn dropped_per_core(&self) -> Vec<u64> {
+    pub(crate) fn dropped_per_core(&self) -> Vec<u64> {
         self.rings.iter().map(Ring::dropped).collect()
     }
 
     /// Drain every ring and merge the records back into global emission
     /// order (by `seq` — each ring is already seq-sorted, so this is a
     /// deterministic k-way merge done as one sort).
-    pub fn drain_merged(&mut self) -> Vec<TraceRecord> {
+    pub(crate) fn drain_merged(&mut self) -> Vec<TraceRecord> {
         let mut all: Vec<TraceRecord> = Vec::new();
         for r in &mut self.rings {
             all.extend(r.drain());
@@ -143,9 +118,9 @@ mod tests {
         for s in 0..5 {
             r.push(rec(s, 0));
         }
-        assert_eq!(r.len(), 3);
+        assert_eq!(r.buf.len(), 3);
         assert_eq!(r.dropped(), 2);
-        let kept: Vec<u64> = r.iter().map(|x| x.seq).collect();
+        let kept: Vec<u64> = r.buf.iter().map(|x| x.seq).collect();
         assert_eq!(kept, vec![2, 3, 4], "oldest records are the ones evicted");
     }
 
@@ -171,9 +146,9 @@ mod tests {
         r.push(rec(0, 0));
         r.push(rec(1, 0));
         r.push(rec(2, 0));
-        assert_eq!(r.len(), 1);
+        assert_eq!(r.buf.len(), 1);
         assert_eq!(r.dropped(), 2);
-        assert_eq!(r.iter().next().unwrap().seq, 2);
+        assert_eq!(r.buf.iter().next().unwrap().seq, 2);
     }
 
     #[test]
@@ -196,7 +171,7 @@ mod tests {
             merged.iter().map(|r| r.seq).collect::<Vec<_>>(),
             vec![0, 1, 2, 3]
         );
-        assert_eq!(s.dropped(), 0);
+        assert_eq!(s.dropped_per_core().iter().sum::<u64>(), 0);
     }
 
     #[test]

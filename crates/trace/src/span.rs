@@ -46,7 +46,7 @@ pub enum Phase {
 
 impl Phase {
     /// All phases, in presentation order.
-    pub const ALL: [Phase; 5] = [
+    pub(crate) const ALL: [Phase; 5] = [
         Phase::Setup,
         Phase::IpiInFlight,
         Phase::RemoteFlush,
@@ -55,7 +55,7 @@ impl Phase {
     ];
 
     /// Paper-style row label.
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             Phase::Setup => "initiator setup",
             Phase::IpiInFlight => "ipi in-flight",
@@ -84,18 +84,18 @@ pub struct ShootdownSpan {
     /// Operation id ([`LOCAL_OP_BIT`] set for local-only flushes).
     pub op: u64,
     /// The initiating core.
-    pub initiator: CoreId,
+    pub(crate) initiator: CoreId,
     /// Entry into `Prep` — the start of the operation.
-    pub start: Cycles,
+    pub(crate) start: Cycles,
     /// Completion including the final sync poll.
-    pub end: Cycles,
+    pub(crate) end: Cycles,
     /// Stage-entry marks, in time order (the span's children).
-    pub marks: Vec<(SdPhaseKind, Cycles)>,
+    pub(crate) marks: Vec<(SdPhaseKind, Cycles)>,
     /// Acknowledgements observed for this operation: responder, time,
     /// and early/late/forced.
     pub acks: Vec<(CoreId, Cycles, AckKind)>,
     /// IPIs sent for this operation.
-    pub ipis: u64,
+    pub(crate) ipis: u64,
     /// Cycles attributed to each [`Phase`], indexed by [`Phase::idx`].
     /// Sums exactly to `end - start`.
     pub phases: [u64; 5],
@@ -260,7 +260,7 @@ impl PhaseTotals {
     }
 
     /// Mean cycles per shootdown for one phase.
-    pub fn mean(&self, p: Phase) -> f64 {
+    pub(crate) fn mean(&self, p: Phase) -> f64 {
         if self.shootdowns == 0 {
             0.0
         } else {

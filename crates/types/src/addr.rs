@@ -7,13 +7,13 @@
 use core::fmt;
 
 /// Number of bits in a 4KB page offset.
-pub const PAGE_SHIFT: u64 = 12;
+pub(crate) const PAGE_SHIFT: u64 = 12;
 /// Size in bytes of a 4KB base page.
-pub const PAGE_SIZE: u64 = 1 << PAGE_SHIFT;
+pub(crate) const PAGE_SIZE: u64 = 1 << PAGE_SHIFT;
 /// Size in bytes of a 2MB hugepage.
-pub const HUGE_2M_SIZE: u64 = 1 << 21;
+pub(crate) const HUGE_2M_SIZE: u64 = 1 << 21;
 /// Size in bytes of a 1GB hugepage.
-pub const HUGE_1G_SIZE: u64 = 1 << 30;
+pub(crate) const HUGE_1G_SIZE: u64 = 1 << 30;
 
 /// The page sizes supported by the simulated MMU.
 ///
@@ -41,7 +41,7 @@ impl PageSize {
     }
 
     /// log2 of the page size ("stride shift" in the paper's §3.4 wording).
-    pub const fn shift(self) -> u64 {
+    pub(crate) const fn shift(self) -> u64 {
         match self {
             PageSize::Size4K => 12,
             PageSize::Size2M => 21,
@@ -116,14 +116,6 @@ impl VirtAddr {
     pub const fn add(self, bytes: u64) -> Self {
         VirtAddr(self.0 + bytes)
     }
-
-    /// Whether this address falls in the kernel half of the canonical space.
-    ///
-    /// The simulation uses the Linux convention: addresses with bit 47 set
-    /// (sign-extended) belong to the kernel.
-    pub const fn is_kernel(self) -> bool {
-        self.0 >= 0xffff_8000_0000_0000
-    }
 }
 
 impl fmt::Debug for VirtAddr {
@@ -156,11 +148,6 @@ impl PhysAddr {
     /// The physical frame number (address >> 12).
     pub const fn pfn(self) -> u64 {
         self.0 >> PAGE_SHIFT
-    }
-
-    /// Round down to the containing frame boundary of the given size.
-    pub const fn align_down(self, size: PageSize) -> Self {
-        PhysAddr(self.0 & !(size.bytes() - 1))
     }
 
     /// Address advanced by `bytes`.
@@ -206,13 +193,8 @@ impl VirtRange {
         VirtRange::new(start, start.add(count * size.bytes()))
     }
 
-    /// Length of the range in bytes.
-    pub fn len(&self) -> u64 {
-        self.end.0 - self.start.0
-    }
-
     /// Whether the range is empty.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.start == self.end
     }
 
@@ -257,6 +239,14 @@ impl VirtRange {
 mod tests {
     use super::*;
 
+    /// Whether `va` falls in the kernel half of the canonical space.
+    ///
+    /// The simulation uses the Linux convention: addresses with bit 47 set
+    /// (sign-extended) belong to the kernel.
+    fn is_kernel(va: VirtAddr) -> bool {
+        va.0 >= 0xffff_8000_0000_0000
+    }
+
     #[test]
     fn page_size_arithmetic() {
         assert_eq!(PageSize::Size4K.bytes(), 4096);
@@ -285,8 +275,8 @@ mod tests {
         assert_eq!(a.pt_index(2), 0);
         assert_eq!(a.pt_index(1), 0);
         assert_eq!(a.pt_index(0), 0);
-        assert!(a.is_kernel());
-        assert!(!VirtAddr::new(0x7fff_ffff_f000).is_kernel());
+        assert!(is_kernel(a));
+        assert!(!is_kernel(VirtAddr::new(0x7fff_ffff_f000)));
     }
 
     #[test]
@@ -295,7 +285,7 @@ mod tests {
         assert_eq!(r.page_count(PageSize::Size4K), 3);
         let exact = VirtRange::pages(VirtAddr::new(0x4000), 10, PageSize::Size4K);
         assert_eq!(exact.page_count(PageSize::Size4K), 10);
-        assert_eq!(exact.len(), 10 * 4096);
+        assert_eq!(exact.end.0 - exact.start.0, 10 * 4096);
     }
 
     #[test]

@@ -47,11 +47,6 @@ impl PteFlags {
         self.0 & other.0 == other.0
     }
 
-    /// Whether any bit in `other` is set in `self`.
-    pub const fn intersects(self, other: PteFlags) -> bool {
-        self.0 & other.0 != 0
-    }
-
     /// `self` with the bits of `other` set.
     pub const fn with(self, other: PteFlags) -> Self {
         PteFlags(self.0 | other.0)
@@ -176,13 +171,18 @@ impl fmt::Debug for PteFlags {
 mod tests {
     use super::*;
 
+    /// Whether any bit of `other` is set in `f`.
+    fn intersects(f: PteFlags, other: PteFlags) -> bool {
+        f.0 & other.0 != 0
+    }
+
     #[test]
     fn contains_and_intersects() {
         let f = PteFlags::user_rw();
         assert!(f.contains(PteFlags::PRESENT | PteFlags::USER));
         assert!(!f.contains(PteFlags::GLOBAL));
-        assert!(f.intersects(PteFlags::GLOBAL | PteFlags::WRITABLE));
-        assert!(!f.intersects(PteFlags::GLOBAL | PteFlags::DIRTY));
+        assert!(intersects(f, PteFlags::GLOBAL | PteFlags::WRITABLE));
+        assert!(!intersects(f, PteFlags::GLOBAL | PteFlags::DIRTY));
     }
 
     #[test]

@@ -89,7 +89,7 @@ impl Hasher for FastHasher {
 }
 
 /// Builds [`FastHasher`]s; every map gets the same (unseeded) one.
-pub type FastBuild = BuildHasherDefault<FastHasher>;
+pub(crate) type FastBuild = BuildHasherDefault<FastHasher>;
 
 /// A `HashMap` hashed by [`FastHasher`]. Build it with
 /// `FastMap::default()` or `FastMap::with_capacity_and_hasher(n,

@@ -7,11 +7,6 @@ use core::fmt;
 pub struct CoreId(pub u32);
 
 impl CoreId {
-    /// Construct a core id.
-    pub const fn new(v: u32) -> Self {
-        CoreId(v)
-    }
-
     /// The raw index, usable directly into per-core arrays.
     pub const fn index(self) -> usize {
         self.0 as usize
@@ -63,7 +58,7 @@ pub struct Pcid(pub u16);
 
 impl Pcid {
     /// Number of architecturally available PCID values.
-    pub const MAX: u16 = 4096;
+    pub(crate) const MAX: u16 = 4096;
     /// Bit distinguishing the user-view PCID from its kernel sibling,
     /// mirroring Linux's `X86_CR3_PTI_PCID_USER_BIT`.
     pub const USER_BIT: u16 = 1 << 11;
@@ -103,7 +98,7 @@ mod tests {
     #[test]
     fn core_id_indexes_arrays() {
         let per_core = [10u32, 20, 30];
-        assert_eq!(per_core[CoreId::new(1).index()], 20);
+        assert_eq!(per_core[CoreId(1).index()], 20);
     }
 
     #[test]

@@ -11,7 +11,7 @@ use crate::cost::Distance;
 use crate::ids::CoreId;
 
 /// x2APIC cluster-mode fan-out limit (Intel x2APIC spec, §2.2 of the paper).
-pub const X2APIC_CLUSTER_SIZE: u32 = 16;
+pub(crate) const X2APIC_CLUSTER_SIZE: u32 = 16;
 
 /// Static description of the simulated machine's CPU layout.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -116,18 +116,6 @@ impl Topology {
         }
     }
 
-    /// Iterator over all core ids.
-    pub fn cores(&self) -> impl Iterator<Item = CoreId> {
-        (0..self.num_cores()).map(CoreId)
-    }
-
-    /// Iterator over the cores of one socket.
-    pub fn cores_of_socket(&self, socket: u32) -> impl Iterator<Item = CoreId> {
-        assert!(socket < self.sockets, "socket {socket} out of range");
-        let base = socket * self.cores_per_socket;
-        (base..base + self.cores_per_socket).map(CoreId)
-    }
-
     /// Group a target set into x2APIC-cluster batches: each batch can be
     /// reached with a single multicast IPI (§2.2). The batches preserve the
     /// input order within each cluster and are returned in cluster order.
@@ -148,6 +136,13 @@ impl Topology {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Iterator over the cores of one socket.
+    fn cores_of_socket(t: &Topology, socket: u32) -> impl Iterator<Item = CoreId> {
+        assert!(socket < t.sockets, "socket {socket} out of range");
+        let base = socket * t.cores_per_socket;
+        (base..base + t.cores_per_socket).map(CoreId)
+    }
 
     #[test]
     fn paper_machine_has_56_cores() {
@@ -210,7 +205,7 @@ mod tests {
     #[test]
     fn cores_of_socket_enumerates() {
         let t = Topology::new(2, 4);
-        let s1: Vec<_> = t.cores_of_socket(1).collect();
+        let s1: Vec<_> = cores_of_socket(&t, 1).collect();
         assert_eq!(s1, vec![CoreId(4), CoreId(5), CoreId(6), CoreId(7)]);
     }
 

@@ -24,25 +24,25 @@ use tlbdown_types::{CostModel, Cycles, PageSize, Pcid, PhysAddr, SimError, SimRe
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct NestedAccess {
     /// Final host-physical address.
-    pub hpa: PhysAddr,
+    pub(crate) hpa: PhysAddr,
     /// Whether the TLB already held the composed translation.
-    pub hit: bool,
+    pub(crate) hit: bool,
     /// Cycle cost including the two-dimensional walk on a miss.
-    pub cost: Cycles,
+    pub(crate) cost: Cycles,
     /// Whether the cached entry is fractured (guest page larger than the
     /// host page backing it).
-    pub fractured: bool,
+    pub(crate) fractured: bool,
 }
 
 /// The composed page size of a nested walk: the smaller of the guest and
 /// host page sizes, since one TLB entry can only cover a region that is
 /// uniform in both dimensions.
-pub fn composed_size(guest: PageSize, host: PageSize) -> PageSize {
+pub(crate) fn composed_size(guest: PageSize, host: PageSize) -> PageSize {
     guest.min(host)
 }
 
 /// Whether a (guest, host) page-size pair fractures the guest page.
-pub fn is_fractured(guest: PageSize, host: PageSize) -> bool {
+pub(crate) fn is_fractured(guest: PageSize, host: PageSize) -> bool {
     host < guest
 }
 
@@ -52,7 +52,7 @@ pub struct NestedCpu {
     /// The composed-translation TLB (models the hardware dTLB).
     pub tlb: Tlb,
     /// PCID the guest runs under (a single guest context here).
-    pub pcid: Pcid,
+    pub(crate) pcid: Pcid,
     costs: CostModel,
 }
 
@@ -144,7 +144,7 @@ pub struct ParavirtFlushPolicy {
 
 /// What the guest should execute to invalidate `n` pages.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum GuestFlushPlan {
+pub(crate) enum GuestFlushPlan {
     /// Issue one `INVLPG` per page.
     Selective {
         /// Number of pages to invalidate individually.
@@ -164,7 +164,7 @@ impl ParavirtFlushPolicy {
     /// issues one full flush and saves the remaining `INVLPG`s (§7: "the
     /// host may also inform the VM OS, using a paravirtual protocol,
     /// whether page fracturing may happen").
-    pub fn plan(&self, pages: u64, ceiling: u64) -> GuestFlushPlan {
+    pub(crate) fn plan(&self, pages: u64, ceiling: u64) -> GuestFlushPlan {
         if pages > ceiling {
             return GuestFlushPlan::Full;
         }

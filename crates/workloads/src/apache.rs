@@ -36,7 +36,7 @@ pub struct ApacheCfg {
     /// Server cores (the paper sweeps 1–11 via taskset).
     pub cores: u32,
     /// Mitigations on?
-    pub safe: bool,
+    pub(crate) safe: bool,
     /// Optimizations active.
     pub opts: OptConfig,
     /// Simulated duration.
@@ -87,11 +87,11 @@ pub struct ServeStats {
     pub in_flight: u64,
     /// Completed requests that started before their worker's cold
     /// deadline (see [`ServeWorker::cold_until`]).
-    pub cold: u64,
+    pub(crate) cold: u64,
     /// Summed service latency of the cold requests, in cycles.
-    pub cold_cycles: u64,
+    pub(crate) cold_cycles: u64,
     /// Summed service latency of the warm (all other) requests, in cycles.
-    pub warm_cycles: u64,
+    pub(crate) warm_cycles: u64,
 }
 
 impl ServeStats {

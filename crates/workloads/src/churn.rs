@@ -37,9 +37,9 @@ const LIFETIME_WORK: u64 = 30_000;
 #[derive(Clone, Debug)]
 pub struct ChurnCfg {
     /// Simulated time at which the slot stops spawning generations.
-    pub deadline: Cycles,
+    pub(crate) deadline: Cycles,
     /// Seed for the slot's jitter stream.
-    pub seed: u64,
+    pub(crate) seed: u64,
 }
 
 impl ChurnCfg {

@@ -17,9 +17,9 @@ use tlbdown_types::{CoreId, Cycles, Topology, VirtAddr};
 #[derive(Clone, Debug)]
 pub struct CowBenchCfg {
     /// Mitigations on?
-    pub safe: bool,
+    pub(crate) safe: bool,
     /// Optimizations active.
-    pub opts: OptConfig,
+    pub(crate) opts: OptConfig,
     /// Pages written (= CoW faults measured) per run.
     pub pages: u64,
     /// Runs aggregated.

@@ -59,11 +59,11 @@ impl Placement {
 #[derive(Clone, Debug)]
 pub struct MadviseBenchCfg {
     /// Responder placement.
-    pub placement: Placement,
+    pub(crate) placement: Placement,
     /// PTEs flushed per shootdown (the paper uses 1 and 10).
-    pub ptes: u64,
+    pub(crate) ptes: u64,
     /// Mitigations on ("safe mode")?
-    pub safe: bool,
+    pub(crate) safe: bool,
     /// Optimizations active.
     pub opts: OptConfig,
     /// madvise iterations per run (the paper uses 100k; the simulator is
@@ -79,7 +79,7 @@ pub struct MadviseBenchCfg {
     /// default is inert; BENCH_1 runs with it untouched, and the
     /// perturbation-freedom regression test pins that enabling the storm
     /// detector alone leaves every reported number byte-identical.
-    pub chaos: ChaosConfig,
+    pub(crate) chaos: ChaosConfig,
     /// Interconnect model routing cross-core transfers and IPIs. The
     /// default `Flat` delegates to the distance-constant cost model, so
     /// BENCH_1 stays byte-identical to the pre-topology pipeline.
@@ -524,18 +524,18 @@ const REUSE_CHURN_CORES: u32 = 4;
 #[derive(Clone, Debug)]
 pub struct ReuseChurnCfg {
     /// Pages in the churned working set.
-    pub working_set_pages: u64,
+    pub(crate) working_set_pages: u64,
     /// Reuse-window capacity the kernel runs with (the pressure knob:
     /// below `working_set_pages` every round overflows the window).
-    pub reuse_window_cap: usize,
+    pub(crate) reuse_window_cap: usize,
     /// Churn rounds (each round = touch set + madvise set).
     pub iters: u64,
     /// Optimizations active.
-    pub opts: OptConfig,
+    pub(crate) opts: OptConfig,
     /// Mitigations on?
-    pub safe: bool,
+    pub(crate) safe: bool,
     /// Seed for the initiator's jitter stream.
-    pub seed: u64,
+    pub(crate) seed: u64,
 }
 
 impl ReuseChurnCfg {

@@ -117,13 +117,6 @@ pub enum AutonumaIntensity {
 }
 
 impl AutonumaIntensity {
-    /// All intensities, off to storm.
-    pub const ALL: [AutonumaIntensity; 3] = [
-        AutonumaIntensity::Off,
-        AutonumaIntensity::Periodic,
-        AutonumaIntensity::Storm,
-    ];
-
     /// Short label for tables.
     pub fn label(self) -> &'static str {
         match self {
@@ -206,23 +199,23 @@ impl StormIntensity {
 pub struct StormCfg {
     /// The storm's shape: monitors, working set, think times and the
     /// victims' access pattern.
-    pub intensity: StormIntensity,
+    pub(crate) intensity: StormIntensity,
     /// Optimizations active.
-    pub opts: OptConfig,
+    pub(crate) opts: OptConfig,
     /// Mitigations on?
-    pub safe: bool,
+    pub(crate) safe: bool,
     /// Fault plan layered under the storm (the matrix's second axis).
     pub fault: FaultSpec,
     /// Seed for the fault plan and watchdog jitter.
-    pub fault_seed: u64,
+    pub(crate) fault_seed: u64,
     /// Watchdog / escalation-ladder configuration. Storm cells enable
     /// the storm detector; the perturbation-freedom test pins that this
     /// alone never changes a benign run.
-    pub watchdog: WatchdogConfig,
+    pub(crate) watchdog: WatchdogConfig,
     /// Workload deadline: programs exit at this simulated time.
     pub duration: Cycles,
     /// Seed for victim/bystander jitter streams.
-    pub seed: u64,
+    pub(crate) seed: u64,
     /// Interconnect model routing the storm's IPIs. `Flat` keeps every
     /// cell byte-identical to the pre-topology pipeline; the nightly
     /// matrix also runs the savage column on a mesh, where per-hop
@@ -232,7 +225,7 @@ pub struct StormCfg {
     /// cell is byte-pinned) leaves the machine exactly as it was before
     /// the axis existed. The balancer's cores come out of the bystander
     /// population.
-    pub autonuma: AutonumaIntensity,
+    pub(crate) autonuma: AutonumaIntensity,
     /// Sockets the cores split across (1 keeps the pinned cells'
     /// single-socket topology; 2+ makes every balancer protect and
     /// hinting fault cross the socket boundary, which is what numaPTE's

@@ -36,7 +36,7 @@ pub struct SysbenchCfg {
     /// Worker threads (the paper sweeps 1–28 on one node).
     pub threads: u32,
     /// Mitigations on?
-    pub safe: bool,
+    pub(crate) safe: bool,
     /// Optimizations active.
     pub opts: OptConfig,
     /// Simulated duration.

@@ -30,25 +30,25 @@
 //!     pack ({mild, brisk, savage} × {none, ipi-drop, late-responder,
 //!     combined}) at every paper opt level, on the flat and the mesh
 //!     fabric. Every level of every cell must survive — zero oracle
-//!     violations, no wedge, all threads done, byte-identical seed
-//!     replay — and the victim must observe the storm. Prints the
-//!     victim fault-latency signal table.
+//!     violations, no wedge, all threads done — and the victim must
+//!     observe the storm. Prints the victim fault-latency signal table.
 //!   - `fleet` (`BENCH_4.json`, quick): machine-fault × IPI-fault
 //!     presets over N full-kernel machines behind a deterministic load
 //!     balancer, plus the headline tier (full scale: 1000+ machines,
 //!     100k+ cores). Every cell's survival verdicts must hold.
 //!   - `topobench` (`BENCH_6.json`, full): {flat, ring, mesh} × {4K,
 //!     THP} at the 2×56 tier under the Skylake-SP TLB geometry, plus the
-//!     huge-page fracture table. Every cell replays; ring and mesh must
-//!     diverge from flat; the THP column must promote and split.
+//!     huge-page fracture table. Ring and mesh must diverge from flat;
+//!     the THP column must promote and split.
 //!   - `optbench` (`BENCH_7.json`, quick): reuse-churn and cross-socket
 //!     AutoNUMA cells at L6/L7/L8. L7 must elide shootdowns the L6
 //!     control keeps, L8 alone must sync page-table replicas, and every
 //!     migration-storm cell must survive.
 //!
 //!   The driver takes the same five steps for each: (1) run the matrix
-//!   at 1 pool thread and at max(2, cores); (2) fail on a panicked job
-//!   or on any sim block that differs between the two runs; (3) run the
+//!   at 1 pool thread and at max(2, cores), each cell simulated once per
+//!   run; (2) fail on a panicked job or on any sim block that differs
+//!   between the two runs, which is every gate's replay check; (3) run the
 //!   entry's check; (4) diff against `--out` — a changed sim block, or a
 //!   baseline job of this scale missing from the run, fails; baseline
 //!   jobs of the other scale are carried over verbatim; wall-clock is
@@ -62,14 +62,15 @@
 //!   selected gates run even if an early one fails; a final table
 //!   reports per-gate pass/fail with wall-clock, the machine-readable
 //!   verdicts land in `ci_report.json` next to each crate's effective
-//!   source-line count (the size trajectory, tracked like wall-clock),
-//!   and the exit code is nonzero if any gate failed.
+//!   source-line count and its public-declaration count (the size and
+//!   API-surface trajectories, tracked like wall-clock), and the exit
+//!   code is nonzero if any gate failed.
 
 use std::path::Path;
 use std::process::{Command, ExitCode};
 use std::time::{Duration, Instant};
 
-use tlbdown_bench::loc::effective_loc;
+use tlbdown_bench::loc::{effective_loc, Loc};
 use tlbdown_bench::report::{
     diff_sim_metrics, job_json, render_bench_json, render_snapshot, sim_blocks, total_wall_ns,
 };
@@ -565,12 +566,7 @@ fn sim_u64(doc: &Json, id: &str, key: &str) -> Option<u64> {
 }
 
 /// Survival verdicts a cell records, each with its surviving value.
-const SURVIVAL: [(&str, u64); 4] = [
-    ("violations", 0),
-    ("wedged", 0),
-    ("threads_done", 1),
-    ("replay_ok", 1),
-];
+const SURVIVAL: [(&str, u64); 3] = [("violations", 0), ("wedged", 0), ("threads_done", 1)];
 
 /// The survival rule: job `id` must record each of `verdicts`, under
 /// `prefix`, with its surviving value. A missing key fails too.
@@ -676,11 +672,7 @@ fn check_fleet(doc: &Json, scale: Scale) -> Vec<String> {
 /// lifecycle.
 fn check_topo(doc: &Json, scale: Scale) -> Vec<String> {
     let s = scale.label();
-    let mut failures: Vec<String> = topobench_matrix(scale)
-        .iter()
-        .filter(|j| !j.id.ends_with("/fracture"))
-        .flat_map(|j| survival(doc, &j.id, "", &SURVIVAL[3..]))
-        .collect();
+    let mut failures = Vec::new();
     for pages in ["4k", "thp"] {
         let digest = |topo: &str| sim_u64(doc, &format!("topo/{s}/{topo}/{pages}"), "state_digest");
         for topo in ["ring", "mesh"] {
@@ -704,18 +696,16 @@ fn check_topo(doc: &Json, scale: Scale) -> Vec<String> {
     failures
 }
 
-/// `optbench`: every cell replays and every migration-storm cell
-/// survives; the window-fitting reuse churn elides shootdowns at L7
+/// `optbench`: every migration-storm cell survives; the window-fitting
+/// reuse churn elides shootdowns at L7
 /// while the L6 control keeps the window dark; the migration storm
 /// syncs page-table replicas at L8 and only there.
 fn check_opt(doc: &Json, scale: Scale) -> Vec<String> {
     let s = scale.label();
     let mut failures: Vec<String> = optbench_matrix(scale)
         .iter()
-        .flat_map(|j| {
-            let from = if j.id.contains("/numa/") { 0 } else { 3 };
-            survival(doc, &j.id, "", &SURVIVAL[from..])
-        })
+        .filter(|j| j.id.contains("/numa/"))
+        .flat_map(|j| survival(doc, &j.id, "", &SURVIVAL))
         .collect();
     let [l6, l7, l8] = optbench_levels();
     let reuse = |level, key| sim_u64(doc, &format!("opt/{s}/reuse/fitting/L{level}"), key);
@@ -857,10 +847,11 @@ fn trace_gate(out: &str) -> bool {
     ok
 }
 
-/// Effective source lines of every crate in the workspace: the
-/// [`effective_loc`] count (no blanks, comments or test modules) summed
-/// over each `.rs` file under `crates/<name>/src`, sorted by name.
-fn crate_loc() -> std::io::Result<Vec<(String, u64)>> {
+/// Effective source lines and public declarations of every crate in the
+/// workspace: the [`effective_loc`] counts (no blanks, comments or test
+/// modules) summed over each `.rs` file under `crates/<name>/src`,
+/// sorted by name.
+fn crate_loc() -> std::io::Result<Vec<(String, Loc)>> {
     let crates = Path::new(env!("CARGO_MANIFEST_DIR")).join("..");
     let mut out = Vec::new();
     for entry in std::fs::read_dir(crates)? {
@@ -873,22 +864,26 @@ fn crate_loc() -> std::io::Result<Vec<(String, u64)>> {
             out.push((name, dir_loc(&src)?));
         }
     }
-    out.sort();
+    out.sort_by(|a, b| a.0.cmp(&b.0));
     Ok(out)
 }
 
 /// [`effective_loc`] summed over every `.rs` file under `dir`.
-fn dir_loc(dir: &Path) -> std::io::Result<u64> {
-    let mut lines = 0;
+fn dir_loc(dir: &Path) -> std::io::Result<Loc> {
+    let mut sum = Loc::default();
     for entry in std::fs::read_dir(dir)? {
         let path = entry?.path();
-        if path.is_dir() {
-            lines += dir_loc(&path)?;
+        let loc = if path.is_dir() {
+            dir_loc(&path)?
         } else if path.extension().is_some_and(|e| e == "rs") {
-            lines += effective_loc(&std::fs::read_to_string(&path)?);
-        }
+            effective_loc(&std::fs::read_to_string(&path)?)
+        } else {
+            continue;
+        };
+        sum.lines += loc.lines;
+        sum.public += loc.public;
     }
-    Ok(lines)
+    Ok(sum)
 }
 
 /// Every gate of the selected tier, in order. All of them run even if
@@ -938,24 +933,33 @@ fn ci(which: &str) -> ExitCode {
         );
         all_ok &= ok;
     }
-    let loc = match crate_loc() {
+    let (loc, public) = match crate_loc() {
         Ok(per_crate) => {
-            let total: u64 = per_crate.iter().map(|(_, n)| n).sum();
+            let block = |count: fn(&Loc) -> u64| {
+                let total: u64 = per_crate.iter().map(|(_, l)| count(l)).sum();
+                let crates = per_crate.iter().fold(Json::obj(), |o, (name, l)| {
+                    o.with(name, Json::U64(count(l)))
+                });
+                (
+                    total,
+                    Json::obj()
+                        .with("crates", crates)
+                        .with("total", Json::U64(total)),
+                )
+            };
+            let (lines, loc) = block(|l| l.lines);
+            let (decls, public) = block(|l| l.public);
             println!(
-                "xtask: {total} effective source lines across {} crates",
+                "xtask: {lines} effective source lines, {decls} of them public \
+                 declarations, across {} crates",
                 per_crate.len()
             );
-            let crates = per_crate
-                .iter()
-                .fold(Json::obj(), |o, (name, n)| o.with(name, Json::U64(*n)));
-            Json::obj()
-                .with("crates", crates)
-                .with("total", Json::U64(total))
+            (loc, public)
         }
         Err(e) => {
             eprintln!("xtask: could not count source lines: {e}");
             all_ok = false;
-            Json::Null
+            (Json::Null, Json::Null)
         }
     };
     let report = Json::obj()
@@ -979,7 +983,8 @@ fn ci(which: &str) -> ExitCode {
                     .collect(),
             ),
         )
-        .with("loc", loc);
+        .with("loc", loc)
+        .with("public_decls", public);
     if let Err(e) = std::fs::write("ci_report.json", report.render_pretty()) {
         eprintln!("xtask: could not write ci_report.json: {e}");
         all_ok = false;
@@ -1190,38 +1195,26 @@ mod tests {
     }
 
     #[test]
-    fn replay_ok_zero_fails_every_replaying_gate() {
-        for (name, id, key) in [
-            ("topobench", "topo/full/mesh/thp", "replay_ok"),
-            ("optbench", "opt/quick/reuse/overflow/L8", "replay_ok"),
-            ("storm", "storm/quick/mild/late-responder", "L5_replay_ok"),
-        ] {
-            let mut doc = committed(name);
-            *member(sim(&mut doc, id), key) = Json::U64(0);
-            let e = entry(name);
-            assert_check_fails(name, &doc, e.scale, &format!("{key} is Some(0)"));
-        }
-    }
-
-    #[test]
     fn a_thread_count_divergence_fails() {
-        let serial = committed("optbench");
-        let mut pooled = serial.clone();
-        *member(&mut pooled, "threads") = Json::U64(2);
-        bump(member(
-            sim(&mut pooled, "opt/quick/reuse/fitting/L6"),
-            "sim_cycles",
-        ));
-        let e = entry("optbench");
-        let (_, failures) = judge(
-            e,
-            e.scale,
-            (serial.clone(), Vec::new()),
-            (pooled, Vec::new()),
-            Some(&serial),
-        );
-        assert_has(&failures, "opt/quick/reuse/fitting/L6: sim.sim_cycles is");
-        assert_has(&failures, "at 2 threads but");
+        for (name, id, key) in [
+            ("optbench", "opt/quick/reuse/fitting/L6", "sim_cycles"),
+            ("storm", "storm/quick/mild/late-responder", "L5_digest"),
+        ] {
+            let serial = committed(name);
+            let mut pooled = serial.clone();
+            *member(&mut pooled, "threads") = Json::U64(2);
+            bump(member(sim(&mut pooled, id), key));
+            let e = entry(name);
+            let (_, failures) = judge(
+                e,
+                e.scale,
+                (serial.clone(), Vec::new()),
+                (pooled, Vec::new()),
+                Some(&serial),
+            );
+            assert_has(&failures, &format!("{id}: sim.{key} is"));
+            assert_has(&failures, "at 2 threads but");
+        }
     }
 
     #[test]

@@ -76,3 +76,8 @@ pub use tlbdown_types as types;
 pub use tlbdown_virt as virt;
 /// The paper's workloads.
 pub use tlbdown_workloads as workloads;
+
+/// README's Rust snippets, compiled and run as doc tests.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+struct ReadmeDoctests;

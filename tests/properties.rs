@@ -159,7 +159,7 @@ fn opt_config(bits: u8) -> OptConfig {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
+    #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// The headline safety property: no optimization subset, mode or seed
     /// lets any core translate through a TLB entry whose removal the
