@@ -267,3 +267,39 @@ fn chaos_stress_is_pinned_at_every_opt_level() {
         assert_eq!(got, pin, "chaos stress moved at opt level {level}");
     }
 }
+
+#[test]
+fn lone_spinner_past_the_initiator_exit_is_pinned() {
+    // One madvise initiator and one busy-loop responder, run to a
+    // deadline far past the initiator's exit: most of the run is the
+    // responder's spin, which `run_until` applies in closed form up to
+    // each pending event. `(state digest, trace hash, dispatches, final
+    // time)` were recorded on the stepped loop before that rule existed.
+    let mut m = Machine::new(KernelConfig::test_machine(2));
+    m.start_tracing(1 << 13);
+    let mm = m.create_process().expect("boot: create process");
+    m.spawn(mm, CoreId(0), Box::new(MadviseLoopProg::new(6, 5)));
+    m.spawn(mm, CoreId(1), Box::new(BusyLoopProg));
+    m.run_until(Cycles::new(20_000_000));
+    assert!(m.stats.counters.get("ipis_sent") > 0, "the run sent no IPI");
+    assert_eq!(
+        m.stats.counters.get("thread_exit"),
+        1,
+        "the initiator exits"
+    );
+    let export = to_chrome_json(&m.take_trace()).render();
+    assert_eq!(
+        (
+            m.state_digest(),
+            fnv1a(&export),
+            m.events_processed(),
+            m.now().as_u64()
+        ),
+        (
+            0x1ef4_7d70_7d1b_77c8,
+            0x248d_603a_2e71_a09f,
+            100_235,
+            19_999_840
+        )
+    );
+}

@@ -65,10 +65,7 @@ pub struct CacheDirectory {
     /// flat runs are byte-identical to the pre-routing model.
     interconnect: Interconnect,
     lines: FastMap<LineId, LineState>,
-    names: Vec<&'static str>,
     stats: CacheStats,
-    /// Per-line transfer counts, for the Figure 4 ablation.
-    per_line_transfers: FastMap<LineId, u64>,
 }
 
 impl CacheDirectory {
@@ -84,9 +81,7 @@ impl CacheDirectory {
             topo,
             costs,
             lines: FastMap::default(),
-            names: Vec::new(),
             stats: CacheStats::default(),
-            per_line_transfers: FastMap::default(),
         }
     }
 
@@ -101,10 +96,9 @@ impl CacheDirectory {
         self.interconnect.jitter_hops(a, b)
     }
 
-    /// Register a new cacheline with a diagnostic name.
-    pub fn new_line(&mut self, name: &'static str) -> LineId {
-        let id = LineId(self.names.len() as u64);
-        self.names.push(name);
+    /// Register a new cacheline.
+    pub fn new_line(&mut self) -> LineId {
+        let id = LineId(self.lines.len() as u64);
         self.lines.insert(id, LineState::Invalid);
         id
     }
@@ -117,20 +111,13 @@ impl CacheDirectory {
     /// Reset statistics (not line states).
     pub fn reset_stats(&mut self) {
         self.stats = CacheStats::default();
-        self.per_line_transfers.clear();
     }
 
-    fn record_transfer(&mut self, line: LineId, d: Distance) {
+    fn record_transfer(&mut self, d: Distance) {
         match d {
             Distance::SameCore => self.stats.local_hits += 1,
-            Distance::SameSocket => {
-                self.stats.same_socket_transfers += 1;
-                *self.per_line_transfers.entry(line).or_insert(0) += 1;
-            }
-            Distance::CrossSocket => {
-                self.stats.cross_socket_transfers += 1;
-                *self.per_line_transfers.entry(line).or_insert(0) += 1;
-            }
+            Distance::SameSocket => self.stats.same_socket_transfers += 1,
+            Distance::CrossSocket => self.stats.cross_socket_transfers += 1,
         }
     }
 
@@ -166,7 +153,7 @@ impl CacheDirectory {
     pub fn read(&mut self, core: CoreId, line: LineId) -> Cycles {
         let state = self.lines.get(&line).expect("unknown line").clone();
         if self.holds(core, line) {
-            self.record_transfer(line, Distance::SameCore);
+            self.record_transfer(Distance::SameCore);
             return self.costs.cacheline(Distance::SameCore);
         }
         match self.nearest_holder(core, &state) {
@@ -183,7 +170,7 @@ impl CacheDirectory {
                 };
                 sharers.push(core);
                 self.lines.insert(line, LineState::Shared(sharers));
-                self.record_transfer(line, d);
+                self.record_transfer(d);
                 self.interconnect
                     .cacheline_transfer(&self.costs, holder, core)
             }
@@ -201,7 +188,7 @@ impl CacheDirectory {
         let state = self.lines.get(&line).expect("unknown line").clone();
         let cost = match &state {
             LineState::Exclusive(c) if *c == core => {
-                self.record_transfer(line, Distance::SameCore);
+                self.record_transfer(Distance::SameCore);
                 self.costs.cacheline(Distance::SameCore)
             }
             LineState::Invalid => {
@@ -242,7 +229,7 @@ impl CacheDirectory {
                     }
                     self.stats.invalidations += 1;
                 }
-                self.record_transfer(line, worst);
+                self.record_transfer(worst);
                 if flat {
                     self.costs.cacheline(worst)
                 } else {
@@ -270,7 +257,7 @@ mod tests {
 
     fn dir() -> (CacheDirectory, LineId) {
         let mut d = CacheDirectory::new(Topology::paper_machine(), CostModel::default());
-        let l = d.new_line("test");
+        let l = d.new_line();
         (d, l)
     }
 
@@ -347,17 +334,12 @@ mod tests {
     #[test]
     fn per_line_transfer_accounting() {
         let (mut d, l) = dir();
-        let l2 = d.new_line("other");
+        let l2 = d.new_line();
         d.write(CoreId(0), l);
         d.read(CoreId(2), l); // different physical core (1 is 0's SMT sibling)
+        assert_eq!(d.stats().transfers(), 1);
         d.read(CoreId(2), l2);
-        assert_eq!(d.per_line_transfers.get(&l), Some(&1));
-        assert_eq!(
-            d.per_line_transfers.get(&l2),
-            None,
-            "memory fills are not transfers"
-        );
-        assert_eq!(d.names[l2.0 as usize], "other");
+        assert_eq!(d.stats().transfers(), 1, "memory fills are not transfers");
     }
 
     #[test]
@@ -367,7 +349,7 @@ mod tests {
             CostModel::default(),
             TopologySpec::Mesh,
         );
-        let l = d.new_line("routed");
+        let l = d.new_line();
         d.write(CoreId(4), l); // phys 2
         let near = d.read(CoreId(8), l); // phys 4: 2 hops away on the grid
         d.write(CoreId(4), l);
@@ -390,7 +372,7 @@ mod tests {
             CostModel::default(),
             TopologySpec::Ring,
         );
-        let l = d.new_line("inv");
+        let l = d.new_line();
         d.read(CoreId(4), l);
         d.read(CoreId(8), l);
         d.read(CoreId(54), l);

@@ -29,7 +29,7 @@ proptest! {
     fn writes_are_exclusive_reads_are_shared(ops in arb_ops()) {
         let topo = Topology::paper_machine();
         let mut d = CacheDirectory::new(topo, CostModel::default());
-        let line = d.new_line("prop");
+        let line = d.new_line();
         let mut readers: std::collections::BTreeSet<u32> = Default::default();
         let mut writer: Option<u32> = None;
         for op in &ops {
@@ -67,7 +67,7 @@ proptest! {
         let topo = Topology::paper_machine();
         let costs = CostModel::default();
         let mut d = CacheDirectory::new(topo, costs.clone());
-        let line = d.new_line("prop");
+        let line = d.new_line();
         let mut last: Option<u32> = None;
         for op in &ops {
             let (core, c) = match *op {
@@ -96,7 +96,7 @@ proptest! {
         let topo = Topology::paper_machine();
         let costs = CostModel::default();
         let mut d = CacheDirectory::new(topo, costs.clone());
-        let line = d.new_line("prop");
+        let line = d.new_line();
         if write_first {
             d.write(CoreId(core), line);
         } else {

@@ -69,30 +69,12 @@ impl SmpLayer {
     /// Allocate the cachelines for `num_cores` CPUs in the chosen layout.
     pub fn new(dir: &mut CacheDirectory, num_cores: u32, consolidated: bool) -> Self {
         let n = num_cores as usize;
-        let tlbstate_line = (0..n).map(|_| dir.new_line("cpu_tlbstate")).collect();
-        let csq_line = (0..n)
-            .map(|_| {
-                dir.new_line(if consolidated {
-                    "csq_head+lazy"
-                } else {
-                    "csq_head"
-                })
-            })
-            .collect();
+        let tlbstate_line = (0..n).map(|_| dir.new_line()).collect();
+        let csq_line = (0..n).map(|_| dir.new_line()).collect();
         let cfd_line = (0..n)
-            .map(|_| {
-                (0..n)
-                    .map(|_| {
-                        dir.new_line(if consolidated {
-                            "cfd+inlined_info"
-                        } else {
-                            "cfd"
-                        })
-                    })
-                    .collect()
-            })
+            .map(|_| (0..n).map(|_| dir.new_line()).collect())
             .collect();
-        let stack_info_line = (0..n).map(|_| dir.new_line("stack_flush_info")).collect();
+        let stack_info_line = (0..n).map(|_| dir.new_line()).collect();
         SmpLayer {
             consolidated,
             tlbstate_line,

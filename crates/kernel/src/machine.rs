@@ -494,10 +494,73 @@ impl Machine {
     }
 
     /// Run until simulated time reaches `deadline` (or the queue drains).
+    ///
+    /// A live resume of a busy-looping program (see [`Prog::spin_period`])
+    /// runs in closed form: every dispatch of that core that fires before
+    /// the next pending event and by `deadline` is applied at once,
+    /// leaving exactly the state single steps would (DESIGN §3).
     pub fn run_until(&mut self, deadline: Cycles) {
         while let Some(ev) = self.engine.pop_until(deadline) {
+            if let Event::Resume { core, token } = ev {
+                if self.spin_ahead(core, token, deadline) {
+                    continue;
+                }
+            }
             self.handle(ev);
         }
+    }
+
+    /// Apply the just-popped resume of `core`, and every later one the
+    /// core would dispatch before the next pending event and by
+    /// `deadline`, if the core runs a program with a spin period.
+    /// Returns `false`, having changed nothing, when it does not.
+    ///
+    /// A stepped spin dispatch calls `next`, gets `Compute(P)`, zeroes the
+    /// frame's `retval`, bumps the resume token and schedules the next
+    /// resume `P` later; it bumps no counter, traces nothing, draws no
+    /// noise and charges no cost. `n` of them in a row therefore differ
+    /// only in the clock, the dispatch count, the sequence numbers and
+    /// the token, which this sets directly.
+    fn spin_ahead(&mut self, core: CoreId, token: u64, deadline: Cycles) -> bool {
+        let cpu = &mut self.cpus[core.index()];
+        if token != cpu.resume_token || self.engine.has_time_errors() {
+            return false;
+        }
+        let Some(FrameSlot {
+            frame: Frame::Prog(pf),
+            resume,
+        }) = cpu.frames.last_mut()
+        else {
+            return false;
+        };
+        let thread = &self.threads[pf.thread];
+        if pf.pending_access.is_some() || thread.done {
+            return false;
+        }
+        let Some(period) = thread.prog.spin_period().filter(|p| *p > Cycles::ZERO) else {
+            return false;
+        };
+        let t = self.engine.now();
+        let p = period.as_u64();
+        let mut repeats = deadline.saturating_sub(t).as_u64() / p;
+        if let Some(next) = self.engine.next_at() {
+            // A pending event at the same instant as a spin dispatch fires
+            // first: its sequence number is older.
+            repeats = repeats.min(next.saturating_sub(t).as_u64().saturating_sub(1) / p);
+        }
+        let n = repeats + 1;
+        let Some(end) = n.checked_mul(p).and_then(|d| t.as_u64().checked_add(d)) else {
+            return false;
+        };
+        pf.retval = 0;
+        *resume = ResumeState::Scheduled {
+            end: Cycles::new(end),
+        };
+        cpu.resume_token += n;
+        let token = cpu.resume_token;
+        self.engine
+            .repeat_last(n, period, Event::Resume { core, token });
+        true
     }
 
     /// Process one event chosen by `sched` (see `tlbdown_sim::sched`):

@@ -121,6 +121,14 @@ pub trait Prog {
     /// Produce the next action. `ctx.retval` carries the result of the
     /// previous action.
     fn next(&mut self, ctx: &ProgCtx) -> ProgAction;
+
+    /// `Some(P)` promises that every call of [`Prog::next`], whatever its
+    /// context, returns `Compute(P)` and changes nothing, so the kernel
+    /// may run a stretch of those steps in closed form (DESIGN §3). The
+    /// default, `None`, promises nothing.
+    fn spin_period(&self) -> Option<Cycles> {
+        None
+    }
 }
 
 /// A program executing a fixed list of actions, then exiting — for any
@@ -155,9 +163,16 @@ impl Prog for ScriptProg {
 #[derive(Debug, Default)]
 pub struct BusyLoopProg;
 
+/// Cycles of one [`BusyLoopProg`] step.
+const SPIN: Cycles = Cycles::new(200);
+
 impl Prog for BusyLoopProg {
     fn next(&mut self, _ctx: &ProgCtx) -> ProgAction {
-        ProgAction::Compute(Cycles::new(200))
+        ProgAction::Compute(SPIN)
+    }
+
+    fn spin_period(&self) -> Option<Cycles> {
+        Some(SPIN)
     }
 }
 
@@ -307,10 +322,18 @@ mod tests {
 
     #[test]
     fn busy_loop_never_exits() {
+        // Every step computes for the declared spin period, whatever the
+        // context; no other program declares one.
         let mut p = BusyLoopProg;
-        let ctx = ProgCtx::default();
-        for _ in 0..10 {
-            assert!(matches!(p.next(&ctx), ProgAction::Compute(_)));
+        let period = p.spin_period().expect("the busy loop spins");
+        for i in 0..10 {
+            let ctx = ProgCtx {
+                retval: i * (u64::MAX / 9),
+                now: Cycles::new(i * 1_000),
+            };
+            assert_eq!(p.next(&ctx), ProgAction::Compute(period));
         }
+        assert_eq!(MadviseLoopProg::new(1, 1).spin_period(), None);
+        assert_eq!(ScriptProg::new(vec![]).spin_period(), None);
     }
 }

@@ -1,0 +1,112 @@
+//! `Machine::run_until` applies a busy-looping core's dispatches in
+//! closed form up to the next pending event. Single `step()` calls are
+//! the reference: at every deadline of a seeded ladder, a machine driven
+//! by `run_until` must be indistinguishable from an identical machine
+//! stepped one event at a time up to the same deadline.
+
+use std::collections::BTreeMap;
+
+use tlbdown_core::OptConfig;
+use tlbdown_kernel::prog::{BusyLoopProg, MadviseLoopProg};
+use tlbdown_kernel::{KernelConfig, Machine};
+use tlbdown_sim::SplitMix64;
+use tlbdown_types::{CoreId, Cycles, Topology};
+
+/// The §5.1 shape on the paper machine: a jittered madvise initiator on
+/// core 0 and busy-loop responders on `responders`, with kernel noise
+/// on, tracing every record.
+fn paper_machine(level: usize, responders: &[CoreId]) -> Machine {
+    let mut cfg = KernelConfig {
+        topo: Topology::paper_machine(),
+        ..KernelConfig::paper_baseline()
+    }
+    .with_opts(OptConfig::cumulative(level));
+    cfg.noise_cycles = 120;
+    cfg.seed = 0x5eed ^ level as u64;
+    let mut m = Machine::new(cfg);
+    m.start_tracing(1 << 16);
+    let mm = m.create_process().expect("boot: create process");
+    let initiator = MadviseLoopProg::new(4, 6).with_jitter(SplitMix64::new(level as u64 + 1));
+    m.spawn(mm, CoreId(0), Box::new(initiator));
+    for &core in responders {
+        m.spawn(mm, core, Box::new(BusyLoopProg));
+    }
+    m
+}
+
+/// Everything a run exposes: clock, dispatch count, state digest and its
+/// components, counters, syscall and IRQ latency summaries (count and
+/// mean) and the trace recorded since the last call.
+fn observe(m: &mut Machine) -> String {
+    let syscalls: BTreeMap<_, _> = m
+        .stats
+        .syscall_lat
+        .iter()
+        .map(|(k, s)| (*k, (s.count(), s.mean().to_bits())))
+        .collect();
+    let irqs: BTreeMap<_, _> = m
+        .stats
+        .irq_lat
+        .iter()
+        .map(|(k, s)| (*k, (s.count(), s.mean().to_bits())))
+        .collect();
+    format!(
+        "now {:?}\nevents {}\ndigest {:#x}\ncomponents {:?}\ncounters {}\n\
+         syscalls {syscalls:?}\nirqs {irqs:?}\ntrace {:?}",
+        m.now(),
+        m.events_processed(),
+        m.state_digest(),
+        m.digest_components(),
+        m.stats.counters.render_json(),
+        m.take_trace(),
+    )
+}
+
+/// Drive `run_until` and single steps over the same seeded ladder of
+/// deadlines, far past the initiator's exit, comparing after each one.
+/// Returns how many deadlines were checked.
+fn ladder(level: usize, responders: &[CoreId]) -> usize {
+    let mut closed = paper_machine(level, responders);
+    let mut stepped = paper_machine(level, responders);
+    let mut rng = SplitMix64::new(0x5ca1_ab1e ^ ((level as u64) << 8) ^ responders.len() as u64);
+    let mut deadline = 0;
+    let mut checked = 0;
+    while deadline < 1_500_000 {
+        // Mostly short hops, which land between, on and next to events;
+        // now and then a long stretch of spinning.
+        deadline += match rng.gen_range(8) {
+            0 => rng.gen_range(60_000),
+            1 => rng.gen_range(4),
+            _ => rng.gen_range(1_500),
+        };
+        let d = Cycles::new(deadline);
+        closed.run_until(d);
+        while stepped.engine.next_at().is_some_and(|at| at <= d) {
+            stepped.step();
+        }
+        let (want, got) = (observe(&mut stepped), observe(&mut closed));
+        assert!(
+            want == got,
+            "L{level}, responders {responders:?}: run_until({deadline}) diverged from \
+             single steps\n--- stepped ---\n{want}\n--- run_until ---\n{got}"
+        );
+        checked += 1;
+    }
+    assert_eq!(
+        closed.stats.counters.get("thread_exit"),
+        1,
+        "the ladder runs past the initiator's exit"
+    );
+    checked
+}
+
+#[test]
+fn run_until_matches_single_steps_at_every_deadline() {
+    let mut checked = 0;
+    for level in [0, 4, 6] {
+        for responders in [&[CoreId(2)][..], &[CoreId(2), CoreId(28)]] {
+            checked += ladder(level, responders);
+        }
+    }
+    assert!(checked > 1_000, "only {checked} deadlines checked");
+}

@@ -28,11 +28,6 @@ pub struct PhysMem {
     next_never_used: u64,
     free_list: Vec<u64>,
     states: FastMap<u64, FrameState>,
-    /// Monotone counter of free operations, used as a "frame epoch": a
-    /// cached translation to a frame freed after the cache fill is stale.
-    free_epoch: u64,
-    /// Epoch at which each currently-free frame was last freed.
-    freed_at: FastMap<u64, u64>,
     allocated: u64,
 }
 
@@ -44,8 +39,6 @@ impl PhysMem {
             next_never_used: 1, // frame 0 reserved so PhysAddr(0) is never valid
             free_list: Vec::new(),
             states: FastMap::default(),
-            free_epoch: 0,
-            freed_at: FastMap::default(),
             allocated: 0,
         }
     }
@@ -65,7 +58,6 @@ impl PhysMem {
     pub fn alloc(&mut self, state: FrameState) -> SimResult<PhysAddr> {
         debug_assert_ne!(state, FrameState::Free);
         let pfn = if let Some(pfn) = self.free_list.pop() {
-            self.freed_at.remove(&pfn);
             pfn
         } else if self.next_never_used < self.total_frames {
             let pfn = self.next_never_used;
@@ -120,7 +112,7 @@ impl PhysMem {
         self.alloc_contiguous(count, state)
     }
 
-    /// Free a frame, recording the free epoch.
+    /// Free a frame for reuse.
     ///
     /// # Panics
     ///
@@ -132,8 +124,6 @@ impl PhysMem {
             prev.is_some() && prev != Some(FrameState::Free),
             "double free of frame {pfn:#x}"
         );
-        self.free_epoch += 1;
-        self.freed_at.insert(pfn, self.free_epoch);
         self.free_list.push(pfn);
         self.allocated -= 1;
     }
@@ -189,19 +179,6 @@ mod tests {
             assert_eq!(state(&m, base.add(i * 4096)), FrameState::UserPage);
         }
         assert_eq!(m.allocated_frames(), 512);
-    }
-
-    #[test]
-    fn freed_epoch_advances() {
-        let mut m = PhysMem::new(64);
-        let a = m.alloc(FrameState::PageTable).unwrap();
-        let b = m.alloc(FrameState::PageTable).unwrap();
-        assert_eq!(m.freed_at.get(&a.pfn()).copied(), None);
-        m.free(a);
-        m.free(b);
-        assert_eq!(m.freed_at.get(&a.pfn()).copied(), Some(1));
-        assert_eq!(m.freed_at.get(&b.pfn()).copied(), Some(2));
-        assert_eq!(m.free_epoch, 2);
     }
 
     #[test]

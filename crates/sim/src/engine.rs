@@ -211,6 +211,35 @@ impl<E> Engine<E> {
         Some(self.dispatch(ev))
     }
 
+    /// The fire time of the next pending event, without dispatching it.
+    pub fn next_at(&self) -> Option<Cycles> {
+        self.heap.peek().map(|Reverse(ev)| ev.at)
+    }
+
+    /// Finish, in closed form, a run of `n` dispatches of one periodic
+    /// event whose first dispatch was the last pop: leave exactly the
+    /// state that `n - 1` more rounds of `schedule_in(period, payload)`
+    /// then pop, and one last `schedule_in(period, payload)`, would.
+    /// The clock moves `(n - 1) × period`, the dispatch count and the
+    /// next sequence number each grow by `n - 1` before the last
+    /// schedule, and `payload` is pending `period` after the new clock.
+    ///
+    /// The caller must know that every skipped round would have popped
+    /// its own event: nothing pending may fire at or before the last
+    /// skipped round's time, since an older sequence number wins a tie.
+    pub fn repeat_last(&mut self, n: u64, period: Cycles, payload: E) {
+        debug_assert!(n >= 1, "a run has at least the dispatch just popped");
+        let skipped = n - 1;
+        self.now += period * skipped;
+        debug_assert!(
+            skipped == 0 || self.next_at().is_none_or(|at| at > self.now),
+            "a pending event would have fired inside the repeated run"
+        );
+        self.popped += skipped;
+        self.seq += skipped;
+        self.schedule_in(period, payload);
+    }
+
     /// Pop the next event with a pluggable [`Scheduler`] deciding among
     /// commutative-ambiguous candidates (see [`crate::sched`]).
     ///
@@ -634,6 +663,55 @@ mod tests {
                 "seed {seed:#x}: the churn builds a deep queue"
             );
             assert_eq!(e.events_processed(), scheduled, "seed {seed:#x}");
+        }
+    }
+
+    #[test]
+    fn repeat_last_matches_single_rounds() {
+        // A periodic event first popped at t = 50 repeats n times; other
+        // events wait just after the last skipped round, before, at and
+        // after the horizon t + nP where the last repeat stays pending.
+        let mut rng = SplitMix64::new(0x5e7);
+        for period in [1u64, 2, 7, 200] {
+            for n in 1..=6u64 {
+                let t = 50;
+                let last_skipped = t + (n - 1) * period;
+                let horizon = t + n * period;
+                let mut others = vec![last_skipped + 1, horizon, horizon + 1, 10 * horizon];
+                others.push(last_skipped + 1 + rng.gen_range(3 * period));
+                let fill = |e: &mut Engine<u64>| {
+                    e.schedule_at(Cycles::new(t), 0);
+                    for (i, &at) in others.iter().enumerate() {
+                        e.schedule_at(Cycles::new(at), i as u64 + 1);
+                    }
+                    assert_eq!(e.pop(), Some(0));
+                };
+                let (mut closed, mut stepped) = (Engine::new(), Engine::new());
+                fill(&mut closed);
+                fill(&mut stepped);
+                let p = Cycles::new(period);
+                closed.repeat_last(n, p, 0);
+                for _ in 1..n {
+                    stepped.schedule_in(p, 0);
+                    assert_eq!(stepped.pop(), Some(0), "P {period}, n {n}");
+                }
+                stepped.schedule_in(p, 0);
+                let case = format!("P {period}, n {n}");
+                assert_eq!(closed.now(), Cycles::new(last_skipped), "{case}");
+                assert_eq!(closed.now(), stepped.now(), "{case}");
+                assert_eq!(closed.events_processed(), n, "{case}");
+                assert_eq!(
+                    closed.events_processed(),
+                    stepped.events_processed(),
+                    "{case}"
+                );
+                assert_eq!(closed.seq, stepped.seq, "{case}");
+                assert_eq!(closed.pending(), stepped.pending(), "{case}");
+                let drain = |e: &mut Engine<u64>| {
+                    std::iter::from_fn(|| e.pop().map(|v| (v, e.now()))).collect::<Vec<_>>()
+                };
+                assert_eq!(drain(&mut closed), drain(&mut stepped), "{case}");
+            }
         }
     }
 

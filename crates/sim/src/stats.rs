@@ -15,20 +15,12 @@ pub struct Summary {
     n: u64,
     mean: f64,
     m2: f64,
-    min: f64,
-    max: f64,
 }
 
 impl Summary {
     /// An empty summary.
     pub fn new() -> Self {
-        Summary {
-            n: 0,
-            mean: 0.0,
-            m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
+        Summary::default()
     }
 
     /// Add one observation.
@@ -37,8 +29,6 @@ impl Summary {
         let delta = x - self.mean;
         self.mean += delta / self.n as f64;
         self.m2 += delta * (x - self.mean);
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
     }
 
     /// Add a cycle-valued observation.
@@ -85,8 +75,6 @@ impl Summary {
         self.n = n;
         self.mean = mean;
         self.m2 = m2;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
     }
 }
 
@@ -249,24 +237,6 @@ mod tests {
         c.overflows = 0;
     }
 
-    /// Smallest observation (0 for an empty summary).
-    fn min(s: &Summary) -> f64 {
-        if s.n == 0 {
-            0.0
-        } else {
-            s.min
-        }
-    }
-
-    /// Largest observation (0 for an empty summary).
-    fn max(s: &Summary) -> f64 {
-        if s.n == 0 {
-            0.0
-        } else {
-            s.max
-        }
-    }
-
     /// The summary as a compact canonical JSON object. Means and σ are
     /// exact f64s computed from deterministic inputs, and the shared
     /// writer's float policy (whole values as integers, non-finite as
@@ -276,8 +246,6 @@ mod tests {
             .with("n", Json::U64(s.n))
             .with("mean", Json::F64(s.mean()))
             .with("stddev", Json::F64(s.stddev()))
-            .with("min", Json::F64(min(s)))
-            .with("max", Json::F64(max(s)))
             .render()
     }
     #[test]
@@ -289,8 +257,6 @@ mod tests {
         assert!((s.mean() - 5.0).abs() < 1e-12);
         // Sample stddev of this classic dataset is ~2.138.
         assert!((s.stddev() - 2.1380899).abs() < 1e-6);
-        assert_eq!(min(&s), 2.0);
-        assert_eq!(max(&s), 9.0);
         assert_eq!(s.count(), 8);
     }
 
@@ -319,8 +285,6 @@ mod tests {
         let s = Summary::new();
         assert_eq!(s.mean(), 0.0);
         assert_eq!(s.stddev(), 0.0);
-        assert_eq!(min(&s), 0.0);
-        assert_eq!(max(&s), 0.0);
     }
 
     #[test]
@@ -401,11 +365,11 @@ mod tests {
         s.record(4.0);
         assert_eq!(
             render_json(&s),
-            "{\"n\":2,\"mean\":3,\"stddev\":1.4142135623730951,\"min\":2,\"max\":4}"
+            "{\"n\":2,\"mean\":3,\"stddev\":1.4142135623730951}"
         );
         assert_eq!(
             render_json(&Summary::new()),
-            "{\"n\":0,\"mean\":0,\"stddev\":0,\"min\":0,\"max\":0}"
+            "{\"n\":0,\"mean\":0,\"stddev\":0}"
         );
     }
 
