@@ -128,7 +128,7 @@ pub(crate) fn fig_mode(fig: u32) -> (bool, u64) {
     }
 }
 
-/// Run the [`full_matrix`] jobs behind `targets` (names from
+/// Run the `full_matrix` jobs behind `targets` (names from
 /// [`TARGETS`]) at `scale` on `threads` sweep-pool workers (0 = all host
 /// cores), then render each target in order. The text is the same for
 /// any thread count. Fails with the IDs and messages of the jobs that

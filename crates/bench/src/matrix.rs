@@ -4,7 +4,7 @@
 //! A [`MatrixJob`] is the only code that builds and runs a paper cell.
 //! Each job builds its own machines, runs to completion, and reports a
 //! structured [`JobMetrics`] block plus the values the paper tables print
-//! ([`Printed`]). Jobs share nothing, so the sweep engine
+//! (`Printed`). Jobs share nothing, so the sweep engine
 //! (`tlbdown-sweep`) can fan them across host cores and reduce in
 //! canonical job-ID order — the parallel reduction is byte-identical to
 //! a serial one (see DESIGN.md §12, and the determinism tests in
@@ -92,7 +92,7 @@ pub enum JobSpec {
     Storm {
         /// Storm intensity (first matrix axis).
         intensity: StormIntensity,
-        /// Index into [`storm_faults`] (second matrix axis).
+        /// Index into `storm_faults` (second matrix axis).
         fault: usize,
         /// Route the storm over the mesh fabric instead of the flat
         /// reference interconnect (the adversary's broadcast IPIs then
@@ -106,7 +106,7 @@ pub enum JobSpec {
     /// initiators or the THP-arena churn initiators, recording the
     /// per-core-summed TLB capacity-pressure stats.
     TopoCell {
-        /// Index into [`topo_specs`]: 0 = flat, 1 = ring, 2 = mesh.
+        /// Index into `topo_specs`: 0 = flat, 1 = ring, 2 = mesh.
         topo: usize,
         /// Run the THP-arena initiators instead of the 4K ones.
         thp: bool,
@@ -722,7 +722,7 @@ pub(crate) fn full_matrix(scale: Scale) -> Vec<MatrixJob> {
     jobs
 }
 
-/// The calibrated `cargo xtask bench` subset of [`full_matrix`] at quick
+/// The calibrated `cargo xtask bench` subset of `full_matrix` at quick
 /// scale: every microbenchmark opt level in both modes (figs 5 and 7),
 /// the CoW cells, Table 3, Table 4, the Figure 4 ablation, and the top
 /// safe-mode level of Figures 10 and 11 (which pins the Sysbench and
@@ -757,7 +757,7 @@ pub fn scale_matrix(scale: Scale) -> Vec<MatrixJob> {
 
 /// The `BENCH_3.json` shootdown-storm survival matrix behind
 /// `cargo xtask storm`: every [`StormIntensity`] × every
-/// [`storm_faults`] preset, with all seven cumulative optimization
+/// `storm_faults` preset, with all seven cumulative optimization
 /// levels inside each cell,
 /// first over the flat reference interconnect and then routed over the
 /// 2D mesh. Mesh job IDs carry a `mesh/` segment, so the two fabrics

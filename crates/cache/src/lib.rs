@@ -15,7 +15,7 @@
 //! data is not (DESIGN.md §8).
 
 use tlbdown_topo::{Interconnect, TopologySpec};
-use tlbdown_types::{CoreId, CostModel, Cycles, Distance, FastMap, Topology};
+use tlbdown_types::{CoreId, CostModel, Cycles, Distance, Topology};
 
 /// Handle to one modelled 64-byte cacheline.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -33,25 +33,40 @@ enum LineState {
     Shared(Vec<CoreId>),
 }
 
+impl LineState {
+    /// The cores holding the line, in sharing order (the tie-break order).
+    fn holders(&self) -> &[CoreId] {
+        match self {
+            LineState::Invalid => &[],
+            LineState::Exclusive(c) => std::slice::from_ref(c),
+            LineState::Shared(s) => s,
+        }
+    }
+}
+
 /// Counters describing coherence traffic.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct CacheStats {
-    /// Loads that hit a copy the requesting core already held.
-    pub(crate) local_hits: u64,
     /// Lines transferred from another core on the same socket.
     pub same_socket_transfers: u64,
     /// Lines transferred across the interconnect.
     pub cross_socket_transfers: u64,
-    /// Read-for-ownership upgrades that invalidated remote copies.
-    pub(crate) invalidations: u64,
-    /// Fills satisfied from memory (no core held the line).
-    pub memory_fills: u64,
 }
 
 impl CacheStats {
     /// Total number of core-to-core line transfers.
     pub fn transfers(&self) -> u64 {
         self.same_socket_transfers + self.cross_socket_transfers
+    }
+
+    /// Count one transfer from a holder at distance `d` (a copy in the
+    /// requester's own physical core moves no line).
+    fn record_transfer(&mut self, d: Distance) {
+        match d {
+            Distance::SameCore => {}
+            Distance::SameSocket => self.same_socket_transfers += 1,
+            Distance::CrossSocket => self.cross_socket_transfers += 1,
+        }
     }
 }
 
@@ -64,7 +79,9 @@ pub struct CacheDirectory {
     /// it delegates to the distance-constant costs and carries no state, so
     /// flat runs are byte-identical to the pre-routing model.
     interconnect: Interconnect,
-    lines: FastMap<LineId, LineState>,
+    /// Line states indexed by [`LineId`], which [`CacheDirectory::new_line`]
+    /// hands out densely.
+    lines: Vec<LineState>,
     stats: CacheStats,
 }
 
@@ -80,7 +97,7 @@ impl CacheDirectory {
             interconnect: Interconnect::new(topo.clone(), spec),
             topo,
             costs,
-            lines: FastMap::default(),
+            lines: Vec::new(),
             stats: CacheStats::default(),
         }
     }
@@ -99,7 +116,7 @@ impl CacheDirectory {
     /// Register a new cacheline.
     pub fn new_line(&mut self) -> LineId {
         let id = LineId(self.lines.len() as u64);
-        self.lines.insert(id, LineState::Invalid);
+        self.lines.push(LineState::Invalid);
         id
     }
 
@@ -113,29 +130,16 @@ impl CacheDirectory {
         self.stats = CacheStats::default();
     }
 
-    fn record_transfer(&mut self, d: Distance) {
-        match d {
-            Distance::SameCore => self.stats.local_hits += 1,
-            Distance::SameSocket => self.stats.same_socket_transfers += 1,
-            Distance::CrossSocket => self.stats.cross_socket_transfers += 1,
-        }
-    }
-
     /// The nearest current holder of the line to `core`, if any. Flat
     /// ranks by distance class (the historical rule); routed topologies
     /// rank by hop count, so a line is fetched from the closest copy on
     /// the ring/mesh (ties break on the first holder in sharing order,
     /// deterministically, in both modes).
-    fn nearest_holder(&self, core: CoreId, state: &LineState) -> Option<(CoreId, Distance)> {
-        let holders: Vec<CoreId> = match state {
-            LineState::Invalid => return None,
-            LineState::Exclusive(c) => vec![*c],
-            LineState::Shared(s) => s.clone(),
-        };
+    fn nearest_holder(&self, core: CoreId, holders: &[CoreId]) -> Option<(CoreId, Distance)> {
         if self.interconnect.is_flat() {
             holders
-                .into_iter()
-                .map(|h| (h, self.topo.distance(core, h)))
+                .iter()
+                .map(|&h| (h, self.topo.distance(core, h)))
                 .min_by_key(|(_, d)| match d {
                     Distance::SameCore => 0u8,
                     Distance::SameSocket => 1,
@@ -143,73 +147,56 @@ impl CacheDirectory {
                 })
         } else {
             holders
-                .into_iter()
-                .map(|h| (h, self.topo.distance(core, h)))
+                .iter()
+                .map(|&h| (h, self.topo.distance(core, h)))
                 .min_by_key(|(h, _)| self.interconnect.hops(core, *h))
         }
     }
 
     /// Load the line on `core`; returns the coherence cost.
     pub fn read(&mut self, core: CoreId, line: LineId) -> Cycles {
-        let state = self.lines.get(&line).expect("unknown line").clone();
-        if self.holds(core, line) {
-            self.record_transfer(Distance::SameCore);
+        let idx = line.0 as usize;
+        let state = self.lines.get(idx).expect("unknown line");
+        if state.holders().contains(&core) {
             return self.costs.cacheline(Distance::SameCore);
         }
-        match self.nearest_holder(core, &state) {
-            Some((holder, d)) => {
-                // Fetch from the nearest holder (an SMT sibling's copy in
-                // the shared L1/L2 costs the local fee but still adds this
-                // requester as a sharer); everyone downgrades to S. The
-                // interconnect routes the transfer: under flat this is
-                // exactly the distance-constant fee.
-                let mut sharers = match state {
-                    LineState::Exclusive(c) => vec![c],
-                    LineState::Shared(s) => s,
-                    LineState::Invalid => unreachable!(),
-                };
-                sharers.push(core);
-                self.lines.insert(line, LineState::Shared(sharers));
-                self.record_transfer(d);
-                self.interconnect
-                    .cacheline_transfer(&self.costs, holder, core)
-            }
-            None => {
-                self.lines.insert(line, LineState::Exclusive(core));
-                self.stats.memory_fills += 1;
-                // Memory fill: charge a same-socket transfer cost.
-                self.costs.cacheline(Distance::SameSocket)
-            }
+        let Some((holder, d)) = self.nearest_holder(core, state.holders()) else {
+            // Memory fill: charge a same-socket transfer cost.
+            self.lines[idx] = LineState::Exclusive(core);
+            return self.costs.cacheline(Distance::SameSocket);
+        };
+        // Fetch from the nearest holder (an SMT sibling's copy in the
+        // shared L1/L2 costs the local fee but still adds this requester
+        // as a sharer); everyone downgrades to S. The interconnect routes
+        // the transfer: under flat this is exactly the distance-constant
+        // fee.
+        let state = &mut self.lines[idx];
+        match state {
+            LineState::Exclusive(c) => *state = LineState::Shared(vec![*c, core]),
+            LineState::Shared(sharers) => sharers.push(core),
+            LineState::Invalid => unreachable!("a line with a holder is valid"),
         }
+        self.stats.record_transfer(d);
+        self.interconnect
+            .cacheline_transfer(&self.costs, holder, core)
     }
 
     /// Store to the line on `core` (read-for-ownership); returns the cost.
     pub fn write(&mut self, core: CoreId, line: LineId) -> Cycles {
-        let state = self.lines.get(&line).expect("unknown line").clone();
-        let cost = match &state {
-            LineState::Exclusive(c) if *c == core => {
-                self.record_transfer(Distance::SameCore);
-                self.costs.cacheline(Distance::SameCore)
-            }
-            LineState::Invalid => {
-                self.stats.memory_fills += 1;
-                self.costs.cacheline(Distance::SameSocket)
-            }
+        let state = self.lines.get_mut(line.0 as usize).expect("unknown line");
+        let cost = match state {
+            LineState::Exclusive(c) if *c == core => self.costs.cacheline(Distance::SameCore),
+            LineState::Invalid => self.costs.cacheline(Distance::SameSocket),
             _ => {
                 // Invalidate all other holders; pay the slowest
                 // invalidation acknowledgement. Flat keeps the historical
                 // farthest-distance fee exactly; routed topologies send
                 // one invalidation per holder through the interconnect
                 // (each queues on the links it crosses) and pay the max.
-                let holders: Vec<CoreId> = match &state {
-                    LineState::Exclusive(c) => vec![*c],
-                    LineState::Shared(s) => s.clone(),
-                    LineState::Invalid => unreachable!(),
-                };
                 let mut worst = Distance::SameCore;
                 let mut routed_worst = Cycles::ZERO;
                 let flat = self.interconnect.is_flat();
-                for h in holders {
+                for &h in state.holders() {
                     if h == core {
                         continue;
                     }
@@ -227,9 +214,8 @@ impl CacheDirectory {
                         let c = self.interconnect.cacheline_transfer(&self.costs, core, h);
                         routed_worst = routed_worst.max(c);
                     }
-                    self.stats.invalidations += 1;
                 }
-                self.record_transfer(worst);
+                self.stats.record_transfer(worst);
                 if flat {
                     self.costs.cacheline(worst)
                 } else {
@@ -237,17 +223,15 @@ impl CacheDirectory {
                 }
             }
         };
-        self.lines.insert(line, LineState::Exclusive(core));
+        *state = LineState::Exclusive(core);
         cost
     }
 
     /// Whether `core` currently holds the line (any state).
     pub fn holds(&self, core: CoreId, line: LineId) -> bool {
-        match self.lines.get(&line) {
-            Some(LineState::Exclusive(c)) => *c == core,
-            Some(LineState::Shared(s)) => s.contains(&core),
-            _ => false,
-        }
+        self.lines
+            .get(line.0 as usize)
+            .is_some_and(|s| s.holders().contains(&core))
     }
 }
 
@@ -264,8 +248,9 @@ mod tests {
     #[test]
     fn first_read_fills_from_memory() {
         let (mut d, l) = dir();
-        d.read(CoreId(0), l);
-        assert_eq!(d.stats().memory_fills, 1);
+        let c = d.read(CoreId(0), l);
+        assert_eq!(c, CostModel::default().cacheline_same_socket);
+        assert_eq!(d.stats().transfers(), 0, "a memory fill is not a transfer");
         assert!(d.holds(CoreId(0), l));
     }
 
@@ -275,7 +260,7 @@ mod tests {
         d.read(CoreId(0), l);
         let c = d.read(CoreId(0), l);
         assert_eq!(c, CostModel::default().cacheline_local);
-        assert_eq!(d.stats().local_hits, 1);
+        assert_eq!(d.stats().transfers(), 0, "a local hit is not a transfer");
     }
 
     #[test]
@@ -306,7 +291,6 @@ mod tests {
         let c = d.write(CoreId(0), l);
         // Worst-case holder is cross-socket.
         assert_eq!(c, CostModel::default().cacheline_cross_socket);
-        assert!(d.stats().invalidations >= 2);
         assert!(d.holds(CoreId(0), l));
         assert!(!d.holds(CoreId(5), l));
         assert!(!d.holds(CoreId(30), l));
@@ -355,7 +339,6 @@ mod tests {
         d.write(CoreId(4), l);
         let far = d.read(CoreId(54), l); // phys 27, other socket
         assert!(far > near, "{far:?} !> {near:?}");
-        assert!(d.interconnect().stats().hop_traversals > 0);
         // Hammering one route builds queueing delay deterministically.
         let mut last = Cycles::ZERO;
         for _ in 0..64 {
@@ -383,7 +366,9 @@ mod tests {
             .static_cost(CoreId(4), CoreId(54), false)
             .unwrap();
         assert!(cost.as_u64() >= floor);
-        assert!(d.stats().invalidations >= 2);
+        for holder in [CoreId(8), CoreId(54)] {
+            assert!(!d.holds(holder, l), "the write invalidated {holder:?}");
+        }
     }
 
     #[test]

@@ -69,11 +69,17 @@ proptest! {
         let mut d = CacheDirectory::new(topo, costs.clone());
         let line = d.new_line();
         let mut last: Option<u32> = None;
-        for op in &ops {
+        for (i, op) in ops.iter().enumerate() {
             let (core, c) = match *op {
                 Op::Read(c) => (c, d.read(CoreId(c), line)),
                 Op::Write(c) => (c, d.write(CoreId(c), line)),
             };
+            if i == 0 {
+                // The first access fills from memory, at the same-socket
+                // fee, and moves no line between cores.
+                prop_assert_eq!(c, costs.cacheline_same_socket);
+                prop_assert_eq!(d.stats().transfers(), 0);
+            }
             prop_assert!(c >= costs.cacheline_local);
             prop_assert!(c <= costs.cacheline_cross_socket);
             if matches!(*op, Op::Write(_)) && last == Some(core) {
@@ -87,7 +93,6 @@ proptest! {
         }
         let s = d.stats();
         prop_assert_eq!(s.transfers(), s.same_socket_transfers + s.cross_socket_transfers);
-        prop_assert!(s.memory_fills >= 1, "first access fills from memory");
     }
 
     /// Back-to-back accesses by one core after a fill are always local.

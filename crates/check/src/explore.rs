@@ -1,7 +1,7 @@
 //! The bounded schedule explorer: DFS over branch points.
 //!
 //! One *run* executes a scenario machine to completion under an
-//! [`ExploreScheduler`]: a forced prefix of branch choices is replayed,
+//! `ExploreScheduler`: a forced prefix of branch choices is replayed,
 //! and every branch point past the prefix takes the FIFO default while
 //! recording how many candidates were available. The explorer then
 //! enumerates alternatives — for each branch point `i` beyond the prefix

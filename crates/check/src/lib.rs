@@ -11,7 +11,7 @@
 //! preemption/depth/state-digest bounds, checking the safety oracle and a
 //! liveness invariant after every event.
 //!
-//! A violation yields a [`Schedule`](schedule::Schedule): the exact choice
+//! A violation yields a [`Schedule`]: the exact choice
 //! vector, serializable as `sched:v1:...`, that re-executes the failure
 //! byte-identically. [`shrink`](shrink::shrink) then minimizes it to the
 //! few choices that actually matter.

@@ -4,7 +4,7 @@
 //! candidate index chosen at each branch point, in order. Everything else
 //! about a run is deterministic (the scenario builder constructs the same
 //! machine every time), so the choice vector *is* the execution — feeding
-//! it back through a [`ReplayScheduler`](crate::explore::ExploreScheduler)
+//! it back through the explorer's `ExploreScheduler`
 //! re-executes the run byte-identically. Choices past the end of the
 //! vector default to `0` (the FIFO candidate), which is what makes
 //! truncation a valid shrinking move.

@@ -24,10 +24,6 @@ use crate::schedule::Schedule;
 pub struct ShrinkStats {
     /// Candidate schedules executed.
     pub trials: u64,
-    /// Trials that still violated (accepted moves plus the final verify).
-    pub(crate) still_failing: u64,
-    /// Full passes over the move classes until fixpoint.
-    pub(crate) passes: u32,
 }
 
 /// Outcome of shrinking: the minimized schedule plus counters.
@@ -47,11 +43,7 @@ pub fn shrink(build: &Scenario<'_>, failing: &Schedule, max_trials: u64) -> Shru
     let mut stats = ShrinkStats::default();
     let fails = |choices: &[u16], stats: &mut ShrinkStats| -> bool {
         stats.trials += 1;
-        let bad = run_schedule(build, choices).violated();
-        if bad {
-            stats.still_failing += 1;
-        }
-        bad
+        run_schedule(build, choices).violated()
     };
     let mut best = failing.clone().normalized().choices;
     assert!(
@@ -60,7 +52,6 @@ pub fn shrink(build: &Scenario<'_>, failing: &Schedule, max_trials: u64) -> Shru
     );
 
     loop {
-        stats.passes += 1;
         let mut changed = false;
 
         // Truncate: binary-search the shortest violating prefix. The

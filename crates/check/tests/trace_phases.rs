@@ -3,8 +3,8 @@
 //! The headline guarantee: per-phase attribution for **every** shootdown
 //! sums exactly to its measured end-to-end latency, at every optimization
 //! level. Plus the two determinism pillars — byte-identical exports
-//! across replays, and a no-trace guard proving tracing never perturbs
-//! the simulation — and the identities the same runs' counters obey.
+//! across replays, and a traced-versus-untraced guard proving tracing
+//! never perturbs the simulation — and the identities the same runs' counters obey.
 
 use tlbdown_check::scenario::{dueling_madvise, dueling_madvise_at};
 use tlbdown_core::OptConfig;

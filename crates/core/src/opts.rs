@@ -143,7 +143,7 @@ impl OptConfig {
     /// through userspace-safe batching). The committed `BENCH_*.json`
     /// baselines render exactly these levels, so matrix cells whose
     /// output is byte-pinned loop over `0..PAPER_NUM_LEVELS`, never
-    /// [`all_levels`].
+    /// [`Self::all_levels`].
     pub const PAPER_NUM_LEVELS: usize = 7;
 
     /// Index of the paper's highest cumulative level

@@ -2,7 +2,7 @@
 //!
 //! [`crate::FleetFaultSpec`] mirrors the shape of `tlbdown_sim::fault::FaultSpec`
 //! one layer up: probabilities and magnitudes of *machine-scale* hazards,
-//! composable with the same fieldwise-max [`FleetFaultSpec::merge`]
+//! composable with the same fieldwise-max `FleetFaultSpec::merge`
 //! lattice (so `combined()` is a join of presets, exactly like the IPI
 //! layer's). A [`FleetFaultPlan`] expands the spec into one concrete,
 //! seeded [`MachineFaults`] decision per machine — pure data both the
@@ -137,7 +137,7 @@ impl FleetFaultSpec {
 }
 
 /// The concrete fate of one machine over the window, expanded from the
-/// spec by [`FleetFaultPlan::new`]. Pure data: both the sharded node
+/// spec by `FleetFaultPlan::new`. Pure data: both the sharded node
 /// phase and the serial LB phase read it, neither mutates it.
 #[derive(Clone, Debug, PartialEq)]
 pub struct MachineFaults {

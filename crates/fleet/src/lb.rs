@@ -37,7 +37,7 @@ const EJECT_AFTER: u32 = 3;
 const PROBATION_ACKS: u32 = 2;
 
 /// Load balancer configuration. The LB's timers scale to `warm_latency`
-/// and `window` (see [`run_lb`]).
+/// and `window` (see `run_lb`).
 #[derive(Clone, Debug)]
 pub struct LbCfg {
     /// Fleet ticks over which arrivals are generated (responses and
@@ -585,9 +585,7 @@ mod tests {
             warm_latency: warm,
             cold_latency: warm * 3.0,
             violations: 0,
-            kernel_errors: 0,
             shootdowns: 10,
-            shootdown_cost_mean: 20_000.0,
             shootdown_cost_cycles: 200_000,
             sim_cycles: 1_000_000,
             digest: id as u64,

@@ -105,12 +105,8 @@ pub struct NodeProfile {
     pub(crate) cold_latency: f64,
     /// Oracle violations across all boots (the gate requires 0).
     pub(crate) violations: u64,
-    /// Typed kernel errors recorded (handled conditions, not panics).
-    pub(crate) kernel_errors: u64,
     /// Remote shootdowns on the trace critical path.
     pub(crate) shootdowns: u64,
-    /// Mean end-to-end shootdown cost, in cycles (trace subsystem).
-    pub(crate) shootdown_cost_mean: f64,
     /// Total shootdown critical-path cycles.
     pub(crate) shootdown_cost_cycles: u64,
     /// Simulated cycles across boots.
@@ -235,9 +231,7 @@ pub(crate) fn run_node(cfg: &NodeCfg) -> SimResult<NodeProfile> {
         warm_latency: 0.0,
         cold_latency: 0.0,
         violations: 0,
-        kernel_errors: 0,
         shootdowns: 0,
-        shootdown_cost_mean: 0.0,
         shootdown_cost_cycles: 0,
         sim_cycles: 0,
         digest: 0,
@@ -263,7 +257,6 @@ pub(crate) fn run_node(cfg: &NodeCfg) -> SimResult<NodeProfile> {
             *acc += v;
         }
         profile.violations += machine.violations().len() as u64;
-        profile.kernel_errors += machine.recorded_errors().len() as u64;
         profile.sim_cycles += machine.now().as_u64();
         profile.digest ^= machine.state_digest().rotate_left((boot as u32 % 63) + 1);
         profile.counters.merge(&machine.stats.counters);
@@ -274,7 +267,6 @@ pub(crate) fn run_node(cfg: &NodeCfg) -> SimResult<NodeProfile> {
     profile.warm_latency = s.warm_latency();
     profile.cold_latency = s.cold_latency();
     profile.shootdowns = totals.shootdowns;
-    profile.shootdown_cost_mean = totals.mean_total();
     profile.shootdown_cost_cycles = totals.total_cycles();
     Ok(profile)
 }

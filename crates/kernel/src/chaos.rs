@@ -32,7 +32,6 @@ use tlbdown_types::{CoreId, Cycles, SimError};
 use crate::event::Event;
 use crate::machine::Machine;
 use crate::tracewire::trace_emit;
-#[cfg(feature = "trace")]
 use tlbdown_trace::{AckKind, PerturbKind, TraceEvent};
 
 /// Maximum seeded jitter added to each watchdog backoff re-arm, in

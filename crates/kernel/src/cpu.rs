@@ -1,7 +1,7 @@
 //! Per-core execution state: frame stacks, interrupt suspension, and the
 //! stage machines for syscalls, faults and shootdown IRQs.
 //!
-//! Each core runs a stack of [`Frame`]s: the bottom frame executes the
+//! Each core runs a stack of `Frame`s: the bottom frame executes the
 //! pinned user thread; page faults and system calls push kernel frames;
 //! IPIs and NMIs push interrupt frames on top of whatever is running.
 //! Every frame advances through explicit stages; the machine charges each

@@ -22,7 +22,6 @@ use crate::prog::{ProgAction, ProgCtx, Syscall};
 use crate::sem::SemMode;
 use crate::shoot::SdOut;
 use crate::tracewire::trace_emit;
-#[cfg(feature = "trace")]
 use tlbdown_trace::TraceEvent;
 
 /// Result of stepping one frame.
@@ -905,17 +904,6 @@ impl Machine {
                 set.remove(vpn);
             }
         }
-        // Writeback to the (pmem) page cache: mark file pages clean.
-        for (va, _) in &cleaned {
-            if let Some(vma) = self.mms.get(&mm_id).and_then(|m| m.vma_at(*va)).cloned() {
-                if let VmaKind::FileShared { file, page_offset } = vma.kind {
-                    if let Some(f) = self.files.get_mut(&file) {
-                        let fpage = page_offset + (va.as_u64() - vma.range.start.as_u64()) / 4096;
-                        f.dirty.remove(&fpage);
-                    }
-                }
-            }
-        }
         // One flush (and oracle stamp) per cleaned page.
         let mut sync_cost = Cycles::ZERO;
         for &(va, old_pte) in &cleaned {
@@ -1135,13 +1123,6 @@ impl Machine {
                             // it as an unsatisfiable fault, not a panic.
                             self.record_error(e);
                             return self.segfault(core, ff);
-                        }
-                        if let VmaKind::FileShared { file, page_offset } = vma.kind {
-                            if let Some(f) = self.files.get_mut(&file) {
-                                let fpage =
-                                    page_offset + (page.as_u64() - vma.range.start.as_u64()) / 4096;
-                                f.dirty.insert(fpage);
-                            }
                         }
                         self.dirty_index
                             .entry(mm_id)
@@ -1370,11 +1351,7 @@ impl Machine {
             }
             VmaKind::FileShared { file, page_offset } => {
                 let fpage = page_offset + (page.as_u64() - vma.range.start.as_u64()) / 4096;
-                let f = self.files.get_mut(&file)?;
-                let pa = *f.pages.get(fpage as usize)?;
-                if write {
-                    f.dirty.insert(fpage);
-                }
+                let pa = *self.files.get(&file)?.pages.get(fpage as usize)?;
                 self.frame_refs.get_page(pa);
                 let mut flags = PteFlags::PRESENT | PteFlags::USER | PteFlags::NX;
                 if vma.prot_write {

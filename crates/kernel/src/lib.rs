@@ -20,10 +20,10 @@
 //! - the [`oracle`]: a safety checker that flags any user-mode access
 //!   translating through a TLB entry whose removal the kernel has already
 //!   guaranteed,
-//! - deterministic event tracing (the `trace` feature, on by default):
-//!   [`machine::Machine::start_tracing`] records typed `tlbdown_trace`
-//!   events — shootdown phases, IPIs, flushes, page walks, cacheline
-//!   transfers — without perturbing simulation state.
+//! - deterministic event tracing: [`machine::Machine::start_tracing`]
+//!   records typed `tlbdown_trace` events — shootdown phases, IPIs,
+//!   flushes, page walks, cacheline transfers — without perturbing
+//!   simulation state.
 
 pub mod chaos;
 pub mod config;

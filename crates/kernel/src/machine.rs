@@ -23,7 +23,6 @@ use crate::oracle::Oracle;
 use crate::prog::Prog;
 use crate::sem::RwSem;
 use crate::tracewire::trace_emit;
-#[cfg(feature = "trace")]
 use tlbdown_trace::TraceEvent;
 
 /// A thread pinned to a core.
@@ -151,9 +150,7 @@ pub struct Machine {
     /// (see `chaos.rs`).
     pub(crate) esc: crate::chaos::Escalation,
     /// Structured event tracer (see [`Machine::start_tracing`]).
-    /// Disabled by default; emission behind one branch, and compiled
-    /// out entirely without the `trace` feature.
-    #[cfg(feature = "trace")]
+    /// Disabled by default; emission behind one branch.
     pub(crate) tracer: tlbdown_trace::Tracer,
     next_sd: u64,
     next_mm: u64,
@@ -245,7 +242,6 @@ impl Machine {
             dirty_index: FastMap::with_capacity_and_hasher(8, Default::default()),
             noise_rng: SplitMix64::new(cfg_seed),
             esc,
-            #[cfg(feature = "trace")]
             tracer: tlbdown_trace::Tracer::disabled(),
             next_sd: 1,
             next_mm: 1,
@@ -362,13 +358,7 @@ impl Machine {
             frames.push(pa);
         }
         self.next_file += 1;
-        self.files.insert(
-            id,
-            File {
-                pages: frames,
-                dirty: BTreeSet::new(),
-            },
-        );
+        self.files.insert(id, File { pages: frames });
         Ok(id)
     }
 
@@ -782,12 +772,11 @@ impl Machine {
     }
 }
 
-#[cfg(feature = "trace")]
 impl Machine {
     /// Turn on structured event tracing with per-core ring buffers of
     /// `per_core_capacity` records each. Tracing never mutates simulation
     /// state: no RNG draws, no cost charges, no scheduling — metrics and
-    /// digests are byte-identical with tracing on, off, or compiled out.
+    /// digests are byte-identical with tracing on or off.
     pub fn start_tracing(&mut self, per_core_capacity: usize) {
         let n = self.cfg.topo.num_cores() as usize;
         self.tracer.enable(n, per_core_capacity);

@@ -11,13 +11,12 @@ use tlbdown_types::{CoreId, FastMap, Pcid, PhysAddr, SimError, SimResult, VirtAd
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct FileId(pub u64);
 
-/// A simulated file: a page-cache page per 4KB offset plus dirty tracking.
+/// A simulated file: a page-cache page per 4KB offset. Dirtiness lives in
+/// the PTEs that map it (and the machine's dirty index).
 #[derive(Debug)]
 pub struct File {
     /// Page-cache frames, one per file page.
     pub pages: Vec<PhysAddr>,
-    /// File pages with modified contents awaiting writeback.
-    pub dirty: BTreeSet<u64>,
 }
 
 /// What backs a VMA.
@@ -345,11 +344,9 @@ impl FrameRefs {
     }
 }
 
-#[cfg(feature = "trace")]
 impl crate::machine::Machine {
     /// Record an address-space operation (`munmap`, `madvise_dontneed`,
-    /// …) in the trace. Syscall bodies call this unconditionally; the
-    /// no-trace build gets an empty inline twin.
+    /// …) in the trace.
     pub(crate) fn trace_mm_op(
         &mut self,
         core: tlbdown_types::CoreId,
@@ -362,18 +359,6 @@ impl crate::machine::Machine {
             None::<u64>,
             tlbdown_trace::TraceEvent::MmOp { kind, pages }
         );
-    }
-}
-
-#[cfg(not(feature = "trace"))]
-impl crate::machine::Machine {
-    #[inline(always)]
-    pub(crate) fn trace_mm_op(
-        &mut self,
-        _core: tlbdown_types::CoreId,
-        _kind: &'static str,
-        _pages: u64,
-    ) {
     }
 }
 

@@ -10,7 +10,6 @@ use crate::cpu::{IrqAct, IrqFrame, IrqStage, LocalMode, SdStage, ShootdownRun};
 use crate::event::Event;
 use crate::machine::Machine;
 use crate::tracewire::trace_emit;
-#[cfg(feature = "trace")]
 use tlbdown_trace::{AckKind, SdPhaseKind, SkipKind, TraceEvent};
 
 /// Delay before a LATR-deferred flush executes on a remote core.
@@ -26,7 +25,6 @@ pub(crate) enum SdOut {
     Done(Cycles),
 }
 
-#[cfg(feature = "trace")]
 impl Machine {
     /// Open the trace span for `run` on leaving `Prep`: pick its
     /// operation id (the registered shootdown id when there are remote
@@ -81,17 +79,6 @@ impl Machine {
             trace_emit!(self, core, Some(op), TraceEvent::SdDone { sync });
         }
     }
-}
-
-#[cfg(not(feature = "trace"))]
-impl Machine {
-    // No-op twins so `step_sd` reads the same in both builds.
-    #[inline(always)]
-    fn trace_sd_begin(&mut self, _core: CoreId, _run: &mut ShootdownRun) {}
-    #[inline(always)]
-    fn trace_sd_step(&mut self, _core: CoreId, _run: &mut ShootdownRun) {}
-    #[inline(always)]
-    fn trace_sd_done(&mut self, _core: CoreId, _run: &ShootdownRun, _sync: Cycles) {}
 }
 
 impl Machine {

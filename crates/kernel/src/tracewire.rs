@@ -1,37 +1,20 @@
-//! The kernel side of the tracing wire: one emission macro whose
-//! expansion depends on the `trace` cargo feature.
+//! The kernel side of the tracing wire: one emission macro.
 //!
-//! With the feature on, `trace_emit!` checks the tracer's `enabled`
-//! flag and stamps the record with the engine's current time and
-//! dispatch count. With the feature off, the macro expands to nothing —
-//! the event expression is *not evaluated* (its tokens reference
-//! `tlbdown_trace` types that do not exist in that build), so every
-//! hook is statically compiled out of the hot path.
+//! `trace_emit!` checks the tracer's `enabled` flag and stamps the
+//! record with the engine's current time and dispatch count; the event
+//! expression is evaluated only when tracing is on, so a disabled
+//! tracer costs one predictable branch per hook.
 //!
 //! Emission never mutates simulation state: no RNG draws, no cost
-//! charges, no scheduling. That is the invariant behind the no-trace
-//! guard — sim metrics are byte-identical with tracing enabled,
-//! disabled, or compiled out.
+//! charges, no scheduling, so sim metrics are byte-identical with
+//! tracing enabled or disabled.
 
-#[cfg(feature = "trace")]
 macro_rules! trace_emit {
     ($m:expr, $core:expr, $op:expr, $ev:expr) => {
         if $m.tracer.is_enabled() {
             let at = $m.engine.now();
             let dispatch = $m.engine.events_processed();
             $m.tracer.emit(at, dispatch, $core, $op, $ev);
-        }
-    };
-}
-
-#[cfg(not(feature = "trace"))]
-macro_rules! trace_emit {
-    ($m:expr, $core:expr, $op:expr, $ev:expr) => {
-        // Compiled out. `$ev` is intentionally not expanded (it names
-        // trace-crate types); the cheap operands are touched so call
-        // sites do not grow unused-variable warnings.
-        {
-            let _ = (&$m.engine, &$core, &$op);
         }
     };
 }

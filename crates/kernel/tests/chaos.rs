@@ -19,6 +19,7 @@ use tlbdown_kernel::chaos::{ChaosConfig, WatchdogConfig};
 use tlbdown_kernel::prog::{BusyLoopProg, MadviseLoopProg};
 use tlbdown_kernel::{KernelConfig, Machine};
 use tlbdown_sim::fault::FaultSpec;
+use tlbdown_trace::{PerturbKind, TraceEvent};
 use tlbdown_types::{CoreId, Cycles, SimError};
 
 const ITERS: u64 = 6;
@@ -219,9 +220,20 @@ fn slow_but_healthy_responders_are_never_quarantined() {
             run_workload(&mut m)
         };
         let mut m = boot_chaos(opts, true, fault.clone());
+        m.start_tracing(1 << 12);
         let out = run_workload(&mut m);
+        let delayed = m
+            .take_trace()
+            .records
+            .iter()
+            .filter(|r| {
+                r.ev == TraceEvent::Perturb {
+                    kind: PerturbKind::IrqEntryDelay,
+                }
+            })
+            .count();
         assert!(
-            m.faults.counters().irq_entries_delayed > 0,
+            delayed > 0,
             "level {level}: the fault plan never delayed an entry"
         );
         assert_eq!(
@@ -283,7 +295,6 @@ fn watchdog_disabled_hangs_on_total_ipi_loss() {
     assert!(out.madvise < 2 * ITERS);
 }
 
-#[cfg(feature = "trace")]
 #[test]
 fn watchdog_stall_attribution_stays_exact_in_real_traces() {
     // End-to-end span exactness under the escalation ladder: trace a run

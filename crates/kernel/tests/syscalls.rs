@@ -57,7 +57,10 @@ fn msync_cleans_and_write_protects_dirty_pages() {
     let (pte, _) = m.mms[&mm].space.entry(addr.add(2 * 4096)).unwrap();
     assert!(pte.writable());
     assert!(
-        m.files[&f].dirty.is_empty(),
+        (0..4u64).all(|i| m.mms[&mm]
+            .space
+            .entry(addr.add(i * 4096))
+            .is_none_or(|(pte, _)| !pte.dirty())),
         "page cache is clean after writeback"
     );
     assert!(m.violations().is_empty(), "{:?}", m.violations());
@@ -86,8 +89,7 @@ fn write_after_msync_redirties_without_flush() {
     );
     assert_eq!(m.stats.counters.get("re_dirty"), 1);
     let (pte, _) = m.mms[&mm].space.entry(addr).unwrap();
-    assert!(pte.writable() && pte.dirty());
-    assert!(m.files[&f].dirty.contains(&0), "file page dirty again");
+    assert!(pte.writable() && pte.dirty(), "file page dirty again");
     // Re-permitting needs no shootdown: only the msync flushed.
     assert_eq!(m.stats.counters.get("shootdown"), 1);
     assert!(m.violations().is_empty());

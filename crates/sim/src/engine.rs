@@ -129,7 +129,7 @@ impl<E> Engine<E> {
     }
 
     /// Drain the pending regression records (capped at the first
-    /// [`MAX_REGRESSION_LOG`] per drain; the engine keeps the exact
+    /// `MAX_REGRESSION_LOG` per drain; the engine keeps the exact
     /// total).
     pub fn take_time_errors(&mut self) -> Vec<SimError> {
         std::mem::take(&mut self.regression_log)

@@ -224,23 +224,6 @@ impl FaultSpec {
     }
 }
 
-/// Counts of injected faults (exposed for assertions and reports).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct FaultCounters {
-    /// IPIs delivered late.
-    pub(crate) ipis_delayed: u64,
-    /// IPIs lost.
-    pub(crate) ipis_dropped: u64,
-    /// IPIs delivered twice.
-    pub(crate) ipis_duplicated: u64,
-    /// Delayed IRQ entries.
-    pub irq_entries_delayed: u64,
-    /// Jittered cacheline transfers.
-    pub(crate) cachelines_jittered: u64,
-    /// Slowed flush instructions.
-    pub(crate) slow_flushes: u64,
-}
-
 /// A seeded, reproducible fault schedule.
 ///
 /// Decisions are drawn lazily from the seed in call order; because the
@@ -253,7 +236,6 @@ pub struct FaultPlan {
     rng: SplitMix64,
     /// Cores with the slow-INVLPG affliction (seed-chosen).
     slow_cores: Vec<CoreId>,
-    counters: FaultCounters,
 }
 
 impl FaultPlan {
@@ -275,13 +257,7 @@ impl FaultPlan {
             spec,
             rng,
             slow_cores,
-            counters: FaultCounters::default(),
         }
-    }
-
-    /// Injection counts so far.
-    pub fn counters(&self) -> &FaultCounters {
-        &self.counters
     }
 
     /// Decide the fate of one IPI delivery to `_target`.
@@ -294,18 +270,15 @@ impl FaultPlan {
         let roll = self.rng.next_f64();
         let s = &self.spec;
         if roll < s.ipi_drop_p {
-            self.counters.ipis_dropped += 1;
             return IpiFault::Drop;
         }
         if roll < s.ipi_drop_p + s.ipi_duplicate_p {
-            self.counters.ipis_duplicated += 1;
             let gap = 1 + self.rng.gen_range(s.ipi_delay_max.max(1_000));
             return IpiFault::Duplicate {
                 gap: Cycles::new(gap),
             };
         }
         if roll < s.ipi_drop_p + s.ipi_duplicate_p + s.ipi_delay_p && s.ipi_delay_max > 0 {
-            self.counters.ipis_delayed += 1;
             let extra = 1 + self.rng.gen_range(s.ipi_delay_max);
             return IpiFault::Deliver {
                 extra: Cycles::new(extra),
@@ -323,7 +296,6 @@ impl FaultPlan {
             return Cycles::ZERO;
         }
         if self.rng.next_f64() < s.irq_entry_delay_p {
-            self.counters.irq_entries_delayed += 1;
             Cycles::new(1 + self.rng.gen_range(s.irq_entry_delay_max))
         } else {
             Cycles::ZERO
@@ -337,7 +309,6 @@ impl FaultPlan {
             return Cycles::ZERO;
         }
         if self.rng.next_f64() < s.cacheline_jitter_p {
-            self.counters.cachelines_jittered += 1;
             Cycles::new(1 + self.rng.gen_range(s.cacheline_jitter_max))
         } else {
             Cycles::ZERO
@@ -362,7 +333,6 @@ impl FaultPlan {
     /// is seed-chosen slow).
     pub fn invlpg_penalty(&mut self, core: CoreId) -> Cycles {
         if self.spec.slow_invlpg_penalty > 0 && self.slow_cores.contains(&core) {
-            self.counters.slow_flushes += 1;
             Cycles::new(self.spec.slow_invlpg_penalty)
         } else {
             Cycles::ZERO
@@ -388,7 +358,8 @@ mod tests {
             assert_eq!(p.cacheline_jitter(), Cycles::ZERO);
             assert_eq!(p.invlpg_penalty(CoreId(0)), Cycles::ZERO);
         }
-        assert_eq!(*p.counters(), FaultCounters::default());
+        let mut fresh = FaultPlan::new(FaultSpec::none(), 99, 8);
+        assert_eq!(p.rng.next_u64(), fresh.rng.next_u64(), "no draw was taken");
     }
 
     #[test]
@@ -402,7 +373,7 @@ mod tests {
                     extra: p.irq_entry_delay(CoreId(i % 8)) + p.cacheline_jitter(),
                 });
             }
-            (out, *p.counters())
+            out
         };
         assert_eq!(run(), run());
     }
@@ -422,10 +393,9 @@ mod tests {
     fn drop_preset_drops_roughly_its_probability() {
         let mut p = FaultPlan::new(FaultSpec::ipi_drop(), 7, 8);
         let n: u64 = 10_000;
-        for i in 0..n {
-            p.ipi_fault(CoreId((i % 8) as u32));
-        }
-        let dropped = p.counters().ipis_dropped;
+        let dropped = (0..n)
+            .filter(|i| p.ipi_fault(CoreId((i % 8) as u32)) == IpiFault::Drop)
+            .count() as u64;
         let expect = (n as f64 * 0.35) as u64;
         assert!(
             dropped.abs_diff(expect) < n / 20,
@@ -434,15 +404,21 @@ mod tests {
     }
 
     #[test]
-    fn slow_cores_are_deterministic_and_counted() {
+    fn slow_cores_are_deterministic_and_only_they_pay() {
         let a = FaultPlan::new(FaultSpec::slow_invlpg(), 42, 8);
         let b = FaultPlan::new(FaultSpec::slow_invlpg(), 42, 8);
         assert_eq!(a.slow_cores, b.slow_cores);
         assert_eq!(a.slow_cores.len(), 2);
         let mut p = FaultPlan::new(FaultSpec::slow_invlpg(), 42, 8);
         let slow = p.slow_cores[0];
-        assert!(p.invlpg_penalty(slow) > Cycles::ZERO);
-        assert_eq!(p.counters().slow_flushes, 1);
+        let penalty = FaultSpec::slow_invlpg().slow_invlpg_penalty;
+        assert!(penalty > 0);
+        assert_eq!(p.invlpg_penalty(slow), Cycles::new(penalty));
+        let fast = (0..8)
+            .map(CoreId)
+            .find(|c| !p.slow_cores.contains(c))
+            .unwrap();
+        assert_eq!(p.invlpg_penalty(fast), Cycles::ZERO);
     }
 
     #[test]
@@ -487,7 +463,17 @@ mod tests {
             single_total += single.cacheline_jitter().0;
         }
         assert!(multi_total > single_total);
-        assert!(multi.counters().cachelines_jittered > 64);
+        // Exactly one draw per hop: a five-hop transfer is the sum of the
+        // next five single draws of a same-seeded plan.
+        let mut five = FaultPlan::new(FaultSpec::cacheline_jitter(), 13, 4);
+        let mut draws = FaultPlan::new(FaultSpec::cacheline_jitter(), 13, 4);
+        for _ in 0..64 {
+            let mut sum = Cycles::ZERO;
+            for _ in 0..5 {
+                sum += draws.cacheline_jitter();
+            }
+            assert_eq!(five.cacheline_jitter_hops(5), sum);
+        }
     }
 
     #[test]
@@ -522,12 +508,17 @@ mod tests {
     #[test]
     fn combined_plan_injects_all_three_hazards() {
         let mut p = FaultPlan::new(FaultSpec::combined(), 21, 8);
-        for i in 0..10_000u64 {
-            p.ipi_fault(CoreId((i % 8) as u32));
+        let (mut dropped, mut delayed, mut duplicated) = (0, 0, 0);
+        for i in 0..10_000u32 {
+            match p.ipi_fault(CoreId(i % 8)) {
+                IpiFault::Drop => dropped += 1,
+                IpiFault::Deliver { extra } if extra > Cycles::ZERO => delayed += 1,
+                IpiFault::Deliver { .. } => {}
+                IpiFault::Duplicate { .. } => duplicated += 1,
+            }
         }
-        let c = p.counters();
-        assert!(c.ipis_dropped > 0);
-        assert!(c.ipis_delayed > 0);
-        assert!(c.ipis_duplicated > 0);
+        assert!(dropped > 0);
+        assert!(delayed > 0);
+        assert!(duplicated > 0);
     }
 }

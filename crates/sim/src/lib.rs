@@ -24,7 +24,7 @@ pub mod sched;
 pub mod stats;
 
 pub use engine::Engine;
-pub use fault::{FaultCounters, FaultPlan, FaultSpec, IpiFault};
+pub use fault::{FaultPlan, FaultSpec, IpiFault};
 pub use rng::SplitMix64;
 pub use sched::{FifoScheduler, Scheduler};
 pub use stats::{Counter, Histogram, Summary};

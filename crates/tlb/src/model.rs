@@ -12,8 +12,8 @@ const GLOBAL_TAG: u16 = u16::MAX;
 
 /// Default unified TLB capacity, sized like a Skylake STLB.
 pub(crate) const DEFAULT_CAPACITY: usize = 1536;
-/// Default paging-structure cache capacity.
-pub(crate) const DEFAULT_PWC_CAPACITY: usize = 32;
+/// Paging-structure cache capacity.
+const PWC_CAPACITY: usize = 32;
 
 /// One cached translation.
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
@@ -112,20 +112,8 @@ pub struct TlbStats {
     pub hits: u64,
     /// Accesses requiring a page walk.
     pub misses: u64,
-    /// Entries inserted.
-    pub(crate) fills: u64,
-    /// Entries removed by any flush.
-    pub(crate) entries_invalidated: u64,
-    /// Selective (single-address) flush operations executed as requested.
-    pub(crate) selective_flushes: u64,
-    /// Full flushes executed as requested (CR3 write / flush_all).
-    pub(crate) full_flushes: u64,
     /// Selective flushes escalated to full flushes by the fracture flag.
     pub fracture_escalations: u64,
-    /// Complete paging-structure-cache wipes (INVLPG side-effect).
-    pub(crate) pwc_flushes: u64,
-    /// Entries dropped because a permission re-walk replaced them.
-    pub(crate) perm_rewalks: u64,
     /// Entries evicted by capacity pressure.
     pub evictions: u64,
     /// Times the fractured-entry accounting was found inconsistent and
@@ -133,7 +121,7 @@ pub struct TlbStats {
     /// zero). Always zero in a correct model; checked in release builds
     /// too, where the old `debug_assert` would have let a stuck fracture
     /// flag silently escalate every later selective flush.
-    pub(crate) fracture_leaks: u64,
+    pub fracture_leaks: u64,
     /// Hits that missed the L1 arrays and paid the STLB penalty. Always
     /// zero under the legacy single-pool geometry.
     pub stlb_hits: u64,
@@ -231,9 +219,8 @@ pub struct Tlb {
     split_blind_invlpg: bool,
     fill_seq: u64,
     fractured_count: usize,
-    pwc: FastMap<(u16, u64), u64>,
+    pwc: FastSet<(u16, u64)>,
     pwc_fifo: VecDeque<(u16, u64)>,
-    pwc_capacity: usize,
     itlb: ItlbModel,
     stats: TlbStats,
 }
@@ -272,9 +259,8 @@ impl Tlb {
             split_blind_invlpg: false,
             fill_seq: 0,
             fractured_count: 0,
-            pwc: FastMap::default(),
+            pwc: FastSet::default(),
             pwc_fifo: VecDeque::new(),
-            pwc_capacity: DEFAULT_PWC_CAPACITY,
             itlb: ItlbModel::default(),
             stats: TlbStats::default(),
         }
@@ -373,7 +359,6 @@ impl Tlb {
                 }
             }
         }
-        self.stats.entries_invalidated += 1;
         Some(e)
     }
 
@@ -425,7 +410,6 @@ impl Tlb {
         } else {
             self.fifo.push_back(key);
         }
-        self.stats.fills += 1;
         if let Some((slot, ways)) = set_slot {
             while self.set_occ.get(&slot).copied().unwrap_or(0) > ways {
                 let Some(victim) = self.set_fifo.get_mut(&slot).and_then(|q| q.pop_front()) else {
@@ -434,8 +418,6 @@ impl Tlb {
                 if self.entries.contains_key(&victim) {
                     self.remove_key(&victim);
                     self.stats.evictions += 1;
-                    // Evictions are not flush invalidations.
-                    self.stats.entries_invalidated -= 1;
                 }
             }
             self.l1_promote(key);
@@ -445,8 +427,6 @@ impl Tlb {
                     if self.entries.contains_key(&victim) {
                         self.remove_key(&victim);
                         self.stats.evictions += 1;
-                        // Evictions are not flush invalidations.
-                        self.stats.entries_invalidated -= 1;
                     }
                 } else {
                     break;
@@ -475,14 +455,14 @@ impl Tlb {
 
     /// Whether the PWC covers the upper levels of a walk for `(pcid, va)`.
     pub(crate) fn pwc_hit(&self, pcid: Pcid, va: VirtAddr) -> bool {
-        self.pwc.contains_key(&(pcid.0, va.as_u64() >> 21))
+        self.pwc.contains(&(pcid.0, va.as_u64() >> 21))
     }
 
     fn pwc_insert(&mut self, pcid: Pcid, va: VirtAddr) {
         let key = (pcid.0, va.as_u64() >> 21);
-        if self.pwc.insert(key, self.fill_seq).is_none() {
+        if self.pwc.insert(key) {
             self.pwc_fifo.push_back(key);
-            while self.pwc.len() > self.pwc_capacity {
+            while self.pwc.len() > PWC_CAPACITY {
                 if let Some(victim) = self.pwc_fifo.pop_front() {
                     self.pwc.remove(&victim);
                 } else {
@@ -493,9 +473,6 @@ impl Tlb {
     }
 
     fn pwc_flush_all(&mut self) {
-        if !self.pwc.is_empty() {
-            self.stats.pwc_flushes += 1;
-        }
         self.pwc.clear();
         self.pwc_fifo.clear();
     }
@@ -541,7 +518,6 @@ impl Tlb {
             self.fracture_escalate();
             return;
         }
-        self.stats.selective_flushes += 1;
         for &size in self.flushed_sizes() {
             let k = key_for(current.0, va, size);
             self.remove_key(&k);
@@ -573,7 +549,6 @@ impl Tlb {
             self.fracture_escalate();
             return;
         }
-        self.stats.selective_flushes += 1;
         for &size in self.flushed_sizes() {
             let k = key_for(pcid.0, va, size);
             self.remove_key(&k);
@@ -586,7 +561,6 @@ impl Tlb {
     /// CR3 write: flush all non-global entries of `pcid` (a full flush of
     /// one address space), keeping global entries.
     pub fn flush_pcid(&mut self, pcid: Pcid) {
-        self.stats.full_flushes += 1;
         let keys: Vec<Key> = self
             .entries
             .keys()
@@ -598,12 +572,11 @@ impl Tlb {
         }
         self.itlb.flush_pcid(pcid);
         let pcid_raw = pcid.0;
-        self.pwc.retain(|(tag, _), _| *tag != pcid_raw);
+        self.pwc.retain(|(tag, _)| *tag != pcid_raw);
     }
 
     /// Flush everything; `include_global` models toggling CR4.PGE.
     pub fn flush_all(&mut self, include_global: bool) {
-        self.stats.full_flushes += 1;
         let keys: Vec<Key> = self
             .entries
             .keys()
@@ -661,7 +634,6 @@ impl Tlb {
             let tag = if e.global { GLOBAL_TAG } else { e.pcid.0 };
             let k = key_for(tag, e.page_base, e.size);
             self.remove_key(&k);
-            self.stats.perm_rewalks += 1;
         }
         self.walk_and_fill(pcid, va, write, user, space, costs, false)
     }
@@ -868,7 +840,6 @@ mod tests {
         assert!(tlb.lookup(P, VirtAddr::new(0x1000)).is_none());
         assert!(tlb.lookup(P, VirtAddr::new(0x40_0000)).is_some());
         assert_eq!(tlb.pwc.len(), 0, "INVLPG wipes the whole PWC");
-        assert_eq!(tlb.stats().pwc_flushes, 1);
     }
 
     #[test]
@@ -963,7 +934,8 @@ mod tests {
         let a = tlb.access(P, va, true, true, &mut s, &costs).unwrap();
         assert!(!a.hit);
         assert_eq!(translated(&a, va), pa2);
-        assert_eq!(tlb.stats().perm_rewalks, 1);
+        assert_eq!(tlb.stats().misses, 2);
+        assert_eq!(tlb.len(), 1, "the re-walk replaced the stale entry");
         // And the fresh writable entry is now cached.
         let a = tlb.access(P, va, true, true, &mut s, &costs).unwrap();
         assert!(a.hit);
@@ -1052,7 +1024,7 @@ mod tests {
         assert!(tlb.is_empty());
         assert!(!tlb.fracture_flag());
         assert_eq!(tlb.stats().fracture_escalations, 1);
-        assert_eq!(tlb.stats().selective_flushes, 0);
+        assert!(tlb.pwc.is_empty(), "the escalation wipes the PWC too");
     }
 
     #[test]

@@ -116,6 +116,7 @@ proptest! {
                 );
             }
         }
+        prop_assert_eq!(tlb.stats().fracture_leaks, 0);
     }
 
     /// Capacity is a hard bound and eviction only ever shrinks toward it.
@@ -163,5 +164,6 @@ proptest! {
             prop_assert_eq!(tlb.len(), vpns.len() - 1);
             prop_assert_eq!(tlb.stats().fracture_escalations, 0);
         }
+        prop_assert_eq!(tlb.stats().fracture_leaks, 0, "fracture accounting stayed consistent");
     }
 }

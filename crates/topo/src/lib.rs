@@ -96,19 +96,6 @@ impl TopologySpec {
     }
 }
 
-/// Counters describing routed traffic.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct LinkStats {
-    /// Routed transfers (cacheline + IPI) that traversed at least one link.
-    pub(crate) routed_transfers: u64,
-    /// Total link traversals (sum of hops over all routed transfers).
-    pub hop_traversals: u64,
-    /// Total queueing delay charged by congested links, in cycles.
-    pub(crate) queued_cycles: u64,
-    /// Highest link occupancy observed, in cycles of service.
-    pub(crate) peak_queue: u64,
-}
-
 /// A routed interconnect instance with per-link congestion state.
 ///
 /// The coherence directory and the IPI fabric each own one — they are
@@ -121,7 +108,6 @@ pub struct Interconnect {
     /// Occupancy per link, keyed by `(min_node, max_node)` of the edge.
     /// A `BTreeMap` so digest folding iterates in a canonical order.
     links: BTreeMap<(u32, u32), u64>,
-    stats: LinkStats,
 }
 
 impl Interconnect {
@@ -131,18 +117,12 @@ impl Interconnect {
             spec,
             topo,
             links: BTreeMap::new(),
-            stats: LinkStats::default(),
         }
     }
 
     /// Whether this is the flat (byte-identical reference) model.
     pub fn is_flat(&self) -> bool {
         self.spec.is_flat()
-    }
-
-    /// Accumulated routing statistics (all zero under flat).
-    pub fn stats(&self) -> &LinkStats {
-        &self.stats
     }
 
     /// Grid width for the mesh layout: the smallest near-square that
@@ -251,16 +231,12 @@ impl Interconnect {
         if self.topo.socket_of(from) != self.topo.socket_of(to) {
             total += penalty;
         }
-        self.stats.routed_transfers += 1;
         for e in path {
             let q = self.links.entry(e).or_insert(0);
             *q = q.saturating_sub(DRAIN);
             let wait = (*q).min(QUEUE_CAP);
             *q += SERVICE;
             total += wait;
-            self.stats.hop_traversals += 1;
-            self.stats.queued_cycles += wait;
-            self.stats.peak_queue = self.stats.peak_queue.max(*q);
         }
         total
     }
@@ -322,7 +298,6 @@ mod tests {
         );
         assert_eq!(ic.hops(CoreId(0), CoreId(30)), 1, "flat is one hop");
         assert_eq!(ic.digest_items().count(), 0, "flat has no link state");
-        assert_eq!(ic.stats(), &LinkStats::default());
     }
 
     #[test]
@@ -385,8 +360,12 @@ mod tests {
             prev = next;
         }
         assert!(prev > first, "saturated link never queued");
-        assert!(ic.stats().queued_cycles > 0);
-        assert!(ic.stats().peak_queue > 0);
+        let flat_fee = ic.static_cost(CoreId(0), CoreId(28), false).unwrap();
+        assert_eq!(
+            first.as_u64(),
+            flat_fee,
+            "an idle route charges no queueing"
+        );
         // Replay from scratch is byte-identical.
         let mut ic2 = paper(TopologySpec::Mesh);
         let again = ic2.cacheline_transfer(&c, CoreId(0), CoreId(28));

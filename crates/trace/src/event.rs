@@ -147,7 +147,7 @@ impl PerturbKind {
 }
 
 /// One traced occurrence. Shootdown-phase events carry their operation
-/// in the surrounding [`TraceRecord::op`]; the payloads here are the
+/// in the surrounding `TraceRecord::op`; the payloads here are the
 /// event-specific details only.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TraceEvent {

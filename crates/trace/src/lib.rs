@@ -17,8 +17,6 @@
 //! state, and emission never mutates simulation state — a traced run
 //! and an untraced run of the same seed produce byte-identical sim
 //! metrics, and two traced runs produce byte-identical trace JSON.
-//! With the kernel's `trace` cargo feature disabled the emission hooks
-//! compile out entirely.
 
 #![warn(missing_docs)]
 
@@ -43,7 +41,7 @@ use tlbdown_types::{CoreId, Cycles};
 #[derive(Clone, Debug, Default)]
 pub struct Trace {
     /// All records in global emission order (sorted by
-    /// [`TraceRecord::seq`]).
+    /// `TraceRecord::seq`).
     pub records: Vec<TraceRecord>,
     /// Per-core ring-buffer drop counts at capture time.
     pub(crate) dropped: Vec<u64>,
@@ -70,9 +68,7 @@ impl Trace {
 /// local-operation id allocator, and per-core rings.
 ///
 /// A tracer starts disabled; [`Tracer::enable`] sizes the rings. The
-/// disabled fast path is a single branch — and the kernel additionally
-/// compiles its hooks out when built without the `trace` feature, so
-/// the cost when disabled is *statically* zero there.
+/// disabled fast path is a single branch per emission hook.
 #[derive(Clone, Debug)]
 pub struct Tracer {
     enabled: bool,

@@ -81,7 +81,7 @@ impl Phase {
 /// legs, and the exact phase attribution.
 #[derive(Clone, Debug)]
 pub struct ShootdownSpan {
-    /// Operation id ([`LOCAL_OP_BIT`] set for local-only flushes).
+    /// Operation id (`LOCAL_OP_BIT` set for local-only flushes).
     pub op: u64,
     /// The initiating core.
     pub(crate) initiator: CoreId,

@@ -63,7 +63,7 @@ impl Pcid {
     /// mirroring Linux's `X86_CR3_PTI_PCID_USER_BIT`.
     pub const USER_BIT: u16 = 1 << 11;
 
-    /// Construct a PCID; values must be below [`Pcid::MAX`].
+    /// Construct a PCID; values must be below `Pcid::MAX`.
     pub const fn new(v: u16) -> Self {
         assert!(v < Pcid::MAX);
         Pcid(v)

@@ -132,7 +132,6 @@ pub fn run_madvise_bench(cfg: &MadviseBenchCfg) -> SimResult<MadviseBenchResult>
 /// aggregate result plus the captured [`tlbdown_trace::Trace`] of run 0.
 /// Tracing never perturbs the simulation, so the aggregate is
 /// byte-identical to the untraced runner's.
-#[cfg(feature = "trace")]
 pub fn run_madvise_bench_traced(
     cfg: &MadviseBenchCfg,
     per_core_capacity: usize,
