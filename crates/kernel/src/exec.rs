@@ -306,6 +306,13 @@ impl Machine {
         };
         pf.retval = 0;
         let action = self.threads[idx].prog.next(&ctx);
+        debug_assert!(
+            self.threads[idx]
+                .prog
+                .spin_period()
+                .is_none_or(|p| action == ProgAction::Compute(p)),
+            "a program with a spin period computes for exactly that period"
+        );
         match action {
             ProgAction::Nop => StepOut::Continue(Cycles::ZERO),
             ProgAction::Compute(c) => StepOut::Continue(c),

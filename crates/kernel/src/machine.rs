@@ -464,8 +464,9 @@ impl Machine {
     // --- Event loop ---
 
     /// Pop and handle exactly one event via the plain FIFO dispatch
-    /// path (no scheduler indirection — the fast loop the scale tier
-    /// drives). Returns `false` when the queue is drained.
+    /// path (no scheduler indirection, no closed form: the reference
+    /// that `run_until` and `run_events` must match). Returns `false`
+    /// when the queue is drained.
     pub fn step(&mut self) -> bool {
         match self.engine.pop() {
             Some(ev) => {
@@ -485,72 +486,51 @@ impl Machine {
 
     /// Run until simulated time reaches `deadline` (or the queue drains).
     ///
-    /// A live resume of a busy-looping program (see [`Prog::spin_period`])
-    /// runs in closed form: every dispatch of that core that fires before
-    /// the next pending event and by `deadline` is applied at once,
-    /// leaving exactly the state single steps would (DESIGN §3).
+    /// Busy-looping cores run in closed form (see [`Prog::spin_period`]
+    /// and DESIGN §3): a popped live resume of one, and every resume of a
+    /// core spinning with the same period that comes next, are applied
+    /// at once, leaving exactly the state single steps would.
     pub fn run_until(&mut self, deadline: Cycles) {
-        while let Some(ev) = self.engine.pop_until(deadline) {
-            if let Event::Resume { core, token } = ev {
-                if self.spin_ahead(core, token, deadline) {
-                    continue;
+        self.run_to(deadline, u64::MAX);
+    }
+
+    /// Run until `n` events have been dispatched since boot (or the queue
+    /// drains), leaving exactly the state that calling [`Machine::step`]
+    /// until then would. Busy-looping cores run in closed form, as under
+    /// [`Machine::run_until`].
+    pub fn run_events(&mut self, n: u64) {
+        self.run_to(Cycles::new(u64::MAX), n);
+    }
+
+    /// The loop behind `run_until` and `run_events`: dispatch what is due
+    /// by `deadline` until `end` events have been dispatched since boot.
+    fn run_to(&mut self, deadline: Cycles, end: u64) {
+        while self.engine.events_processed() < end {
+            let Some(mut ev) = self.engine.pop_until(deadline) else {
+                return;
+            };
+            let period = match ev {
+                Event::Resume { core, token } if !self.engine.has_time_errors() => {
+                    spin_period(&self.cpus, &self.threads, core, token)
+                }
+                _ => None,
+            };
+            if let Some(period) = period {
+                let mut group = SpinGroup {
+                    cpus: &mut self.cpus,
+                    threads: &self.threads,
+                    period,
+                };
+                match self
+                    .engine
+                    .run_periodic(ev, period, deadline, end, &mut group)
+                {
+                    Ok(()) => continue,
+                    Err(first) => ev = first,
                 }
             }
             self.handle(ev);
         }
-    }
-
-    /// Apply the just-popped resume of `core`, and every later one the
-    /// core would dispatch before the next pending event and by
-    /// `deadline`, if the core runs a program with a spin period.
-    /// Returns `false`, having changed nothing, when it does not.
-    ///
-    /// A stepped spin dispatch calls `next`, gets `Compute(P)`, zeroes the
-    /// frame's `retval`, bumps the resume token and schedules the next
-    /// resume `P` later; it bumps no counter, traces nothing, draws no
-    /// noise and charges no cost. `n` of them in a row therefore differ
-    /// only in the clock, the dispatch count, the sequence numbers and
-    /// the token, which this sets directly.
-    fn spin_ahead(&mut self, core: CoreId, token: u64, deadline: Cycles) -> bool {
-        let cpu = &mut self.cpus[core.index()];
-        if token != cpu.resume_token || self.engine.has_time_errors() {
-            return false;
-        }
-        let Some(FrameSlot {
-            frame: Frame::Prog(pf),
-            resume,
-        }) = cpu.frames.last_mut()
-        else {
-            return false;
-        };
-        let thread = &self.threads[pf.thread];
-        if pf.pending_access.is_some() || thread.done {
-            return false;
-        }
-        let Some(period) = thread.prog.spin_period().filter(|p| *p > Cycles::ZERO) else {
-            return false;
-        };
-        let t = self.engine.now();
-        let p = period.as_u64();
-        let mut repeats = deadline.saturating_sub(t).as_u64() / p;
-        if let Some(next) = self.engine.next_at() {
-            // A pending event at the same instant as a spin dispatch fires
-            // first: its sequence number is older.
-            repeats = repeats.min(next.saturating_sub(t).as_u64().saturating_sub(1) / p);
-        }
-        let n = repeats + 1;
-        let Some(end) = n.checked_mul(p).and_then(|d| t.as_u64().checked_add(d)) else {
-            return false;
-        };
-        pf.retval = 0;
-        *resume = ResumeState::Scheduled {
-            end: Cycles::new(end),
-        };
-        cpu.resume_token += n;
-        let token = cpu.resume_token;
-        self.engine
-            .repeat_last(n, period, Event::Resume { core, token });
-        true
     }
 
     /// Process one event chosen by `sched` (see `tlbdown_sim::sched`):
@@ -769,6 +749,66 @@ impl Machine {
         let id = ShootdownId(self.next_sd);
         self.next_sd += 1;
         id
+    }
+}
+
+/// The spin period of `core` if `token` is its live resume and its top
+/// frame is a busy-looping program about to step: a `Prog` frame with no
+/// pending access whose thread is live and whose program promises a
+/// period `P > 0` (DESIGN §3).
+fn spin_period(cpus: &[Cpu], threads: &[Thread], core: CoreId, token: u64) -> Option<Cycles> {
+    let cpu = &cpus[core.index()];
+    if token != cpu.resume_token {
+        return None;
+    }
+    let Some(FrameSlot {
+        frame: Frame::Prog(pf),
+        ..
+    }) = cpu.frames.last()
+    else {
+        return None;
+    };
+    let thread = &threads[pf.thread];
+    if pf.pending_access.is_some() || thread.done {
+        return None;
+    }
+    thread.prog.spin_period().filter(|p| *p > Cycles::ZERO)
+}
+
+/// The cores of one closed-form busy-loop run, all spinning with
+/// `period`. A stepped spin dispatch calls `next`, gets `Compute(P)`,
+/// zeroes the frame's `retval`, bumps the resume token, marks the frame
+/// `Scheduled` and schedules the next resume `P` later; it bumps no
+/// counter, traces nothing, draws no noise and charges no cost. So `n`
+/// of them differ only in the clock, the dispatch count, the sequence
+/// numbers (all kept by the engine) and what `settle` sets.
+struct SpinGroup<'a> {
+    cpus: &'a mut [Cpu],
+    threads: &'a [Thread],
+    period: Cycles,
+}
+
+impl tlbdown_sim::Periodic<Event> for SpinGroup<'_> {
+    fn joins(&self, ev: &Event) -> bool {
+        matches!(*ev, Event::Resume { core, token }
+            if spin_period(self.cpus, self.threads, core, token) == Some(self.period))
+    }
+
+    fn settle(&mut self, ev: &mut Event, fires: u64, at: Cycles) {
+        let Event::Resume { core, token } = ev else {
+            return;
+        };
+        let cpu = &mut self.cpus[core.index()];
+        cpu.resume_token += fires;
+        *token = cpu.resume_token;
+        if let Some(FrameSlot {
+            frame: Frame::Prog(pf),
+            resume,
+        }) = cpu.frames.last_mut()
+        {
+            pf.retval = 0;
+            *resume = ResumeState::Scheduled { end: at };
+        }
     }
 }
 

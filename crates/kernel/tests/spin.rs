@@ -1,8 +1,9 @@
-//! `Machine::run_until` applies a busy-looping core's dispatches in
-//! closed form up to the next pending event. Single `step()` calls are
-//! the reference: at every deadline of a seeded ladder, a machine driven
-//! by `run_until` must be indistinguishable from an identical machine
-//! stepped one event at a time up to the same deadline.
+//! `Machine::run_until` and `Machine::run_events` apply the dispatches
+//! of every core busy-looping with the same period in closed form, up to
+//! the next other pending event. Single `step()` calls are the
+//! reference: at every deadline (or dispatch budget) of a seeded ladder,
+//! a machine driven by the closed form must be indistinguishable from an
+//! identical machine stepped one event at a time to the same point.
 
 use std::collections::BTreeMap;
 
@@ -66,12 +67,17 @@ fn observe(m: &mut Machine) -> String {
 /// deadlines, far past the initiator's exit, comparing after each one.
 /// Returns how many deadlines were checked.
 fn ladder(level: usize, responders: &[CoreId]) -> usize {
+    ladder_to(level, responders, 1_500_000)
+}
+
+/// [`ladder`] up to `horizon` cycles.
+fn ladder_to(level: usize, responders: &[CoreId], horizon: u64) -> usize {
     let mut closed = paper_machine(level, responders);
     let mut stepped = paper_machine(level, responders);
     let mut rng = SplitMix64::new(0x5ca1_ab1e ^ ((level as u64) << 8) ^ responders.len() as u64);
     let mut deadline = 0;
     let mut checked = 0;
-    while deadline < 1_500_000 {
+    while deadline < horizon {
         // Mostly short hops, which land between, on and next to events;
         // now and then a long stretch of spinning.
         deadline += match rng.gen_range(8) {
@@ -109,4 +115,64 @@ fn run_until_matches_single_steps_at_every_deadline() {
         }
     }
     assert!(checked > 1_000, "only {checked} deadlines checked");
+}
+
+/// Every `stride`-th core other than the initiator's.
+fn every(stride: u32) -> Vec<CoreId> {
+    (1..56).filter(|c| c % stride == 0).map(CoreId).collect()
+}
+
+#[test]
+fn run_until_matches_single_steps_with_many_responders() {
+    // Groups of many members: every third core, then all 55 others. The
+    // initiator exits by 420k cycles at every level.
+    let mut checked = 0;
+    for level in [0, 4, 6] {
+        for responders in [every(3), every(1)] {
+            checked += ladder_to(level, &responders, 500_000);
+        }
+    }
+    assert!(checked > 500, "only {checked} deadlines checked");
+}
+
+/// Drive `run_events` and single steps over the same seeded ladder of
+/// dispatch budgets, comparing after each one. Returns how many budgets
+/// were checked.
+fn event_ladder(level: usize, responders: &[CoreId]) -> usize {
+    let mut closed = paper_machine(level, responders);
+    let mut stepped = paper_machine(level, responders);
+    let mut rng = SplitMix64::new(0xe7e7_ab1e ^ ((level as u64) << 8) ^ responders.len() as u64);
+    let mut budget = 0;
+    let mut checked = 0;
+    while closed.stats.counters.get("thread_exit") == 0 || checked < 50 {
+        // Mostly a few dispatches, which cut rounds of the busy loops;
+        // now and then a long stretch.
+        budget += match rng.gen_range(8) {
+            0 => rng.gen_range(5_000),
+            1 => rng.gen_range(3),
+            _ => rng.gen_range(2 * responders.len() as u64 + 8),
+        };
+        closed.run_events(budget);
+        while stepped.events_processed() < budget && stepped.step() {}
+        let (want, got) = (observe(&mut stepped), observe(&mut closed));
+        assert!(
+            want == got,
+            "L{level}, {} responders: run_events({budget}) diverged from single steps\n\
+             --- stepped ---\n{want}\n--- run_events ---\n{got}",
+            responders.len()
+        );
+        checked += 1;
+    }
+    checked
+}
+
+#[test]
+fn run_events_matches_single_steps_at_every_budget() {
+    let mut checked = 0;
+    for level in [0, 4, 6] {
+        for responders in [vec![CoreId(2)], every(3), every(1)] {
+            checked += event_ladder(level, &responders);
+        }
+    }
+    assert!(checked > 1_000, "only {checked} budgets checked");
 }

@@ -13,7 +13,7 @@
 //! assert this engine used to carry.
 
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 
 use tlbdown_types::{Cycles, SimError};
 
@@ -54,6 +54,46 @@ impl<E> Ord for Scheduled<E> {
     }
 }
 
+/// A member of a periodic run (see [`Engine::run_periodic`]): its next
+/// turn and how many times it has fired in the run.
+#[derive(Debug)]
+struct Member<E> {
+    ev: Scheduled<E>,
+    fires: u64,
+}
+
+impl<E> Member<E> {
+    /// A member that has fired once and is next due at `(at, seq)`.
+    fn new(at: Cycles, seq: u64, payload: E) -> Self {
+        Member {
+            ev: Scheduled { at, seq, payload },
+            fires: 1,
+        }
+    }
+
+    /// Fire `rounds` more turns, one period apart; the last reschedule
+    /// takes sequence number `seq`.
+    fn repeat(&mut self, rounds: u64, period: Cycles, seq: u64) {
+        self.ev.at += period * rounds;
+        self.ev.seq = seq;
+        self.fires += rounds;
+    }
+}
+
+/// The caller's side of [`Engine::run_periodic`]: which pending events
+/// belong to the run's group, and what a member's payload becomes when
+/// the run ends.
+pub trait Periodic<E> {
+    /// Whether `ev`, the next event due, is a member: dispatching it
+    /// would do nothing but schedule it again one period later.
+    fn joins(&self, ev: &E) -> bool;
+
+    /// A member fired `fires` times in the run and is next due at `at`:
+    /// apply what those dispatches did and rewrite `ev` into the payload
+    /// the last of them would have scheduled.
+    fn settle(&mut self, ev: &mut E, fires: u64, at: Cycles);
+}
+
 /// A deterministic discrete-event engine.
 ///
 /// # Examples
@@ -83,6 +123,8 @@ pub struct Engine<E> {
     cand_buf: Vec<Scheduled<E>>,
     /// Reusable passed-over buffer for [`Engine::pop_with`].
     skip_buf: Vec<Scheduled<E>>,
+    /// Reusable member FIFO for [`Engine::run_periodic`].
+    group_buf: VecDeque<Member<E>>,
     /// Total number of dispatches that found an event behind the clock
     /// (each was clamped to fire "now" and logged as
     /// [`SimError::TimeRegression`]); always counted.
@@ -107,6 +149,7 @@ impl<E> Engine<E> {
             heap: BinaryHeap::new(),
             cand_buf: Vec::new(),
             skip_buf: Vec::new(),
+            group_buf: VecDeque::new(),
             regressions: 0,
             regression_log: Vec::new(),
         }
@@ -216,28 +259,191 @@ impl<E> Engine<E> {
         self.heap.peek().map(|Reverse(ev)| ev.at)
     }
 
-    /// Finish, in closed form, a run of `n` dispatches of one periodic
-    /// event whose first dispatch was the last pop: leave exactly the
-    /// state that `n - 1` more rounds of `schedule_in(period, payload)`
-    /// then pop, and one last `schedule_in(period, payload)`, would.
-    /// The clock moves `(n - 1) × period`, the dispatch count and the
-    /// next sequence number each grow by `n - 1` before the last
-    /// schedule, and `payload` is pending `period` after the new clock.
+    /// Dispatch, in closed form, the run of periodic events that starts
+    /// with `first`, the payload just popped: it and every later member
+    /// of its group that comes next in `(at, seq)` order, up to the
+    /// first other pending event, the last event due by `deadline`, or
+    /// `end` dispatches in all. A member is an event that, dispatched,
+    /// would only schedule itself again `period` later; `group` says
+    /// which pending events are members ([`Periodic::joins`]) and
+    /// rewrites each member's payload once the run ends
+    /// ([`Periodic::settle`]). The clock, the dispatch count, the next
+    /// sequence number and every pending `(at, seq)` end exactly where
+    /// single pops and `schedule_in(period, ..)` calls would leave them.
     ///
-    /// The caller must know that every skipped round would have popped
-    /// its own event: nothing pending may fire at or before the last
-    /// skipped round's time, since an older sequence number wins a tie.
-    pub fn repeat_last(&mut self, n: u64, period: Cycles, payload: E) {
-        debug_assert!(n >= 1, "a run has at least the dispatch just popped");
-        let skipped = n - 1;
-        self.now += period * skipped;
-        debug_assert!(
-            skipped == 0 || self.next_at().is_none_or(|at| at > self.now),
-            "a pending event would have fired inside the repeated run"
-        );
-        self.popped += skipped;
-        self.seq += skipped;
-        self.schedule_in(period, payload);
+    /// Each member leaves the queue at its first turn and then cycles
+    /// through a FIFO. With one shared period, its reschedules are
+    /// already in `(at, seq)` order, so the next dispatch is the queue's
+    /// minimum or the FIFO's front, and once the FIFO's front comes
+    /// first, whole rounds of it go at once. Each member goes back into
+    /// the queue once, at the end. Returns `first` untouched when
+    /// `period` is zero or `first`'s own next turn would overflow the
+    /// clock, so the caller steps it.
+    pub fn run_periodic<G: Periodic<E>>(
+        &mut self,
+        first: E,
+        period: Cycles,
+        deadline: Cycles,
+        end: u64,
+        group: &mut G,
+    ) -> Result<(), E> {
+        let at = self.now.as_u64().checked_add(period.as_u64());
+        let Some(at) = at.filter(|_| period > Cycles::ZERO) else {
+            return Err(first);
+        };
+        let mut lone = Member::new(Cycles::new(at), self.seq, first);
+        self.seq += 1;
+        // Alone, a member's round is one dispatch; after its whole rounds
+        // the queue's minimum is next, or the run is over.
+        let (rounds, seq) = self.whole_rounds(lone.ev.at, 1, deadline, period, end);
+        if rounds > 0 {
+            lone.repeat(rounds, period, seq + rounds - 1);
+        }
+        if !self.next_joins(lone.ev.at, deadline, period, end, group) {
+            self.requeue(lone, group);
+            return Ok(());
+        }
+        self.run_group(lone, period, deadline, end, group);
+        Ok(())
+    }
+
+    /// The rest of [`Engine::run_periodic`] once a second member joins
+    /// `lone`: the FIFO merge. Kept out of line, so the path of a lone
+    /// member (the Figure 5–8 responder) stays short.
+    #[inline(never)]
+    fn run_group<G: Periodic<E>>(
+        &mut self,
+        lone: Member<E>,
+        period: Cycles,
+        deadline: Cycles,
+        end: u64,
+        group: &mut G,
+    ) {
+        let mut fifo = std::mem::take(&mut self.group_buf);
+        fifo.push_back(lone);
+        while let Some(front) = fifo.front().map(|m| m.ev.at) {
+            if self.next_at().is_some_and(|next| next <= front) {
+                if !self.next_joins(front, deadline, period, end, group) {
+                    break;
+                }
+                let Some(Reverse(ev)) = self.heap.pop() else {
+                    break;
+                };
+                self.now = ev.at;
+                self.popped += 1;
+                fifo.push_back(Member::new(ev.at + period, self.seq, ev.payload));
+                self.seq += 1;
+                continue;
+            }
+            let (k, back) = (fifo.len() as u64, fifo.back().map_or(front, |m| m.ev.at));
+            let (rounds, seq) = self.whole_rounds(back, k, deadline, period, end);
+            if rounds > 0 {
+                for (i, m) in fifo.iter_mut().enumerate() {
+                    m.repeat(rounds, period, seq + (rounds - 1) * k + i as u64);
+                }
+                continue;
+            }
+            // Less than a round is left: one dispatch of the front.
+            if front > deadline
+                || self.popped >= end
+                || front.as_u64().checked_add(period.as_u64()).is_none()
+            {
+                break;
+            }
+            let Some(mut m) = fifo.pop_front() else {
+                break;
+            };
+            self.now = front;
+            self.popped += 1;
+            m.repeat(1, period, self.seq);
+            self.seq += 1;
+            fifo.push_back(m);
+        }
+        for m in fifo.drain(..) {
+            self.requeue(m, group);
+        }
+        self.group_buf = fifo;
+    }
+
+    /// Whether the queue's minimum comes before a member due at `front`
+    /// (ties included: its sequence number is older than any member's
+    /// reschedule) and joins the run: a member due by `deadline`, inside
+    /// the budget of `end` dispatches, with its next turn on the clock,
+    /// and not behind the clock (a stale fire time must reach the
+    /// caller, which records it).
+    #[inline]
+    fn next_joins<G: Periodic<E>>(
+        &self,
+        front: Cycles,
+        deadline: Cycles,
+        period: Cycles,
+        end: u64,
+        group: &G,
+    ) -> bool {
+        self.heap.peek().is_some_and(|Reverse(next)| {
+            next.at <= front
+                && next.at >= self.now
+                && next.at <= deadline
+                && self.popped < end
+                && next.at.as_u64().checked_add(period.as_u64()).is_some()
+                && group.joins(&next.payload)
+        })
+    }
+
+    /// Run as many whole rounds of a `k`-member FIFO whose last member is
+    /// due at `back` as fit strictly before the queue's minimum, which
+    /// wins a tie, by `deadline`, inside the budget of `end` dispatches
+    /// and with every next turn on the clock: move the clock to the last
+    /// of their dispatches and count them. Returns how many rounds ran
+    /// and the first sequence number they took; round `r` gives the
+    /// member at FIFO position `i` the sequence number `seq + r·k + i`, so
+    /// the order holds.
+    #[inline]
+    fn whole_rounds(
+        &mut self,
+        back: Cycles,
+        k: u64,
+        deadline: Cycles,
+        period: Cycles,
+        end: u64,
+    ) -> (u64, u64) {
+        let seq = self.seq;
+        let next = self
+            .next_at()
+            .map(|next| next.saturating_sub(Cycles::new(1)));
+        let limit = next.map_or(deadline, |next| next.min(deadline));
+        if back > limit {
+            return (0, seq);
+        }
+        let p = period.as_u64();
+        let mut rounds = (limit - back).as_u64() / p + 1;
+        // Divide only when the budget binds: under `run_until` it is
+        // `u64::MAX`, and a 64-bit division is among the slowest
+        // instructions on a lone member's path.
+        let budget = end.saturating_sub(self.popped);
+        if rounds.saturating_mul(k) > budget {
+            rounds = budget / k;
+        }
+        if p.checked_mul(rounds)
+            .and_then(|d| back.as_u64().checked_add(d))
+            .is_none()
+        {
+            rounds = rounds.min((u64::MAX - back.as_u64()) / p);
+        }
+        if rounds > 0 {
+            self.now = back + period * (rounds - 1);
+            self.popped += rounds * k;
+            self.seq += rounds * k;
+        }
+        (rounds, seq)
+    }
+
+    /// End a member's run: `group` settles it, and it goes back into the
+    /// queue at its next turn.
+    #[inline]
+    fn requeue<G: Periodic<E>>(&mut self, mut m: Member<E>, group: &mut G) {
+        group.settle(&mut m.ev.payload, m.fires, m.ev.at);
+        self.heap.push(Reverse(m.ev));
     }
 
     /// Pop the next event with a pluggable [`Scheduler`] deciding among
@@ -568,12 +774,18 @@ mod tests {
     struct Reference {
         now: Cycles,
         seq: u64,
+        popped: u64,
+        regressions: u64,
         queue: BTreeMap<(Cycles, u64), u64>,
     }
 
     impl Reference {
         fn schedule_in(&mut self, delay: Cycles, v: u64) {
-            self.queue.insert((self.now + delay, self.seq), v);
+            self.schedule_at_unchecked(self.now + delay, v);
+        }
+
+        fn schedule_at_unchecked(&mut self, at: Cycles, v: u64) {
+            self.queue.insert((at, self.seq), v);
             self.seq += 1;
         }
 
@@ -583,7 +795,11 @@ mod tests {
                 return None;
             }
             let ((at, _), v) = entry.remove_entry();
-            self.now = at;
+            if at < self.now {
+                self.regressions += 1;
+            }
+            self.now = self.now.max(at);
+            self.popped += 1;
             Some(v)
         }
 
@@ -666,53 +882,342 @@ mod tests {
         }
     }
 
-    #[test]
-    fn repeat_last_matches_single_rounds() {
-        // A periodic event first popped at t = 50 repeats n times; other
-        // events wait just after the last skipped round, before, at and
-        // after the horizon t + nP where the last repeat stays pending.
-        let mut rng = SplitMix64::new(0x5e7);
-        for period in [1u64, 2, 7, 200] {
-            for n in 1..=6u64 {
-                let t = 50;
-                let last_skipped = t + (n - 1) * period;
-                let horizon = t + n * period;
-                let mut others = vec![last_skipped + 1, horizon, horizon + 1, 10 * horizon];
-                others.push(last_skipped + 1 + rng.gen_range(3 * period));
-                let fill = |e: &mut Engine<u64>| {
-                    e.schedule_at(Cycles::new(t), 0);
-                    for (i, &at) in others.iter().enumerate() {
-                        e.schedule_at(Cycles::new(at), i as u64 + 1);
-                    }
-                    assert_eq!(e.pop(), Some(0));
-                };
-                let (mut closed, mut stepped) = (Engine::new(), Engine::new());
-                fill(&mut closed);
-                fill(&mut stepped);
-                let p = Cycles::new(period);
-                closed.repeat_last(n, p, 0);
-                for _ in 1..n {
-                    stepped.schedule_in(p, 0);
-                    assert_eq!(stepped.pop(), Some(0), "P {period}, n {n}");
-                }
-                stepped.schedule_in(p, 0);
-                let case = format!("P {period}, n {n}");
-                assert_eq!(closed.now(), Cycles::new(last_skipped), "{case}");
-                assert_eq!(closed.now(), stepped.now(), "{case}");
-                assert_eq!(closed.events_processed(), n, "{case}");
-                assert_eq!(
-                    closed.events_processed(),
-                    stepped.events_processed(),
-                    "{case}"
-                );
-                assert_eq!(closed.seq, stepped.seq, "{case}");
-                assert_eq!(closed.pending(), stepped.pending(), "{case}");
-                let drain = |e: &mut Engine<u64>| {
-                    std::iter::from_fn(|| e.pop().map(|v| (v, e.now()))).collect::<Vec<_>>()
-                };
-                assert_eq!(drain(&mut closed), drain(&mut stepped), "{case}");
+    /// A toy machine for [`Engine::run_periodic`]. Spinner `id` (an
+    /// index into `periods`) is live while its pending turn carries its
+    /// current token, and a live turn schedules the next one a period
+    /// later. An interrupt (`IRQ`) may schedule another interrupt and
+    /// may supersede a spinner's turn with one up to six periods ahead,
+    /// leaving the old turn behind as a stale event.
+    struct World {
+        periods: Vec<u64>,
+        tokens: Vec<u64>,
+        rng: SplitMix64,
+        irqs: u64,
+    }
+
+    const IRQ: u64 = u32::MAX as u64;
+
+    fn turn(id: u64, token: u64) -> u64 {
+        id << 32 | token
+    }
+
+    impl World {
+        fn new(seed: u64, periods: Vec<u64>, irqs: u64) -> Self {
+            let tokens = vec![0; periods.len()];
+            World {
+                periods,
+                tokens,
+                rng: SplitMix64::new(seed),
+                irqs,
             }
         }
+
+        /// The period of `ev` if it is a spinner's live turn.
+        fn live(&self, ev: u64) -> Option<u64> {
+            let (id, token) = ((ev >> 32) as usize, ev & u64::from(u32::MAX));
+            let period = *self.periods.get(id)?;
+            (self.tokens[id] == token).then_some(period)
+        }
+
+        /// A new live turn for spinner `id`, superseding its pending one.
+        fn supersede(&mut self, id: usize) -> u64 {
+            self.tokens[id] += 1;
+            turn(id as u64, self.tokens[id])
+        }
+
+        /// Dispatch `ev` one step at a time: what it schedules, as
+        /// `(delay, payload)` pairs.
+        fn step(&mut self, ev: u64) -> Vec<(u64, u64)> {
+            if let Some(period) = self.live(ev) {
+                return vec![(period, self.supersede((ev >> 32) as usize))];
+            }
+            let mut out = Vec::new();
+            if ev == turn(IRQ, 0) && self.irqs > 0 {
+                self.irqs -= 1;
+                let p = self.periods[0];
+                out.push((self.rng.gen_range(4 * p), turn(IRQ, 0)));
+                if self.rng.gen_range(2) == 0 {
+                    let id = self.rng.gen_range(self.periods.len() as u64) as usize;
+                    let delay = self.rng.gen_range(6 * self.periods[id]);
+                    out.push((delay, self.supersede(id)));
+                }
+            }
+            out
+        }
+    }
+
+    /// The spinners of one period, as `run_periodic` sees them; counts
+    /// the members it settles.
+    struct Spinners<'a> {
+        world: &'a mut World,
+        period: u64,
+        members: u64,
+    }
+
+    impl Periodic<u64> for Spinners<'_> {
+        fn joins(&self, ev: &u64) -> bool {
+            self.world.live(*ev) == Some(self.period)
+        }
+
+        fn settle(&mut self, ev: &mut u64, fires: u64, _at: Cycles) {
+            let id = *ev >> 32;
+            self.world.tokens[id as usize] += fires;
+            *ev = turn(id, self.world.tokens[id as usize]);
+            self.members += 1;
+        }
+    }
+
+    /// How often each way out of a `run_periodic` call was taken.
+    #[derive(Default, Debug)]
+    struct Coverage {
+        largest_group: u64,
+        lone: u64,
+        /// Groups of two or more stopped by the budget, the deadline,
+        /// and another event.
+        budget_cuts: u64,
+        deadline_cuts: u64,
+        event_cuts: u64,
+    }
+
+    /// Dispatch what is due by `deadline`, up to `end` dispatches, the
+    /// way `Machine::run_until` does: a spinner's live turn starts a
+    /// closed-form run of its period's group; anything else, or a turn
+    /// popped behind the clock, steps.
+    fn run_closed(
+        e: &mut Engine<u64>,
+        w: &mut World,
+        deadline: Cycles,
+        end: u64,
+        cov: &mut Coverage,
+    ) {
+        while e.events_processed() < end {
+            let Some(mut ev) = e.pop_until(deadline) else {
+                return;
+            };
+            let period = w.live(ev).filter(|_| !e.has_time_errors());
+            e.take_time_errors();
+            if let Some(period) = period {
+                let mut group = Spinners {
+                    world: w,
+                    period,
+                    members: 0,
+                };
+                match e.run_periodic(ev, Cycles::new(period), deadline, end, &mut group) {
+                    Ok(()) => {
+                        let k = group.members;
+                        cov.largest_group = cov.largest_group.max(k);
+                        if k == 1 {
+                            cov.lone += 1;
+                        } else if e.events_processed() == end {
+                            cov.budget_cuts += 1;
+                        } else if e.next_at().is_none_or(|at| at > deadline) {
+                            cov.deadline_cuts += 1;
+                        } else {
+                            cov.event_cuts += 1;
+                        }
+                        continue;
+                    }
+                    Err(first) => ev = first,
+                }
+            }
+            for (delay, v) in w.step(ev) {
+                e.schedule_in(Cycles::new(delay), v);
+            }
+        }
+    }
+
+    /// The same, one dispatch at a time.
+    fn run_stepped(r: &mut Reference, w: &mut World, deadline: Cycles, end: u64) {
+        while r.popped < end {
+            let Some(ev) = r.pop_until(deadline) else {
+                return;
+            };
+            for (delay, v) in w.step(ev) {
+                r.schedule_in(Cycles::new(delay), v);
+            }
+        }
+    }
+
+    fn assert_same(e: &Engine<u64>, r: &Reference, closed: &World, stepped: &World, case: &str) {
+        assert_eq!(e.now(), r.now, "{case}: clock");
+        assert_eq!(e.events_processed(), r.popped, "{case}: dispatches");
+        assert_eq!(e.seq, r.seq, "{case}: next sequence number");
+        assert_eq!(e.regressions, r.regressions, "{case}: regressions");
+        assert_eq!(e.pending(), r.pending(), "{case}: pending");
+        assert_eq!(closed.tokens, stepped.tokens, "{case}: tokens");
+    }
+
+    /// Pop everything pending without stepping it: the drained order.
+    fn drain(e: &mut Engine<u64>, r: &mut Reference) {
+        let closed: Vec<_> = std::iter::from_fn(|| e.pop().map(|v| (v, e.now()))).collect();
+        let stepped: Vec<_> =
+            std::iter::from_fn(|| r.pop_until(Cycles::new(u64::MAX)).map(|v| (v, r.now))).collect();
+        assert_eq!(closed, stepped);
+    }
+
+    /// Build the same engine and reference from `(at, payload)` pairs.
+    fn filled(events: &[(u64, u64)]) -> (Engine<u64>, Reference) {
+        let (mut e, mut r) = (Engine::new(), Reference::default());
+        for &(at, v) in events {
+            e.schedule_at(Cycles::new(at), v);
+            r.schedule_at_unchecked(Cycles::new(at), v);
+        }
+        (e, r)
+    }
+
+    #[test]
+    fn run_periodic_matches_single_steps() {
+        // Groups of 1–8 spinners with period P beside two spinners of
+        // another period and a stream of interrupts that supersede turns
+        // (leaving stale ones behind) and push them up to six periods
+        // ahead. A seeded ladder of deadlines and budgets cuts runs
+        // mid-round; after each rung the closed-form engine must match
+        // the stepped reference, and both must drain in the same order.
+        let mut cov = Coverage::default();
+        let mut rungs = 0;
+        for seed in 0..48u64 {
+            let mut rng = SplitMix64::new(0x9e71_0d1c ^ seed);
+            let p = [1, 2, 3, 7, 200][seed as usize % 5];
+            let k = 1 + seed % 8;
+            let mut periods = vec![p; k as usize];
+            periods.extend([p + 1, 2 * p]);
+            let mut events = Vec::new();
+            for id in 0..periods.len() as u64 {
+                events.push((rng.gen_range(3 * p), turn(id, 0)));
+            }
+            // Deterministic ties at the first turn of spinner 0: an
+            // interrupt queued after it (the spinner goes first) and one
+            // queued before spinner 1's (the interrupt goes first).
+            events.push((events[0].0, turn(IRQ, 0)));
+            events.insert(0, (events[1].0, turn(IRQ, 0)));
+            let (mut e, mut r) = filled(&events);
+            let (mut wc, mut ws) = (
+                World::new(seed, periods.clone(), 60),
+                World::new(seed, periods, 60),
+            );
+            // A stale turn: spinner 0's first turn superseded by one
+            // three periods later.
+            let v = wc.supersede(0);
+            ws.supersede(0);
+            e.schedule_at(Cycles::new(3 * p), v);
+            r.schedule_at_unchecked(Cycles::new(3 * p), v);
+            let mut deadline = 0u64;
+            while wc.irqs > 0 || deadline < 400 * p {
+                let end = match rng.gen_range(4) {
+                    0 => e.events_processed() + rng.gen_range(3 * k + 2),
+                    _ => u64::MAX,
+                };
+                deadline += match rng.gen_range(6) {
+                    0 => rng.gen_range(60 * p),
+                    1 => rng.gen_range(2),
+                    _ => rng.gen_range(4 * p),
+                };
+                let d = Cycles::new(deadline);
+                run_closed(&mut e, &mut wc, d, end, &mut cov);
+                run_stepped(&mut r, &mut ws, d, end);
+                assert_same(
+                    &e,
+                    &r,
+                    &wc,
+                    &ws,
+                    &format!("seed {seed}, P {p}, rung {rungs}"),
+                );
+                rungs += 1;
+            }
+            drain(&mut e, &mut r);
+        }
+        assert!(rungs > 2_000, "only {rungs} rungs");
+        assert_eq!(cov.largest_group, 8, "{cov:?}");
+        assert!(
+            cov.lone > 50 && cov.budget_cuts > 50 && cov.deadline_cuts > 50 && cov.event_cuts > 50,
+            "{cov:?}"
+        );
+    }
+
+    #[test]
+    fn run_periodic_stops_behind_the_clock_and_before_overflow() {
+        // A live turn behind the clock must reach the caller, which
+        // records the regression: queue one right after popping the
+        // first member, the only moment one can sit above the clock.
+        let p = 10;
+        let events = [(100, turn(0, 0)), (103, turn(1, 0)), (106, turn(2, 0))];
+        let (mut e, mut r) = filled(&events);
+        let (mut wc, mut ws) = (World::new(1, vec![p; 3], 0), World::new(1, vec![p; 3], 0));
+        let first = e.pop().expect("queued");
+        assert_eq!(r.pop_until(Cycles::new(u64::MAX)), Some(first));
+        let stale = wc.supersede(1);
+        ws.supersede(1);
+        e.schedule_at_unchecked(Cycles::new(95), stale);
+        r.schedule_at_unchecked(Cycles::new(95), stale);
+        let mut group = Spinners {
+            world: &mut wc,
+            period: p,
+            members: 0,
+        };
+        let forever = Cycles::new(u64::MAX);
+        assert!(e
+            .run_periodic(first, Cycles::new(p), forever, u64::MAX, &mut group)
+            .is_ok());
+        for (delay, v) in ws.step(first) {
+            r.schedule_in(Cycles::new(delay), v);
+        }
+        assert_same(&e, &r, &wc, &ws, "stopped at the stale turn");
+        let mut cov = Coverage::default();
+        run_closed(&mut e, &mut wc, Cycles::new(1_000), u64::MAX, &mut cov);
+        run_stepped(&mut r, &mut ws, Cycles::new(1_000), u64::MAX);
+        assert_eq!(e.regressions, 1);
+        assert_same(&e, &r, &wc, &ws, "after the stale turn");
+
+        // Near the end of time, whole rounds and single turns stop where
+        // the next reschedule would overflow the clock, and a popped
+        // turn whose own reschedule would overflow comes back untouched
+        // for the caller to step. Both sides run up to that pop.
+        let top = u64::MAX - 5 * p;
+        let events = [
+            (top, turn(0, 0)),
+            (top + 4, turn(1, 0)),
+            (top + 20, turn(IRQ, 0)),
+        ];
+        let (mut e, mut r) = filled(&events);
+        let (mut wc, mut ws) = (World::new(2, vec![p; 2], 0), World::new(2, vec![p; 2], 0));
+        let overflows = |w: &World, at: Cycles, ev: u64| {
+            w.live(ev)
+                .is_some_and(|p| at.as_u64().checked_add(p).is_none())
+        };
+        let returned = loop {
+            let ev = e.pop().expect("a turn is left");
+            let Some(period) = wc.live(ev) else {
+                assert!(wc.step(ev).is_empty(), "the interrupt schedules nothing");
+                continue;
+            };
+            let mut group = Spinners {
+                world: &mut wc,
+                period,
+                members: 0,
+            };
+            let (seq, popped) = (e.seq, e.events_processed());
+            if let Err(first) =
+                e.run_periodic(ev, Cycles::new(period), forever, u64::MAX, &mut group)
+            {
+                assert_eq!((e.seq, e.events_processed()), (seq, popped), "untouched");
+                break first;
+            }
+        };
+        loop {
+            let (&(at, _), &ev) = r.queue.first_key_value().expect("a turn is left");
+            if overflows(&ws, at, ev) {
+                break;
+            }
+            let end = r.popped + 1;
+            run_stepped(&mut r, &mut ws, forever, end);
+        }
+        assert_eq!(r.pop_until(forever), Some(returned));
+        assert_same(&e, &r, &wc, &ws, "at the overflowing turn");
+        assert_eq!(
+            e.now(),
+            Cycles::new(top + 44),
+            "whole rounds ran up to the end of time"
+        );
     }
 
     #[test]

@@ -8,7 +8,9 @@
 //! kernels. It provides:
 //!
 //! - [`Engine`]: a time-ordered event queue with deterministic FIFO
-//!   tie-breaking for simultaneous events,
+//!   tie-breaking for simultaneous events, which can also dispatch a run
+//!   of events that each only reschedule themselves with one period
+//!   ([`Periodic`]) in closed form,
 //! - [`sched`]: the pluggable [`Scheduler`] policy deciding among
 //!   commutative-ambiguous events — the branch points a model checker
 //!   (the `check` crate) enumerates; [`FifoScheduler`] reproduces the
@@ -23,7 +25,7 @@ pub mod rng;
 pub mod sched;
 pub mod stats;
 
-pub use engine::Engine;
+pub use engine::{Engine, Periodic};
 pub use fault::{FaultPlan, FaultSpec, IpiFault};
 pub use rng::SplitMix64;
 pub use sched::{FifoScheduler, Scheduler};

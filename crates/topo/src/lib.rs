@@ -183,16 +183,26 @@ impl Interconnect {
         edges
     }
 
-    /// Number of links a transfer between `a` and `b` traverses. Flat
-    /// reports 1 — one logical hop per transfer, which keeps the per-hop
-    /// jitter stream byte-identical to the historical one-draw-per-transfer
-    /// behaviour.
+    /// Number of links a transfer between `a` and `b` traverses: the
+    /// length of its routed path (the shorter ring arc, or the Manhattan
+    /// distance on the mesh), computed without building the path.
+    /// Flat reports 1 — one logical hop per transfer, which keeps the
+    /// per-hop jitter stream byte-identical to the historical
+    /// one-draw-per-transfer behaviour.
     pub fn hops(&self, a: CoreId, b: CoreId) -> u64 {
         if self.spec.is_flat() {
             return 1;
         }
         let (pa, pb) = (self.topo.physical_of(a), self.topo.physical_of(b));
-        self.path(pa, pb).len() as u64
+        let hops = if matches!(self.spec, TopologySpec::Ring) {
+            let n = self.phys_count();
+            let fwd = (pb + n - pa) % n;
+            fwd.min(n - fwd)
+        } else {
+            let w = self.mesh_width();
+            (pa % w).abs_diff(pb % w) + (pa / w).abs_diff(pb / w)
+        };
+        u64::from(hops)
     }
 
     /// Hop count to use for per-hop jitter: at least one draw per
@@ -332,6 +342,23 @@ mod tests {
         // 28 phys cores → 6-wide grid. phys 0 at (0,0), phys 8 at (2,1):
         // 2 X hops + 1 Y hop.
         assert_eq!(ic.hops(CoreId(0), CoreId(16)), 3);
+    }
+
+    #[test]
+    fn hops_count_the_routed_path() {
+        // Every pair of logical cores, SMT siblings included, on an odd
+        // ring and on a mesh whose last row is not full.
+        for topo in [Topology::new(2, 10).with_smt(2), Topology::new(1, 7)] {
+            for spec in [TopologySpec::Ring, TopologySpec::Mesh] {
+                let ic = Interconnect::new(topo.clone(), spec.clone());
+                for a in (0..topo.num_cores()).map(CoreId) {
+                    for b in (0..topo.num_cores()).map(CoreId) {
+                        let path = ic.path(topo.physical_of(a), topo.physical_of(b));
+                        assert_eq!(ic.hops(a, b), path.len() as u64, "{spec:?} {a:?} {b:?}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

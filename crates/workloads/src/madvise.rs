@@ -445,7 +445,7 @@ pub fn run_scale_tier(cfg: &ScaleTierCfg) -> SimResult<ScaleTierResult> {
             m.spawn(mm, CoreId(core), Box::new(BusyLoopProg));
         }
     }
-    while m.events_processed() < cfg.target_events && m.step() {}
+    m.run_events(cfg.target_events);
     if let Some(v) = m.violations().first() {
         return Err(v.clone());
     }
