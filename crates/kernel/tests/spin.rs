@@ -3,14 +3,16 @@
 //! the next other pending event. Single `step()` calls are the
 //! reference: at every deadline (or dispatch budget) of a seeded ladder,
 //! a machine driven by the closed form must be indistinguishable from an
-//! identical machine stepped one event at a time to the same point.
+//! identical machine stepped one event at a time to the same point. The
+//! spinners' pending resumes outlive a closed-form call in the engine's
+//! lane, so a machine driven by every call in turn must match too.
 
 use std::collections::BTreeMap;
 
 use tlbdown_core::OptConfig;
 use tlbdown_kernel::prog::{BusyLoopProg, MadviseLoopProg};
 use tlbdown_kernel::{KernelConfig, Machine};
-use tlbdown_sim::SplitMix64;
+use tlbdown_sim::{FifoScheduler, SplitMix64};
 use tlbdown_types::{CoreId, Cycles, Topology};
 
 /// The §5.1 shape on the paper machine: a jittered madvise initiator on
@@ -175,4 +177,61 @@ fn run_events_matches_single_steps_at_every_budget() {
         }
     }
     assert!(checked > 1_000, "only {checked} budgets checked");
+}
+
+#[test]
+fn mixed_drivers_match_single_steps() {
+    // One machine driven through a seeded mix of `run_until`,
+    // `run_events`, `step()` and `step_with(FifoScheduler)` calls, so
+    // each call starts from whatever the one before left in the lane;
+    // its twin only steps.
+    let mut calls = [0; 4];
+    for level in [0, 6] {
+        let responders = every(3);
+        let mut mixed = paper_machine(level, &responders);
+        let mut stepped = paper_machine(level, &responders);
+        let mut rng = SplitMix64::new(0x313e_d00d ^ level as u64);
+        while mixed.now() < Cycles::new(450_000) {
+            let call = rng.gen_range(4) as usize;
+            match call {
+                0 => {
+                    let d = mixed.now() + Cycles::new(rng.gen_range(4_000));
+                    mixed.run_until(d);
+                    while stepped.engine.next_at().is_some_and(|at| at <= d) {
+                        stepped.step();
+                    }
+                }
+                1 => {
+                    let n = mixed.events_processed() + rng.gen_range(200);
+                    mixed.run_events(n);
+                    while stepped.events_processed() < n && stepped.step() {}
+                }
+                2 => {
+                    mixed.step();
+                    stepped.step();
+                }
+                _ => {
+                    mixed.step_with(&mut FifoScheduler);
+                    stepped.step();
+                }
+            }
+            calls[call] += 1;
+            let (want, got) = (observe(&mut stepped), observe(&mut mixed));
+            assert!(
+                want == got,
+                "L{level}: call {} ({call}) diverged from single steps\n\
+                 --- stepped ---\n{want}\n--- mixed ---\n{got}",
+                calls.iter().sum::<usize>()
+            );
+        }
+        assert_eq!(
+            mixed.stats.counters.get("thread_exit"),
+            1,
+            "the mix runs past the initiator's exit"
+        );
+    }
+    assert!(
+        calls.iter().all(|&n| n > 100),
+        "calls per driver: {calls:?}"
+    );
 }

@@ -2,10 +2,14 @@
 //!
 //! # Hot-path layout
 //!
-//! Pending events live in one `BinaryHeap`, ordered by `(at, seq)`:
-//! fire time first, then the order they were scheduled in. The sequence
-//! number is unique, so the order is total and every run dispatches the
-//! same events in the same order.
+//! Pending events are ordered by `(at, seq)`: fire time first, then the
+//! order they were scheduled in. The sequence number is unique, so the
+//! order is total and every run dispatches the same events in the same
+//! order. They live in two places: a `BinaryHeap`, and beside it the
+//! lane, a `VecDeque` already in that order that holds the members of
+//! the last periodic run ([`Engine::run_periodic`]) between runs. Every
+//! reader of the pending set merges the two; `pop` and `pop_with` read
+//! the heap alone while the lane is empty.
 //!
 //! Time is checked on every dispatch, in release builds too: an event
 //! whose fire time is behind the clock is clamped to "now" and recorded
@@ -54,8 +58,8 @@ impl<E> Ord for Scheduled<E> {
     }
 }
 
-/// A member of a periodic run (see [`Engine::run_periodic`]): its next
-/// turn and how many times it has fired in the run.
+/// A lane member (see [`Engine::run_periodic`]): its next turn and how
+/// many times it has fired since it was last settled.
 #[derive(Debug)]
 struct Member<E> {
     ev: Scheduled<E>,
@@ -78,19 +82,32 @@ impl<E> Member<E> {
         self.ev.seq = seq;
         self.fires += rounds;
     }
+
+    /// Have `group` apply the turns fired since the last settle.
+    fn settle<G: Periodic<E>>(&mut self, group: &mut G) {
+        group.settle(&mut self.ev.payload, self.fires, self.ev.at);
+        self.fires = 0;
+    }
 }
 
 /// The caller's side of [`Engine::run_periodic`]: which pending events
 /// belong to the run's group, and what a member's payload becomes when
 /// the run ends.
 pub trait Periodic<E> {
-    /// Whether `ev`, the next event due, is a member: dispatching it
-    /// would do nothing but schedule it again one period later.
+    /// Whether `ev`, a pending event, is a member: dispatching it would
+    /// do nothing but schedule it again one period later. It is asked
+    /// about the next event due and, when a run starts, about every
+    /// member kept from the last run, which may be due later; nothing
+    /// but members is dispatched in between, so the answer must not
+    /// depend on when `ev` is due.
     fn joins(&self, ev: &E) -> bool;
 
-    /// A member fired `fires` times in the run and is next due at `at`:
-    /// apply what those dispatches did and rewrite `ev` into the payload
-    /// the last of them would have scheduled.
+    /// A member fired `fires` times since it was last settled and is
+    /// next due at `at`: apply what those dispatches did and rewrite `ev`
+    /// into the payload the last of them would have scheduled. It is
+    /// called once at the end of every run in which the member fired,
+    /// so a member kept across runs is settled more than once, and each
+    /// call must add its `fires` to what the earlier ones applied.
     fn settle(&mut self, ev: &mut E, fires: u64, at: Cycles);
 }
 
@@ -117,14 +134,17 @@ pub struct Engine<E> {
     now: Cycles,
     seq: u64,
     popped: u64,
-    /// Every pending event, minimum `(at, seq)` on top.
+    /// Every pending event outside the lane, minimum `(at, seq)` on top.
     heap: BinaryHeap<Reverse<Scheduled<E>>>,
+    /// The pending members of the last [`Engine::run_periodic`] run, in
+    /// `(at, seq)` order; settled whenever no run is under way.
+    lane: VecDeque<Member<E>>,
+    /// The period the lane's members spin with.
+    lane_period: Cycles,
     /// Reusable candidate buffer for [`Engine::pop_with`].
     cand_buf: Vec<Scheduled<E>>,
     /// Reusable passed-over buffer for [`Engine::pop_with`].
     skip_buf: Vec<Scheduled<E>>,
-    /// Reusable member FIFO for [`Engine::run_periodic`].
-    group_buf: VecDeque<Member<E>>,
     /// Total number of dispatches that found an event behind the clock
     /// (each was clamped to fire "now" and logged as
     /// [`SimError::TimeRegression`]); always counted.
@@ -147,9 +167,10 @@ impl<E> Engine<E> {
             seq: 0,
             popped: 0,
             heap: BinaryHeap::new(),
+            lane: VecDeque::new(),
+            lane_period: Cycles::ZERO,
             cand_buf: Vec::new(),
             skip_buf: Vec::new(),
-            group_buf: VecDeque::new(),
             regressions: 0,
             regression_log: Vec::new(),
         }
@@ -202,14 +223,42 @@ impl<E> Engine<E> {
         self.heap.push(Reverse(Scheduled { at, seq, payload }));
     }
 
-    /// Remove and return the minimum pending event if it fires at or
-    /// before `horizon`.
+    /// Remove and return the heap's minimum if it fires at or before
+    /// `horizon`.
     #[inline]
-    fn pop_min_within(&mut self, horizon: Cycles) -> Option<Scheduled<E>> {
+    fn heap_pop_within(&mut self, horizon: Cycles) -> Option<Scheduled<E>> {
         if self.heap.peek()?.0.at > horizon {
             return None;
         }
         self.heap.pop().map(|Reverse(ev)| ev)
+    }
+
+    /// Remove and return the minimum pending event, the lane's front or
+    /// the heap's minimum, if it fires at or before `horizon`. Out of
+    /// line, so a pop with an empty lane compiles as it did without one.
+    #[inline(never)]
+    fn pop_min_within(&mut self, horizon: Cycles) -> Option<Scheduled<E>> {
+        let lane_first = self
+            .lane
+            .front()
+            .is_some_and(|m| self.heap.peek().is_none_or(|Reverse(next)| m.ev < *next));
+        if !lane_first {
+            return self.heap_pop_within(horizon);
+        }
+        if self.lane.front()?.ev.at > horizon {
+            return None;
+        }
+        self.lane.pop_front().map(|m| m.ev)
+    }
+
+    /// Move every lane member into the heap. Outside a run each is
+    /// settled, so its payload is what single steps would have queued.
+    /// Never inlined, so `pop_with` stays as small as it was without a
+    /// lane.
+    #[cold]
+    #[inline(never)]
+    fn flush_lane(&mut self) {
+        self.heap.extend(self.lane.drain(..).map(|m| Reverse(m.ev)));
     }
 
     /// Validate a dispatched fire time against the clock: a stale time
@@ -241,7 +290,11 @@ impl<E> Engine<E> {
 
     /// Pop the next event, advancing the clock to its fire time.
     pub fn pop(&mut self) -> Option<E> {
-        let Reverse(ev) = self.heap.pop()?;
+        let ev = if self.lane.is_empty() {
+            self.heap.pop()?.0
+        } else {
+            self.pop_min_within(Cycles::new(u64::MAX))?
+        };
         Some(self.dispatch(ev))
     }
 
@@ -250,13 +303,22 @@ impl<E> Engine<E> {
     /// alone. It looks at the minimum once, so a loop bounded by a
     /// deadline reads the queue once per dispatch.
     pub fn pop_until(&mut self, deadline: Cycles) -> Option<E> {
-        let ev = self.pop_min_within(deadline)?;
+        let ev = if self.lane.is_empty() {
+            self.heap_pop_within(deadline)?
+        } else {
+            self.pop_min_within(deadline)?
+        };
         Some(self.dispatch(ev))
     }
 
     /// The fire time of the next pending event, without dispatching it.
     pub fn next_at(&self) -> Option<Cycles> {
-        self.heap.peek().map(|Reverse(ev)| ev.at)
+        let lane = self.lane.front().map(|m| m.ev.at);
+        let heap = self.heap.peek().map(|Reverse(ev)| ev.at);
+        match (lane, heap) {
+            (Some(lane), Some(heap)) => Some(lane.min(heap)),
+            (lane, heap) => lane.or(heap),
+        }
     }
 
     /// Dispatch, in closed form, the run of periodic events that starts
@@ -271,14 +333,18 @@ impl<E> Engine<E> {
     /// sequence number and every pending `(at, seq)` end exactly where
     /// single pops and `schedule_in(period, ..)` calls would leave them.
     ///
-    /// Each member leaves the queue at its first turn and then cycles
-    /// through a FIFO. With one shared period, its reschedules are
-    /// already in `(at, seq)` order, so the next dispatch is the queue's
-    /// minimum or the FIFO's front, and once the FIFO's front comes
-    /// first, whole rounds of it go at once. Each member goes back into
-    /// the queue once, at the end. Returns `first` untouched when
-    /// `period` is zero or `first`'s own next turn would overflow the
-    /// clock, so the caller steps it.
+    /// Members cycle through the lane. A run first empties the lane into
+    /// the heap if its members spin with another period, and otherwise
+    /// sends the heap any member that no longer joins (an interrupt
+    /// superseded it); the rest stay, and `first`'s next turn goes to the
+    /// back. With one shared period, reschedules are already in
+    /// `(at, seq)` order, so the next dispatch is the heap's minimum or
+    /// the lane's front, and once the lane's front comes first, whole
+    /// rounds of it go at once. At the end every member that fired is
+    /// settled and stays in the lane: a member passes through the heap
+    /// only when it joins from there or a re-check drops it. Returns
+    /// `first` untouched when `period` is zero or `first`'s own next
+    /// turn would overflow the clock, so the caller steps it.
     pub fn run_periodic<G: Periodic<E>>(
         &mut self,
         first: E,
@@ -291,97 +357,126 @@ impl<E> Engine<E> {
         let Some(at) = at.filter(|_| period > Cycles::ZERO) else {
             return Err(first);
         };
+        if period != self.lane_period {
+            self.flush_lane();
+            self.lane_period = period;
+        }
+        self.recheck(group);
         let mut lone = Member::new(Cycles::new(at), self.seq, first);
         self.seq += 1;
-        // Alone, a member's round is one dispatch; after its whole rounds
-        // the queue's minimum is next, or the run is over.
-        let (rounds, seq) = self.whole_rounds(lone.ev.at, 1, deadline, period, end);
-        if rounds > 0 {
-            lone.repeat(rounds, period, seq + rounds - 1);
+        if self.lane.is_empty() {
+            // Alone, a member's round is one dispatch; after its whole
+            // rounds the heap's minimum is next, or the run is over.
+            let (rounds, seq) = self.whole_rounds(lone.ev.at, 1, deadline, period, end);
+            if rounds > 0 {
+                lone.repeat(rounds, period, seq + rounds - 1);
+            }
+            if !self.next_joins((lone.ev.at, lone.ev.seq), deadline, period, end, group) {
+                lone.settle(group);
+                self.lane.push_back(lone);
+                return Ok(());
+            }
         }
-        if !self.next_joins(lone.ev.at, deadline, period, end, group) {
-            self.requeue(lone, group);
-            return Ok(());
-        }
-        self.run_group(lone, period, deadline, end, group);
+        self.lane.push_back(lone);
+        self.run_lane(period, deadline, end, group);
         Ok(())
     }
 
-    /// The rest of [`Engine::run_periodic`] once a second member joins
-    /// `lone`: the FIFO merge. Kept out of line, so the path of a lone
-    /// member (the Figure 5–8 responder) stays short.
+    /// Send every lane member that no longer joins `group` to the heap,
+    /// where it is dispatched as any other event.
+    #[inline]
+    fn recheck<G: Periodic<E>>(&mut self, group: &G) {
+        let mut from = 0;
+        while let Some(i) = self
+            .lane
+            .range(from..)
+            .position(|m| !group.joins(&m.ev.payload))
+        {
+            from += i;
+            if let Some(m) = self.lane.remove(from) {
+                self.heap.push(Reverse(m.ev));
+            }
+        }
+    }
+
+    /// The rest of [`Engine::run_periodic`] once the lane holds a second
+    /// member: the merge with the heap. Kept out of line, so the path of
+    /// a lone member (the Figure 5–8 responder) stays short.
     #[inline(never)]
-    fn run_group<G: Periodic<E>>(
+    fn run_lane<G: Periodic<E>>(
         &mut self,
-        lone: Member<E>,
         period: Cycles,
         deadline: Cycles,
         end: u64,
         group: &mut G,
     ) {
-        let mut fifo = std::mem::take(&mut self.group_buf);
-        fifo.push_back(lone);
-        while let Some(front) = fifo.front().map(|m| m.ev.at) {
-            if self.next_at().is_some_and(|next| next <= front) {
-                if !self.next_joins(front, deadline, period, end, group) {
-                    break;
-                }
+        while let Some(front) = self.lane.front().map(|m| (m.ev.at, m.ev.seq)) {
+            if self.next_joins(front, deadline, period, end, group) {
                 let Some(Reverse(ev)) = self.heap.pop() else {
                     break;
                 };
                 self.now = ev.at;
                 self.popped += 1;
-                fifo.push_back(Member::new(ev.at + period, self.seq, ev.payload));
+                self.lane
+                    .push_back(Member::new(ev.at + period, self.seq, ev.payload));
                 self.seq += 1;
                 continue;
             }
-            let (k, back) = (fifo.len() as u64, fifo.back().map_or(front, |m| m.ev.at));
+            if self
+                .heap
+                .peek()
+                .is_some_and(|Reverse(next)| (next.at, next.seq) < front)
+            {
+                break;
+            }
+            let k = self.lane.len() as u64;
+            let back = self.lane.back().map_or(front.0, |m| m.ev.at);
             let (rounds, seq) = self.whole_rounds(back, k, deadline, period, end);
             if rounds > 0 {
-                for (i, m) in fifo.iter_mut().enumerate() {
+                for (i, m) in self.lane.iter_mut().enumerate() {
                     m.repeat(rounds, period, seq + (rounds - 1) * k + i as u64);
                 }
                 continue;
             }
             // Less than a round is left: one dispatch of the front.
-            if front > deadline
+            if front.0 > deadline
                 || self.popped >= end
-                || front.as_u64().checked_add(period.as_u64()).is_none()
+                || front.0.as_u64().checked_add(period.as_u64()).is_none()
             {
                 break;
             }
-            let Some(mut m) = fifo.pop_front() else {
+            let Some(mut m) = self.lane.pop_front() else {
                 break;
             };
-            self.now = front;
+            self.now = front.0;
             self.popped += 1;
             m.repeat(1, period, self.seq);
             self.seq += 1;
-            fifo.push_back(m);
+            self.lane.push_back(m);
         }
-        for m in fifo.drain(..) {
-            self.requeue(m, group);
+        for m in self.lane.iter_mut().filter(|m| m.fires > 0) {
+            m.settle(group);
         }
-        self.group_buf = fifo;
     }
 
-    /// Whether the queue's minimum comes before a member due at `front`
-    /// (ties included: its sequence number is older than any member's
-    /// reschedule) and joins the run: a member due by `deadline`, inside
-    /// the budget of `end` dispatches, with its next turn on the clock,
-    /// and not behind the clock (a stale fire time must reach the
-    /// caller, which records it).
+    /// Whether the heap's minimum comes before a member due at `front`
+    /// in `(at, seq)` order and joins the run: a member due by
+    /// `deadline`, inside the budget of `end` dispatches, with its next
+    /// turn on the clock, and not behind the clock (a stale fire time
+    /// must reach the caller, which records it). Sequence numbers decide
+    /// a tie: a member kept in the lane across runs can be older than an
+    /// event queued between them.
     #[inline]
     fn next_joins<G: Periodic<E>>(
         &self,
-        front: Cycles,
+        front: (Cycles, u64),
         deadline: Cycles,
         period: Cycles,
         end: u64,
         group: &G,
     ) -> bool {
         self.heap.peek().is_some_and(|Reverse(next)| {
-            next.at <= front
+            (next.at, next.seq) < front
                 && next.at >= self.now
                 && next.at <= deadline
                 && self.popped < end
@@ -390,14 +485,14 @@ impl<E> Engine<E> {
         })
     }
 
-    /// Run as many whole rounds of a `k`-member FIFO whose last member is
-    /// due at `back` as fit strictly before the queue's minimum, which
-    /// wins a tie, by `deadline`, inside the budget of `end` dispatches
-    /// and with every next turn on the clock: move the clock to the last
-    /// of their dispatches and count them. Returns how many rounds ran
-    /// and the first sequence number they took; round `r` gives the
-    /// member at FIFO position `i` the sequence number `seq + r·k + i`, so
-    /// the order holds.
+    /// Run as many whole rounds of a `k`-member lane whose last member
+    /// is due at `back` as fit strictly before the heap's minimum, by
+    /// `deadline`, inside the budget of `end` dispatches and with every
+    /// next turn on the clock: move the clock to the last of their
+    /// dispatches and count them. Returns how many rounds ran and the
+    /// first sequence number they took; round `r` gives the member at
+    /// lane position `i` the sequence number `seq + r·k + i`, so the
+    /// order holds.
     #[inline]
     fn whole_rounds(
         &mut self,
@@ -409,8 +504,9 @@ impl<E> Engine<E> {
     ) -> (u64, u64) {
         let seq = self.seq;
         let next = self
-            .next_at()
-            .map(|next| next.saturating_sub(Cycles::new(1)));
+            .heap
+            .peek()
+            .map(|Reverse(next)| next.at.saturating_sub(Cycles::new(1)));
         let limit = next.map_or(deadline, |next| next.min(deadline));
         if back > limit {
             return (0, seq);
@@ -438,14 +534,6 @@ impl<E> Engine<E> {
         (rounds, seq)
     }
 
-    /// End a member's run: `group` settles it, and it goes back into the
-    /// queue at its next turn.
-    #[inline]
-    fn requeue<G: Periodic<E>>(&mut self, mut m: Member<E>, group: &mut G) {
-        group.settle(&mut m.ev.payload, m.fires, m.ev.at);
-        self.heap.push(Reverse(m.ev));
-    }
-
     /// Pop the next event with a pluggable [`Scheduler`] deciding among
     /// commutative-ambiguous candidates (see [`crate::sched`]).
     ///
@@ -463,12 +551,16 @@ impl<E> Engine<E> {
     ///
     /// The candidate and passed-over sets live in scratch buffers owned
     /// by the engine, so a dispatch allocates nothing, branch points
-    /// included: the scheduler sees only the candidate count.
+    /// included: the scheduler sees only the candidate count. It empties
+    /// the lane into the heap first and then reads the heap alone.
     pub fn pop_with<S, F>(&mut self, sched: &mut S, eligible: F) -> Option<E>
     where
         S: Scheduler,
         F: Fn(&E) -> bool,
     {
+        if !self.lane.is_empty() {
+            self.flush_lane();
+        }
         let Reverse(mut first) = self.heap.pop()?;
         let t_min = self.checked_fire_time(first.at, first.seq);
         first.at = t_min;
@@ -479,7 +571,7 @@ impl<E> Engine<E> {
         let mut cands = std::mem::take(&mut self.cand_buf);
         let mut skipped = std::mem::take(&mut self.skip_buf);
         cands.push(first);
-        while let Some(ev) = self.pop_min_within(horizon) {
+        while let Some(ev) = self.heap_pop_within(horizon) {
             if ev.at == t_min || eligible(&ev.payload) {
                 cands.push(ev);
             } else {
@@ -507,14 +599,14 @@ impl<E> Engine<E> {
         Some(chosen.payload)
     }
 
-    /// All pending events in canonical `(fire time, seq)` order — the
-    /// deterministic view a state digest needs (the heap's internal
-    /// order is not meaningful).
+    /// All pending events, the heap's and the lane's, in canonical
+    /// `(fire time, seq)` order — the deterministic view a state digest
+    /// needs (the heap's internal order is not meaningful).
     pub fn pending(&self) -> Vec<(Cycles, u64, &E)> {
-        let mut v: Vec<(Cycles, u64, &E)> = self
-            .heap
-            .iter()
-            .map(|Reverse(s)| (s.at, s.seq, &s.payload))
+        let heap = self.heap.iter().map(|Reverse(s)| s);
+        let mut v: Vec<(Cycles, u64, &E)> = heap
+            .chain(self.lane.iter().map(|m| &m.ev))
+            .map(|s| (s.at, s.seq, &s.payload))
             .collect();
         v.sort_unstable_by_key(|(at, seq, _)| (*at, *seq));
         v
@@ -535,6 +627,7 @@ mod tests {
         e.seq = 0;
         e.popped = 0;
         e.heap.clear();
+        e.lane.clear();
         e.regressions = 0;
         e.regression_log.clear();
     }
@@ -967,7 +1060,8 @@ mod tests {
         }
     }
 
-    /// How often each way out of a `run_periodic` call was taken.
+    /// How often each way into and out of a `run_periodic` call was
+    /// taken.
     #[derive(Default, Debug)]
     struct Coverage {
         largest_group: u64,
@@ -977,6 +1071,37 @@ mod tests {
         budget_cuts: u64,
         deadline_cuts: u64,
         event_cuts: u64,
+        /// Runs that resumed lane members kept across a non-member
+        /// dispatch.
+        lane_resumes: u64,
+        /// Runs whose re-check sent a superseded lane member to the heap.
+        lane_drops: u64,
+        /// Lanes emptied into the heap by a run of another period, and
+        /// by `pop_with`.
+        period_flushes: u64,
+        pop_with_flushes: u64,
+        /// Whether a non-member was dispatched since the last run.
+        stepped: bool,
+    }
+
+    impl Coverage {
+        /// Classify the lane that a run of `period` starts from.
+        fn run_starts(&mut self, e: &Engine<u64>, w: &World, period: u64) {
+            let stepped = std::mem::take(&mut self.stepped);
+            if e.lane.is_empty() {
+                return;
+            }
+            if e.lane_period != Cycles::new(period) {
+                self.period_flushes += 1;
+                return;
+            }
+            let lane = e.lane.iter();
+            let kept = lane
+                .filter(|m| w.live(m.ev.payload) == Some(period))
+                .count();
+            self.lane_drops += u64::from(kept < e.lane.len());
+            self.lane_resumes += u64::from(kept > 0 && stepped);
+        }
     }
 
     /// Dispatch what is due by `deadline`, up to `end` dispatches, the
@@ -997,6 +1122,7 @@ mod tests {
             let period = w.live(ev).filter(|_| !e.has_time_errors());
             e.take_time_errors();
             if let Some(period) = period {
+                cov.run_starts(e, w, period);
                 let mut group = Spinners {
                     world: w,
                     period,
@@ -1020,6 +1146,29 @@ mod tests {
                     Err(first) => ev = first,
                 }
             }
+            cov.stepped = true;
+            for (delay, v) in w.step(ev) {
+                e.schedule_in(Cycles::new(delay), v);
+            }
+        }
+    }
+
+    /// The same one dispatch at a time through `pop_with` under
+    /// [`FifoScheduler`], the way `Machine::step_with` does.
+    fn run_fifo(
+        e: &mut Engine<u64>,
+        w: &mut World,
+        deadline: Cycles,
+        end: u64,
+        cov: &mut Coverage,
+    ) {
+        while e.events_processed() < end && e.next_at().is_some_and(|at| at <= deadline) {
+            cov.pop_with_flushes += u64::from(!e.lane.is_empty());
+            let Some(ev) = e.pop_with(&mut FifoScheduler, |_| false) else {
+                return;
+            };
+            e.take_time_errors();
+            cov.stepped = true;
             for (delay, v) in w.step(ev) {
                 e.schedule_in(Cycles::new(delay), v);
             }
@@ -1071,8 +1220,9 @@ mod tests {
         // another period and a stream of interrupts that supersede turns
         // (leaving stale ones behind) and push them up to six periods
         // ahead. A seeded ladder of deadlines and budgets cuts runs
-        // mid-round; after each rung the closed-form engine must match
-        // the stepped reference, and both must drain in the same order.
+        // mid-round, and some rungs step through `pop_with` instead;
+        // after each rung the closed-form engine must match the stepped
+        // reference, and both must drain in the same order.
         let mut cov = Coverage::default();
         let mut rungs = 0;
         for seed in 0..48u64 {
@@ -1113,7 +1263,11 @@ mod tests {
                     _ => rng.gen_range(4 * p),
                 };
                 let d = Cycles::new(deadline);
-                run_closed(&mut e, &mut wc, d, end, &mut cov);
+                if rng.gen_range(8) == 0 {
+                    run_fifo(&mut e, &mut wc, d, end, &mut cov);
+                } else {
+                    run_closed(&mut e, &mut wc, d, end, &mut cov);
+                }
                 run_stepped(&mut r, &mut ws, d, end);
                 assert_same(
                     &e,
@@ -1132,6 +1286,53 @@ mod tests {
             cov.lone > 50 && cov.budget_cuts > 50 && cov.deadline_cuts > 50 && cov.event_cuts > 50,
             "{cov:?}"
         );
+        assert!(
+            cov.lane_resumes > 50
+                && cov.lane_drops > 50
+                && cov.period_flushes > 50
+                && cov.pop_with_flushes > 50,
+            "{cov:?}"
+        );
+    }
+
+    #[test]
+    fn a_lane_member_fires_before_a_tie_queued_between_runs() {
+        // Two spinners of period 10 run to cycle 100 and stay in the
+        // lane, spinner 1 next due at 105. Between runs, a turn of
+        // spinner 2 is queued at 103 and one of spinner 3 at 105, the
+        // cycle of spinner 1's older turn. The run that spinner 2 starts
+        // takes one more dispatch, and it must be spinner 1's.
+        let p = 10;
+        let (mut e, mut r) = filled(&[(0, turn(0, 0)), (5, turn(1, 0))]);
+        let (mut wc, mut ws) = (World::new(3, vec![p; 4], 0), World::new(3, vec![p; 4], 0));
+        let mut cov = Coverage::default();
+        let d = Cycles::new(100);
+        run_closed(&mut e, &mut wc, d, u64::MAX, &mut cov);
+        run_stepped(&mut r, &mut ws, d, u64::MAX);
+        assert_same(&e, &r, &wc, &ws, "first run");
+        let lane = e
+            .lane
+            .iter()
+            .map(|m| (m.ev.at.as_u64(), m.ev.payload >> 32));
+        assert_eq!(lane.collect::<Vec<_>>(), [(105, 1), (110, 0)]);
+        for (at, id) in [(103, 2), (105, 3)] {
+            e.schedule_at(Cycles::new(at), turn(id, 0));
+            r.schedule_at_unchecked(Cycles::new(at), turn(id, 0));
+        }
+        let (fired, forever) = (wc.tokens[1], Cycles::new(u64::MAX));
+        let end = e.events_processed() + 2;
+        run_closed(&mut e, &mut wc, forever, end, &mut cov);
+        run_stepped(&mut r, &mut ws, forever, end);
+        assert_eq!(
+            (wc.tokens[1] - fired, wc.tokens[3]),
+            (1, 0),
+            "spinner 1 first"
+        );
+        assert_same(&e, &r, &wc, &ws, "the tie");
+        run_closed(&mut e, &mut wc, Cycles::new(300), u64::MAX, &mut cov);
+        run_stepped(&mut r, &mut ws, Cycles::new(300), u64::MAX);
+        assert_same(&e, &r, &wc, &ws, "after the tie");
+        drain(&mut e, &mut r);
     }
 
     #[test]
