@@ -17,12 +17,14 @@ pub struct Loc {
 }
 
 /// Count effective lines and public declarations, stopping at the test
-/// module (tests are not part of the "patch").
+/// module (tests are not part of the "patch"): at a `#[cfg(test)]` line
+/// that opens a `mod`. Any other `#[cfg(test)]` item is counted, and the
+/// lines after it too.
 pub fn effective_loc(source: &str) -> Loc {
     let mut loc = Loc::default();
-    for line in source.lines() {
-        let t = line.trim();
-        if t == "#[cfg(test)]" {
+    let mut lines = source.lines().map(str::trim).peekable();
+    while let Some(t) = lines.next() {
+        if t == "#[cfg(test)]" && lines.peek().is_some_and(|next| next.starts_with("mod ")) {
             break;
         }
         if t.is_empty() || t.starts_with("//") {
@@ -117,6 +119,19 @@ mod tests {
             effective_loc(src),
             Loc {
                 lines: 3,
+                public: 1
+            }
+        );
+    }
+
+    #[test]
+    fn effective_loc_counts_on_past_a_test_only_item() {
+        let src =
+            "fn f() {}\n#[cfg(test)]\nfn helper() {}\npub fn g() {}\n#[cfg(test)]\nmod tests {}\n";
+        assert_eq!(
+            effective_loc(src),
+            Loc {
+                lines: 4,
                 public: 1
             }
         );

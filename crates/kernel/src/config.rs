@@ -88,8 +88,10 @@ pub struct KernelConfig {
     /// whose link state is folded into the machine digest.
     pub interconnect: TopologySpec,
     /// Per-core TLB organisation. [`TlbGeometry::legacy`] (default) is the
-    /// historical unified FIFO pool; [`TlbGeometry::skylake_sp`] is the
+    /// historical fully-shared FIFO pool, a geometry of one 1,536-way
+    /// set and no L1 level; [`TlbGeometry::skylake_sp`] is the
     /// set-associative, page-size-aware hierarchy from CPUID leaf 0x18.
+    /// Every set of either replaces its entries FIFO.
     pub tlb_geometry: TlbGeometry,
     /// Capacity of the per-mm L7 reuse-skip window. Defaults to
     /// [`crate::mm::REUSE_WINDOW_CAP`]; scenarios shrink it so small

@@ -477,11 +477,10 @@ impl Machine {
         }
     }
 
-    /// Run until the event queue drains.
+    /// Run until the event queue drains. Busy-looping cores run in
+    /// closed form, as under [`Machine::run_until`].
     pub fn run(&mut self) {
-        while let Some(ev) = self.engine.pop() {
-            self.handle(ev);
-        }
+        self.run_to(Cycles::new(u64::MAX), u64::MAX);
     }
 
     /// Run until simulated time reaches `deadline` (or the queue drains).
@@ -502,8 +501,9 @@ impl Machine {
         self.run_to(Cycles::new(u64::MAX), n);
     }
 
-    /// The loop behind `run_until` and `run_events`: dispatch what is due
-    /// by `deadline` until `end` events have been dispatched since boot.
+    /// The loop behind `run`, `run_until` and `run_events`: dispatch what
+    /// is due by `deadline` until `end` events have been dispatched since
+    /// boot.
     fn run_to(&mut self, deadline: Cycles, end: u64) {
         while self.engine.events_processed() < end {
             let Some(mut ev) = self.engine.pop_until(deadline) else {

@@ -8,8 +8,8 @@
 //! order. They live in two places: a `BinaryHeap`, and beside it the
 //! lane, a `VecDeque` already in that order that holds the members of
 //! the last periodic run ([`Engine::run_periodic`]) between runs. Every
-//! reader of the pending set merges the two; `pop` and `pop_with` read
-//! the heap alone while the lane is empty.
+//! reader of the pending set merges the two; `pop_until` and `pop_with`
+//! read the heap alone while the lane is empty.
 //!
 //! Time is checked on every dispatch, in release builds too: an event
 //! whose fire time is behind the clock is clamped to "now" and recorded
@@ -95,11 +95,13 @@ impl<E> Member<E> {
 /// the run ends.
 pub trait Periodic<E> {
     /// Whether `ev`, a pending event, is a member: dispatching it would
-    /// do nothing but schedule it again one period later. It is asked
-    /// about the next event due and, when a run starts, about every
-    /// member kept from the last run, which may be due later; nothing
-    /// but members is dispatched in between, so the answer must not
-    /// depend on when `ev` is due.
+    /// do nothing but schedule it again one period later, the period of
+    /// this run. It is asked about the next event due and, when a run
+    /// starts, about every member kept from the last run, which may be
+    /// due later and may spin with another period; nothing but members
+    /// is dispatched in between, so the answer must not depend on when
+    /// `ev` is due, and it must be false for an event that spins with
+    /// another period.
     fn joins(&self, ev: &E) -> bool;
 
     /// A member fired `fires` times since it was last settled and is
@@ -139,8 +141,6 @@ pub struct Engine<E> {
     /// The pending members of the last [`Engine::run_periodic`] run, in
     /// `(at, seq)` order; settled whenever no run is under way.
     lane: VecDeque<Member<E>>,
-    /// The period the lane's members spin with.
-    lane_period: Cycles,
     /// Reusable candidate buffer for [`Engine::pop_with`].
     cand_buf: Vec<Scheduled<E>>,
     /// Reusable passed-over buffer for [`Engine::pop_with`].
@@ -168,7 +168,6 @@ impl<E> Engine<E> {
             popped: 0,
             heap: BinaryHeap::new(),
             lane: VecDeque::new(),
-            lane_period: Cycles::ZERO,
             cand_buf: Vec::new(),
             skip_buf: Vec::new(),
             regressions: 0,
@@ -290,12 +289,7 @@ impl<E> Engine<E> {
 
     /// Pop the next event, advancing the clock to its fire time.
     pub fn pop(&mut self) -> Option<E> {
-        let ev = if self.lane.is_empty() {
-            self.heap.pop()?.0
-        } else {
-            self.pop_min_within(Cycles::new(u64::MAX))?
-        };
-        Some(self.dispatch(ev))
+        self.pop_until(Cycles::new(u64::MAX))
     }
 
     /// Pop the next event if it fires at or before `deadline`, advancing
@@ -333,18 +327,18 @@ impl<E> Engine<E> {
     /// sequence number and every pending `(at, seq)` end exactly where
     /// single pops and `schedule_in(period, ..)` calls would leave them.
     ///
-    /// Members cycle through the lane. A run first empties the lane into
-    /// the heap if its members spin with another period, and otherwise
-    /// sends the heap any member that no longer joins (an interrupt
-    /// superseded it); the rest stay, and `first`'s next turn goes to the
-    /// back. With one shared period, reschedules are already in
-    /// `(at, seq)` order, so the next dispatch is the heap's minimum or
-    /// the lane's front, and once the lane's front comes first, whole
-    /// rounds of it go at once. At the end every member that fired is
-    /// settled and stays in the lane: a member passes through the heap
-    /// only when it joins from there or a re-check drops it. Returns
-    /// `first` untouched when `period` is zero or `first`'s own next
-    /// turn would overflow the clock, so the caller steps it.
+    /// Members cycle through the lane. A run first sends the heap every
+    /// lane member that no longer joins (an interrupt superseded it, or
+    /// it spins with another period than this run's); the rest stay,
+    /// and `first`'s next turn goes to the back. With one shared period,
+    /// reschedules are already in `(at, seq)` order, so the next
+    /// dispatch is the heap's minimum or the lane's front, and once the
+    /// lane's front comes first, whole rounds of it go at once. At the
+    /// end every member that fired is settled and stays in the lane: a
+    /// member passes through the heap only when it joins from there or a
+    /// re-check drops it. Returns `first` untouched when `period` is zero
+    /// or `first`'s own next turn would overflow the clock, so the caller
+    /// steps it.
     pub fn run_periodic<G: Periodic<E>>(
         &mut self,
         first: E,
@@ -357,10 +351,6 @@ impl<E> Engine<E> {
         let Some(at) = at.filter(|_| period > Cycles::ZERO) else {
             return Err(first);
         };
-        if period != self.lane_period {
-            self.flush_lane();
-            self.lane_period = period;
-        }
         self.recheck(group);
         let mut lone = Member::new(Cycles::new(at), self.seq, first);
         self.seq += 1;
@@ -1076,8 +1066,8 @@ mod tests {
         lane_resumes: u64,
         /// Runs whose re-check sent a superseded lane member to the heap.
         lane_drops: u64,
-        /// Lanes emptied into the heap by a run of another period, and
-        /// by `pop_with`.
+        /// Lanes whose members a run of another period sent to the heap,
+        /// and lanes emptied into the heap by `pop_with`.
         period_flushes: u64,
         pop_with_flushes: u64,
         /// Whether a non-member was dispatched since the last run.
@@ -1091,14 +1081,12 @@ mod tests {
             if e.lane.is_empty() {
                 return;
             }
-            if e.lane_period != Cycles::new(period) {
+            let periods = e.lane.iter().filter_map(|m| w.live(m.ev.payload));
+            if periods.clone().any(|p| p != period) {
                 self.period_flushes += 1;
                 return;
             }
-            let lane = e.lane.iter();
-            let kept = lane
-                .filter(|m| w.live(m.ev.payload) == Some(period))
-                .count();
+            let kept = periods.count();
             self.lane_drops += u64::from(kept < e.lane.len());
             self.lane_resumes += u64::from(kept > 0 && stepped);
         }

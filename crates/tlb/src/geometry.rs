@@ -1,18 +1,21 @@
 //! TLB geometry: set/way organisation per page size.
 //!
-//! The historical model is one unified, fully-shared FIFO pool sized like
-//! a Skylake STLB (1536 entries). That hides the phenomenon the paper's
+//! A geometry is a set-indexed STLB, an optional dedicated STLB for 1G
+//! pages and an optional first level of per-page-size L1 arrays. Every
+//! set, at every level, replaces its entries FIFO; the geometries differ
+//! only in *where* capacity pressure lands.
+//!
+//! [`TlbGeometry::legacy`] is the historical model and the byte-identical
+//! default: one set of 1536 ways (a fully-shared pool sized like a
+//! Skylake STLB) and no L1 level. That hides the phenomenon the paper's
 //! huge-page experiments (§7, Table 4) turn on: a 2M mapping covers 512
 //! pages with *one* entry in a small dedicated array, so fracturing it
 //! back to 4K multiplies pressure on the (also small, set-indexed) 4K
 //! structures — conflict misses appear that a fully-associative pool can
-//! never show.
-//!
-//! [`TlbGeometry::legacy`] keeps the historical pool exactly — the
-//! byte-identical default. [`TlbGeometry::skylake_sp`] is a faithful
-//! two-level, set-associative hierarchy with per-page-size geometries
-//! taken from the values Skylake-SP reports in CPUID leaf 0x18
-//! (deterministic address-translation parameters):
+//! never show. [`TlbGeometry::skylake_sp`] is a faithful two-level,
+//! set-associative hierarchy with per-page-size geometries taken from the
+//! values Skylake-SP reports in CPUID leaf 0x18 (deterministic
+//! address-translation parameters):
 //!
 //! | structure      | entries | ways | sets |
 //! |----------------|---------|------|------|
@@ -24,41 +27,36 @@
 //!
 //! The model is inclusive: the L1 arrays cache a subset of the STLB, so
 //! presence ("is this translation cached?") is decided by the STLB level
-//! and the L1 level only modulates hit cost ([`SetAssocGeometry::
-//! stlb_hit_extra`], the measured ~9-cycle Skylake STLB-hit penalty,
-//! rounded to the model's granularity). Replacement is FIFO within each
-//! set, matching the legacy pool's policy so the two models differ only
-//! in *where* capacity pressure lands.
+//! and the L1 level only modulates hit cost (`L1Arrays::stlb_hit_extra`,
+//! the measured ~9-cycle Skylake STLB-hit penalty, rounded to the model's
+//! granularity).
+
+/// Default STLB capacity of the legacy pool, sized like a Skylake STLB.
+const DEFAULT_CAPACITY: usize = 1536;
 
 /// One set-associative structure: `sets × ways` entries.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct SetWays {
+pub(crate) struct SetWays {
     /// Number of sets (1 = fully associative).
-    pub(crate) sets: u32,
+    pub(crate) sets: usize,
     /// Ways per set.
-    pub(crate) ways: u32,
+    pub(crate) ways: usize,
 }
 
 impl SetWays {
-    /// Total entries.
-    pub(crate) fn capacity(self) -> u32 {
-        self.sets * self.ways
+    /// The set a virtual page number indexes. Sets are indexed by the
+    /// page number at the page's native shift, like hardware — entries
+    /// from different PCIDs compete for the same set.
+    pub(crate) fn set(self, vpn: u64) -> usize {
+        (vpn % self.sets as u64) as usize
     }
 }
 
-/// Geometry of the two-level set-associative hierarchy.
+/// The first-level arrays, one per page size, inclusive of the STLB.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct SetAssocGeometry {
-    /// First-level DTLB for 4K pages.
-    pub(crate) l1_4k: SetWays,
-    /// First-level DTLB for 2M pages.
-    pub(crate) l1_2m: SetWays,
-    /// First-level DTLB for 1G pages.
-    pub(crate) l1_1g: SetWays,
-    /// Unified second-level TLB shared by 4K and 2M pages.
-    pub(crate) stlb_4k_2m: SetWays,
-    /// Dedicated second-level TLB for 1G pages.
-    pub(crate) stlb_1g: SetWays,
+pub(crate) struct L1Arrays {
+    /// The arrays for 4K, 2M and 1G pages, in that order.
+    pub(crate) arrays: [SetWays; 3],
     /// Extra access cycles when a translation hits the STLB but not the
     /// L1 array (the Skylake STLB-hit penalty).
     pub(crate) stlb_hit_extra: u64,
@@ -66,39 +64,46 @@ pub struct SetAssocGeometry {
 
 /// How a [`crate::Tlb`] organises its entries.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub enum TlbGeometry {
-    /// One unified, fully-shared FIFO pool — the historical model and the
-    /// pinned byte-identical default.
-    Legacy {
-        /// Pool capacity in entries.
-        capacity: usize,
-    },
-    /// Two-level set-associative hierarchy with per-page-size geometries.
-    SetAssoc(SetAssocGeometry),
+pub struct TlbGeometry {
+    /// The set-indexed STLB, for every page size `stlb_1g` does not take.
+    pub(crate) stlb: SetWays,
+    /// A dedicated STLB for 1G pages; without one they share `stlb`.
+    pub(crate) stlb_1g: Option<SetWays>,
+    /// The first level, if any.
+    pub(crate) l1: Option<L1Arrays>,
 }
 
 impl TlbGeometry {
-    /// The historical unified pool at the default (Skylake-STLB-sized)
-    /// capacity.
+    /// The historical fully-shared FIFO pool at the default
+    /// (Skylake-STLB-sized) capacity: one set, no L1 level.
     pub fn legacy() -> Self {
-        TlbGeometry::Legacy {
-            capacity: crate::model::DEFAULT_CAPACITY,
+        TlbGeometry {
+            stlb: SetWays {
+                sets: 1,
+                ways: DEFAULT_CAPACITY,
+            },
+            stlb_1g: None,
+            l1: None,
         }
     }
 
     /// Skylake-SP geometry from CPUID leaf 0x18 (see module docs).
     pub fn skylake_sp() -> Self {
-        TlbGeometry::SetAssoc(SetAssocGeometry {
-            l1_4k: SetWays { sets: 16, ways: 4 },
-            l1_2m: SetWays { sets: 8, ways: 4 },
-            l1_1g: SetWays { sets: 1, ways: 4 },
-            stlb_4k_2m: SetWays {
+        TlbGeometry {
+            stlb: SetWays {
                 sets: 128,
                 ways: 12,
             },
-            stlb_1g: SetWays { sets: 4, ways: 4 },
-            stlb_hit_extra: 9,
-        })
+            stlb_1g: Some(SetWays { sets: 4, ways: 4 }),
+            l1: Some(L1Arrays {
+                arrays: [
+                    SetWays { sets: 16, ways: 4 },
+                    SetWays { sets: 8, ways: 4 },
+                    SetWays { sets: 1, ways: 4 },
+                ],
+                stlb_hit_extra: 9,
+            }),
+        }
     }
 }
 
@@ -114,21 +119,24 @@ mod tests {
 
     #[test]
     fn skylake_tables_match_cpuid() {
-        let TlbGeometry::SetAssoc(g) = TlbGeometry::skylake_sp() else {
-            panic!("skylake is set-associative");
-        };
-        assert_eq!(g.l1_4k.capacity(), 64);
-        assert_eq!(g.l1_2m.capacity(), 32);
-        assert_eq!(g.l1_1g.capacity(), 4);
-        assert_eq!(g.stlb_4k_2m.capacity(), 1536);
-        assert_eq!(g.stlb_1g.capacity(), 16);
+        let g = TlbGeometry::skylake_sp();
+        let entries = |s: SetWays| s.sets * s.ways;
+        let l1 = g.l1.expect("skylake has an L1 level").arrays.map(entries);
+        assert_eq!(l1, [64, 32, 4]);
+        assert_eq!(entries(g.stlb), 1536);
+        assert_eq!(g.stlb_1g.map(entries), Some(16));
     }
 
     #[test]
     fn legacy_matches_historical_capacity() {
-        let TlbGeometry::Legacy { capacity } = TlbGeometry::legacy() else {
-            panic!("legacy is a pool");
-        };
-        assert_eq!(capacity, 1536);
+        let g = TlbGeometry::legacy();
+        assert_eq!(
+            g.stlb,
+            SetWays {
+                sets: 1,
+                ways: 1536
+            }
+        );
+        assert_eq!((g.stlb_1g, g.l1), (None, None));
     }
 }

@@ -29,5 +29,5 @@
 pub mod geometry;
 pub mod model;
 
-pub use geometry::{SetAssocGeometry, SetWays, TlbGeometry};
+pub use geometry::TlbGeometry;
 pub use model::{Access, ItlbModel, Tlb, TlbEntry, TlbFault, TlbStats};

@@ -1,17 +1,17 @@
 //! The TLB data structure and its flush-instruction semantics.
 
+use std::collections::hash_map::Entry;
 use std::collections::VecDeque;
+use std::hash::Hash;
 
 use tlbdown_mem::{AddrSpace, Pte};
-use tlbdown_types::{CostModel, Cycles, FastMap, FastSet, PageSize, Pcid, VirtAddr};
+use tlbdown_types::{CostModel, Cycles, FastMap, PageSize, Pcid, VirtAddr};
 
-use crate::geometry::{SetAssocGeometry, TlbGeometry};
+use crate::geometry::{L1Arrays, SetWays, TlbGeometry};
 
 /// Tag used in entry keys for global entries (matched under any PCID).
 const GLOBAL_TAG: u16 = u16::MAX;
 
-/// Default unified TLB capacity, sized like a Skylake STLB.
-pub(crate) const DEFAULT_CAPACITY: usize = 1536;
 /// Paging-structure cache capacity.
 const PWC_CAPACITY: usize = 32;
 
@@ -32,7 +32,8 @@ pub struct TlbEntry {
     /// Whether the entry was created by a fractured nested walk
     /// (2MB guest page over 4KB host pages — §7 / Table 4).
     pub fractured: bool,
-    /// Monotone fill sequence number (FIFO replacement & staleness checks).
+    /// Monotone fill sequence number: the fill order, by which the state
+    /// digest sorts cached entries.
     pub fill_seq: u64,
 }
 
@@ -50,39 +51,120 @@ fn key_for(pcid_tag: u16, va: VirtAddr, size: PageSize) -> Key {
     (pcid_tag, va.align_down(size).as_u64(), size_idx(size))
 }
 
-fn size_shift(idx: u8) -> u32 {
-    match idx {
-        0 => 12,
-        1 => 21,
-        _ => 30,
+/// The key an entry is cached under.
+fn key_of(e: &TlbEntry) -> Key {
+    let tag = if e.global { GLOBAL_TAG } else { e.pcid.0 };
+    key_for(tag, e.page_base, e.size)
+}
+
+/// The virtual page number of a key, at its page size's native shift.
+fn vpn(key: &Key) -> u64 {
+    let (_, base, idx) = *key;
+    base >> [12, 21, 30][usize::from(idx)]
+}
+
+/// The STLB set that caches `key`; the dedicated 1G STLB's sets, if
+/// there is one, are numbered after the shared STLB's.
+fn stlb_set(g: &TlbGeometry, key: &Key) -> usize {
+    match g.stlb_1g {
+        Some(sw) if key.2 == 2 => g.stlb.sets + sw.set(vpn(key)),
+        _ => g.stlb.set(vpn(key)),
     }
 }
 
-/// STLB slot for a key: structure id (0 = unified 4K/2M, 1 = 1G) plus the
-/// set index, and that structure's associativity. Sets are indexed by the
-/// virtual page number at the page's native shift, like hardware — entries
-/// from different PCIDs compete for the same set.
-fn stlb_slot(g: &SetAssocGeometry, key: &Key) -> ((u8, u32), u32) {
-    let (_, base, idx) = *key;
-    let vpn = base >> size_shift(idx);
-    let (structure, sw) = if idx == 2 {
-        (1u8, g.stlb_1g)
-    } else {
-        (0u8, g.stlb_4k_2m)
-    };
-    ((structure, (vpn % u64::from(sw.sets)) as u32), sw.ways)
+/// The L1 set that caches `key`, numbering the sets of the 4K, 2M and
+/// 1G arrays in that order.
+fn l1_set(l1: &L1Arrays, key: &Key) -> usize {
+    let idx = usize::from(key.2);
+    let before: usize = l1.arrays[..idx].iter().map(|a| a.sets).sum();
+    before + l1.arrays[idx].set(vpn(key))
 }
 
-/// L1 slot for a key: one structure per page size.
-fn l1_slot(g: &SetAssocGeometry, key: &Key) -> ((u8, u32), u32) {
-    let (_, base, idx) = *key;
-    let vpn = base >> size_shift(idx);
-    let sw = match idx {
-        0 => g.l1_4k,
-        1 => g.l1_2m,
-        _ => g.l1_1g,
-    };
-    ((idx, (vpn % u64::from(sw.sets)) as u32), sw.ways)
+/// The paging-structure-cache key of a walk for `(pcid, va)`.
+fn pwc_key(pcid: Pcid, va: VirtAddr) -> (u16, u64) {
+    (pcid.0, va.as_u64() >> 21)
+}
+
+/// A bounded FIFO set of keys: the replacement policy of every TLB
+/// structure (each STLB set, each L1 set and the paging-structure
+/// cache). Each admission is numbered, so the slot a removed key leaves
+/// behind can never evict a live key, not even the same key admitted
+/// again.
+#[derive(Debug)]
+struct Fifo<K> {
+    /// How many keys it holds at most.
+    ways: usize,
+    /// Every live key and the number of its admission.
+    live: FastMap<K, u64>,
+    /// Admissions, oldest first. A slot whose number is not its key's
+    /// live one was left by a removed key.
+    order: VecDeque<(K, u64)>,
+    /// Admissions so far.
+    admitted: u64,
+}
+
+impl<K: Copy + Eq + Hash> Fifo<K> {
+    fn new(ways: usize) -> Self {
+        Fifo {
+            ways,
+            live: FastMap::default(),
+            order: VecDeque::new(),
+            admitted: 0,
+        }
+    }
+
+    fn contains(&self, key: &K) -> bool {
+        self.live.contains_key(key)
+    }
+
+    /// Admit `key` unless it is live, and evict and return the oldest
+    /// live key if the set overflows. Stale slots are dropped when they
+    /// reach the front, and all at once when they make the queue twice
+    /// as long as the set, so they cannot pile up while nothing
+    /// overflows.
+    fn admit(&mut self, key: K) -> Option<K> {
+        let Entry::Vacant(slot) = self.live.entry(key) else {
+            return None;
+        };
+        self.admitted += 1;
+        slot.insert(self.admitted);
+        self.order.push_back((key, self.admitted));
+        if self.order.len() > 2 * self.ways {
+            let live = &self.live;
+            self.order.retain(|(k, n)| live.get(k) == Some(n));
+        }
+        if self.live.len() <= self.ways {
+            return None;
+        }
+        while let Some((k, n)) = self.order.pop_front() {
+            if self.live.get(&k) == Some(&n) {
+                self.live.remove(&k);
+                return Some(k);
+            }
+        }
+        None
+    }
+
+    fn remove(&mut self, key: &K) {
+        self.live.remove(key);
+    }
+
+    fn retain(&mut self, mut keep: impl FnMut(&K) -> bool) {
+        self.live.retain(|k, _| keep(k));
+    }
+
+    fn clear(&mut self) {
+        self.live.clear();
+        self.order.clear();
+    }
+}
+
+/// One empty FIFO per set of `arrays`, in order.
+fn fifos(arrays: impl IntoIterator<Item = SetWays>) -> Vec<Fifo<Key>> {
+    arrays
+        .into_iter()
+        .flat_map(|a| (0..a.sets).map(move |_| Fifo::new(a.ways)))
+        .collect()
 }
 
 /// Why a TLB access could not complete.
@@ -123,7 +205,8 @@ pub struct TlbStats {
     /// flag silently escalate every later selective flush.
     pub fracture_leaks: u64,
     /// Hits that missed the L1 arrays and paid the STLB penalty. Always
-    /// zero under the legacy single-pool geometry.
+    /// zero under a geometry without an L1 level, such as the legacy
+    /// pool.
     pub stlb_hits: u64,
 }
 
@@ -154,8 +237,7 @@ impl ItlbModel {
     }
 
     fn insert(&mut self, e: TlbEntry) {
-        let tag = if e.global { GLOBAL_TAG } else { e.pcid.0 };
-        self.entries.insert(key_for(tag, e.page_base, e.size), e);
+        self.entries.insert(key_of(&e), e);
     }
 
     fn invalidate_addr(&mut self, pcid_tag: Option<u16>, va: VirtAddr, and_globals: bool) {
@@ -204,63 +286,55 @@ impl ItlbModel {
 #[derive(Debug)]
 pub struct Tlb {
     geometry: TlbGeometry,
-    capacity: usize,
+    /// Every cached translation: the single source of truth for
+    /// presence.
     entries: FastMap<Key, TlbEntry>,
-    fifo: VecDeque<Key>,
-    // Set-associative state, unused (and empty) under the legacy geometry.
-    // `entries` stays the single source of truth for presence; these index
-    // it per (structure, set) for replacement, and `l1` marks the subset
-    // cached in the first-level arrays (inclusive hierarchy).
-    set_fifo: FastMap<(u8, u32), VecDeque<Key>>,
-    set_occ: FastMap<(u8, u32), u32>,
-    l1: FastSet<Key>,
-    l1_fifo: FastMap<(u8, u32), VecDeque<Key>>,
-    l1_occ: FastMap<(u8, u32), u32>,
+    /// One FIFO per STLB set over the keys of `entries`, numbered as
+    /// `stlb_set` does. Built at the first fill, so a core that never
+    /// fills allocates nothing.
+    sets: Vec<Fifo<Key>>,
+    /// One FIFO per L1 set, numbered as `l1_set` does, over the subset
+    /// of `entries` the first level caches (an inclusive hierarchy).
+    /// Built with `sets`; empty without an L1 level.
+    l1: Vec<Fifo<Key>>,
     split_blind_invlpg: bool,
     fill_seq: u64,
     fractured_count: usize,
-    pwc: FastSet<(u16, u64)>,
-    pwc_fifo: VecDeque<(u16, u64)>,
+    pwc: Fifo<(u16, u64)>,
     itlb: ItlbModel,
     stats: TlbStats,
 }
 
 impl Default for Tlb {
     fn default() -> Self {
-        Self::new(DEFAULT_CAPACITY)
+        Self::with_geometry(TlbGeometry::legacy())
     }
 }
 
 impl Tlb {
-    /// Create a TLB with the given unified capacity (legacy geometry).
+    /// Create a TLB that is one fully-shared FIFO pool of `capacity`
+    /// entries (the legacy geometry at another capacity).
     pub fn new(capacity: usize) -> Self {
-        Self::with_geometry(TlbGeometry::Legacy { capacity })
+        Self::with_geometry(TlbGeometry {
+            stlb: SetWays {
+                sets: 1,
+                ways: capacity,
+            },
+            ..TlbGeometry::legacy()
+        })
     }
 
     /// Create a TLB with an explicit geometry.
     pub fn with_geometry(geometry: TlbGeometry) -> Self {
-        let capacity = match &geometry {
-            TlbGeometry::Legacy { capacity } => *capacity,
-            // Under set-associative geometry capacity pressure is per set;
-            // the pool bound is the STLB total so the legacy eviction loop
-            // can never fire first.
-            TlbGeometry::SetAssoc(g) => (g.stlb_4k_2m.capacity() + g.stlb_1g.capacity()) as usize,
-        };
         Tlb {
             geometry,
-            capacity,
+            sets: Vec::new(),
+            l1: Vec::new(),
             entries: FastMap::default(),
-            fifo: VecDeque::new(),
-            set_fifo: FastMap::default(),
-            set_occ: FastMap::default(),
-            l1: FastSet::default(),
-            l1_fifo: FastMap::default(),
-            l1_occ: FastMap::default(),
             split_blind_invlpg: false,
             fill_seq: 0,
             fractured_count: 0,
-            pwc: FastSet::default(),
-            pwc_fifo: VecDeque::new(),
+            pwc: Fifo::new(PWC_CAPACITY),
             itlb: ItlbModel::default(),
             stats: TlbStats::default(),
         }
@@ -347,92 +421,59 @@ impl Tlb {
         if e.fractured {
             self.uncount_fractured();
         }
-        if let TlbGeometry::SetAssoc(g) = &self.geometry {
-            let (slot, _) = stlb_slot(g, key);
-            if let Some(occ) = self.set_occ.get_mut(&slot) {
-                *occ = occ.saturating_sub(1);
-            }
-            if self.l1.remove(key) {
-                let (slot, _) = l1_slot(g, key);
-                if let Some(occ) = self.l1_occ.get_mut(&slot) {
-                    *occ = occ.saturating_sub(1);
-                }
-            }
+        self.sets[stlb_set(&self.geometry, key)].remove(key);
+        if let Some(l1) = &self.geometry.l1 {
+            self.l1[l1_set(l1, key)].remove(key);
         }
         Some(e)
     }
 
-    /// Promote a (present) translation into its L1 array, evicting the
-    /// FIFO-oldest L1 resident of that set. L1 eviction only drops the L1
-    /// residency bit — the entry stays in the STLB (inclusive hierarchy).
-    fn l1_promote(&mut self, key: Key) {
-        let TlbGeometry::SetAssoc(g) = &self.geometry else {
-            return;
-        };
-        if !self.l1.insert(key) {
-            return;
-        }
-        let (slot, ways) = l1_slot(g, &key);
-        self.l1_fifo.entry(slot).or_default().push_back(key);
-        *self.l1_occ.entry(slot).or_insert(0) += 1;
-        while self.l1_occ.get(&slot).copied().unwrap_or(0) > ways {
-            let Some(victim) = self.l1_fifo.get_mut(&slot).and_then(|q| q.pop_front()) else {
-                break;
-            };
-            if self.l1.remove(&victim) {
-                *self.l1_occ.get_mut(&slot).expect("occupied slot") -= 1;
-            }
+    /// Remove every entry whose key `doomed` picks.
+    fn remove_where(&mut self, doomed: impl Fn(&Key) -> bool) {
+        let keys: Vec<Key> = self.entries.keys().filter(|k| doomed(k)).copied().collect();
+        for k in &keys {
+            self.remove_key(k);
         }
     }
 
-    /// Insert an entry, evicting FIFO-oldest entries on capacity pressure —
-    /// pool-wide under the legacy geometry, per STLB set under a
-    /// set-associative one.
+    /// Promote a (present) translation into its L1 array, evicting the
+    /// FIFO-oldest L1 resident of that set. L1 eviction only drops the L1
+    /// residency — the entry stays in the STLB (inclusive hierarchy).
+    /// Returns the STLB-hit penalty if the translation was not in L1, and
+    /// `None` without an L1 level.
+    fn l1_promote(&mut self, key: Key) -> Option<u64> {
+        let l1 = self.geometry.l1.as_ref()?;
+        let set = &mut self.l1[l1_set(l1, &key)];
+        if set.contains(&key) {
+            return None;
+        }
+        set.admit(key);
+        Some(l1.stlb_hit_extra)
+    }
+
+    /// Insert an entry, evicting the FIFO-oldest entry of its STLB set on
+    /// capacity pressure.
     pub fn insert(&mut self, mut e: TlbEntry) {
+        if self.sets.is_empty() {
+            let g = &self.geometry;
+            self.sets = fifos(std::iter::once(g.stlb).chain(g.stlb_1g));
+            self.l1 = fifos(g.l1.iter().flat_map(|l1| l1.arrays));
+        }
         self.fill_seq += 1;
         e.fill_seq = self.fill_seq;
-        let tag = if e.global { GLOBAL_TAG } else { e.pcid.0 };
-        let key = key_for(tag, e.page_base, e.size);
+        let key = key_of(&e);
         if e.fractured {
             self.fractured_count += 1;
         }
-        let set_slot = match &self.geometry {
-            TlbGeometry::Legacy { .. } => None,
-            TlbGeometry::SetAssoc(g) => Some(stlb_slot(g, &key)),
-        };
         if let Some(old) = self.entries.insert(key, e) {
             if old.fractured {
                 self.uncount_fractured();
             }
-        } else if let Some((slot, _)) = set_slot {
-            self.set_fifo.entry(slot).or_default().push_back(key);
-            *self.set_occ.entry(slot).or_insert(0) += 1;
-        } else {
-            self.fifo.push_back(key);
+        } else if let Some(victim) = self.sets[stlb_set(&self.geometry, &key)].admit(key) {
+            self.remove_key(&victim);
+            self.stats.evictions += 1;
         }
-        if let Some((slot, ways)) = set_slot {
-            while self.set_occ.get(&slot).copied().unwrap_or(0) > ways {
-                let Some(victim) = self.set_fifo.get_mut(&slot).and_then(|q| q.pop_front()) else {
-                    break;
-                };
-                if self.entries.contains_key(&victim) {
-                    self.remove_key(&victim);
-                    self.stats.evictions += 1;
-                }
-            }
-            self.l1_promote(key);
-        } else {
-            while self.entries.len() > self.capacity {
-                if let Some(victim) = self.fifo.pop_front() {
-                    if self.entries.contains_key(&victim) {
-                        self.remove_key(&victim);
-                        self.stats.evictions += 1;
-                    }
-                } else {
-                    break;
-                }
-            }
-        }
+        self.l1_promote(key);
     }
 
     /// Record a speculative fill: the CPU is architecturally free to cache
@@ -451,50 +492,13 @@ impl Tlb {
         });
     }
 
-    // --- Paging-structure cache ---
-
-    /// Whether the PWC covers the upper levels of a walk for `(pcid, va)`.
-    pub(crate) fn pwc_hit(&self, pcid: Pcid, va: VirtAddr) -> bool {
-        self.pwc.contains(&(pcid.0, va.as_u64() >> 21))
-    }
-
-    fn pwc_insert(&mut self, pcid: Pcid, va: VirtAddr) {
-        let key = (pcid.0, va.as_u64() >> 21);
-        if self.pwc.insert(key) {
-            self.pwc_fifo.push_back(key);
-            while self.pwc.len() > PWC_CAPACITY {
-                if let Some(victim) = self.pwc_fifo.pop_front() {
-                    self.pwc.remove(&victim);
-                } else {
-                    break;
-                }
-            }
-        }
-    }
-
-    fn pwc_flush_all(&mut self) {
-        self.pwc.clear();
-        self.pwc_fifo.clear();
-    }
-
     // --- Flush instructions ---
 
     /// Escalate a selective flush to a full flush because a fractured entry
     /// is (or may be) cached — the Table 4 behaviour.
     fn fracture_escalate(&mut self) {
         self.stats.fracture_escalations += 1;
-        let keys: Vec<Key> = self.entries.keys().copied().collect();
-        for k in &keys {
-            self.remove_key(k);
-        }
-        self.fifo.clear();
-        self.set_fifo.clear();
-        self.set_occ.clear();
-        self.l1.clear();
-        self.l1_fifo.clear();
-        self.l1_occ.clear();
-        self.itlb.flush_all(true);
-        self.pwc_flush_all();
+        self.flush_all(true);
         // Every entry was just removed, so any residue is an accounting
         // bug — and a sticky one: it would pin the fracture flag and
         // escalate every future selective flush to a full flush. Repair
@@ -525,7 +529,7 @@ impl Tlb {
             self.remove_key(&kg);
         }
         self.itlb.invalidate_addr(Some(current.0), va, true);
-        self.pwc_flush_all();
+        self.pwc.clear();
     }
 
     /// Page sizes a selective flush removes. The split-blind bug drops
@@ -555,39 +559,22 @@ impl Tlb {
         }
         self.itlb.invalidate_addr(Some(pcid.0), va, false);
         // Only the PWC entries belonging to this address are dropped.
-        self.pwc.remove(&(pcid.0, va.as_u64() >> 21));
+        self.pwc.remove(&pwc_key(pcid, va));
     }
 
     /// CR3 write: flush all non-global entries of `pcid` (a full flush of
     /// one address space), keeping global entries.
     pub fn flush_pcid(&mut self, pcid: Pcid) {
-        let keys: Vec<Key> = self
-            .entries
-            .keys()
-            .filter(|(tag, _, _)| *tag == pcid.0)
-            .copied()
-            .collect();
-        for k in &keys {
-            self.remove_key(k);
-        }
+        self.remove_where(|(tag, _, _)| *tag == pcid.0);
         self.itlb.flush_pcid(pcid);
-        let pcid_raw = pcid.0;
-        self.pwc.retain(|(tag, _)| *tag != pcid_raw);
+        self.pwc.retain(|(tag, _)| *tag != pcid.0);
     }
 
     /// Flush everything; `include_global` models toggling CR4.PGE.
     pub fn flush_all(&mut self, include_global: bool) {
-        let keys: Vec<Key> = self
-            .entries
-            .keys()
-            .filter(|(tag, _, _)| include_global || *tag != GLOBAL_TAG)
-            .copied()
-            .collect();
-        for k in &keys {
-            self.remove_key(k);
-        }
+        self.remove_where(|(tag, _, _)| include_global || *tag != GLOBAL_TAG);
         self.itlb.flush_all(include_global);
-        self.pwc_flush_all();
+        self.pwc.clear();
     }
 
     // --- Access paths ---
@@ -612,17 +599,12 @@ impl Tlb {
         if let Some(e) = self.lookup(pcid, va).cloned() {
             if e.pte.flags.permits(write, false, user) {
                 self.stats.hits += 1;
-                let tag = if e.global { GLOBAL_TAG } else { e.pcid.0 };
-                let key = key_for(tag, e.page_base, e.size);
                 let mut cost = costs.mem_access;
-                if let TlbGeometry::SetAssoc(g) = &self.geometry {
-                    if !self.l1.contains(&key) {
-                        // Present only at the second level: pay the STLB
-                        // penalty and promote into the L1 array.
-                        cost = Cycles(cost.0 + g.stlb_hit_extra);
-                        self.stats.stlb_hits += 1;
-                        self.l1_promote(key);
-                    }
+                if let Some(extra) = self.l1_promote(key_of(&e)) {
+                    // Present only at the second level: pay the STLB
+                    // penalty (the entry is now promoted into L1).
+                    cost = Cycles(cost.0 + extra);
+                    self.stats.stlb_hits += 1;
                 }
                 return Ok(Access {
                     hit: true,
@@ -631,11 +613,39 @@ impl Tlb {
                 });
             }
             // Permission mismatch: drop the stale entry and re-walk.
-            let tag = if e.global { GLOBAL_TAG } else { e.pcid.0 };
-            let k = key_for(tag, e.page_base, e.size);
-            self.remove_key(&k);
+            self.remove_key(&key_of(&e));
         }
-        self.walk_and_fill(pcid, va, write, user, space, costs, false)
+        let walk = space.walk(va).map_err(|_| TlbFault::NotPresent)?;
+        if !walk.pte.flags.permits(write, false, user) {
+            return Err(TlbFault::Protection);
+        }
+        let walk_cost = if self.pwc.contains(&pwc_key(pcid, va)) {
+            costs.page_walk_pwc_hit
+        } else {
+            costs.page_walk_pwc_miss
+        };
+        space
+            .mark_used(va, write)
+            .map_err(|_| TlbFault::NotPresent)?;
+        // The snapshot must reflect the A/D update the MMU just performed.
+        let (pte, _) = space.entry(va).ok_or(TlbFault::NotPresent)?;
+        let entry = TlbEntry {
+            page_base: walk.page_base,
+            size: walk.size,
+            pcid,
+            global: pte.global(),
+            pte,
+            fractured: false,
+            fill_seq: 0,
+        };
+        self.insert(entry.clone());
+        self.pwc.admit(pwc_key(pcid, va));
+        self.stats.misses += 1;
+        Ok(Access {
+            hit: false,
+            cost: costs.mem_access + walk_cost,
+            entry,
+        })
     }
 
     /// Perform an instruction fetch through the ITLB.
@@ -680,48 +690,6 @@ impl Tlb {
         })
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn walk_and_fill(
-        &mut self,
-        pcid: Pcid,
-        va: VirtAddr,
-        write: bool,
-        user: bool,
-        space: &mut AddrSpace,
-        costs: &CostModel,
-        fractured: bool,
-    ) -> Result<Access, TlbFault> {
-        let walk = space.walk(va).map_err(|_| TlbFault::NotPresent)?;
-        if !walk.pte.flags.permits(write, false, user) {
-            return Err(TlbFault::Protection);
-        }
-        let walk_cost = if self.pwc_hit(pcid, va) {
-            costs.page_walk_pwc_hit
-        } else {
-            costs.page_walk_pwc_miss
-        };
-        space.mark_used(va, write).expect("walked page must exist");
-        // The snapshot must reflect the A/D update the MMU just performed.
-        let (pte, _) = space.entry(va).expect("walked page must exist");
-        let entry = TlbEntry {
-            page_base: walk.page_base,
-            size: walk.size,
-            pcid,
-            global: pte.global(),
-            pte,
-            fractured,
-            fill_seq: 0,
-        };
-        self.insert(entry.clone());
-        self.pwc_insert(pcid, va);
-        self.stats.misses += 1;
-        Ok(Access {
-            hit: false,
-            cost: costs.mem_access + walk_cost,
-            entry,
-        })
-    }
-
     /// Insert a pre-composed (possibly fractured) translation, as the
     /// nested-walk hardware of `tlbdown-virt` produces.
     pub fn insert_nested(
@@ -741,7 +709,7 @@ impl Tlb {
             fractured,
             fill_seq: 0,
         });
-        self.pwc_insert(pcid, page_base);
+        self.pwc.admit(pwc_key(pcid, page_base));
     }
 }
 
@@ -758,10 +726,12 @@ mod tests {
     }
 
     /// Whether a translation is cached in the first-level arrays (always
-    /// false under the legacy geometry, which has no levels).
+    /// false under the legacy geometry, which has no L1 level).
     fn in_l1(tlb: &Tlb, pcid: Pcid, va: VirtAddr, size: PageSize) -> bool {
-        tlb.l1.contains(&key_for(pcid.0, va, size))
-            || tlb.l1.contains(&key_for(GLOBAL_TAG, va, size))
+        let keys = [key_for(pcid.0, va, size), key_for(GLOBAL_TAG, va, size)];
+        tlb.l1
+            .iter()
+            .any(|set| keys.iter().any(|k| set.contains(k)))
     }
 
     fn setup() -> (PhysMem, AddrSpace, Tlb, CostModel) {
@@ -835,11 +805,11 @@ mod tests {
             .unwrap();
         tlb.access(P, VirtAddr::new(0x40_0000), false, true, &mut s, &costs)
             .unwrap();
-        assert!(tlb.pwc.len() >= 2);
+        assert!(tlb.pwc.live.len() >= 2);
         tlb.invlpg(P, VirtAddr::new(0x1000));
         assert!(tlb.lookup(P, VirtAddr::new(0x1000)).is_none());
         assert!(tlb.lookup(P, VirtAddr::new(0x40_0000)).is_some());
-        assert_eq!(tlb.pwc.len(), 0, "INVLPG wipes the whole PWC");
+        assert_eq!(tlb.pwc.live.len(), 0, "INVLPG wipes the whole PWC");
     }
 
     #[test]
@@ -851,11 +821,11 @@ mod tests {
             .unwrap();
         tlb.access(P, VirtAddr::new(0x40_0000), false, true, &mut s, &costs)
             .unwrap();
-        let pwc_before = tlb.pwc.len();
+        let pwc_before = tlb.pwc.live.len();
         tlb.invpcid_single(P, VirtAddr::new(0x1000));
         assert!(tlb.lookup(P, VirtAddr::new(0x1000)).is_none());
         assert_eq!(
-            tlb.pwc.len(),
+            tlb.pwc.live.len(),
             pwc_before - 1,
             "only the target's PWC entry drops"
         );
@@ -1024,7 +994,7 @@ mod tests {
         assert!(tlb.is_empty());
         assert!(!tlb.fracture_flag());
         assert_eq!(tlb.stats().fracture_escalations, 1);
-        assert!(tlb.pwc.is_empty(), "the escalation wipes the PWC too");
+        assert!(tlb.pwc.live.is_empty(), "the escalation wipes the PWC too");
     }
 
     #[test]
@@ -1105,6 +1075,58 @@ mod tests {
         let fast = tlb.access(P, first, false, true, &mut s, &costs).unwrap();
         assert_eq!(fast.cost, costs.mem_access);
         assert_eq!(tlb.stats().stlb_hits, 1);
+    }
+
+    #[test]
+    fn a_refilled_l1_entry_outlives_older_ones() {
+        // Four pages fill L1-4K set 0 (vpn % 16 == 0) in distinct STLB
+        // sets. The oldest is flushed and filled again, so a fifth page
+        // must push the second-oldest out of L1, not the refilled one.
+        let mut tlb = Tlb::with_geometry(TlbGeometry::skylake_sp());
+        let pte = Pte::new(PhysAddr::new(0x5000), PteFlags::user_rw());
+        let va = |k: u64| VirtAddr::new(0x40_0000 + k * 16 * 0x1000);
+        for k in 0..4 {
+            tlb.fill_speculative(P, va(k), PageSize::Size4K, pte);
+        }
+        tlb.invpcid_single(P, va(0));
+        tlb.fill_speculative(P, va(0), PageSize::Size4K, pte);
+        tlb.fill_speculative(P, va(4), PageSize::Size4K, pte);
+        let l1: Vec<bool> = (0..5)
+            .map(|k| in_l1(&tlb, P, va(k), PageSize::Size4K))
+            .collect();
+        assert_eq!(l1, [true, false, true, true, true]);
+        assert_eq!(tlb.len(), 5, "L1 eviction keeps the STLB entry");
+    }
+
+    #[test]
+    fn a_refilled_pwc_entry_outlives_older_ones() {
+        // Fill the 32-entry PWC, drop and refill the oldest region, then
+        // overflow it: the second-oldest region goes, not the refilled one.
+        let mut tlb = Tlb::default();
+        let pte = Pte::new(PhysAddr::new(0x5000), PteFlags::user_rw());
+        let va = |k: u64| VirtAddr::new(k << 21);
+        for k in 0..32 {
+            tlb.insert_nested(P, va(k), PageSize::Size4K, pte, false);
+        }
+        tlb.invpcid_single(P, va(0));
+        tlb.insert_nested(P, va(0), PageSize::Size4K, pte, false);
+        tlb.insert_nested(P, va(32), PageSize::Size4K, pte, false);
+        let cached = |k| tlb.pwc.contains(&pwc_key(P, va(k)));
+        assert_eq!((cached(0), cached(1), cached(32)), (true, false, true));
+        assert_eq!(tlb.pwc.live.len(), PWC_CAPACITY);
+    }
+
+    #[test]
+    fn flushed_keys_leave_no_growing_queue() {
+        // The pool never overflows here, so no eviction pops the stale
+        // slots each flush leaves behind; the queue must not grow anyway.
+        let mut tlb = Tlb::default();
+        let pte = Pte::new(PhysAddr::new(0x5000), PteFlags::user_rw());
+        for _ in 0..10_000 {
+            tlb.fill_speculative(P, VirtAddr::new(0x1000), PageSize::Size4K, pte);
+            tlb.invlpg(P, VirtAddr::new(0x1000));
+        }
+        assert!(tlb.sets[0].order.len() <= 2 * 1536);
     }
 
     #[test]

@@ -286,8 +286,9 @@ const SCALE_TIER_SMT: u32 = 2;
 /// paper's 2×28 evaluation box, every core busy, a handful of madvise
 /// initiators broadcasting shootdowns into a single shared mm, run until
 /// a fixed number of engine dispatches instead of a simulated deadline.
-/// The driver is [`Machine::step`] — the plain FIFO dispatch fast path —
-/// so the run measures (and stresses) the event queue itself.
+/// It runs through [`Machine::run_events`]: the busy loops' resumes run
+/// in closed form (DESIGN §3), and every other dispatch goes through the
+/// event queue, so the run measures (and stresses) the queue itself.
 #[derive(Clone, Debug)]
 pub struct ScaleTierCfg {
     /// Logical cores per socket (2-way SMT).
@@ -386,8 +387,9 @@ pub struct ScaleTierResult {
     /// L1-miss-but-STLB-hit count summed over every core — the
     /// second-level safety net that fractured huge pages lean on.
     pub stlb_hits: u64,
-    /// Set-associativity conflict evictions summed over every core; zero
-    /// under the legacy infinite-capacity geometry.
+    /// Capacity evictions summed over every core: conflicts in one set
+    /// under the Skylake geometry, and under the legacy one only an
+    /// overflow of its single 1,536-entry set.
     pub tlb_evictions: u64,
     /// Ranged invalidations that splintered a cached huge-page entry,
     /// summed over every core.
