@@ -21,25 +21,23 @@ use tlbdown_types::{CoreId, CostModel, Cycles, Distance, Topology};
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct LineId(u64);
 
-/// MESI state of a line, from the perspective of the directory.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-enum LineState {
-    /// No core holds the line.
-    #[default]
-    Invalid,
-    /// Exactly one core holds the line with write permission (M or E).
-    Exclusive(CoreId),
-    /// One or more cores hold read-only copies (S).
-    Shared(Vec<CoreId>),
+/// Where a logical core sits: its physical core and its socket. The
+/// directory ranks holders through a per-core table of these in place of
+/// [`Topology::distance`], which asserts bounds and divides per call.
+#[derive(Clone, Copy, Debug)]
+struct Place {
+    physical: u32,
+    socket: u32,
 }
 
-impl LineState {
-    /// The cores holding the line, in sharing order (the tie-break order).
-    fn holders(&self) -> &[CoreId] {
-        match self {
-            LineState::Invalid => &[],
-            LineState::Exclusive(c) => std::slice::from_ref(c),
-            LineState::Shared(s) => s,
+impl Place {
+    fn distance(self, other: Place) -> Distance {
+        if self.physical == other.physical {
+            Distance::SameCore
+        } else if self.socket == other.socket {
+            Distance::SameSocket
+        } else {
+            Distance::CrossSocket
         }
     }
 }
@@ -73,15 +71,19 @@ impl CacheStats {
 /// The coherence directory for all modelled kernel cachelines.
 #[derive(Debug)]
 pub struct CacheDirectory {
-    topo: Topology,
     costs: CostModel,
     /// Routed interconnect for line transfers. Under [`TopologySpec::Flat`]
     /// it delegates to the distance-constant costs and carries no state, so
     /// flat runs are byte-identical to the pre-routing model.
     interconnect: Interconnect,
-    /// Line states indexed by [`LineId`], which [`CacheDirectory::new_line`]
-    /// hands out densely.
-    lines: Vec<LineState>,
+    /// Each line's holders in sharing order (the tie-break order), indexed
+    /// by [`LineId`], which [`CacheDirectory::new_line`] hands out densely.
+    /// No holder is Invalid, one is Exclusive (M or E), more are Shared
+    /// (S). A write clears and refills the vector, so a line allocates only
+    /// when its sharer set first outgrows it.
+    lines: Vec<Vec<CoreId>>,
+    /// Indexed by core.
+    places: Vec<Place>,
     stats: CacheStats,
 }
 
@@ -93,11 +95,17 @@ impl CacheDirectory {
 
     /// Create an empty directory routing transfers over `spec`.
     pub fn with_interconnect(topo: Topology, costs: CostModel, spec: TopologySpec) -> Self {
+        let places = (0..topo.num_cores())
+            .map(|c| Place {
+                physical: topo.physical_of(CoreId(c)),
+                socket: topo.socket_of(CoreId(c)),
+            })
+            .collect();
         CacheDirectory {
-            interconnect: Interconnect::new(topo.clone(), spec),
-            topo,
+            interconnect: Interconnect::new(topo, spec),
             costs,
             lines: Vec::new(),
+            places,
             stats: CacheStats::default(),
         }
     }
@@ -113,10 +121,16 @@ impl CacheDirectory {
         self.interconnect.jitter_hops(a, b)
     }
 
+    /// Make room for `additional` more lines, so that registering them
+    /// grows the line table once.
+    pub fn reserve_lines(&mut self, additional: usize) {
+        self.lines.reserve_exact(additional);
+    }
+
     /// Register a new cacheline.
     pub fn new_line(&mut self) -> LineId {
         let id = LineId(self.lines.len() as u64);
-        self.lines.push(LineState::Invalid);
+        self.lines.push(Vec::new());
         id
     }
 
@@ -130,52 +144,41 @@ impl CacheDirectory {
         self.stats = CacheStats::default();
     }
 
-    /// The nearest current holder of the line to `core`, if any. Flat
-    /// ranks by distance class (the historical rule); routed topologies
-    /// rank by hop count, so a line is fetched from the closest copy on
-    /// the ring/mesh (ties break on the first holder in sharing order,
-    /// deterministically, in both modes).
+    /// The nearest current holder of the line to `core`, if any; ties
+    /// break on the first holder in sharing order, deterministically.
+    /// Flat ranks by distance class, the only thing that prices a flat
+    /// transfer; routed topologies rank by hop count, so a line is fetched
+    /// from the closest copy on the ring/mesh.
     fn nearest_holder(&self, core: CoreId, holders: &[CoreId]) -> Option<(CoreId, Distance)> {
+        let here = self.places[core.index()];
+        let ranked = holders
+            .iter()
+            .map(|&h| (h, here.distance(self.places[h.index()])));
         if self.interconnect.is_flat() {
-            holders
-                .iter()
-                .map(|&h| (h, self.topo.distance(core, h)))
-                .min_by_key(|(_, d)| match d {
-                    Distance::SameCore => 0u8,
-                    Distance::SameSocket => 1,
-                    Distance::CrossSocket => 2,
-                })
+            ranked.min_by_key(|&(_, d)| d)
         } else {
-            holders
-                .iter()
-                .map(|&h| (h, self.topo.distance(core, h)))
-                .min_by_key(|(h, _)| self.interconnect.hops(core, *h))
+            ranked.min_by_key(|&(h, _)| self.interconnect.hops(core, h))
         }
     }
 
     /// Load the line on `core`; returns the coherence cost.
     pub fn read(&mut self, core: CoreId, line: LineId) -> Cycles {
         let idx = line.0 as usize;
-        let state = self.lines.get(idx).expect("unknown line");
-        if state.holders().contains(&core) {
+        let holders = self.lines.get(idx).expect("unknown line");
+        if holders.contains(&core) {
             return self.costs.cacheline(Distance::SameCore);
         }
-        let Some((holder, d)) = self.nearest_holder(core, state.holders()) else {
-            // Memory fill: charge a same-socket transfer cost.
-            self.lines[idx] = LineState::Exclusive(core);
-            return self.costs.cacheline(Distance::SameSocket);
-        };
         // Fetch from the nearest holder (an SMT sibling's copy in the
         // shared L1/L2 costs the local fee but still adds this requester
-        // as a sharer); everyone downgrades to S. The interconnect routes
-        // the transfer: under flat this is exactly the distance-constant
-        // fee.
-        let state = &mut self.lines[idx];
-        match state {
-            LineState::Exclusive(c) => *state = LineState::Shared(vec![*c, core]),
-            LineState::Shared(sharers) => sharers.push(core),
-            LineState::Invalid => unreachable!("a line with a holder is valid"),
-        }
+        // as a sharer); everyone downgrades to S.
+        let nearest = self.nearest_holder(core, holders);
+        self.lines[idx].push(core);
+        let Some((holder, d)) = nearest else {
+            // Memory fill: charge a same-socket transfer cost.
+            return self.costs.cacheline(Distance::SameSocket);
+        };
+        // The interconnect routes the transfer: under flat this is exactly
+        // the distance-constant fee.
         self.stats.record_transfer(d);
         self.interconnect
             .cacheline_transfer(&self.costs, holder, core)
@@ -183,47 +186,42 @@ impl CacheDirectory {
 
     /// Store to the line on `core` (read-for-ownership); returns the cost.
     pub fn write(&mut self, core: CoreId, line: LineId) -> Cycles {
-        let state = self.lines.get_mut(line.0 as usize).expect("unknown line");
-        let cost = match state {
-            LineState::Exclusive(c) if *c == core => self.costs.cacheline(Distance::SameCore),
-            LineState::Invalid => self.costs.cacheline(Distance::SameSocket),
-            _ => {
-                // Invalidate all other holders; pay the slowest
-                // invalidation acknowledgement. Flat keeps the historical
-                // farthest-distance fee exactly; routed topologies send
-                // one invalidation per holder through the interconnect
-                // (each queues on the links it crosses) and pay the max.
+        let holders = self.lines.get_mut(line.0 as usize).expect("unknown line");
+        let here = self.places[core.index()];
+        let cost = match holders.as_slice() {
+            [] => self.costs.cacheline(Distance::SameSocket),
+            [c] if *c == core => self.costs.cacheline(Distance::SameCore),
+            others if self.interconnect.is_flat() => {
+                // Invalidate all other holders and pay the farthest one's
+                // acknowledgement, found at the first cross-socket holder.
+                // The writer's own copy is at `SameCore`, the least.
                 let mut worst = Distance::SameCore;
-                let mut routed_worst = Cycles::ZERO;
-                let flat = self.interconnect.is_flat();
-                for &h in state.holders() {
-                    if h == core {
-                        continue;
-                    }
-                    let d = self.topo.distance(core, h);
-                    worst = match (worst, d) {
-                        (_, Distance::CrossSocket) | (Distance::CrossSocket, _) => {
-                            Distance::CrossSocket
-                        }
-                        (_, Distance::SameSocket) | (Distance::SameSocket, _) => {
-                            Distance::SameSocket
-                        }
-                        _ => Distance::SameCore,
-                    };
-                    if !flat {
-                        let c = self.interconnect.cacheline_transfer(&self.costs, core, h);
-                        routed_worst = routed_worst.max(c);
+                for &h in others {
+                    worst = worst.max(here.distance(self.places[h.index()]));
+                    if worst == Distance::CrossSocket {
+                        break;
                     }
                 }
                 self.stats.record_transfer(worst);
-                if flat {
-                    self.costs.cacheline(worst)
-                } else {
-                    routed_worst
+                self.costs.cacheline(worst)
+            }
+            others => {
+                // Routed: one invalidation per other holder through the
+                // interconnect, in sharing order (each queues on the links
+                // it crosses); pay the slowest.
+                let mut worst = Distance::SameCore;
+                let mut cost = Cycles::ZERO;
+                for &h in others.iter().filter(|&&h| h != core) {
+                    worst = worst.max(here.distance(self.places[h.index()]));
+                    let c = self.interconnect.cacheline_transfer(&self.costs, core, h);
+                    cost = cost.max(c);
                 }
+                self.stats.record_transfer(worst);
+                cost
             }
         };
-        *state = LineState::Exclusive(core);
+        holders.clear();
+        holders.push(core);
         cost
     }
 
@@ -231,7 +229,7 @@ impl CacheDirectory {
     pub fn holds(&self, core: CoreId, line: LineId) -> bool {
         self.lines
             .get(line.0 as usize)
-            .is_some_and(|s| s.holders().contains(&core))
+            .is_some_and(|h| h.contains(&core))
     }
 }
 

@@ -48,6 +48,28 @@ pub fn run_script(dir: &mut CacheDirectory, core: CoreId, ops: &[LineOp]) -> Cyc
     ops.iter().map(|op| op.execute(dir, core)).sum()
 }
 
+/// An access script held inline: its operations, then how many of the
+/// three slots they fill. No script has more than three operations, so
+/// building one allocates nothing. It derefs to its operations.
+#[derive(Clone, Copy, Debug)]
+pub struct Script([LineOp; 3], usize);
+
+impl Script {
+    fn new(ops: &[LineOp]) -> Self {
+        let mut script = Script([ops[0]; 3], ops.len());
+        script.0[..ops.len()].copy_from_slice(ops);
+        script
+    }
+}
+
+impl std::ops::Deref for Script {
+    type Target = [LineOp];
+
+    fn deref(&self) -> &[LineOp] {
+        &self.0[..self.1]
+    }
+}
+
 /// The SMP layer's cacheline inventory for one machine, in either the
 /// baseline or the consolidated layout.
 #[derive(Debug)]
@@ -59,8 +81,9 @@ pub struct SmpLayer {
     /// Per-CPU call-single-queue head; in the consolidated layout this
     /// line also carries the lazy bit.
     csq_line: Vec<LineId>,
-    /// Per-(initiator, target) CFD entry.
-    cfd_line: Vec<Vec<LineId>>,
+    /// Per-(initiator, target) CFD entry, row-major: one row per
+    /// initiator, one column per target.
+    cfd_line: Vec<LineId>,
     /// Per-CPU on-stack `flush_tlb_info` (baseline layout only).
     stack_info_line: Vec<LineId>,
 }
@@ -69,25 +92,23 @@ impl SmpLayer {
     /// Allocate the cachelines for `num_cores` CPUs in the chosen layout.
     pub fn new(dir: &mut CacheDirectory, num_cores: u32, consolidated: bool) -> Self {
         let n = num_cores as usize;
-        let tlbstate_line = (0..n).map(|_| dir.new_line()).collect();
-        let csq_line = (0..n).map(|_| dir.new_line()).collect();
-        let cfd_line = (0..n)
-            .map(|_| (0..n).map(|_| dir.new_line()).collect())
-            .collect();
-        let stack_info_line = (0..n).map(|_| dir.new_line()).collect();
+        dir.reserve_lines(n * n + 3 * n);
+        let mut lines = |count: usize| (0..count).map(|_| dir.new_line()).collect();
+        // Fields are evaluated in the order written: that is the order of
+        // the line ids.
         SmpLayer {
             consolidated,
-            tlbstate_line,
-            csq_line,
-            cfd_line,
-            stack_info_line,
+            tlbstate_line: lines(n),
+            csq_line: lines(n),
+            cfd_line: lines(n * n),
+            stack_info_line: lines(n),
         }
     }
 
     /// The CFD line for an (initiator, target) pair — the line the ack
     /// travels on.
     pub(crate) fn cfd(&self, initiator: CoreId, target: CoreId) -> LineId {
-        self.cfd_line[initiator.index()][target.index()]
+        self.cfd_line[initiator.index() * self.csq_line.len() + target.index()]
     }
 
     /// The line carrying `target`'s lazy-mode indication.
@@ -102,19 +123,19 @@ impl SmpLayer {
     /// Script: the owner CPU updates its own TLB state (context switch,
     /// local flush bookkeeping). In the baseline layout this is the false
     /// sharing that makes remote lazy checks expensive.
-    pub fn touch_tlbstate(&self, cpu: CoreId) -> Vec<LineOp> {
-        vec![LineOp::Write(self.tlbstate_line[cpu.index()])]
+    pub fn touch_tlbstate(&self, cpu: CoreId) -> Script {
+        Script::new(&[LineOp::Write(self.tlbstate_line[cpu.index()])])
     }
 
     /// Script: the owner CPU flips its lazy-mode bit.
-    pub fn set_lazy(&self, cpu: CoreId) -> Vec<LineOp> {
-        vec![LineOp::Write(self.lazy_line(cpu))]
+    pub fn set_lazy(&self, cpu: CoreId) -> Script {
+        Script::new(&[LineOp::Write(self.lazy_line(cpu))])
     }
 
     /// Script: initiator checks whether `target` is lazy before deciding
     /// to send it an IPI.
-    pub fn check_lazy(&self, target: CoreId) -> Vec<LineOp> {
-        vec![LineOp::Read(self.lazy_line(target))]
+    pub fn check_lazy(&self, target: CoreId) -> Script {
+        Script::new(&[LineOp::Read(self.lazy_line(target))])
     }
 
     /// Script: initiator prepares and publishes the work for `target`.
@@ -122,14 +143,13 @@ impl SmpLayer {
     /// Baseline: write the on-stack flush info, write the CFD (function
     /// pointer + info pointer), push onto the target's CSQ.
     /// Consolidated: the info is inlined, so the CFD write covers it.
-    pub fn enqueue_work(&self, initiator: CoreId, target: CoreId) -> Vec<LineOp> {
-        let mut ops = Vec::with_capacity(3);
-        if !self.consolidated {
-            ops.push(LineOp::Write(self.stack_info_line[initiator.index()]));
-        }
-        ops.push(LineOp::Write(self.cfd(initiator, target)));
-        ops.push(LineOp::Write(self.csq_line[target.index()]));
-        ops
+    pub fn enqueue_work(&self, initiator: CoreId, target: CoreId) -> Script {
+        let ops = [
+            LineOp::Write(self.stack_info_line[initiator.index()]),
+            LineOp::Write(self.cfd(initiator, target)),
+            LineOp::Write(self.csq_line[target.index()]),
+        ];
+        Script::new(if self.consolidated { &ops[1..] } else { &ops })
     }
 
     /// Script: responder pops its CSQ and reads the work description.
@@ -137,46 +157,41 @@ impl SmpLayer {
     /// Baseline: pop CSQ (atomic xchg = write), read CFD, chase the info
     /// pointer to the initiator's stack line.
     /// Consolidated: pop CSQ, read the single CFD line.
-    pub fn fetch_work(&self, initiator: CoreId, target: CoreId) -> Vec<LineOp> {
-        let mut ops = vec![
+    pub fn fetch_work(&self, initiator: CoreId, target: CoreId) -> Script {
+        let ops = [
             LineOp::Write(self.csq_line[target.index()]),
             LineOp::Read(self.cfd(initiator, target)),
+            LineOp::Read(self.stack_info_line[initiator.index()]),
         ];
-        if !self.consolidated {
-            ops.push(LineOp::Read(self.stack_info_line[initiator.index()]));
-        }
-        ops
+        Script::new(if self.consolidated { &ops[..2] } else { &ops })
     }
 
     /// Script: responder acknowledges by clearing the CFD lock flag.
-    pub fn ack(&self, initiator: CoreId, target: CoreId) -> Vec<LineOp> {
-        vec![LineOp::Write(self.cfd(initiator, target))]
+    pub fn ack(&self, initiator: CoreId, target: CoreId) -> Script {
+        Script::new(&[LineOp::Write(self.cfd(initiator, target))])
     }
 
     /// Script: initiator polls for `target`'s acknowledgement.
-    pub fn poll_ack(&self, initiator: CoreId, target: CoreId) -> Vec<LineOp> {
-        vec![LineOp::Read(self.cfd(initiator, target))]
+    pub fn poll_ack(&self, initiator: CoreId, target: CoreId) -> Script {
+        Script::new(&[LineOp::Read(self.cfd(initiator, target))])
     }
 
     /// Number of *distinct* lines a one-target shootdown bounces between
     /// initiator and responder (the Figure 4 count).
     pub fn contended_line_count(&self, initiator: CoreId, target: CoreId) -> usize {
-        let mut lines: Vec<LineId> = Vec::new();
-        let mut scripts = Vec::new();
-        scripts.extend(self.check_lazy(target));
-        scripts.extend(self.enqueue_work(initiator, target));
-        scripts.extend(self.fetch_work(initiator, target));
-        scripts.extend(self.ack(initiator, target));
-        scripts.extend(self.poll_ack(initiator, target));
-        for op in scripts {
-            let l = match op {
-                LineOp::Read(l) | LineOp::Write(l) => l,
-            };
-            if !lines.contains(&l) {
-                lines.push(l);
-            }
-        }
-        lines.len()
+        let scripts = [
+            self.check_lazy(target),
+            self.enqueue_work(initiator, target),
+            self.fetch_work(initiator, target),
+            self.ack(initiator, target),
+            self.poll_ack(initiator, target),
+        ];
+        scripts
+            .iter()
+            .flat_map(|s| s.iter())
+            .map(|(LineOp::Read(l) | LineOp::Write(l))| *l)
+            .collect::<std::collections::BTreeSet<_>>()
+            .len()
     }
 }
 
@@ -264,7 +279,7 @@ mod tests {
     fn lazy_bit_rides_csq_when_consolidated() {
         let (_d, smp) = setup(true);
         let t = CoreId(5);
-        assert_eq!(smp.set_lazy(t), vec![LineOp::Write(smp.lazy_line(t))]);
+        assert_eq!(*smp.set_lazy(t), [LineOp::Write(smp.lazy_line(t))]);
         // Lazy line and CSQ line are the same physical line.
         let enqueue = smp.enqueue_work(CoreId(0), t);
         assert!(enqueue.contains(&LineOp::Write(smp.lazy_line(t))));

@@ -261,8 +261,7 @@ impl Machine {
         }
         // Leave lazy mode: write the lazy indication line.
         self.cpus[core.index()].tlb_state.is_lazy = false;
-        let script = self.smp.set_lazy(core);
-        cost += tlbdown_core::smp::run_script(&mut self.dir, core, &script);
+        cost += tlbdown_core::smp::run_script(&mut self.dir, core, &self.smp.set_lazy(core));
         self.cpus[core.index()].current = Some(idx);
         Ok(cost)
     }
@@ -280,8 +279,7 @@ impl Machine {
             }
         }
         self.cpus[core.index()].tlb_state.is_lazy = true;
-        let script = self.smp.set_lazy(core);
-        let cost = tlbdown_core::smp::run_script(&mut self.dir, core, &script)
+        let cost = tlbdown_core::smp::run_script(&mut self.dir, core, &self.smp.set_lazy(core))
             + self.cfg.costs.thread_switch;
         self.stats.counters.bump("enter_lazy");
         StepOut::Replace {

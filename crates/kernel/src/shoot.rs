@@ -164,8 +164,7 @@ impl Machine {
                 let mut targets = Vec::new();
                 for t in candidates {
                     // Lazy-mode check: one cacheline read per candidate.
-                    let script = self.smp.check_lazy(t);
-                    cost += run_script(&mut self.dir, core, &script);
+                    cost += run_script(&mut self.dir, core, &self.smp.check_lazy(t));
                     if self.cpus[t.index()].in_batched_syscall {
                         // §4.2: the target is inside a batched syscall —
                         // no user access can happen there; it re-syncs at
@@ -219,8 +218,7 @@ impl Machine {
                     self.shootdowns[&id].pending_acks.iter().copied().collect();
                 let mut cost = Cycles::ZERO;
                 for t in &targets {
-                    let script = self.smp.enqueue_work(core, *t);
-                    let step = run_script(&mut self.dir, core, &script);
+                    let step = run_script(&mut self.dir, core, &self.smp.enqueue_work(core, *t));
                     cost += step;
                     // Chaos: the CSD cacheline may bounce slowly — once
                     // per interconnect hop on routed topologies.
@@ -435,8 +433,7 @@ impl Machine {
                     // pulling its CFD line back: one transfer per target.
                     let mut cost = Cycles::ZERO;
                     for t in &sd.targets {
-                        let script = self.smp.poll_ack(core, *t);
-                        cost += run_script(&mut self.dir, core, &script);
+                        cost += run_script(&mut self.dir, core, &self.smp.poll_ack(core, *t));
                         cost += self
                             .faults
                             .cacheline_jitter_hops(self.dir.jitter_hops(core, *t));
@@ -541,8 +538,7 @@ impl Machine {
                     self.stats.counters.bump("numapte_local_fetch");
                     self.cfg.costs.mem_access
                 } else {
-                    let script = self.smp.fetch_work(initiator, core);
-                    run_script(&mut self.dir, core, &script)
+                    run_script(&mut self.dir, core, &self.smp.fetch_work(initiator, core))
                         + self
                             .faults
                             .cacheline_jitter_hops(self.dir.jitter_hops(initiator, core))
@@ -638,8 +634,7 @@ impl Machine {
                     // §3.2: acknowledge on handler entry — no userspace
                     // mapping can be used from here on.
                     let initiator = f.cur_initiator;
-                    let script = self.smp.ack(initiator, core);
-                    cost += run_script(&mut self.dir, core, &script);
+                    cost += run_script(&mut self.dir, core, &self.smp.ack(initiator, core));
                     cost += self
                         .faults
                         .cacheline_jitter_hops(self.dir.jitter_hops(initiator, core));
@@ -696,8 +691,7 @@ impl Machine {
                         }
                         // Updating local_tlb_gen writes this CPU's
                         // tlbstate line — the §3.3 false-sharing source.
-                        let script = self.smp.touch_tlbstate(core);
-                        cost += run_script(&mut self.dir, core, &script);
+                        cost += run_script(&mut self.dir, core, &self.smp.touch_tlbstate(core));
                         trace_emit!(
                             self,
                             core,
@@ -722,8 +716,7 @@ impl Machine {
                     self.cpus[core.index()].tlb_state.local_tlb_gen = f.upto;
                     // local_tlb_gen lives in the tlbstate line (§3.3
                     // false sharing with the lazy-mode indication).
-                    let script = self.smp.touch_tlbstate(core);
-                    let c = run_script(&mut self.dir, core, &script);
+                    let c = run_script(&mut self.dir, core, &self.smp.touch_tlbstate(core));
                     f.stage = IrqStage::UserFlushEntry;
                     StepOut::Continue(c)
                 }
@@ -777,8 +770,7 @@ impl Machine {
                         *c = c.saturating_sub(1);
                     }
                 } else if self.shootdowns.contains_key(&id) {
-                    let script = self.smp.ack(f.cur_initiator, core);
-                    cost += run_script(&mut self.dir, core, &script);
+                    cost += run_script(&mut self.dir, core, &self.smp.ack(f.cur_initiator, core));
                     let hops = self.dir.jitter_hops(f.cur_initiator, core);
                     cost += self.faults.cacheline_jitter_hops(hops);
                     self.stats.counters.bump("late_ack");

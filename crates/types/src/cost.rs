@@ -88,7 +88,8 @@ impl fmt::Display for Cycles {
 
 /// Communication distance between two cores; selects IPI and coherence
 /// costs (same core, same socket, or across the NUMA interconnect).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+/// Ordered nearest first.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Distance {
     /// Initiator and responder are the same logical CPU.
     SameCore,

@@ -391,8 +391,11 @@ pub struct ScaleTierResult {
     /// under the Skylake geometry, and under the legacy one only an
     /// overflow of its single 1,536-entry set.
     pub tlb_evictions: u64,
-    /// Ranged invalidations that splintered a cached huge-page entry,
-    /// summed over every core.
+    /// Selective flushes escalated to full flushes by the fracture flag
+    /// (`TlbStats::fracture_escalations`), summed over every core. The
+    /// flag needs a cached entry made by a fractured nested walk, which
+    /// the scale tier never creates, so this reads 0 even where its THP
+    /// initiators split huge pages.
     pub tlb_fractures: u64,
 }
 
