@@ -61,7 +61,7 @@ pub struct IpiPlan {
 }
 
 /// The interconnect between local APICs.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct IpiFabric {
     topo: Topology,
     costs: CostModel,
@@ -146,7 +146,7 @@ pub enum DeliveryOutcome {
 /// The paper notes (§2.2) that "if the remote cores have interrupts
 /// disabled ... the latency to handle and acknowledge the IPI may be even
 /// higher" — this queue is where that latency comes from.
-#[derive(Debug, Default)]
+#[derive(Clone, Debug, Default)]
 pub struct LocalApic {
     masked: bool,
     pending: VecDeque<Vector>,

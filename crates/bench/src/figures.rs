@@ -416,6 +416,7 @@ pub(crate) fn fig4_ablation(scale: Scale) -> String {
         // responder on the other socket.
         use tlbdown_kernel::prog::{BusyLoopProg, Prog, ProgAction, ProgCtx};
         use tlbdown_types::VirtAddr;
+        #[derive(Clone)]
         struct Loop {
             addr: u64,
             state: u32,

@@ -224,10 +224,10 @@ fn children(v: &Json) -> Option<Vec<(String, &Json)>> {
 /// Every place `cur` and `base` render differently, as
 /// `(path, current, baseline)`: each differing leaf, in `cur`'s document
 /// order, then the members only `base` has. Members pair by label, so a
-/// member present on only one side is reported with [`ABSENT`] on the
+/// member present on only one side is reported with `<absent>` on the
 /// other; members that match but sit in another order report `path`
 /// itself.
-fn differences(cur: &Json, base: &Json, path: &str) -> Vec<(String, String, String)> {
+pub fn differences(cur: &Json, base: &Json, path: &str) -> Vec<(String, String, String)> {
     let mut out = Vec::new();
     if cur.render() == base.render() {
         return out;

@@ -69,7 +69,7 @@ impl CacheStats {
 }
 
 /// The coherence directory for all modelled kernel cachelines.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct CacheDirectory {
     costs: CostModel,
     /// Routed interconnect for line transfers. Under [`TopologySpec::Flat`]

@@ -22,6 +22,15 @@
 //!   inside the forced prefix or past the depth bound, none after the
 //!   first repeat, and none at all with pruning off.
 //!
+//! A pushed prefix does not replay from step 0. Just before each branch
+//! point whose alternatives the walk will push, the run snapshots its
+//! machine, step count and recorded choices and arities; the alternatives
+//! sit on the stack next to that snapshot, and each starts from it. A
+//! clone of the machine is exact, so a restored run is the fresh run of
+//! the same prefix, byte for byte; the first run of each search,
+//! [`run_schedule`], [`replay_twice`] and the shrinker start from fresh
+//! machines and stay the judges.
+//!
 //! After every run the checker asserts the safety oracle found no stale
 //! TLB use *and* the liveness invariant holds: the event queue drained
 //! within the step budget with no shootdown still in flight, no queued
@@ -29,6 +38,7 @@
 //! [`Counterexample`] carrying a replayable [`Schedule`].
 
 use std::fmt::{self, Write as _};
+use std::rc::Rc;
 
 use tlbdown_kernel::Machine;
 use tlbdown_sim::Scheduler;
@@ -93,30 +103,17 @@ impl Bounds {
 /// consumed first; every branch point past them takes candidate 0 (FIFO).
 /// Arity and the choice actually taken are recorded at each branch.
 #[derive(Debug)]
-pub(crate) struct ExploreScheduler {
-    window: Cycles,
-    forced: Vec<u16>,
+struct ExploreScheduler<'f> {
+    forced: &'f [u16],
     /// Choice taken at each branch point encountered so far.
-    pub(crate) choices: Vec<u16>,
+    choices: Vec<u16>,
     /// Candidate count at each branch point encountered so far.
-    pub(crate) arities: Vec<u16>,
+    arities: Vec<u16>,
 }
 
-impl ExploreScheduler {
-    /// A scheduler replaying `forced` then defaulting to FIFO.
-    pub(crate) fn new(window: Cycles, forced: Vec<u16>) -> Self {
-        ExploreScheduler {
-            window,
-            forced,
-            choices: Vec::new(),
-            arities: Vec::new(),
-        }
-    }
-}
-
-impl Scheduler for ExploreScheduler {
+impl Scheduler for ExploreScheduler<'_> {
     fn window(&self) -> Cycles {
-        self.window
+        WINDOW
     }
 
     fn choose(&mut self, candidates: usize) -> usize {
@@ -216,35 +213,77 @@ pub(crate) fn render_run(m: &Machine, steps: u64) -> String {
     out
 }
 
-/// The post-branch state digests one explorer run takes: exactly those
-/// the explorer's walk over the run's branch list reads. That walk starts
-/// at branch `from` (the end of the forced prefix), never reads a branch
-/// at or past `until`, and stops at the first digest seen before — in
-/// `visited` or earlier in the same run — so digesting stops there too.
-struct DigestWalk<'v> {
+/// Where a run starts: a machine, the events it has dispatched and the
+/// choices and arities its scheduler has recorded. A fresh start is a
+/// built scenario machine with nothing recorded; a snapshot is a copy of
+/// a run taken just before one of its branch points.
+#[derive(Clone)]
+struct Snapshot {
+    machine: Machine,
+    steps: u64,
+    choices: Vec<u16>,
+    arities: Vec<u16>,
+}
+
+impl Snapshot {
+    fn fresh(build: &Scenario<'_>) -> Self {
+        Snapshot {
+            machine: build(),
+            steps: 0,
+            choices: Vec::new(),
+            arities: Vec::new(),
+        }
+    }
+}
+
+/// What one explorer run records for the walk over its branch list. That
+/// walk starts at branch `from` (the end of the forced prefix), never
+/// reads a branch at or past `MAX_BRANCH_POINTS`, and stops at the first
+/// post-branch digest seen before — in `visited` or earlier in the same
+/// run. The run digests exactly the branches the walk reads (none with
+/// pruning off), and snapshots the machine just before each branch whose
+/// alternatives the walk pushes (none when the forced prefix has spent
+/// the preemption budget).
+struct Walk<'v> {
     from: usize,
-    until: usize,
+    prune: bool,
+    push: bool,
     visited: &'v FastSet<u64>,
     /// `digests[k]` is the state digest after branch point `from + k`.
     digests: Vec<u64>,
     repeated: bool,
+    /// `snapshots[k]` is the start of branch point `from + k`.
+    snapshots: Vec<Rc<Snapshot>>,
 }
 
-impl<'v> DigestWalk<'v> {
-    fn new(from: usize, until: usize, visited: &'v FastSet<u64>) -> Self {
-        DigestWalk {
+impl<'v> Walk<'v> {
+    fn new(from: usize, prune: bool, push: bool, visited: &'v FastSet<u64>) -> Self {
+        Walk {
             from,
-            until,
+            prune,
+            push,
             visited,
             digests: Vec::new(),
             repeated: false,
+            snapshots: Vec::new(),
         }
+    }
+
+    /// Whether the walk reaches branch point `i`.
+    fn reaches(&self, i: usize) -> bool {
+        !self.repeated && (self.from..MAX_BRANCH_POINTS).contains(&i)
+    }
+
+    /// Whether the walk pushes the alternatives of branch point `i`, if
+    /// the next step is one, and so needs its snapshot.
+    fn wants_snapshot(&self, i: usize) -> bool {
+        self.push && self.reaches(i)
     }
 
     /// Take the state digest after branch point `i` if the walk will read
     /// it; `digest` is called only then.
     fn after_branch(&mut self, i: usize, digest: impl FnOnce() -> u64) {
-        if self.repeated || i < self.from || i >= self.until {
+        if !self.prune || !self.reaches(i) {
             return;
         }
         let d = digest();
@@ -256,25 +295,42 @@ impl<'v> DigestWalk<'v> {
 /// Execute one schedule against a fresh scenario machine. Takes no state
 /// digest; the report computes its final one on demand.
 pub fn run_schedule(build: &Scenario<'_>, forced: &[u16]) -> RunReport {
-    execute(build, forced, None)
+    execute(Snapshot::fresh(build), forced, None)
 }
 
-/// The run loop behind [`run_schedule`] and [`explore`]: only an explorer
-/// run passes a walk, and only its walk takes state digests.
-fn execute(
-    build: &Scenario<'_>,
-    forced: &[u16],
-    mut walk: Option<&mut DigestWalk<'_>>,
-) -> RunReport {
-    let mut m = build();
-    let mut sched = ExploreScheduler::new(WINDOW, forced.to_vec());
-    let mut steps = 0u64;
+/// The run loop behind [`run_schedule`] and [`explore`], from a fresh
+/// machine or a snapshot: only an explorer run passes a walk, and only
+/// its walk takes state digests and snapshots.
+fn execute(start: Snapshot, forced: &[u16], mut walk: Option<&mut Walk<'_>>) -> RunReport {
+    let Snapshot {
+        machine: mut m,
+        mut steps,
+        choices,
+        arities,
+    } = start;
+    let mut sched = ExploreScheduler {
+        forced,
+        choices,
+        arities,
+    };
     let mut drained = false;
     loop {
         if steps >= MAX_STEPS {
             break;
         }
         let branches_before = sched.arities.len();
+        if let Some(w) = walk.as_deref_mut() {
+            // The next step records branch point `branches_before` exactly
+            // when it offers more than one candidate.
+            if w.wants_snapshot(branches_before) && m.candidates(WINDOW) > 1 {
+                w.snapshots.push(Rc::new(Snapshot {
+                    machine: m.clone(),
+                    steps,
+                    choices: sched.choices.clone(),
+                    arities: sched.arities.clone(),
+                }));
+            }
+        }
         if !m.step_with(&mut sched) {
             drained = true;
             break;
@@ -296,7 +352,7 @@ fn execute(
     }
     let live = m.violations().is_empty() && liveness_ok(&m, drained);
     RunReport {
-        schedule: Schedule::new(sched.choices.clone()),
+        schedule: Schedule::new(sched.choices),
         arities: sched.arities,
         steps,
         drained,
@@ -367,21 +423,27 @@ impl Report {
 pub fn explore(build: &Scenario<'_>, bounds: &Bounds) -> Report {
     let mut stats = ExploreStats::default();
     let mut visited: FastSet<u64> = FastSet::default();
-    let mut stack: Vec<Vec<u16>> = vec![Vec::new()];
-    while let Some(prefix) = stack.pop() {
+    // A prefix to run, and the snapshot taken just before its last branch
+    // point (none for the first run, which starts fresh).
+    let mut stack: Vec<(Vec<u16>, Option<Rc<Snapshot>>)> = vec![(Vec::new(), None)];
+    while let Some((prefix, snapshot)) = stack.pop() {
         if stats.schedules >= bounds.max_schedules {
             stats.budget_exhausted = true;
             break;
         }
         let from = prefix.len();
-        let until = if bounds.prune {
-            MAX_BRANCH_POINTS
-        } else {
-            from
+        let push = prefix.iter().filter(|c| **c != 0).count() < bounds.preemption_bound;
+        // The last alternative to leave the stack takes the snapshot over;
+        // the others start from a copy.
+        let start = match snapshot {
+            Some(s) => Rc::try_unwrap(s).unwrap_or_else(|s| (*s).clone()),
+            None => Snapshot::fresh(build),
         };
-        let mut walk = DigestWalk::new(from, until, &visited);
-        let run = execute(build, &prefix, Some(&mut walk));
-        let digests = walk.digests;
+        let mut walk = Walk::new(from, bounds.prune, push, &visited);
+        let run = execute(start, &prefix, Some(&mut walk));
+        let Walk {
+            digests, snapshots, ..
+        } = walk;
         stats.schedules += 1;
         stats.digests += digests.len() as u64;
         stats.branch_points += run.arities.len() as u64;
@@ -401,22 +463,23 @@ pub fn explore(build: &Scenario<'_>, bounds: &Bounds) -> Report {
         // prefix. Walking stops early at the depth bound or at a state
         // digest that has been expanded before (its continuation's branch
         // structure is identical and already covered). The run digested
-        // exactly the branch points this walk reads.
-        let base_preemptions = prefix.iter().filter(|c| **c != 0).count();
+        // exactly the branch points this walk reads and snapshotted
+        // exactly those whose alternatives it pushes.
         for i in from..run.arities.len() {
             if i >= MAX_BRANCH_POINTS {
                 stats.pruned_depth += 1;
                 break;
             }
             let arity = run.arities[i] as usize;
-            if base_preemptions + 1 > bounds.preemption_bound {
-                stats.pruned_preemption += (arity - 1) as u64;
-            } else {
+            if push {
+                let snapshot = &snapshots[i - from];
                 for alt in 1..arity {
                     let mut next = run.schedule.choices[..i].to_vec();
                     next.push(alt as u16);
-                    stack.push(next);
+                    stack.push((next, Some(Rc::clone(snapshot))));
                 }
+            } else {
+                stats.pruned_preemption += (arity - 1) as u64;
             }
             if bounds.prune && !visited.insert(digests[i - from]) {
                 stats.pruned_digest += 1;
@@ -475,35 +538,131 @@ pub(crate) fn render_diff(a: &str, b: &str) -> String {
 
 #[cfg(test)]
 mod tests {
+    use std::rc::Rc;
+
+    use tlbdown_core::OptConfig;
+    use tlbdown_kernel::Machine;
+    use tlbdown_sim::SplitMix64;
     use tlbdown_types::FastSet;
 
-    use super::{render_diff, run_schedule, DigestWalk};
+    use super::{execute, render_diff, run_schedule, RunReport, Snapshot, Walk, MAX_BRANCH_POINTS};
     use crate::scenario;
 
-    /// The digests a walk over `from..until` takes when the digest after
-    /// branch point `i` is `feed[i]`.
-    fn walk_digests(from: usize, until: usize, visited: &[u64], feed: &[u64]) -> Vec<u64> {
+    /// A walk from branch point `from` over a run whose digest after
+    /// branch point `i` is `feed[i]`: the digests it takes and the branch
+    /// points it snapshots.
+    fn walk(
+        from: usize,
+        prune: bool,
+        push: bool,
+        visited: &[u64],
+        feed: &[u64],
+    ) -> (Vec<u64>, Vec<usize>) {
         let visited: FastSet<u64> = visited.iter().copied().collect();
-        let mut walk = DigestWalk::new(from, until, &visited);
+        let mut walk = Walk::new(from, prune, push, &visited);
+        let mut snapshotted = Vec::new();
         for (i, &d) in feed.iter().enumerate() {
+            if walk.wants_snapshot(i) {
+                snapshotted.push(i);
+            }
             walk.after_branch(i, || d);
         }
-        walk.digests
+        (walk.digests, snapshotted)
     }
 
     #[test]
     fn digest_walk_stops_after_the_first_repeat() {
-        // A digest seen earlier in the same run ends the walk...
-        assert_eq!(walk_digests(0, 9, &[], &[1, 2, 1, 3]), [1, 2, 1]);
+        // A digest seen earlier in the same run ends the walk, once the
+        // branch that repeats it has been snapshotted...
+        assert_eq!(
+            walk(0, true, true, &[], &[1, 2, 1, 3]),
+            (vec![1, 2, 1], vec![0, 1, 2])
+        );
         // ...and so does one already visited by earlier runs.
-        assert_eq!(walk_digests(0, 9, &[2], &[1, 2, 3]), [1, 2]);
+        assert_eq!(
+            walk(0, true, true, &[2], &[1, 2, 3]),
+            (vec![1, 2], vec![0, 1])
+        );
     }
 
     #[test]
     fn digest_walk_skips_the_prefix_and_the_depth_bound() {
-        assert_eq!(walk_digests(1, 3, &[], &[1, 2, 3, 4]), [2, 3]);
-        // Pruning off: the walk reads nothing, so nothing is digested.
-        assert_eq!(walk_digests(2, 2, &[], &[1, 2, 3, 4]), [] as [u64; 0]);
+        let feed: Vec<u64> = (0..MAX_BRANCH_POINTS as u64 + 2).collect();
+        let reached: Vec<usize> = (2..MAX_BRANCH_POINTS).collect();
+        let (digests, snapshotted) = walk(2, true, true, &[], &feed);
+        assert_eq!(digests, feed[2..MAX_BRANCH_POINTS]);
+        assert_eq!(snapshotted, reached);
+        // Pruning off: the walk reads no digest but pushes the
+        // alternatives of every branch point it reaches...
+        assert_eq!(walk(2, false, true, &[], &feed), (vec![], reached));
+        // ...and a prefix that spent the preemption budget pushes none.
+        assert_eq!(walk(2, true, false, &[], &feed).1, [] as [usize; 0]);
+    }
+
+    /// What a restored run must share with a fresh one.
+    fn outcome(r: &RunReport) -> (String, Vec<u16>, Vec<u16>) {
+        (
+            r.stats_render(),
+            r.schedule.choices.clone(),
+            r.arities.clone(),
+        )
+    }
+
+    #[test]
+    fn a_restored_run_is_a_fresh_run() {
+        // Seeded random prefixes on the flat and mesh duels at every
+        // level, with interrupt jitter on, so a clone must carry the
+        // noise stream too. A prefix `p` draws each choice inside its
+        // branch point's arity. The run of `p[..j]` snapshots branch
+        // point `j` and steps on; the snapshot, restored under `p` from a
+        // copy and taken over, must match the fresh run of `p`, and the
+        // source must match the fresh run of `p[..j]`.
+        let mut rng = SplitMix64::new(0x5eed_c10e);
+        let mut restored_alts = 0;
+        for level in 0..=OptConfig::MAX_LEVEL as u8 {
+            let duels: [fn(u8) -> Machine; 2] = [
+                scenario::dueling_madvise_at,
+                scenario::dueling_madvise_mesh_at,
+            ];
+            for duel in duels {
+                let build = || {
+                    let mut m = duel(level);
+                    m.cfg.noise_cycles = 40;
+                    m
+                };
+                for _ in 0..3 {
+                    let len = 1 + rng.gen_range(12) as usize;
+                    let mut p: Vec<u16> = Vec::new();
+                    while p.len() < len {
+                        let run = run_schedule(&build, &p);
+                        let Some(&arity) = run.arities.get(p.len()) else {
+                            break;
+                        };
+                        p.push(rng.gen_range(u64::from(arity)) as u16);
+                    }
+                    let j = rng.gen_range(p.len() as u64) as usize;
+                    restored_alts += usize::from(p[j] != 0);
+                    let visited = FastSet::default();
+                    let mut w = Walk::new(j, false, true, &visited);
+                    let source = execute(Snapshot::fresh(&build), &p[..j], Some(&mut w));
+                    let case = format!("L{level} p {p:?} j {j}");
+                    assert_eq!(
+                        outcome(&source),
+                        outcome(&run_schedule(&build, &p[..j])),
+                        "{case}: the source"
+                    );
+                    let snapshot = w.snapshots.swap_remove(0);
+                    let fresh = outcome(&run_schedule(&build, &p));
+                    let copy = execute((*snapshot).clone(), &p, None);
+                    assert_eq!(outcome(&copy), fresh, "{case}: from a copy");
+                    let Ok(taken) = Rc::try_unwrap(snapshot) else {
+                        panic!("{case}: the snapshot is shared");
+                    };
+                    assert_eq!(outcome(&execute(taken, &p, None)), fresh, "{case}");
+                }
+            }
+        }
+        assert!(restored_alts > 10, "only {restored_alts} non-FIFO restores");
     }
 
     #[test]

@@ -72,7 +72,7 @@ impl std::ops::Deref for Script {
 
 /// The SMP layer's cacheline inventory for one machine, in either the
 /// baseline or the consolidated layout.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct SmpLayer {
     consolidated: bool,
     /// Per-CPU `cpu_tlbstate` line: lazy bit (baseline) + loaded-mm info;

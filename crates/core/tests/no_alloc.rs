@@ -2,9 +2,9 @@
 //!
 //! A counting global allocator counts the allocations made on the calling
 //! thread (the test harness runs tests on parallel threads), and the tests
-//! assert that pricing a shootdown's per-target coherence traffic on the
-//! flat interconnect allocates nothing once its lines are warm. Routed
-//! transfers are out of scope: the interconnect builds each route's path.
+//! assert that pricing a shootdown's per-target coherence traffic allocates
+//! nothing once its lines are warm, and that a routed transfer or IPI on
+//! the ring or mesh allocates nothing once the link map holds its edges.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -12,6 +12,7 @@ use std::cell::Cell;
 use tlbdown_cache::CacheDirectory;
 use tlbdown_core::smp::run_script;
 use tlbdown_core::SmpLayer;
+use tlbdown_topo::{Interconnect, TopologySpec};
 use tlbdown_types::{CoreId, CostModel, Topology};
 
 struct Counting;
@@ -129,5 +130,29 @@ fn no_smp_script_allocates() {
             warm, 0,
             "a warm round trip allocated (consolidated: {consolidated})"
         );
+    }
+}
+
+#[test]
+fn routed_transfers_do_not_allocate() {
+    // The 2×56 tier's write-then-read pairs, initiator to each other core,
+    // and an IPI along each: the first round fills the link map, the
+    // second must not allocate.
+    for spec in [TopologySpec::Ring, TopologySpec::Mesh] {
+        let topo = scale_tier();
+        let n = topo.num_cores();
+        let costs = CostModel::default();
+        let mut dir = CacheDirectory::with_interconnect(topo.clone(), costs.clone(), spec.clone());
+        let mut fabric = Interconnect::new(topo, spec.clone());
+        let line = dir.new_line();
+        let mut round = || {
+            for c in 1..n {
+                dir.write(CoreId(0), line);
+                dir.read(CoreId(c), line);
+                fabric.ipi_transfer(&costs, CoreId(0), CoreId(c));
+            }
+        };
+        round();
+        assert_eq!(allocations(round), 0, "a warm {spec:?} round allocated");
     }
 }

@@ -144,7 +144,7 @@ impl ChaosConfig {
 /// streaks, quarantine membership, probation credit, and the storm
 /// detector's arrival EWMAs. All of it is protocol-relevant (it steers
 /// future flush decisions), so `Machine::state_digest` hashes it.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub(crate) struct Escalation {
     /// Jitter stream for backoff re-arms. Drawn from *only* when a retry
     /// is scheduled, so healthy schedules never advance it.

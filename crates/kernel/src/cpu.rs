@@ -39,7 +39,7 @@ pub(crate) enum ResumeState {
 }
 
 /// A frame plus its scheduling state.
-#[derive(Debug, Hash)]
+#[derive(Clone, Debug, Hash)]
 pub(crate) struct FrameSlot {
     /// The execution frame.
     pub(crate) frame: Frame,
@@ -59,7 +59,7 @@ const _: () = assert!(std::mem::size_of::<FrameSlot>() <= 72);
 /// (EXPERIMENTS.md, "Where the unattributed time went"). A `Box<T>`
 /// hashes and formats as its `T`, so digests and renderings do not see
 /// the box.
-#[derive(Debug, Hash)]
+#[derive(Clone, Debug, Hash)]
 pub(crate) enum Frame {
     /// Idle kernel thread (bottom frame when no thread is runnable).
     Idle,
@@ -76,7 +76,7 @@ pub(crate) enum Frame {
 }
 
 /// User-program frame state.
-#[derive(Debug, Hash)]
+#[derive(Clone, Debug, Hash)]
 pub(crate) struct ProgFrame {
     /// Index of the thread in `Machine::threads`.
     pub(crate) thread: usize,
@@ -110,7 +110,7 @@ pub(crate) enum SyscallStage {
 }
 
 /// A system-call frame.
-#[derive(Debug, Hash)]
+#[derive(Clone, Debug, Hash)]
 pub(crate) struct SyscallFrame {
     /// Retire pairs accumulated while batching (attached to the last
     /// barrier shootdown so nothing retires before every flush ran).
@@ -152,7 +152,7 @@ pub(crate) enum FaultStage {
 }
 
 /// A page-fault frame.
-#[derive(Debug, Hash)]
+#[derive(Clone, Debug, Hash)]
 pub(crate) struct FaultFrame {
     /// Faulting address.
     pub(crate) va: VirtAddr,
@@ -210,7 +210,7 @@ pub(crate) enum LocalMode {
 
 /// The initiator-side state of one shootdown, embedded in syscall and
 /// fault frames.
-#[derive(Debug, Hash)]
+#[derive(Clone, Debug, Hash)]
 pub(crate) struct ShootdownRun {
     /// The flush description.
     pub(crate) info: FlushTlbInfo,
@@ -324,7 +324,7 @@ pub(crate) enum IrqAct {
 }
 
 /// The shootdown interrupt handler frame.
-#[derive(Debug, Hash)]
+#[derive(Clone, Debug, Hash)]
 pub(crate) struct IrqFrame {
     /// Dispatch start (responder-interruption accounting, §5.1).
     pub(crate) started: Cycles,
@@ -372,7 +372,7 @@ pub(crate) enum NmiStage {
 }
 
 /// An NMI frame (failure injection for the §3.2 hazard).
-#[derive(Debug, Hash)]
+#[derive(Clone, Debug, Hash)]
 pub(crate) struct NmiFrame {
     /// Current stage.
     pub(crate) stage: NmiStage,
@@ -381,7 +381,7 @@ pub(crate) struct NmiFrame {
 }
 
 /// A core.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct Cpu {
     /// This core's id.
     pub id: CoreId,

@@ -6,7 +6,7 @@ use tlbdown_types::CoreId;
 
 /// A simulation event. All kernel activity is decomposed into these; the
 /// deterministic engine orders them.
-#[derive(Debug, Hash)]
+#[derive(Clone, Debug, Hash)]
 pub enum Event {
     /// Step the core's current execution frame. Carries a token so that
     /// resumes invalidated by an interleaving interrupt are dropped.

@@ -26,6 +26,7 @@ use crate::tracewire::trace_emit;
 use tlbdown_trace::TraceEvent;
 
 /// A thread pinned to a core.
+#[derive(Clone)]
 pub struct Thread {
     /// Identifier.
     pub(crate) id: ThreadId,
@@ -51,7 +52,7 @@ impl std::fmt::Debug for Thread {
 }
 
 /// Aggregated measurements.
-#[derive(Debug, Default)]
+#[derive(Clone, Debug, Default)]
 pub struct MachineStats {
     /// Monotone event counters (IPIs, shootdowns, faults, ...).
     pub counters: Counter,
@@ -99,7 +100,9 @@ impl MachineStats {
     }
 }
 
-/// The simulated machine and kernel.
+/// The simulated machine and kernel. A clone is an exact copy: stepped
+/// the same way, it dispatches the same events into the same state.
+#[derive(Clone)]
 pub struct Machine {
     /// Boot configuration.
     pub cfg: KernelConfig,
@@ -547,6 +550,13 @@ impl Machine {
             }
             None => false,
         }
+    }
+
+    /// How many candidates the next [`Machine::step_with`] would offer a
+    /// scheduler whose window is `window` (1 when it would not ask, 0
+    /// when the queue is drained), without dispatching anything.
+    pub fn candidates(&self, window: Cycles) -> usize {
+        self.engine.candidates(window, Event::race_eligible)
     }
 
     fn handle(&mut self, ev: Event) {

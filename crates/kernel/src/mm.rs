@@ -13,7 +13,7 @@ pub struct FileId(pub u64);
 
 /// A simulated file: a page-cache page per 4KB offset. Dirtiness lives in
 /// the PTEs that map it (and the machine's dirty index).
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct File {
     /// Page-cache frames, one per file page.
     pub pages: Vec<PhysAddr>,
@@ -97,7 +97,7 @@ pub(crate) struct ReuseEntry {
 /// shootdown; any conflicting operation (munmap/mprotect/writeback/re-zap)
 /// or a capacity eviction pays the debt — a real flush that retires the
 /// parked pairs — before the page changes meaning.
-#[derive(Debug, Default)]
+#[derive(Clone, Debug, Default)]
 pub struct ReuseWindow {
     entries: BTreeMap<u64, ReuseEntry>,
     order: VecDeque<u64>,
@@ -206,7 +206,7 @@ pub(crate) struct StalePte {
 }
 
 /// An address space (`mm_struct`).
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct Mm {
     /// The (kernel-view) page tables. Under PTI the user view shares leaf
     /// PTEs; the simulation models the user view as the same table set
@@ -310,7 +310,7 @@ impl Mm {
 
 /// Reference counts for data frames shared across mappings (CoW, page
 /// cache), i.e. `struct page::_refcount`.
-#[derive(Debug, Default)]
+#[derive(Clone, Debug, Default)]
 pub(crate) struct FrameRefs {
     refs: FastMap<u64, u32>,
 }

@@ -18,7 +18,7 @@
 use tlbdown_types::{CoreId, FastMap, MmId, SimError, VirtAddr, VirtRange};
 
 /// The safety oracle.
-#[derive(Debug, Default)]
+#[derive(Clone, Debug, Default)]
 pub struct Oracle {
     /// Current modification version per (mm, vpn).
     versions: FastMap<(MmId, u64), u64>,

@@ -116,8 +116,9 @@ pub struct ProgCtx {
     pub now: Cycles,
 }
 
-/// A user program.
-pub trait Prog {
+/// A user program. Every program is `Clone` (through [`ProgClone`]), so
+/// a machine can be copied mid-run.
+pub trait Prog: ProgClone {
     /// Produce the next action. `ctx.retval` carries the result of the
     /// previous action.
     fn next(&mut self, ctx: &ProgCtx) -> ProgAction;
@@ -131,9 +132,28 @@ pub trait Prog {
     }
 }
 
+/// Cloning behind `Box<dyn Prog>`: implemented for every `Prog + Clone`,
+/// so a program only derives `Clone`.
+pub trait ProgClone {
+    /// A boxed copy of this program, in its current state.
+    fn clone_box(&self) -> Box<dyn Prog>;
+}
+
+impl<T: Prog + Clone + 'static> ProgClone for T {
+    fn clone_box(&self) -> Box<dyn Prog> {
+        Box::new(self.clone())
+    }
+}
+
+impl Clone for Box<dyn Prog> {
+    fn clone(&self) -> Self {
+        self.clone_box()
+    }
+}
+
 /// A program executing a fixed list of actions, then exiting — for any
 /// program whose steps do not depend on syscall results.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct ScriptProg {
     script: Vec<ProgAction>,
     idx: usize,
@@ -160,7 +180,7 @@ impl Prog for ScriptProg {
 
 /// A program that spins forever in user mode (the microbenchmark's
 /// "responder" thread, §5.1).
-#[derive(Debug, Default)]
+#[derive(Clone, Debug, Default)]
 pub struct BusyLoopProg;
 
 /// Cycles of one [`BusyLoopProg`] step.
@@ -181,7 +201,7 @@ impl Prog for BusyLoopProg {
 /// `iters` times. Each iteration zaps live PTEs and so forces one full
 /// shootdown against every core sharing the mm — the §5.1 initiator
 /// shape, reused by the workloads, the chaos harness and benches.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct MadviseLoopProg {
     pages: u64,
     iters: u64,

@@ -19,7 +19,7 @@ pub(crate) enum SemMode {
 }
 
 /// A fair FIFO reader–writer semaphore.
-#[derive(Debug, Default)]
+#[derive(Clone, Debug, Default)]
 pub(crate) struct RwSem {
     readers: Vec<CoreId>,
     writer: Option<CoreId>,

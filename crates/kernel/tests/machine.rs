@@ -116,6 +116,7 @@ fn early_ack_not_used_for_munmap_freed_tables() {
     let mut m = boot(2, OptConfig::baseline().with_early_ack(true), true);
     let mm = m.create_process().expect("boot: create process");
     // mmap, touch the pages mmap returned, munmap.
+    #[derive(Clone)]
     struct P {
         state: u32,
         addr: u64,
@@ -177,6 +178,7 @@ fn latr_lazy_mode_trips_the_oracle() {
     // The related-work foil: LATR-style deferral returns from madvise
     // before remote TLBs are flushed. A responder that keeps touching the
     // zapped page through its stale entry violates the guarantee.
+    #[derive(Clone)]
     struct Toucher {
         addr: u64,
         i: u64,

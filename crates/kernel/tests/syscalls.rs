@@ -333,6 +333,7 @@ fn two_processes_are_isolated_by_pcid() {
 fn yield_round_robins_threads_on_one_core() {
     let mut m = boot(1);
     let mm = m.create_process().expect("boot: create process");
+    #[derive(Clone)]
     struct Yielder {
         left: u32,
         log: std::rc::Rc<std::cell::RefCell<Vec<u32>>>,
@@ -490,6 +491,7 @@ fn cow_write_through_one_mapping_preserves_the_other_reader() {
     let mm = m.create_process().expect("boot: create process");
     let f = m.create_file(1).expect("boot: create file");
     let addr = m.setup_map_file(mm, f, false).expect("boot: map file");
+    #[derive(Clone)]
     struct Reader {
         addr: u64,
         i: u64,

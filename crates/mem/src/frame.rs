@@ -22,7 +22,7 @@ pub enum FrameState {
 /// "is this frame still a live page table?" — the question behind the
 /// machine-check hazard of §3.2 (speculative page walks through freed
 /// tables) and behind several safety assertions in the test suite.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct PhysMem {
     total_frames: u64,
     next_never_used: u64,

@@ -3,6 +3,12 @@
 //! Each [`AddrSpace`] owns its table pages (keyed by physical frame number)
 //! while the frames themselves come from [`PhysMem`], so freed-table
 //! detection and walk traces work on real physical addresses.
+//!
+//! Table pages are shared copy-on-write: a clone of an address space
+//! shares every 8 KB page with the original until one side writes it,
+//! and `table_mut`, the one write accessor, copies the page then.
+
+use std::rc::Rc;
 
 use crate::frame::{FrameState, PhysMem};
 use crate::pte::{Pte, TablePage};
@@ -50,10 +56,10 @@ pub struct UnmapOutcome {
 }
 
 /// A 4-level page table tree (levels 3..0 = PML4, PDPT, PD, PT).
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct AddrSpace {
     root: PhysAddr,
-    tables: FastMap<u64, Box<TablePage>>,
+    tables: FastMap<u64, Rc<TablePage>>,
 }
 
 /// Flags used on non-leaf (table-pointer) entries.
@@ -74,7 +80,7 @@ impl AddrSpace {
 
     fn alloc_table(&mut self, mem: &mut PhysMem) -> SimResult<PhysAddr> {
         let addr = mem.alloc(FrameState::PageTable)?;
-        self.tables.insert(addr.pfn(), Box::new([Pte::EMPTY; 512]));
+        self.tables.insert(addr.pfn(), Rc::new([Pte::EMPTY; 512]));
         Ok(addr)
     }
 
@@ -90,10 +96,14 @@ impl AddrSpace {
             .expect("dangling table pointer")
     }
 
+    /// The table page at `addr`, for writing: a page this address space
+    /// still shares with a clone is copied first.
     fn table_mut(&mut self, addr: PhysAddr) -> &mut TablePage {
-        self.tables
-            .get_mut(&addr.pfn())
-            .expect("dangling table pointer")
+        Rc::make_mut(
+            self.tables
+                .get_mut(&addr.pfn())
+                .expect("dangling table pointer"),
+        )
     }
 
     /// The table level at which a leaf of `size` lives (0 for 4KB, 1 for

@@ -1,8 +1,8 @@
 //! Property tests for the page-table substrate.
 
 use proptest::prelude::*;
-use tlbdown_mem::{AddrSpace, FrameState, PhysMem};
-use tlbdown_types::{PageSize, PteFlags, VirtAddr, VirtRange};
+use tlbdown_mem::{AddrSpace, FrameState, PhysMem, Walk};
+use tlbdown_types::{PageSize, PteFlags, SimError, VirtAddr, VirtRange};
 
 fn arb_pages() -> impl Strategy<Value = Vec<u64>> {
     // Distinct virtual page numbers spread over a few table sub-trees.
@@ -102,6 +102,94 @@ proptest! {
             let (pte, _) = s.entry(VirtAddr::new(vpn << 12)).unwrap();
             prop_assert!(!pte.writable());
             prop_assert!(pte.present());
+        }
+    }
+}
+
+/// Every probe's walk, mapped or not.
+fn walks(s: &AddrSpace, probes: &[VirtAddr]) -> Vec<Result<Walk, SimError>> {
+    probes.iter().map(|&va| s.walk(va)).collect()
+}
+
+/// Map `pages` 4KB pages from `base`.
+fn map_pages(mem: &mut PhysMem, s: &mut AddrSpace, base: u64, pages: u64) {
+    for i in 0..pages {
+        let pa = mem.alloc(FrameState::UserPage).unwrap();
+        let va = VirtAddr::new(base + i * 4096);
+        s.map(mem, va, pa, PageSize::Size4K, PteFlags::user_rw())
+            .unwrap();
+    }
+}
+
+/// A 2MB-aligned window mapped by one huge leaf, then split.
+const HUGE: u64 = 0x4020_0000;
+/// 4KB pages in one page table, and a subtree that starts empty.
+const SMALL: u64 = 0x10_0000;
+const FAR: u64 = 0x7f00_0000_0000;
+
+#[test]
+fn cloned_page_tables_stay_isolated() {
+    // An address space and its memory, cloned: the two share every
+    // table page until one side writes it. Each step runs on one side
+    // and then the other, and must leave every walk of the other side
+    // as it was, while changing its own.
+    let mut mem = PhysMem::new(1 << 20);
+    let mut s = AddrSpace::new(&mut mem).unwrap();
+    map_pages(&mut mem, &mut s, SMALL, 24);
+    let huge = mem
+        .alloc_contiguous_aligned(512, 512, FrameState::UserPage)
+        .unwrap();
+    s.map(
+        &mut mem,
+        VirtAddr::new(HUGE),
+        huge,
+        PageSize::Size2M,
+        PteFlags::user_rw(),
+    )
+    .unwrap();
+    let mut sides = [(mem.clone(), s.clone()), (mem, s)];
+    let probes: Vec<VirtAddr> = [(HUGE, 513), (SMALL, 40), (FAR, 8)]
+        .iter()
+        .flat_map(|&(base, pages)| (0..pages).map(move |i| VirtAddr::new(base + i * 4096)))
+        .collect();
+    type Step = fn(&mut PhysMem, &mut AddrSpace);
+    let steps: [(&str, Step); 4] = [
+        ("map", |mem, s| {
+            // Into a shared page table, and into a new subtree.
+            map_pages(mem, s, SMALL + 24 * 4096, 8);
+            map_pages(mem, s, FAR, 4);
+        }),
+        ("zap", |_, s| {
+            let zapped = s.zap_range(VirtRange::pages(VirtAddr::new(SMALL), 8, PageSize::Size4K));
+            assert_eq!(zapped.removed.len(), 8);
+        }),
+        ("split", |mem, s| {
+            assert!(s.split_huge_leaf(mem, VirtAddr::new(HUGE)).unwrap());
+        }),
+        ("unmap", |mem, s| {
+            let freed = [HUGE, SMALL, FAR].map(|base| {
+                let range = VirtRange::pages(VirtAddr::new(base), 512, PageSize::Size4K);
+                s.unmap_range(mem, range).freed_tables
+            });
+            assert_eq!(freed, [true; 3]);
+        }),
+    ];
+    for (name, step) in steps {
+        for side in [0, 1] {
+            let other = walks(&sides[1 - side].1, &probes);
+            let own = walks(&sides[side].1, &probes);
+            let (mem, s) = &mut sides[side];
+            step(mem, s);
+            assert_eq!(
+                walks(&sides[1 - side].1, &probes),
+                other,
+                "{name} on side {side} reached the other side"
+            );
+            assert_ne!(
+                walks(&sides[side].1, &probes),
+                own,
+                "{name} changed nothing"
+            );
         }
     }
 }

@@ -34,7 +34,7 @@ const MAX_REGRESSION_LOG: usize = 8;
 /// Events scheduled for the same instant fire in scheduling order (FIFO),
 /// enforced by a monotonically increasing sequence number. This makes the
 /// simulation fully deterministic.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 struct Scheduled<E> {
     at: Cycles,
     seq: u64,
@@ -60,7 +60,7 @@ impl<E> Ord for Scheduled<E> {
 
 /// A lane member (see [`Engine::run_periodic`]): its next turn and how
 /// many times it has fired since it was last settled.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 struct Member<E> {
     ev: Scheduled<E>,
     fires: u64,
@@ -131,7 +131,7 @@ pub trait Periodic<E> {
 /// assert_eq!(e.pop(), Some("c"));
 /// assert_eq!(e.pop(), None);
 /// ```
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct Engine<E> {
     now: Cycles,
     seq: u64,
@@ -589,6 +589,36 @@ impl<E> Engine<E> {
         Some(chosen.payload)
     }
 
+    /// How many candidates the next [`Engine::pop_with`] would hand a
+    /// scheduler whose window is `window`, with the same `eligible`: 1
+    /// when it would not ask, 0 when nothing is pending. Reads the heap
+    /// and the lane in place, so a caller can tell a branch point before
+    /// popping it.
+    pub fn candidates<F>(&self, window: Cycles, eligible: F) -> usize
+    where
+        F: Fn(&E) -> bool,
+    {
+        let heap_min = self.heap.peek().map(|Reverse(ev)| ev);
+        let Some(first) = heap_min
+            .into_iter()
+            .chain(self.lane.front().map(|m| &m.ev))
+            .min()
+        else {
+            return 0;
+        };
+        let pending = self
+            .heap
+            .iter()
+            .map(|Reverse(ev)| ev)
+            .chain(self.lane.iter().map(|m| &m.ev));
+        let t_min = first.at.max(self.now);
+        let horizon = t_min + window;
+        let others = pending.filter(|ev| {
+            ev.seq != first.seq && ev.at <= horizon && (ev.at == t_min || eligible(&ev.payload))
+        });
+        1 + others.count()
+    }
+
     /// All pending events, the heap's and the lane's, in canonical
     /// `(fire time, seq)` order — the deterministic view a state digest
     /// needs (the heap's internal order is not meaningful).
@@ -892,18 +922,80 @@ mod tests {
                 .map(|(&(at, seq), v)| (at, seq, v))
                 .collect()
         }
+
+        /// The candidates a pop with a scheduler would gather: the
+        /// minimum, fired no earlier than the clock, then every event up
+        /// to `window` past that time that ties with it or is `eligible`.
+        fn candidates(&self, window: Cycles, eligible: impl Fn(u64) -> bool) -> usize {
+            let Some((&(at, _), _)) = self.queue.first_key_value() else {
+                return 0;
+            };
+            let t_min = at.max(self.now);
+            let horizon = t_min + window;
+            let others = self.queue.iter().skip(1);
+            let due = others.take_while(|((at, _), _)| *at <= horizon);
+            1 + due
+                .filter(|((at, _), v)| *at == t_min || eligible(**v))
+                .count()
+        }
+    }
+
+    /// A FIFO scheduler with a timing window that records the candidate
+    /// count it is handed.
+    struct Recorder {
+        window: Cycles,
+        handed: Option<usize>,
+    }
+
+    impl Scheduler for Recorder {
+        fn window(&self) -> Cycles {
+            self.window
+        }
+
+        fn choose(&mut self, candidates: usize) -> usize {
+            self.handed = Some(candidates);
+            0
+        }
+    }
+
+    /// `pop_with` under a [`Recorder`] with `window`, requiring that
+    /// [`Engine::candidates`] said beforehand how many candidates the
+    /// scheduler would be handed (1 when it is not asked). Returns the
+    /// payload and that count.
+    fn counted_pop(
+        e: &mut Engine<u64>,
+        window: Cycles,
+        eligible: impl Fn(&u64) -> bool,
+    ) -> (Option<u64>, usize) {
+        let count = e.candidates(window, &eligible);
+        let mut rec = Recorder {
+            window,
+            handed: None,
+        };
+        let got = e.pop_with(&mut rec, eligible);
+        let handed = match got {
+            Some(_) => rec.handed.unwrap_or(1),
+            None => 0,
+        };
+        assert_eq!(count, handed, "candidates() disagrees with pop_with");
+        (got, count)
     }
 
     /// Drive an engine and the [`Reference`] through the same seeded
-    /// mix of schedules (ties, near, medium and long delays) and pops
-    /// (`pop`, `pop_until` and `pop_with` under [`FifoScheduler`]),
-    /// requiring the same payload, clock and pending list at every
-    /// step, until the queue drains. Returns the engine, the number of
-    /// events scheduled and the peak queue length.
-    fn churn(seed: u64) -> (Engine<u64>, u64, usize) {
+    /// mix of schedules (ties, near, medium and long delays, and now and
+    /// then one behind the clock) and pops (`pop`, `pop_until` and
+    /// `pop_with` with a recording FIFO scheduler whose window is 0 or
+    /// [`CHURN_WINDOW`]), requiring the same payload, clock and pending
+    /// list at every step, until the queue drains. Before every
+    /// `pop_with`, [`Engine::candidates`] and the reference must both
+    /// give the count the scheduler is handed. Returns the engine, the
+    /// number of events scheduled, the peak queue length and how often
+    /// each kind of candidate was seen.
+    fn churn(seed: u64) -> (Engine<u64>, u64, usize, Candidates) {
         let mut rng = SplitMix64::new(seed);
         let mut e: Engine<u64> = Engine::new();
         let mut r = Reference::default();
+        let mut seen = Candidates::default();
         let mut next = 0u64;
         let mut peak = 0;
         for _ in 0..64 {
@@ -921,10 +1013,14 @@ mod tests {
                     let deadline = e.now() + Cycles::new(rng.gen_range(4_000));
                     (e.pop_until(deadline), r.pop_until(deadline))
                 }
-                _ => (
-                    e.pop_with(&mut FifoScheduler, |v| v % 2 == 1),
-                    r.pop_until(Cycles::new(u64::MAX)),
-                ),
+                _ => {
+                    let window = [Cycles::ZERO, CHURN_WINDOW][rng.gen_range(2) as usize];
+                    let odd = |v: u64| v % 2 == 1;
+                    seen.record(&r, window, odd);
+                    let (got, count) = counted_pop(&mut e, window, |v| odd(*v));
+                    assert_eq!(count, r.candidates(window, odd), "seed {seed:#x}");
+                    (got, r.pop_until(Cycles::new(u64::MAX)))
+                }
             };
             assert_eq!(got, want, "seed {seed:#x}, dispatch {dispatched}");
             assert_eq!(e.now(), r.now, "seed {seed:#x}, dispatch {dispatched}");
@@ -948,20 +1044,71 @@ mod tests {
                 r.schedule_in(delay, next);
                 next += 1;
             }
+            if n > 0 && rng.gen_range(200) == 0 {
+                // A corrupted schedule: an event behind the clock.
+                let at = e.now().saturating_sub(Cycles::new(1 + rng.gen_range(50)));
+                e.schedule_at_unchecked(at, next);
+                r.schedule_at_unchecked(at, next);
+                next += 1;
+            }
         }
         assert!(r.queue.is_empty(), "seed {seed:#x}");
-        (e, next, peak)
+        (e, next, peak, seen)
+    }
+
+    /// The timing window of the churn's windowed pops.
+    const CHURN_WINDOW: Cycles = Cycles::new(200);
+
+    /// How many windowed pops of the churn met each kind of candidate.
+    #[derive(Debug, Default)]
+    struct Candidates {
+        /// Another event at the minimum's fire time.
+        ties: u64,
+        /// An eligible event after it, inside the window...
+        in_window: u64,
+        /// ...and one past the window.
+        past_window: u64,
+        /// A minimum behind the clock.
+        behind: u64,
+    }
+
+    impl Candidates {
+        fn record(&mut self, r: &Reference, window: Cycles, eligible: impl Fn(u64) -> bool) {
+            let mut queue = r.queue.iter();
+            let Some((&(at, _), _)) = queue.next() else {
+                return;
+            };
+            self.behind += u64::from(at < r.now);
+            let t_min = at.max(r.now);
+            let horizon = t_min + window;
+            let (mut tie, mut inside, mut past) = (false, false, false);
+            for (&(at, _), &v) in queue {
+                tie |= at == t_min;
+                inside |= at > t_min && at <= horizon && eligible(v);
+                past = at > horizon && eligible(v);
+                if past {
+                    break;
+                }
+            }
+            self.ties += u64::from(tie);
+            self.in_window += u64::from(inside);
+            self.past_window += u64::from(past);
+        }
     }
 
     #[test]
     fn queue_matches_a_sorted_map_reference() {
         for seed in [0u64, 1, 0x51ab, 0xdead_beef] {
-            let (e, scheduled, peak) = churn(seed);
+            let (e, scheduled, peak, seen) = churn(seed);
             assert!(
                 peak > 1_000,
                 "seed {seed:#x}: the churn builds a deep queue"
             );
             assert_eq!(e.events_processed(), scheduled, "seed {seed:#x}");
+            assert!(
+                seen.ties > 10 && seen.in_window > 10 && seen.past_window > 10 && seen.behind > 0,
+                "seed {seed:#x}: {seen:?}"
+            );
         }
     }
 
@@ -1070,6 +1217,8 @@ mod tests {
         /// and lanes emptied into the heap by `pop_with`.
         period_flushes: u64,
         pop_with_flushes: u64,
+        /// Pops from a lane-holding engine that branched on a tie.
+        lane_ties: u64,
         /// Whether a non-member was dispatched since the last run.
         stepped: bool,
     }
@@ -1141,8 +1290,9 @@ mod tests {
         }
     }
 
-    /// The same one dispatch at a time through `pop_with` under
-    /// [`FifoScheduler`], the way `Machine::step_with` does.
+    /// The same one dispatch at a time through `pop_with` under a FIFO
+    /// scheduler, the way `Machine::step_with` does, checking each pop's
+    /// candidate count.
     fn run_fifo(
         e: &mut Engine<u64>,
         w: &mut World,
@@ -1151,8 +1301,11 @@ mod tests {
         cov: &mut Coverage,
     ) {
         while e.events_processed() < end && e.next_at().is_some_and(|at| at <= deadline) {
-            cov.pop_with_flushes += u64::from(!e.lane.is_empty());
-            let Some(ev) = e.pop_with(&mut FifoScheduler, |_| false) else {
+            let lane = !e.lane.is_empty();
+            let (got, count) = counted_pop(e, Cycles::ZERO, |_| false);
+            cov.pop_with_flushes += u64::from(lane);
+            cov.lane_ties += u64::from(lane && count > 1);
+            let Some(ev) = got else {
                 return;
             };
             e.take_time_errors();
@@ -1278,7 +1431,8 @@ mod tests {
             cov.lane_resumes > 50
                 && cov.lane_drops > 50
                 && cov.period_flushes > 50
-                && cov.pop_with_flushes > 50,
+                && cov.pop_with_flushes > 50
+                && cov.lane_ties > 10,
             "{cov:?}"
         );
     }

@@ -90,7 +90,7 @@ fn pwc_key(pcid: Pcid, va: VirtAddr) -> (u16, u64) {
 /// cache). Each admission is numbered, so the slot a removed key leaves
 /// behind can never evict a live key, not even the same key admitted
 /// again.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 struct Fifo<K> {
     /// How many keys it holds at most.
     ways: usize,
@@ -217,7 +217,7 @@ pub struct TlbStats {
 /// ITLB entries (§4.1). The model is therefore minimal: fill on fetch,
 /// invalidate on the same flush operations as the dTLB, and *not* on data
 /// accesses.
-#[derive(Debug, Default)]
+#[derive(Clone, Debug, Default)]
 pub struct ItlbModel {
     entries: FastMap<Key, TlbEntry>,
 }
@@ -283,7 +283,7 @@ impl ItlbModel {
 /// tlb.invlpg(Pcid::new(1), VirtAddr::new(0x1000));
 /// assert!(tlb.lookup(Pcid::new(1), VirtAddr::new(0x1234)).is_none());
 /// ```
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct Tlb {
     geometry: TlbGeometry,
     /// Every cached translation: the single source of truth for

@@ -101,7 +101,7 @@ impl TopologySpec {
 /// The coherence directory and the IPI fabric each own one — they are
 /// separate virtual channels of the NoC, so coherence traffic and IPI
 /// traffic queue independently.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct Interconnect {
     spec: TopologySpec,
     topo: Topology,
@@ -140,47 +140,51 @@ impl Interconnect {
         self.topo.num_cores() / self.topo.smt_ways()
     }
 
-    /// The routed path between two physical nodes, as a list of edges.
-    /// Empty when `a == b`. Flat has no links and returns an empty path.
-    fn path(&self, a: u32, b: u32) -> Vec<(u32, u32)> {
-        if a == b || self.spec.is_flat() {
-            return Vec::new();
-        }
-        let edge = |x: u32, y: u32| (x.min(y), x.max(y));
-        let mut edges = Vec::new();
-        match &self.spec {
-            TopologySpec::Flat => {}
-            TopologySpec::Ring => {
-                let n = self.phys_count();
-                let fwd = (b + n - a) % n; // hops going clockwise from a
-                let step: i64 = if fwd <= n - fwd { 1 } else { -1 };
-                let mut cur = a;
-                while cur != b {
-                    let next = ((cur as i64 + step).rem_euclid(n as i64)) as u32;
-                    edges.push(edge(cur, next));
-                    cur = next;
+    /// The routed path between two physical nodes, edge by edge, each as
+    /// `(min_node, max_node)`. Empty when `a == b` and under flat, which
+    /// has no links. Walked in place: routing a transfer allocates
+    /// nothing once the link map holds its edges.
+    fn path(&self, a: u32, b: u32) -> impl Iterator<Item = (u32, u32)> {
+        let (ring, n) = (matches!(self.spec, TopologySpec::Ring), self.phys_count());
+        let w = if ring { 0 } else { self.mesh_width() };
+        // The ring takes the shorter arc (clockwise on a tie); the mesh
+        // routes XY: the X dimension first, then Y.
+        let clockwise = ring && {
+            let fwd = (b + n - a) % n;
+            fwd <= n - fwd
+        };
+        let next = move |cur: u32| {
+            if ring {
+                if clockwise {
+                    (cur + 1) % n
+                } else {
+                    (cur + n - 1) % n
+                }
+            } else {
+                let (x, y, bx) = (cur % w, cur / w, b % w);
+                if x != bx {
+                    if bx > x {
+                        cur + 1
+                    } else {
+                        cur - 1
+                    }
+                } else if b / w > y {
+                    cur + w
+                } else {
+                    cur - w
                 }
             }
-            TopologySpec::Mesh => {
-                let w = self.mesh_width();
-                let (ax, ay) = (a % w, a / w);
-                let (bx, by) = (b % w, b / w);
-                // XY routing: resolve the X dimension first, then Y.
-                let mut x = ax;
-                while x != bx {
-                    let nx = if bx > x { x + 1 } else { x - 1 };
-                    edges.push(edge(ay * w + x, ay * w + nx));
-                    x = nx;
-                }
-                let mut y = ay;
-                while y != by {
-                    let ny = if by > y { y + 1 } else { y - 1 };
-                    edges.push(edge(y * w + bx, ny * w + bx));
-                    y = ny;
-                }
+        };
+        let mut cur = if self.spec.is_flat() { b } else { a };
+        std::iter::from_fn(move || {
+            if cur == b {
+                return None;
             }
-        }
-        edges
+            let to = next(cur);
+            let edge = (cur.min(to), cur.max(to));
+            cur = to;
+            Some(edge)
+        })
     }
 
     /// Number of links a transfer between `a` and `b` traverses: the
@@ -233,20 +237,19 @@ impl Interconnect {
     /// the total delay (static cost + queueing). Not used under flat.
     fn route(&mut self, from: CoreId, to: CoreId, hop_cost: u64, penalty: u64) -> u64 {
         let (pa, pb) = (self.topo.physical_of(from), self.topo.physical_of(to));
-        let path = self.path(pa, pb);
-        if path.is_empty() {
+        if pa == pb || self.spec.is_flat() {
             return 0;
         }
-        let mut total = path.len() as u64 * hop_cost;
+        let mut total = 0;
         if self.topo.socket_of(from) != self.topo.socket_of(to) {
             total += penalty;
         }
-        for e in path {
+        for e in self.path(pa, pb) {
             let q = self.links.entry(e).or_insert(0);
             *q = q.saturating_sub(DRAIN);
             let wait = (*q).min(QUEUE_CAP);
             *q += SERVICE;
-            total += wait;
+            total += hop_cost + wait;
         }
         total
     }
@@ -354,7 +357,7 @@ mod tests {
                 for a in (0..topo.num_cores()).map(CoreId) {
                     for b in (0..topo.num_cores()).map(CoreId) {
                         let path = ic.path(topo.physical_of(a), topo.physical_of(b));
-                        assert_eq!(ic.hops(a, b), path.len() as u64, "{spec:?} {a:?} {b:?}");
+                        assert_eq!(ic.hops(a, b), path.count() as u64, "{spec:?} {a:?} {b:?}");
                     }
                 }
             }

@@ -120,6 +120,7 @@ fn mean(cycles: u64, n: u64) -> f64 {
 /// mm), until the deadline. Closed loop unless [`ServeWorker::open_loop`]
 /// sets an arrival rate; the compute step runs only with
 /// [`ServeWorker::request_work`] set.
+#[derive(Clone)]
 pub struct ServeWorker {
     files: Vec<FileId>,
     file_pages: u64,

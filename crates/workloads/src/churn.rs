@@ -52,6 +52,7 @@ impl ChurnCfg {
 
 /// One tenant slot: loop { mmap working set → touch pages → live →
 /// munmap everything }. Each full munmap is the turnover shootdown.
+#[derive(Clone)]
 pub struct ChurnProg {
     cfg: ChurnCfg,
     rng: SplitMix64,

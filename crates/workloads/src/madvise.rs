@@ -230,6 +230,7 @@ fn run_with_hooks(
 /// leaving the window empty so the next even round promotes again. Every
 /// round ends in a ranged shootdown, so the fracture pressure rides the
 /// same IPI paths the 4K initiator exercises.
+#[derive(Clone)]
 struct ThpInitiator {
     /// 2M-aligned arena base (512 pages, mapped with `thp` enabled).
     arena: u64,
@@ -481,6 +482,7 @@ pub fn run_scale_tier(cfg: &ScaleTierCfg) -> SimResult<ScaleTierResult> {
 /// demand-fault — at opt level 7 a fault on a *parked* page is the
 /// reuse-hit path (unpark, skip the fill work); below 7 it is a plain
 /// zero-fill fault.
+#[derive(Clone)]
 struct ChurnReader {
     addr: u64,
     pages: u64,

@@ -306,6 +306,7 @@ pub struct StormResult {
 /// Each protect is a ranged shootdown; each restore is flush-free
 /// (permissions widen). The victim's `re_dirty` faults between the two
 /// are the single-step signal.
+#[derive(Clone)]
 struct MonitorProg {
     addr: u64,
     pages: u64,
@@ -354,6 +355,7 @@ impl Prog for MonitorProg {
 /// victim write behind it takes a hinting fault that restores the page
 /// — so the scan cadence, not the monitor's toggle, sets the
 /// migration-storm shootdown rate.
+#[derive(Clone)]
 struct AutonumaScannerProg {
     addr: u64,
     pages: u64,
@@ -393,6 +395,7 @@ impl Prog for AutonumaScannerProg {
 
 /// The victim: write through the working set in the configured pattern.
 /// Writes landing on a protected page fault down the `re_dirty` path.
+#[derive(Clone)]
 struct VictimProg {
     addr: u64,
     pages: u64,

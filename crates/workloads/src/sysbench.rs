@@ -78,6 +78,7 @@ pub struct SysbenchResult {
 }
 
 /// One sysbench worker thread.
+#[derive(Clone)]
 struct Worker {
     addr: u64,
     file: FileId,

@@ -9,8 +9,9 @@
 //!   model-checking gate: bounded schedule exploration of the shootdown
 //!   protocols at every cumulative optimization level (zero violations
 //!   expected), fanned across host cores by the sweep pool, plus the
-//!   seeded-bug canaries. Budgeted at 50k schedules; writes a
-//!   machine-readable summary to `explore_report.json`.
+//!   seeded-bug canaries. Budgeted at 50k schedules. Its machine-readable
+//!   summary must match `--out` (default `explore_report.json`) in every
+//!   field but `threads`, and is written there only if the gate passed.
 //! - `cargo xtask trace [--out PATH]` — the tracing gate: capture the
 //!   calibrated dueling-madvise workload at every cumulative optimization
 //!   level, print the paper-style "where did the cycles go" table, write
@@ -73,7 +74,8 @@ use std::time::{Duration, Instant};
 
 use tlbdown_bench::loc::{effective_loc, Loc};
 use tlbdown_bench::report::{
-    diff_sim_metrics, job_json, render_bench_json, render_snapshot, sim_blocks, total_wall_ns,
+    diff_sim_metrics, differences, job_json, render_bench_json, render_snapshot, sim_blocks,
+    total_wall_ns,
 };
 use tlbdown_bench::{
     bench_jobs, bench_matrix, optbench_levels, optbench_matrix, scale_matrix, storm_matrix,
@@ -307,10 +309,32 @@ fn print_canary(bug: InjectedBug, c: &CanaryReport) {
     }
 }
 
+/// Every way the explore report `doc` differs from the baseline `base`,
+/// one message per key path, `threads` aside: the one field the worker
+/// count moves.
+fn report_changes(doc: &Json, base: &Json) -> Vec<String> {
+    let without_threads = |j: &Json| match j {
+        Json::Obj(pairs) => Json::Obj(
+            pairs
+                .iter()
+                .filter(|(k, _)| k != "threads")
+                .cloned()
+                .collect(),
+        ),
+        other => other.clone(),
+    };
+    differences(&without_threads(doc), &without_threads(base), "")
+        .into_iter()
+        .map(|(path, cur, base)| format!("{path} is {cur} (baseline {base})"))
+        .collect()
+}
+
 /// The model-checking gate: per-level explorations (flat and mesh, all
 /// of [`OptConfig::all_levels`]) fanned across the sweep pool, the
-/// seeded-bug canaries, a budget check, and a machine-readable report
-/// written to `out`.
+/// seeded-bug canaries and a budget check. The machine-readable report
+/// must match the baseline at `out` in every field but `threads`, and is
+/// written to `out` only when the gate passes, so a failed run leaves
+/// the committed report alone; delete it to re-baseline on purpose.
 fn explore_gate(threads: usize, out: &str) -> bool {
     let per_level = per_level_bounds();
     println!(
@@ -355,7 +379,25 @@ fn explore_gate(threads: usize, out: &str) -> bool {
         canaries,
         max_canary_choices: MAX_CANARY_CHOICES,
     };
-    if let Err(e) = std::fs::write(out, gate.to_json().render_pretty()) {
+    if spent > DEFAULT_BUDGET {
+        eprintln!("xtask: BUDGET EXCEEDED — {spent} schedules > {DEFAULT_BUDGET}");
+    }
+    let doc = gate.to_json();
+    let changes = match std::fs::read_to_string(out).map(|t| Json::parse(&t)) {
+        Err(_) => {
+            println!("xtask: no baseline at {out}; nothing to diff against");
+            Vec::new()
+        }
+        Ok(Err(e)) => vec![format!("baseline {out} is not valid JSON ({e})")],
+        Ok(Ok(base)) => report_changes(&doc, &base),
+    };
+    for c in &changes {
+        eprintln!("xtask: explore GATE FAILED — {c}");
+    }
+    if !gate.pass() || !changes.is_empty() {
+        return false;
+    }
+    if let Err(e) = std::fs::write(out, doc.render_pretty()) {
         eprintln!("xtask: could not write {out}: {e}");
         return false;
     }
@@ -365,13 +407,8 @@ fn explore_gate(threads: usize, out: &str) -> bool {
         sweep.threads,
         sweep.elapsed
     );
-    if spent > DEFAULT_BUDGET {
-        eprintln!("xtask: BUDGET EXCEEDED — {spent} schedules > {DEFAULT_BUDGET}");
-    }
-    if gate.pass() {
-        println!("xtask: explore OK — {spent} of {DEFAULT_BUDGET} schedule budget used");
-    }
-    gate.pass()
+    println!("xtask: explore OK — {spent} of {DEFAULT_BUDGET} schedule budget used");
+    true
 }
 
 /// One run of a snapshot entry: the snapshot, and one message per job
@@ -1075,6 +1112,31 @@ mod tests {
             failures.iter().any(|f| f.contains(want)),
             "expected a failure containing {want:?}, got {failures:?}"
         );
+    }
+
+    /// The committed explore report.
+    fn committed_explore_report() -> Json {
+        let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../explore_report.json");
+        let text = std::fs::read_to_string(path).expect("committed explore report");
+        Json::parse(&text).expect("committed explore report parses")
+    }
+
+    #[test]
+    fn the_explore_report_diff_ignores_only_the_thread_count() {
+        let base = committed_explore_report();
+        assert_eq!(report_changes(&base, &base), Vec::<String>::new());
+        let mut doc = base.clone();
+        bump(member(&mut doc, "threads"));
+        assert_eq!(report_changes(&doc, &base), Vec::<String>::new());
+        let Json::Arr(levels) = member(&mut doc, "mesh_levels") else {
+            panic!("mesh_levels is not an array")
+        };
+        bump(member(&mut levels[8], "schedules"));
+        bump(member(member(&mut doc, "canary"), "shrunk_choices"));
+        let changes = report_changes(&doc, &base);
+        assert_eq!(changes.len(), 2, "{changes:?}");
+        assert_has(&changes, ".mesh_levels[8].schedules is");
+        assert_has(&changes, ".canary.shrunk_choices is");
     }
 
     #[test]

@@ -13,6 +13,7 @@ use tlbdown::kernel::{KernelConfig, Machine, Syscall};
 use tlbdown::types::{CoreId, Cycles, VirtAddr};
 
 /// Reads one address in a tight loop.
+#[derive(Clone)]
 struct Toucher {
     addr: u64,
     i: u64,

@@ -114,6 +114,7 @@ fn nmi_uaccess_extension_blocks_the_early_ack_hazard() {
         // the entry the NMI will probe warm in its TLB. That page is
         // flushed last by the responder's handler, so the window between
         // the early ack and its invalidation is widest.
+        #[derive(Clone)]
         struct Warmer {
             addr: u64,
             i: u64,

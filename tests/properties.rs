@@ -15,6 +15,7 @@ use tlbdown::sim::SplitMix64;
 use tlbdown::types::{CoreId, Cycles, VirtAddr};
 
 /// A thread that makes random-but-valid memory-management calls.
+#[derive(Clone)]
 struct Chaos {
     rng: SplitMix64,
     anon: u64,
